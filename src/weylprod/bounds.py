@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrepancy import discrepancy_trace
-from .irrational import (ConvergentTable, FracPartEvaluator, IrrationalSpec,
-                         cf_expand_until, ostrowski)
+from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
+                         kronecker_fixed_point, kronecker_fixed_point_blocks,
+                         ostrowski)
 from .numerics import LOG2, compensated_cumsum, log_two_sin_pi_array
-from .products import ProductTrace, product_trace
-from .sequences import kronecker, van_der_corput_floats
+from .products import ProductTrace, orbit_trace, product_trace
+from .sequences import van_der_corput_floats
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 BASE_TOL = 1e-9
@@ -48,27 +49,15 @@ class BoundReport:
         }
 
 
-_trace_cache: dict = {}
+def kronecker_log_trace(alpha: IrrationalSpec, N: int):
+    """(float64 prefix log-products, error bound) for {n alpha}, n = 1..N.
 
-
-def kronecker_log_trace(alpha: IrrationalSpec, N: int,
-                        precision_bits: int | None = None):
-    """(float64 prefix log-products, error bound) for {n alpha}, cached.
-
-    The cache keeps the longest trace computed per alpha and serves
-    prefixes of it; the full-length error bound is reported (conservative
-    for prefixes).
+    Points come from the 128-bit fixed-point kernel; the bound adds its
+    per-point errors, the float log-term rounding and the prefix-sum
+    rounding, and holds for every prefix.
     """
-    key = (str(alpha), precision_bits)
-    cached = _trace_cache.get(key)
-    if cached is None or cached[0] < N:
-        ev = FracPartEvaluator(alpha, precision_bits=precision_bits)
-        ps = kronecker(alpha, N, evaluator=ev)
-        tr = product_trace(ps)
-        logs = tr.as_float_array()
-        _trace_cache[key] = (N, logs, tr.error_bound + N * 1e-14)
-        cached = _trace_cache[key]
-    return cached[1][:N], cached[2]
+    tr = orbit_trace(kronecker_fixed_point_blocks(alpha, N), N)
+    return tr.log_values, tr.error_bound
 
 
 def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
@@ -226,7 +215,7 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
         raise ValueError("s_max must be in [1, 24]")
     n_top = 2 ** (s_max + 1) - 1
     x = van_der_corput_floats(n_top)
-    cum = compensated_cumsum(log_two_sin_pi_array(x))
+    cum, _ = compensated_cumsum(log_two_sin_pi_array(x))
     del x
     report = BoundReport("vdc-limits", {"s_max": s_max}, (1, n_top))
     rel_tol = 1e-10
@@ -328,11 +317,9 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
     elif kind == "kronecker":
         if alpha is None:
             raise ValueError("kronecker generator needs alpha")
-        logs, err = kronecker_log_trace(alpha, N_max)
-        tr = ProductTrace(logs, err, N_max)
-        ev = FracPartEvaluator(alpha)
-        pts = [float(ev.frac_part(n).value) for n in range(1, N_max + 1)]
-        dtr = discrepancy_trace(pts)
+        orbit = kronecker_fixed_point(alpha, N_max)
+        tr = orbit_trace([orbit], N_max)
+        dtr = discrepancy_trace(orbit.points())
         params = {"gen": "kronecker", "alpha": str(alpha), "N_max": N_max}
     else:
         raise ValueError(f"unknown generator {kind!r}")

@@ -1,8 +1,11 @@
 """Command-line workbench tying generators, checkers and experiments together.
 
-Exit codes: 0 = pass, 1 = a checked bound was violated, 2 = usage error.
+Exit codes: 0 = pass, 1 = a checked bound was violated, 2 = usage error,
+3 = an input/output error (an output file could not be written).
 Every command is deterministic given its full flag set (seed and precision
-included); WEYL_PRECISION_BITS overrides the default precision budget.
+included). `figure` evaluates its points on the mpf path, whose precision
+--precision-bits or WEYL_PRECISION_BITS overrides; `verify` and `mc` use the
+128-bit fixed-point kernel with float64 logs and a derived error bound.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sine-product workbench: figures, bound verification and "
                     "Monte Carlo experiments over [0,1] point sequences.")
     p.add_argument("--precision-bits", type=int, default=None,
-                   help="working precision for irrational fractional parts "
-                        "(default from WEYL_PRECISION_BITS or the 2^24 budget)")
+                   help="working precision of figure's mpf fractional parts "
+                        "(default from WEYL_PRECISION_BITS or the 2^24 "
+                        "budget; verify and mc use the fixed-point kernel)")
 
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -271,7 +275,9 @@ def cmd_mc(cfg: RunConfig) -> int:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.precision_bits = args.precision_bits or _default_precision()
+    cfg.precision_bits = (args.precision_bits
+                          if args.precision_bits is not None
+                          else _default_precision())
     if cfg.precision_bits is not None and cfg.precision_bits < 68:
         raise UsageError("--precision-bits must be >= 68")
     if getattr(args, "alpha", None) is not None:
@@ -310,6 +316,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

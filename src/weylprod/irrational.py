@@ -4,9 +4,11 @@ Continued fractions, convergents, Ostrowski digit expansions and
 floor(n*alpha) are computed on plain integers: the only irrational
 ingredient, sqrt(d), enters through comparisons that reduce to integer
 square comparisons. Every combinatorial quantity downstream is therefore
-exact. Fractional parts {n*alpha} are evaluated with mpmath at a precision
-budget wide enough that sine products over them can be trusted far below
-double precision.
+exact. Fractional parts {n*alpha} are evaluated two ways: with mpmath at a
+precision budget wide enough that sine products over them can be trusted
+far below double precision (`FracPartEvaluator`), and as float64 distances
+to the nearest integer from a vectorised 128-bit fixed-point kernel with a
+derived per-point error bound (`kronecker_fixed_point`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 DEFAULT_N_MAX = 2 ** 24
 
@@ -300,7 +303,8 @@ class FracPartEvaluator:
             raise ValueError("n_max must be positive")
         self.alpha = alpha
         self.n_max = n_max
-        self.precision_bits = precision_bits or default_precision_bits(n_max)
+        self.precision_bits = (precision_bits if precision_bits is not None
+                               else default_precision_bits(n_max))
         if self.precision_bits < 68:
             raise ValueError("precision_bits must be >= 68 to keep the "
                              "error bound below 2^-64")
@@ -331,6 +335,124 @@ def frac_part(n: int, alpha: IrrationalSpec, n_max: int = DEFAULT_N_MAX,
               precision_bits: int | None = None) -> FractionalPart:
     """One-shot {n*alpha}; build a FracPartEvaluator for repeated calls."""
     return FracPartEvaluator(alpha, n_max, precision_bits).frac_part(n)
+
+
+# The fixed-point kernel works with A = floor(alpha * 2^P). The residue
+# R = n*A mod 2^P differs from {n alpha} * 2^P by less than n on the circle,
+# so ||n alpha|| = D * 2^-P up to n * 2^-P, with D = min(R, 2^P - R). A point
+# is recomputed from exact integer floors when that absolute error could
+# exceed 2^-53 of D, i.e. when D <= n * 2^53 might hold. n < 2^31 keeps
+# n * limb + carry inside uint64.
+FIXED_POINT_BITS = 128
+KERNEL_MAX_N = 2 ** 31 - 1
+KERNEL_BLOCK = 1 << 16
+_LIMB_BITS = 32
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_FALLBACK_SHIFT = np.uint64(FIXED_POINT_BITS - 64 - 53)
+# three roundings (two limb-pair conversions and their sum) stay below 2^-51
+# relative; 2^-50 leaves a factor 2
+_CONVERSION_REL = 2.0 ** -50
+
+
+@dataclass(frozen=True)
+class FixedPointOrbit:
+    """||n alpha|| for n = first .. first + len(dist) - 1, from the kernel.
+
+    `dist` holds min({n alpha}, 1 - {n alpha}) in float64 and `upper` marks
+    {n alpha} > 1/2. Keeping the distance rather than the point keeps full
+    relative precision on both sides of 1/2, which is what log(2 sin pi x)
+    needs.
+    """
+
+    first: int
+    dist: np.ndarray
+    upper: np.ndarray
+
+    def error(self) -> np.ndarray:
+        """Per-point bound on |dist - ||n alpha|||: the float conversion
+        plus n * 2^-P from truncating alpha * 2^P. Points recomputed exactly
+        are within 2^-52 * dist + 2^-256, which this also covers."""
+        n = np.arange(self.first, self.first + len(self.dist),
+                      dtype=np.float64)
+        return _CONVERSION_REL * self.dist + np.ldexp(n, -FIXED_POINT_BITS)
+
+    def points(self) -> np.ndarray:
+        """{n alpha} as float64; points above 1/2 take one more rounding
+        (at most 2^-53) on top of `error()`."""
+        return np.where(self.upper, 1.0 - self.dist, self.dist)
+
+
+def _exact_distance(alpha: IrrationalSpec, n: int) -> tuple:
+    """(||n alpha||, {n alpha} > 1/2) from floor(n alpha 2^K), with K
+    doubled until the distance has 64 exact leading bits."""
+    bits = 2 * FIXED_POINT_BITS
+    while True:
+        r = floor_surd((n * alpha.a) << bits, (n * alpha.b) << bits,
+                       alpha.c, alpha.d) % (1 << bits)
+        upper = r >> (bits - 1) == 1
+        d = (1 << bits) - r if upper else r
+        if d >> 64:
+            return d / (1 << bits), upper
+        bits *= 2
+
+
+def _fixed_point_block(alpha: IrrationalSpec, limbs, lo: int,
+                       hi: int) -> FixedPointOrbit:
+    n = np.arange(lo, hi, dtype=np.uint64)
+    # R = n * A mod 2^P in 32-bit limbs; n * limb + carry < 2^63
+    carry = np.zeros_like(n)
+    r = []
+    for a in limbs:
+        t = n * a + carry
+        r.append(t & _LIMB_MASK)
+        carry = t >> np.uint64(_LIMB_BITS)
+    upper = r[-1] >> np.uint64(_LIMB_BITS - 1) == 1
+    # D = 2^P - R = ~R + 1 where R >= 2^(P-1), else R
+    carry = upper.astype(np.uint64)
+    d = []
+    for ri in r:
+        t = np.where(upper, ri ^ _LIMB_MASK, ri) + carry
+        d.append(t & _LIMB_MASK)
+        carry = t >> np.uint64(_LIMB_BITS)
+    shift = np.uint64(_LIMB_BITS)
+    top = (d[3] << shift) | d[2]          # D >> 64, below 2^63
+    low = (d[1] << shift) | d[0]
+    dist = np.ldexp(top.astype(np.float64) + np.ldexp(low.astype(np.float64),
+                                                       -64), -64)
+    for i in np.flatnonzero(top <= n >> _FALLBACK_SHIFT).tolist():
+        dist[i], upper[i] = _exact_distance(alpha, lo + i)
+    return FixedPointOrbit(lo, dist, upper)
+
+
+def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
+    """The orbit n = 1..N as an iterator over consecutive `FixedPointOrbit`
+    blocks of KERNEL_BLOCK points, so that temporaries stay O(block).
+    The arguments are checked at the call, before any block is built.
+
+    {n alpha} * 2^P = n*A mod 2^P (up to n) with P = 128 and
+    A = floor(alpha * 2^P) exact from `floor_surd`; the product is formed
+    in four 32-bit limbs held in uint64 with carries propagated, and its
+    distance to 0 mod 2^P converted to float64. N must stay below 2^31.
+    """
+    if not 1 <= N <= KERNEL_MAX_N:
+        raise ValueError(f"N = {N} outside the fixed-point kernel's range "
+                         f"[1, {KERNEL_MAX_N}]")
+    A = floor_surd(alpha.a << FIXED_POINT_BITS, alpha.b << FIXED_POINT_BITS,
+                   alpha.c, alpha.d)
+    limbs = [np.uint64((A >> (_LIMB_BITS * i)) & int(_LIMB_MASK))
+             for i in range(FIXED_POINT_BITS // _LIMB_BITS)]
+    block = KERNEL_BLOCK
+    return (_fixed_point_block(alpha, limbs, lo, min(lo + block, N + 1))
+            for lo in range(1, N + 1, block))
+
+
+def kronecker_fixed_point(alpha: IrrationalSpec, N: int) -> FixedPointOrbit:
+    """The whole orbit n = 1..N as one `FixedPointOrbit`."""
+    blocks = list(kronecker_fixed_point_blocks(alpha, N))
+    if len(blocks) == 1:
+        return blocks[0]
+    return FixedPointOrbit(1, np.concatenate([b.dist for b in blocks]),
+                           np.concatenate([b.upper for b in blocks]))
 
 
 def surd_from_cf(prefix, period) -> IrrationalSpec:

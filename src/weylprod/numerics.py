@@ -57,48 +57,52 @@ def log_two_sin_pi_mp(x, prec: int):
         return mpmath.log(2 * mpmath.sinpi(x))
 
 
-class NeumaierSum:
-    """Running compensated sum (Neumaier's variant of Kahan summation)."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, start=0.0):
-        self._s = float(start)
-        self._c = 0.0
-
-    def add(self, v: float) -> None:
-        t = self._s + v
-        if abs(self._s) >= abs(v):
-            self._c += (self._s - t) + v
-        else:
-            self._c += (v - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
+SUM_CHUNK = 1 << 16
 
 
-def compensated_cumsum(a: np.ndarray, block: int = 4096) -> np.ndarray:
-    """Prefix sums of `a` with rounding error O(block * eps), not O(n * eps).
+def compensated_cumsum(a: np.ndarray) -> tuple:
+    """(prefix sums of finite `a`, a bound on the error of every prefix).
 
-    Plain np.cumsum loses ~n*eps absolute accuracy over millions of terms;
-    here each block is cumsum'd locally and chained through an exactly
-    accumulated carry (fsum per block, Neumaier across blocks).
+    Plain np.cumsum loses ~n*eps absolute accuracy over millions of terms.
+    Here each term is split exactly into a multiple of 2^-k, summed in
+    int64 without rounding, and a remainder below 2^-(k+1), summed in
+    float64. k is the largest scale at which n * max|a_i| * 2^k, and so
+    every integer partial sum, stays below 2^62. The error of a prefix is
+    then two roundings of its value plus the remainder sum's
+    n * eps * sum|remainder| <= n^2 * eps * 2^-(k+1). Work goes in chunks
+    of SUM_CHUNK terms, so temporaries stay O(chunk).
     """
     a = np.asarray(a, dtype=np.float64)
+    n = len(a)
     out = np.empty_like(a)
-    carry = NeumaierSum()
-    for lo in range(0, len(a), block):
-        hi = min(lo + block, len(a))
-        np.cumsum(a[lo:hi], out=out[lo:hi])
-        out[lo:hi] += carry.value
-        carry.add(math.fsum(a[lo:hi].tolist()))
-    return out
+    if n == 0:
+        return out, 0.0
+    amax = max(abs(float(a.max())), abs(float(a.min())))
+    if not math.isfinite(amax):
+        raise ValueError("compensated_cumsum needs finite terms")
+    # |a_i| 2^k < 2^52 keeps each rounded term exact
+    k = min(52 - math.frexp(amax)[1], 62 - math.frexp(n * amax + 1.0)[1])
+    carry_hi, carry_lo, out_max = 0, 0.0, 0.0
+    chunk = SUM_CHUNK
+    for s in range(0, n, chunk):
+        part = a[s:s + chunk]
+        hi = np.rint(np.ldexp(part, k))
+        lo = np.cumsum(part - np.ldexp(hi, -k))
+        lo += carry_lo
+        ints = np.cumsum(hi.astype(np.int64))
+        ints += carry_hi
+        res = out[s:s + chunk]
+        np.ldexp(ints.astype(np.float64), -k, out=res)
+        res += lo
+        carry_hi, carry_lo = int(ints[-1]), float(lo[-1])
+        out_max = max(out_max, float(np.abs(res).max()))
+    return out, 2.0 ** -51 * (out_max + math.ldexp(n * n, -k - 1))
 
 
 def as_float_array(points) -> np.ndarray:
     """Convert a sequence of Fraction/mpf/float points to a float64 array."""
+    if isinstance(points, np.ndarray):
+        return points.astype(np.float64, copy=False)
     conv = getattr(points, "to_float_array", None)
     if conv is not None:
         return conv()

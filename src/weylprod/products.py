@@ -96,24 +96,49 @@ def _trace_mpf(pts, prec: int, pt_err: float) -> ProductTrace:
     return ProductTrace(logs, err, len(pts), has_zero)
 
 
-def _trace_float(pts, pt_err: float) -> ProductTrace:
-    arr = as_float_array(pts)
+def _float_terms(arr: np.ndarray, pt_err) -> tuple:
+    """(terms log(2 sin pi x), their error bound, endpoint mask) for float
+    points `arr`; `pt_err` bounds each point's error (scalar or array)."""
     endpoint = (arr == 0.0) | (arr == 1.0)
     safe = np.where(endpoint, 0.5, arr)
     terms = log_two_sin_pi_array(safe)
     err = float(np.sum(TERM_EPS * (1.0 + np.abs(terms))))
-    if pt_err:
+    if np.any(pt_err):
+        # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= pi / (2 min(x, 1-x))
         m = np.minimum(safe, 1.0 - safe)
         err += float(np.sum(1.6 * pt_err / m))
+    return terms, err, endpoint
+
+
+def _trace_float(pts, pt_err: float) -> ProductTrace:
+    arr = as_float_array(pts)
+    terms, err, endpoint = _float_terms(arr, pt_err)
     has_zero = bool(endpoint.any())
     if has_zero:
         first = int(np.argmax(endpoint))
         terms[first:] = 0.0
-        cum = compensated_cumsum(terms)
+    cum, sum_err = compensated_cumsum(terms)
+    if has_zero:
         cum[first:] = -math.inf
-    else:
-        cum = compensated_cumsum(terms)
-    return ProductTrace(cum, err, len(arr), has_zero)
+    return ProductTrace(cum, err + sum_err, len(arr), has_zero)
+
+
+def orbit_trace(orbits, N: int) -> ProductTrace:
+    """Prefix log-products over Kronecker orbit blocks from the fixed-point
+    kernel (`irrational.kronecker_fixed_point_blocks`), n = 1..N.
+
+    Terms come from the distances ||n alpha||, which never reach 0 for an
+    irrational alpha, with each block's per-point error bound; only the
+    terms and the prefix sums are held for the whole orbit.
+    """
+    terms = np.empty(N, dtype=np.float64)
+    err = 0.0
+    for orbit in orbits:
+        t, e, _ = _float_terms(orbit.dist, orbit.error())
+        terms[orbit.first - 1:orbit.first - 1 + len(t)] = t
+        err += e
+    cum, sum_err = compensated_cumsum(terms)
+    return ProductTrace(cum, err + sum_err, N)
 
 
 def closed_form_roots_of_unity(N: int) -> int:

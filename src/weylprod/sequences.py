@@ -17,6 +17,10 @@ from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
 from .numerics import decimal_str
 
 LACUNARY_MAX_TERMS = 60
+# coin draws allowed per requested term before a selection gives up: a fair
+# coin needs about 2, and falls short of N heads in 64 N draws with
+# probability below 2^-(50 N)
+MAX_DRAWS_PER_TERM = 64
 
 
 class RationalArray:
@@ -188,7 +192,12 @@ def random_subsequence(alpha: IrrationalSpec, N_terms: int, seed: int,
     rng = np.random.default_rng(seed)
     indices = []
     base = 1
+    max_draws = MAX_DRAWS_PER_TERM * N_terms
     while len(indices) < N_terms:
+        if base > max_draws:
+            raise ValueError(
+                f"the coin showed {len(indices)} heads in {base - 1} draws, "
+                f"fewer than the {N_terms} terms requested")
         draws = np.asarray(flip(rng, block), dtype=bool)
         sel = np.flatnonzero(draws) + base
         indices.extend(sel.tolist())

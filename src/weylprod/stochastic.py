@@ -17,8 +17,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
+from .irrational import IrrationalSpec, kronecker_fixed_point
 from .numerics import log_two_sin_pi_array
+from .sequences import MAX_DRAWS_PER_TERM
 
 PI2_OVER_12 = math.pi ** 2 / 12.0
 IID_SIGMA_CONSTANT = math.pi / math.sqrt(6.0)
@@ -151,24 +152,10 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
         rows=rows)
 
 
-_weight_cache: dict = {}
-
-
 def kronecker_log_weights(alpha: IrrationalSpec, N: int) -> np.ndarray:
-    """Deterministic weights w_n = log(2 sin(pi n alpha)) for n = 1..N."""
-    key = str(alpha)
-    cached = _weight_cache.get(key)
-    if cached is None or len(cached) < N:
-        ev = FracPartEvaluator(alpha, n_max=max(DEFAULT_N_MAX, N))
-        pts = np.array([float(ev.frac_part(n).value) for n in range(1, N + 1)])
-        _weight_cache[key] = (pts, log_two_sin_pi_array(pts))
-        cached = _weight_cache[key]
-    return cached[1][:N]
-
-
-def _kronecker_points_float(alpha: IrrationalSpec, N: int) -> np.ndarray:
-    kronecker_log_weights(alpha, N)
-    return _weight_cache[str(alpha)][0][:N]
+    """Deterministic weights w_n = log(2 sin(pi n alpha)) for n = 1..N,
+    from the fixed-point kernel's float64 distances ||n alpha||."""
+    return log_two_sin_pi_array(kronecker_fixed_point(alpha, N).dist)
 
 
 def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
@@ -182,12 +169,11 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    w = kronecker_log_weights(alpha, N_max)
-    pts = _kronecker_points_float(alpha, N_max)
+    dist = kronecker_fixed_point(alpha, N_max).dist
+    w = log_two_sin_pi_array(dist)
     B = np.cumsum(w * w)
     n = np.arange(1, N_max + 1, dtype=np.float64)
     # ||n alpha|| >= c0/n: empirical c0, and |w_n| <= c1 log n empirically
-    dist = np.minimum(pts, 1.0 - pts)
     c0_hat = float(np.min(n * dist))
     with np.errstate(divide="ignore"):
         c1_arr = np.abs(w[1:]) / np.log(n[1:])
@@ -249,6 +235,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     if N_terms < max(k_lo, 10):
         raise ValueError("N_terms too small")
     need = int(2.3 * N_terms) + 256
+    max_draws = MAX_DRAWS_PER_TERM * N_terms + 256
     w = kronecker_log_weights(alpha, need)
     cum_w = np.cumsum(w)
     flip = coin
@@ -273,6 +260,11 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
                 break
             # astronomically unlikely with a fair coin; widen and redraw
             need = int(1.5 * need)
+            if need > max_draws:
+                raise ValueError(
+                    f"the coin showed {len(positions)} heads in {len(w)} "
+                    f"draws, fewer than the {N_terms} terms requested; "
+                    f"giving up above {max_draws} draws")
             w = kronecker_log_weights(alpha, need)
             cum_w = np.cumsum(w)
         positions = positions[:N_terms]

@@ -165,6 +165,24 @@ def test_precision_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_precision_bits_zero_is_usage_error(capsys, monkeypatch):
+    # 0 is a value, not "unset": it must not fall through to the default
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    code, _, err = run(["--precision-bits", "0", "figure", "--n-max", "2"],
+                       capsys)
+    assert code == 2 and "must be >= 68" in err
+
+
+def test_unwritable_out_exit_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "rep.json"
+    code, _, err = run(["verify", "ostrowski", "--n-max", "100",
+                        "--out", str(out)], capsys)
+    assert code == 3 and "error" in err
+    code, _, _ = run(["mc", "iid", "--paths", "2", "--n-max", "1000",
+                      "--out", str(tmp_path / "missing" / "mc")], capsys)
+    assert code == 3
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "weylprod.cli", "verify", "conjectures",

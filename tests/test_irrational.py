@@ -279,6 +279,8 @@ def test_frac_part_budget_and_bounds(sqrt2m1):
     assert ev.error_bound < 2.0 ** -64
     with pytest.raises(ValueError):
         FracPartEvaluator(sqrt2m1, precision_bits=32)
+    with pytest.raises(ValueError):
+        FracPartEvaluator(sqrt2m1, precision_bits=0)
     assert default_precision_bits(DEFAULT_N_MAX) == 112
 
 

@@ -1,0 +1,147 @@
+"""The 128-bit fixed-point Kronecker kernel against the mpf oracle."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from weylprod import irrational, numerics
+from weylprod.bounds import kronecker_log_trace
+from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
+                                 kronecker_fixed_point,
+                                 kronecker_fixed_point_blocks, surd_from_cf)
+from weylprod.numerics import compensated_cumsum, log_two_sin_pi
+from weylprod.products import orbit_trace, product_trace
+from weylprod.sequences import kronecker
+
+ORACLE_BITS = 320
+
+quotient = st.integers(1, 60)
+huge_quotient = st.integers(2 ** 64, 2 ** 72)
+
+
+@st.composite
+def alphas(draw):
+    """[0; prefix, (period)^inf], sometimes with one quotient >= 2^64, which
+    puts ||q alpha|| below 2^-64 for a small denominator q."""
+    prefix = draw(st.lists(quotient, min_size=0, max_size=6))
+    period = draw(st.lists(quotient, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        prefix.insert(draw(st.integers(0, len(prefix))), draw(huge_quotient))
+    return surd_from_cf(prefix, period)
+
+
+def oracle_distances(alpha, N):
+    """[||n alpha|| for n = 1..N] as mpf at ORACLE_BITS."""
+    ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
+    out = []
+    for n in range(1, N + 1):
+        v = ev.frac_part(n).value
+        out.append(min(v, 1 - v))
+    return out, ev.error_bound
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(alphas(), st.integers(1, 600), st.integers(1, 97))
+def test_points_within_derived_bound(alpha, N, block):
+    want, oracle_err = oracle_distances(alpha, N)
+    saved = irrational.KERNEL_BLOCK
+    irrational.KERNEL_BLOCK = block
+    try:
+        blocks = list(kronecker_fixed_point_blocks(alpha, N))
+    finally:
+        irrational.KERNEL_BLOCK = saved
+    assert [b.first for b in blocks] == list(range(1, N + 1, block))
+    dist = np.concatenate([b.dist for b in blocks])
+    err = np.concatenate([b.error() for b in blocks])
+    upper = np.concatenate([b.upper for b in blocks])
+    with mpmath.mp.workprec(ORACLE_BITS):
+        for n in range(1, N + 1):
+            gap = abs(mpmath.mpf(float(dist[n - 1])) - want[n - 1])
+            assert gap <= err[n - 1] + oracle_err, n
+            # the relative error stays at double precision, however small
+            # the distance
+            assert gap <= 2.0 ** -49 * want[n - 1] + oracle_err, n
+    # points above 1/2 come back through 1 - dist
+    pts = kronecker_fixed_point(alpha, N).points()
+    ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
+    for n in range(1, N + 1):
+        v = ev.frac_part(n).value
+        assert bool(upper[n - 1]) == (v > 0.5) or abs(v - 0.5) < 2.0 ** -90
+        assert abs(pts[n - 1] - v) <= err[n - 1] + 2.0 ** -53 + oracle_err
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(alphas(), st.integers(1, 400))
+def test_log_trace_within_trace_bounds(alpha, N):
+    logs, err = kronecker_log_trace(alpha, N)
+    ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
+    ref = product_trace(kronecker(alpha, N, evaluator=ev))
+    assert len(logs) == N
+    for n in range(N):
+        gap = abs(mpmath.mpf(float(logs[n])) - ref.log_values[n])
+        assert gap <= err + ref.error_bound, n + 1
+
+
+def test_huge_quotient_takes_exact_branch():
+    # ||3 alpha|| ~ 2^-64 / 3: the fixed-point residue cannot resolve it
+    alpha = surd_from_cf([1, 2, 2 ** 64 + 5], [1, 2])
+    orbit = kronecker_fixed_point(alpha, 8)
+    want, _ = oracle_distances(alpha, 8)
+    assert want[2] < 2.0 ** -64
+    with mpmath.mp.workprec(ORACLE_BITS):
+        assert abs(orbit.dist[2] - want[2]) <= 2.0 ** -52 * want[2]
+    logs, _ = kronecker_log_trace(alpha, 8)
+    assert math.isfinite(logs[-1])
+
+
+def test_kernel_limits(sqrt2m1):
+    for N in (0, KERNEL_MAX_N + 1, 2 ** 31):
+        with pytest.raises(ValueError):
+            list(kronecker_fixed_point_blocks(sqrt2m1, N))
+    with pytest.raises(ValueError):
+        kronecker_log_trace(sqrt2m1, 2 ** 31)
+
+
+def test_orbit_trace_matches_single_block(golden, monkeypatch):
+    N = 1000
+    whole = orbit_trace([kronecker_fixed_point(golden, N)], N)
+    monkeypatch.setattr(irrational, "KERNEL_BLOCK", 77)
+    split = orbit_trace(kronecker_fixed_point_blocks(golden, N), N)
+    assert np.array_equal(whole.log_values, split.log_values)
+    assert whole.error_bound == pytest.approx(split.error_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [numerics.SUM_CHUNK, 1000])
+def test_compensated_cumsum_bound(chunk, monkeypatch):
+    monkeypatch.setattr(numerics, "SUM_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    a = np.log(2.0 * np.sin(np.pi * rng.random(50000)))
+    cum, err = compensated_cumsum(a)
+    ref = np.array([math.fsum(a[:k].tolist())
+                    for k in range(1, len(a) + 1, 997)])
+    assert np.max(np.abs(cum[::997] - ref)) <= err
+    assert err < 1e-12
+    with pytest.raises(ValueError):
+        compensated_cumsum(np.array([1.0, -np.inf]))
+
+
+def test_beyond_two_to_the_24(sqrt2m1):
+    N = 2 ** 24 + 5
+    logs, err = kronecker_log_trace(sqrt2m1, N)
+    assert len(logs) == N and err < 1e-6
+    ev = FracPartEvaluator(sqrt2m1, n_max=2 ** 25)
+    for last in kronecker_fixed_point_blocks(sqrt2m1, N):
+        pass
+    tail = last.points()[-5:]
+    for i, n in enumerate(range(N - 4, N + 1)):
+        x = ev.frac_part(n).value
+        assert abs(tail[i] - x) <= last.error()[-5 + i] + 2.0 ** -53
+        # the log-product increments are the terms of those points
+        term = log_two_sin_pi(x)
+        assert abs((logs[n - 1] - logs[n - 2]) - term) <= 2 * err + 1e-15

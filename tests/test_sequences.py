@@ -157,6 +157,12 @@ def test_random_subsequence_all_heads(sqrt2m1):
     assert sub.points == kr.points
 
 
+def test_random_subsequence_tails_coin_stops(sqrt2m1):
+    tails = lambda rng, size: np.zeros(size, dtype=bool)
+    with pytest.raises(ValueError, match="heads"):
+        random_subsequence(sqrt2m1, 50, seed=0, coin=tails)
+
+
 def test_random_subsequence_density(sqrt2m1):
     sub = random_subsequence(sqrt2m1, 3000, seed=3)
     n_last = sub.params["indices"][-1]

@@ -146,6 +146,12 @@ def test_subsequence_all_heads_coin(sqrt2m1):
     assert stats.details["selection_identity_max_abs_diff"] < 1e-10
 
 
+def test_subsequence_tails_coin_stops(sqrt2m1):
+    tails = lambda rng, size: np.zeros(size, dtype=bool)
+    with pytest.raises(ValueError, match="heads"):
+        subsequence_product_experiment(sqrt2m1, 2, 1000, seed=0, coin=tails)
+
+
 # ------------------------------------------------------------------ output
 
 def test_csv_json_round_trip(tmp_path, sqrt2m1):
