@@ -4,13 +4,15 @@ exact star-discrepancy and checkers for the quantitative product bounds."""
 
 from .irrational import (ConvergentTable, FracPartEvaluator, FractionalPart,
                          IrrationalSpec, OstrowskiDigits, cf_expand,
-                         cf_expand_until, frac_part, ostrowski, parse_alpha,
-                         surd_from_cf, type_exponent_estimate)
+                         cf_expand_until, frac_part, ostrowski,
+                         ostrowski_digit_sums, parse_alpha, surd_from_cf,
+                         type_exponent_estimate)
 from .sequences import (PointSet, RationalArray, kronecker, lacunary,
                         random_subsequence, random_uniform, uniform_grid,
-                        van_der_corput, van_der_corput_floats)
-from .discrepancy import (DiscrepancyResult, brute_force_star_discrepancy,
-                          discrepancy_trace, star_discrepancy)
+                        van_der_corput)
+from .discrepancy import (DiscrepancyResult, DiscrepancyTrace,
+                          brute_force_star_discrepancy, discrepancy_trace,
+                          star_discrepancy)
 from .products import (ProductTrace, closed_form_roots_of_unity,
                        closed_form_shifted, normalized_trace, product_trace)
 from .extremal import (ExtremalConfig, build_extremal,

@@ -13,16 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import discrepancy_trace
+from .discrepancy import DiscrepancyTrace, discrepancy_trace
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, kronecker_fixed_point_blocks,
-                         ostrowski)
+                         ostrowski_digit_sums)
 from .numerics import LOG2, compensated_cumsum, log_two_sin_pi_array
 from .products import ProductTrace, orbit_trace, product_trace
-from .sequences import van_der_corput_floats
+from .sequences import van_der_corput
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 BASE_TOL = 1e-9
+# relative slack of a numpy screen against the scalar math.log formula it
+# stands in for: numpy's and math's logs differ by at most an ulp or two
+SCREEN_REL = 1e-12
 
 
 @dataclass
@@ -34,7 +37,7 @@ class BoundReport:
     n_range: tuple
     violations: list = field(default_factory=list)
     inconclusive: list = field(default_factory=list)
-    passed: bool = True
+    passed: bool | None = True  # None: nothing was compared
     empirical_constants: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -60,29 +63,52 @@ def kronecker_log_trace(alpha: IrrationalSpec, N: int):
     return tr.log_values, tr.error_bound
 
 
-def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
-                 parameters: dict | None = None) -> BoundReport:
+def _hlawka_rhs(N: int, delta: float, err: float) -> tuple:
+    """(rhs, tol) of the Hlawka check at one N, in scalar arithmetic."""
+    rhs = 2.0 * delta * (math.log(N) - math.log(delta))
+    # the discrepancy trace is double precision; absorb its effect
+    tol = err + BASE_TOL + 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
+    return rhs, tol
+
+
+def check_hlawka(ps_trace: ProductTrace, d_trace: DiscrepancyTrace,
+                 N_min: int = 16, parameters: dict | None = None) -> BoundReport:
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
-    Delta_N = N D_N*."""
+    Delta_N = N D_N*.
+
+    The whole range is screened with numpy's log; every N that the screen
+    cannot clear, and every candidate for the largest gamma, is settled
+    with the scalar formula.
+    """
     logs = ps_trace.as_float_array() if isinstance(ps_trace, ProductTrace) \
         else np.asarray(ps_trace, dtype=np.float64)
     if len(logs) != len(d_trace):
         raise ValueError("product and discrepancy traces are not aligned")
     err = getattr(ps_trace, "error_bound", 0.0)
     report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
+    N = np.arange(N_min, len(logs) + 1)
+    delta = d_trace.delta[N_min - 1:]
+    lhs = logs[N_min - 1:]
+    log_N = np.log(N)
+    rhs = 2.0 * delta * (log_N - np.log(delta))
+    slack = SCREEN_REL * (np.abs(rhs) + 2.0 * delta * log_N)
+    for i in np.flatnonzero(lhs > rhs - slack).tolist():
+        n, lhs_n = int(N[i]), float(lhs[i])
+        r, tol = _hlawka_rhs(n, float(delta[i]), err)
+        if lhs_n > r + tol:
+            report.violations.append((n, lhs_n, r))
+        elif lhs_n > r:
+            report.inconclusive.append((n, lhs_n, r))
     gamma_hat = 0.0
-    for N in range(N_min, len(logs) + 1):
-        delta = float(d_trace[N - 1].delta)
-        lhs = float(logs[N - 1])
-        rhs = 2.0 * delta * (math.log(N) - math.log(delta))
-        # the discrepancy trace is double precision; absorb its effect
-        tol = err + BASE_TOL + 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
-        if N > 1:
-            gamma_hat = max(gamma_hat, rhs / math.log(N) ** 2)
-        if lhs > rhs + tol:
-            report.violations.append((N, lhs, rhs))
-        elif lhs > rhs:
-            report.inconclusive.append((N, lhs, rhs))
+    i0 = max(0, 2 - N_min)  # gamma needs log N > 0
+    gamma = rhs[i0:] / log_N[i0:] ** 2
+    if len(gamma):
+        top = gamma.max()
+        near = np.flatnonzero(gamma >= top - SCREEN_REL * abs(top)) + i0
+        for i in near.tolist():
+            n = int(N[i])
+            r, _ = _hlawka_rhs(n, float(delta[i]), err)
+            gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
     report.passed = not report.violations
     report.empirical_constants["gamma_hat"] = gamma_hat
     return report
@@ -119,6 +145,15 @@ def check_kronecker_sandwich(alpha: IrrationalSpec, q_max: int = 10 ** 5,
     return report
 
 
+def _report_rows(report: BoundReport, lhs, rhs, tol) -> None:
+    """Append (N, lhs, rhs) rows for N = 1..len(lhs): violations above
+    rhs + tol, inconclusive between rhs and rhs + tol."""
+    over = lhs > rhs + tol
+    for i in np.flatnonzero(lhs > rhs).tolist():
+        row = (i + 1, float(lhs[i]), float(rhs[i]))
+        (report.violations if over[i] else report.inconclusive).append(row)
+
+
 def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4) -> BoundReport:
     """log P_N <= sum_i (b_i log 2 + 3 log q_i) with canonical digits."""
     table = cf_expand_until(alpha, N_max)
@@ -132,18 +167,11 @@ def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4) -> BoundR
         logq_cum.append(3.0 * acc)
     report = BoundReport("ostrowski", {"alpha": str(alpha), "N_max": N_max},
                          (1, N_max))
-    slack_min = math.inf
-    for N in range(1, N_max + 1):
-        dig = ostrowski(N, table)
-        rhs = sum(dig.digits) * LOG2 + logq_cum[dig.level]
-        lhs = float(logs[N - 1])
-        slack_min = min(slack_min, rhs - lhs)
-        if lhs > rhs + tol:
-            report.violations.append((N, lhs, rhs))
-        elif lhs > rhs:
-            report.inconclusive.append((N, lhs, rhs))
+    levels, digit_sum = ostrowski_digit_sums(table, N_max)
+    rhs = digit_sum * LOG2 + np.array(logq_cum)[levels]
+    _report_rows(report, logs, rhs, tol)
     report.passed = not report.violations
-    report.empirical_constants["min_slack"] = slack_min
+    report.empirical_constants["min_slack"] = float(np.min(rhs - logs))
     return report
 
 
@@ -164,16 +192,12 @@ def check_cesaro_log_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4,
     logs, err = kronecker_log_trace(alpha, N_max)
     report = BoundReport("cesaro", {"alpha": str(alpha), "N_max": N_max},
                          (1, N_max))
-    means = logs / np.arange(1, N_max + 1)
-    for N in range(1, N_max + 1):
-        l = table.level_of(N)
-        rhs = cesaro_bound_value(table, l)
-        lhs = float(means[N - 1])
-        tol = (err + BASE_TOL) / N
-        if lhs > rhs + tol:
-            report.violations.append((N, lhs, rhs))
-        elif lhs > rhs:
-            report.inconclusive.append((N, lhs, rhs))
+    N = np.arange(1, N_max + 1)
+    means = logs / N
+    levels, _ = ostrowski_digit_sums(table, N_max)
+    bound = np.array([cesaro_bound_value(table, l)
+                      for l in range(int(levels[-1]) + 1)])
+    _report_rows(report, means, bound[levels], (err + BASE_TOL) / N)
     report.passed = not report.violations
     # suffix maxima: sup over N' >= N of the Cesaro mean
     suffix = np.maximum.accumulate(means[::-1])[::-1]
@@ -214,7 +238,8 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
     if not 1 <= s_max <= 24:
         raise ValueError("s_max must be in [1, 24]")
     n_top = 2 ** (s_max + 1) - 1
-    x = van_der_corput_floats(n_top)
+    # dyadics with at most 25 bits are exact in float64
+    x = van_der_corput(n_top).points.to_float_array()
     cum, _ = compensated_cumsum(log_two_sin_pi_array(x))
     del x
     report = BoundReport("vdc-limits", {"s_max": s_max}, (1, n_top))
@@ -310,9 +335,9 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
     """Hlawka check over all prefixes of the van der Corput or Kronecker
     sequence."""
     if kind == "vdc":
-        pts = van_der_corput_floats(N_max)
-        tr = product_trace(pts.tolist())
-        dtr = discrepancy_trace(pts.tolist())
+        ps = van_der_corput(N_max)
+        tr = product_trace(ps)
+        dtr = discrepancy_trace(ps)
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":
         if alpha is None:

@@ -52,21 +52,29 @@ def star_discrepancy(ps) -> DiscrepancyResult:
     return _float(np.sort(np.asarray(pts, dtype=np.float64)))
 
 
+def _int_sorted_max(nums: np.ndarray, den: int) -> tuple:
+    """(m, k) for sorted int64 numerators over `den`: m is the largest of
+    N nums_i - i den and (i+1) den - N nums_i, i = 0..N-1, that is
+    N den D_N*, and k the first index attaining it (the up branch wins
+    ties). Needs den * N < 2^62."""
+    N = len(nums)
+    i = np.arange(N, dtype=np.int64)
+    up = nums * N - i * den          # (x_(i+1) - i/N) * den * N
+    dn = (i + 1) * den - nums * N    # ((i+1)/N - x_(i+1)) * den * N
+    ku = int(np.argmax(up))
+    kd = int(np.argmax(dn))
+    if up[ku] >= dn[kd]:
+        return int(up[ku]), ku
+    return int(dn[kd]), kd
+
+
 def _exact_common_den(ra: RationalArray) -> DiscrepancyResult:
     N = len(ra)
     den = ra.denominator
     if den * N >= 1 << 62:
         return _exact(sorted(Fraction(x) for x in ra))
     nums = np.sort(ra.numerators)
-    i = np.arange(N, dtype=np.int64)
-    up = nums * N - i * den
-    dn = (i + 1) * den - nums * N
-    ku = int(np.argmax(up))
-    kd = int(np.argmax(dn))
-    if up[ku] >= dn[kd]:
-        m, k = int(up[ku]), ku
-    else:
-        m, k = int(dn[kd]), kd
+    m, k = _int_sorted_max(nums, den)
     return DiscrepancyResult(Fraction(m, den * N), Fraction(m, den),
                              Fraction(int(nums[k]), den))
 
@@ -79,13 +87,7 @@ def _exact(xs) -> DiscrepancyResult:
     total = L * N
     nums = [x.numerator * (L // x.denominator) for x in xs]
     if total.bit_length() <= 62:
-        arr = np.array(nums, dtype=np.int64)
-        i = np.arange(N, dtype=np.int64)
-        up = arr * N - i * L          # (x_(i+1) - i/N) * L * N
-        dn = (i + 1) * L - arr * N    # ((i+1)/N - x_(i+1)) * L * N
-        ku = int(np.argmax(up))
-        kd = int(np.argmax(dn))
-        best_up, best_dn = int(up[ku]), int(dn[kd])
+        m, k = _int_sorted_max(np.array(nums, dtype=np.int64), L)
     else:
         best_up = best_dn = None
         ku = kd = 0
@@ -96,10 +98,10 @@ def _exact(xs) -> DiscrepancyResult:
                 best_up, ku = u, i
             if best_dn is None or w > best_dn:
                 best_dn, kd = w, i
-    if best_up >= best_dn:
-        m, k = best_up, ku
-    else:
-        m, k = best_dn, kd
+        if best_up >= best_dn:
+            m, k = best_up, ku
+        else:
+            m, k = best_dn, kd
     d = Fraction(m, total)
     return DiscrepancyResult(d, Fraction(m, L), xs[k])
 
@@ -135,38 +137,187 @@ def _mpf(xs) -> DiscrepancyResult:
     return DiscrepancyResult(d, best, xs[k])
 
 
-def discrepancy_trace(ps, N_max: int | None = None) -> list:
+@dataclass(frozen=True, eq=False)
+class DiscrepancyTrace:
+    """D_N* of every prefix N = 1..len of a point sequence, as float64
+    arrays `d_star`, `delta` = N d_star and `anchor`; indexing and iteration
+    give one DiscrepancyResult per prefix."""
+
+    d_star: np.ndarray
+    delta: np.ndarray
+    anchor: np.ndarray
+
+    def __len__(self):
+        return len(self.d_star)
+
+    def __getitem__(self, i):
+        return DiscrepancyResult(float(self.d_star[i]), float(self.delta[i]),
+                                 float(self.anchor[i]))
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
+# Window length bounds: a window of T new points costs O(prefix) for its
+# filters plus O(T (T + survivors)) for its matrices, so T ~ sqrt(N).
+WINDOW_MIN = 32
+WINDOW_MAX = 256
+# A window whose rows times filtered candidates exceed SPLIT_CELLS (near-grid
+# prefixes, where n x_(k) - k is nearly flat in k across the window) is split
+# in halves, each filtered again over its narrower range of n, down to
+# SPLIT_MIN_ROWS rows.
+SPLIT_CELLS = 1 << 16
+SPLIT_MIN_ROWS = 4
+# Over the rows n <= b of a window, a filter value (three roundings of
+# terms below b) is within 2^-51 b of its real value, and n times a prefix
+# expression within 2^-52 n. A filter drops a point only when another beats
+# it by more than 2^-46 b, far above these, so a dropped point is strictly
+# below the maximum in floats and never ties it.
+FILTER_MARGIN = 2.0 ** -46
+# count offset of a window point before its row: its value then lies
+# below -2^60 / n, far under any present point's
+UNBORN = 1 << 60
+
+
+def _max_before(x: np.ndarray) -> np.ndarray:
+    """max_{j<k} x_j for every k (-inf at k = 0)."""
+    out = np.empty_like(x)
+    out[:1] = -np.inf
+    np.maximum.accumulate(x[:-1], out=out[1:])
+    return out
+
+
+def _max_after(x: np.ndarray) -> np.ndarray:
+    """max_{j>k} x_j for every k (-inf at the last k)."""
+    return _max_before(x[::-1])[::-1]
+
+
+def _merge(v, r, w, wr):
+    """(v, r) and (w, wr) as one candidate list sorted by value."""
+    v = np.concatenate((v, w))
+    order = np.argsort(v, kind="stable")
+    return v[order], np.concatenate((r, wr))[order]
+
+
+def _trace_rows(vu, lo, vd, hi, W, w_lo, w_hi, a, d_out, anchor_out):
+    """D_n* and its anchor for n = a..a+len(W)-1, as the per-prefix
+    sorted-order formula gives them in float64.
+
+    A value v present at time n, with L points below it and U at or below
+    it, contributes v - L/n and U/n - v, in the formula's own float
+    operations; the maximum over the points present is D_n*. Candidates
+    are points present at time a-1, sorted by value: `vu` with `lo` points
+    below (an upper bound for repeated values, whose first copy has it
+    exact) for the up side, `vd` with `hi` at or below for the down side.
+    `W` are the points inserted at rows a.., with `w_lo` / `w_hi` present
+    points below / at or below them at time a-1.
+
+    A candidate is dropped when another beats it at every n of the rows,
+    whatever points of W are inserted; the points of W always enter.
+    """
+    t = len(W)
+    b = a + t - 1
+    margin = FILTER_MARGIN * b
+    Ws = np.sort(W)
+    # up side, value n v - lo - #{inserted points < v}: an earlier point
+    # wins for every n <= b when b v_j - lo_j >= b v_k - lo_k; a later one
+    # for every n >= a when a v_j - lo_j - C_j >= a v_k - lo_k - C_k, C
+    # counting all of W below
+    f1 = b * vu - lo
+    f2 = a * vu - lo - np.searchsorted(Ws, vu, "left")
+    keep = (f1 >= _max_before(f1) - margin) & (f2 >= _max_after(f2) - margin)
+    vu, lo = vu[keep], lo[keep]
+    # down side, value hi + #{inserted points <= v} - n v, mirrored
+    g1 = hi - b * vd
+    g2 = hi + np.searchsorted(Ws, vd, "right") - a * vd
+    keep = (g1 >= _max_after(g1) - margin) & (g2 >= _max_before(g2) - margin)
+    vd, hi = vd[keep], hi[keep]
+
+    if t >= 2 * SPLIT_MIN_ROWS and (len(vu) + len(vd)) * t > SPLIT_CELLS:
+        h = t // 2
+        _trace_rows(vu, lo, vd, hi, W[:h], w_lo[:h], w_hi[:h], a,
+                    d_out[:h], anchor_out[:h])
+        # the second half sees the first half's points as candidates, and
+        # every rank grows by the first half's points below it
+        W1, Ws1 = W[:h], np.sort(W[:h])
+        vu, lo = _merge(vu, lo + np.searchsorted(Ws1, vu, "left"),
+                        W1, w_lo[:h] + np.searchsorted(Ws1, W1, "left"))
+        vd, hi = _merge(vd, hi + np.searchsorted(Ws1, vd, "right"),
+                        W1, w_hi[:h] + np.searchsorted(Ws1, W1, "right"))
+        W2 = W[h:]
+        _trace_rows(vu, lo, vd, hi, W2,
+                    w_lo[h:] + np.searchsorted(Ws1, W2, "left"),
+                    w_hi[h:] + np.searchsorted(Ws1, W2, "right"),
+                    a + h, d_out[h:], anchor_out[h:])
+        return
+
+    n = np.arange(a, b + 1, dtype=np.float64)[:, None]
+    rows = np.arange(t)
+    du, au = _side_max(vu, lo, W, w_lo, n, rows, up=True)
+    dd, ad = _side_max(vd, hi, W, w_hi, n, rows, up=False)
+    use_up = du >= dd
+    d_out[:] = np.where(use_up, du, dd)
+    anchor_out[:] = np.where(use_up, au, ad)
+
+
+def _side_max(v, r, W, w_r, n, rows, up: bool) -> tuple:
+    """Row maxima of v - L/n (`up`) or U/n - v over the candidates v with
+    counts r and the points W, W[j] present from row j on, and the
+    smallest v attaining each maximum."""
+    K, t = len(r), len(W)
+    v = np.concatenate((v, W))
+    # sorted by value, the first maximizing column has the smallest value,
+    # as the formula's argmax over the sorted points does
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    col = np.argsort(order)[K:]  # column of W[j]
+    counts = np.empty((t + 1, len(v)), dtype=np.int64)
+    counts[0] = np.concatenate((r, w_r))[order]
+    (np.less if up else np.less_equal)(W[:, None], v, out=counts[1:])
+    absent = UNBORN if up else -UNBORN
+    counts[0, col] += absent
+    counts[rows + 1, col] -= absent
+    np.cumsum(counts, axis=0, out=counts)
+    vals = counts[1:] / n
+    if up:
+        np.subtract(v, vals, out=vals)
+    else:
+        vals -= v
+    k = vals.argmax(axis=1)
+    return vals[rows, k], v[k]
+
+
+def discrepancy_trace(ps, N_max: int | None = None) -> DiscrepancyTrace:
     """D_N* for every prefix N = 1..N_max of the given point sequence.
 
-    Prefixes are re-evaluated against an incrementally maintained sorted
-    buffer in double precision; the per-prefix formula error stays within a
-    few ulp, which the bound checkers absorb in their tolerance.
+    Points are taken in double precision, and each D_N* is the value of the
+    per-prefix sorted-order formula max_i max(x_(i) - (i-1)/N, i/N - x_(i))
+    evaluated in float64, bit for bit. Prefixes are processed in windows of
+    about sqrt(N_max) new points against a sorted buffer of the earlier
+    ones, which is merged once per window.
     """
     pts = as_float_array(_points_of(ps))
     n_max = len(pts) if N_max is None else min(N_max, len(pts))
     if n_max < 1:
         raise ValueError("need at least one point")
-    buf = np.empty(n_max, dtype=np.float64)
-    idx = np.arange(1, n_max + 1, dtype=np.float64)
-    out = []
-    for n in range(1, n_max + 1):
-        x = pts[n - 1]
-        pos = int(np.searchsorted(buf[:n - 1], x))
-        if pos < n - 1:
-            buf[pos + 1:n] = buf[pos:n - 1].copy()
-        buf[pos] = x
-        view = buf[:n]
-        i = idx[:n]
-        up = view - (i - 1.0) / n
-        dn = i / n - view
-        ku = int(np.argmax(up))
-        kd = int(np.argmax(dn))
-        if up[ku] >= dn[kd]:
-            d, k = float(up[ku]), ku
-        else:
-            d, k = float(dn[kd]), kd
-        out.append(DiscrepancyResult(d, d * n, float(view[k])))
-    return out
+    d_star = np.empty(n_max, dtype=np.float64)
+    anchor = np.empty(n_max, dtype=np.float64)
+    T = min(WINDOW_MAX, max(WINDOW_MIN, math.isqrt(n_max)))
+    S = np.empty(0, dtype=np.float64)
+    for n0 in range(0, n_max, T):
+        W = pts[n0:min(n0 + T, n_max)]
+        # sorted position k of S has k points before it (exact for the
+        # first of equal values) and k + 1 up to it (exact for the last)
+        k = np.arange(n0)
+        _trace_rows(S, k, S, k + 1, W, np.searchsorted(S, W, "left"),
+                    np.searchsorted(S, W, "right"), n0 + 1,
+                    d_star[n0:n0 + len(W)], anchor[n0:n0 + len(W)])
+        # S is one sorted run, so the stable (merge) sort costs
+        # O(n0 + T log T)
+        S = np.sort(np.concatenate((S, W)), kind="stable")
+    delta = d_star * np.arange(1, n_max + 1, dtype=np.float64)
+    return DiscrepancyTrace(d_star, delta, anchor)
 
 
 def write_trace_csv(trace, path) -> None:

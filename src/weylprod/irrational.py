@@ -261,6 +261,33 @@ def ostrowski(N: int, table: ConvergentTable) -> OstrowskiDigits:
     return OstrowskiDigits(tuple(digits), N, l)
 
 
+def ostrowski_digit_sums(table: ConvergentTable, N_max: int) -> tuple:
+    """(levels, digit sums) of the greedy expansions of N = 1..N_max, as
+    int64 arrays: what `ostrowski(N, table)` gives as `level` and
+    `sum(digits)`, for every N at once.
+
+    One top-down pass over the levels takes b_i = rem // q_i from every N;
+    above an N's own level its remainder is below q_i, so those digits come
+    out 0 by themselves.
+    """
+    if N_max < 1:
+        raise ValueError("N_max must be positive")
+    if table.q[-1] <= N_max:
+        raise ValueError(
+            f"convergent table too shallow: q_K = {table.q[-1]} <= {N_max}")
+    # only denominators up to N_max are needed; the rest may not fit int64
+    q = np.array([x for x in table.q if x <= N_max], dtype=np.int64)
+    N = np.arange(1, N_max + 1, dtype=np.int64)
+    levels = np.searchsorted(q, N, "right") - 1
+    rem = N.copy()
+    sums = np.zeros_like(N)
+    for qi in q[::-1].tolist():
+        b = rem // qi
+        rem -= b * qi
+        sums += b
+    return levels, sums
+
+
 def type_exponent_estimate(table: ConvergentTable, min_q: int = 10) -> float:
     """max over tabulated i of log q_{i+1} / log q_i as a growth proxy.
 

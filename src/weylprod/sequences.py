@@ -1,9 +1,9 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-Fractions; Kronecker and lacunary orbits come out of the exact surd
-machinery as high-precision mpf values; random families use numpy's seeded
-generators.
+rationals over a common denominator (`RationalArray`); Kronecker and
+lacunary orbits come out of the exact surd machinery as high-precision mpf
+values; random families use numpy's seeded generators.
 """
 
 from __future__ import annotations
@@ -109,33 +109,20 @@ def kronecker(alpha: IrrationalSpec, N: int,
                     point_error=ev.error_bound)
 
 
-def _bit_reverse(n: int) -> int:
-    return int(bin(n)[2:][::-1], 2)
-
-
 def van_der_corput(N: int) -> PointSet:
-    """Base-2 radical inverses of 1..N as exact dyadic rationals."""
+    """Base-2 radical inverses of 1..N as exact dyadic rationals over the
+    common denominator 2^L, L = bitlen(N): bit i of n goes to 2^(L-1-i)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    pts = [Fraction(_bit_reverse(n), 1 << n.bit_length()) for n in range(1, N + 1)]
-    return PointSet(pts, "vdc", {"N": N})
-
-
-def van_der_corput_floats(N: int) -> np.ndarray:
-    """Float64 radical inverses of 1..N; exact, since dyadics with fewer
-    than 53 bits are representable."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N >= 1 << 52:
-        raise ValueError("N too large for exact float64 dyadics")
-    n = np.arange(1, N + 1, dtype=np.uint64)
-    x = np.zeros(N, dtype=np.float64)
-    scale = 0.5
-    while n.any():
-        x += (n & 1) * scale
+    L = N.bit_length()
+    n = np.arange(1, N + 1, dtype=np.int64)
+    nums = np.zeros(N, dtype=np.int64)
+    for shift in range(L - 1, -1, -1):
+        bit = n & 1
+        bit <<= shift
+        nums |= bit
         n >>= 1
-        scale *= 0.5
-    return x
+    return PointSet(RationalArray(nums, 1 << L), "vdc", {"N": N})
 
 
 def uniform_grid(N: int) -> PointSet:

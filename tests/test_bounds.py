@@ -4,15 +4,82 @@ import math
 import numpy as np
 import pytest
 
-from weylprod.bounds import (BoundReport, cesaro_bound_value, check_cesaro_log_bound,
-                             check_hlawka, check_kronecker_conjectures,
+from weylprod import bounds
+from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
+                             check_cesaro_log_bound, check_hlawka,
+                             check_kronecker_conjectures,
                              check_kronecker_sandwich, check_ostrowski_bound,
                              check_type_growth, check_vdc_limits,
                              grid_hlawka_report, hlawka_sequence_report,
                              kronecker_log_trace)
-from weylprod.irrational import cf_expand, surd_from_cf
+from weylprod.discrepancy import DiscrepancyTrace, discrepancy_trace
+from weylprod.irrational import (cf_expand, cf_expand_until,
+                                 kronecker_fixed_point, ostrowski,
+                                 surd_from_cf)
 from weylprod.numerics import LOG2
-from weylprod.products import ProductTrace
+from weylprod.products import ProductTrace, orbit_trace, product_trace
+from weylprod.sequences import van_der_corput
+
+
+# Per-N reference loops: the checkers evaluate the same formulas on whole
+# arrays and must give the same reports.
+
+def hlawka_oracle(logs, deltas, err, N_min):
+    violations, inconclusive, gamma_hat = [], [], 0.0
+    for N in range(N_min, len(logs) + 1):
+        delta = float(deltas[N - 1])
+        lhs = float(logs[N - 1])
+        rhs = 2.0 * delta * (math.log(N) - math.log(delta))
+        tol = err + BASE_TOL + 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
+        if N > 1:
+            gamma_hat = max(gamma_hat, rhs / math.log(N) ** 2)
+        if lhs > rhs + tol:
+            violations.append((N, lhs, rhs))
+        elif lhs > rhs:
+            inconclusive.append((N, lhs, rhs))
+    return violations, inconclusive, gamma_hat
+
+
+def ostrowski_rhs_oracle(alpha, N_max):
+    table = cf_expand_until(alpha, N_max)
+    logq_cum = []
+    acc = 0.0
+    for q in table.q:
+        acc += math.log(q)
+        logq_cum.append(3.0 * acc)
+    rhs = []
+    for N in range(1, N_max + 1):
+        dig = ostrowski(N, table)
+        rhs.append(sum(dig.digits) * LOG2 + logq_cum[dig.level])
+    return rhs
+
+
+def cesaro_rhs_oracle(alpha, N_max):
+    table = cf_expand_until(alpha, N_max)
+    return [cesaro_bound_value(table, table.level_of(N))
+            for N in range(1, N_max + 1)]
+
+
+def rows_oracle(lhs, rhs, tol):
+    """(violations, inconclusive) of the per-N loop; tol(N) is the
+    tolerance at N."""
+    violations, inconclusive = [], []
+    for N in range(1, len(lhs) + 1):
+        l, r = float(lhs[N - 1]), rhs[N - 1]
+        if l > r + tol(N):
+            violations.append((N, l, r))
+        elif l > r:
+            inconclusive.append((N, l, r))
+    return violations, inconclusive
+
+
+def near_rhs(rhs, tol, seed):
+    """lhs values at rhs - 1, rhs + tol/2 (inside the tolerance),
+    rhs + 3 tol/2 (just outside) and rhs + 1, mixed at random."""
+    rng = np.random.default_rng(seed)
+    k = rng.choice(4, size=len(rhs), p=[0.7, 0.1, 0.1, 0.1])
+    offsets = np.choose(k, [-1.0, 0.5 * tol, 1.5 * tol, 1.0])
+    return np.asarray(rhs) + offsets
 
 
 # ------------------------------------------------------------------ hlawka
@@ -35,6 +102,43 @@ def test_hlawka_vdc_prefixes():
 def test_hlawka_kronecker_prefixes(sqrt2m1):
     rep = hlawka_sequence_report("kronecker", 2000, alpha=sqrt2m1)
     assert rep.passed and not rep.violations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hlawka_matches_per_n_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    deltas = rng.uniform(0.5, 12.0, n)
+    N = np.arange(1, n + 1)
+    rhs = 2.0 * deltas * (np.log(N) - np.log(deltas))
+    # some lhs just inside and just outside the tolerance (which is a
+    # little above 1e-9), some far below
+    logs = rhs + rng.choice([-1.0, 2e-12, 1e-10, 1.5e-9, 1.0], size=n,
+                            p=[0.8, 0.05, 0.05, 0.05, 0.05])
+    err = 1e-11 * seed
+    tr = ProductTrace(logs, err, n)
+    dtr = DiscrepancyTrace(deltas / N, deltas, np.zeros(n))
+    for N_min in (1, 16):
+        rep = check_hlawka(tr, dtr, N_min=N_min)
+        violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
+                                                            err, N_min)
+        assert rep.violations == violations and violations
+        assert rep.inconclusive == inconclusive and inconclusive
+        assert rep.empirical_constants["gamma_hat"] == gamma_hat
+        assert rep.passed is False
+
+
+def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
+    orbit = kronecker_fixed_point(sqrt2m1, 1500)
+    vdc = van_der_corput(1500)
+    for kind, tr, pts in (("vdc", product_trace(vdc), vdc),
+                          ("kronecker", orbit_trace([orbit], 1500),
+                           orbit.points())):
+        rep = hlawka_sequence_report(kind, 1500, alpha=sqrt2m1)
+        want = hlawka_oracle(tr.log_values, discrepancy_trace(pts).delta,
+                             tr.error_bound, 16)
+        assert (rep.violations, rep.inconclusive,
+                rep.empirical_constants["gamma_hat"]) == want
 
 
 def test_hlawka_misaligned_traces():
@@ -91,6 +195,36 @@ def test_ostrowski_bound_at_denominators(sqrt2m1):
         q = table.q[l]
         rhs = LOG2 + 3.0 * math.fsum(math.log(t) for t in table.q[:l + 1])
         assert logs[q - 1] <= rhs
+
+
+@pytest.mark.parametrize("alpha_cf", [([], [2]), ([], [1]), ([1], [2]),
+                                      ([3, 1, 7], [1, 2])])
+def test_ostrowski_and_cesaro_match_per_n_loop(alpha_cf, monkeypatch):
+    # lhs is placed around the per-N loop's rhs, so the reports carry
+    # violations and inconclusive rows to compare
+    alpha = surd_from_cf(*alpha_cf)
+    N_max = 2000
+    err = 1e-12
+    rhs = ostrowski_rhs_oracle(alpha, N_max)
+    logs = near_rhs(rhs, err + BASE_TOL, 1)
+    monkeypatch.setattr(bounds, "kronecker_log_trace",
+                        lambda a, n: (logs[:n].copy(), err))
+    rep = check_ostrowski_bound(alpha, N_max)
+    violations, inconclusive = rows_oracle(logs, rhs, lambda N: err + BASE_TOL)
+    assert (rep.violations, rep.inconclusive) == (violations, inconclusive)
+    assert violations and inconclusive
+    assert rep.empirical_constants["min_slack"] == \
+        min(r - float(l) for r, l in zip(rhs, logs))
+
+    N = np.arange(1, N_max + 1)
+    crhs = cesaro_rhs_oracle(alpha, N_max)
+    logs = near_rhs(crhs, (err + BASE_TOL) / N, 2) * N
+    rep = check_cesaro_log_bound(alpha, N_max)
+    means = logs / N
+    violations, inconclusive = rows_oracle(
+        means, crhs, lambda N: (err + BASE_TOL) / N)
+    assert (rep.violations, rep.inconclusive) == (violations, inconclusive)
+    assert violations and inconclusive
 
 
 # ------------------------------------------------------------------ cesaro

@@ -104,6 +104,25 @@ def test_verify_extremal_csv(tmp_path, capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+def test_verify_extremal_single_odd_n_not_evaluated(capsys):
+    # odd N: no extremal configuration, so nothing is compared
+    code, stdout, _ = run(["verify", "extremal", "--N", "7", "--d", "0.2"],
+                          capsys)
+    report = json.loads(stdout)
+    assert code == 0
+    assert report["passed"] is None and report["n_checked"] == 0
+    assert "logP" not in report["empirical_constants"]
+
+
+def test_verify_extremal_single_even_n_evaluated(capsys):
+    code, stdout, _ = run(["verify", "extremal", "--N", "8", "--d", "0.25"],
+                          capsys)
+    report = json.loads(stdout)
+    assert code == 0
+    assert report["passed"] is True and report["n_checked"] == 1
+    assert "logP" in report["empirical_constants"]
+
+
 def test_verify_unknown_theorem_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "definitely-not-a-theorem"])

@@ -2,14 +2,69 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from weylprod.discrepancy import (brute_force_star_discrepancy,
+from weylprod import discrepancy
+from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
+                                  brute_force_star_discrepancy,
                                   discrepancy_trace, star_discrepancy,
                                   write_trace_csv)
+from weylprod.irrational import kronecker_fixed_point, surd_from_cf
+from weylprod.numerics import as_float_array
 from weylprod.sequences import (kronecker, uniform_grid, van_der_corput)
 
 EPS = Fraction(1, 1 << 40)
+
+
+def trace_oracle(points) -> tuple:
+    """(d_star, delta, anchor) of every prefix by the per-prefix loop: a
+    sorted buffer with one insertion per prefix, and the sorted-order
+    formula evaluated over the whole buffer in float64."""
+    pts = as_float_array(points)
+    n_max = len(pts)
+    buf = np.empty(n_max, dtype=np.float64)
+    idx = np.arange(1, n_max + 1, dtype=np.float64)
+    d_star = np.empty(n_max)
+    anchor = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        x = pts[n - 1]
+        pos = int(np.searchsorted(buf[:n - 1], x))
+        if pos < n - 1:
+            buf[pos + 1:n] = buf[pos:n - 1].copy()
+        buf[pos] = x
+        view = buf[:n]
+        i = idx[:n]
+        up = view - (i - 1.0) / n
+        dn = i / n - view
+        ku = int(np.argmax(up))
+        kd = int(np.argmax(dn))
+        if up[ku] >= dn[kd]:
+            d, k = float(up[ku]), ku
+        else:
+            d, k = float(dn[kd]), kd
+        d_star[n - 1] = d
+        anchor[n - 1] = float(view[k])
+    return d_star, d_star * idx, anchor
+
+
+def assert_trace_equals_oracle(points, split_cells=None):
+    """The windowed trace equals the oracle loop bit for bit; with
+    `split_cells` set, windows split at that size instead."""
+    saved = discrepancy.SPLIT_CELLS
+    if split_cells is not None:
+        discrepancy.SPLIT_CELLS = split_cells
+    try:
+        tr = discrepancy_trace(points)
+    finally:
+        discrepancy.SPLIT_CELLS = saved
+    d_star, delta, anchor = trace_oracle(points)
+    assert len(tr) == len(d_star)
+    np.testing.assert_array_equal(tr.d_star, d_star)
+    np.testing.assert_array_equal(tr.delta, delta)
+    np.testing.assert_array_equal(tr.anchor, anchor)
 
 
 def test_grid_exact():
@@ -113,3 +168,63 @@ def test_trace_csv(tmp_path):
     assert len(lines) == 4
     n, d, delta = lines[3].split(",")
     assert float(delta) == pytest.approx(3 * float(d))
+
+
+# --------------------------------------------- windowed trace vs the loop
+
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+# split_cells = 0 splits every window down to its smallest halves
+split_cells = st.sampled_from([None, 0])
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(0.0, 1.0),
+                          st.integers(0, 12).map(lambda k: k / 12.0)),
+                min_size=1, max_size=700),
+       split_cells)
+def test_trace_matches_oracle_floats_with_ties(points, split):
+    assert_trace_equals_oracle(np.array(points), split)
+
+
+@PROPERTY
+@given(st.integers(1, 14), st.lists(st.integers(0, 1 << 14), min_size=1,
+                                    max_size=700),
+       split_cells)
+def test_trace_matches_oracle_dyadics(bits, nums, split):
+    points = np.array([min(x, 1 << bits) for x in nums]) / float(1 << bits)
+    assert_trace_equals_oracle(points, split)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 9), max_size=4),
+       st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.integers(1, 1500), split_cells)
+def test_trace_matches_oracle_kronecker(prefix, period, N, split):
+    alpha = surd_from_cf(prefix, period)
+    assert_trace_equals_oracle(kronecker_fixed_point(alpha, N).points(), split)
+
+
+def test_trace_matches_oracle_at_benchmark_sizes(sqrt2m1):
+    assert_trace_equals_oracle(van_der_corput(6000))
+    assert_trace_equals_oracle(kronecker_fixed_point(sqrt2m1, 2000).points())
+
+
+def test_trace_sequence_protocol():
+    tr = discrepancy_trace([0.5, 0.25, 0.75])
+    assert isinstance(tr, DiscrepancyTrace)
+    assert len(tr) == 3
+    assert tr[-1] == DiscrepancyResult(tr[2].d_star, tr[2].delta,
+                                       tr[2].argmax_anchor)
+    assert list(tr) == [tr[0], tr[1], tr[2]]
+    assert tr[0] == DiscrepancyResult(0.5, 0.5, 0.5)
+    assert tr.d_star[1] == 0.5 and tr.anchor[1] == 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64))
+def test_vdc_exact_matches_brute_force(N):
+    pts = van_der_corput(N).points
+    exact = star_discrepancy(van_der_corput(N)).d_star
+    oracle = brute_force_star_discrepancy(pts, eps=EPS)
+    assert oracle <= exact <= oracle + EPS

@@ -8,8 +8,8 @@ import pytest
 from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
                                  IrrationalSpec, cf_expand, cf_expand_until,
                                  default_precision_bits, floor_surd,
-                                 ostrowski, parse_alpha, surd_cmp,
-                                 surd_from_cf, surd_sign,
+                                 ostrowski, ostrowski_digit_sums, parse_alpha,
+                                 surd_cmp, surd_from_cf, surd_sign,
                                  type_exponent_estimate)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -225,6 +225,20 @@ def test_ostrowski_qlp1_minus_1(sqrt2m1):
     for l in range(1, 9):
         N = t.q[l + 1] - 1
         assert ostrowski(N, t).reconstruct(t) == N
+
+
+def test_ostrowski_digit_sums_match_per_n(sqrt2m1, golden):
+    # golden and [0; 1, (2)] have a_1 = 1, so q_0 = q_1 = 1
+    for alpha in (sqrt2m1, golden, surd_from_cf([1], [2]),
+                  surd_from_cf([3, 1, 7], [1, 2])):
+        t = cf_expand_until(alpha, 2000)
+        levels, sums = ostrowski_digit_sums(t, 2000)
+        for N in range(1, 2001):
+            dig = ostrowski(N, t)
+            assert (levels[N - 1], sums[N - 1]) == \
+                (dig.level, sum(dig.digits)), N
+    with pytest.raises(ValueError):
+        ostrowski_digit_sums(cf_expand(sqrt2m1, 4), 100)
 
 
 def test_ostrowski_table_too_shallow(sqrt2m1):

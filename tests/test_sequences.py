@@ -4,13 +4,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scistats
 
 from weylprod.irrational import FracPartEvaluator
 from weylprod.sequences import (PointSet, RationalArray, kronecker, lacunary,
                                 random_subsequence, random_uniform,
                                 uniform_grid, van_der_corput,
-                                van_der_corput_floats, write_pointset_csv)
+                                write_pointset_csv)
 
 
 # ---------------------------------------------------------------- kronecker
@@ -80,9 +82,21 @@ def test_vdc_prefix_is_permutation():
         assert got == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5000))
+def test_vdc_matches_bit_reversal(N):
+    # radical inverse of n: its binary digits mirrored after the point
+    want = [Fraction(int(bin(n)[2:][::-1], 2), 1 << n.bit_length())
+            for n in range(1, N + 1)]
+    ps = van_der_corput(N)
+    assert ps.points.denominator == 1 << N.bit_length()
+    assert list(ps.points) == want
+
+
 def test_vdc_floats_match_fractions():
     ps = van_der_corput(2000)
-    arr = van_der_corput_floats(2000)
+    arr = ps.points.to_float_array()
+    assert len(arr) == 2000
     for x, f in zip(ps.points, arr):
         assert float(x) == f  # dyadics are exact in float64
 
