@@ -3,8 +3,11 @@
 Exit codes: 0 = pass, 1 = a checked bound was violated, 2 = usage error,
 3 = an input/output error (an output file could not be written).
 Every command is deterministic given its full flag set (seed and precision
-included). `figure` evaluates its points on the mpf path, whose precision
---precision-bits or WEYL_PRECISION_BITS overrides; `verify` and `mc` use the
+included). `figure` takes its points from exact P-bit fixed-point residues,
+rounded to mpf, and multiplies them into a running mpf product; its output
+names that path ("kernel": "fixed-point-mpf"), the precision and the
+derived bound on the log of every row. --precision-bits or
+WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
 128-bit fixed-point kernel with float64 logs and a derived error bound.
 """
 
@@ -16,8 +19,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import mpmath
-
 from . import bounds as bnd
 from . import stochastic as st
 from .extremal import (ExtremalConfig, extremal_product_closed_form,
@@ -25,7 +26,7 @@ from .extremal import (ExtremalConfig, extremal_product_closed_form,
                        sweep, write_sweep_csv)
 from .irrational import IrrationalSpec, parse_alpha
 from .numerics import decimal_str
-from .products import NORMALIZERS, product_trace
+from .products import NORMALIZERS, prefix_products
 from .sequences import kronecker
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
@@ -72,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sine-product workbench: figures, bound verification and "
                     "Monte Carlo experiments over [0,1] point sequences.")
     p.add_argument("--precision-bits", type=int, default=None,
-                   help="working precision of figure's mpf fractional parts "
-                        "(default from WEYL_PRECISION_BITS or the 2^24 "
-                        "budget; verify and mc use the fixed-point kernel)")
+                   help="working precision of figure's mpf points and "
+                        "running product (default from WEYL_PRECISION_BITS "
+                        "or the 2^24 budget; verify and mc use the "
+                        "fixed-point kernel)")
 
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -138,25 +140,21 @@ def cmd_figure(cfg: RunConfig) -> int:
     if cfg.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     ps = kronecker(cfg.alpha, cfg.n_max, precision_bits=cfg.precision_bits)
-    tr = product_trace(ps)
-    prec = ps.params["precision_bits"]
-    rows = []
-    with mpmath.mp.workprec(prec):
-        for n, lp in enumerate(tr.log_values, 1):
-            v = mpmath.exp(lp)
-            if cfg.normalizer == "one_over_N":
-                v = v / n
-            elif cfg.normalizer == "one_over_N_squared":
-                v = v / (n * n)
-            rows.append((n, v))
+    rows, bound = prefix_products(ps, cfg.normalizer)
+    meta = {"alpha": str(cfg.alpha), "normalizer": cfg.normalizer,
+            # mpf points from exact fixed-point residues, running mpf product
+            "kernel": "fixed-point-mpf",
+            "precision_bits": ps.params["precision_bits"],
+            "log_error_bound": bound}
     if cfg.fmt == "json":
-        payload = {"alpha": str(cfg.alpha), "normalizer": cfg.normalizer,
-                   "series": [{"N": n, "value": decimal_str(v)} for n, v in rows]}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+        meta["series"] = [{"N": n, "value": decimal_str(v)}
+                          for n, v in enumerate(rows, 1)]
+        _emit(json.dumps(meta, indent=2) + "\n", cfg.out)
     else:
-        lines = [f"# alpha={cfg.alpha} normalizer={cfg.normalizer}",
+        lines = [" ".join(["#"] + [f"{key}={value}"
+                                   for key, value in meta.items()]),
                  "N,value"]
-        lines += [f"{n},{decimal_str(v)}" for n, v in rows]
+        lines += [f"{n},{decimal_str(v)}" for n, v in enumerate(rows, 1)]
         _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 

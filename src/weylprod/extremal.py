@@ -121,23 +121,56 @@ def sup_product_upper_bound(N: int, d: float, epsilon: float) -> float:
         raise ValueError("epsilon must be positive")
     if d <= 0:
         raise ValueError("d must be positive")
-    return (log_c_epsilon(epsilon) - math.log(N)
+    return _upper_bound(log_c_epsilon(epsilon), N, d, epsilon)
+
+
+def _upper_bound(log_c: float, N: int, d: float, epsilon: float) -> float:
+    """`sup_product_upper_bound` with log c(eps) already computed."""
+    return (log_c - math.log(N)
             + 2.0 * N * d * math.log((_E_OVER_PI + epsilon) / d))
+
+
+def _add_exact(partials: list, x: float) -> None:
+    """Add x to the non-overlapping float partials whose exact sum is a
+    running total (Shewchuk's algorithm, as in the msum recipe behind
+    math.fsum); math.fsum(partials) then reads the total correctly
+    rounded."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def sweep(N_values, M_limit, epsilon: float) -> list:
     """Rows (N, M, d, logP, logLower, logUpper, holds_lower, holds_upper)
-    over even N in N_values and M = 1..M_limit(N)."""
+    over even N in N_values and M = 1..M_limit(N).
+
+    logP equals `extremal_product_closed_form` row by row: one exact
+    running sum of log sin(pi k/N) per N replaces its fsum over k < M,
+    and both round the same exact sum correctly.
+    """
     log_c = log_c_epsilon(epsilon)
     rows = []
     for N in N_values:
-        for M in range(1, M_limit(N) + 1):
-            cfg = ExtremalConfig(N, M)
+        M_max = M_limit(N)
+        if M_max >= 1:
+            ExtremalConfig(N, M_max)  # validates N and every M <= M_max
+        log_2n = math.log(2.0 * N)
+        partials = []
+        for M in range(1, M_max + 1):
+            if M > 1:
+                _add_exact(partials, math.log(math.sin(math.pi * (M - 1) / N)))
             d = M / N
-            lp = extremal_product_closed_form(cfg)
+            lp = log_2n - 2.0 * math.fsum(partials)
             lo = sup_product_lower_bound(N, d)
-            hi = (log_c - math.log(N)
-                  + 2.0 * N * d * math.log((_E_OVER_PI + epsilon) / d))
+            hi = _upper_bound(log_c, N, d, epsilon)
             rows.append((N, M, d, lp, lo, hi, lo <= lp + 1e-9, lp <= hi + 1e-9))
     return rows
 

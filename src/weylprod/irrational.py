@@ -4,11 +4,14 @@ Continued fractions, convergents, Ostrowski digit expansions and
 floor(n*alpha) are computed on plain integers: the only irrational
 ingredient, sqrt(d), enters through comparisons that reduce to integer
 square comparisons. Every combinatorial quantity downstream is therefore
-exact. Fractional parts {n*alpha} are evaluated two ways: with mpmath at a
-precision budget wide enough that sine products over them can be trusted
-far below double precision (`FracPartEvaluator`), and as float64 distances
-to the nearest integer from a vectorised 128-bit fixed-point kernel with a
-derived per-point error bound (`kronecker_fixed_point`).
+exact. Fractional parts {n*alpha} are evaluated three ways: with mpmath
+from an exact floor at a precision budget wide enough that sine products
+over them can be trusted far below double precision (`FracPartEvaluator`,
+the oracle); as mpf points from the exact residues n*A mod 2^P with
+A = floor(alpha*2^P) from `scaled_floor` (`sequences.kronecker`); and as
+float64 distances to the nearest integer from a vectorised 128-bit
+fixed-point kernel with a derived per-point error bound
+(`kronecker_fixed_point`).
 """
 
 from __future__ import annotations
@@ -82,6 +85,19 @@ def floor_surd(p: int, q: int, r: int, d: int) -> int:
     else:
         t = -math.isqrt(q * q * d) - 1
     return (p + t) // r
+
+
+def scaled_floor(alpha: IrrationalSpec, bits: int, n: int = 1) -> int:
+    """floor(n * alpha * 2^bits), exact: the fixed-point residues of both
+    Kronecker point paths start from it."""
+    return floor_surd((n * alpha.a) << bits, (n * alpha.b) << bits,
+                      alpha.c, alpha.d)
+
+
+def check_precision_bits(precision_bits: int) -> None:
+    if precision_bits < 68:
+        raise ValueError("precision_bits must be >= 68 to keep the "
+                         "error bound below 2^-64")
 
 
 @dataclass(frozen=True)
@@ -332,9 +348,7 @@ class FracPartEvaluator:
         self.n_max = n_max
         self.precision_bits = (precision_bits if precision_bits is not None
                                else default_precision_bits(n_max))
-        if self.precision_bits < 68:
-            raise ValueError("precision_bits must be >= 68 to keep the "
-                             "error bound below 2^-64")
+        check_precision_bits(self.precision_bits)
         surd_bits = (alpha.b * alpha.b * alpha.d).bit_length() // 2 + 2
         self._work = self.precision_bits + n_max.bit_length() + surd_bits + 12
         with mpmath.mp.workprec(self._work):
@@ -414,8 +428,7 @@ def _exact_distance(alpha: IrrationalSpec, n: int) -> tuple:
     doubled until the distance has 64 exact leading bits."""
     bits = 2 * FIXED_POINT_BITS
     while True:
-        r = floor_surd((n * alpha.a) << bits, (n * alpha.b) << bits,
-                       alpha.c, alpha.d) % (1 << bits)
+        r = scaled_floor(alpha, bits, n) % (1 << bits)
         upper = r >> (bits - 1) == 1
         d = (1 << bits) - r if upper else r
         if d >> 64:
@@ -464,8 +477,7 @@ def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
     if not 1 <= N <= KERNEL_MAX_N:
         raise ValueError(f"N = {N} outside the fixed-point kernel's range "
                          f"[1, {KERNEL_MAX_N}]")
-    A = floor_surd(alpha.a << FIXED_POINT_BITS, alpha.b << FIXED_POINT_BITS,
-                   alpha.c, alpha.d)
+    A = scaled_floor(alpha, FIXED_POINT_BITS)
     limbs = [np.uint64((A >> (_LIMB_BITS * i)) & int(_LIMB_MASK))
              for i in range(FIXED_POINT_BITS // _LIMB_BITS)]
     block = KERNEL_BLOCK

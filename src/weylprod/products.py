@@ -1,10 +1,11 @@
 """Numerically stable evaluation of P_N = prod 2 sin(pi x_k).
 
-All accumulation happens in log space: extremal sets overflow doubles long
-before desk scale, and log-space also makes the bound checkers uniform.
-Exact rational and float point sets take a fast compensated double path;
-mpf point sets are accumulated at their own precision so the trace error
-bound stays meaningful far below 2^-53.
+Traces accumulate in log space: extremal sets overflow doubles long before
+desk scale, and log-space also makes the bound checkers uniform. Exact
+rational and float point sets take a fast compensated double path; mpf
+point sets are accumulated at their own precision so the trace error bound
+stays meaningful far below 2^-53. `prefix_products` keeps the mpf product
+itself, whose exponent cannot overflow, for the printed 40-digit series.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
                        log_two_sin_pi_array, log_two_sin_pi_mp)
 from .sequences import PointSet, RationalArray
 
-NORMALIZERS = ("none", "one_over_N", "one_over_N_squared")
+# normalizer -> k of the n^k that P_n is divided by
+_NORMALIZER_POWER = {"none": 0, "one_over_N": 1, "one_over_N_squared": 2}
+NORMALIZERS = tuple(_NORMALIZER_POWER)
 
 
 @dataclass
@@ -165,15 +168,61 @@ def closed_form_shifted(N: int, x) -> float:
     return 2.0 * math.sin(math.pi * xf)
 
 
-def _log_norm(normalizer: str, n: int) -> float:
-    if normalizer == "none":
-        return 0.0
-    if normalizer == "one_over_N":
-        return math.log(n)
-    if normalizer == "one_over_N_squared":
-        return 2.0 * math.log(n)
-    raise ValueError(f"unknown normalizer {normalizer!r}; "
-                     f"expected one of {NORMALIZERS}")
+def normalizer_power(normalizer: str) -> int:
+    """The power k of n^k that `normalizer` divides P_n by."""
+    try:
+        return _NORMALIZER_POWER[normalizer]
+    except KeyError:
+        raise ValueError(f"unknown normalizer {normalizer!r}; "
+                         f"expected one of {NORMALIZERS}") from None
+
+
+def prefix_products(ps: PointSet, normalizer: str = "none") -> tuple:
+    """(rows, log_error_bound): rows[n-1] = P_n / n^k for n = 1..N as mpf
+    at the point set's `precision_bits`, where k is `normalizer`'s power,
+    and a bound on |log(row) - log(exact row)| that holds for every row.
+
+    The points must be mpf values strictly inside (0, 1). The running
+    product prod sinpi(x_n) is kept at precision_bits + 8 bits; each row
+    divides it by n^k, rounds once to precision_bits and multiplies by 2^n,
+    exactly. The bound adds up
+    - the points: a point within e of the exact one moves log(2 sin pi x)
+      by at most 2 pi e / (t - 2 pi e) with t = 2 sin(pi x), because
+      |d/dx log(2 sin pi x)| = pi |cot pi x| <= pi / sin(pi x) and sin
+      drops by at most pi e between the two points (t is taken in float64,
+      with its own rounding allowed for);
+    - the running product: sinpi is within one ulp (mpmath evaluates it
+      with 10 guard bits and rounds once), 2^(1-wp) relative, and the
+      product is rounded correctly, 2^-wp: 3 2^-wp per term, under 4 2^-wp
+      in log;
+    - the row's correctly rounded division: 2^-prec relative, under
+      2^(1-prec) in log.
+    """
+    k = normalizer_power(normalizer)
+    prec = ps.params["precision_bits"]
+    wp = prec + 8
+    libmp = mpmath.libmp
+    sin_pi, mul, div = libmp.mpf_sin_pi, libmp.mpf_mul, libmp.mpf_div
+    from_int, shift, to_float = libmp.from_int, libmp.mpf_shift, libmp.to_float
+    make_mpf = mpmath.mp.make_mpf
+    spread = 2.0 * math.pi * ps.point_error
+    run = libmp.fone
+    rows = []
+    point_part = 0.0
+    for n, x in enumerate(ps.points, 1):
+        s = sin_pi(x._mpf_, wp, "n")
+        if not s[1]:
+            raise ValueError(f"point {n} lies at an endpoint; "
+                             f"the product is zero")
+        run = mul(run, s, wp, "n")
+        rows.append(make_mpf(shift(div(run, from_int(n ** k), prec, "n"),
+                                   n)))
+        if spread:
+            gap = 2.0 * to_float(s) * (1.0 - 2.0 ** -52) - spread
+            point_part += spread / gap if gap > 0.0 else math.inf
+    N = len(rows)
+    return rows, (point_part + N * math.ldexp(4.0, -wp)
+                  + math.ldexp(1.0, 1 - prec))
 
 
 def normalized_trace(ps, normalizer: str = "none") -> list:
@@ -182,11 +231,12 @@ def normalized_trace(ps, normalizer: str = "none") -> list:
     Ratios whose log exceeds 700 are reported as inf rather than raising;
     anything below the subnormal range underflows to 0.0.
     """
+    k = normalizer_power(normalizer)
     trace = ps if isinstance(ps, ProductTrace) else product_trace(ps)
     logs = trace.as_float_array()
     out = []
     for n, lp in enumerate(logs, 1):
-        r = lp - _log_norm(normalizer, n)
+        r = lp - k * math.log(n)
         if r == -math.inf:
             out.append(0.0)
         elif r > 700.0:
@@ -199,11 +249,12 @@ def normalized_trace(ps, normalizer: str = "none") -> list:
 def write_product_csv(trace: ProductTrace, path, normalizer: str = "none") -> None:
     """Serialize as "N,logP,P_over_norm" with the normalizer recorded in a
     header comment."""
+    k = normalizer_power(normalizer)
     logs = trace.as_float_array()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# normalizer={normalizer}\n")
         fh.write("N,logP,P_over_norm\n")
         for n, lp in enumerate(logs, 1):
-            r = lp - _log_norm(normalizer, n)
+            r = lp - k * math.log(n)
             val = math.inf if r > 700.0 else math.exp(r) if r > -746.0 else 0.0
             fh.write(f"{n},{lp!r},{val!r}\n")

@@ -1,19 +1,24 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-rationals over a common denominator (`RationalArray`); Kronecker and
-lacunary orbits come out of the exact surd machinery as high-precision mpf
-values; random families use numpy's seeded generators.
+rationals over a common denominator (`RationalArray`); Kronecker orbits
+are read off exact fixed-point residues as high-precision mpf values, and
+lacunary orbits and random subsequences come from the mpf evaluator of the
+exact surd machinery; random families use numpy's seeded generators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
-from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
+from .irrational import (DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec,
+                         check_precision_bits, default_precision_bits,
+                         scaled_floor)
 from .numerics import decimal_str
 
 LACUNARY_MAX_TERMS = 60
@@ -79,11 +84,15 @@ class PointSet:
                     int(nums.min()) == 0 or int(nums.max()) == den):
                 raise ValueError(f"{self.provenance} point hit an endpoint")
             return
-        for x in self.points:
+        if not len(self.points):
+            return
+        # the extremes decide both checks, in 2N comparisons
+        lo, hi = min(self.points), max(self.points)
+        for x in (lo, hi):
             if x < 0 or x > 1:
                 raise ValueError(f"point {x!r} outside [0, 1]")
-            if strict and (x == 0 or x == 1):
-                raise ValueError(f"{self.provenance} point hit an endpoint")
+        if strict and (lo == 0 or hi == 1):
+            raise ValueError(f"{self.provenance} point hit an endpoint")
 
     def __len__(self):
         return len(self.points)
@@ -95,18 +104,58 @@ class PointSet:
 def kronecker(alpha: IrrationalSpec, N: int,
               evaluator: FracPartEvaluator | None = None,
               precision_bits: int | None = None) -> PointSet:
-    """First N fractional parts {k*alpha}, k = 1..N, in index order."""
+    """First N fractional parts {k*alpha}, k = 1..N, in index order, as mpf
+    values at `precision_bits` (default: the 2^24 budget's, or N's above it).
+
+    The points come from exact residues (`_residue_points`). With an
+    `evaluator` they come from its `frac_part` instead: that is the mpf
+    oracle the residues are tested against.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
-    ev = evaluator or FracPartEvaluator(
-        alpha, n_max=max(DEFAULT_N_MAX, N), precision_bits=precision_bits)
-    if N > ev.n_max:
-        raise ValueError(f"N = {N} exceeds the evaluator budget {ev.n_max}")
-    pts = [ev.frac_part(k).value for k in range(1, N + 1)]
+    if evaluator is not None:
+        if N > evaluator.n_max:
+            raise ValueError(f"N = {N} exceeds the evaluator budget "
+                             f"{evaluator.n_max}")
+        pts = [evaluator.frac_part(k).value for k in range(1, N + 1)]
+        prec, err = evaluator.precision_bits, evaluator.error_bound
+    else:
+        budget = max(DEFAULT_N_MAX, N)
+        prec = (precision_bits if precision_bits is not None
+                else default_precision_bits(budget))
+        check_precision_bits(prec)
+        pts, err = _residue_points(alpha, N, prec, budget.bit_length())
     return PointSet(pts, "kronecker",
-                    {"alpha": str(alpha), "N": N,
-                     "precision_bits": ev.precision_bits},
-                    point_error=ev.error_bound)
+                    {"alpha": str(alpha), "N": N, "precision_bits": prec},
+                    point_error=err)
+
+
+def _residue_points(alpha: IrrationalSpec, N: int, prec: int,
+                    guard: int) -> tuple:
+    """({k alpha} for k = 1..N as mpf at `prec` bits, their error bound).
+
+    With P = prec + guard and A = floor(alpha 2^P), exact from one
+    `scaled_floor`, the residue r_k = k*A mod 2^P takes one integer add
+    per point and lies within k units below {k alpha} 2^P on the circle.
+    Each point is r_k 2^-P rounded once to `prec` bits, so its error is at
+    most N 2^-P + 2^-(prec+1), below 1.5 2^-prec for N < 2^guard. A
+    residue above 2^P - N may stand for a point just above 0 rather than
+    one just below 1; that point is taken from the exact floor of
+    k alpha 2^P instead.
+    """
+    P = prec + guard
+    A = scaled_floor(alpha, P)
+    mask = (1 << P) - 1
+    near_top = mask + 1 - N
+    make_mpf = mpmath.mp.make_mpf
+    from_man_exp = mpmath.libmp.from_man_exp
+    pts = []
+    r = 0
+    for k in range(1, N + 1):
+        r = (r + A) & mask
+        x = r if r <= near_top else scaled_floor(alpha, P, k) & mask
+        pts.append(make_mpf(from_man_exp(x, -P, prec, "n")))
+    return pts, math.ldexp(N, -P) + math.ldexp(1.0, -prec - 1)
 
 
 def van_der_corput(N: int) -> PointSet:

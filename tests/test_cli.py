@@ -3,10 +3,14 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from weylprod.cli import main
+from weylprod.irrational import FracPartEvaluator, parse_alpha
+from weylprod.products import NORMALIZERS, normalizer_power, product_trace
+from weylprod.sequences import kronecker
 
 
 def run(args, capsys):
@@ -60,6 +64,82 @@ def test_figure_json(capsys):
     payload = json.loads(stdout)
     assert payload["normalizer"] == "none"
     assert len(payload["series"]) == 3
+
+
+FIGURE_ALPHA = "(1+1*sqrt(7))/5"
+FIGURE_N = 300
+ORACLE_BITS = 320
+
+
+@pytest.fixture(scope="module")
+def figure_oracle():
+    """log P_n, n <= FIGURE_N, from the log-space mpf trace over the
+    evaluator's 320-bit points."""
+    alpha = parse_alpha(FIGURE_ALPHA)
+    ev = FracPartEvaluator(alpha, n_max=FIGURE_N, precision_bits=ORACLE_BITS)
+    return product_trace(kronecker(alpha, FIGURE_N, evaluator=ev))
+
+
+def read_figure(path, fmt):
+    """(metadata, {N: value string}) from a `figure` output file."""
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        series = payload.pop("series")
+        return payload, {r["N"]: r["value"] for r in series}
+    lines = path.read_text().strip().splitlines()
+    assert lines[1] == "N,value"
+    head = lines[0].split()
+    assert head[0] == "#"
+    meta = dict(item.split("=", 1) for item in head[1:])
+    rows = dict(line.split(",") for line in lines[2:])
+    return meta, {int(n): v for n, v in rows.items()}
+
+
+def run_figure(tmp_path, capsys, normalizer, fmt, *flags):
+    out = tmp_path / f"fig_{normalizer}.{fmt}"
+    code, _, _ = run([*flags, "figure", "--alpha", FIGURE_ALPHA, "--n-max",
+                      str(FIGURE_N), "--normalizer", normalizer, "--format",
+                      fmt, "--out", str(out)], capsys)
+    assert code == 0
+    return read_figure(out, fmt)
+
+
+def assert_rows_within_bound(meta, rows, oracle):
+    """Every row's log, with n^k put back, is within the reported bound of
+    the oracle; the 40 printed digits add below 1e-39."""
+    assert meta["kernel"] == "fixed-point-mpf"
+    assert sorted(rows) == list(range(1, FIGURE_N + 1))
+    k = normalizer_power(meta["normalizer"])
+    bound = float(meta["log_error_bound"])
+    tol = bound + oracle.error_bound + 1e-39
+    with mpmath.mp.workprec(ORACLE_BITS):
+        for n, v in rows.items():
+            got = mpmath.log(mpmath.mpf(v)) + k * mpmath.log(n)
+            assert abs(got - oracle.log_values[n - 1]) <= tol, n
+    return bound
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("normalizer", NORMALIZERS)
+def test_figure_rows_within_reported_bound(tmp_path, capsys, monkeypatch,
+                                           figure_oracle, normalizer, fmt):
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    meta, rows = run_figure(tmp_path, capsys, normalizer, fmt)
+    assert meta["normalizer"] == normalizer
+    assert int(meta["precision_bits"]) == 112
+    bound = assert_rows_within_bound(meta, rows, figure_oracle)
+    assert 0 < bound < 1e-28
+
+
+def test_figure_precision_bits_160_tightens_bound(tmp_path, capsys,
+                                                  monkeypatch, figure_oracle):
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    meta112, _ = run_figure(tmp_path, capsys, "one_over_N", "csv")
+    meta, rows = run_figure(tmp_path, capsys, "one_over_N", "json",
+                            "--precision-bits", "160")
+    assert meta["precision_bits"] == 160
+    bound = assert_rows_within_bound(meta, rows, figure_oracle)
+    assert bound < float(meta112["log_error_bound"]) * 2.0 ** -40
 
 
 # ------------------------------------------------------------------ verify

@@ -172,7 +172,7 @@ def test_trace_csv(tmp_path):
 
 # --------------------------------------------- windowed trace vs the loop
 
-PROPERTY = settings(max_examples=40, deadline=None,
+PROPERTY = settings(max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
 # split_cells = 0 splits every window down to its smallest halves
 split_cells = st.sampled_from([None, 0])
@@ -221,7 +221,7 @@ def test_trace_sequence_protocol():
     assert tr.d_star[1] == 0.5 and tr.anchor[1] == 0.5
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 64))
 def test_vdc_exact_matches_brute_force(N):
     pts = van_der_corput(N).points

@@ -163,3 +163,23 @@ def test_sweep_rows_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "N,M,d,logP,logLower,logUpper,holds_lower,holds_upper"
     assert len(lines) == len(rows) + 1
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.37])
+def test_sweep_matches_per_row_formulas(epsilon):
+    # the sweep's running sums and shared upper-bound helper must give the
+    # per-row functions' floats exactly, at every M up to N/2
+    rows = sweep(range(8, 257, 2), lambda N: N // 2, epsilon)
+    assert len(rows) == sum(N // 2 for N in range(8, 257, 2))
+    for N, M, d, lp, lo, hi, hl, hu in rows:
+        assert lp == extremal_product_closed_form(ExtremalConfig(N, M)), (N, M)
+        assert lo == sup_product_lower_bound(N, d)
+        assert hi == sup_product_upper_bound(N, d, epsilon), (N, M)
+        assert (hl, hu) == (lo <= lp + 1e-9, lp <= hi + 1e-9)
+
+
+def test_sweep_rejects_invalid_m():
+    with pytest.raises(ValueError):
+        sweep([8], lambda N: N // 2 + 1, 0.1)
+    with pytest.raises(ValueError):
+        sweep([9], lambda N: 1, 0.1)

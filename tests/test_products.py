@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from weylprod.numerics import log_two_sin_pi, log_two_sin_pi_mp
+from weylprod.irrational import FracPartEvaluator
 from weylprod.products import (ProductTrace, closed_form_roots_of_unity,
                                closed_form_shifted, normalized_trace,
+                               normalizer_power, prefix_products,
                                product_trace, write_product_csv)
 from weylprod.sequences import (PointSet, kronecker, uniform_grid,
                                 van_der_corput)
@@ -132,3 +134,48 @@ def test_product_csv(tmp_path):
     last = lines[-1].split(",")
     assert int(last[0]) == 9
     assert float(last[2]) == pytest.approx(10.0 / 9.0, rel=1e-12)
+
+
+def test_prefix_products_on_evaluator_points(golden):
+    # the evaluator's points carry the looser 2^(2 - bits) point error; the
+    # bound must cover the log-space oracle at 320 bits all the same
+    N = 400
+    ps = kronecker(golden, N, evaluator=FracPartEvaluator(
+        golden, n_max=N, precision_bits=96))
+    oracle = product_trace(kronecker(golden, N, evaluator=FracPartEvaluator(
+        golden, n_max=N, precision_bits=320)))
+    rows, bound = prefix_products(ps, "one_over_N_squared")
+    assert len(rows) == N and 0 < bound < 1e-20
+    with mpmath.mp.workprec(320):
+        for n, v in enumerate(rows, 1):
+            assert v._mpf_[3] <= 96
+            got = mpmath.log(v) + 2 * mpmath.log(n)
+            assert abs(got - oracle.log_values[n - 1]) \
+                <= bound + oracle.error_bound, n
+
+
+def test_prefix_products_rounding_bound_on_exact_points():
+    # exact dyadic points carry no point error, so only the product's and
+    # the rows' roundings separate the rows from the 320-bit oracle
+    rnd = random.Random(5)
+    pts = [mpmath.mpf(rnd.randrange(1, 2 ** 60)) / 2 ** 60 for _ in range(300)]
+    ps = PointSet(pts, "iid-uniform", {"precision_bits": 68})
+    rows, bound = prefix_products(ps, "one_over_N")
+    assert bound == pytest.approx(300 * 2.0 ** -74 + 2.0 ** -67)
+    oracle = product_trace(ps, precision_bits=320)
+    with mpmath.mp.workprec(320):
+        gaps = [abs(mpmath.log(v) + mpmath.log(n) - oracle.log_values[n - 1])
+                for n, v in enumerate(rows, 1)]
+    assert max(gaps) <= bound + oracle.error_bound
+    assert max(gaps) > 2.0 ** -72
+
+
+def test_prefix_products_rejects_endpoints_and_normalizers(sqrt2m1):
+    ps = PointSet([mpmath.mpf("0.5"), mpmath.mpf(0)], "extremal",
+                  {"precision_bits": 80})
+    with pytest.raises(ValueError, match="endpoint"):
+        prefix_products(ps)
+    with pytest.raises(ValueError, match="normalizer"):
+        prefix_products(kronecker(sqrt2m1, 3), "bogus")
+    assert [normalizer_power(k) for k in
+            ("none", "one_over_N", "one_over_N_squared")] == [0, 1, 2]

@@ -82,7 +82,7 @@ def test_vdc_prefix_is_permutation():
         assert got == want
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 5000))
 def test_vdc_matches_bit_reversal(N):
     # radical inverse of n: its binary digits mirrored after the point
