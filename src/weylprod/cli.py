@@ -264,6 +264,9 @@ def cmd_mc(cfg: RunConfig) -> int:
     if model == "iid":
         stats = st.iid_lil_experiment(paths, cfg.n_max, cfg.seed)
     elif model == "rademacher":
+        if cfg.n_max < st.N_LO:
+            raise UsageError(f"--n-max must be >= {st.N_LO} for rademacher: "
+                             f"the ratio is taken over N >= {st.N_LO}")
         stats = st.rademacher_lil_experiment(cfg.alpha, paths, cfg.n_max,
                                              cfg.seed)
     else:

@@ -42,9 +42,18 @@ def log_two_sin_pi(x) -> float:
 
 
 def log_two_sin_pi_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized log(2 sin(pi x)) for an array with entries in (0, 1)."""
-    r = np.where(x > 0.5, 1.0 - x, x)
-    return np.log(2.0 * np.sin(np.pi * r))
+    """Vectorized log(2 sin(pi x)) for an array with entries in (0, 1).
+
+    min(x, 1 - x) reflects to (0, 1/2] (1 - x is exact for x >= 1/2, and
+    rounds to at least 1/2 below it), and every later step works in place
+    on that one fresh array; `x` itself is never written.
+    """
+    r = np.subtract(1.0, x)
+    np.minimum(x, r, out=r)
+    r *= np.pi
+    np.sin(r, out=r)
+    r *= 2.0
+    return np.log(r, out=r)
 
 
 def log_two_sin_pi_mp(x, prec: int):

@@ -5,6 +5,14 @@ nothing here asserts them directly. Experiments report per-path maxima of
 the normalized sums, and the tests check those against wide pilot-derived
 sanity bands plus the exactly checkable structure (variance integral,
 selection identity, weight bounds).
+
+Each model computes its path-independent work once per run: the weights
+and B_N, and the normaliser grid (`_ratio_grid`) over the admissible N,
+a suffix of 1..N_max. One path then costs its RNG draws, one pass of
+the log(2 sin pi x) kernel (iid; the Kronecker weights are shared), one
+cumsum and one slice-divide-argmax (`_path_row`). The per-path loops
+this replaced are kept in the tests as oracles, and the outputs are
+equal to theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .sequences import MAX_DRAWS_PER_TERM
 PI2_OVER_12 = math.pi ** 2 / 12.0
 IID_SIGMA_CONSTANT = math.pi / math.sqrt(6.0)
 SUBSEQ_CONSTANT = math.pi / math.sqrt(12.0)
+# the smallest N (K for the subsequence model) the LIL ratio is taken at
+N_LO = 100
 
 
 class QuadResult(NamedTuple):
@@ -99,19 +109,37 @@ class PathStatistics:
     rows: list = field(default_factory=list)  # (path_id, N, S_N, B_N, ratio)
 
 
-def _ratio_path(S: np.ndarray, B: np.ndarray, n_lo: int):
-    """Max of S_N / sqrt(2 B_N loglog B_N) over N >= n_lo, plus its argmax."""
-    n = len(S)
-    lo = max(n_lo, 1)
-    idx = np.arange(lo - 1, n)
-    Bm = B[idx]
-    valid = Bm > math.e
-    idx = idx[valid]
-    denom = np.sqrt(2.0 * B[idx] * np.log(np.log(B[idx])))
-    vals = S[idx] / denom
+class _RatioGrid(NamedTuple):
+    """The path-independent part of one model's LIL ratio.
+
+    B is nondecreasing, so the admissible N (N >= n_lo and B_N > e) form
+    a suffix of 1..N_max: `start` is its first 0-based index and `denom`
+    holds sqrt(factor B_N loglog B_N) from there on.
+    """
+
+    start: int
+    denom: np.ndarray
+
+
+def _ratio_grid(B: np.ndarray, n_lo: int, factor: float = 2.0) -> _RatioGrid:
+    """The normaliser grid over N >= n_lo for a nondecreasing B."""
+    lo = max(n_lo, 1) - 1
+    start = lo + int(np.searchsorted(B[lo:], math.e, side="right"))
+    if start >= len(B):
+        raise ValueError(f"no N in [{lo + 1}, {len(B)}] has B_N > e: "
+                         f"the ratio grid is empty")
+    Bs = B[start:]
+    return _RatioGrid(start, np.sqrt(factor * Bs * np.log(np.log(Bs))))
+
+
+def _path_row(pid: int, S: np.ndarray, B: np.ndarray,
+              grid: _RatioGrid) -> tuple:
+    """Path pid's CSV row (path_id, N, S_N, B_N, ratio) at the argmax of
+    S_N / denom_N over the grid; the ratio is that max."""
+    vals = S[grid.start:] / grid.denom
     k = int(np.argmax(vals))
-    pos = int(idx[k])
-    return float(vals[k]), pos
+    pos = grid.start + k
+    return pid, pos + 1, float(S[pos]), float(B[pos]), float(vals[k])
 
 
 def _pooled_moments(total: float, total_sq: float, count: int):
@@ -120,7 +148,7 @@ def _pooled_moments(total: float, total_sq: float, count: int):
 
 
 def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
-                       n_lo: int = 100) -> PathStatistics:
+                       n_lo: int = N_LO) -> PathStatistics:
     """S_N = sum log(2 sin pi X_k) for i.i.d. uniform X, B_N = N pi^2/12."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -128,6 +156,7 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
         raise ValueError("N_max must be >= 1000")
     children = np.random.SeedSequence(seed).spawn(n_paths)
     B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
+    grid = _ratio_grid(B, n_lo)
     ratios = []
     rows = []
     tot = tot_sq = 0.0
@@ -137,11 +166,12 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
         u[u == 0.0] = 0.5  # measure-zero guard against log(0)
         y = log_two_sin_pi_array(u)
         S = np.cumsum(y)
-        r, pos = _ratio_path(S, B, n_lo)
-        ratios.append(r)
-        rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
+        row = _path_row(pid, S, B, grid)
+        ratios.append(row[4])
+        rows.append(row)
         tot += float(y.sum())
-        tot_sq += float((y * y).sum())
+        y *= y
+        tot_sq += float(y.sum())
     mean, var = _pooled_moments(tot, tot_sq, n_paths * N_max)
     return PathStatistics(
         "iid", n_paths, N_max, seed, ratios, mean, var,
@@ -159,7 +189,7 @@ def kronecker_log_weights(alpha: IrrationalSpec, N: int) -> np.ndarray:
 
 
 def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
-                              seed: int, n_lo: int = 100,
+                              seed: int, n_lo: int = N_LO,
                               signs=None) -> PathStatistics:
     """S_N = sum R_n log(2 sin pi n alpha) with fair +-1 signs.
 
@@ -169,9 +199,16 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if N_max < max(n_lo, 1):
+        raise ValueError(f"N_max = {N_max} is below n_lo = {n_lo}: "
+                         f"no N is left to take the ratio at")
     dist = kronecker_fixed_point(alpha, N_max).dist
     w = log_two_sin_pi_array(dist)
-    B = np.cumsum(w * w)
+    w_sq = w * w
+    B = np.cumsum(w_sq)
+    grid = _ratio_grid(B, n_lo)
+    # R_n^2 = 1, so every fair-sign path has sum z^2 = sum w^2 exactly
+    path_sq = float(w_sq.sum())
     n = np.arange(1, N_max + 1, dtype=np.float64)
     # ||n alpha|| >= c0/n: empirical c0, and |w_n| <= c1 log n empirically
     c0_hat = float(np.min(n * dist))
@@ -179,10 +216,10 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
         c1_arr = np.abs(w[1:]) / np.log(n[1:])
     c1_hat = float(np.max(c1_arr))
     # the LIL side condition: M_N / sqrt(B_N / loglog B_N) at a log-spaced grid
-    grid = np.unique(np.geomspace(10, N_max, 40).astype(int))
+    log_grid = np.unique(np.geomspace(10, N_max, 40).astype(int))
     cond = {int(g): float(c1_hat * math.log(g)
                           / math.sqrt(B[g - 1] / math.log(math.log(B[g - 1]))))
-            for g in grid if B[g - 1] > math.e}
+            for g in log_grid if g <= N_max and B[g - 1] > math.e}
     children = np.random.SeedSequence(seed).spawn(n_paths)
     ratios = []
     rows = []
@@ -190,17 +227,19 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     det_shape = None
     for pid, child in enumerate(children):
         if signs is not None:
-            R = np.asarray(signs, dtype=np.float64)[:N_max]
+            z = np.asarray(signs, dtype=np.float64)[:N_max] * w
         else:
             rng = np.random.default_rng(child)
-            R = rng.integers(0, 2, size=N_max) * 2.0 - 1.0
-        z = R * w
+            z = rng.integers(0, 2, size=N_max).astype(np.float64)
+            z *= 2.0
+            z -= 1.0
+            z *= w
         S = np.cumsum(z)
-        r, pos = _ratio_path(S, B, n_lo)
-        ratios.append(r)
-        rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
+        row = _path_row(pid, S, B, grid)
+        ratios.append(row[4])
+        rows.append(row)
         tot += float(z.sum())
-        tot_sq += float((z * z).sum())
+        tot_sq += path_sq if signs is None else float((z * z).sum())
         if signs is not None and det_shape is None:
             # |sum_{n<=N} w_n| / log^2 N for the degenerate all-equal signs
             sel = np.arange(9, N_max)
@@ -219,7 +258,7 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
 
 
 def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
-                                   N_terms: int, seed: int, k_lo: int = 100,
+                                   N_terms: int, seed: int, k_lo: int = N_LO,
                                    coin=None) -> PathStatistics:
     """Random subsequence model: keep index n when the n-th fair coin shows
     heads, sum the first N_terms kept weights, normalize by
@@ -241,8 +280,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     flip = coin
     children = np.random.SeedSequence(seed).spawn(n_paths)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
-    mask = K >= max(k_lo, 3)
-    denom = np.sqrt(K[mask] * np.log(np.log(K[mask])))
+    grid = _ratio_grid(K, max(k_lo, 3), factor=1.0)
     ratios = []
     rows = []
     tot = tot_sq = 0.0
@@ -271,13 +309,9 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         n_last = int(positions[-1])
         w_sel = w[positions - 1]
         S_sel = np.cumsum(w_sel)
-        vals = S_sel[mask] / denom
-        k = int(np.argmax(vals))
-        pos_terms = int(np.flatnonzero(mask)[k]) + 1
-        r = float(vals[k])
-        ratios.append(r)
-        rows.append((pid, pos_terms, float(S_sel[pos_terms - 1]),
-                     float(pos_terms), r))
+        row = _path_row(pid, S_sel, K, grid)
+        ratios.append(row[4])
+        rows.append(row)
         # independent evaluation of the signed sum for the identity check
         signed = float(np.sum(np.where(bits[:n_last], w[:n_last], -w[:n_last])))
         full = float(cum_w[n_last - 1])

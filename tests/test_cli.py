@@ -217,6 +217,15 @@ def test_mc_paths_zero_usage_error(capsys):
     assert "paths" in err
 
 
+@pytest.mark.parametrize("n_max", ["1", "50", "99"])
+def test_mc_rademacher_n_max_below_ratio_range(tmp_path, capsys, n_max):
+    code, _, err = run(["mc", "rademacher", "--paths", "2", "--n-max", n_max,
+                        "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "--n-max" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_mc_iid_deterministic(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for prefix in ("a", "b"):

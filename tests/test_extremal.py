@@ -110,6 +110,65 @@ def test_threshold_and_c_epsilon():
         sup_product_upper_bound(100, 0.05, -1.0)
 
 
+def threshold_B_scan(epsilon, cap=10 ** 7):
+    """The linear scan threshold_B replaced: the first M >= 2 with
+    growth_factor(M) below the target, minus one."""
+    target = 1.0 + math.pi / (2.0 * math.e) * epsilon
+    for M in range(2, cap + 1):
+        if growth_factor(M) < target:
+            return M - 1
+    raise ValueError(f"epsilon = {epsilon} too small: threshold beyond {cap}")
+
+
+def log_c_epsilon_loop(epsilon):
+    """The max over every M <= B(eps) that log_c_epsilon replaced."""
+    best = math.log(2.0 * math.pi ** 2) - 2.0
+    for M in range(2, threshold_B_scan(epsilon) + 1):
+        v = (math.log(2.0 * math.pi ** 2) - 2.0 + 2.0 * M * (M - 1)
+             + 2.0 * math.log(M - 1) + 2.0 * M * math.log(M / (M - 1)))
+        best = max(best, v)
+    return best
+
+
+# B(eps) runs from 40155 down to 1: 1.5 gives B = 3, 1.6 gives B = 2
+THRESHOLD_EPSILONS = (0.0005, 0.001, 0.003, 0.01, 0.02, 0.05, 0.1, 0.25,
+                      0.5, 0.9, 1.0, 1.5, 1.6, 2.0, 10.0, 1e6)
+
+
+@pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
+def test_threshold_and_c_epsilon_match_loops(eps):
+    B = threshold_B(eps)
+    assert B == threshold_B_scan(eps)
+    assert log_c_epsilon(eps) == log_c_epsilon_loop(eps)
+    if eps >= 2.0:
+        assert B == 1 and log_c_epsilon(eps) == math.log(2 * math.pi ** 2) - 2
+
+
+def test_threshold_bisection_at_every_cap():
+    # every cap from 2 up to past B(0.1) = 99: the bisection returns the
+    # scan's B, or raises where the scan does
+    for cap in range(1, 120):
+        try:
+            want = threshold_B_scan(0.1, cap)
+        except ValueError:
+            with pytest.raises(ValueError, match="too small"):
+                threshold_B(0.1, cap)
+        else:
+            assert threshold_B(0.1, cap) == want
+
+
+def test_threshold_too_small_epsilon_raises():
+    with pytest.raises(ValueError, match="too small"):
+        threshold_B_scan(0.01, cap=1000)
+    with pytest.raises(ValueError, match="too small"):
+        threshold_B(0.01, cap=1000)
+    # beyond the default cap of 10^7: raised without a scan
+    with pytest.raises(ValueError, match="too small"):
+        threshold_B(1e-9)
+    with pytest.raises(ValueError, match="too small"):
+        log_c_epsilon(1e-9)
+
+
 def test_upper_bound_epsilon_growth_term():
     # the dominant factor ((e/pi + eps)/d)^(2Nd) is monotone in eps, and at
     # large eps it carries essentially the whole bound (c(eps) collapses)

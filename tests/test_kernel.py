@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from weylprod import irrational, numerics
 from weylprod.bounds import kronecker_log_trace
@@ -15,7 +16,8 @@ from weylprod.irrational import (DEFAULT_N_MAX, KERNEL_MAX_N,
                                  FracPartEvaluator, kronecker_fixed_point,
                                  kronecker_fixed_point_blocks, scaled_floor,
                                  surd_from_cf)
-from weylprod.numerics import compensated_cumsum, log_two_sin_pi
+from weylprod.numerics import (compensated_cumsum, log_two_sin_pi,
+                               log_two_sin_pi_array)
 from weylprod.products import orbit_trace, product_trace
 from weylprod.sequences import kronecker
 
@@ -188,3 +190,42 @@ def test_residue_wrap_takes_exact_floor():
             want = ev.frac_part(n).value
             assert abs(x - want) <= ps.point_error + ev.error_bound, n
     assert ps.points[2] < 2.0 ** -130
+
+
+# points where the reflection min(x, 1 - x) is tight: 1/2 and its
+# neighbours (1 - x rounds back to 1/2 just below it), 1 - 2^-53 (1 - x is
+# the smallest gap to 1) and tiny x, down to the smallest subnormal
+EDGE_POINTS = (0.5, float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0)),
+               1.0 - 2.0 ** -53, 2.0 ** -53, 1e-300, 2.0 ** -1074,
+               float(np.nextafter(1.0, 0.0)), 1.0 / 6.0, 5.0 / 6.0)
+unit_points = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from(EDGE_POINTS))
+
+
+@settings(max_examples=100)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
+              elements=unit_points), st.booleans())
+def test_log_kernel_matches_where_reflection(x, transpose):
+    """The in-place kernel equals the np.where expression it replaced, bit
+    for bit, on 1-D and 2-D (also non-contiguous) input, and leaves the
+    input unchanged."""
+    if transpose:
+        x = x.T
+    before = x.copy()
+    want = np.log(2.0 * np.sin(np.pi * np.where(x > 0.5, 1.0 - x, x)))
+    got = log_two_sin_pi_array(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(x.view(np.uint64), before.view(np.uint64))
+    assert not np.shares_memory(got, x)
+
+
+def test_log_kernel_edge_points():
+    x = np.array(EDGE_POINTS)
+    want = np.log(2.0 * np.sin(np.pi * np.where(x > 0.5, 1.0 - x, x)))
+    got = log_two_sin_pi_array(x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[0] == math.log(2.0)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(x, np.array(EDGE_POINTS))

@@ -4,12 +4,242 @@ import math
 import numpy as np
 import pytest
 
+from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
+                                 surd_from_cf)
 from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT,
                                  iid_lil_experiment, kronecker_log_weights,
                                  log_integral, rademacher_lil_experiment,
                                  subsequence_product_experiment, summary_dict,
                                  variance_integral, write_paths_csv,
                                  write_summary_json)
+
+
+# ----------------------------------------------------------------- oracles
+# The per-path loops as they were before the normaliser grid was hoisted out
+# of them: every path recomputes sqrt(2 B_N loglog B_N) over all N, and the
+# kernel reflects with np.where. The models must reproduce them bit for bit.
+
+def where_kernel(x):
+    r = np.where(x > 0.5, 1.0 - x, x)
+    return np.log(2.0 * np.sin(np.pi * r))
+
+
+def ratio_path_oracle(S, B, n_lo):
+    idx = np.arange(max(n_lo, 1) - 1, len(S))
+    idx = idx[B[idx] > math.e]
+    denom = np.sqrt(2.0 * B[idx] * np.log(np.log(B[idx])))
+    vals = S[idx] / denom
+    k = int(np.argmax(vals))
+    return float(vals[k]), int(idx[k])
+
+
+def moments(tot, tot_sq, count):
+    mean = tot / count
+    return mean, tot_sq / count - mean * mean
+
+
+def iid_oracle(n_paths, N_max, seed, n_lo=100):
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
+    ratios, rows = [], []
+    tot = tot_sq = 0.0
+    for pid, child in enumerate(children):
+        u = np.random.default_rng(child).random(N_max)
+        u[u == 0.0] = 0.5
+        y = where_kernel(u)
+        S = np.cumsum(y)
+        r, pos = ratio_path_oracle(S, B, n_lo)
+        ratios.append(r)
+        rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
+        tot += float(y.sum())
+        tot_sq += float((y * y).sum())
+    details = {"n_lo": n_lo, "reference_constant": 1.0,
+               "sigma_constant": math.pi / math.sqrt(6.0),
+               "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max}
+    return ratios, rows, *moments(tot, tot_sq, n_paths * N_max), details
+
+
+def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100, signs=None):
+    dist = kronecker_fixed_point(alpha, N_max).dist
+    w = where_kernel(dist)
+    B = np.cumsum(w * w)
+    n = np.arange(1, N_max + 1, dtype=np.float64)
+    c0_hat = float(np.min(n * dist))
+    with np.errstate(divide="ignore"):
+        c1_hat = float(np.max(np.abs(w[1:]) / np.log(n[1:])))
+    grid = np.unique(np.geomspace(10, N_max, 40).astype(int))
+    cond = {int(g): float(c1_hat * math.log(g)
+                          / math.sqrt(B[g - 1] / math.log(math.log(B[g - 1]))))
+            for g in grid if B[g - 1] > math.e}
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    ratios, rows = [], []
+    tot = tot_sq = 0.0
+    det_shape = None
+    for pid, child in enumerate(children):
+        if signs is not None:
+            R = np.asarray(signs, dtype=np.float64)[:N_max]
+        else:
+            rng = np.random.default_rng(child)
+            R = rng.integers(0, 2, size=N_max) * 2.0 - 1.0
+        z = R * w
+        S = np.cumsum(z)
+        r, pos = ratio_path_oracle(S, B, n_lo)
+        ratios.append(r)
+        rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
+        tot += float(z.sum())
+        tot_sq += float((z * z).sum())
+        if signs is not None and det_shape is None:
+            sel = np.arange(9, N_max)
+            det_shape = float(np.max(np.abs(S[sel]) / np.log(sel + 1.0) ** 2))
+    details = {"n_lo": n_lo, "reference_constant": 1.0,
+               "target_variance": PI2_OVER_12,
+               "B_over_N": float(B[-1] / N_max),
+               "c0_hat": c0_hat, "c1_hat": c1_hat,
+               "mn_condition_ratio": cond, "alpha": str(alpha)}
+    if det_shape is not None:
+        details["deterministic_sum_over_log2"] = det_shape
+    return ratios, rows, *moments(tot, tot_sq, n_paths * N_max), details
+
+
+def subsequence_oracle(alpha, n_paths, N_terms, seed, k_lo=100, coin=None):
+    need = int(2.3 * N_terms) + 256
+    w = where_kernel(kronecker_fixed_point(alpha, need).dist)
+    cum_w = np.cumsum(w)
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    K = np.arange(1, N_terms + 1, dtype=np.float64)
+    mask = K >= max(k_lo, 3)
+    denom = np.sqrt(K[mask] * np.log(np.log(K[mask])))
+    ratios, rows, counts = [], [], []
+    tot = tot_sq = identity_worst = 0.0
+    for pid, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        while True:
+            if coin is not None:
+                bits = np.asarray(coin(rng, len(w)), dtype=bool)
+            else:
+                bits = rng.integers(0, 2, size=len(w)).astype(bool)
+            positions = np.flatnonzero(bits) + 1
+            if len(positions) >= N_terms:
+                break
+            need = int(1.5 * need)
+            w = where_kernel(kronecker_fixed_point(alpha, need).dist)
+            cum_w = np.cumsum(w)
+        positions = positions[:N_terms]
+        n_last = int(positions[-1])
+        w_sel = w[positions - 1]
+        S_sel = np.cumsum(w_sel)
+        vals = S_sel[mask] / denom
+        k = int(np.argmax(vals))
+        pos_terms = int(np.flatnonzero(mask)[k]) + 1
+        r = float(vals[k])
+        ratios.append(r)
+        rows.append((pid, pos_terms, float(S_sel[pos_terms - 1]),
+                     float(pos_terms), r))
+        signed = float(np.sum(np.where(bits[:n_last], w[:n_last], -w[:n_last])))
+        full = float(cum_w[n_last - 1])
+        identity_worst = max(identity_worst,
+                             abs(float(S_sel[-1]) - 0.5 * (full + signed)))
+        counts.append((n_last, int(N_terms)))
+        tot += float(w_sel.sum())
+        tot_sq += float((w_sel * w_sel).sum())
+    details = {"k_lo": k_lo, "reference_constant": SUBSEQ_CONSTANT,
+               "selection_identity_max_abs_diff": identity_worst,
+               "selection_counts": counts, "alpha": str(alpha)}
+    return ratios, rows, *moments(tot, tot_sq, n_paths * N_terms), details
+
+
+def assert_matches(stats, oracle):
+    ratios, rows, mean, var, details = oracle
+    assert stats.rows == rows
+    assert stats.lil_ratios == ratios
+    assert stats.empirical_mean == mean
+    assert stats.empirical_variance == var
+    assert stats.details == details
+
+
+ALPHAS = ("sqrt2m1", "golden", "(15+1*sqrt(5))/22", "(-6+1*sqrt(60))/6")
+
+
+@pytest.mark.parametrize("seed,n_paths,N_max,n_lo", [
+    (0, 3, 1000, 100), (5, 4, 2500, 100), (123, 2, 4097, 1),
+    (77, 5, 1500, 1000)])
+def test_iid_matches_oracle(seed, n_paths, N_max, n_lo):
+    stats = iid_lil_experiment(n_paths, N_max, seed, n_lo=n_lo)
+    assert_matches(stats, iid_oracle(n_paths, N_max, seed, n_lo))
+
+
+@pytest.mark.parametrize("k,seed,n_paths,N_max,n_lo", [
+    (0, 1, 3, 1000, 100), (1, 9, 4, 2500, 100), (2, 42, 2, 613, 1),
+    (3, 7, 3, 100, 100), (0, 3, 2, 12, 1)])
+def test_rademacher_matches_oracle(k, seed, n_paths, N_max, n_lo):
+    alpha = parse_alpha(ALPHAS[k])
+    stats = rademacher_lil_experiment(alpha, n_paths, N_max, seed, n_lo=n_lo)
+    assert_matches(stats, rademacher_oracle(alpha, n_paths, N_max, seed,
+                                            n_lo))
+
+
+@pytest.mark.parametrize("signs", [
+    np.ones(1500), -np.ones(1500),
+    np.random.default_rng(4).integers(0, 2, 1500) * 2.0 - 1.0,
+    np.linspace(-1.5, 1.5, 1600)])
+def test_rademacher_signs_hook_matches_oracle(sqrt2m1, signs):
+    before = signs.copy()
+    stats = rademacher_lil_experiment(sqrt2m1, 3, 1500, seed=2, signs=signs)
+    assert_matches(stats, rademacher_oracle(sqrt2m1, 3, 1500, 2,
+                                            signs=signs))
+    np.testing.assert_array_equal(signs, before)
+
+
+@pytest.mark.parametrize("k,seed,n_paths,N_terms,k_lo", [
+    (0, 4, 3, 1000, 100), (1, 11, 4, 2200, 100), (2, 5, 2, 500, 1),
+    (3, 8, 3, 300, 300)])
+def test_subsequence_matches_oracle(k, seed, n_paths, N_terms, k_lo):
+    alpha = parse_alpha(ALPHAS[k])
+    stats = subsequence_product_experiment(alpha, n_paths, N_terms, seed,
+                                           k_lo=k_lo)
+    assert_matches(stats, subsequence_oracle(alpha, n_paths, N_terms, seed,
+                                             k_lo))
+
+
+def test_subsequence_all_heads_matches_oracle(golden):
+    heads = lambda rng, size: np.ones(size, dtype=bool)
+    stats = subsequence_product_experiment(golden, 3, 1200, seed=1,
+                                           coin=heads)
+    assert_matches(stats, subsequence_oracle(golden, 3, 1200, 1, coin=heads))
+
+
+def test_rademacher_n_max_below_n_lo(sqrt2m1, monkeypatch):
+    import weylprod.stochastic as st
+
+    def no_orbit(*args):
+        raise AssertionError("orbit computed before the size check")
+
+    monkeypatch.setattr(st, "kronecker_fixed_point", no_orbit)
+    for N_max in (0, 1, 50, 99):
+        with pytest.raises(ValueError, match="n_lo"):
+            rademacher_lil_experiment(sqrt2m1, 2, N_max, seed=0)
+
+
+def test_rademacher_empty_ratio_grid(sqrt2m1):
+    # B_N stays below e for the first few N, so n_lo = 1 with N_max = 2
+    # leaves no admissible N once the orbit is known
+    with pytest.raises(ValueError, match="ratio grid is empty"):
+        rademacher_lil_experiment(sqrt2m1, 2, 2, seed=0, n_lo=1)
+
+
+@pytest.mark.parametrize("N_max", range(3, 10))
+def test_rademacher_below_condition_grid(N_max):
+    # the side-condition grid starts at N = 10; shorter orbits either have
+    # no admissible N or report the condition only at N <= N_max (with
+    # a_1 = 20, B_N passes e at N = 8)
+    alpha = surd_from_cf([20], [1])
+    try:
+        stats = rademacher_lil_experiment(alpha, 2, N_max, seed=0, n_lo=1)
+    except ValueError as exc:
+        assert "ratio grid is empty" in str(exc)
+    else:
+        assert all(g <= N_max for g in stats.details["mn_condition_ratio"])
+        assert all(2 <= row[1] <= N_max for row in stats.rows)
 
 
 # -------------------------------------------------------------- quadrature
