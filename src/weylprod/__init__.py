@@ -11,7 +11,8 @@ from .sequences import (PointSet, RationalArray, kronecker, lacunary,
                         random_subsequence, random_uniform, uniform_grid,
                         van_der_corput)
 from .discrepancy import (DiscrepancyResult, DiscrepancyTrace,
-                          brute_force_star_discrepancy, discrepancy_trace,
+                          KroneckerDiscrepancy, brute_force_star_discrepancy,
+                          discrepancy_trace, kronecker_discrepancy,
                           star_discrepancy)
 from .products import (ProductTrace, closed_form_roots_of_unity,
                        closed_form_shifted, normalized_trace, product_trace)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import DiscrepancyTrace, discrepancy_trace
+from .discrepancy import discrepancy_trace, kronecker_discrepancy
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, kronecker_fixed_point_blocks,
                          ostrowski_digit_sums)
@@ -71,14 +71,19 @@ def _hlawka_rhs(N: int, delta: float, err: float) -> tuple:
     return rhs, tol
 
 
-def check_hlawka(ps_trace: ProductTrace, d_trace: DiscrepancyTrace,
-                 N_min: int = 16, parameters: dict | None = None) -> BoundReport:
+def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
+                 parameters: dict | None = None) -> BoundReport:
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
     Delta_N = N D_N*.
 
-    The whole range is screened with numpy's log; every N that the screen
-    cannot clear, and every candidate for the largest gamma, is settled
-    with the scalar formula.
+    `d_trace` gives bounds `lower` <= Delta_N <= `upper` for every N and
+    `delta_at(N)`, Delta_N itself: a `DiscrepancyTrace` (where both bounds
+    are Delta_N) or a `KroneckerDiscrepancy`. The right-hand side is
+    concave in Delta, so its minimum over [lower, upper] sits at an end;
+    the whole range is screened with that minimum and numpy's log. Every N
+    that the screen cannot clear, and every N whose largest possible gamma
+    reaches the largest certain one, is settled with Delta_N and the scalar
+    formula.
     """
     logs = ps_trace.as_float_array() if isinstance(ps_trace, ProductTrace) \
         else np.asarray(ps_trace, dtype=np.float64)
@@ -87,27 +92,34 @@ def check_hlawka(ps_trace: ProductTrace, d_trace: DiscrepancyTrace,
     err = getattr(ps_trace, "error_bound", 0.0)
     report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
     N = np.arange(N_min, len(logs) + 1)
-    delta = d_trace.delta[N_min - 1:]
+    lo = d_trace.lower[N_min - 1:]
+    hi = d_trace.upper[N_min - 1:]
     lhs = logs[N_min - 1:]
     log_N = np.log(N)
-    rhs = 2.0 * delta * (log_N - np.log(delta))
-    slack = SCREEN_REL * (np.abs(rhs) + 2.0 * delta * log_N)
-    for i in np.flatnonzero(lhs > rhs - slack).tolist():
+
+    def rhs(delta):
+        return 2.0 * delta * (log_N - np.log(delta))
+
+    rhs_lo = np.minimum(rhs(lo), rhs(hi))
+    slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
+    for i in np.flatnonzero(lhs > rhs_lo - slack).tolist():
         n, lhs_n = int(N[i]), float(lhs[i])
-        r, tol = _hlawka_rhs(n, float(delta[i]), err)
+        r, tol = _hlawka_rhs(n, d_trace.delta_at(n), err)
         if lhs_n > r + tol:
             report.violations.append((n, lhs_n, r))
         elif lhs_n > r:
             report.inconclusive.append((n, lhs_n, r))
     gamma_hat = 0.0
     i0 = max(0, 2 - N_min)  # gamma needs log N > 0
-    gamma = rhs[i0:] / log_N[i0:] ** 2
-    if len(gamma):
-        top = gamma.max()
-        near = np.flatnonzero(gamma >= top - SCREEN_REL * abs(top)) + i0
+    if i0 < len(N):
+        sq = log_N[i0:] ** 2
+        top = (rhs_lo[i0:] / sq).max()
+        # the largest rhs over [lower, upper] is at Delta = N/e, clamped
+        peak = rhs(np.clip(N / math.e, lo, hi))[i0:] / sq
+        near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
         for i in near.tolist():
             n = int(N[i])
-            r, _ = _hlawka_rhs(n, float(delta[i]), err)
+            r, _ = _hlawka_rhs(n, d_trace.delta_at(n), err)
             gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
     report.passed = not report.violations
     report.empirical_constants["gamma_hat"] = gamma_hat
@@ -344,7 +356,7 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
             raise ValueError("kronecker generator needs alpha")
         orbit = kronecker_fixed_point(alpha, N_max)
         tr = orbit_trace([orbit], N_max)
-        dtr = discrepancy_trace(orbit.points())
+        dtr = kronecker_discrepancy(orbit)
         params = {"gen": "kronecker", "alpha": str(alpha), "N_max": N_max}
     else:
         raise ValueError(f"unknown generator {kind!r}")

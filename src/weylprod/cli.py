@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from . import bounds as bnd
 from . import stochastic as st
+from .atomicio import atomic_open
 from .extremal import (ExtremalConfig, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep, write_sweep_csv)
@@ -132,7 +133,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="ascii") as fh:
+        with atomic_open(out) as fh:
             fh.write(text)
 
 
@@ -262,6 +263,8 @@ def cmd_mc(cfg: RunConfig) -> int:
         raise UsageError("--n-max must be >= 1")
     paths = cfg.extras["paths"]
     if model == "iid":
+        if cfg.n_max < st.IID_MIN_N_MAX:
+            raise UsageError(f"--n-max must be >= {st.IID_MIN_N_MAX} for iid")
         stats = st.iid_lil_experiment(paths, cfg.n_max, cfg.seed)
     elif model == "rademacher":
         if cfg.n_max < st.N_LO:
@@ -270,7 +273,12 @@ def cmd_mc(cfg: RunConfig) -> int:
         stats = st.rademacher_lil_experiment(cfg.alpha, paths, cfg.n_max,
                                              cfg.seed)
     else:
-        terms = cfg.extras["terms"] or max(cfg.n_max // 2, 200)
+        terms = cfg.extras["terms"]
+        if terms is None:
+            terms = max(cfg.n_max // 2, 200)
+        if terms < st.N_LO:
+            raise UsageError(f"--terms must be >= {st.N_LO} for subsequence: "
+                             f"the ratio is taken over K >= {st.N_LO}")
         stats = st.subsequence_product_experiment(cfg.alpha, paths, terms,
                                                   cfg.seed)
     prefix = cfg.out or f"mc_{model}"

@@ -15,7 +15,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .numerics import as_float_array
+from .atomicio import atomic_open
+from .numerics import as_float_array, compensated_cumsum
 from .sequences import PointSet, RationalArray
 
 
@@ -157,6 +158,101 @@ class DiscrepancyTrace:
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
+
+    # the prefix-bounds interface of KroneckerDiscrepancy: the bounds are
+    # the values themselves
+    @property
+    def lower(self) -> np.ndarray:
+        return self.delta
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.delta
+
+    def delta_at(self, n: int) -> float:
+        return float(self.delta[n - 1])
+
+
+@dataclass(frozen=True, eq=False)
+class KroneckerDiscrepancy:
+    """Bounds `lower` <= Delta_n <= `upper` for every prefix n = 1..N of a
+    Kronecker orbit, where Delta_n = n D_n* is the value `discrepancy_trace`
+    gives for the orbit's float64 points, and `delta_at(n)`, that value
+    itself for one n.
+
+    Built by `kronecker_discrepancy` in O(N) from the prefix-sum identity;
+    `delta_at` costs O(N) per call from one argsort of the orbit.
+    """
+
+    points: np.ndarray
+    order: np.ndarray  # stable argsort of points
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __len__(self):
+        return len(self.points)
+
+    def delta_at(self, n: int) -> float:
+        """Delta_n by the sorted-order formula in float64, bit for bit the
+        trace's value: the prefix's points in sorted order are the orbit's
+        sorted points with index below n."""
+        if not 1 <= n <= len(self.points):
+            raise IndexError(f"prefix {n} outside [1, {len(self.points)}]")
+        return float(_float(self.points[self.order[self.order < n]]).delta)
+
+
+def _last_arg(T: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """For every m, the last j <= m with T[j] == run[m], where `run` is the
+    running maximum (or minimum) of T: the running extremum only changes at
+    indices where T attains it, so that j is the last such index."""
+    hit = np.where(T == run, np.arange(len(T)), 0)
+    return np.maximum.accumulate(hit)
+
+
+def kronecker_discrepancy(orbit) -> KroneckerDiscrepancy:
+    """Prefix-discrepancy bounds of the orbit x_k = {k alpha}, k = 1..N, from
+    a `FixedPointOrbit` (its float64 `points()` and per-point `error()`).
+
+    With T(m) = sum_{k<=m} (x_k - 1/2) and T(0) = 0, the orbit satisfies
+        n D_n* = 1/2 + |T(n)| + max_{a+b=n-1} (T(a) - T(b)),
+    because {i alpha} < {j alpha} exactly when
+    {(i-j) alpha} - {i alpha} + {j alpha} = 1. The inner maximum is at least
+    the value of the pair (a*, n-1-a*), a* the last argmax of T on [0, n-1],
+    and of the pair (n-1-m*, m*), m* the last argmin; that gives `lower`.
+    It is at most max T - min T on [0, n-1]; that gives `upper`.
+    """
+    pts = orbit.points()
+    N = len(pts)
+    T = np.zeros(N + 1)
+    T[1:], cum_err = compensated_cumsum(pts - 0.5)
+    run_max = np.maximum.accumulate(T)
+    run_min = np.minimum.accumulate(T)
+    m = np.arange(N)  # n - 1
+    a = _last_arg(T, run_max)[:-1]
+    b = _last_arg(T, run_min)[:-1]
+    inner = np.maximum(T[a] - T[m - a], T[m - b] - T[b])
+    base = 0.5 + np.abs(T[1:])
+    # Margin, for the prefix n. Each float term x_k - 1/2 is within
+    # eps = max error() + 2^-52 of {k alpha} - 1/2: error() bounds the
+    # distance, points() adds at most 2^-53 above 1/2, the subtraction at
+    # most 2^-55 below 1/4. So for m <= n, the computed T(m) is within
+    # n eps + cum_err of the exact T(m), and each bound, built from three
+    # values of T, within 3 (n eps + cum_err) of the exact expression.
+    # Moving every point by at most eps moves n D_n* by at most n eps, so
+    # the trace's Delta_n, taken from points(), is within n eps of the exact
+    # n D_n*, plus the rounding of its formula: each candidate value is
+    # within 2^-53 of exact (two roundings of magnitude <= 1, in units of
+    # 2^-54), and d n takes one more rounding of at most 2^-53 n.
+    # The bounds' own float operations (three, plus the widening) each
+    # round by at most 2^-53 of a magnitude below 1 + 3 max|T|.
+    eps = float(orbit.error().max()) + 2.0 ** -52
+    n = m + 1.0
+    margin = (n * (4.0 * eps + 2.0 ** -52) + 3.0 * cum_err
+              + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
+    lower = base + inner - margin
+    upper = base + (run_max[:-1] - run_min[:-1]) + margin
+    return KroneckerDiscrepancy(pts, np.argsort(pts, kind="stable"),
+                                lower, upper)
 
 
 # Window length bounds: a window of T new points costs O(prefix) for its
@@ -322,7 +418,7 @@ def discrepancy_trace(ps, N_max: int | None = None) -> DiscrepancyTrace:
 
 def write_trace_csv(trace, path) -> None:
     """Serialize a discrepancy trace as "N,d_star,delta"."""
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("N,d_star,delta\n")
         for n, r in enumerate(trace, 1):
             fh.write(f"{n},{float(r.d_star)!r},{float(r.delta)!r}\n")

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .atomicio import atomic_open
 from .numerics import log_two_sin_pi_array
 from .sequences import PointSet, RationalArray
 
@@ -185,7 +186,7 @@ def sweep(N_values, M_limit, epsilon: float) -> list:
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("N,M,d,logP,logLower,logUpper,holds_lower,holds_upper\n")
         for N, M, d, lp, lo, hi, hl, hu in rows:
             fh.write(f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},"

@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from .atomicio import atomic_open
 from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
                        log_two_sin_pi_array, log_two_sin_pi_mp)
 from .sequences import PointSet, RationalArray
@@ -251,7 +252,7 @@ def write_product_csv(trace: ProductTrace, path, normalizer: str = "none") -> No
     header comment."""
     k = normalizer_power(normalizer)
     logs = trace.as_float_array()
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"# normalizer={normalizer}\n")
         fh.write("N,logP,P_over_norm\n")
         for n, lp in enumerate(logs, 1):

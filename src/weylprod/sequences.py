@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from .atomicio import atomic_open
 from .irrational import (DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec,
                          check_precision_bits, default_precision_bits,
                          scaled_floor)
@@ -251,7 +252,7 @@ def random_subsequence(alpha: IrrationalSpec, N_terms: int, seed: int,
 
 def write_pointset_csv(ps: PointSet, path, digits: int = 40) -> None:
     """Serialize as "index,value" with 40 significant digits."""
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("index,value\n")
         for i, x in enumerate(ps.points, 1):
             fh.write(f"{i},{decimal_str(x, digits)}\n")

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
+from .atomicio import atomic_open
 from .irrational import IrrationalSpec, kronecker_fixed_point
 from .numerics import log_two_sin_pi_array
 from .sequences import MAX_DRAWS_PER_TERM
@@ -34,6 +35,8 @@ IID_SIGMA_CONSTANT = math.pi / math.sqrt(6.0)
 SUBSEQ_CONSTANT = math.pi / math.sqrt(12.0)
 # the smallest N (K for the subsequence model) the LIL ratio is taken at
 N_LO = 100
+# the shortest path the iid model accepts
+IID_MIN_N_MAX = 10 ** 3
 
 
 class QuadResult(NamedTuple):
@@ -152,8 +155,8 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
     """S_N = sum log(2 sin pi X_k) for i.i.d. uniform X, B_N = N pi^2/12."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if N_max < 10 ** 3:
-        raise ValueError("N_max must be >= 1000")
+    if N_max < IID_MIN_N_MAX:
+        raise ValueError(f"N_max must be >= {IID_MIN_N_MAX}")
     children = np.random.SeedSequence(seed).spawn(n_paths)
     B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
     grid = _ratio_grid(B, n_lo)
@@ -332,7 +335,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
 
 def write_paths_csv(stats: PathStatistics, path) -> None:
     """One row per path at its ratio argmax: "path_id,N,S_N,B_N,ratio"."""
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("path_id,N,S_N,B_N,ratio\n")
         for pid, n, s, b, r in stats.rows:
             fh.write(f"{pid},{n},{s!r},{b!r},{r!r}\n")
@@ -364,6 +367,6 @@ def summary_dict(stats: PathStatistics) -> dict:
 
 
 def write_summary_json(stats: PathStatistics, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         json.dump(summary_dict(stats), fh, indent=2, sort_keys=True)
         fh.write("\n")

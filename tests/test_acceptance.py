@@ -19,7 +19,7 @@ from weylprod.discrepancy import (brute_force_star_discrepancy,
                                   star_discrepancy)
 from weylprod.extremal import (ExtremalConfig, build_extremal,
                                extremal_product_closed_form,
-                               sup_product_lower_bound, sup_search)
+                               sup_product_lower_bound, sup_search, sweep)
 from weylprod.irrational import cf_expand
 from weylprod.numerics import log_two_sin_pi
 from weylprod.products import closed_form_shifted, product_trace
@@ -118,19 +118,22 @@ def test_criterion_06_discrepancy_product_bound(sqrt2m1):
 def test_criterion_07_extremal():
     t0 = time.perf_counter()
     ok = True
+    # the closed form per (N, M) from the sweep's running sums, which equal
+    # extremal_product_closed_form row by row (tests/test_extremal.py)
+    rows = sweep(range(8, 1026, 2), lambda N: N // 8, 0.1)
+    closed = {(N, M): lp for N, M, d, lp, *_ in rows}
     # closed form vs the actual product of the built point set
     for N in range(8, 1026, 2):
         for M in range(1, N // 8 + 1):
             cfg = ExtremalConfig(N, M)
             tr = product_trace(build_extremal(cfg))
-            if abs(extremal_product_closed_form(cfg)
-                   - float(tr.log_values[-1])) > 1e-9:
+            if abs(closed[N, M] - float(tr.log_values[-1])) > 1e-9:
                 ok = False
     # lower bound never exceeds the product on the sweep from N = 64
     for N in range(64, 1026, 2):
         for M in range(1, N // 8 + 1):
             lo = sup_product_lower_bound(N, M / N)
-            if lo > extremal_product_closed_form(ExtremalConfig(N, M)) + 1e-9:
+            if lo > closed[N, M] + 1e-9:
                 ok = False
     # moving any single off-center point toward 1/2 raises the discrepancy
     rnd = random.Random(77)

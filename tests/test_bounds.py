@@ -12,7 +12,8 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              check_type_growth, check_vdc_limits,
                              grid_hlawka_report, hlawka_sequence_report,
                              kronecker_log_trace)
-from weylprod.discrepancy import DiscrepancyTrace, discrepancy_trace
+from weylprod.discrepancy import (DiscrepancyTrace, discrepancy_trace,
+                                  kronecker_discrepancy)
 from weylprod.irrational import (cf_expand, cf_expand_until,
                                  kronecker_fixed_point, ostrowski,
                                  surd_from_cf)
@@ -139,6 +140,76 @@ def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
                              tr.error_bound, 16)
         assert (rep.violations, rep.inconclusive,
                 rep.empirical_constants["gamma_hat"]) == want
+
+
+class Bracket:
+    """Prefix-discrepancy bounds around known deltas, for check_hlawka."""
+
+    def __init__(self, delta, lower, upper):
+        self.delta, self.lower, self.upper = delta, lower, upper
+
+    def __len__(self):
+        return len(self.delta)
+
+    def delta_at(self, n):
+        return float(self.delta[n - 1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hlawka_bracket_matches_per_n_loop(seed):
+    # any bounds lower <= Delta <= upper give the exact trace's report: the
+    # screen and the gamma candidates must hold for every bracket, also
+    # where Delta > N/e and the right-hand side falls in Delta
+    rng = np.random.default_rng(seed)
+    n = 3000
+    N = np.arange(1, n + 1)
+    deltas = np.where(N < 50, rng.uniform(0.5, np.maximum(N, 1.0)),
+                      rng.uniform(0.5, 12.0, n))
+    rhs = 2.0 * deltas * (np.log(N) - np.log(deltas))
+    logs = rhs + rng.choice([-1.0, -1e-13, 2e-12, 1e-10, 1.5e-9, 1.0],
+                            size=n, p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+    width = rng.choice([0.0, 1e-9, 0.1, 2.0], size=(2, n))
+    lower = np.maximum(deltas - width[0], 0.25)
+    tr = ProductTrace(logs, 0.0, n)
+    for N_min in (1, 16):
+        rep = check_hlawka(tr, Bracket(deltas, lower, deltas + width[1]),
+                           N_min=N_min)
+        violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
+                                                            0.0, N_min)
+        assert rep.violations == violations and violations
+        assert rep.inconclusive == inconclusive and inconclusive
+        assert rep.empirical_constants["gamma_hat"] == gamma_hat
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
+    # logs around the right-hand side of the orbit's own Delta: just below
+    # it, inside the tolerance (inconclusive), just outside (violations),
+    # and far off; the screen on the bounds must settle exactly these
+    alpha = (surd_from_cf([], [2]), surd_from_cf([], [1]),
+             surd_from_cf([3, 2 ** 66], [1, 7, 2]))[seed]
+    n = 3000
+    orbit = kronecker_fixed_point(alpha, n)
+    kd = kronecker_discrepancy(orbit)
+    deltas = discrepancy_trace(orbit.points()).delta
+    rng = np.random.default_rng(seed)
+    rhs = np.array([2.0 * d * (math.log(N) - math.log(d))
+                    for N, d in enumerate(deltas.tolist(), 1)])
+    logs = rhs + rng.choice([-1.0, -1e-13, 2e-12, 1e-10, 1.5e-9, 1.0],
+                            size=n, p=[0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
+    err = 1e-11 * seed
+    tr = ProductTrace(logs, err, n)
+    for N_min in (1, 16):
+        rep = check_hlawka(tr, kd, N_min=N_min)
+        violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
+                                                            err, N_min)
+        assert rep.violations == violations and violations
+        assert rep.inconclusive == inconclusive and inconclusive
+        assert rep.empirical_constants["gamma_hat"] == gamma_hat
+        # the same report as from the exact trace
+        rep_t = check_hlawka(tr, discrepancy_trace(orbit.points()),
+                             N_min=N_min)
+        assert rep.to_dict() == rep_t.to_dict()
 
 
 def test_hlawka_misaligned_traces():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from weylprod import stochastic as st
+from weylprod.atomicio import atomic_open
 from weylprod.cli import main
 from weylprod.irrational import FracPartEvaluator, parse_alpha
 from weylprod.products import NORMALIZERS, normalizer_power, product_trace
@@ -224,6 +227,73 @@ def test_mc_rademacher_n_max_below_ratio_range(tmp_path, capsys, n_max):
     assert code == 2
     assert "--n-max" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("args, flag, limit", [
+    (["iid", "--n-max", "500"], "--n-max", "1000"),
+    (["subsequence", "--terms", "50"], "--terms", "100"),
+    (["subsequence", "--terms", "0"], "--terms", "100"),
+])
+def test_mc_size_below_limit_names_flag(tmp_path, capsys, args, flag, limit):
+    code, _, err = run(["mc", *args, "--paths", "2",
+                        "--out", str(tmp_path / "m")], capsys)
+    assert code == 2
+    assert flag in err and limit in err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_mc_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the CSV write raises after two rows: no partial file, no temporary
+    # file, and the I/O exit code
+    real = st.iid_lil_experiment
+
+    def failing_rows(*args, **kwargs):
+        stats = real(*args, **kwargs)
+        first = stats.rows[:2]
+
+        def rows():
+            yield from first
+            raise OSError(28, "No space left on device")
+        stats.rows = rows()
+        return stats
+
+    monkeypatch.setattr(st, "iid_lil_experiment", failing_rows)
+    code, _, err = run(["mc", "iid", "--paths", "3", "--n-max", "1000",
+                        "--out", str(tmp_path / "mc")], capsys)
+    assert code == 3 and "No space left" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_open_keeps_old_file(tmp_path):
+    out = tmp_path / "rep.json"
+    out.write_text("old\n")
+    with pytest.raises(OSError):
+        with atomic_open(out) as fh:
+            fh.write("partial")
+            raise OSError("write failed")
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+    with atomic_open(out) as fh:
+        fh.write("new\n")
+    assert out.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+
+
+def test_atomic_open_link_and_device(tmp_path):
+    # a link keeps pointing at its target, which gets the new content
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "rep.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    with atomic_open(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["rep.json"]
+    # a device is written in place, not replaced by a regular file
+    with atomic_open(os.devnull) as fh:
+        fh.write("discarded\n")
+    assert not os.path.isfile(os.devnull)
 
 
 def test_mc_iid_deterministic(tmp_path, capsys, monkeypatch):

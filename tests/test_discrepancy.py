@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylprod import discrepancy
+from weylprod import discrepancy, irrational
 from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   brute_force_star_discrepancy,
-                                  discrepancy_trace, star_discrepancy,
-                                  write_trace_csv)
+                                  discrepancy_trace, kronecker_discrepancy,
+                                  star_discrepancy, write_trace_csv)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import as_float_array
 from weylprod.sequences import (kronecker, uniform_grid, van_der_corput)
@@ -228,3 +228,64 @@ def test_vdc_exact_matches_brute_force(N):
     exact = star_discrepancy(van_der_corput(N)).d_star
     oracle = brute_force_star_discrepancy(pts, eps=EPS)
     assert oracle <= exact <= oracle + EPS
+
+
+# ---------------------------------------------- Kronecker prefix-sum bounds
+
+@st.composite
+def cf_alphas(draw):
+    """[0; prefix, (period)^inf]. Half of the draws put one quotient in
+    [2^64, 2^72] after a short prefix, so that a denominator q <= 2197 has
+    ||q alpha|| < 2^-64 and the kernel recomputes that point exactly."""
+    quotient = st.integers(1, 40)
+    period = draw(st.lists(quotient, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        head = draw(st.lists(st.integers(1, 12), max_size=3))
+        tail = draw(st.lists(quotient, max_size=3))
+        return surd_from_cf(head + [draw(st.integers(2 ** 64, 2 ** 72))]
+                            + tail, period), True
+    return surd_from_cf(draw(st.lists(quotient, max_size=6)), period), False
+
+
+@settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow])
+@given(cf_alphas())
+def test_kronecker_bounds_bracket_trace(drawn):
+    alpha, huge = drawn
+    N = 3000
+    exact = []
+    real = irrational._exact_distance
+
+    def counted(a, n):
+        exact.append(n)
+        return real(a, n)
+
+    irrational._exact_distance = counted
+    try:
+        orbit = kronecker_fixed_point(alpha, N)
+    finally:
+        irrational._exact_distance = real
+    assert bool(exact) or not huge
+    kd = kronecker_discrepancy(orbit)
+    delta = discrepancy_trace(orbit.points()).delta
+    assert len(kd) == N
+    assert np.all(kd.lower <= delta) and np.all(delta <= kd.upper)
+    # the lower bound never falls below 1/2 by more than its margin
+    assert np.all(kd.lower > 0.49)
+    for n in range(1, N + 1):
+        assert kd.delta_at(n) == delta[n - 1], n
+
+
+def test_kronecker_bounds_interface(sqrt2m1):
+    orbit = kronecker_fixed_point(sqrt2m1, 50)
+    kd = kronecker_discrepancy(orbit)
+    tr = discrepancy_trace(orbit.points())
+    # the trace serves the same interface, with both bounds at delta
+    assert tr.lower is tr.delta and tr.upper is tr.delta
+    assert tr.delta_at(50) == tr.delta[49] == kd.delta_at(50)
+    with pytest.raises(IndexError):
+        kd.delta_at(0)
+    with pytest.raises(IndexError):
+        kd.delta_at(51)
+    # n D_n* of one point x is max(x, 1 - x)
+    x = float(orbit.points()[0])
+    assert kd.delta_at(1) == max(x, 1.0 - x)

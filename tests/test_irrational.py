@@ -4,12 +4,15 @@ from itertools import product as iproduct
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
                                  IrrationalSpec, cf_expand, cf_expand_until,
                                  default_precision_bits, floor_surd,
-                                 ostrowski, ostrowski_digit_sums, parse_alpha,
-                                 surd_cmp, surd_from_cf, surd_sign,
+                                 is_perfect_square, ostrowski,
+                                 ostrowski_digit_sums, parse_alpha, surd_cmp,
+                                 surd_from_cf, surd_sign,
                                  type_exponent_estimate)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -78,6 +81,50 @@ def test_floor_surd_against_floats():
         if abs(ref - round(ref)) < 1e-9:
             continue
         assert floor_surd(p, q, r, d) == math.floor(ref)
+
+
+def at_most_q_sqrt_d(u, q, d):
+    """u <= q sqrt(d), decided on integers: squares are compared where both
+    sides share a sign, and for q != 0 equality is impossible (sqrt(d) is
+    irrational)."""
+    if q >= 0:
+        return u <= 0 or u * u <= q * q * d
+    return u < 0 and u * u >= q * q * d
+
+
+def is_floor_surd(m, p, q, r, d):
+    """m <= (p + q sqrt(d)) / r < m + 1, exactly."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    # m r <= p + q sqrt(d)  and  not ((m + 1) r <= p + q sqrt(d))
+    return (at_most_q_sqrt_d(m * r - p, q, d)
+            and not at_most_q_sqrt_d((m + 1) * r - p, q, d))
+
+
+big = st.integers(-2 ** 200, 2 ** 200)
+non_square = st.integers(2, 2 ** 80).filter(lambda d: not is_perfect_square(d))
+
+
+@settings(max_examples=300)
+@given(st.one_of(big, st.integers(-50, 50)), st.one_of(big, st.integers(-50, 50)),
+       st.one_of(big, st.integers(-50, 50)).filter(lambda r: r != 0),
+       st.one_of(non_square, st.sampled_from([2, 3, 5, 6, 7, 10])))
+def test_floor_surd_exact_oracle(p, q, r, d):
+    m = floor_surd(p, q, r, d)
+    assert is_floor_surd(m, p, q, r, d)
+    # the integers next to it are not the floor
+    assert not is_floor_surd(m - 1, p, q, r, d)
+    assert not is_floor_surd(m + 1, p, q, r, d)
+    # math.isqrt gives the floor for q >= 0 and r = 1 directly
+    if q >= 0:
+        assert floor_surd(p, q, 1, d) == p + math.isqrt(q * q * d)
+
+
+def test_floor_surd_oracle_sign_cases():
+    # every sign of p, q and r, and q = 0, against the exact oracle
+    for p, q, r in iproduct((-7, 0, 7), (-3, 0, 3), (-2, 2)):
+        m = floor_surd(p, q, r, 5)
+        assert is_floor_surd(m, p, q, r, 5), (p, q, r)
 
 
 # ------------------------------------------------------------ cf expansion
@@ -239,6 +286,44 @@ def test_ostrowski_digit_sums_match_per_n(sqrt2m1, golden):
                 (dig.level, sum(dig.digits)), N
     with pytest.raises(ValueError):
         ostrowski_digit_sums(cf_expand(sqrt2m1, 4), 100)
+
+
+@st.composite
+def cf_alphas(draw):
+    """[0; prefix, (period)^inf], sometimes with a_1 = 1 (so q_0 = q_1) and
+    sometimes with one quotient up to 2^20."""
+    quotient = st.integers(1, 40)
+    prefix = draw(st.lists(quotient, min_size=0, max_size=5))
+    period = draw(st.lists(quotient, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        prefix.insert(0, 1)
+    if draw(st.booleans()):
+        prefix.insert(draw(st.integers(0, len(prefix))),
+                      draw(st.integers(41, 2 ** 20)))
+    try:
+        return surd_from_cf(prefix, period)
+    except ValueError:  # the period gave a rational
+        return surd_from_cf(prefix, [1])
+
+
+@settings(max_examples=100)
+@given(cf_alphas(), st.lists(st.integers(1, 10 ** 5), min_size=1, max_size=20))
+def test_ostrowski_canonical_form(alpha, Ns):
+    N_max = max(Ns)
+    t = cf_expand_until(alpha, N_max)
+    a = t.partial_quotients  # a[i] is a_{i+1}
+    levels, sums = ostrowski_digit_sums(t, N_max)
+    for N in Ns:
+        dig = ostrowski(N, t)
+        b = dig.digits
+        l = dig.level
+        assert len(b) == l + 1 and b[l] > 0
+        assert t.q[l] <= N < t.q[l + 1]
+        assert dig.reconstruct(t) == N
+        assert b[0] < a[0]
+        assert all(0 <= b[i] <= a[i] for i in range(l + 1))
+        assert all(b[i - 1] == 0 for i in range(1, l + 1) if b[i] == a[i])
+        assert (levels[N - 1], sums[N - 1]) == (l, sum(b))
 
 
 def test_ostrowski_table_too_shallow(sqrt2m1):
