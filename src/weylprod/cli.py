@@ -3,12 +3,14 @@
 Exit codes: 0 = pass, 1 = a checked bound was violated, 2 = usage error,
 3 = an input/output error (an output file could not be written).
 Every command is deterministic given its full flag set (seed and precision
-included). `figure` takes its points from exact P-bit fixed-point residues,
-rounded to mpf, and multiplies them into a running mpf product; its output
-names that path ("kernel": "fixed-point-mpf"), the precision and the
-derived bound on the log of every row. --precision-bits or
-WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
-128-bit fixed-point kernel with float64 logs and a derived error bound.
+included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
+A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
+exact residues, multiplies them into an integer running product and
+streams the rows to its output; the output names that path ("kernel":
+"fixed-point-rotation"), the precision and the derived bound on the log of
+every row. --precision-bits or WEYL_PRECISION_BITS sets its working
+precision. `verify` and `mc` use the 128-bit fixed-point kernel with
+float64 logs and a derived error bound.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+import mpmath
 
 from . import bounds as bnd
 from . import stochastic as st
@@ -26,9 +31,7 @@ from .extremal import (ExtremalConfig, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep, write_sweep_csv)
 from .irrational import IrrationalSpec, parse_alpha
-from .numerics import decimal_str
-from .products import NORMALIZERS, prefix_products
-from .sequences import kronecker
+from .products import KERNEL, NORMALIZERS, rotation_products
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
                 "cesaro", "type-growth", "vdc-limits", "conjectures")
@@ -48,7 +51,7 @@ class RunConfig:
     n_max: int | None = None
     n_min: int = 16
     N: int | None = None
-    d: float | None = None
+    d: Fraction | None = None
     seed: int = 0
     epsilon: float = 0.1
     out: str | None = None
@@ -74,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sine-product workbench: figures, bound verification and "
                     "Monte Carlo experiments over [0,1] point sequences.")
     p.add_argument("--precision-bits", type=int, default=None,
-                   help="working precision of figure's mpf points and "
-                        "running product (default from WEYL_PRECISION_BITS "
-                        "or the 2^24 budget; verify and mc use the "
-                        "fixed-point kernel)")
+                   help="bits figure's rows are rounded to; its running "
+                        "product carries 8 more (default from "
+                        "WEYL_PRECISION_BITS or the 2^24 budget; verify "
+                        "and mc use the fixed-point kernel)")
 
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -106,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--q-max", type=int, default=10 ** 5)
     ver.add_argument("--s-max", type=int, default=18)
     ver.add_argument("--t", type=float, default=1.5)
-    ver.add_argument("--d", type=float, default=None)
+    ver.add_argument("--d", type=Fraction, default=None,
+                     help="discrepancy of a single extremal check, read "
+                          "exactly from its decimal string")
     ver.add_argument("--epsilon", type=float, default=0.1)
     ver.add_argument("--out", default="-")
     ver.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -127,56 +132,78 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts, out: str | None) -> None:
+    """Write the strings of the iterable `parts` in order to stdout, or
+    atomically to the file `out`: if producing a part raises, no file is
+    left behind."""
     if out in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        for part in parts:
+            sys.stdout.write(part)
     else:
         with atomic_open(out) as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
+
+
+_JSON_ROW = '\n    {{\n      "N": {},\n      "value": "{}"\n    }}'
+
+
+def _figure_parts(head: str, rows, line: str, sep: str, tail: str):
+    """head, then `line.format(n, value)` for every row with `sep` between
+    rows, then tail: one string per row, which the output's buffer gathers
+    into its writes, so nothing of size N is held."""
+    yield head
+    to_str = mpmath.libmp.to_str
+    lead = ""
+    for n, row in enumerate(rows, 1):
+        yield lead + line.format(n, to_str(row, 40))
+        lead = sep
+    yield tail
 
 
 def cmd_figure(cfg: RunConfig) -> int:
     if cfg.n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    ps = kronecker(cfg.alpha, cfg.n_max, precision_bits=cfg.precision_bits)
-    rows, bound = prefix_products(ps, cfg.normalizer)
+    series = rotation_products(cfg.alpha, cfg.n_max, cfg.normalizer,
+                               cfg.precision_bits)
     meta = {"alpha": str(cfg.alpha), "normalizer": cfg.normalizer,
-            # mpf points from exact fixed-point residues, running mpf product
-            "kernel": "fixed-point-mpf",
-            "precision_bits": ps.params["precision_bits"],
-            "log_error_bound": bound}
+            "kernel": KERNEL,
+            "precision_bits": series.precision_bits,
+            "log_error_bound": series.log_error_bound}
     if cfg.fmt == "json":
-        meta["series"] = [{"N": n, "value": decimal_str(v)}
-                          for n, v in enumerate(rows, 1)]
-        _emit(json.dumps(meta, indent=2) + "\n", cfg.out)
+        # json.dumps(meta + series, indent=2), written a row at a time
+        head, tail = json.dumps({**meta, "series": []}, indent=2).rsplit(
+            "[]", 1)
+        parts = _figure_parts(head + "[", series, _JSON_ROW, ",",
+                              "\n  ]" + tail + "\n")
     else:
-        lines = [" ".join(["#"] + [f"{key}={value}"
-                                   for key, value in meta.items()]),
-                 "N,value"]
-        lines += [f"{n},{decimal_str(v)}" for n, v in enumerate(rows, 1)]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        head = " ".join(["#"] + [f"{key}={value}"
+                                 for key, value in meta.items()])
+        parts = _figure_parts(head + "\nN,value\n", series, "{},{}",
+                              "\n", "\n")
+    _emit(parts, cfg.out)
     return 0
 
 
 def _verify_extremal_single(cfg: RunConfig) -> int:
     """Bounds at one (N, d) pair; the extremal product is evaluated, and
-    compared with the lower bound, only when N is even and N*d an integer
-    (the construction needs both). Otherwise nothing is compared, and the
+    compared with the lower bound, only when N is even and N*d an integer,
+    exactly, with d read as the decimal it was given (the construction
+    needs both). Otherwise nothing is compared, and the
     report says so with "passed": null and "n_checked": 0."""
     if cfg.N is None:
         raise UsageError("verify extremal --d needs --N")
-    lo = sup_product_lower_bound(cfg.N, cfg.d)
-    hi = sup_product_upper_bound(cfg.N, cfg.d, cfg.epsilon)
+    d = float(cfg.d)
+    lo = sup_product_lower_bound(cfg.N, d)
+    hi = sup_product_upper_bound(cfg.N, d, cfg.epsilon)
     report = bnd.BoundReport("extremal",
-                             {"N": cfg.N, "d": cfg.d, "epsilon": cfg.epsilon},
+                             {"N": cfg.N, "d": d, "epsilon": cfg.epsilon},
                              (cfg.N, cfg.N), passed=None)
     report.empirical_constants = {"logLower": lo, "logUpper": hi}
     M = cfg.d * cfg.N
     n_checked = 0
-    if cfg.N % 2 == 0 and abs(M - round(M)) < 1e-12 and round(M) >= 1:
-        lp = extremal_product_closed_form(ExtremalConfig(cfg.N, round(M)))
+    if cfg.N % 2 == 0 and M.denominator == 1 and M >= 1:
+        lp = extremal_product_closed_form(ExtremalConfig(cfg.N, int(M)))
         report.empirical_constants["logP"] = lp
         if lo > lp + 1e-9:
             report.violations.append((cfg.N, lo, lp))
@@ -184,7 +211,7 @@ def _verify_extremal_single(cfg: RunConfig) -> int:
         n_checked = 1
     payload = report.to_dict()
     payload["n_checked"] = n_checked
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], cfg.out)
     return 1 if report.passed is False else 0
 
 
@@ -249,7 +276,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = bnd.check_kronecker_conjectures(cfg.alpha, cfg.n_max or 500)
     else:  # pragma: no cover - argparse already rejects unknown tags
         raise UsageError(f"unknown theorem {tag!r}")
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", cfg.out)
+    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], cfg.out)
     if tag == "conjectures":
         return 0
     return 0 if report.passed else 1

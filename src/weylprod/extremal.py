@@ -49,8 +49,8 @@ def build_extremal(cfg: ExtremalConfig) -> PointSet:
     """
     N, M = cfg.N, cfg.M
     half = N // 2
-    nums = (list(range(M, half)) + [half] * (2 * M)
-            + list(range(half + 1, N - M + 1)))
+    nums = np.concatenate((np.arange(M, half), np.full(2 * M, half),
+                           np.arange(half + 1, N - M + 1)))
     if len(nums) != N:
         raise AssertionError("extremal construction lost points")
     return PointSet(RationalArray(nums, N), "extremal",

@@ -96,9 +96,9 @@ def compensated_cumsum(a: np.ndarray) -> tuple:
     for s in range(0, n, chunk):
         part = a[s:s + chunk]
         hi = np.rint(np.ldexp(part, k))
-        lo = np.cumsum(part - np.ldexp(hi, -k))
+        lo = (part - np.ldexp(hi, -k)).cumsum()
         lo += carry_lo
-        ints = np.cumsum(hi.astype(np.int64))
+        ints = hi.astype(np.int64).cumsum()
         ints += carry_hi
         res = out[s:s + chunk]
         np.ldexp(ints.astype(np.float64), -k, out=res)

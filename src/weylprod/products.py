@@ -4,8 +4,9 @@ Traces accumulate in log space: extremal sets overflow doubles long before
 desk scale, and log-space also makes the bound checkers uniform. Exact
 rational and float point sets take a fast compensated double path; mpf
 point sets are accumulated at their own precision so the trace error bound
-stays meaningful far below 2^-53. `prefix_products` keeps the mpf product
-itself, whose exponent cannot overflow, for the printed 40-digit series.
+stays meaningful far below 2^-53. The printed 40-digit series
+(`rotation_products`) keeps the product itself, as an integer mantissa and
+exponent, and takes its sines from a fixed-point rotation w^n in integers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import mpmath
 import numpy as np
 
 from .atomicio import atomic_open
+from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
+                         default_precision_bits, kronecker_fixed_point_blocks,
+                         scaled_floor)
 from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
                        log_two_sin_pi_array, log_two_sin_pi_mp)
 from .sequences import PointSet, RationalArray
@@ -106,8 +110,8 @@ def _float_terms(arr: np.ndarray, pt_err) -> tuple:
     endpoint = (arr == 0.0) | (arr == 1.0)
     safe = np.where(endpoint, 0.5, arr)
     terms = log_two_sin_pi_array(safe)
-    err = float(np.sum(TERM_EPS * (1.0 + np.abs(terms))))
-    if np.any(pt_err):
+    err = float((TERM_EPS * (1.0 + np.abs(terms))).sum())
+    if isinstance(pt_err, np.ndarray) or pt_err:
         # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= pi / (2 min(x, 1-x))
         m = np.minimum(safe, 1.0 - safe)
         err += float(np.sum(1.6 * pt_err / m))
@@ -178,52 +182,192 @@ def normalizer_power(normalizer: str) -> int:
                          f"expected one of {NORMALIZERS}") from None
 
 
-def prefix_products(ps: PointSet, normalizer: str = "none") -> tuple:
-    """(rows, log_error_bound): rows[n-1] = P_n / n^k for n = 1..N as mpf
-    at the point set's `precision_bits`, where k is `normalizer`'s power,
-    and a bound on |log(row) - log(exact row)| that holds for every row.
+# w^n is re-anchored from one exact mpf_cos_sin_pi every ANCHOR_STEPS
+# steps. The bound below grows by 3 units of 2^-W per step, and W carries
+# bitlen(ANCHOR_STEPS) bits for it, so the interval changes cost, not
+# the bound: an anchor (about 5 us) spread over 64 rotation steps (about
+# 0.35 us each) adds about 2% to a row, while each halving of the interval
+# would double that and save under one bit of W.
+ANCHOR_STEPS = 64
+KERNEL = "fixed-point-rotation"
 
-    The points must be mpf values strictly inside (0, 1). The running
-    product prod sinpi(x_n) is kept at precision_bits + 8 bits; each row
-    divides it by n^k, rounds once to precision_bits and multiplies by 2^n,
-    exactly. The bound adds up
-    - the points: a point within e of the exact one moves log(2 sin pi x)
-      by at most 2 pi e / (t - 2 pi e) with t = 2 sin(pi x), because
-      |d/dx log(2 sin pi x)| = pi |cot pi x| <= pi / sin(pi x) and sin
-      drops by at most pi e between the two points (t is taken in float64,
-      with its own rounding allowed for);
-    - the running product: sinpi is within one ulp (mpmath evaluates it
-      with 10 guard bits and rounds once), 2^(1-wp) relative, and the
-      product is rounded correctly, 2^-wp: 3 2^-wp per term, under 4 2^-wp
-      in log;
-    - the row's correctly rounded division: 2^-prec relative, under
-      2^(1-prec) in log.
+
+def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
+    """man 2^exp / nk, for positive integers man and nk, rounded once to
+    nearest at `prec` bits, as a raw mpf (a `mpmath.libmp` tuple).
+
+    The quotient is taken with at least prec + 2 bits and a sticky bit for
+    a nonzero remainder, so the one rounding in `from_man_exp` is the
+    correct rounding of the exact quotient."""
+    sh = max(0, prec + 2 + nk.bit_length() - man.bit_length())
+    q, r = divmod(man << sh, nk)
+    return mpmath.libmp.from_man_exp((q << 1) | (r > 0), exp - sh - 1,
+                                     prec, "n")
+
+
+def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
+    """(man, exp) with man 2^exp = sin(pi {n alpha}) within 2^-(wp+8)
+    relative, from the exact floor of n alpha 2^b, b doubled until the
+    residue lies at least 2^(wp+10) units from an integer.
+
+    The point r 2^-b is within 2^-b of {n alpha}, which moves the sine by
+    at most pi 2^-b against a sine of at least 2^(wp+11-b): under
+    2^-(wp+9.3) relative. mpf_sin_pi at wp + 10 bits is within one ulp,
+    2^-(wp+9)."""
+    bits = 2 * wp
+    while True:
+        r = scaled_floor(alpha, bits, n) & ((1 << bits) - 1)
+        if min(r, (1 << bits) - r) >> (wp + 10):
+            libmp = mpmath.libmp
+            s = libmp.mpf_sin_pi(libmp.from_man_exp(r, -bits), wp + 10, "n")
+            return s[1], s[2]
+        bits *= 2
+
+
+@dataclass
+class RotationProducts:
+    """The rows P_n / n^k, n = 1..N, of P_n = prod_{j<=n} 2 sin(pi {j alpha})
+    (k = the normalizer's power), with a bound on |log(row) - log(exact
+    row)| that holds for every row. Built by `rotation_products`.
+
+    Iterating yields the rows in order as raw mpf tuples rounded to
+    `precision_bits`, computed afresh from integers on every pass: nothing
+    of size N is held. `exact_terms` lists the n whose sine was taken from
+    an exact floor instead of the rotation.
+    """
+
+    alpha: IrrationalSpec
+    N: int
+    power: int
+    precision_bits: int
+    log_error_bound: float
+    exact_terms: list
+
+    def __iter__(self):
+        # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
+        # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
+        # fixed point and advances by one complex multiply, floored.
+        prec, N, k = self.precision_bits, self.N, self.power
+        wp, W, P = _working_bits(prec, N)
+        libmp = mpmath.libmp
+        cos_sin_pi, from_man_exp = libmp.mpf_cos_sin_pi, libmp.from_man_exp
+        to_fixed = libmp.to_fixed
+        A = scaled_floor(self.alpha, P)
+        turn = (1 << (P + 1)) - 1
+
+        def anchor(n):
+            c, s = cos_sin_pi(from_man_exp((n * A) & turn, -P), W + 8, "n")
+            return to_fixed(c, W), to_fixed(s, W)
+
+        C, S = anchor(1)
+        exact = iter(self.exact_terms + [N + 1])
+        nxt = next(exact)
+        # the running product is m 2^e with 2^wp <= m < 2^(wp+1)
+        m, e = 1 << wp, -wp
+        top = wp + 1
+        for a in range(1, N + 1, ANCHOR_STEPS):
+            c, s = (C, S) if a == 1 else anchor(a)
+            for n in range(a, min(a + ANCHOR_STEPS, N + 1)):
+                if n == nxt:
+                    t, te = _exact_sin(self.alpha, n, wp)
+                    m *= t
+                    e += te + W
+                    nxt = next(exact)
+                else:
+                    m *= s if s > 0 else -s
+                sh = m.bit_length() - top
+                m >>= sh
+                e += sh - W
+                yield row_value(m, e + n, n ** k, prec)
+                c, s = (c * C - s * S) >> W, (c * S + s * C) >> W
+
+
+def _working_bits(prec: int, N: int) -> tuple:
+    """(wp, W, P): the running product's bits, the rotation's fixed-point
+    bits and the bits of A. W leaves 2^-W times the largest rotation error
+    (3 ANCHOR_STEPS units) 2^(bitlen(N) + 6) below 2^-wp; P makes the
+    angle error pi N 2^(W-P) less than one unit."""
+    wp = prec + 8
+    W = wp + ANCHOR_STEPS.bit_length() + 7 + N.bit_length()
+    return wp, W, W + N.bit_length() + 2
+
+
+def _rotation_charges(alpha: IrrationalSpec, N: int, wp: int,
+                      W: int) -> tuple:
+    """(the rotation terms' log errors summed, in units of 2^-wp; the n
+    whose term must come from `_exact_sin`), from a float pass over the
+    128-bit fixed-point orbit in blocks.
+
+    T_n = 2^W sin(pi ||n alpha||) is bounded below from the float distance
+    less its error bound, with sin's and pi x's roundings under 2^-50. A
+    rotation term within delta_n of T_n moves the log by at most
+    delta_n / (T_n - delta_n). A term whose T_n cannot clear
+    2^(wp+2) delta_n, so that this could reach 2^-(wp+1), is taken exact.
+    """
+    sums, exact = [], []
+    for orbit in kronecker_fixed_point_blocks(alpha, N):
+        n = np.arange(orbit.first, orbit.first + len(orbit.dist))
+        delta = 3.0 * ((n - 1) % ANCHOR_STEPS + 1)
+        # low = T_n 2^-(wp+1) from below
+        low = np.maximum(orbit.dist - orbit.error(), 0.0)
+        low *= np.pi
+        np.sin(low, out=low)
+        low = np.ldexp(low * (1.0 - 2.0 ** -50), W - wp - 1)
+        fallback = low <= 2.0 * delta
+        exact += n[fallback].tolist()
+        keep = ~fallback
+        # 2^wp delta / (T - delta) = delta / (2 low - delta 2^-wp), and
+        # low > 2 delta leaves that below (delta / 2 low)(1 + 2^-(wp+1));
+        # a block's pairwise sum is within 2^-47 of its value, fsum adds one
+        # rounding
+        sums.append(float(np.sum(delta[keep] / low[keep])))
+    return 0.5 * math.fsum(sums), exact
+
+
+def rotation_products(alpha: IrrationalSpec, N: int,
+                      normalizer: str = "none",
+                      precision_bits: int | None = None) -> RotationProducts:
+    """P_n / n^k for n = 1..N (k = `normalizer`'s power) by the integer
+    rotation kernel, at `precision_bits` (default: the 2^24 budget's, or
+    N's above it), with its log error bound.
+
+    The bound on |log(row) - log(exact row)|, for every row, adds up
+    - the rotation: (c, s) is w^n to within delta_n units of 2^-W. An
+      anchor's cos and sin are within one ulp at W + 8 bits, then floored:
+      under 1.43 units for the pair, and w's own error e_w is the same.
+      Writing E_n for the error of w^n, a floored step gives
+      |E_{n+1}| <= |E_n| (1 + |e_w| 2^-W) + |e_w| + 2^0.5, so m steps after
+      an anchor |E| <= 1.5 + 3 m (m < ANCHOR_STEPS). A 2^-P is below alpha
+      by less than 2^-P, which moves sin(pi n alpha) by less than
+      pi n 2^-P, under 0.8 units by the choice of P. So
+      delta_n = 3 (m + 1) bounds |s_n| against the exact sine, and each
+      term is charged its own delta_n / (T_n - delta_n)
+      (`_rotation_charges`), at most 2^-(wp+1);
+    - the exact terms (`_exact_sin`): 2^-(wp+8) relative, charged
+      2^-(wp+7) each in log;
+    - renormalisation: each product is floored back to wp + 1 bits, under
+      2^-wp relative and 2^-wp (1 + 2^(1-wp)) in log, per term;
+    - the row's division by n^k and its rounding to prec bits (`row_value`):
+      one correct rounding, 2^-prec relative, 2^-prec (1 + 2^(1-prec)) in
+      log.
+    Float roundings of the sums are covered by a factor 1 + 2^-40, and
+    two ulps more cover the subnormal range, where that factor no longer
+    outweighs a rounding: past about 1060 bits the bound would otherwise
+    round to 0.
     """
     k = normalizer_power(normalizer)
-    prec = ps.params["precision_bits"]
-    wp = prec + 8
-    libmp = mpmath.libmp
-    sin_pi, mul, div = libmp.mpf_sin_pi, libmp.mpf_mul, libmp.mpf_div
-    from_int, shift, to_float = libmp.from_int, libmp.mpf_shift, libmp.to_float
-    make_mpf = mpmath.mp.make_mpf
-    spread = 2.0 * math.pi * ps.point_error
-    run = libmp.fone
-    rows = []
-    point_part = 0.0
-    for n, x in enumerate(ps.points, 1):
-        s = sin_pi(x._mpf_, wp, "n")
-        if not s[1]:
-            raise ValueError(f"point {n} lies at an endpoint; "
-                             f"the product is zero")
-        run = mul(run, s, wp, "n")
-        rows.append(make_mpf(shift(div(run, from_int(n ** k), prec, "n"),
-                                   n)))
-        if spread:
-            gap = 2.0 * to_float(s) * (1.0 - 2.0 ** -52) - spread
-            point_part += spread / gap if gap > 0.0 else math.inf
-    N = len(rows)
-    return rows, (point_part + N * math.ldexp(4.0, -wp)
-                  + math.ldexp(1.0, 1 - prec))
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    prec = (precision_bits if precision_bits is not None
+            else default_precision_bits(max(DEFAULT_N_MAX, N)))
+    check_precision_bits(prec)
+    wp, W, _ = _working_bits(prec, N)
+    units, exact = _rotation_charges(alpha, N, wp, W)
+    units += N * (1.0 + 2.0 ** (1 - wp)) + len(exact) * 2.0 ** -7
+    bound = (math.ldexp(units, -wp)
+             + math.ldexp(1.0 + 2.0 ** (1 - prec), -prec)) * (1.0 + 2.0 ** -40)
+    bound += 2.0 * math.ulp(bound)
+    return RotationProducts(alpha, N, k, prec, bound, exact)
 
 
 def normalized_trace(ps, normalizer: str = "none") -> list:

@@ -3,14 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from weylprod import cli
 from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
 from weylprod.cli import main
+from weylprod.extremal import ExtremalConfig, extremal_product_closed_form
 from weylprod.irrational import FracPartEvaluator, parse_alpha
 from weylprod.products import NORMALIZERS, normalizer_power, product_trace
 from weylprod.sequences import kronecker
@@ -110,7 +113,7 @@ def run_figure(tmp_path, capsys, normalizer, fmt, *flags):
 def assert_rows_within_bound(meta, rows, oracle):
     """Every row's log, with n^k put back, is within the reported bound of
     the oracle; the 40 printed digits add below 1e-39."""
-    assert meta["kernel"] == "fixed-point-mpf"
+    assert meta["kernel"] == "fixed-point-rotation"
     assert sorted(rows) == list(range(1, FIGURE_N + 1))
     k = normalizer_power(meta["normalizer"])
     bound = float(meta["log_error_bound"])
@@ -143,6 +146,55 @@ def test_figure_precision_bits_160_tightens_bound(tmp_path, capsys,
     assert meta["precision_bits"] == 160
     bound = assert_rows_within_bound(meta, rows, figure_oracle)
     assert bound < float(meta112["log_error_bound"]) * 2.0 ** -40
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7])
+def test_figure_streamed_json_is_json_dumps(tmp_path, capsys, n_max):
+    # the rows are written one at a time; the file is still exactly
+    # json.dumps(payload, indent=2), and the CSV has one line per row
+    texts = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"s.{fmt}"
+        code, _, _ = run(["figure", "--n-max", str(n_max), "--normalizer",
+                          "one_over_N", "--format", fmt, "--out", str(out)],
+                         capsys)
+        assert code == 0
+        texts[fmt] = out.read_text()
+    payload = json.loads(texts["json"])
+    assert len(payload["series"]) == n_max
+    assert texts["json"] == json.dumps(payload, indent=2) + "\n"
+    lines = texts["csv"].split("\n")
+    assert len(lines) == n_max + 3 and lines[-1] == ""
+    assert [line.split(",")[1] for line in lines[2:-1]] == \
+        [row["value"] for row in payload["series"]]
+
+
+def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
+                                                    monkeypatch):
+    # the series raises after five rows, with the header and rows already
+    # written: no partial file, no temporary file, and the I/O exit code
+    real = cli.rotation_products
+
+    def failing(*args):
+        series = real(*args)
+
+        class Failing:
+            precision_bits = series.precision_bits
+            log_error_bound = series.log_error_bound
+
+            def __iter__(self):
+                rows = iter(series)
+                for _ in range(5):
+                    yield next(rows)
+                raise OSError(28, "No space left on device")
+        return Failing()
+
+    monkeypatch.setattr(cli, "rotation_products", failing)
+    for fmt in ("csv", "json"):
+        code, _, err = run(["figure", "--n-max", "20", "--format", fmt,
+                            "--out", str(tmp_path / f"fig.{fmt}")], capsys)
+        assert code == 3 and "No space left" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ verify
@@ -204,6 +256,31 @@ def test_verify_extremal_single_even_n_evaluated(capsys):
     assert code == 0
     assert report["passed"] is True and report["n_checked"] == 1
     assert "logP" in report["empirical_constants"]
+
+
+@pytest.mark.parametrize("d, checked", [
+    ("0.3", True), ("0.30000000001", False), ("0.3000000000000001", False),
+    ("3/10", True)])
+def test_verify_extremal_single_exact_integrality(capsys, d, checked):
+    # N d is tested as an exact rational: 10 * 0.3 is M = 3, although the
+    # float product is 3.0000000000000004, and nothing near 3 counts
+    code, stdout, _ = run(["verify", "extremal", "--N", "10", "--d", d],
+                          capsys)
+    report = json.loads(stdout)
+    assert code == 0
+    assert report["params"]["d"] == float(Fraction(d))
+    if checked:
+        assert report["passed"] is True and report["n_checked"] == 1
+        assert report["empirical_constants"]["logP"] == pytest.approx(
+            extremal_product_closed_form(ExtremalConfig(10, 3)))
+    else:
+        assert report["passed"] is None and report["n_checked"] == 0
+
+
+def test_verify_extremal_single_bad_d_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "extremal", "--N", "10", "--d", "0.3x"])
+    assert exc.value.code == 2
 
 
 def test_verify_unknown_theorem_usage_error():
