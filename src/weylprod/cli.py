@@ -1,7 +1,8 @@
 """Command-line workbench tying generators, checkers and experiments together.
 
 Exit codes: 0 = pass, 1 = a checked bound was violated, 2 = usage error,
-3 = an input/output error (an output file could not be written).
+3 = an input/output error (an output file could not be written; a reader
+that closes stdout early is not one).
 Every command is deterministic given its full flag set (seed and precision
 included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
@@ -135,10 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(parts, out: str | None) -> None:
     """Write the strings of the iterable `parts` in order to stdout, or
     atomically to the file `out`: if producing a part raises, no file is
-    left behind."""
+    left behind. A reader that closes stdout early ends the output quietly:
+    stdout then points at the null device, so that the interpreter's flush
+    at exit does not fail again."""
     if out in (None, "-"):
-        for part in parts:
-            sys.stdout.write(part)
+        try:
+            for part in parts:
+                sys.stdout.write(part)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with atomic_open(out) as fh:
             for part in parts:
@@ -311,7 +320,7 @@ def cmd_mc(cfg: RunConfig) -> int:
     prefix = cfg.out or f"mc_{model}"
     st.write_paths_csv(stats, prefix + ".csv")
     st.write_summary_json(stats, prefix + ".json")
-    print(f"wrote {prefix}.csv and {prefix}.json")
+    _emit([f"wrote {prefix}.csv and {prefix}.json\n"], None)
     return 0
 
 

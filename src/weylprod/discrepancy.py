@@ -37,29 +37,34 @@ def _points_of(ps):
 def star_discrepancy(ps) -> DiscrepancyResult:
     """Exact star-discrepancy of a non-empty point multiset.
 
-    Rational inputs give an exact Fraction result; mpf inputs are handled
-    at their own precision; plain floats take a vectorized path.
+    Exact points (Fractions, ints, and mpf values, which are dyadic
+    rationals) give an exact Fraction result; plain floats take a
+    vectorized float64 path.
     """
     raw = _points_of(ps)
     if len(raw) == 0:
         raise ValueError("empty point set")
     if isinstance(raw, RationalArray):
-        return _exact_common_den(raw)
+        return _exact(np.sort(raw.numerators), raw.denominator)
     pts = list(raw)
-    if all(isinstance(x, (Fraction, int)) for x in pts):
-        return _exact(sorted(Fraction(x) for x in pts))
-    if any(isinstance(x, mpmath.mpf) for x in pts):
-        return _mpf(sorted(pts))
+    if (any(isinstance(x, mpmath.mpf) for x in pts)
+            or all(isinstance(x, (Fraction, int)) for x in pts)):
+        xs = [Fraction(*mpmath.libmp.to_rational(x._mpf_))
+              if isinstance(x, mpmath.mpf) else Fraction(x) for x in pts]
+        den = math.lcm(*(x.denominator for x in xs))
+        return _exact(sorted(x.numerator * (den // x.denominator)
+                             for x in xs), den)
     return _float(np.sort(np.asarray(pts, dtype=np.float64)))
 
 
 def _int_sorted_max(nums: np.ndarray, den: int) -> tuple:
-    """(m, k) for sorted int64 numerators over `den`: m is the largest of
+    """(m, k) for sorted integer numerators over `den`: m is the largest of
     N nums_i - i den and (i+1) den - N nums_i, i = 0..N-1, that is
     N den D_N*, and k the first index attaining it (the up branch wins
-    ties). Needs den * N < 2^62."""
+    ties). int64 `nums` need den * N < 2^62; an object array of Python
+    ints has no limit."""
     N = len(nums)
-    i = np.arange(N, dtype=np.int64)
+    i = np.arange(N, dtype=nums.dtype)
     up = nums * N - i * den          # (x_(i+1) - i/N) * den * N
     dn = (i + 1) * den - nums * N    # ((i+1)/N - x_(i+1)) * den * N
     ku = int(np.argmax(up))
@@ -69,42 +74,14 @@ def _int_sorted_max(nums: np.ndarray, den: int) -> tuple:
     return int(dn[kd]), kd
 
 
-def _exact_common_den(ra: RationalArray) -> DiscrepancyResult:
-    N = len(ra)
-    den = ra.denominator
-    if den * N >= 1 << 62:
-        return _exact(sorted(Fraction(x) for x in ra))
-    nums = np.sort(ra.numerators)
+def _exact(nums, den: int) -> DiscrepancyResult:
+    """D_N* of the points nums_i / den from their sorted numerators, in
+    int64 while den * N < 2^62 and in Python ints above."""
+    N = len(nums)
+    nums = np.asarray(nums, dtype=np.int64 if den * N < 1 << 62 else object)
     m, k = _int_sorted_max(nums, den)
     return DiscrepancyResult(Fraction(m, den * N), Fraction(m, den),
                              Fraction(int(nums[k]), den))
-
-
-def _exact(xs) -> DiscrepancyResult:
-    N = len(xs)
-    L = 1
-    for x in xs:
-        L = L * x.denominator // math.gcd(L, x.denominator)
-    total = L * N
-    nums = [x.numerator * (L // x.denominator) for x in xs]
-    if total.bit_length() <= 62:
-        m, k = _int_sorted_max(np.array(nums, dtype=np.int64), L)
-    else:
-        best_up = best_dn = None
-        ku = kd = 0
-        for i, v in enumerate(nums):
-            u = v * N - i * L
-            w = (i + 1) * L - v * N
-            if best_up is None or u > best_up:
-                best_up, ku = u, i
-            if best_dn is None or w > best_dn:
-                best_dn, kd = w, i
-        if best_up >= best_dn:
-            m, k = best_up, ku
-        else:
-            m, k = best_dn, kd
-    d = Fraction(m, total)
-    return DiscrepancyResult(d, Fraction(m, L), xs[k])
 
 
 def _float(xs: np.ndarray) -> DiscrepancyResult:
@@ -119,23 +96,6 @@ def _float(xs: np.ndarray) -> DiscrepancyResult:
     else:
         d, k = float(dn[kd]), kd
     return DiscrepancyResult(d, d * N, float(xs[k]))
-
-
-def _mpf(xs) -> DiscrepancyResult:
-    N = len(xs)
-    # work at the precision the points actually carry (mantissa bit counts)
-    prec = max(max(x._mpf_[3] for x in xs if isinstance(x, mpmath.mpf)), 64)
-    with mpmath.mp.workprec(prec + 16):
-        best = None
-        k = 0
-        for i, x in enumerate(xs):
-            u = x * N - i
-            w = (i + 1) - x * N
-            t = u if u >= w else w
-            if best is None or t > best:
-                best, k = t, i
-        d = best / N
-    return DiscrepancyResult(d, best, xs[k])
 
 
 @dataclass(frozen=True, eq=False)

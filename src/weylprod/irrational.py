@@ -4,14 +4,15 @@ Continued fractions, convergents, Ostrowski digit expansions and
 floor(n*alpha) are computed on plain integers: the only irrational
 ingredient, sqrt(d), enters through comparisons that reduce to integer
 square comparisons. Every combinatorial quantity downstream is therefore
-exact. Fractional parts {n*alpha} are evaluated three ways: with mpmath
+exact. Fractional parts {n*alpha} are evaluated two ways: with mpmath
 from an exact floor at a precision budget wide enough that sine products
 over them can be trusted far below double precision (`FracPartEvaluator`,
-the oracle); as mpf points from the exact residues n*A mod 2^P with
-A = floor(alpha*2^P) from `scaled_floor` (`sequences.kronecker`); and as
-float64 distances to the nearest integer from a vectorised 128-bit
-fixed-point kernel with a derived per-point error bound
-(`kronecker_fixed_point`).
+the oracle, behind `sequences.kronecker`); and as float64 distances to the
+nearest integer from a vectorised 128-bit fixed-point kernel with a
+derived per-point error bound (`kronecker_fixed_point`). The fixed-point
+paths here and in `products.rotation_products` start from
+A = floor(alpha*2^P) (`scaled_floor`) and take points they cannot resolve
+from an exact residue floor(n alpha 2^b) mod 2^b (`exact_residue`).
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def floor_surd(p: int, q: int, r: int, d: int) -> int:
 
 
 def scaled_floor(alpha: IrrationalSpec, bits: int, n: int = 1) -> int:
-    """floor(n * alpha * 2^bits), exact: the fixed-point residues of both
-    Kronecker point paths start from it."""
+    """floor(n * alpha * 2^bits), exact: the fixed-point residues of the
+    128-bit kernel and of the rotation start from it."""
     return floor_surd((n * alpha.a) << bits, (n * alpha.b) << bits,
                       alpha.c, alpha.d)
 
@@ -423,17 +424,26 @@ class FixedPointOrbit:
         return np.where(self.upper, 1.0 - self.dist, self.dist)
 
 
-def _exact_distance(alpha: IrrationalSpec, n: int) -> tuple:
-    """(||n alpha||, {n alpha} > 1/2) from floor(n alpha 2^K), with K
-    doubled until the distance has 64 exact leading bits."""
-    bits = 2 * FIXED_POINT_BITS
+def exact_residue(alpha: IrrationalSpec, n: int, bits: int,
+                  min_bits: int) -> tuple:
+    """(r, b) with r = floor(n alpha 2^b) mod 2^b, exact, and b doubled
+    from `bits` until min(r, 2^b - r) >= 2^min_bits: r 2^-b is within 2^-b
+    of {n alpha}, so its distance to the nearest integer then has min_bits
+    exact leading bits."""
     while True:
-        r = scaled_floor(alpha, bits, n) % (1 << bits)
-        upper = r >> (bits - 1) == 1
-        d = (1 << bits) - r if upper else r
-        if d >> 64:
-            return d / (1 << bits), upper
+        r = scaled_floor(alpha, bits, n) & ((1 << bits) - 1)
+        if min(r, (1 << bits) - r) >> min_bits:
+            return r, bits
         bits *= 2
+
+
+def _exact_distance(alpha: IrrationalSpec, n: int) -> tuple:
+    """(||n alpha||, {n alpha} > 1/2) from an exact residue whose distance
+    has 64 exact leading bits."""
+    r, bits = exact_residue(alpha, n, 2 * FIXED_POINT_BITS, 64)
+    upper = r >> (bits - 1) == 1
+    d = (1 << bits) - r if upper else r
+    return d / (1 << bits), upper
 
 
 def _fixed_point_block(alpha: IrrationalSpec, limbs, lo: int,

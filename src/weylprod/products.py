@@ -20,8 +20,8 @@ import numpy as np
 
 from .atomicio import atomic_open
 from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
-                         default_precision_bits, kronecker_fixed_point_blocks,
-                         scaled_floor)
+                         default_precision_bits, exact_residue,
+                         kronecker_fixed_point_blocks, scaled_floor)
 from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
                        log_two_sin_pi_array, log_two_sin_pi_mp)
 from .sequences import PointSet, RationalArray
@@ -61,8 +61,10 @@ def _is_endpoint(x) -> bool:
     return x == 0 or x == 1
 
 
-def product_trace(ps, precision_bits: int | None = None) -> ProductTrace:
-    """Compensated log-space prefix products over a point set."""
+def product_trace(ps) -> ProductTrace:
+    """Compensated log-space prefix products over a point set; mpf points
+    are accumulated at the point set's `precision_bits`, or else at their
+    own mantissa width (at least 64 bits)."""
     pts = ps.points if isinstance(ps, PointSet) else ps
     if len(pts) == 0:
         raise ValueError("empty point set")
@@ -71,9 +73,8 @@ def product_trace(ps, precision_bits: int | None = None) -> ProductTrace:
         return _trace_float(pts, pt_err)
     pts = list(pts)
     if any(isinstance(x, mpmath.mpf) for x in pts):
-        prec = precision_bits
-        if prec is None and isinstance(ps, PointSet):
-            prec = ps.params.get("precision_bits")
+        prec = (ps.params.get("precision_bits")
+                if isinstance(ps, PointSet) else None)
         if prec is None:
             prec = max(max(x._mpf_[3] for x in pts), 64)
         return _trace_mpf(pts, prec, pt_err)
@@ -214,14 +215,10 @@ def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
     at most pi 2^-b against a sine of at least 2^(wp+11-b): under
     2^-(wp+9.3) relative. mpf_sin_pi at wp + 10 bits is within one ulp,
     2^-(wp+9)."""
-    bits = 2 * wp
-    while True:
-        r = scaled_floor(alpha, bits, n) & ((1 << bits) - 1)
-        if min(r, (1 << bits) - r) >> (wp + 10):
-            libmp = mpmath.libmp
-            s = libmp.mpf_sin_pi(libmp.from_man_exp(r, -bits), wp + 10, "n")
-            return s[1], s[2]
-        bits *= 2
+    r, bits = exact_residue(alpha, n, 2 * wp, wp + 10)
+    libmp = mpmath.libmp
+    s = libmp.mpf_sin_pi(libmp.from_man_exp(r, -bits), wp + 10, "n")
+    return s[1], s[2]
 
 
 @dataclass

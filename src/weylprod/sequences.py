@@ -1,25 +1,21 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-rationals over a common denominator (`RationalArray`); Kronecker orbits
-are read off exact fixed-point residues as high-precision mpf values, and
-lacunary orbits and random subsequences come from the mpf evaluator of the
-exact surd machinery; random families use numpy's seeded generators.
+rationals over a common denominator (`RationalArray`); Kronecker orbits,
+lacunary orbits and random subsequences are high-precision mpf values from
+the evaluator of the exact surd machinery (`FracPartEvaluator`); random
+families use numpy's seeded generators.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .atomicio import atomic_open
-from .irrational import (DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec,
-                         check_precision_bits, default_precision_bits,
-                         scaled_floor)
+from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
 from .numerics import decimal_str
 
 LACUNARY_MAX_TERMS = 60
@@ -27,6 +23,8 @@ LACUNARY_MAX_TERMS = 60
 # coin needs about 2, and falls short of N heads in 64 N draws with
 # probability below 2^-(50 N)
 MAX_DRAWS_PER_TERM = 64
+# coin flips drawn per call of the selection coin
+COIN_BLOCK = 8192
 
 
 class RationalArray:
@@ -103,60 +101,20 @@ class PointSet:
 
 
 def kronecker(alpha: IrrationalSpec, N: int,
-              evaluator: FracPartEvaluator | None = None,
-              precision_bits: int | None = None) -> PointSet:
+              evaluator: FracPartEvaluator | None = None) -> PointSet:
     """First N fractional parts {k*alpha}, k = 1..N, in index order, as mpf
-    values at `precision_bits` (default: the 2^24 budget's, or N's above it).
-
-    The points come from exact residues (`_residue_points`). With an
-    `evaluator` they come from its `frac_part` instead: that is the mpf
-    oracle the residues are tested against.
-    """
+    values from `evaluator.frac_part` (default: an evaluator for the 2^24
+    budget, or N's above it)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    if evaluator is not None:
-        if N > evaluator.n_max:
-            raise ValueError(f"N = {N} exceeds the evaluator budget "
-                             f"{evaluator.n_max}")
-        pts = [evaluator.frac_part(k).value for k in range(1, N + 1)]
-        prec, err = evaluator.precision_bits, evaluator.error_bound
-    else:
-        budget = max(DEFAULT_N_MAX, N)
-        prec = (precision_bits if precision_bits is not None
-                else default_precision_bits(budget))
-        check_precision_bits(prec)
-        pts, err = _residue_points(alpha, N, prec, budget.bit_length())
+    ev = evaluator or FracPartEvaluator(alpha, n_max=max(DEFAULT_N_MAX, N))
+    if N > ev.n_max:
+        raise ValueError(f"N = {N} exceeds the evaluator budget {ev.n_max}")
+    pts = [ev.frac_part(k).value for k in range(1, N + 1)]
     return PointSet(pts, "kronecker",
-                    {"alpha": str(alpha), "N": N, "precision_bits": prec},
-                    point_error=err)
-
-
-def _residue_points(alpha: IrrationalSpec, N: int, prec: int,
-                    guard: int) -> tuple:
-    """({k alpha} for k = 1..N as mpf at `prec` bits, their error bound).
-
-    With P = prec + guard and A = floor(alpha 2^P), exact from one
-    `scaled_floor`, the residue r_k = k*A mod 2^P takes one integer add
-    per point and lies within k units below {k alpha} 2^P on the circle.
-    Each point is r_k 2^-P rounded once to `prec` bits, so its error is at
-    most N 2^-P + 2^-(prec+1), below 1.5 2^-prec for N < 2^guard. A
-    residue above 2^P - N may stand for a point just above 0 rather than
-    one just below 1; that point is taken from the exact floor of
-    k alpha 2^P instead.
-    """
-    P = prec + guard
-    A = scaled_floor(alpha, P)
-    mask = (1 << P) - 1
-    near_top = mask + 1 - N
-    make_mpf = mpmath.mp.make_mpf
-    from_man_exp = mpmath.libmp.from_man_exp
-    pts = []
-    r = 0
-    for k in range(1, N + 1):
-        r = (r + A) & mask
-        x = r if r <= near_top else scaled_floor(alpha, P, k) & mask
-        pts.append(make_mpf(from_man_exp(x, -P, prec, "n")))
-    return pts, math.ldexp(N, -P) + math.ldexp(1.0, -prec - 1)
+                    {"alpha": str(alpha), "N": N,
+                     "precision_bits": ev.precision_bits},
+                    point_error=ev.error_bound)
 
 
 def van_der_corput(N: int) -> PointSet:
@@ -214,9 +172,7 @@ def fair_coin(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def random_subsequence(alpha: IrrationalSpec, N_terms: int, seed: int,
-                       coin=None,
-                       evaluator: FracPartEvaluator | None = None,
-                       block: int = 8192) -> PointSet:
+                       coin=None) -> PointSet:
     """{n_k alpha} for the random subsequence n_1 < n_2 < ... picked by
     independent coin flips (index n kept when the n-th flip is heads).
 
@@ -235,12 +191,12 @@ def random_subsequence(alpha: IrrationalSpec, N_terms: int, seed: int,
             raise ValueError(
                 f"the coin showed {len(indices)} heads in {base - 1} draws, "
                 f"fewer than the {N_terms} terms requested")
-        draws = np.asarray(flip(rng, block), dtype=bool)
+        draws = np.asarray(flip(rng, COIN_BLOCK), dtype=bool)
         sel = np.flatnonzero(draws) + base
         indices.extend(sel.tolist())
-        base += block
+        base += COIN_BLOCK
     indices = indices[:N_terms]
-    ev = evaluator or FracPartEvaluator(
+    ev = FracPartEvaluator(
         alpha, n_max=max(DEFAULT_N_MAX, (indices[-1] if indices else 1)))
     pts = [ev.frac_part(n).value for n in indices]
     return PointSet(pts, "random-subseq",

@@ -438,6 +438,34 @@ def test_unwritable_out_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["figure", "--n-max", "50000"], 1),
+    (["verify", "conjectures", "--n-max", "30"], 0),
+    (["mc", "iid", "--paths", "2", "--n-max", "1000", "--out", "{tmp}/mc"],
+     0)])
+def test_closed_stdout_is_not_an_io_error(argv, lines, tmp_path):
+    # a reader that stops early, as `figure ... | head -1` does: the rest of
+    # the output is dropped quietly and the command exits with its own code.
+    # figure's rows (megabytes) fail in a write far past the pipe's buffer;
+    # the short report, read by nobody, fails at the final flush. stdout is
+    # block-buffered, as for any user who has not set PYTHONUNBUFFERED
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "weylprod.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "weylprod.cli", "verify", "conjectures",

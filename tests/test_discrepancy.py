@@ -14,7 +14,8 @@ from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   star_discrepancy, write_trace_csv)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import as_float_array
-from weylprod.sequences import (kronecker, uniform_grid, van_der_corput)
+from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
+                                van_der_corput)
 
 EPS = Fraction(1, 1 << 40)
 
@@ -98,11 +99,12 @@ def test_midpoint_set_attains_lower_bound():
 
 def test_oracle_agreement_random_multisets():
     # 200 random rational multisets of size <= 12, exact sandwich: the
-    # anchor-enumeration oracle can undershoot the sup by at most EPS
+    # anchor-enumeration oracle can undershoot the sup by at most EPS. The
+    # two largest denominators put den * N at or above 2^62, past int64.
     rnd = random.Random(42)
     for _ in range(200):
         n = rnd.randint(1, 12)
-        den = rnd.choice([8, 12, 16, 64, 101])
+        den = rnd.choice([8, 12, 16, 64, 101, 2 ** 61 + 1, 3 * 2 ** 60])
         pts = [Fraction(rnd.randint(0, den), den) for _ in range(n)]
         if rnd.random() < 0.3 and n > 1:
             pts[1] = pts[0]  # force a repeated point
@@ -123,8 +125,34 @@ def test_permutation_invariance():
 def test_mpf_path_matches_exact(sqrt2m1):
     ps = kronecker(sqrt2m1, 150)
     r_mpf = star_discrepancy(ps)
+    # an mpf is the dyadic rational man 2^exp
+    fracs = [int(x.man) * Fraction(2) ** int(x.exp) for x in ps.points]
+    assert r_mpf == star_discrepancy(fracs)
     r_float = star_discrepancy([float(x) for x in ps.points])
     assert abs(float(r_mpf.d_star) - r_float.d_star) < 1e-12
+
+
+def sorted_order_formula(xs):
+    """(d, anchor) by the sorted-order formula in Fractions: the first
+    sorted point attaining the maximum, the x - i/N branch winning ties."""
+    xs = sorted(xs)
+    N = len(xs)
+    up = [(x - Fraction(i, N), -i) for i, x in enumerate(xs)]
+    dn = [(Fraction(i + 1, N) - x, -i) for i, x in enumerate(xs)]
+    (du, ku), (dd, kd) = max(up), max(dn)
+    return (du, xs[-ku]) if du >= dd else (dd, xs[-kd])
+
+
+@pytest.mark.parametrize("den", [2 ** 61 + 1, 3 * 2 ** 60, (1 << 63) - 1])
+def test_rational_array_past_int64(den):
+    # den * N >= 2^62: N nums_i overflows int64, so the kernel must take
+    # Python ints, and still give the exact value and anchor
+    rnd = random.Random(den)
+    for N in (2, 5, 16):
+        nums = [rnd.randint(1, den - 1) for _ in range(N)]
+        r = star_discrepancy(RationalArray(nums, den))
+        d, anchor = sorted_order_formula([Fraction(v, den) for v in nums])
+        assert r == DiscrepancyResult(d, N * d, anchor)
 
 
 def test_trace_single_point_formula():

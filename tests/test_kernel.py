@@ -1,5 +1,6 @@
-"""The fixed-point Kronecker kernels against the mpf oracle: the 128-bit
-float64 kernel and the residue points of `sequences.kronecker`."""
+"""The 128-bit fixed-point Kronecker kernel against the mpf oracle
+(`FracPartEvaluator`, the points of `sequences.kronecker`), and the float64
+log-sine kernel it feeds."""
 
 import math
 
@@ -12,10 +13,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from weylprod import irrational, numerics
 from weylprod.bounds import kronecker_log_trace
-from weylprod.irrational import (DEFAULT_N_MAX, KERNEL_MAX_N,
-                                 FracPartEvaluator, kronecker_fixed_point,
-                                 kronecker_fixed_point_blocks, scaled_floor,
-                                 surd_from_cf)
+from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
+                                 kronecker_fixed_point,
+                                 kronecker_fixed_point_blocks, surd_from_cf)
 from weylprod.numerics import (compensated_cumsum, log_two_sin_pi,
                                log_two_sin_pi_array)
 from weylprod.products import orbit_trace, product_trace
@@ -147,49 +147,6 @@ def test_beyond_two_to_the_24(sqrt2m1):
         # the log-product increments are the terms of those points
         term = log_two_sin_pi(x)
         assert abs((logs[n - 1] - logs[n - 2]) - term) <= 2 * err + 1e-15
-
-
-def residue_bits(ps):
-    """P of the residues behind a `kronecker` point set."""
-    bits = ps.params["precision_bits"]
-    return bits + max(DEFAULT_N_MAX, len(ps)).bit_length()
-
-
-@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
-@given(alphas(), st.integers(1, 500), st.sampled_from([None, 112, 160, 200]))
-def test_residue_points_match_oracle(alpha, N, precision_bits):
-    ps = kronecker(alpha, N, precision_bits=precision_bits)
-    bits = ps.params["precision_bits"]
-    P = residue_bits(ps)
-    ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
-    oracle = kronecker(alpha, N, evaluator=ev)
-    # no looser than the evaluator's own 2^(2 - bits)
-    assert ps.point_error < 1.5 * 2.0 ** -bits
-    with mpmath.mp.workprec(ORACLE_BITS):
-        for n, (x, want) in enumerate(zip(ps.points, oracle.points), 1):
-            assert x._mpf_[3] <= bits, n
-            gap = abs(x - want)
-            # the residue lies within n units of 2^-P; then one rounding
-            assert gap <= (mpmath.ldexp(n, -P) + mpmath.ldexp(1, -bits - 1)
-                           + oracle.point_error), n
-            assert gap <= ps.point_error + oracle.point_error, n
-
-
-def test_residue_wrap_takes_exact_floor():
-    # alpha = [0; 1, 2, a, ...] sits just above 2/3, so {3 alpha} ~ 2^-137
-    # lies just above 0, while 3 floor(alpha 2^P) mod 2^P wraps to 2^P - 1:
-    # the point must come from the exact floor, not read as 1 - 2^-137
-    alpha = surd_from_cf([1, 2, 2 ** 134 + 2 ** 133], [1, 2])
-    ps = kronecker(alpha, 8)
-    P = residue_bits(ps)
-    assert 3 * scaled_floor(alpha, P) % (1 << P) == (1 << P) - 1
-    assert scaled_floor(alpha, P, 3) % (1 << P) == 1
-    ev = FracPartEvaluator(alpha, n_max=8, precision_bits=ORACLE_BITS)
-    with mpmath.mp.workprec(ORACLE_BITS):
-        for n, x in enumerate(ps.points, 1):
-            want = ev.frac_part(n).value
-            assert abs(x - want) <= ps.point_error + ev.error_bound, n
-    assert ps.points[2] < 2.0 ** -130
 
 
 # points where the reflection min(x, 1 - x) is tight: 1/2 and its
