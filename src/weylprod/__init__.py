@@ -4,9 +4,8 @@ exact star-discrepancy and checkers for the quantitative product bounds."""
 
 from .irrational import (ConvergentTable, FracPartEvaluator, FractionalPart,
                          IrrationalSpec, OstrowskiDigits, cf_expand,
-                         cf_expand_until, frac_part, ostrowski,
-                         ostrowski_digit_sums, parse_alpha, surd_from_cf,
-                         type_exponent_estimate)
+                         cf_expand_until, ostrowski, ostrowski_digit_sums,
+                         parse_alpha, surd_from_cf, type_exponent_estimate)
 from .sequences import (PointSet, RationalArray, kronecker, lacunary,
                         random_subsequence, random_uniform, uniform_grid,
                         van_der_corput)

@@ -268,7 +268,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         }
         if cfg.fmt == "csv" and cfg.out not in (None, "-"):
             write_sweep_csv(rows, cfg.out)
-            print(json.dumps(report.to_dict(), indent=2))
+            _emit([json.dumps(report.to_dict(), indent=2) + "\n"], None)
             return 0 if report.passed else 1
     elif tag == "kronecker-sandwich":
         report = bnd.check_kronecker_sandwich(cfg.alpha, q_max=cfg.extras["q_max"])
@@ -351,7 +351,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        # --help (or a usage error) printed before exiting: flush it as
+        # `_emit` does, so that a closed stdout ends it quietly
+        _emit([], None)
+        raise
     try:
         cfg = _build_config(args)
         if args.command == "figure":

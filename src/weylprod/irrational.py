@@ -373,12 +373,6 @@ class FracPartEvaluator:
         return FractionalPart(v, self.error_bound)
 
 
-def frac_part(n: int, alpha: IrrationalSpec, n_max: int = DEFAULT_N_MAX,
-              precision_bits: int | None = None) -> FractionalPart:
-    """One-shot {n*alpha}; build a FracPartEvaluator for repeated calls."""
-    return FracPartEvaluator(alpha, n_max, precision_bits).frac_part(n)
-
-
 # The fixed-point kernel works with A = floor(alpha * 2^P). The residue
 # R = n*A mod 2^P differs from {n alpha} * 2^P by less than n on the circle,
 # so ||n alpha|| = D * 2^-P up to n * 2^-P, with D = min(R, 2^P - R). A point

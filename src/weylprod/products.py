@@ -391,12 +391,10 @@ def normalized_trace(ps, normalizer: str = "none") -> list:
 def write_product_csv(trace: ProductTrace, path, normalizer: str = "none") -> None:
     """Serialize as "N,logP,P_over_norm" with the normalizer recorded in a
     header comment."""
-    k = normalizer_power(normalizer)
     logs = trace.as_float_array()
+    values = normalized_trace(trace, normalizer)
     with atomic_open(path) as fh:
         fh.write(f"# normalizer={normalizer}\n")
         fh.write("N,logP,P_over_norm\n")
-        for n, lp in enumerate(logs, 1):
-            r = lp - k * math.log(n)
-            val = math.inf if r > 700.0 else math.exp(r) if r > -746.0 else 0.0
+        for n, (lp, val) in enumerate(zip(logs, values), 1):
             fh.write(f"{n},{lp!r},{val!r}\n")

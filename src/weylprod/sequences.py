@@ -1,10 +1,12 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-rationals over a common denominator (`RationalArray`); Kronecker orbits,
-lacunary orbits and random subsequences are high-precision mpf values from
-the evaluator of the exact surd machinery (`FracPartEvaluator`); random
-families use numpy's seeded generators.
+rationals over a common denominator (`RationalArray`); Kronecker and
+lacunary orbits are high-precision mpf values from the evaluator of the
+exact surd machinery (`FracPartEvaluator`); random subsequences select
+float64 points of the 128-bit fixed-point orbit (`kronecker_fixed_point`)
+with coin flips from `coin_flips`; random families use numpy's seeded
+generators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .atomicio import atomic_open
-from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
+from .irrational import (DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec,
+                         kronecker_fixed_point)
 from .numerics import decimal_str
 
 LACUNARY_MAX_TERMS = 60
@@ -23,8 +26,6 @@ LACUNARY_MAX_TERMS = 60
 # coin needs about 2, and falls short of N heads in 64 N draws with
 # probability below 2^-(50 N)
 MAX_DRAWS_PER_TERM = 64
-# coin flips drawn per call of the selection coin
-COIN_BLOCK = 8192
 
 
 class RationalArray:
@@ -166,44 +167,57 @@ def random_uniform(N: int, seed: int) -> PointSet:
     return PointSet(pts, "iid-uniform", {"N": N, "seed": seed})
 
 
-def fair_coin(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Default selection coin: i.i.d. fair bits."""
-    return rng.integers(0, 2, size=size).astype(bool)
+def coin_flips(rng: np.random.Generator, N_terms: int,
+               size: int | None = None, coin=None) -> np.ndarray:
+    """Coin flips (True = heads) holding at least N_terms heads: `size`
+    flips (default int(2.3 N_terms) + 256) from `coin(rng, size) -> bool
+    array`, or fair bits from `rng`; short of N_terms heads, all are
+    redrawn at 1.5 times the size, up to MAX_DRAWS_PER_TERM * N_terms + 256
+    flips."""
+    if size is None:
+        size = int(2.3 * N_terms) + 256
+    max_draws = MAX_DRAWS_PER_TERM * N_terms + 256
+    while True:
+        if coin is not None:
+            bits = np.asarray(coin(rng, size), dtype=bool)
+        else:
+            bits = rng.integers(0, 2, size=size).astype(bool)
+        heads = int(np.count_nonzero(bits))
+        if heads >= N_terms:
+            return bits
+        # astronomically unlikely with a fair coin; widen and redraw
+        size = int(1.5 * size)
+        if size > max_draws:
+            raise ValueError(
+                f"the coin showed {heads} heads in {len(bits)} draws, fewer "
+                f"than the {N_terms} terms requested; giving up above "
+                f"{max_draws} draws")
 
 
 def random_subsequence(alpha: IrrationalSpec, N_terms: int, seed: int,
                        coin=None) -> PointSet:
     """{n_k alpha} for the random subsequence n_1 < n_2 < ... picked by
-    independent coin flips (index n kept when the n-th flip is heads).
+    independent coin flips (index n kept when the n-th flip is heads), as
+    float64 points of the fixed-point orbit (`kronecker_fixed_point`).
 
     `coin(rng, size) -> bool array` can be overridden for degenerate-case
-    testing; the default is a fair coin.
+    testing; the default is a fair coin (`coin_flips`).
     """
     if N_terms < 0:
         raise ValueError("N_terms must be >= 0")
-    flip = coin or fair_coin
     rng = np.random.default_rng(seed)
-    indices = []
-    base = 1
-    max_draws = MAX_DRAWS_PER_TERM * N_terms
-    while len(indices) < N_terms:
-        if base > max_draws:
-            raise ValueError(
-                f"the coin showed {len(indices)} heads in {base - 1} draws, "
-                f"fewer than the {N_terms} terms requested")
-        draws = np.asarray(flip(rng, COIN_BLOCK), dtype=bool)
-        sel = np.flatnonzero(draws) + base
-        indices.extend(sel.tolist())
-        base += COIN_BLOCK
-    indices = indices[:N_terms]
-    ev = FracPartEvaluator(
-        alpha, n_max=max(DEFAULT_N_MAX, (indices[-1] if indices else 1)))
-    pts = [ev.frac_part(n).value for n in indices]
+    bits = coin_flips(rng, N_terms, coin=coin)
+    indices = np.flatnonzero(bits)[:N_terms] + 1
+    pts, err = np.empty(0), 0.0
+    if N_terms:
+        orbit = kronecker_fixed_point(alpha, int(indices[-1]))
+        pts = orbit.points()[indices - 1]
+        # points above 1/2 take one more rounding than `error()` covers
+        err = float(orbit.error()[indices - 1].max()) + 2.0 ** -53
     return PointSet(pts, "random-subseq",
                     {"alpha": str(alpha), "N_terms": N_terms, "seed": seed,
-                     "indices": indices,
-                     "precision_bits": ev.precision_bits},
-                    point_error=ev.error_bound)
+                     "indices": indices.tolist()},
+                    point_error=err)
 
 
 def write_pointset_csv(ps: PointSet, path, digits: int = 40) -> None:

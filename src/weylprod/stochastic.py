@@ -22,13 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .atomicio import atomic_open
 from .irrational import IrrationalSpec, kronecker_fixed_point
 from .numerics import log_two_sin_pi_array
-from .sequences import MAX_DRAWS_PER_TERM
+from .sequences import coin_flips
 
 PI2_OVER_12 = math.pi ** 2 / 12.0
 IID_SIGMA_CONSTANT = math.pi / math.sqrt(6.0)
@@ -44,58 +44,33 @@ class QuadResult(NamedTuple):
     error_estimate: float
 
 
-_SPLIT = 1e-3
+def _log_sine_moment(k: int) -> QuadResult:
+    """integral_0^1 log^k(2 sin pi x) dx. The integrand is symmetric about
+    1/2: twice its integral over [0, 1/2] by tanh-sinh quadrature at double
+    precision, whose nodes cluster at the logarithmic singularity at 0."""
+    with mpmath.mp.workprec(53):
+        value, err = mpmath.quad(
+            lambda x: mpmath.log(2 * mpmath.sinpi(x)) ** k, [0, 0.5],
+            error=True)
+    return QuadResult(2.0 * float(value), 2.0 * float(err))
 
 
-def _tail_log(eps: float) -> float:
-    """integral_0^eps log(2 sin pi x) dx via log(2 pi x) plus the series
-    for log(sin u / u) = -u^2/6 - u^4/180 - u^6/2835 - ..."""
-    u = math.pi * eps
-    base = eps * (math.log(2.0 * math.pi * eps) - 1.0)
-    corr = -(u ** 2) * eps / 18.0 - (u ** 4) * eps / 900.0 \
-        - (u ** 6) * eps / 19845.0
-    return base + corr
+def log_integral() -> QuadResult:
+    """integral_0^1 log(2 sin pi x) dx, which vanishes."""
+    return _log_sine_moment(1)
 
 
-def _tail_log_squared(eps: float) -> float:
-    """integral_0^eps log^2(2 sin pi x) dx with the same endpoint series."""
-    LL = math.log(2.0 * math.pi * eps)
-    i_l2 = eps * (LL * LL - 2.0 * LL + 2.0)
-    cs = (math.pi ** 2 / 6.0, math.pi ** 4 / 180.0, math.pi ** 6 / 2835.0)
-    cross = 0.0
-    for k, c in enumerate(cs, start=1):
-        p = 2 * k + 1
-        cross -= 2.0 * c * eps ** p * (LL / p - 1.0 / p ** 2)
-    sq = cs[0] ** 2 * eps ** 5 / 5.0 + 2.0 * cs[0] * cs[1] * eps ** 7 / 7.0
-    return i_l2 + cross + sq
-
-
-def log_integral(split: float = _SPLIT) -> QuadResult:
-    """integral_0^1 log(2 sin pi x) dx, which vanishes.
-
-    The integrand is symmetric about 1/2; the logarithmic endpoint
-    singularity is handled by the series tail on [0, split] and adaptive
-    quadrature on the smooth remainder.
-    """
-    mid, mid_err = quad(lambda x: math.log(2.0 * math.sin(math.pi * x)),
-                        split, 0.5, epsabs=1e-13, epsrel=1e-13, limit=200)
-    value = 2.0 * (_tail_log(split) + mid)
-    return QuadResult(value, 2.0 * (mid_err + 1e-14))
-
-
-def variance_integral(split: float = _SPLIT) -> QuadResult:
+def variance_integral() -> QuadResult:
     """integral_0^1 log^2(2 sin pi x) dx = pi^2 / 12."""
-    mid, mid_err = quad(lambda x: math.log(2.0 * math.sin(math.pi * x)) ** 2,
-                        split, 0.5, epsabs=1e-13, epsrel=1e-13, limit=200)
-    value = 2.0 * (_tail_log_squared(split) + mid)
-    return QuadResult(value, 2.0 * (mid_err + 1e-14))
+    return _log_sine_moment(2)
 
 
 @dataclass
 class PathStatistics:
     """Per-path LIL ratios plus pooled sample moments for one experiment.
 
-    `lil_ratios[i]` is path i's max over N in [n_lo, N_max] of
+    `lil_ratios[i]`, read from `rows[i]`, is path i's max over N in
+    [n_lo, N_max] of
     S_N / sqrt(2 B_N loglog B_N) (for the subsequence model the theorem's
     normalizer sqrt(K loglog K) is used instead, with the reference
     constant recorded in `details`).
@@ -105,11 +80,14 @@ class PathStatistics:
     n_paths: int
     N_max: int
     seed: int
-    lil_ratios: list
     empirical_mean: float
     empirical_variance: float
     details: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)  # (path_id, N, S_N, B_N, ratio)
+
+    @property
+    def lil_ratios(self) -> list:
+        return [row[4] for row in self.rows]
 
 
 class _RatioGrid(NamedTuple):
@@ -160,7 +138,6 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
     children = np.random.SeedSequence(seed).spawn(n_paths)
     B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
     grid = _ratio_grid(B, n_lo)
-    ratios = []
     rows = []
     tot = tot_sq = 0.0
     for pid, child in enumerate(children):
@@ -170,14 +147,13 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
         y = log_two_sin_pi_array(u)
         S = np.cumsum(y)
         row = _path_row(pid, S, B, grid)
-        ratios.append(row[4])
         rows.append(row)
         tot += float(y.sum())
         y *= y
         tot_sq += float(y.sum())
     mean, var = _pooled_moments(tot, tot_sq, n_paths * N_max)
     return PathStatistics(
-        "iid", n_paths, N_max, seed, ratios, mean, var,
+        "iid", n_paths, N_max, seed, mean, var,
         details={"n_lo": n_lo, "reference_constant": 1.0,
                  "sigma_constant": IID_SIGMA_CONSTANT,
                  "target_variance": PI2_OVER_12,
@@ -224,7 +200,6 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
                           / math.sqrt(B[g - 1] / math.log(math.log(B[g - 1]))))
             for g in log_grid if g <= N_max and B[g - 1] > math.e}
     children = np.random.SeedSequence(seed).spawn(n_paths)
-    ratios = []
     rows = []
     tot = tot_sq = 0.0
     det_shape = None
@@ -239,7 +214,6 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
             z *= w
         S = np.cumsum(z)
         row = _path_row(pid, S, B, grid)
-        ratios.append(row[4])
         rows.append(row)
         tot += float(z.sum())
         tot_sq += path_sq if signs is None else float((z * z).sum())
@@ -256,8 +230,8 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
                "alpha": str(alpha)}
     if det_shape is not None:
         details["deterministic_sum_over_log2"] = det_shape
-    return PathStatistics("rademacher", n_paths, N_max, seed, ratios,
-                          mean, var, details=details, rows=rows)
+    return PathStatistics("rademacher", n_paths, N_max, seed, mean, var,
+                          details=details, rows=rows)
 
 
 def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
@@ -276,44 +250,27 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         raise ValueError("n_paths must be >= 1")
     if N_terms < max(k_lo, 10):
         raise ValueError("N_terms too small")
-    need = int(2.3 * N_terms) + 256
-    max_draws = MAX_DRAWS_PER_TERM * N_terms + 256
-    w = kronecker_log_weights(alpha, need)
-    cum_w = np.cumsum(w)
-    flip = coin
+    w = np.empty(0)
     children = np.random.SeedSequence(seed).spawn(n_paths)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
     grid = _ratio_grid(K, max(k_lo, 3), factor=1.0)
-    ratios = []
     rows = []
     tot = tot_sq = 0.0
     identity_worst = 0.0
     counts = []
     for pid, child in enumerate(children):
         rng = np.random.default_rng(child)
-        while True:
-            if flip is not None:
-                bits = np.asarray(flip(rng, len(w)), dtype=bool)
-            else:
-                bits = rng.integers(0, 2, size=len(w)).astype(bool)
-            positions = np.flatnonzero(bits) + 1
-            if len(positions) >= N_terms:
-                break
-            # astronomically unlikely with a fair coin; widen and redraw
-            need = int(1.5 * need)
-            if need > max_draws:
-                raise ValueError(
-                    f"the coin showed {len(positions)} heads in {len(w)} "
-                    f"draws, fewer than the {N_terms} terms requested; "
-                    f"giving up above {max_draws} draws")
-            w = kronecker_log_weights(alpha, need)
+        # the first path draws the start size, later ones as many flips as
+        # w holds; w grows whenever a short coin made the draw grow
+        bits = coin_flips(rng, N_terms, len(w) or None, coin)
+        if len(bits) > len(w):
+            w = kronecker_log_weights(alpha, len(bits))
             cum_w = np.cumsum(w)
-        positions = positions[:N_terms]
+        positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
         w_sel = w[positions - 1]
         S_sel = np.cumsum(w_sel)
         row = _path_row(pid, S_sel, K, grid)
-        ratios.append(row[4])
         rows.append(row)
         # independent evaluation of the signed sum for the identity check
         signed = float(np.sum(np.where(bits[:n_last], w[:n_last], -w[:n_last])))
@@ -325,7 +282,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         tot_sq += float((w_sel * w_sel).sum())
     mean, var = _pooled_moments(tot, tot_sq, n_paths * N_terms)
     return PathStatistics(
-        "subsequence", n_paths, N_terms, seed, ratios, mean, var,
+        "subsequence", n_paths, N_terms, seed, mean, var,
         details={"k_lo": k_lo, "reference_constant": SUBSEQ_CONSTANT,
                  "selection_identity_max_abs_diff": identity_worst,
                  "selection_counts": counts,
@@ -347,7 +304,7 @@ def summary_dict(stats: PathStatistics) -> dict:
     Computed from the same floats that go into the CSV rows, so re-reading
     the CSV and recomputing reproduces this summary exactly.
     """
-    ratios = np.array([row[4] for row in stats.rows], dtype=np.float64)
+    ratios = np.array(stats.lil_ratios, dtype=np.float64)
     qs = {f"q{int(q * 100):02d}": float(np.quantile(ratios, q))
           for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
     scalars = {k: v for k, v in stats.details.items()

@@ -442,7 +442,11 @@ def test_unwritable_out_exit_3(tmp_path, capsys):
     (["figure", "--n-max", "50000"], 1),
     (["verify", "conjectures", "--n-max", "30"], 0),
     (["mc", "iid", "--paths", "2", "--n-max", "1000", "--out", "{tmp}/mc"],
-     0)])
+     0),
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+    (["verify", "extremal", "--n-max", "64", "--format", "csv", "--out",
+      "{tmp}/sweep.csv"], 0)])
 def test_closed_stdout_is_not_an_io_error(argv, lines, tmp_path):
     # a reader that stops early, as `figure ... | head -1` does: the rest of
     # the output is dropped quietly and the command exits with its own code.
@@ -473,3 +477,25 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["theorem"] == "conjectures"
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises
+import weylprod.cli
+from weylprod.stochastic import log_integral, variance_integral
+assert abs(log_integral().value) < 1e-10
+assert abs(variance_integral().value - 0.8224670334241132) < 1e-9
+sys.exit(weylprod.cli.main(["mc", "subsequence", "--paths", "2",
+                            "--terms", "100", "--out", sys.argv[1]]))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy and mpmath are the only dependencies: the CLI, the quadratures
+    # and a Monte Carlo run work with scipy unimportable
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "mc")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "mc.csv").read_text().count("\n") == 3

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as scistats
 
-from weylprod.irrational import FracPartEvaluator
+from weylprod.irrational import FracPartEvaluator, kronecker_fixed_point
 from weylprod.sequences import (PointSet, RationalArray, kronecker, lacunary,
                                 random_subsequence, random_uniform,
                                 uniform_grid, van_der_corput,
@@ -158,17 +157,22 @@ def test_random_uniform_deterministic():
 
 
 def test_random_uniform_ks():
-    ps = random_uniform(10 ** 6, seed=7)
-    stat = scistats.kstest(ps.points, "uniform").statistic
-    assert stat < 1.95 / math.sqrt(10 ** 6)
+    # the Kolmogorov-Smirnov statistic max_i max(i/n - x_(i), x_(i) - (i-1)/n)
+    n = 10 ** 6
+    x = np.sort(random_uniform(n, seed=7).points)
+    i = np.arange(1, n + 1)
+    stat = max(np.max(i / n - x), np.max(x - (i - 1) / n))
+    assert stat < 1.95 / math.sqrt(n)
 
 
 def test_random_subsequence_all_heads(sqrt2m1):
     heads = lambda rng, size: np.ones(size, dtype=bool)
     sub = random_subsequence(sqrt2m1, 50, seed=0, coin=heads)
-    kr = kronecker(sqrt2m1, 50)
     assert sub.params["indices"] == list(range(1, 51))
-    assert sub.points == kr.points
+    assert np.array_equal(sub.points,
+                          kronecker_fixed_point(sqrt2m1, 50).points())
+    for x, y in zip(sub.points, kronecker(sqrt2m1, 50).points):
+        assert abs(x - y) <= sub.point_error
 
 
 def test_random_subsequence_tails_coin_stops(sqrt2m1):
@@ -187,7 +191,7 @@ def test_random_subsequence_deterministic(sqrt2m1):
     a = random_subsequence(sqrt2m1, 200, seed=9)
     b = random_subsequence(sqrt2m1, 200, seed=9)
     assert a.params["indices"] == b.params["indices"]
-    assert a.points == b.points
+    assert np.array_equal(a.points, b.points)
 
 
 # -------------------------------------------------------------- invariants
