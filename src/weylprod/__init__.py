@@ -10,9 +10,9 @@ from .sequences import (PointSet, RationalArray, kronecker, lacunary,
                         random_subsequence, random_uniform, uniform_grid,
                         van_der_corput)
 from .discrepancy import (DiscrepancyResult, DiscrepancyTrace,
-                          KroneckerDiscrepancy, brute_force_star_discrepancy,
+                          PrefixDiscrepancy, brute_force_star_discrepancy,
                           discrepancy_trace, kronecker_discrepancy,
-                          star_discrepancy)
+                          star_discrepancy, vdc_discrepancy)
 from .products import (ProductTrace, closed_form_roots_of_unity,
                        closed_form_shifted, normalized_trace, product_trace)
 from .extremal import (ExtremalConfig, build_extremal,

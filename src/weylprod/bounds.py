@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import discrepancy_trace, kronecker_discrepancy
+from .discrepancy import kronecker_discrepancy, vdc_discrepancy
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, kronecker_fixed_point_blocks,
                          ostrowski_digit_sums)
@@ -76,19 +76,20 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
     Delta_N = N D_N*.
 
-    `d_trace` gives bounds `lower` <= Delta_N <= `upper` for every N and
-    `delta_at(N)`, Delta_N itself: a `DiscrepancyTrace` (where both bounds
-    are Delta_N) or a `KroneckerDiscrepancy`. The right-hand side is
-    concave in Delta, so its minimum over [lower, upper] sits at an end;
-    the whole range is screened with that minimum and numpy's log. Every N
-    that the screen cannot clear, and every N whose largest possible gamma
-    reaches the largest certain one, is settled with Delta_N and the scalar
-    formula.
+    `d_trace`, a `PrefixDiscrepancy`, gives bounds `lower` <= Delta_N <=
+    `upper` for every N and `delta_at(N)`, Delta_N itself. The right-hand
+    side is concave in Delta, so its minimum over [lower, upper] sits at an
+    end; the whole range is screened with that minimum and numpy's log.
+    Every N that the screen cannot clear, and every N whose largest possible
+    gamma reaches the largest certain one, is settled with Delta_N and the
+    scalar formula.
     """
     logs = ps_trace.as_float_array() if isinstance(ps_trace, ProductTrace) \
         else np.asarray(ps_trace, dtype=np.float64)
     if len(logs) != len(d_trace):
         raise ValueError("product and discrepancy traces are not aligned")
+    if N_min < 1:
+        raise ValueError(f"N_min must be >= 1, got {N_min}")
     err = getattr(ps_trace, "error_bound", 0.0)
     report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
     N = np.arange(N_min, len(logs) + 1)
@@ -347,9 +348,8 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
     """Hlawka check over all prefixes of the van der Corput or Kronecker
     sequence."""
     if kind == "vdc":
-        ps = van_der_corput(N_max)
-        tr = product_trace(ps)
-        dtr = discrepancy_trace(ps)
+        tr = product_trace(van_der_corput(N_max))
+        dtr = vdc_discrepancy(N_max)
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":
         if alpha is None:

@@ -231,21 +231,24 @@ def _verify_hlawka(cfg: RunConfig) -> bnd.BoundReport:
         if cfg.N < 1:
             raise UsageError("--N must be >= 1")
         return bnd.grid_hlawka_report(cfg.N)
-    n_max = cfg.n_max or 10 ** 4
-    if n_max < cfg.n_min:
-        raise UsageError("--n-max must be >= --n-min")
-    return bnd.hlawka_sequence_report(cfg.extras["gen"], n_max,
+    if not 1 <= cfg.n_min <= cfg.n_max:
+        raise UsageError(f"--n-min must be in [1, --n-max = {cfg.n_max}]")
+    return bnd.hlawka_sequence_report(cfg.extras["gen"], cfg.n_max,
                                       N_min=cfg.n_min, alpha=cfg.alpha)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     tag = cfg.extras["theorem"]
+    if cfg.n_max is None:
+        cfg.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
+    elif cfg.n_max < 1:
+        raise UsageError("--n-max must be >= 1")
     if tag == "hlawka":
         report = _verify_hlawka(cfg)
     elif tag == "extremal":
         if cfg.d is not None:
             return _verify_extremal_single(cfg)
-        n_max = cfg.n_max or 1024
+        n_max = cfg.n_max
         if n_max < 8:
             raise UsageError("--n-max must be >= 8")
         rows = sweep(range(8, n_max + 1, 2), lambda N: max(1, N // 8),
@@ -273,16 +276,16 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif tag == "kronecker-sandwich":
         report = bnd.check_kronecker_sandwich(cfg.alpha, q_max=cfg.extras["q_max"])
     elif tag == "ostrowski":
-        report = bnd.check_ostrowski_bound(cfg.alpha, cfg.n_max or 10 ** 4)
+        report = bnd.check_ostrowski_bound(cfg.alpha, cfg.n_max)
     elif tag == "cesaro":
-        report = bnd.check_cesaro_log_bound(cfg.alpha, cfg.n_max or 10 ** 4)
+        report = bnd.check_cesaro_log_bound(cfg.alpha, cfg.n_max)
     elif tag == "type-growth":
-        report = bnd.check_type_growth(cfg.alpha, cfg.n_max or 10 ** 4,
+        report = bnd.check_type_growth(cfg.alpha, cfg.n_max,
                                        cfg.extras["t"])
     elif tag == "vdc-limits":
         report = bnd.check_vdc_limits(cfg.extras["s_max"])
     elif tag == "conjectures":
-        report = bnd.check_kronecker_conjectures(cfg.alpha, cfg.n_max or 500)
+        report = bnd.check_kronecker_conjectures(cfg.alpha, cfg.n_max)
     else:  # pragma: no cover - argparse already rejects unknown tags
         raise UsageError(f"unknown theorem {tag!r}")
     _emit([json.dumps(report.to_dict(), indent=2) + "\n"], cfg.out)

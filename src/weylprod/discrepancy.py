@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomicio import atomic_open
 from .numerics import as_float_array, compensated_cumsum
-from .sequences import PointSet, RationalArray
+from .sequences import PointSet, RationalArray, van_der_corput
 
 
 @dataclass(frozen=True)
@@ -119,29 +119,17 @@ class DiscrepancyTrace:
         for i in range(len(self)):
             yield self[i]
 
-    # the prefix-bounds interface of KroneckerDiscrepancy: the bounds are
-    # the values themselves
-    @property
-    def lower(self) -> np.ndarray:
-        return self.delta
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.delta
-
-    def delta_at(self, n: int) -> float:
-        return float(self.delta[n - 1])
-
 
 @dataclass(frozen=True, eq=False)
-class KroneckerDiscrepancy:
+class PrefixDiscrepancy:
     """Bounds `lower` <= Delta_n <= `upper` for every prefix n = 1..N of a
-    Kronecker orbit, where Delta_n = n D_n* is the value `discrepancy_trace`
-    gives for the orbit's float64 points, and `delta_at(n)`, that value
+    point sequence, where Delta_n = n D_n* is the value `discrepancy_trace`
+    gives for the sequence's float64 `points`, and `delta_at(n)`, that value
     itself for one n.
 
-    Built by `kronecker_discrepancy` in O(N) from the prefix-sum identity;
-    `delta_at` costs O(N) per call from one argsort of the orbit.
+    Built in O(N) or O(N log N) from the sequence's structure, by
+    `kronecker_discrepancy` and `vdc_discrepancy`; `delta_at` costs O(N)
+    per call from one argsort of the points.
     """
 
     points: np.ndarray
@@ -154,8 +142,8 @@ class KroneckerDiscrepancy:
 
     def delta_at(self, n: int) -> float:
         """Delta_n by the sorted-order formula in float64, bit for bit the
-        trace's value: the prefix's points in sorted order are the orbit's
-        sorted points with index below n."""
+        trace's value: the prefix's points in sorted order are the sorted
+        points with index below n."""
         if not 1 <= n <= len(self.points):
             raise IndexError(f"prefix {n} outside [1, {len(self.points)}]")
         return float(_float(self.points[self.order[self.order < n]]).delta)
@@ -169,7 +157,7 @@ def _last_arg(T: np.ndarray, run: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(hit)
 
 
-def kronecker_discrepancy(orbit) -> KroneckerDiscrepancy:
+def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     """Prefix-discrepancy bounds of the orbit x_k = {k alpha}, k = 1..N, from
     a `FixedPointOrbit` (its float64 `points()` and per-point `error()`).
 
@@ -211,168 +199,100 @@ def kronecker_discrepancy(orbit) -> KroneckerDiscrepancy:
               + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
     lower = base + inner - margin
     upper = base + (run_max[:-1] - run_min[:-1]) + margin
-    return KroneckerDiscrepancy(pts, np.argsort(pts, kind="stable"),
-                                lower, upper)
+    return PrefixDiscrepancy(pts, np.argsort(pts, kind="stable"),
+                             lower, upper)
 
 
-# Window length bounds: a window of T new points costs O(prefix) for its
-# filters plus O(T (T + survivors)) for its matrices, so T ~ sqrt(N).
-WINDOW_MIN = 32
-WINDOW_MAX = 256
-# A window whose rows times filtered candidates exceed SPLIT_CELLS (near-grid
-# prefixes, where n x_(k) - k is nearly flat in k across the window) is split
-# in halves, each filtered again over its narrower range of n, down to
-# SPLIT_MIN_ROWS rows.
-SPLIT_CELLS = 1 << 16
-SPLIT_MIN_ROWS = 4
-# Over the rows n <= b of a window, a filter value (three roundings of
-# terms below b) is within 2^-51 b of its real value, and n times a prefix
-# expression within 2^-52 n. A filter drops a point only when another beats
-# it by more than 2^-46 b, far above these, so a dropped point is strictly
-# below the maximum in floats and never ties it.
-FILTER_MARGIN = 2.0 ** -46
-# count offset of a window point before its row: its value then lies
-# below -2^60 / n, far under any present point's
-UNBORN = 1 << 60
+# value of an unreachable state of `_vdc_deltas`; every path sum stays
+# below L 2^(L+1) in magnitude, so adding gains to it never wraps
+_UNREACHED = -(1 << 62)
 
 
-def _max_before(x: np.ndarray) -> np.ndarray:
-    """max_{j<k} x_j for every k (-inf at k = 0)."""
-    out = np.empty_like(x)
-    out[:1] = -np.inf
-    np.maximum.accumulate(x[:-1], out=out[1:])
-    return out
+def _vdc_deltas(n_max: int) -> np.ndarray:
+    """2^L Delta_N, L = bitlen(n_max + 1), for the van der Corput points
+    phi(1..N) of every N = 1..n_max, exactly in int64.
 
-
-def _max_after(x: np.ndarray) -> np.ndarray:
-    """max_{j>k} x_j for every k (-inf at the last k)."""
-    return _max_before(x[::-1])[::-1]
-
-
-def _merge(v, r, w, wr):
-    """(v, r) and (w, wr) as one candidate list sorted by value."""
-    v = np.concatenate((v, w))
-    order = np.argsort(v, kind="stable")
-    return v[order], np.concatenate((r, wr))[order]
-
-
-def _trace_rows(vu, lo, vd, hi, W, w_lo, w_hi, a, d_out, anchor_out):
-    """D_n* and its anchor for n = a..a+len(W)-1, as the per-prefix
-    sorted-order formula gives them in float64.
-
-    A value v present at time n, with L points below it and U at or below
-    it, contributes v - L/n and U/n - v, in the formula's own float
-    operations; the maximum over the points present is D_n*. Candidates
-    are points present at time a-1, sorted by value: `vu` with `lo` points
-    below (an upper bound for repeated values, whose first copy has it
-    exact) for the up side, `vd` with `hi` at or below for the down side.
-    `W` are the points inserted at rows a.., with `w_lo` / `w_hi` present
-    points below / at or below them at time a-1.
-
-    A candidate is dropped when another beats it at every n of the rows,
-    whatever points of W are inserted; the points of W always enter.
+    Delta_N is the largest of N x - A(x), x > 0, and A(x) + [x is a
+    point] - N x over the dyadics x = 0.a_1..a_L, A(x) counting the points
+    below x. With M = N + 1 and R_j = sum_{i<=j} a_i 2^(i-1), the n in
+    [0, M) with phi(n) < x are those whose lowest j bits are R_{j-1} for a
+    j with a_j = 1, so
+        A(x) = sum_{a_j=1} (floor(M / 2^j) + t_j) - 1,
+        t_j = [R_{j-1} < M mod 2^j],
+    the -1 for n = 0. t_j is 1 where bit j-1 of M is set and s_{j-1}
+    otherwise, s_j = [R_j < M mod 2^j]. phi(R_L) = x, so x > 0 is a point
+    iff s_L (M < 2^L); at x = 0 the -1 and s_L = 1 cancel. Scaled by 2^L,
+    a_j = 1 thus gains
+        c(t_j) = 2^L (N 2^-j - floor(M / 2^j) - t_j)
+               = 2^(L-j) (M mod 2^j - 1) - t_j 2^L
+    on the N x - A(x) side and -c(t_j) on the other, a_j = 0 gains 0, and
+    s moves to 1 when a_j < bit j-1 of M, to 0 when a_j exceeds it: a
+    max-plus program over j with the two states of s. The N x - A(x) side
+    holds only paths with some a_i = 1; the all-zero path, with value 0 at
+    s = [M mod 2^(j-1) > 0], enters it when a_j = 1.
     """
-    t = len(W)
-    b = a + t - 1
-    margin = FILTER_MARGIN * b
-    Ws = np.sort(W)
-    # up side, value n v - lo - #{inserted points < v}: an earlier point
-    # wins for every n <= b when b v_j - lo_j >= b v_k - lo_k; a later one
-    # for every n >= a when a v_j - lo_j - C_j >= a v_k - lo_k - C_k, C
-    # counting all of W below
-    f1 = b * vu - lo
-    f2 = a * vu - lo - np.searchsorted(Ws, vu, "left")
-    keep = (f1 >= _max_before(f1) - margin) & (f2 >= _max_after(f2) - margin)
-    vu, lo = vu[keep], lo[keep]
-    # down side, value hi + #{inserted points <= v} - n v, mirrored
-    g1 = hi - b * vd
-    g2 = hi + np.searchsorted(Ws, vd, "right") - a * vd
-    keep = (g1 >= _max_after(g1) - margin) & (g2 >= _max_before(g2) - margin)
-    vd, hi = vd[keep], hi[keep]
-
-    if t >= 2 * SPLIT_MIN_ROWS and (len(vu) + len(vd)) * t > SPLIT_CELLS:
-        h = t // 2
-        _trace_rows(vu, lo, vd, hi, W[:h], w_lo[:h], w_hi[:h], a,
-                    d_out[:h], anchor_out[:h])
-        # the second half sees the first half's points as candidates, and
-        # every rank grows by the first half's points below it
-        W1, Ws1 = W[:h], np.sort(W[:h])
-        vu, lo = _merge(vu, lo + np.searchsorted(Ws1, vu, "left"),
-                        W1, w_lo[:h] + np.searchsorted(Ws1, W1, "left"))
-        vd, hi = _merge(vd, hi + np.searchsorted(Ws1, vd, "right"),
-                        W1, w_hi[:h] + np.searchsorted(Ws1, W1, "right"))
-        W2 = W[h:]
-        _trace_rows(vu, lo, vd, hi, W2,
-                    w_lo[h:] + np.searchsorted(Ws1, W2, "left"),
-                    w_hi[h:] + np.searchsorted(Ws1, W2, "right"),
-                    a + h, d_out[h:], anchor_out[h:])
-        return
-
-    n = np.arange(a, b + 1, dtype=np.float64)[:, None]
-    rows = np.arange(t)
-    du, au = _side_max(vu, lo, W, w_lo, n, rows, up=True)
-    dd, ad = _side_max(vd, hi, W, w_hi, n, rows, up=False)
-    use_up = du >= dd
-    d_out[:] = np.where(use_up, du, dd)
-    anchor_out[:] = np.where(use_up, au, ad)
+    L = (n_max + 1).bit_length()
+    one = 1 << L
+    M = np.arange(2, n_max + 2, dtype=np.int64)
+    up0 = np.full(n_max, _UNREACHED, dtype=np.int64)  # N x - A(x), s = 0
+    up1 = up0.copy()                                  # and s = 1
+    dn0 = np.zeros(n_max, dtype=np.int64)  # A(x) - N x, s = 0: x = 0
+    dn1 = up0.copy()
+    for j in range(1, L + 1):
+        bit = (M >> (j - 1)) & 1 == 1
+        c1 = (((M & ((1 << j) - 1)) - 1) << (L - j)) - one  # t_j = 1
+        c0 = np.where(bit, c1, c1 + one)                    # t_j = s = 0
+        zero = (M & ((1 << (j - 1)) - 1)) == 0  # the all-zero path's s
+        v0 = np.where(zero, np.maximum(up0, 0), up0)
+        v1 = np.where(zero, up1, np.maximum(up1, 0))
+        # bit set: a_j = 1 keeps s, a_j = 0 moves it to 1; bit clear:
+        # a_j = 1 moves s to 0, a_j = 0 keeps it
+        t = v1 + c1
+        up0, up1 = (np.maximum(v0 + c0, np.where(bit, _UNREACHED,
+                                                 np.maximum(up0, t))),
+                    np.where(bit, np.maximum(np.maximum(up0, up1), t), up1))
+        t = dn1 - c1
+        dn0, dn1 = (np.maximum(dn0 - c0, np.where(bit, _UNREACHED,
+                                                  np.maximum(dn0, t))),
+                    np.where(bit, np.maximum(np.maximum(dn0, dn1), t), dn1))
+    return np.maximum(np.maximum(up0, up1) + one, np.maximum(dn0 - one, dn1))
 
 
-def _side_max(v, r, W, w_r, n, rows, up: bool) -> tuple:
-    """Row maxima of v - L/n (`up`) or U/n - v over the candidates v with
-    counts r and the points W, W[j] present from row j on, and the
-    smallest v attaining each maximum."""
-    K, t = len(r), len(W)
-    v = np.concatenate((v, W))
-    # sorted by value, the first maximizing column has the smallest value,
-    # as the formula's argmax over the sorted points does
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    col = np.argsort(order)[K:]  # column of W[j]
-    counts = np.empty((t + 1, len(v)), dtype=np.int64)
-    counts[0] = np.concatenate((r, w_r))[order]
-    (np.less if up else np.less_equal)(W[:, None], v, out=counts[1:])
-    absent = UNBORN if up else -UNBORN
-    counts[0, col] += absent
-    counts[rows + 1, col] -= absent
-    np.cumsum(counts, axis=0, out=counts)
-    vals = counts[1:] / n
-    if up:
-        np.subtract(v, vals, out=vals)
-    else:
-        vals -= v
-    k = vals.argmax(axis=1)
-    return vals[rows, k], v[k]
+def vdc_discrepancy(N: int) -> PrefixDiscrepancy:
+    """Prefix-discrepancy bounds of the van der Corput points phi(1..N)
+    from the exact Delta_n of every prefix (`_vdc_deltas`), O(N log N)."""
+    pts = van_der_corput(N).points.to_float_array()
+    delta = _vdc_deltas(N) / float(1 << (N + 1).bit_length())
+    # Margin, for the prefix n. The points are exact in float64. The
+    # trace's Delta_n takes each candidate value of the sorted-order formula
+    # within 2^-53 of exact (two roundings of magnitude <= 1, in units of
+    # 2^-54), and d n one more rounding of at most 2^-53 n: within 2^-52 n
+    # of the exact Delta_n <= n. Converting that to float64 rounds by at
+    # most 2^-53 n, and adding or subtracting the margin by at most
+    # 2^-53 (n + margin): 2^-50 n covers the sum.
+    margin = np.arange(1, N + 1) * 2.0 ** -50
+    return PrefixDiscrepancy(pts, np.argsort(pts, kind="stable"),
+                             delta - margin, delta + margin)
 
 
-def discrepancy_trace(ps, N_max: int | None = None) -> DiscrepancyTrace:
-    """D_N* for every prefix N = 1..N_max of the given point sequence.
+def discrepancy_trace(ps) -> DiscrepancyTrace:
+    """D_N* for every prefix N = 1..len of the given point sequence.
 
     Points are taken in double precision, and each D_N* is the value of the
     per-prefix sorted-order formula max_i max(x_(i) - (i-1)/N, i/N - x_(i))
-    evaluated in float64, bit for bit. Prefixes are processed in windows of
-    about sqrt(N_max) new points against a sorted buffer of the earlier
-    ones, which is merged once per window.
+    evaluated in float64: one sorted insertion per prefix, O(N^2) in all.
     """
     pts = as_float_array(_points_of(ps))
-    n_max = len(pts) if N_max is None else min(N_max, len(pts))
-    if n_max < 1:
+    if len(pts) < 1:
         raise ValueError("need at least one point")
-    d_star = np.empty(n_max, dtype=np.float64)
-    anchor = np.empty(n_max, dtype=np.float64)
-    T = min(WINDOW_MAX, max(WINDOW_MIN, math.isqrt(n_max)))
-    S = np.empty(0, dtype=np.float64)
-    for n0 in range(0, n_max, T):
-        W = pts[n0:min(n0 + T, n_max)]
-        # sorted position k of S has k points before it (exact for the
-        # first of equal values) and k + 1 up to it (exact for the last)
-        k = np.arange(n0)
-        _trace_rows(S, k, S, k + 1, W, np.searchsorted(S, W, "left"),
-                    np.searchsorted(S, W, "right"), n0 + 1,
-                    d_star[n0:n0 + len(W)], anchor[n0:n0 + len(W)])
-        # S is one sorted run, so the stable (merge) sort costs
-        # O(n0 + T log T)
-        S = np.sort(np.concatenate((S, W)), kind="stable")
-    delta = d_star * np.arange(1, n_max + 1, dtype=np.float64)
+    d_star = np.empty(len(pts), dtype=np.float64)
+    anchor = np.empty(len(pts), dtype=np.float64)
+    buf = np.empty(0, dtype=np.float64)
+    for n, x in enumerate(pts):
+        buf = np.insert(buf, np.searchsorted(buf, x), x)
+        r = _float(buf)
+        d_star[n], anchor[n] = r.d_star, r.argmax_anchor
+    delta = d_star * np.arange(1, len(pts) + 1, dtype=np.float64)
     return DiscrepancyTrace(d_star, delta, anchor)
 
 

@@ -1,27 +1,30 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-rationals over a common denominator (`RationalArray`); Kronecker and
-lacunary orbits are high-precision mpf values from the evaluator of the
-exact surd machinery (`FracPartEvaluator`); random subsequences select
-float64 points of the 128-bit fixed-point orbit (`kronecker_fixed_point`)
-with coin flips from `coin_flips`; random families use numpy's seeded
-generators.
+rationals over a common denominator (`RationalArray`); Kronecker orbits
+are high-precision mpf values from the evaluator of the exact surd
+machinery (`FracPartEvaluator`); lacunary orbits are exact mpf windows of
+alpha's binary expansion, read off one exact floor (`scaled_floor`);
+random subsequences select float64 points of the 128-bit fixed-point
+orbit (`kronecker_fixed_point`) with coin flips from `coin_flips`; random
+families use numpy's seeded generators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .atomicio import atomic_open
 from .irrational import (DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec,
-                         kronecker_fixed_point)
+                         check_precision_bits, default_precision_bits,
+                         kronecker_fixed_point, scaled_floor)
 from .numerics import decimal_str
 
-LACUNARY_MAX_TERMS = 60
 # coin draws allowed per requested term before a selection gives up: a fair
 # coin needs about 2, and falls short of N heads in 64 N draws with
 # probability below 2^-(50 N)
@@ -144,18 +147,22 @@ def uniform_grid(N: int) -> PointSet:
 
 def lacunary(alpha: IrrationalSpec, N: int,
              precision_bits: int | None = None) -> PointSet:
-    """Doubling orbit {2^k alpha}, k = 1..N, via the exact floor machinery."""
+    """Doubling orbit {2^k alpha}, k = 1..N, as exact p-bit mpf values: with
+    B = floor(alpha 2^(N+p)), floor({2^k alpha} 2^p) is
+    (B >> (N-k)) mod 2^p, so each point is below its true value by less
+    than 2^-p. p defaults to the precision for an index budget of 2^N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > LACUNARY_MAX_TERMS:
-        raise ValueError(f"N = {N} exceeds the exact-floor budget "
-                         f"({LACUNARY_MAX_TERMS} doublings)")
-    ev = FracPartEvaluator(alpha, n_max=1 << N, precision_bits=precision_bits)
-    pts = [ev.frac_part(1 << k).value for k in range(1, N + 1)]
+    p = (precision_bits if precision_bits is not None
+         else default_precision_bits(1 << N))
+    check_precision_bits(p)
+    B = scaled_floor(alpha, N + p)
+    with mpmath.mp.workprec(p):
+        pts = [mpmath.mpf(((B >> (N - k)) % (1 << p), -p))
+               for k in range(1, N + 1)]
     return PointSet(pts, "lacunary",
-                    {"alpha": str(alpha), "N": N,
-                     "precision_bits": ev.precision_bits},
-                    point_error=ev.error_bound)
+                    {"alpha": str(alpha), "N": N, "precision_bits": p},
+                    point_error=math.ldexp(1.0, -p))
 
 
 def random_uniform(N: int, seed: int) -> PointSet:

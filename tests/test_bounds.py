@@ -12,8 +12,8 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              check_type_growth, check_vdc_limits,
                              grid_hlawka_report, hlawka_sequence_report,
                              kronecker_log_trace)
-from weylprod.discrepancy import (DiscrepancyTrace, discrepancy_trace,
-                                  kronecker_discrepancy)
+from weylprod import discrepancy
+from weylprod.discrepancy import discrepancy_trace, kronecker_discrepancy
 from weylprod.irrational import (cf_expand, cf_expand_until,
                                  kronecker_fixed_point, ostrowski,
                                  surd_from_cf)
@@ -85,6 +85,19 @@ def near_rhs(rhs, tol, seed):
 
 # ------------------------------------------------------------------ hlawka
 
+class Bracket:
+    """Prefix-discrepancy bounds around known deltas, for check_hlawka."""
+
+    def __init__(self, delta, lower, upper):
+        self.delta, self.lower, self.upper = delta, lower, upper
+
+    def __len__(self):
+        return len(self.delta)
+
+    def delta_at(self, n):
+        return float(self.delta[n - 1])
+
+
 def test_hlawka_grid_example():
     rep = grid_hlawka_report(100)
     assert rep.passed
@@ -118,9 +131,8 @@ def test_hlawka_matches_per_n_loop(seed):
                             p=[0.8, 0.05, 0.05, 0.05, 0.05])
     err = 1e-11 * seed
     tr = ProductTrace(logs, err, n)
-    dtr = DiscrepancyTrace(deltas / N, deltas, np.zeros(n))
     for N_min in (1, 16):
-        rep = check_hlawka(tr, dtr, N_min=N_min)
+        rep = check_hlawka(tr, Bracket(deltas, deltas, deltas), N_min=N_min)
         violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
                                                             err, N_min)
         assert rep.violations == violations and violations
@@ -132,27 +144,29 @@ def test_hlawka_matches_per_n_loop(seed):
 def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
     orbit = kronecker_fixed_point(sqrt2m1, 1500)
     vdc = van_der_corput(1500)
-    for kind, tr, pts in (("vdc", product_trace(vdc), vdc),
-                          ("kronecker", orbit_trace([orbit], 1500),
-                           orbit.points())):
-        rep = hlawka_sequence_report(kind, 1500, alpha=sqrt2m1)
-        want = hlawka_oracle(tr.log_values, discrepancy_trace(pts).delta,
-                             tr.error_bound, 16)
-        assert (rep.violations, rep.inconclusive,
-                rep.empirical_constants["gamma_hat"]) == want
+    for kind, tr, pts, n_mins in (
+            ("vdc", product_trace(vdc), vdc, (1, 16)),
+            ("kronecker", orbit_trace([orbit], 1500), orbit.points(), (16,))):
+        deltas = discrepancy_trace(pts).delta
+        for N_min in n_mins:
+            rep = hlawka_sequence_report(kind, 1500, N_min=N_min,
+                                         alpha=sqrt2m1)
+            want = hlawka_oracle(tr.log_values, deltas, tr.error_bound,
+                                 N_min)
+            assert (rep.violations, rep.inconclusive,
+                    rep.empirical_constants["gamma_hat"]) == want
 
 
-class Bracket:
-    """Prefix-discrepancy bounds around known deltas, for check_hlawka."""
+def test_hlawka_vdc_never_traces(monkeypatch):
+    # the vdC check runs on its exact digit kernel, never on the O(N^2)
+    # per-prefix trace
+    def no_trace(*args, **kwargs):
+        raise AssertionError("discrepancy_trace called")
 
-    def __init__(self, delta, lower, upper):
-        self.delta, self.lower, self.upper = delta, lower, upper
-
-    def __len__(self):
-        return len(self.delta)
-
-    def delta_at(self, n):
-        return float(self.delta[n - 1])
+    monkeypatch.setattr(discrepancy, "discrepancy_trace", no_trace)
+    monkeypatch.setattr(bounds, "discrepancy_trace", no_trace, raising=False)
+    rep = hlawka_sequence_report("vdc", 6000)
+    assert rep.passed and rep.n_range == (16, 6000)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -207,7 +221,7 @@ def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
         assert rep.inconclusive == inconclusive and inconclusive
         assert rep.empirical_constants["gamma_hat"] == gamma_hat
         # the same report as from the exact trace
-        rep_t = check_hlawka(tr, discrepancy_trace(orbit.points()),
+        rep_t = check_hlawka(tr, Bracket(deltas, deltas, deltas),
                              N_min=N_min)
         assert rep.to_dict() == rep_t.to_dict()
 
@@ -216,6 +230,14 @@ def test_hlawka_misaligned_traces():
     tr = ProductTrace(np.zeros(5), 0.0, 5)
     with pytest.raises(ValueError):
         check_hlawka(tr, [])
+
+
+@pytest.mark.parametrize("N_min", [0, -5])
+def test_hlawka_n_min_below_one(N_min):
+    tr = ProductTrace(np.zeros(5), 0.0, 5)
+    deltas = np.ones(5)
+    with pytest.raises(ValueError, match="N_min"):
+        check_hlawka(tr, Bracket(deltas, deltas, deltas), N_min=N_min)
 
 
 # ---------------------------------------------------------------- sandwich

@@ -283,6 +283,29 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["hlawka", "--gen", "vdc", "--n-max", "100", "--n-min", "0"], "--n-min"),
+    (["hlawka", "--gen", "vdc", "--n-max", "100", "--n-min", "-5"], "--n-min"),
+    (["hlawka", "--gen", "kronecker", "--n-max", "100", "--n-min", "0"],
+     "--n-min"),
+    (["hlawka", "--gen", "kronecker", "--n-max", "100", "--n-min", "-5"],
+     "--n-min"),
+    (["hlawka", "--gen", "vdc", "--n-max", "0"], "--n-max"),
+    (["extremal", "--n-max", "0"], "--n-max"),
+    (["ostrowski", "--n-max", "0"], "--n-max"),
+    (["cesaro", "--n-max", "0"], "--n-max"),
+    (["cesaro", "--n-max", "-3"], "--n-max"),
+    (["type-growth", "--n-max", "0"], "--n-max"),
+    (["conjectures", "--n-max", "0"], "--n-max"),
+])
+def test_verify_size_below_one_names_flag(capsys, args, flag):
+    # rejected as usage errors, not run at a default size or crashed
+    code, stdout, err = run(["verify", *args], capsys)
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+    assert stdout == ""
+
+
 def test_verify_unknown_theorem_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "definitely-not-a-theorem"])

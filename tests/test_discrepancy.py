@@ -7,11 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylprod import discrepancy, irrational
+from weylprod import irrational
 from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
+                                  PrefixDiscrepancy, _vdc_deltas,
                                   brute_force_star_discrepancy,
                                   discrepancy_trace, kronecker_discrepancy,
-                                  star_discrepancy, write_trace_csv)
+                                  star_discrepancy, vdc_discrepancy,
+                                  write_trace_csv)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import as_float_array
 from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
@@ -51,16 +53,9 @@ def trace_oracle(points) -> tuple:
     return d_star, d_star * idx, anchor
 
 
-def assert_trace_equals_oracle(points, split_cells=None):
-    """The windowed trace equals the oracle loop bit for bit; with
-    `split_cells` set, windows split at that size instead."""
-    saved = discrepancy.SPLIT_CELLS
-    if split_cells is not None:
-        discrepancy.SPLIT_CELLS = split_cells
-    try:
-        tr = discrepancy_trace(points)
-    finally:
-        discrepancy.SPLIT_CELLS = saved
+def assert_trace_equals_oracle(points):
+    """The trace equals the oracle loop bit for bit."""
+    tr = discrepancy_trace(points)
     d_star, delta, anchor = trace_oracle(points)
     assert len(tr) == len(d_star)
     np.testing.assert_array_equal(tr.d_star, d_star)
@@ -198,39 +193,35 @@ def test_trace_csv(tmp_path):
     assert float(delta) == pytest.approx(3 * float(d))
 
 
-# --------------------------------------------- windowed trace vs the loop
+# ------------------------------------------------------ trace vs the loop
 
 PROPERTY = settings(max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
-# split_cells = 0 splits every window down to its smallest halves
-split_cells = st.sampled_from([None, 0])
 
 
 @PROPERTY
 @given(st.lists(st.one_of(st.floats(0.0, 1.0),
                           st.integers(0, 12).map(lambda k: k / 12.0)),
-                min_size=1, max_size=700),
-       split_cells)
-def test_trace_matches_oracle_floats_with_ties(points, split):
-    assert_trace_equals_oracle(np.array(points), split)
+                min_size=1, max_size=700))
+def test_trace_matches_oracle_floats_with_ties(points):
+    assert_trace_equals_oracle(np.array(points))
 
 
 @PROPERTY
 @given(st.integers(1, 14), st.lists(st.integers(0, 1 << 14), min_size=1,
-                                    max_size=700),
-       split_cells)
-def test_trace_matches_oracle_dyadics(bits, nums, split):
+                                    max_size=700))
+def test_trace_matches_oracle_dyadics(bits, nums):
     points = np.array([min(x, 1 << bits) for x in nums]) / float(1 << bits)
-    assert_trace_equals_oracle(points, split)
+    assert_trace_equals_oracle(points)
 
 
 @PROPERTY
 @given(st.lists(st.integers(1, 9), max_size=4),
        st.lists(st.integers(1, 9), min_size=1, max_size=3),
-       st.integers(1, 1500), split_cells)
-def test_trace_matches_oracle_kronecker(prefix, period, N, split):
+       st.integers(1, 1500))
+def test_trace_matches_oracle_kronecker(prefix, period, N):
     alpha = surd_from_cf(prefix, period)
-    assert_trace_equals_oracle(kronecker_fixed_point(alpha, N).points(), split)
+    assert_trace_equals_oracle(kronecker_fixed_point(alpha, N).points())
 
 
 def test_trace_matches_oracle_at_benchmark_sizes(sqrt2m1):
@@ -307,9 +298,8 @@ def test_kronecker_bounds_interface(sqrt2m1):
     orbit = kronecker_fixed_point(sqrt2m1, 50)
     kd = kronecker_discrepancy(orbit)
     tr = discrepancy_trace(orbit.points())
-    # the trace serves the same interface, with both bounds at delta
-    assert tr.lower is tr.delta and tr.upper is tr.delta
-    assert tr.delta_at(50) == tr.delta[49] == kd.delta_at(50)
+    assert isinstance(kd, PrefixDiscrepancy)
+    assert tr.delta[49] == kd.delta_at(50)
     with pytest.raises(IndexError):
         kd.delta_at(0)
     with pytest.raises(IndexError):
@@ -317,3 +307,37 @@ def test_kronecker_bounds_interface(sqrt2m1):
     # n D_n* of one point x is max(x, 1 - x)
     x = float(orbit.points()[0])
     assert kd.delta_at(1) == max(x, 1.0 - x)
+
+
+# ------------------------------------------ van der Corput from its digits
+
+def test_vdc_deltas_match_exact():
+    # every N <= 4096 over one grid; N = 2^k - 1, 2^k, 2^k + 1 up to k = 20
+    # over another, and up to k = 12 as the largest prefix, where the
+    # grid's L = bitlen(N + 1) steps
+    L = (4096 + 1).bit_length()
+    deltas = _vdc_deltas(4096)
+    for N in range(1, 4097):
+        exact = star_discrepancy(van_der_corput(N)).delta
+        assert Fraction(int(deltas[N - 1]), 1 << L) == exact, N
+    top = 2 ** 20 + 1
+    deltas = _vdc_deltas(top)
+    for k in range(1, 21):
+        for N in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            exact = star_discrepancy(van_der_corput(N)).delta
+            got = Fraction(int(deltas[N - 1]), 1 << (top + 1).bit_length())
+            assert got == exact, N
+            if k <= 12:
+                got = Fraction(int(_vdc_deltas(N)[-1]),
+                               1 << (N + 1).bit_length())
+                assert got == exact, N
+
+
+def test_vdc_bounds_bracket_trace():
+    N = 3000
+    vd = vdc_discrepancy(N)
+    delta = discrepancy_trace(van_der_corput(N)).delta
+    assert len(vd) == N
+    assert np.all(vd.lower <= delta) and np.all(delta <= vd.upper)
+    for n in range(1, N + 1):
+        assert vd.delta_at(n) == delta[n - 1], n

@@ -142,9 +142,14 @@ def test_lacunary_20_vs_512bit_oracle(sqrt2m1):
             assert abs(x - ((1 << k) * a) % 1) < tol
 
 
-def test_lacunary_budget(sqrt2m1):
-    with pytest.raises(ValueError):
-        lacunary(sqrt2m1, 61)
+def test_lacunary_past_sixty_doublings(sqrt2m1):
+    # one exact floor serves any number of doublings
+    ps = lacunary(sqrt2m1, 200)
+    assert ps.params["precision_bits"] == 464
+    with mpmath.mp.workprec(800):
+        a = mpmath.sqrt(2) - 1
+        for k, x in enumerate(ps.points, 1):
+            assert 0 <= ((1 << k) * a) % 1 - x < ps.point_error
 
 
 # ------------------------------------------------------------------ random
