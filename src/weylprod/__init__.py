@@ -5,16 +5,14 @@ exact star-discrepancy and checkers for the quantitative product bounds."""
 from .irrational import (ConvergentTable, FracPartEvaluator, FractionalPart,
                          IrrationalSpec, OstrowskiDigits, cf_expand,
                          cf_expand_until, ostrowski, ostrowski_digit_sums,
-                         parse_alpha, surd_from_cf, type_exponent_estimate)
-from .sequences import (PointSet, RationalArray, kronecker, lacunary,
-                        random_subsequence, random_uniform, uniform_grid,
+                         parse_alpha, surd_from_cf)
+from .sequences import (PointSet, RationalArray, kronecker, uniform_grid,
                         van_der_corput)
 from .discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                           PrefixDiscrepancy, brute_force_star_discrepancy,
                           discrepancy_trace, kronecker_discrepancy,
                           star_discrepancy, vdc_discrepancy)
-from .products import (ProductTrace, closed_form_roots_of_unity,
-                       closed_form_shifted, normalized_trace, product_trace)
+from .products import ProductTrace, closed_form_shifted, product_trace
 from .extremal import (ExtremalConfig, build_extremal,
                        extremal_product_closed_form, sup_product_lower_bound,
                        sup_product_upper_bound, sup_search, threshold_B)

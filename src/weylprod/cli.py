@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -31,7 +30,7 @@ from .atomicio import atomic_open
 from .extremal import (ExtremalConfig, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep, write_sweep_csv)
-from .irrational import IrrationalSpec, parse_alpha
+from .irrational import parse_alpha
 from .products import KERNEL, NORMALIZERS, rotation_products
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
@@ -41,35 +40,6 @@ MC_MODELS = ("iid", "rademacher", "subsequence")
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated flag set for one dispatch."""
-
-    command: str
-    alpha: IrrationalSpec | None = None
-    n_max: int | None = None
-    n_min: int = 16
-    N: int | None = None
-    d: Fraction | None = None
-    seed: int = 0
-    epsilon: float = 0.1
-    out: str | None = None
-    fmt: str = "csv"
-    normalizer: str = "none"
-    precision_bits: int | None = None
-    extras: dict = field(default_factory=dict)
-
-
-def _default_precision() -> int | None:
-    env = os.environ.get("WEYL_PRECISION_BITS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"WEYL_PRECISION_BITS={env!r} is not an integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,16 +140,16 @@ def _figure_parts(head: str, rows, line: str, sep: str, tail: str):
     yield tail
 
 
-def cmd_figure(cfg: RunConfig) -> int:
-    if cfg.n_max < 1:
+def cmd_figure(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    series = rotation_products(cfg.alpha, cfg.n_max, cfg.normalizer,
-                               cfg.precision_bits)
-    meta = {"alpha": str(cfg.alpha), "normalizer": cfg.normalizer,
+    series = rotation_products(args.alpha, args.n_max, args.normalizer,
+                               args.precision_bits)
+    meta = {"alpha": str(args.alpha), "normalizer": args.normalizer,
             "kernel": KERNEL,
             "precision_bits": series.precision_bits,
             "log_error_bound": series.log_error_bound}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         # json.dumps(meta + series, indent=2), written a row at a time
         head, tail = json.dumps({**meta, "series": []}, indent=2).rsplit(
             "[]", 1)
@@ -190,71 +160,75 @@ def cmd_figure(cfg: RunConfig) -> int:
                                  for key, value in meta.items()])
         parts = _figure_parts(head + "\nN,value\n", series, "{},{}",
                               "\n", "\n")
-    _emit(parts, cfg.out)
+    _emit(parts, args.out)
     return 0
 
 
-def _verify_extremal_single(cfg: RunConfig) -> int:
+def _verify_extremal_single(args: argparse.Namespace) -> int:
     """Bounds at one (N, d) pair; the extremal product is evaluated, and
     compared with the lower bound, only when N is even and N*d an integer,
     exactly, with d read as the decimal it was given (the construction
     needs both). Otherwise nothing is compared, and the
     report says so with "passed": null and "n_checked": 0."""
-    if cfg.N is None:
+    if args.N is None:
         raise UsageError("verify extremal --d needs --N")
-    d = float(cfg.d)
-    lo = sup_product_lower_bound(cfg.N, d)
-    hi = sup_product_upper_bound(cfg.N, d, cfg.epsilon)
+    d = float(args.d)
+    lo = sup_product_lower_bound(args.N, d)
+    hi = sup_product_upper_bound(args.N, d, args.epsilon)
     report = bnd.BoundReport("extremal",
-                             {"N": cfg.N, "d": d, "epsilon": cfg.epsilon},
-                             (cfg.N, cfg.N), passed=None)
+                             {"N": args.N, "d": d, "epsilon": args.epsilon},
+                             (args.N, args.N), passed=None)
     report.empirical_constants = {"logLower": lo, "logUpper": hi}
-    M = cfg.d * cfg.N
+    M = args.d * args.N
     n_checked = 0
-    if cfg.N % 2 == 0 and M.denominator == 1 and M >= 1:
-        lp = extremal_product_closed_form(ExtremalConfig(cfg.N, int(M)))
+    if args.N % 2 == 0 and M.denominator == 1 and M >= 1:
+        lp = extremal_product_closed_form(ExtremalConfig(args.N, int(M)))
         report.empirical_constants["logP"] = lp
         if lo > lp + 1e-9:
-            report.violations.append((cfg.N, lo, lp))
+            report.violations.append((args.N, lo, lp))
         report.passed = not report.violations
         n_checked = 1
     payload = report.to_dict()
     payload["n_checked"] = n_checked
-    _emit([json.dumps(payload, indent=2) + "\n"], cfg.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 1 if report.passed is False else 0
 
 
-def _verify_hlawka(cfg: RunConfig) -> bnd.BoundReport:
-    if cfg.extras["gen"] == "grid":
-        if cfg.N is None:
+def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
+    if args.gen == "grid":
+        if args.N is None:
             raise UsageError("verify hlawka --gen grid needs --N")
-        if cfg.N < 1:
+        if args.N < 1:
             raise UsageError("--N must be >= 1")
-        return bnd.grid_hlawka_report(cfg.N)
-    if not 1 <= cfg.n_min <= cfg.n_max:
-        raise UsageError(f"--n-min must be in [1, --n-max = {cfg.n_max}]")
-    return bnd.hlawka_sequence_report(cfg.extras["gen"], cfg.n_max,
-                                      N_min=cfg.n_min, alpha=cfg.alpha)
+        return bnd.grid_hlawka_report(args.N)
+    if not 1 <= args.n_min <= args.n_max:
+        raise UsageError(f"--n-min must be in [1, --n-max = {args.n_max}]")
+    return bnd.hlawka_sequence_report(args.gen, args.n_max,
+                                      N_min=args.n_min, alpha=args.alpha)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    tag = cfg.extras["theorem"]
-    if cfg.n_max is None:
-        cfg.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
-    elif cfg.n_max < 1:
+def cmd_verify(args: argparse.Namespace) -> int:
+    tag = args.theorem
+    if args.fmt == "csv" and not (tag == "extremal" and args.d is None
+                                  and args.out != "-"):
+        raise UsageError("--format csv is written only by the verify "
+                         "extremal sweep, to an --out file")
+    if args.n_max is None:
+        args.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
+    elif args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if tag == "hlawka":
-        report = _verify_hlawka(cfg)
+        report = _verify_hlawka(args)
     elif tag == "extremal":
-        if cfg.d is not None:
-            return _verify_extremal_single(cfg)
-        n_max = cfg.n_max
+        if args.d is not None:
+            return _verify_extremal_single(args)
+        n_max = args.n_max
         if n_max < 8:
             raise UsageError("--n-max must be >= 8")
         rows = sweep(range(8, n_max + 1, 2), lambda N: max(1, N // 8),
-                     cfg.epsilon)
+                     args.epsilon)
         report = bnd.BoundReport(
-            "extremal", {"N_max": n_max, "epsilon": cfg.epsilon}, (8, n_max))
+            "extremal", {"N_max": n_max, "epsilon": args.epsilon}, (8, n_max))
         lower_fail = [(N, lo, lp) for N, M, d, lp, lo, hi, hl, hu in rows
                       if not hl]
         upper_fail = [(N, lp, hi) for N, M, d, lp, lo, hi, hl, hu in rows
@@ -269,87 +243,77 @@ def cmd_verify(cfg: RunConfig) -> int:
             "lower_holds_from_N": lower_threshold + 2,
             "upper_holds_from_N": upper_threshold + 2,
         }
-        if cfg.fmt == "csv" and cfg.out not in (None, "-"):
-            write_sweep_csv(rows, cfg.out)
+        if args.fmt == "csv":
+            write_sweep_csv(rows, args.out)
             _emit([json.dumps(report.to_dict(), indent=2) + "\n"], None)
             return 0 if report.passed else 1
     elif tag == "kronecker-sandwich":
-        report = bnd.check_kronecker_sandwich(cfg.alpha, q_max=cfg.extras["q_max"])
+        report = bnd.check_kronecker_sandwich(args.alpha, q_max=args.q_max)
     elif tag == "ostrowski":
-        report = bnd.check_ostrowski_bound(cfg.alpha, cfg.n_max)
+        report = bnd.check_ostrowski_bound(args.alpha, args.n_max)
     elif tag == "cesaro":
-        report = bnd.check_cesaro_log_bound(cfg.alpha, cfg.n_max)
+        report = bnd.check_cesaro_log_bound(args.alpha, args.n_max)
     elif tag == "type-growth":
-        report = bnd.check_type_growth(cfg.alpha, cfg.n_max,
-                                       cfg.extras["t"])
+        report = bnd.check_type_growth(args.alpha, args.n_max, args.t)
     elif tag == "vdc-limits":
-        report = bnd.check_vdc_limits(cfg.extras["s_max"])
+        report = bnd.check_vdc_limits(args.s_max)
     elif tag == "conjectures":
-        report = bnd.check_kronecker_conjectures(cfg.alpha, cfg.n_max)
+        report = bnd.check_kronecker_conjectures(args.alpha, args.n_max)
     else:  # pragma: no cover - argparse already rejects unknown tags
         raise UsageError(f"unknown theorem {tag!r}")
-    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], cfg.out)
+    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     if tag == "conjectures":
         return 0
     return 0 if report.passed else 1
 
 
-def cmd_mc(cfg: RunConfig) -> int:
-    model = cfg.extras["model"]
-    if cfg.extras["paths"] < 1:
+def cmd_mc(args: argparse.Namespace) -> int:
+    model = args.model
+    if args.paths < 1:
         raise UsageError("--paths must be >= 1")
-    if cfg.n_max is not None and cfg.n_max < 1:
+    if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
-    paths = cfg.extras["paths"]
+    paths = args.paths
     if model == "iid":
-        if cfg.n_max < st.IID_MIN_N_MAX:
+        if args.n_max < st.IID_MIN_N_MAX:
             raise UsageError(f"--n-max must be >= {st.IID_MIN_N_MAX} for iid")
-        stats = st.iid_lil_experiment(paths, cfg.n_max, cfg.seed)
+        stats = st.iid_lil_experiment(paths, args.n_max, args.seed)
     elif model == "rademacher":
-        if cfg.n_max < st.N_LO:
+        if args.n_max < st.N_LO:
             raise UsageError(f"--n-max must be >= {st.N_LO} for rademacher: "
                              f"the ratio is taken over N >= {st.N_LO}")
-        stats = st.rademacher_lil_experiment(cfg.alpha, paths, cfg.n_max,
-                                             cfg.seed)
+        stats = st.rademacher_lil_experiment(args.alpha, paths, args.n_max,
+                                             args.seed)
     else:
-        terms = cfg.extras["terms"]
+        terms = args.terms
         if terms is None:
-            terms = max(cfg.n_max // 2, 200)
+            terms = max(args.n_max // 2, 200)
         if terms < st.N_LO:
             raise UsageError(f"--terms must be >= {st.N_LO} for subsequence: "
                              f"the ratio is taken over K >= {st.N_LO}")
-        stats = st.subsequence_product_experiment(cfg.alpha, paths, terms,
-                                                  cfg.seed)
-    prefix = cfg.out or f"mc_{model}"
+        stats = st.subsequence_product_experiment(args.alpha, paths, terms,
+                                                  args.seed)
+    prefix = args.out or f"mc_{model}"
     st.write_paths_csv(stats, prefix + ".csv")
     st.write_summary_json(stats, prefix + ".json")
     _emit([f"wrote {prefix}.csv and {prefix}.json\n"], None)
     return 0
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.precision_bits = (args.precision_bits
-                          if args.precision_bits is not None
-                          else _default_precision())
-    if cfg.precision_bits is not None and cfg.precision_bits < 68:
-        raise UsageError("--precision-bits must be >= 68")
-    if getattr(args, "alpha", None) is not None:
+def _validate(args: argparse.Namespace) -> None:
+    """The checks every command shares. Fills in --precision-bits from
+    WEYL_PRECISION_BITS when the flag is absent and parses --alpha."""
+    env = os.environ.get("WEYL_PRECISION_BITS")
+    if args.precision_bits is None and env is not None:
         try:
-            cfg.alpha = parse_alpha(args.alpha)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    for name in ("n_max", "n_min", "N", "d", "seed", "epsilon", "out",
-                 "fmt", "normalizer"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    for name in ("theorem", "gen", "q_max", "s_max", "t", "model", "paths",
-                 "terms"):
-        if hasattr(args, name):
-            cfg.extras[name] = getattr(args, name)
-    if cfg.epsilon <= 0:
+            args.precision_bits = int(env)
+        except ValueError:
+            raise UsageError(f"WEYL_PRECISION_BITS={env!r} is not an integer")
+    if args.precision_bits is not None and args.precision_bits < 68:
+        raise UsageError("--precision-bits must be >= 68")
+    args.alpha = parse_alpha(args.alpha)
+    if args.command == "verify" and args.epsilon <= 0:
         raise UsageError("--epsilon must be positive")
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -362,18 +326,10 @@ def main(argv=None) -> int:
         _emit([], None)
         raise
     try:
-        cfg = _build_config(args)
-        if args.command == "figure":
-            return cmd_figure(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "mc":
-            return cmd_mc(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        _validate(args)
+        command = {"figure": cmd_figure, "verify": cmd_verify, "mc": cmd_mc}
+        return command[args.command](args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,7 +15,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .atomicio import atomic_open
 from .numerics import as_float_array, compensated_cumsum
 from .sequences import PointSet, RationalArray, van_der_corput
 
@@ -294,14 +293,6 @@ def discrepancy_trace(ps) -> DiscrepancyTrace:
         d_star[n], anchor[n] = r.d_star, r.argmax_anchor
     delta = d_star * np.arange(1, len(pts) + 1, dtype=np.float64)
     return DiscrepancyTrace(d_star, delta, anchor)
-
-
-def write_trace_csv(trace, path) -> None:
-    """Serialize a discrepancy trace as "N,d_star,delta"."""
-    with atomic_open(path) as fh:
-        fh.write("N,d_star,delta\n")
-        for n, r in enumerate(trace, 1):
-            fh.write(f"{n},{float(r.d_star)!r},{float(r.delta)!r}\n")
 
 
 def brute_force_star_discrepancy(points, eps=Fraction(1, 1 << 40)) -> Fraction:

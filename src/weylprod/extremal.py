@@ -207,8 +207,11 @@ def direct_log_product(cfg: ExtremalConfig) -> float:
     return math.fsum(terms)
 
 
-def sup_search(cfg: ExtremalConfig, n_sets: int, seed: int,
-               chunk: int = 4096) -> float:
+# point sets `sup_search` draws per batch, as one SEARCH_CHUNK x N array
+SEARCH_CHUNK = 4096
+
+
+def sup_search(cfg: ExtremalConfig, n_sets: int, seed: int) -> float:
     """Random search for a product beating the extremal set.
 
     Samples point sets with star-discrepancy <= M/N by construction: the
@@ -224,7 +227,7 @@ def sup_search(cfg: ExtremalConfig, n_sets: int, seed: int,
     best = -math.inf
     remaining = n_sets
     while remaining > 0:
-        B = min(chunk, remaining)
+        B = min(SEARCH_CHUNK, remaining)
         remaining -= B
         X = np.empty((B, N))
         prev = np.zeros(B)

@@ -61,13 +61,6 @@ def surd_sign(u: int, v: int, d: int) -> int:
     return 1 if u * u > v * v * d else -1
 
 
-def surd_cmp(u: int, v: int, d: int, num: int, den: int) -> int:
-    """Sign of (u + v*sqrt(d)) - num/den for den > 0."""
-    if den <= 0:
-        raise ValueError("den must be positive")
-    return surd_sign(u * den - num, v * den, d)
-
-
 def floor_surd(p: int, q: int, r: int, d: int) -> int:
     """floor((p + q*sqrt(d)) / r) exactly, for r != 0 and non-square d >= 2.
 
@@ -181,10 +174,6 @@ class ConvergentTable:
     p: tuple
     q: tuple
 
-    @property
-    def depth(self) -> int:
-        return len(self.partial_quotients)
-
     def level_of(self, n: int) -> int:
         """Largest l with q_l <= n; requires the table to reach past n."""
         if n < 1:
@@ -237,15 +226,20 @@ def cf_expand(alpha: IrrationalSpec, K: int) -> ConvergentTable:
     return ConvergentTable(alpha, tuple(quots), tuple(ps), tuple(qs))
 
 
-def cf_expand_until(alpha: IrrationalSpec, q_min: int, max_K: int = 512) -> ConvergentTable:
+# partial quotients `cf_expand_until` expands at most
+CF_MAX_QUOTIENTS = 512
+
+
+def cf_expand_until(alpha: IrrationalSpec, q_min: int) -> ConvergentTable:
     """Expand until the last denominator exceeds q_min."""
     K = 8
-    while K <= max_K:
+    while K <= CF_MAX_QUOTIENTS:
         table = cf_expand(alpha, K)
         if table.q[-1] > q_min:
             return table
         K *= 2
-    raise ValueError(f"denominators did not exceed {q_min} within {max_K} quotients")
+    raise ValueError(f"denominators did not exceed {q_min} within "
+                     f"{CF_MAX_QUOTIENTS} quotients")
 
 
 @dataclass(frozen=True)
@@ -305,26 +299,6 @@ def ostrowski_digit_sums(table: ConvergentTable, N_max: int) -> tuple:
     return levels, sums
 
 
-def type_exponent_estimate(table: ConvergentTable, min_q: int = 10) -> float:
-    """max over tabulated i of log q_{i+1} / log q_i as a growth proxy.
-
-    Indices with q_i < min_q are skipped: for tiny denominators the ratio
-    reflects the start-up of the recursion, not the approximation type.
-    Falls back to all q_i >= 2 if the table never reaches min_q.
-    """
-    if table.depth < 3:
-        raise ValueError("need at least 3 partial quotients")
-    for floor_q in (min_q, 2):
-        ratios = [
-            math.log(table.q[i + 1]) / math.log(table.q[i])
-            for i in range(1, len(table.q) - 1)
-            if table.q[i] >= floor_q
-        ]
-        if ratios:
-            return max(ratios)
-    raise ValueError("table too shallow for a growth estimate")
-
-
 @dataclass(frozen=True)
 class FractionalPart:
     """{n*alpha} as an mpf plus an absolute error bound."""
@@ -355,10 +329,6 @@ class FracPartEvaluator:
         with mpmath.mp.workprec(self._work):
             self._sqrt_d = mpmath.sqrt(alpha.d)
         self.error_bound = math.ldexp(1.0, 2 - self.precision_bits)
-
-    def floor_n_alpha(self, n: int) -> int:
-        a = self.alpha
-        return floor_surd(n * a.a, n * a.b, a.c, a.d)
 
     def frac_part(self, n: int) -> FractionalPart:
         if not 1 <= n <= self.n_max:

@@ -18,7 +18,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .atomicio import atomic_open
 from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
                          default_precision_bits, exact_residue,
                          kronecker_fixed_point_blocks, scaled_floor)
@@ -51,10 +50,6 @@ class ProductTrace:
         if isinstance(self.log_values, np.ndarray):
             return self.log_values
         return np.array([float(v) for v in self.log_values], dtype=np.float64)
-
-    @property
-    def log_final(self):
-        return self.log_values[-1]
 
 
 def _is_endpoint(x) -> bool:
@@ -148,13 +143,6 @@ def orbit_trace(orbits, N: int) -> ProductTrace:
         err += e
     cum, sum_err = compensated_cumsum(terms)
     return ProductTrace(cum, err + sum_err, N)
-
-
-def closed_form_roots_of_unity(N: int) -> int:
-    """Reference value of prod_{k=1}^{N-1} 2 sin(pi k / N), which is N."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return N
 
 
 def closed_form_shifted(N: int, x) -> float:
@@ -365,36 +353,3 @@ def rotation_products(alpha: IrrationalSpec, N: int,
              + math.ldexp(1.0 + 2.0 ** (1 - prec), -prec)) * (1.0 + 2.0 ** -40)
     bound += 2.0 * math.ulp(bound)
     return RotationProducts(alpha, N, k, prec, bound, exact)
-
-
-def normalized_trace(ps, normalizer: str = "none") -> list:
-    """exp(log P_N) / norm(N) per prefix, overflow-safe.
-
-    Ratios whose log exceeds 700 are reported as inf rather than raising;
-    anything below the subnormal range underflows to 0.0.
-    """
-    k = normalizer_power(normalizer)
-    trace = ps if isinstance(ps, ProductTrace) else product_trace(ps)
-    logs = trace.as_float_array()
-    out = []
-    for n, lp in enumerate(logs, 1):
-        r = lp - k * math.log(n)
-        if r == -math.inf:
-            out.append(0.0)
-        elif r > 700.0:
-            out.append(math.inf)
-        else:
-            out.append(math.exp(r))
-    return out
-
-
-def write_product_csv(trace: ProductTrace, path, normalizer: str = "none") -> None:
-    """Serialize as "N,logP,P_over_norm" with the normalizer recorded in a
-    header comment."""
-    logs = trace.as_float_array()
-    values = normalized_trace(trace, normalizer)
-    with atomic_open(path) as fh:
-        fh.write(f"# normalizer={normalizer}\n")
-        fh.write("N,logP,P_over_norm\n")
-        for n, (lp, val) in enumerate(zip(logs, values), 1):
-            fh.write(f"{n},{lp!r},{val!r}\n")

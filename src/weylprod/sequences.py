@@ -3,27 +3,18 @@
 Rational families (van der Corput, uniform grid) are produced as exact
 rationals over a common denominator (`RationalArray`); Kronecker orbits
 are high-precision mpf values from the evaluator of the exact surd
-machinery (`FracPartEvaluator`); lacunary orbits are exact mpf windows of
-alpha's binary expansion, read off one exact floor (`scaled_floor`);
-random subsequences select float64 points of the 128-bit fixed-point
-orbit (`kronecker_fixed_point`) with coin flips from `coin_flips`; random
-families use numpy's seeded generators.
+machinery (`FracPartEvaluator`). `coin_flips` draws the coin that picks
+the random subsequence of the subsequence Monte Carlo model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
-from .atomicio import atomic_open
-from .irrational import (DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec,
-                         check_precision_bits, default_precision_bits,
-                         kronecker_fixed_point, scaled_floor)
-from .numerics import decimal_str
+from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
 
 # coin draws allowed per requested term before a selection gives up: a fair
 # coin needs about 2, and falls short of N heads in 64 N draws with
@@ -145,35 +136,6 @@ def uniform_grid(N: int) -> PointSet:
     return PointSet(pts, "uniform-grid", {"N": N})
 
 
-def lacunary(alpha: IrrationalSpec, N: int,
-             precision_bits: int | None = None) -> PointSet:
-    """Doubling orbit {2^k alpha}, k = 1..N, as exact p-bit mpf values: with
-    B = floor(alpha 2^(N+p)), floor({2^k alpha} 2^p) is
-    (B >> (N-k)) mod 2^p, so each point is below its true value by less
-    than 2^-p. p defaults to the precision for an index budget of 2^N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    p = (precision_bits if precision_bits is not None
-         else default_precision_bits(1 << N))
-    check_precision_bits(p)
-    B = scaled_floor(alpha, N + p)
-    with mpmath.mp.workprec(p):
-        pts = [mpmath.mpf(((B >> (N - k)) % (1 << p), -p))
-               for k in range(1, N + 1)]
-    return PointSet(pts, "lacunary",
-                    {"alpha": str(alpha), "N": N, "precision_bits": p},
-                    point_error=math.ldexp(1.0, -p))
-
-
-def random_uniform(N: int, seed: int) -> PointSet:
-    """N i.i.d. uniform draws from a seeded, reproducible generator."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    rng = np.random.default_rng(seed)
-    pts = rng.random(N).tolist()
-    return PointSet(pts, "iid-uniform", {"N": N, "seed": seed})
-
-
 def coin_flips(rng: np.random.Generator, N_terms: int,
                size: int | None = None, coin=None) -> np.ndarray:
     """Coin flips (True = heads) holding at least N_terms heads: `size`
@@ -199,37 +161,3 @@ def coin_flips(rng: np.random.Generator, N_terms: int,
                 f"the coin showed {heads} heads in {len(bits)} draws, fewer "
                 f"than the {N_terms} terms requested; giving up above "
                 f"{max_draws} draws")
-
-
-def random_subsequence(alpha: IrrationalSpec, N_terms: int, seed: int,
-                       coin=None) -> PointSet:
-    """{n_k alpha} for the random subsequence n_1 < n_2 < ... picked by
-    independent coin flips (index n kept when the n-th flip is heads), as
-    float64 points of the fixed-point orbit (`kronecker_fixed_point`).
-
-    `coin(rng, size) -> bool array` can be overridden for degenerate-case
-    testing; the default is a fair coin (`coin_flips`).
-    """
-    if N_terms < 0:
-        raise ValueError("N_terms must be >= 0")
-    rng = np.random.default_rng(seed)
-    bits = coin_flips(rng, N_terms, coin=coin)
-    indices = np.flatnonzero(bits)[:N_terms] + 1
-    pts, err = np.empty(0), 0.0
-    if N_terms:
-        orbit = kronecker_fixed_point(alpha, int(indices[-1]))
-        pts = orbit.points()[indices - 1]
-        # points above 1/2 take one more rounding than `error()` covers
-        err = float(orbit.error()[indices - 1].max()) + 2.0 ** -53
-    return PointSet(pts, "random-subseq",
-                    {"alpha": str(alpha), "N_terms": N_terms, "seed": seed,
-                     "indices": indices.tolist()},
-                    point_error=err)
-
-
-def write_pointset_csv(ps: PointSet, path, digits: int = 40) -> None:
-    """Serialize as "index,value" with 40 significant digits."""
-    with atomic_open(path) as fh:
-        fh.write("index,value\n")
-        for i, x in enumerate(ps.points, 1):
-            fh.write(f"{i},{decimal_str(x, digits)}\n")

@@ -239,6 +239,21 @@ def test_verify_extremal_csv(tmp_path, capsys):
     assert json.loads(stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["ostrowski", "--n-max", "100"],
+    ["extremal", "--n-max", "64"],
+    ["extremal", "--N", "10", "--d", "0.3", "--out", "{tmp}/rep.csv"]])
+def test_verify_format_csv_without_sweep_file_usage_error(tmp_path, capsys,
+                                                          args):
+    # only the extremal sweep writes CSV, and only to a file: elsewhere
+    # --format csv is refused, not answered with JSON
+    args = [a.format(tmp=tmp_path) for a in args]
+    code, stdout, err = run(["verify", *args, "--format", "csv"], capsys)
+    assert code == 2
+    assert "--format" in err and stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_extremal_single_odd_n_not_evaluated(capsys):
     # odd N: no extremal configuration, so nothing is compared
     code, stdout, _ = run(["verify", "extremal", "--N", "7", "--d", "0.2"],

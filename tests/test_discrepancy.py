@@ -12,8 +12,7 @@ from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   PrefixDiscrepancy, _vdc_deltas,
                                   brute_force_star_discrepancy,
                                   discrepancy_trace, kronecker_discrepancy,
-                                  star_discrepancy, vdc_discrepancy,
-                                  write_trace_csv)
+                                  star_discrepancy, vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import as_float_array
 from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
@@ -180,17 +179,6 @@ def test_kronecker_delta_log_growth(sqrt2m1):
     tr = discrepancy_trace([float(x) for x in ps.points])
     worst = max(tr[n - 1].delta / math.log(n) for n in range(2, 2001))
     assert worst < 3.0
-
-
-def test_trace_csv(tmp_path):
-    tr = discrepancy_trace([0.5, 0.25, 0.75])
-    path = tmp_path / "trace.csv"
-    write_trace_csv(tr, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "N,d_star,delta"
-    assert len(lines) == 4
-    n, d, delta = lines[3].split(",")
-    assert float(delta) == pytest.approx(3 * float(d))
 
 
 # ------------------------------------------------------ trace vs the loop

@@ -11,9 +11,8 @@ from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
                                  IrrationalSpec, cf_expand, cf_expand_until,
                                  default_precision_bits, floor_surd,
                                  is_perfect_square, ostrowski,
-                                 ostrowski_digit_sums, parse_alpha, surd_cmp,
-                                 surd_from_cf, surd_sign,
-                                 type_exponent_estimate)
+                                 ostrowski_digit_sums, parse_alpha,
+                                 surd_from_cf, surd_sign)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -212,8 +211,8 @@ def test_approximation_sandwich_exact():
                 u, v = -u, -v
             # |alpha - p/q| = (u + v sqrt(d)) / (c q), so the sandwich
             # against 1/(q qn) and 1/(q (q + qn)) cancels the factor q:
-            assert surd_cmp(u * qn, v * qn, d, c, 1) < 0
-            assert surd_cmp(u * (q + qn), v * (q + qn), d, c, 1) > 0
+            assert surd_sign(u * qn - c, v * qn, d) < 0
+            assert surd_sign(u * (q + qn) - c, v * (q + qn), d) > 0
 
 
 def test_fibonacci_growth():
@@ -381,31 +380,6 @@ def test_frac_part_budget_and_bounds(sqrt2m1):
     with pytest.raises(ValueError):
         FracPartEvaluator(sqrt2m1, precision_bits=0)
     assert default_precision_bits(DEFAULT_N_MAX) == 112
-
-
-# ---------------------------------------------------------- type exponent
-
-def test_type_exponent_bounded_quotients(sqrt2m1, golden):
-    assert type_exponent_estimate(cf_expand(sqrt2m1, 20)) <= 1.5
-    t = cf_expand(golden, 25)
-    est = type_exponent_estimate(t)
-    assert est <= 1.3
-    # the tail ratio keeps shrinking toward 1 for bounded quotients
-    last = math.log(t.q[-1]) / math.log(t.q[-2])
-    assert 1.0 < last < 1.05
-
-
-def test_type_exponent_injected_quotient():
-    # a_4 equals q_3 = 12, so q_4 ~ q_3^2 and the estimate reaches 2
-    alpha = surd_from_cf([2, 2, 2, 12], [2])
-    t = cf_expand(alpha, 8)
-    assert t.partial_quotients[3] == 12 == t.q[3]
-    assert type_exponent_estimate(t) >= 2.0
-
-
-def test_type_exponent_needs_depth(golden):
-    with pytest.raises(ValueError):
-        type_exponent_estimate(cf_expand(golden, 2))
 
 
 # ------------------------------------------------------------ surd_from_cf

@@ -13,14 +13,10 @@ from weylprod import products
 from weylprod.numerics import log_two_sin_pi, log_two_sin_pi_mp
 from weylprod.irrational import (FracPartEvaluator, parse_alpha,
                                  surd_from_cf)
-from weylprod.products import (ANCHOR_STEPS, ProductTrace,
-                               closed_form_roots_of_unity,
-                               closed_form_shifted, normalized_trace,
+from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
                                normalizer_power, product_trace,
-                               rotation_products, row_value,
-                               write_product_csv)
-from weylprod.sequences import (PointSet, kronecker, uniform_grid,
-                                van_der_corput)
+                               rotation_products, row_value)
+from weylprod.sequences import PointSet, kronecker, uniform_grid
 from weylprod.stochastic import log_integral
 
 
@@ -33,7 +29,6 @@ def test_roots_of_unity_identity():
     # prod_{k<N} 2 sin(pi k/N) == N; uniform_grid(N-1) is exactly that set
     for N in (2, 3, 5, 17, 256, 2048):
         tr = product_trace(uniform_grid(N - 1))
-        assert closed_form_roots_of_unity(N) == N
         assert abs(float(tr.log_values[-1]) - math.log(N)) \
             <= 1e-10 * max(1.0, math.log(N))
 
@@ -92,30 +87,6 @@ def test_zero_point_sentinel():
     vals = tr.as_float_array()
     assert vals[0] == pytest.approx(math.log(2.0))
     assert vals[1] == -math.inf and vals[2] == -math.inf
-    norm = normalized_trace(tr, "none")
-    assert norm[1] == 0.0
-
-
-def test_normalized_trace_identity_and_overflow():
-    tr = ProductTrace(np.array([1.0, 800.0]), 0.0, 2)
-    assert normalized_trace(tr, "none") == [pytest.approx(math.e), math.inf]
-    with pytest.raises(ValueError):
-        normalized_trace(tr, "bogus")
-
-
-def test_normalized_trace_vdc_limit():
-    # P_n / n^2 at n = 2^(s+1) - 2 approaches 1/(2 pi); s = 12 is already
-    # within ~1e-3 relative (the closed form converges like 2^-s)
-    s = 12
-    n1 = 2 ** (s + 1) - 2
-    ps = van_der_corput(n1)
-    vals = normalized_trace(ps, "one_over_N_squared")
-    assert vals[-1] == pytest.approx(1.0 / (2 * math.pi), rel=2e-3)
-
-
-def test_normalized_kronecker_bounded(sqrt2m1):
-    vals = normalized_trace(kronecker(sqrt2m1, 500), "one_over_N")
-    assert 0 < max(vals) < 5.0
 
 
 def test_log_sin_integral_vanishes():
@@ -140,18 +111,6 @@ def test_float_trace_charges_point_error():
     m = np.minimum(pts, np.subtract(1.0, pts))
     assert tr.error_bound - bare == pytest.approx(
         float(np.sum(1.6e-12 / m)), rel=1e-12)
-
-
-def test_product_csv(tmp_path):
-    tr = product_trace(uniform_grid(9))
-    path = tmp_path / "prod.csv"
-    write_product_csv(tr, path, normalizer="one_over_N")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# normalizer=one_over_N"
-    assert lines[1] == "N,logP,P_over_norm"
-    last = lines[-1].split(",")
-    assert int(last[0]) == 9
-    assert float(last[2]) == pytest.approx(10.0 / 9.0, rel=1e-12)
 
 
 # ------------------------------------------------------ rotation kernel

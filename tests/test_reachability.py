@@ -1,0 +1,185 @@
+"""Every top-level function and class in `src/weylprod` is reachable from a
+root: `cli.main`, a name `bench/` imports or traces, or a name the
+acceptance suite imports. The roots are read from those files.
+
+Reachability is by name, from the source alone: a definition reaches every
+top-level name of the package that its body mentions, directly, through a
+`from .module import name` or through a module alias (`bnd.check_hlawka`),
+and a class reaches everything its methods mention. Code at module level,
+other than imports, runs at import and counts as a root. Annotations are
+not uses. A local name that shadows a top-level one counts as a use of it,
+so the guard can miss dead code but does not flag live code.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "weylprod"
+PACKAGE = "weylprod"
+
+
+def _module_of(node: ast.ImportFrom):
+    """The weylprod module `node` imports from ("" for the package), or
+    None for any other package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and (
+            node.module == PACKAGE or node.module.startswith(PACKAGE + ".")):
+        return node.module[len(PACKAGE) + 1:]
+    return None
+
+
+class _Uses(ast.NodeVisitor):
+    """The package-level names a piece of code mentions, as (module, name)."""
+
+    def __init__(self, module: str, index):
+        self.module, self.index, self.found = module, index, set()
+
+    def _name(self, module: str, name: str) -> None:
+        if name in self.index.defs.get(module, ()):
+            self.found.add((module, name))
+
+    def visit_Name(self, node):
+        key = self.index.bindings[self.module].get(node.id)
+        if key is not None:
+            self.found.add(key)
+
+    def visit_Attribute(self, node):
+        # alias.name, alias bound to a package module
+        if isinstance(node.value, ast.Name):
+            target = self.index.aliases[self.module].get(node.value.id)
+            if target is not None:
+                self._name(target, node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        # imports inside a function body are uses of what they import
+        module = _module_of(node)
+        if module:
+            for alias in node.names:
+                self._name(module, alias.name)
+
+    def visit_arg(self, node):
+        pass  # skip the annotation
+
+    def visit_FunctionDef(self, node):
+        for child in (node.decorator_list + node.args.defaults
+                      + [d for d in node.args.kw_defaults if d is not None]
+                      + node.body):
+            self.visit(child)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):
+        if node.value is not None:
+            self.visit(node.value)
+
+
+class _Index:
+    """Top-level definitions of every module and what each module's names
+    and module aliases refer to."""
+
+    def __init__(self):
+        self.trees = {p.stem: ast.parse(p.read_text())
+                      for p in sorted(SRC.glob("*.py"))}
+        self.defs = {}
+        self.bindings = {}
+        self.aliases = {}
+        for module, tree in self.trees.items():
+            self.defs[module] = {
+                node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))}
+        for module, tree in self.trees.items():
+            bind = {name: (module, name) for name in self.defs[module]}
+            alias = {}
+            for node in tree.body:
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                source = _module_of(node)
+                if source is None:
+                    continue
+                for a in node.names:
+                    if source == "" and a.name in self.trees:
+                        alias[a.asname or a.name] = a.name
+                    elif a.name in self.defs.get(source, ()):
+                        bind[a.asname or a.name] = (source, a.name)
+            self.bindings[module] = bind
+            self.aliases[module] = alias
+
+    def uses(self, module: str, node) -> set:
+        v = _Uses(module, self)
+        v.visit(node)
+        return v.found
+
+
+def _external_roots(index: _Index, path: Path) -> set:
+    """(module, name) pairs that the file at `path` imports from the package
+    or reaches as `weylprod.module.name`."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = _module_of(node) if node.level == 0 else None
+            if module:
+                roots |= {(module, a.name) for a in node.names}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Attribute)
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id == PACKAGE):
+            roots.add((node.value.attr, node.attr))
+    return {r for r in roots if r[1] in index.defs.get(r[0], ())}
+
+
+def _traced_roots() -> set:
+    """The functions `bench/tracing.py` wraps by name; a method roots its
+    class."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS"
+                        for t in node.targets)):
+            targets = ast.literal_eval(node.value)
+            break
+    else:
+        raise AssertionError("bench/tracing.py defines no TARGETS")
+    return {(module, attr.split(".")[0]) for module, attr, _, _ in targets}
+
+
+def unreachable() -> list:
+    index = _Index()
+    roots = {("cli", "main")} | _traced_roots()
+    roots |= _external_roots(index, ROOT / "tests" / "test_acceptance.py")
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        roots |= _external_roots(index, path)
+    for module, tree in index.trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef, ast.Import,
+                                     ast.ImportFrom)):
+                roots |= index.uses(module, node)
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        module, name = key
+        todo.extend(index.uses(module, index.defs[module][name]) - seen)
+    return sorted(f"{module}.{name}"
+                  for module, defs in index.defs.items()
+                  for name in defs if (module, name) not in seen)
+
+
+def test_every_definition_is_reachable():
+    assert unreachable() == []
+
+
+def test_guard_sees_a_dead_definition(tmp_path, monkeypatch):
+    # the guard itself: a function nothing calls is reported
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("\n\ndef _never_called():\n    return LOG2\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unreachable() == ["numerics._never_called"]

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath
@@ -7,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylprod.irrational import FracPartEvaluator, kronecker_fixed_point
-from weylprod.sequences import (PointSet, RationalArray, kronecker, lacunary,
-                                random_subsequence, random_uniform,
-                                uniform_grid, van_der_corput,
-                                write_pointset_csv)
+from weylprod.irrational import FracPartEvaluator
+from weylprod.sequences import (PointSet, RationalArray, kronecker,
+                                uniform_grid, van_der_corput)
 
 
 # ---------------------------------------------------------------- kronecker
@@ -116,95 +113,11 @@ def test_rational_array_sequence_protocol():
     assert np.array_equal(ra.to_float_array(), np.array([0.25, 0.5, 0.75]))
 
 
-# ---------------------------------------------------------------- lacunary
-
-def test_lacunary_first_point(sqrt2m1):
-    ps = lacunary(sqrt2m1, 1)
-    with mpmath.mp.workprec(200):
-        assert abs(ps.points[0] - (2 * mpmath.sqrt(2) - 2)) < ps.point_error
-
-
-def test_lacunary_doubling_identity(sqrt2m1):
-    ps = lacunary(sqrt2m1, 30)
-    with mpmath.mp.workprec(140):  # doubling must not round back to 53 bits
-        tol = mpmath.ldexp(1, -80)
-        for k in range(len(ps.points) - 1):
-            doubled = (2 * ps.points[k]) % 1
-            assert abs(ps.points[k + 1] - doubled) < tol
-
-
-def test_lacunary_20_vs_512bit_oracle(sqrt2m1):
-    ps = lacunary(sqrt2m1, 20, precision_bits=280)
-    with mpmath.mp.workprec(512):
-        a = mpmath.sqrt(2) - 1
-        tol = mpmath.ldexp(1, -200)
-        for k, x in enumerate(ps.points, 1):
-            assert abs(x - ((1 << k) * a) % 1) < tol
-
-
-def test_lacunary_past_sixty_doublings(sqrt2m1):
-    # one exact floor serves any number of doublings
-    ps = lacunary(sqrt2m1, 200)
-    assert ps.params["precision_bits"] == 464
-    with mpmath.mp.workprec(800):
-        a = mpmath.sqrt(2) - 1
-        for k, x in enumerate(ps.points, 1):
-            assert 0 <= ((1 << k) * a) % 1 - x < ps.point_error
-
-
-# ------------------------------------------------------------------ random
-
-def test_random_uniform_deterministic():
-    a = random_uniform(1000, seed=42)
-    b = random_uniform(1000, seed=42)
-    assert a.points == b.points
-    assert random_uniform(0, seed=1).points == []
-
-
-def test_random_uniform_ks():
-    # the Kolmogorov-Smirnov statistic max_i max(i/n - x_(i), x_(i) - (i-1)/n)
-    n = 10 ** 6
-    x = np.sort(random_uniform(n, seed=7).points)
-    i = np.arange(1, n + 1)
-    stat = max(np.max(i / n - x), np.max(x - (i - 1) / n))
-    assert stat < 1.95 / math.sqrt(n)
-
-
-def test_random_subsequence_all_heads(sqrt2m1):
-    heads = lambda rng, size: np.ones(size, dtype=bool)
-    sub = random_subsequence(sqrt2m1, 50, seed=0, coin=heads)
-    assert sub.params["indices"] == list(range(1, 51))
-    assert np.array_equal(sub.points,
-                          kronecker_fixed_point(sqrt2m1, 50).points())
-    for x, y in zip(sub.points, kronecker(sqrt2m1, 50).points):
-        assert abs(x - y) <= sub.point_error
-
-
-def test_random_subsequence_tails_coin_stops(sqrt2m1):
-    tails = lambda rng, size: np.zeros(size, dtype=bool)
-    with pytest.raises(ValueError, match="heads"):
-        random_subsequence(sqrt2m1, 50, seed=0, coin=tails)
-
-
-def test_random_subsequence_density(sqrt2m1):
-    sub = random_subsequence(sqrt2m1, 3000, seed=3)
-    n_last = sub.params["indices"][-1]
-    assert abs(3000 - n_last / 2) <= 3 * math.sqrt(n_last)
-
-
-def test_random_subsequence_deterministic(sqrt2m1):
-    a = random_subsequence(sqrt2m1, 200, seed=9)
-    b = random_subsequence(sqrt2m1, 200, seed=9)
-    assert a.params["indices"] == b.params["indices"]
-    assert np.array_equal(a.points, b.points)
-
-
 # -------------------------------------------------------------- invariants
 
 def test_range_invariants(sqrt2m1):
     for ps in (kronecker(sqrt2m1, 100), van_der_corput(100),
-               uniform_grid(100), lacunary(sqrt2m1, 10),
-               random_uniform(100, 1)):
+               uniform_grid(100)):
         assert len(ps) == ps.params["N"]
         for x in ps:
             assert 0 <= x <= 1
@@ -216,18 +129,3 @@ def test_pointset_rejects_bad_points():
     with pytest.raises(ValueError):
         PointSet([Fraction(0), Fraction(1, 2)], "vdc")
     PointSet([Fraction(0), Fraction(1, 2)], "extremal")  # endpoints ok here
-
-
-def test_pointset_csv_roundtrip(tmp_path, sqrt2m1):
-    ps = kronecker(sqrt2m1, 5)
-    path = tmp_path / "pts.csv"
-    write_pointset_csv(ps, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,value"
-    assert len(lines) == 6
-    # 40 significant digits survive the round trip well below point_error
-    for i, line in enumerate(lines[1:], 1):
-        idx, val = line.split(",")
-        assert int(idx) == i
-        assert abs(float(ps.points[i - 1]) - float(val)) < 1e-16
-        assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 35
