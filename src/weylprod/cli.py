@@ -7,10 +7,12 @@ Every command is deterministic given its full flag set (seed and precision
 included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
 exact residues, multiplies them into an integer running product and
-streams the rows to its output; the output names that path ("kernel":
-"fixed-point-rotation"), the precision and the derived bound on the log of
-every row. --precision-bits or WEYL_PRECISION_BITS sets its working
-precision. `verify` and `mc` use the 128-bit fixed-point kernel with
+streams the rows to its output, each printed to 40 digits straight from
+its integer mantissa (`products.row_text`, byte for byte what
+`mpmath.libmp.to_str(row, 40)` prints); the output names that path
+("kernel": "fixed-point-rotation"), the precision and the derived bound on
+the log of every row. --precision-bits or WEYL_PRECISION_BITS sets its
+working precision. `verify` and `mc` use the 128-bit fixed-point kernel with
 float64 logs and a derived error bound.
 """
 
@@ -22,8 +24,6 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import bounds as bnd
 from . import stochastic as st
 from .atomicio import atomic_open
@@ -31,7 +31,7 @@ from .extremal import (ExtremalConfig, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep, write_sweep_csv)
 from .irrational import parse_alpha
-from .products import KERNEL, NORMALIZERS, rotation_products
+from .products import KERNEL, NORMALIZERS, rotation_products, row_text
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
                 "cesaro", "type-growth", "vdc-limits", "conjectures")
@@ -128,14 +128,15 @@ _JSON_ROW = '\n    {{\n      "N": {},\n      "value": "{}"\n    }}'
 
 
 def _figure_parts(head: str, rows, line: str, sep: str, tail: str):
-    """head, then `line.format(n, value)` for every row with `sep` between
-    rows, then tail: one string per row, which the output's buffer gathers
-    into its writes, so nothing of size N is held."""
+    """head, then `line.format(n, row_text(row))` for every row with `sep`
+    between rows, then tail: one string per row, which the output's buffer
+    gathers into its writes, so nothing of size N is held. `row_text`
+    prints the 40 digits of `mpmath.libmp.to_str(row, 40)` straight from
+    the row's integer mantissa."""
     yield head
-    to_str = mpmath.libmp.to_str
     lead = ""
     for n, row in enumerate(rows, 1):
-        yield lead + line.format(n, to_str(row, 40))
+        yield lead + line.format(n, row_text(row))
         lead = sep
     yield tail
 

@@ -6,7 +6,8 @@ rational and float point sets take a fast compensated double path; mpf
 point sets are accumulated at their own precision so the trace error bound
 stays meaningful far below 2^-53. The printed 40-digit series
 (`rotation_products`) keeps the product itself, as an integer mantissa and
-exponent, and takes its sines from a fixed-point rotation w^n in integers.
+exponent, and takes its sines from a fixed-point rotation w^n in integers;
+`row_text` prints its rows from their integer mantissas.
 """
 
 from __future__ import annotations
@@ -102,15 +103,23 @@ def _trace_mpf(pts, prec: int, pt_err: float) -> ProductTrace:
 
 def _float_terms(arr: np.ndarray, pt_err) -> tuple:
     """(terms log(2 sin pi x), their error bound, endpoint mask) for float
-    points `arr`; `pt_err` bounds each point's error (scalar or array)."""
+    points `arr`; `pt_err` bounds each point's error (scalar or array).
+
+    Endpoints are replaced by 1/2 in a copy only when there are any, and
+    the bounds are built in place in one scratch array of N."""
     endpoint = (arr == 0.0) | (arr == 1.0)
-    safe = np.where(endpoint, 0.5, arr)
+    safe = np.where(endpoint, 0.5, arr) if endpoint.any() else arr
     terms = log_two_sin_pi_array(safe)
-    err = float((TERM_EPS * (1.0 + np.abs(terms))).sum())
+    scratch = np.abs(terms)
+    scratch += 1.0
+    scratch *= TERM_EPS
+    err = float(scratch.sum())
     if isinstance(pt_err, np.ndarray) or pt_err:
         # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= pi / (2 min(x, 1-x))
-        m = np.minimum(safe, 1.0 - safe)
-        err += float(np.sum(1.6 * pt_err / m))
+        np.subtract(1.0, safe, out=scratch)
+        np.minimum(safe, scratch, out=scratch)
+        np.divide(1.6 * pt_err, scratch, out=scratch)
+        err += float(scratch.sum())
     return terms, err, endpoint
 
 
@@ -192,6 +201,62 @@ def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
     q, r = divmod(man << sh, nk)
     return mpmath.libmp.from_man_exp((q << 1) | (r > 0), exp - sh - 1,
                                      prec, "n")
+
+
+# `row_text` prints ROW_DIGITS digits the way libmp.to_str(row, ROW_DIGITS)
+# does: to_digits_exp takes ROW_DIGITS + 3 digits from a _DIGIT_BITS-bit
+# fixed-point copy of the row, rounded toward zero, and to_str rounds those
+# half up to ROW_DIGITS. The row is printed fixed-point when its leading
+# digit's exponent lies strictly between _MIN_FIXED and _MAX_FIXED.
+ROW_DIGITS = 40
+_LOG2_10 = math.log(10, 2)
+_DIGIT_BITS = int((ROW_DIGITS + 3) * _LOG2_10) + 10
+_MIN_FIXED = min(-(ROW_DIGITS // 3), -5)
+_MAX_FIXED = ROW_DIGITS
+
+
+def row_text(row: tuple) -> str:
+    """`mpmath.libmp.to_str(row, ROW_DIGITS)` for a raw mpf row, byte for
+    byte, from one multiply, one shift and one str() of the mantissa.
+
+    The digits are floor(row 10^fixdps) for the fixdps to_digits_exp picks,
+    from fixprec = _DIGIT_BITS - (exp + bc) binary places. Rows that are
+    not positive, or where to_digits_exp leaves that fixed-point branch
+    (fixprec <= 0, or |exp + bc| > 3500, where it first divides by a power
+    of ten), go to to_str itself."""
+    sign, man, exp, bc = row
+    top = exp + bc
+    fixprec = _DIGIT_BITS - top
+    if sign or not man or fixprec <= 0 or abs(top) > 3500:
+        return mpmath.libmp.to_str(row, ROW_DIGITS)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    sh = _DIGIT_BITS - bc
+    fixed = man << sh if sh >= 0 else man >> -sh
+    # fixed >= 2^(_DIGIT_BITS-1) and 10^fixdps >= 2^fixprec / 10^0.5 leave
+    # at least ROW_DIGITS + 5 digits
+    digits = str(fixed * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if digits[ROW_DIGITS] >= "5":
+        # half up, carrying through nines; 10^ROW_DIGITS gains a digit
+        digits = str(int(digits[:ROW_DIGITS]) + 1)
+        if len(digits) > ROW_DIGITS:
+            digits = digits[:ROW_DIGITS]
+            exponent += 1
+    else:
+        digits = digits[:ROW_DIGITS]
+    if _MIN_FIXED < exponent < _MAX_FIXED:
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + digits
+        else:
+            text = digits[:exponent + 1] + "." + digits[exponent + 1:]
+        suffix = ""
+    else:
+        text = digits[0] + "." + digits[1:]
+        suffix = ("e+" if exponent >= 0 else "e") + str(exponent)
+    text = text.rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    return text + suffix
 
 
 def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:

@@ -15,7 +15,8 @@ from weylprod.atomicio import atomic_open
 from weylprod.cli import main
 from weylprod.extremal import ExtremalConfig, extremal_product_closed_form
 from weylprod.irrational import FracPartEvaluator, parse_alpha
-from weylprod.products import NORMALIZERS, normalizer_power, product_trace
+from weylprod.products import (NORMALIZERS, normalizer_power, product_trace,
+                               rotation_products)
 from weylprod.sequences import kronecker
 
 
@@ -146,6 +147,25 @@ def test_figure_precision_bits_160_tightens_bound(tmp_path, capsys,
     assert meta["precision_bits"] == 160
     bound = assert_rows_within_bound(meta, rows, figure_oracle)
     assert bound < float(meta112["log_error_bound"]) * 2.0 ** -40
+
+
+@pytest.mark.parametrize("precision_bits", [None, 1100])
+@pytest.mark.parametrize("normalizer", NORMALIZERS)
+def test_figure_values_are_to_str_of_rows(tmp_path, capsys, monkeypatch,
+                                          normalizer, precision_bits):
+    # the printed values are mpmath's own 40 digits of every row, byte for
+    # byte, at the default precision and at 1100 bits
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    series = rotation_products(parse_alpha(FIGURE_ALPHA), FIGURE_N,
+                               normalizer, precision_bits)
+    want = {n: mpmath.libmp.to_str(row, 40)
+            for n, row in enumerate(series, 1)}
+    flags = ([] if precision_bits is None
+             else ["--precision-bits", str(precision_bits)])
+    for fmt in ("csv", "json"):
+        meta, rows = run_figure(tmp_path, capsys, normalizer, fmt, *flags)
+        assert int(meta["precision_bits"]) == series.precision_bits
+        assert rows == want
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 7])

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from weylprod import products
-from weylprod.numerics import log_two_sin_pi, log_two_sin_pi_mp
+from weylprod.numerics import (TERM_EPS, log_two_sin_pi,
+                               log_two_sin_pi_array, log_two_sin_pi_mp)
 from weylprod.irrational import (FracPartEvaluator, parse_alpha,
                                  surd_from_cf)
 from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
                                normalizer_power, product_trace,
-                               rotation_products, row_value)
-from weylprod.sequences import PointSet, kronecker, uniform_grid
+                               rotation_products, row_text, row_value)
+from weylprod.sequences import (PointSet, kronecker, uniform_grid,
+                                van_der_corput)
 from weylprod.stochastic import log_integral
 
 
@@ -111,6 +113,40 @@ def test_float_trace_charges_point_error():
     m = np.minimum(pts, np.subtract(1.0, pts))
     assert tr.error_bound - bare == pytest.approx(
         float(np.sum(1.6e-12 / m)), rel=1e-12)
+
+
+def float_terms_by_expressions(arr, pt_err):
+    """`products._float_terms` written as plain array expressions, one
+    temporary per operation: the reference its in-place form must match
+    bit for bit."""
+    endpoint = (arr == 0.0) | (arr == 1.0)
+    safe = np.where(endpoint, 0.5, arr)
+    terms = log_two_sin_pi_array(safe)
+    err = float((TERM_EPS * (1.0 + np.abs(terms))).sum())
+    if isinstance(pt_err, np.ndarray) or pt_err:
+        m = np.minimum(safe, 1.0 - safe)
+        err += float(np.sum(1.6 * pt_err / m))
+    return terms, err, endpoint
+
+
+@pytest.mark.parametrize("points", [
+    van_der_corput(5000).points.to_float_array(),
+    uniform_grid(3001).points.to_float_array(),
+    np.array([0.25, 0.0, 0.5, 0.9, 1.0, 1e-9]),
+], ids=["vdc", "grid", "endpoints"])
+def test_float_terms_bit_for_bit(points):
+    # the terms, the bound and the mask equal the expressions' bits, with
+    # no point error, a scalar one and one per point
+    before = points.copy()
+    per_point = np.linspace(1e-20, 1e-16, len(points))
+    for pt_err in (0.0, 1e-17, per_point):
+        terms, err, endpoint = products._float_terms(points, pt_err)
+        want_terms, want_err, want_endpoint = float_terms_by_expressions(
+            points, pt_err)
+        assert terms.tobytes() == want_terms.tobytes()
+        assert err == want_err
+        assert np.array_equal(endpoint, want_endpoint)
+    assert points.tobytes() == before.tobytes()
 
 
 # ------------------------------------------------------ rotation kernel
@@ -294,6 +330,38 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
     want = mpmath.fdiv(exact, n ** k, prec=prec, rounding="n")
     assert row == want._mpf_
     assert libmp.to_str(row, 40) == mpmath.nstr(want, 40)
+    assert row_text(row) == mpmath.nstr(want, 40)
+
+
+@settings(max_examples=400)
+@given(mantissas,
+       st.one_of(st.integers(-250, 160), st.integers(-3700, 3700)),
+       st.one_of(st.just(1), st.integers(1, 2 ** 48)),
+       st.sampled_from([68, 112, 160, 1100]))
+# leading digit at 10^-13 (scientific) and 10^-12 (fixed)
+@example(15, 0, 10 ** 14, 112)
+@example(15, 0, 10 ** 13, 112)
+# leading digit at 10^39 (fixed) and 10^40 (scientific)
+@example(10 ** 39, 0, 1, 160)
+@example(10 ** 40, 0, 1, 160)
+# forty 9s carried up across each edge: 10^-12 (1 - 10^-45) prints as
+# 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40
+@example(10 ** 45 - 1, 0, 10 ** 57, 160)
+@example(10 ** 44 - 1, 0, 10 ** 4, 160)
+# exp + bc = -3500 and -3501, 3500 and 3501 (past 3500, to_digits_exp
+# first divides by a power of ten)
+@example(1, -3501, 1, 112)
+@example(1, -3502, 1, 1100)
+@example(1, 3499, 1, 112)
+@example(1, 3500, 1, 1100)
+# fixprec = 0 (exp + bc = 152, handed to to_str) and 1
+@example(1, 151, 1, 160)
+@example(1, 150, 1, 160)
+# bc above the 152 fixed-point bits: a floor shift to the right
+@example(2 ** 200 - 1, -200, 3, 1100)
+def test_row_text_is_to_str(man, exp, nk, prec):
+    row = row_value(man, exp, nk, prec)
+    assert row_text(row) == libmp.to_str(row, 40)
 
 
 def test_rotation_bound_within_100x_of_observed():
