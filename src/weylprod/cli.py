@@ -7,13 +7,14 @@ Every command is deterministic given its full flag set (seed and precision
 included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
 exact residues, multiplies them into an integer running product and
-streams the rows to its output, each printed to 40 digits straight from
-its integer mantissa (`products.row_text`, byte for byte what
-`mpmath.libmp.to_str(row, 40)` prints); the output names that path
-("kernel": "fixed-point-rotation"), the precision and the derived bound on
-the log of every row. --precision-bits or WEYL_PRECISION_BITS sets its
-working precision. `verify` and `mc` use the 128-bit fixed-point kernel with
-float64 logs and a derived error bound.
+streams the rows to its output, each rounded and printed to 40 digits in
+integers (`products.row_value`, `products.row_texts`, byte for byte what
+`mpmath.libmp.to_str(row, 40)` prints for the row as an mpf); the output
+names that path ("kernel": "fixed-point-rotation"), the precision and the
+derived bound on the log of every row. The global --precision-bits, given
+before the subcommand (`weylprod --precision-bits 160 figure ...`), or
+WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
+128-bit fixed-point kernel with float64 logs and a derived error bound.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .extremal import (ExtremalConfig, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep, write_sweep_csv)
 from .irrational import parse_alpha
-from .products import KERNEL, NORMALIZERS, rotation_products, row_text
+from .products import KERNEL, NORMALIZERS, rotation_products, row_texts
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
                 "cesaro", "type-growth", "vdc-limits", "conjectures")
@@ -60,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Emit prod_{n<=N} |2 sin(pi n alpha)| (optionally "
                     "normalized) as an N,value series. Note {n sqrt(2)} = "
                     "{n (sqrt(2)-1)}, so --alpha sqrt2m1 reproduces series "
-                    "quoted for alpha = sqrt(2).")
+                    "quoted for alpha = sqrt(2). --precision-bits is a "
+                    "global option and goes before 'figure': weylprod "
+                    "--precision-bits 160 figure ...")
     fig.add_argument("--alpha", default="sqrt2m1")
     fig.add_argument("--n-max", "--N-max", dest="n_max", type=int, default=500)
     fig.add_argument("--normalizer", choices=NORMALIZERS, default="none")
@@ -128,15 +131,16 @@ _JSON_ROW = '\n    {{\n      "N": {},\n      "value": "{}"\n    }}'
 
 
 def _figure_parts(head: str, rows, line: str, sep: str, tail: str):
-    """head, then `line.format(n, row_text(row))` for every row with `sep`
-    between rows, then tail: one string per row, which the output's buffer
-    gathers into its writes, so nothing of size N is held. `row_text`
-    prints the 40 digits of `mpmath.libmp.to_str(row, 40)` straight from
-    the row's integer mantissa."""
+    """head, then `line.format(n, text)` for the text of every row pair
+    with `sep` between rows, then tail: one string per row, which the
+    output's buffer gathers into its writes, so nothing of size N is held.
+    `row_texts` prints the 40 digits of
+    `mpmath.libmp.to_str(from_man_exp(x, xe), 40)` straight from each
+    row's integer mantissa x."""
     yield head
     lead = ""
-    for n, row in enumerate(rows, 1):
-        yield lead + line.format(n, row_text(row))
+    for n, text in enumerate(row_texts(rows), 1):
+        yield lead + line.format(n, text)
         lead = sep
     yield tail
 

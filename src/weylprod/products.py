@@ -7,7 +7,8 @@ point sets are accumulated at their own precision so the trace error bound
 stays meaningful far below 2^-53. The printed 40-digit series
 (`rotation_products`) keeps the product itself, as an integer mantissa and
 exponent, and takes its sines from a fixed-point rotation w^n in integers;
-`row_text` prints its rows from their integer mantissas.
+its rows are rounded (`row_value`) and printed (`row_texts`) in integers
+too.
 """
 
 from __future__ import annotations
@@ -192,15 +193,30 @@ KERNEL = "fixed-point-rotation"
 
 def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
     """man 2^exp / nk, for positive integers man and nk, rounded once to
-    nearest at `prec` bits, as a raw mpf (a `mpmath.libmp` tuple).
+    nearest (ties to even) at `prec` bits, as an integer pair (x, xe) with
+    x 2^xe the rounded value; x < 2^prec, or x = 2^prec after a carry.
+    `mpmath.libmp.from_man_exp(x, xe)` is that value as a raw mpf, exactly.
 
-    The quotient is taken with at least prec + 2 bits and a sticky bit for
-    a nonzero remainder, so the one rounding in `from_man_exp` is the
-    correct rounding of the exact quotient."""
-    sh = max(0, prec + 2 + nk.bit_length() - man.bit_length())
-    q, r = divmod(man << sh, nk)
-    return mpmath.libmp.from_man_exp((q << 1) | (r > 0), exp - sh - 1,
-                                     prec, "n")
+    The quotient q is taken with at least prec + 2 bits and the remainder r
+    kept as a sticky bit, so rounding q in integers is the correct
+    rounding of the exact quotient: the bits shifted out are compared with
+    the half, and a tie (the half exactly, r = 0) keeps x even. nk = 1
+    needs no division."""
+    if nk == 1:
+        q, r = man, 0
+    else:
+        sh = max(0, prec + 2 + nk.bit_length() - man.bit_length())
+        q, r = divmod(man << sh, nk)
+        exp -= sh
+    n = q.bit_length() - prec
+    if n <= 0:
+        return q, exp
+    x = q >> n
+    rest = q - (x << n)
+    half = 1 << (n - 1)
+    if rest > half or rest == half and (r or x & 1):
+        x += 1
+    return x, exp + n
 
 
 # `row_text` prints ROW_DIGITS digits the way libmp.to_str(row, ROW_DIGITS)
@@ -215,26 +231,46 @@ _MIN_FIXED = min(-(ROW_DIGITS // 3), -5)
 _MAX_FIXED = ROW_DIGITS
 
 
-def row_text(row: tuple) -> str:
-    """`mpmath.libmp.to_str(row, ROW_DIGITS)` for a raw mpf row, byte for
-    byte, from one multiply, one shift and one str() of the mantissa.
-
-    The digits are floor(row 10^fixdps) for the fixdps to_digits_exp picks,
-    from fixprec = _DIGIT_BITS - (exp + bc) binary places. Rows that are
-    not positive, or where to_digits_exp leaves that fixed-point branch
-    (fixprec <= 0, or |exp + bc| > 3500, where it first divides by a power
-    of ten), go to to_str itself."""
-    sign, man, exp, bc = row
-    top = exp + bc
+def _digit_scale(top: int):
+    """(fixprec, fixdps, 10^fixdps) that to_digits_exp uses for a value in
+    [2^(top-1), 2^top), or None where it leaves its fixed-point branch
+    (fixprec <= 0, or |top| > 3500, where it first divides by a power of
+    ten)."""
     fixprec = _DIGIT_BITS - top
-    if sign or not man or fixprec <= 0 or abs(top) > 3500:
-        return mpmath.libmp.to_str(row, ROW_DIGITS)
+    if fixprec <= 0 or abs(top) > 3500:
+        return None
     fixdps = int(fixprec / _LOG2_10 + 0.5)
+    return fixprec, fixdps, 10 ** fixdps
+
+
+def row_text(row: tuple, scales: dict | None = None) -> str:
+    """`mpmath.libmp.to_str(from_man_exp(x, xe), ROW_DIGITS)` for a row
+    pair (x, xe), byte for byte, from one multiply, one shift and one
+    str() of x.
+
+    The digits are floor(row 10^fixdps) from fixprec = _DIGIT_BITS - top
+    binary places, top = xe + bitlen(x); trailing zero bits of x change
+    neither. `scales` maps top to its `_digit_scale` and is filled as rows
+    come; `row_texts` keeps one for a whole series. Rows that are not
+    positive, or that fall outside to_digits_exp's fixed-point branch, go
+    to to_str itself."""
+    x, xe = row
+    bc = x.bit_length()
+    top = xe + bc
+    if scales is None:
+        scales = {}
+    if top not in scales:
+        scales[top] = _digit_scale(top)
+    scale = scales[top]
+    if scale is None or x <= 0:
+        return mpmath.libmp.to_str(mpmath.libmp.from_man_exp(x, xe),
+                                   ROW_DIGITS)
+    fixprec, fixdps, ten = scale
     sh = _DIGIT_BITS - bc
-    fixed = man << sh if sh >= 0 else man >> -sh
+    fixed = x << sh if sh >= 0 else x >> -sh
     # fixed >= 2^(_DIGIT_BITS-1) and 10^fixdps >= 2^fixprec / 10^0.5 leave
     # at least ROW_DIGITS + 5 digits
-    digits = str(fixed * 10 ** fixdps >> fixprec)
+    digits = str(fixed * ten >> fixprec)
     exponent = len(digits) - fixdps - 1
     if digits[ROW_DIGITS] >= "5":
         # half up, carrying through nines; 10^ROW_DIGITS gains a digit
@@ -259,6 +295,14 @@ def row_text(row: tuple) -> str:
     return text + suffix
 
 
+def row_texts(rows):
+    """`row_text` of each row pair in turn, with one table of digit scales
+    for the series: a series' rows share few distinct tops."""
+    scales = {}
+    for row in rows:
+        yield row_text(row, scales)
+
+
 def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
     """(man, exp) with man 2^exp = sin(pi {n alpha}) within 2^-(wp+8)
     relative, from the exact floor of n alpha 2^b, b doubled until the
@@ -280,10 +324,11 @@ class RotationProducts:
     (k = the normalizer's power), with a bound on |log(row) - log(exact
     row)| that holds for every row. Built by `rotation_products`.
 
-    Iterating yields the rows in order as raw mpf tuples rounded to
-    `precision_bits`, computed afresh from integers on every pass: nothing
-    of size N is held. `exact_terms` lists the n whose sine was taken from
-    an exact floor instead of the rotation.
+    Iterating yields the rows in order as integer pairs (x, xe), x 2^xe
+    rounded to `precision_bits` (`row_value`), computed afresh from
+    integers on every pass: nothing of size N is held. `exact_terms` lists
+    the n whose sine was taken from an exact floor instead of the
+    rotation.
     """
 
     alpha: IrrationalSpec

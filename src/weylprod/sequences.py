@@ -114,18 +114,20 @@ def kronecker(alpha: IrrationalSpec, N: int,
 
 def van_der_corput(N: int) -> PointSet:
     """Base-2 radical inverses of 1..N as exact dyadic rationals over the
-    common denominator 2^L, L = bitlen(N): bit i of n goes to 2^(L-1-i)."""
+    common denominator 2^L, L = bitlen(N): bit i of n goes to 2^(L-1-i).
+
+    The numerators r(n) are built by doubling from r(0) = 0: the n in
+    [2^k, 2^(k+1)) are n - 2^k with bit k set, so r(n) = r(n - 2^k) +
+    2^(L-1-k), one vector add per bit for N + 1 entries in all."""
     if N < 1:
         raise ValueError("N must be >= 1")
     L = N.bit_length()
-    n = np.arange(1, N + 1, dtype=np.int64)
-    nums = np.zeros(N, dtype=np.int64)
-    for shift in range(L - 1, -1, -1):
-        bit = n & 1
-        bit <<= shift
-        nums |= bit
-        n >>= 1
-    return PointSet(RationalArray(nums, 1 << L), "vdc", {"N": N})
+    r = np.zeros(N + 1, dtype=np.int64)
+    for k in range(L):
+        lo = 1 << k
+        hi = min(2 * lo, N + 1)
+        np.add(r[:hi - lo], 1 << (L - 1 - k), out=r[lo:hi])
+    return PointSet(RationalArray(r[1:], 1 << L), "vdc", {"N": N})
 
 
 def uniform_grid(N: int) -> PointSet:

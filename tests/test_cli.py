@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -158,7 +159,8 @@ def test_figure_values_are_to_str_of_rows(tmp_path, capsys, monkeypatch,
     monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
     series = rotation_products(parse_alpha(FIGURE_ALPHA), FIGURE_N,
                                normalizer, precision_bits)
-    want = {n: mpmath.libmp.to_str(row, 40)
+    libmp = mpmath.libmp
+    want = {n: libmp.to_str(libmp.from_man_exp(*row), 40)
             for n, row in enumerate(series, 1)}
     flags = ([] if precision_bits is None
              else ["--precision-bits", str(precision_bits)])
@@ -166,6 +168,62 @@ def test_figure_values_are_to_str_of_rows(tmp_path, capsys, monkeypatch,
         meta, rows = run_figure(tmp_path, capsys, normalizer, fmt, *flags)
         assert int(meta["precision_bits"]) == series.precision_bits
         assert rows == want
+
+
+# sha256 of `figure --alpha (1+1*sqrt(7))/5 --n-max 300` on stdout, by
+# (--precision-bits, normalizer, format), recorded before rows were rounded
+# in integers: a change to any printed byte must be deliberate
+FIGURE_SHA256 = {
+    (None, "none", "csv"):
+        "47dbad6de6ed607fbb1bad7a422a9d40526f58c387fd351b816ef858a5106771",
+    (None, "none", "json"):
+        "827a3cf8669fbbdd670557f6aba28bf6b08d387aabd8f1016633577b230e5e1c",
+    (None, "one_over_N", "csv"):
+        "561d7cff0bbddfb433be12c70c3201647424b89b55e0f79458b20e69e40f2970",
+    (None, "one_over_N", "json"):
+        "46807ba5b60dbfc05c36b24f544eda327f0cbf22e62aaa4b3bbdc188f4d5005f",
+    (None, "one_over_N_squared", "csv"):
+        "9dda33611954cc612812ba96e16d6a6ba76bc152b8b33313c42295d36f63320c",
+    (None, "one_over_N_squared", "json"):
+        "2a952bd6e1488c8029dde4dcaa3ef3a130817893c68d6637a7c1bc8a2b13a518",
+    (68, "none", "csv"):
+        "cbb89400f2242917679943e27a63a69cacd130e951fb783b24a75177cd0e1a94",
+    (68, "none", "json"):
+        "617d8de9bffaba9505fe8090102b5051674d714df7b6dea691a7f3a4ec8254f4",
+    (68, "one_over_N", "csv"):
+        "4573ad35671b05917234248b3d1c3312f1e696254db12ba834342076c72b1842",
+    (68, "one_over_N", "json"):
+        "40e28b0c3773079a41dc80edcc76a2826d0691f021bc79e32ab16bc579ab869a",
+    (68, "one_over_N_squared", "csv"):
+        "d9461f17298b1cdb67894317aae62d72dc29c7474ea7794d83889a66491df723",
+    (68, "one_over_N_squared", "json"):
+        "dc9a852f07763a84aa83335dad8ef095e9c7a35cd952958262f779095008b5d5",
+    (1100, "none", "csv"):
+        "7525427c6e7bf5f826123e75d4b69594e2e7a3aac8ef01d1b2110d263102670b",
+    (1100, "none", "json"):
+        "2c9bb204df4ee665666ae5219e2186d466839cd60687b98ba54e1d9b903ebb35",
+    (1100, "one_over_N", "csv"):
+        "6f7f001b37af244445a6d2593c4e82f4e472c30bc6b58fbadcb5ca6ebc2f8de2",
+    (1100, "one_over_N", "json"):
+        "c5a766f8f7b8f9275e636fa02920fd38461582e275cda827bbd12f43fca2a1af",
+    (1100, "one_over_N_squared", "csv"):
+        "14a46a80480e125d064f88aa8c35256f24b798f3bcbdbd8226d57f161523ca47",
+    (1100, "one_over_N_squared", "json"):
+        "ffb3bb60a050b62bcc32013efe71203088ccaeffa44feb20a3b7193456bbc8e4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FIGURE_SHA256, key=str))
+def test_figure_output_pinned(capsys, monkeypatch, key):
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    precision_bits, normalizer, fmt = key
+    flags = ([] if precision_bits is None
+             else ["--precision-bits", str(precision_bits)])
+    code, out, _ = run(flags + ["figure", "--alpha", FIGURE_ALPHA,
+                                "--n-max", str(FIGURE_N), "--normalizer",
+                                normalizer, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_SHA256[key]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 7])
@@ -484,6 +542,21 @@ def test_precision_bits_zero_is_usage_error(capsys, monkeypatch):
     code, _, err = run(["--precision-bits", "0", "figure", "--n-max", "2"],
                        capsys)
     assert code == 2 and "must be >= 68" in err
+
+
+def test_precision_bits_goes_before_the_subcommand(capsys):
+    # a global option: after `figure` it is a usage error, and figure's
+    # help shows where it goes
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--precision-bits", "160", "--n-max", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision-bits" in \
+        capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "-h"])
+    assert exc.value.code == 0
+    assert "weylprod --precision-bits 160 figure" in \
+        " ".join(capsys.readouterr().out.split())
 
 
 def test_unwritable_out_exit_3(tmp_path, capsys):

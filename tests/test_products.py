@@ -170,7 +170,8 @@ def rows_within_bound(series, oracle_logs, oracle_err, ns=None):
         for n, row in enumerate(series, 1):
             if ns is not None and n not in ns:
                 continue
-            got = mpmath.log(mpmath.mp.make_mpf(row)) + k * mpmath.log(n)
+            got = (mpmath.log(mpmath.mp.make_mpf(libmp.from_man_exp(*row)))
+                   + k * mpmath.log(n))
             gap = abs(got - oracle_logs[n - 1])
             assert gap <= bound + oracle_err, n
             worst = max(worst, gap)
@@ -186,7 +187,7 @@ def test_rotation_products_against_evaluator_oracle(golden):
     rows = list(series)
     bound = series.log_error_bound
     assert len(rows) == N and 0 < bound < 1e-20
-    assert all(row[3] <= 96 for row in rows)
+    assert all(libmp.from_man_exp(*row)[3] <= 96 for row in rows)
     rows_within_bound(series, oracle.log_values, oracle.error_bound)
 
 
@@ -222,7 +223,8 @@ def test_rotation_bound_stays_positive_past_double_range(sqrt2m1):
     # 2^-1100 is below the smallest double: the bound must not read 0
     series = rotation_products(sqrt2m1, 3, precision_bits=1100)
     assert series.log_error_bound > 0
-    assert [row[3] <= 1100 for row in series] == [True] * 3
+    assert [libmp.from_man_exp(*row)[3] <= 1100 for row in series] == \
+        [True] * 3
 
 
 @pytest.fixture(scope="module")
@@ -325,11 +327,12 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
     # fixed (leading digit between 10^-13 and 10^39) and scientific forms,
     # exact powers of 2, one correct rounding of man 2^exp / n^k
     row = row_value(man, exp, n ** k, prec)
-    assert row[3] <= prec
+    mpf = libmp.from_man_exp(*row)
+    assert mpf[3] <= prec
     exact = mpmath.mp.make_mpf(libmp.from_man_exp(man, exp))
     want = mpmath.fdiv(exact, n ** k, prec=prec, rounding="n")
-    assert row == want._mpf_
-    assert libmp.to_str(row, 40) == mpmath.nstr(want, 40)
+    assert mpf == want._mpf_
+    assert libmp.to_str(mpf, 40) == mpmath.nstr(want, 40)
     assert row_text(row) == mpmath.nstr(want, 40)
 
 
@@ -361,7 +364,69 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
 @example(2 ** 200 - 1, -200, 3, 1100)
 def test_row_text_is_to_str(man, exp, nk, prec):
     row = row_value(man, exp, nk, prec)
-    assert row_text(row) == libmp.to_str(row, 40)
+    assert row_text(row) == libmp.to_str(libmp.from_man_exp(*row), 40)
+
+
+def sticky_quotient_mpf(man, exp, nk, prec):
+    """man 2^exp / nk as a raw mpf at prec bits: the quotient with at least
+    prec + 2 bits and a sticky bit for a nonzero remainder, rounded by
+    mpmath's from_man_exp."""
+    sh = max(0, prec + 2 + nk.bit_length() - man.bit_length())
+    q, r = divmod(man << sh, nk)
+    return libmp.from_man_exp((q << 1) | (r > 0), exp - sh - 1, prec, "n")
+
+
+@st.composite
+def near_ties(draw):
+    """(man, exp, nk, prec) whose exact quotient x 2^t + tail has prec bits
+    in x and a tail just below, at or just above the half, or all ones
+    below x = 2^prec - 1 (a carry up to 2^prec)."""
+    prec = draw(st.sampled_from([68, 112, 160, 1100]))
+    t = draw(st.integers(1, 12))
+    half = 1 << (t - 1)
+    if draw(st.booleans()):
+        x = (1 << prec) - 1
+        tail = (1 << t) - 1
+    else:
+        x = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        tail = half + draw(st.sampled_from([-1, 0, 1]))
+    nk = draw(st.sampled_from([1, 3, 9, 2 ** 20, 7 ** 12]))
+    return nk * ((x << t) + tail), draw(st.integers(-900, 60)), nk, prec
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.tuples(mantissas, st.integers(-700, 60),
+                           st.one_of(st.just(1), st.integers(1, 2 ** 48),
+                                     st.integers(1, 2 ** 24).map(
+                                         lambda n: n * n)),
+                           st.sampled_from([68, 112, 160, 1100])),
+                 near_ties()),
+       st.integers(0, 200))
+# exact ties at 68 bits, the kept bit even (down) and odd (up), with and
+# without a division
+@example(((1 << 68) + 1, 0, 1, 68), 0)
+@example(((1 << 68) + 3, 0, 1, 68), 0)
+@example((3 * ((1 << 68) + 1), -5, 3, 68), 7)
+@example((3 * ((1 << 68) + 3), -5, 3, 68), 7)
+# all ones carried up to 2^prec
+@example(((1 << 113) - 1, 0, 1, 112), 0)
+@example((9 * ((1 << 1110) - 1), -40, 9, 1100), 3)
+# bitlen <= prec: nothing to round
+@example((12345, 3, 1, 112), 5)
+@example(((1 << 160) - 1, -160, 1, 160), 0)
+# nk = 1 with a sticky tail
+@example(((1 << 200) + 1, -200, 1, 160), 1)
+def test_row_value_rounds_like_from_man_exp(case, t):
+    man, exp, nk, prec = case
+    x, xe = row_value(man, exp, nk, prec)
+    mpf = libmp.from_man_exp(x, xe)
+    assert mpf == sticky_quotient_mpf(man, exp, nk, prec)
+    assert 0 < x <= 1 << prec
+    # trailing zero bits change no digit
+    want = libmp.to_str(mpf, 40)
+    assert row_text((x << t, xe - t)) == want
+    assert list(products.row_texts([(x, xe), (x << t, xe - t)])) == \
+        [want, want]
 
 
 def test_rotation_bound_within_100x_of_observed():

@@ -89,6 +89,31 @@ def test_vdc_matches_bit_reversal(N):
     assert list(ps.points) == want
 
 
+def vdc_numerators_by_bits(N):
+    """The radical-inverse numerators of 1..N over 2^bitlen(N), one bit of
+    every n per pass: bit i of n goes to 2^(L-1-i)."""
+    L = N.bit_length()
+    n = np.arange(1, N + 1, dtype=np.int64)
+    nums = np.zeros(N, dtype=np.int64)
+    for shift in range(L - 1, -1, -1):
+        bit = n & 1
+        bit <<= shift
+        nums |= bit
+        n >>= 1
+    return nums
+
+
+def test_vdc_numerators_match_bit_loop():
+    # every N <= 4096, and both sides of each power of two up to 2^20
+    Ns = set(range(1, 4097))
+    Ns |= {(1 << k) + d for k in range(21) for d in (-1, 0, 1)} - {0}
+    for N in sorted(Ns):
+        pts = van_der_corput(N).points
+        assert pts.denominator == 1 << N.bit_length()
+        assert pts.numerators.dtype == np.int64
+        assert np.array_equal(pts.numerators, vdc_numerators_by_bits(N)), N
+
+
 def test_vdc_floats_match_fractions():
     ps = van_der_corput(2000)
     arr = ps.points.to_float_array()
