@@ -88,7 +88,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     gamma reaches the largest certain one, is settled with Delta_N and the
     scalar formula.
     """
-    logs = ps_trace.as_float_array()
+    logs = ps_trace.log_values
     if len(logs) != len(d_trace):
         raise ValueError("product and discrepancy traces are not aligned")
     if N_min < 1:
@@ -224,7 +224,7 @@ def check_cesaro_log_bound(alpha: IrrationalSpec,
 def check_type_growth(alpha: IrrationalSpec, N_max: int, t: float) -> BoundReport:
     """Reports the empirical sup of log2 P_N / N^(1 - 1/t); never asserts a
     universal constant."""
-    if t <= 1.0:
+    if not t > 1.0:
         raise ValueError("t must exceed 1")
     logs, _ = kronecker_log_trace(alpha, N_max)
     n = np.arange(1, N_max + 1, dtype=np.float64)
@@ -341,7 +341,7 @@ def grid_hlawka_report(N: int) -> BoundReport:
     tr = product_trace(ps)
     d = star_discrepancy(ps)
     delta = float(d.delta)
-    lhs = float(tr.as_float_array()[-1])
+    lhs = float(tr.log_values[-1])
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
     if lhs > rhs + tr.error_bound + BASE_TOL:

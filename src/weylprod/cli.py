@@ -203,8 +203,6 @@ def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
     if args.gen == "grid":
         if args.N is None:
             raise UsageError("verify hlawka --gen grid needs --N")
-        if args.N < 1:
-            raise UsageError("--N must be >= 1")
         return bnd.grid_hlawka_report(args.N)
     if not 1 <= args.n_min <= args.n_max:
         raise UsageError(f"--n-min must be in [1, --n-max = {args.n_max}]")
@@ -218,6 +216,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                   and args.out != "-"):
         raise UsageError("--format csv is written only by the verify "
                          "extremal sweep, to an --out file")
+    if args.N is not None and args.N < 1:
+        raise UsageError("--N must be >= 1")
     if args.n_max is None:
         args.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
     elif args.n_max < 1:
@@ -317,7 +317,7 @@ def _validate(args: argparse.Namespace) -> None:
     if args.precision_bits is not None and args.precision_bits < 68:
         raise UsageError("--precision-bits must be >= 68")
     args.alpha = parse_alpha(args.alpha)
-    if args.command == "verify" and args.epsilon <= 0:
+    if args.command == "verify" and not args.epsilon > 0:
         raise UsageError("--epsilon must be positive")
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .numerics import as_float_array, compensated_cumsum
@@ -36,9 +35,9 @@ def _points_of(ps):
 def star_discrepancy(ps) -> DiscrepancyResult:
     """Exact star-discrepancy of a non-empty point multiset.
 
-    Exact points (Fractions, ints, and mpf values, which are dyadic
-    rationals) give an exact Fraction result; plain floats take a
-    vectorized float64 path.
+    Exact points (a `RationalArray`, or Fractions and ints) give an exact
+    Fraction result; any other points are read as float64 and take a
+    vectorized float path.
     """
     raw = _points_of(ps)
     if len(raw) == 0:
@@ -46,10 +45,8 @@ def star_discrepancy(ps) -> DiscrepancyResult:
     if isinstance(raw, RationalArray):
         return _exact(np.sort(raw.numerators), raw.denominator)
     pts = list(raw)
-    if (any(isinstance(x, mpmath.mpf) for x in pts)
-            or all(isinstance(x, (Fraction, int)) for x in pts)):
-        xs = [Fraction(*mpmath.libmp.to_rational(x._mpf_))
-              if isinstance(x, mpmath.mpf) else Fraction(x) for x in pts]
+    if all(isinstance(x, (Fraction, int)) for x in pts):
+        xs = [Fraction(x) for x in pts]
         den = math.lcm(*(x.denominator for x in xs))
         return _exact(sorted(x.numerator * (den // x.denominator)
                              for x in xs), den)

@@ -53,8 +53,7 @@ def build_extremal(cfg: ExtremalConfig) -> PointSet:
                            np.arange(half + 1, N - M + 1)))
     if len(nums) != N:
         raise AssertionError("extremal construction lost points")
-    return PointSet(RationalArray(nums, N), "extremal",
-                    {"N": N, "M": M, "d": cfg.d})
+    return PointSet(RationalArray(nums, N), "extremal")
 
 
 def extremal_product_closed_form(cfg: ExtremalConfig) -> float:
@@ -95,7 +94,7 @@ def threshold_B(epsilon: float, cap: int = 10 ** 7) -> int:
     values decrease too and the bisection lands on the M a linear scan
     would.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     target = 1.0 + math.pi / (2.0 * math.e) * epsilon
     if cap < 2 or not growth_factor(cap) < target:
@@ -127,7 +126,7 @@ def log_c_epsilon(epsilon: float) -> float:
 
 def sup_product_upper_bound(N: int, d: float, epsilon: float) -> float:
     """log of c(eps) (1/N) ((e/pi + eps) / d)^(2 N d)."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if d <= 0:
         raise ValueError("d must be positive")

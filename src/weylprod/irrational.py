@@ -119,13 +119,6 @@ class IrrationalSpec:
         if surd_sign(self.a - self.c, self.b, self.d) >= 0:
             raise ValueError("alpha must be less than 1")
 
-    def mpf(self, prec: int = 160):
-        """alpha as an mpf rounded at `prec` bits."""
-        with mpmath.mp.workprec(prec + 8):
-            v = (self.a + self.b * mpmath.sqrt(self.d)) / self.c
-        with mpmath.mp.workprec(prec):
-            return +v
-
     def __str__(self):
         sign = "+" if self.b >= 0 else "-"
         return f"({self.a}{sign}{abs(self.b)}*sqrt({self.d}))/{self.c}"

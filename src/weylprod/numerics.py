@@ -56,16 +56,6 @@ def log_two_sin_pi_array(x: np.ndarray) -> np.ndarray:
     return np.log(r, out=r)
 
 
-def log_two_sin_pi_mp(x, prec: int):
-    """log(2 sin(pi x)) as an mpf, evaluated at `prec` bits.
-
-    mpmath's sinpi reduces the argument exactly, which is what makes points
-    within 2^-p of an integer safe to use here.
-    """
-    with mpmath.mp.workprec(prec):
-        return mpmath.log(2 * mpmath.sinpi(x))
-
-
 SUM_CHUNK = 1 << 16
 
 

@@ -1,10 +1,11 @@
 """Numerically stable evaluation of P_N = prod 2 sin(pi x_k).
 
 Traces accumulate in log space: extremal sets overflow doubles long before
-desk scale, and log-space also makes the bound checkers uniform. Exact
-rational and float point sets take a fast compensated double path; mpf
-point sets are accumulated at their own precision so the trace error bound
-stays meaningful far below 2^-53. The printed 40-digit series
+desk scale, and log-space also makes the bound checkers uniform. Every
+point set (exact rationals, floats or mpf values) is read as float64 and
+takes one compensated double path, whose error bound charges each point's
+own error (`PointSet.point_error`); the checkers' Kronecker orbits come
+from the fixed-point kernel (`orbit_trace`). The printed 40-digit series
 (`rotation_products`) keeps the product itself, as an integer mantissa and
 exponent, and takes its sines from a fixed-point rotation w^n in integers;
 its rows are rounded (`row_value`) and printed (`row_texts`) in integers
@@ -24,8 +25,8 @@ from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
                          default_precision_bits, exact_residue,
                          kronecker_fixed_point_blocks, scaled_floor)
 from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
-                       log_two_sin_pi_array, log_two_sin_pi_mp)
-from .sequences import PointSet, RationalArray
+                       log_two_sin_pi_array)
+from .sequences import PointSet
 
 # normalizer -> k of the n^k that P_n is divided by
 _NORMALIZER_POWER = {"none": 0, "one_over_N": 1, "one_over_N_squared": 2}
@@ -34,72 +35,37 @@ NORMALIZERS = tuple(_NORMALIZER_POWER)
 
 @dataclass
 class ProductTrace:
-    """Prefix log-products log P_1 .. log P_N with an accumulated error
-    bound on the final (and by construction any earlier) entry.
+    """Prefix log-products log P_1 .. log P_N as a float64 array
+    `log_values`, with an accumulated error bound on the final (and by
+    construction any earlier) entry.
 
-    `log_values` is a float64 array for rational/float point sets and a
-    list of mpf for high-precision point sets. A point exactly at 0 or 1
-    makes the product zero; that is reported through `has_zero` and -inf
-    entries, not an exception.
+    A point exactly at 0 or 1 makes the product zero; that is reported
+    through `has_zero` and -inf entries, not an exception.
     """
 
-    log_values: object
+    log_values: np.ndarray
     error_bound: float
     N: int
     has_zero: bool = False
 
-    def as_float_array(self) -> np.ndarray:
-        if isinstance(self.log_values, np.ndarray):
-            return self.log_values
-        return np.array([float(v) for v in self.log_values], dtype=np.float64)
-
-
-def _is_endpoint(x) -> bool:
-    return x == 0 or x == 1
-
 
 def product_trace(ps) -> ProductTrace:
-    """Compensated log-space prefix products over a point set; mpf points
-    are accumulated at the point set's `precision_bits`, or else at their
-    own mantissa width (at least 64 bits)."""
+    """Compensated log-space prefix products over a point set, whose points
+    are read as float64 (`as_float_array`)."""
     pts = ps.points if isinstance(ps, PointSet) else ps
     if len(pts) == 0:
         raise ValueError("empty point set")
     pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
-    if isinstance(pts, RationalArray):
-        return _trace_float(pts, pt_err)
-    pts = list(pts)
-    if any(isinstance(x, mpmath.mpf) for x in pts):
-        prec = (ps.params.get("precision_bits")
-                if isinstance(ps, PointSet) else None)
-        if prec is None:
-            prec = max(max(x._mpf_[3] for x in pts), 64)
-        return _trace_mpf(pts, prec, pt_err)
-    return _trace_float(pts, pt_err)
-
-
-def _trace_mpf(pts, prec: int, pt_err: float) -> ProductTrace:
-    logs = []
-    err = 0.0
-    term_ulp = math.ldexp(1.0, -prec)
-    has_zero = False
-    with mpmath.mp.workprec(prec + 8):
-        run = mpmath.mpf(0)
-        ninf = mpmath.mpf("-inf")
-        for x in pts:
-            if has_zero or _is_endpoint(x):
-                has_zero = True
-                logs.append(ninf)
-                continue
-            t = log_two_sin_pi_mp(x, prec + 8)
-            run = run + t
-            logs.append(run)
-            if pt_err:
-                # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= pi / (2 min(x, 1-x))
-                m = float(min(x, 1 - x))
-                err += 1.6 * pt_err / m
-            err += 4.0 * term_ulp * (1.0 + abs(float(t)))
-    return ProductTrace(logs, err, len(pts), has_zero)
+    arr = as_float_array(pts)
+    terms, err, endpoint = _float_terms(arr, pt_err)
+    has_zero = bool(endpoint.any())
+    if has_zero:
+        first = int(np.argmax(endpoint))
+        terms[first:] = 0.0
+    cum, sum_err = compensated_cumsum(terms)
+    if has_zero:
+        cum[first:] = -math.inf
+    return ProductTrace(cum, err + sum_err, len(arr), has_zero)
 
 
 def _float_terms(arr: np.ndarray, pt_err) -> tuple:
@@ -122,19 +88,6 @@ def _float_terms(arr: np.ndarray, pt_err) -> tuple:
         np.divide(1.6 * pt_err, scratch, out=scratch)
         err += float(scratch.sum())
     return terms, err, endpoint
-
-
-def _trace_float(pts, pt_err: float) -> ProductTrace:
-    arr = as_float_array(pts)
-    terms, err, endpoint = _float_terms(arr, pt_err)
-    has_zero = bool(endpoint.any())
-    if has_zero:
-        first = int(np.argmax(endpoint))
-        terms[first:] = 0.0
-    cum, sum_err = compensated_cumsum(terms)
-    if has_zero:
-        cum[first:] = -math.inf
-    return ProductTrace(cum, err + sum_err, len(arr), has_zero)
 
 
 def orbit_trace(orbits, N: int) -> ProductTrace:
@@ -162,8 +115,6 @@ def closed_form_shifted(N: int, x) -> float:
     xf = float(x)
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    if isinstance(x, mpmath.mpf):
-        return 2 * mpmath.sinpi(x)
     if isinstance(x, Fraction) and 2 * x > 1:
         x = 1 - x
         xf = float(x)

@@ -1,15 +1,16 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-rationals over a common denominator (`RationalArray`); Kronecker orbits
-are high-precision mpf values from the evaluator of the exact surd
-machinery (`FracPartEvaluator`). `coin_flips` draws the coin that picks
+rationals over a common denominator (`RationalArray`); `kronecker` gives
+high-precision mpf values from the evaluator of the exact surd machinery
+(`FracPartEvaluator`), the points of the tests' mpf oracle (the checkers
+take their orbits from the fixed-point kernel instead). `coin_flips` draws the coin that picks
 the random subsequence of the subsequence Monte Carlo model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +66,6 @@ class PointSet:
 
     points: object
     provenance: str
-    params: dict = field(default_factory=dict)
     point_error: float = 0.0
 
     def __post_init__(self):
@@ -106,10 +106,7 @@ def kronecker(alpha: IrrationalSpec, N: int,
     if N > ev.n_max:
         raise ValueError(f"N = {N} exceeds the evaluator budget {ev.n_max}")
     pts = [ev.frac_part(k).value for k in range(1, N + 1)]
-    return PointSet(pts, "kronecker",
-                    {"alpha": str(alpha), "N": N,
-                     "precision_bits": ev.precision_bits},
-                    point_error=ev.error_bound)
+    return PointSet(pts, "kronecker", point_error=ev.error_bound)
 
 
 def van_der_corput(N: int) -> PointSet:
@@ -127,7 +124,7 @@ def van_der_corput(N: int) -> PointSet:
         lo = 1 << k
         hi = min(2 * lo, N + 1)
         np.add(r[:hi - lo], 1 << (L - 1 - k), out=r[lo:hi])
-    return PointSet(RationalArray(r[1:], 1 << L), "vdc", {"N": N})
+    return PointSet(RationalArray(r[1:], 1 << L), "vdc")
 
 
 def uniform_grid(N: int) -> PointSet:
@@ -135,7 +132,7 @@ def uniform_grid(N: int) -> PointSet:
     if not 1 <= N < 2 ** 31:
         raise ValueError("N must be in [1, 2^31)")
     pts = RationalArray(np.arange(1, N + 1, dtype=np.int64), N + 1)
-    return PointSet(pts, "uniform-grid", {"N": N})
+    return PointSet(pts, "uniform-grid")
 
 
 def coin_flips(rng: np.random.Generator, N_terms: int,

@@ -10,14 +10,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import mpf_trace
 from weylprod import cli
 from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
 from weylprod.cli import main
 from weylprod.extremal import ExtremalConfig, extremal_product_closed_form
 from weylprod.irrational import FracPartEvaluator, parse_alpha
-from weylprod.products import (NORMALIZERS, normalizer_power, product_trace,
-                               rotation_products)
+from weylprod.products import NORMALIZERS, normalizer_power, rotation_products
 from weylprod.sequences import kronecker
 
 
@@ -85,7 +85,7 @@ def figure_oracle():
     evaluator's 320-bit points."""
     alpha = parse_alpha(FIGURE_ALPHA)
     ev = FracPartEvaluator(alpha, n_max=FIGURE_N, precision_bits=ORACLE_BITS)
-    return product_trace(kronecker(alpha, FIGURE_N, evaluator=ev))
+    return mpf_trace(kronecker(alpha, FIGURE_N, evaluator=ev), ORACLE_BITS)
 
 
 def read_figure(path, fmt):
@@ -390,6 +390,13 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     (["cesaro", "--n-max", "-3"], "--n-max"),
     (["type-growth", "--n-max", "0"], "--n-max"),
     (["conjectures", "--n-max", "0"], "--n-max"),
+    (["hlawka", "--gen", "grid", "--N", "0"], "--N"),
+    (["extremal", "--N", "0", "--d", "0.5"], "--N"),
+    (["extremal", "--N", "-4", "--d", "0.5"], "--N"),
+    # NaN fails every comparison, so the guards are written to reject it
+    (["type-growth", "--n-max", "50", "--t", "nan"], "t must exceed 1"),
+    (["hlawka", "--epsilon", "nan"], "--epsilon"),
+    (["extremal", "--epsilon", "nan"], "--epsilon"),
 ])
 def test_verify_size_below_one_names_flag(capsys, args, flag):
     # rejected as usage errors, not run at a default size or crashed

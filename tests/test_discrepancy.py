@@ -118,12 +118,16 @@ def test_permutation_invariance():
 
 def test_mpf_path_matches_exact(sqrt2m1):
     ps = kronecker(sqrt2m1, 150)
-    r_mpf = star_discrepancy(ps)
-    # an mpf is the dyadic rational man 2^exp
+    # an mpf is the dyadic rational man 2^exp: the exact path takes the
+    # points spelled out as Fractions
     fracs = [int(x.man) * Fraction(2) ** int(x.exp) for x in ps.points]
-    assert r_mpf == star_discrepancy(fracs)
-    r_float = star_discrepancy([float(x) for x in ps.points])
-    assert abs(float(r_mpf.d_star) - r_float.d_star) < 1e-12
+    exact = star_discrepancy(fracs)
+    assert isinstance(exact.d_star, Fraction)
+    # mpf points themselves take the float path, as their float64 values
+    r_mpf = star_discrepancy(ps)
+    assert r_mpf == star_discrepancy([float(x) for x in ps.points])
+    assert isinstance(r_mpf.d_star, float)
+    assert abs(float(exact.d_star) - r_mpf.d_star) < 1e-12
 
 
 def sorted_order_formula(xs):

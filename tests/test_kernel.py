@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from oracles import mpf_trace
 from weylprod import irrational, numerics
 from weylprod.bounds import kronecker_log_trace
 from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
@@ -18,7 +19,7 @@ from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
                                  kronecker_fixed_point_blocks, surd_from_cf)
 from weylprod.numerics import (compensated_cumsum, log_two_sin_pi,
                                log_two_sin_pi_array)
-from weylprod.products import orbit_trace, product_trace
+from weylprod.products import orbit_trace
 from weylprod.sequences import kronecker
 
 ORACLE_BITS = 320
@@ -83,7 +84,7 @@ def test_points_within_derived_bound(alpha, N, block):
 def test_log_trace_within_trace_bounds(alpha, N):
     logs, err = kronecker_log_trace(alpha, N)
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
-    ref = product_trace(kronecker(alpha, N, evaluator=ev))
+    ref = mpf_trace(kronecker(alpha, N, evaluator=ev), ORACLE_BITS)
     assert len(logs) == N
     for n in range(N):
         gap = abs(mpmath.mpf(float(logs[n])) - ref.log_values[n])

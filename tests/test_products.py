@@ -9,10 +9,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from oracles import log_two_sin_pi_mp, mpf_trace
 from weylprod import products
-from weylprod.numerics import (TERM_EPS, log_two_sin_pi,
-                               log_two_sin_pi_array, log_two_sin_pi_mp)
-from weylprod.irrational import (FracPartEvaluator, parse_alpha,
+from weylprod.numerics import TERM_EPS, log_two_sin_pi, log_two_sin_pi_array
+from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
+                                 default_precision_bits, parse_alpha,
                                  surd_from_cf)
 from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
                                normalizer_power, product_trace,
@@ -47,12 +48,17 @@ def test_shifted_identity_against_direct_product():
     assert closed_form_shifted(10, 0.5) == pytest.approx(2.0, rel=1e-12)
 
 
+ORACLE_BITS = 320
+# the mantissa width of `kronecker`'s points from its default evaluator, at
+# which `mpf_trace` accumulates them by default
+KRONECKER_BITS = default_precision_bits(DEFAULT_N_MAX)
+
+
 def test_kronecker_trace_vs_quadruple_precision(sqrt2m1):
     ps = kronecker(sqrt2m1, 500)
-    tr = product_trace(ps)
+    tr = mpf_trace(ps)
     # independent recomputation at 4x the working precision
-    prec = ps.params["precision_bits"]
-    with mpmath.mp.workprec(4 * prec):
+    with mpmath.mp.workprec(4 * KRONECKER_BITS):
         a = mpmath.sqrt(2) - 1
         run = mpmath.mpf(0)
         for k in range(1, 501):
@@ -62,23 +68,22 @@ def test_kronecker_trace_vs_quadruple_precision(sqrt2m1):
 
 def test_permutation_invariance(sqrt2m1):
     ps = kronecker(sqrt2m1, 300)
-    tr = product_trace(ps)
+    tr = mpf_trace(ps)
     pts = list(ps.points)
     rnd = random.Random(1)
     for _ in range(5):
         rnd.shuffle(pts)
-        shuffled = PointSet(pts, "kronecker", dict(ps.params),
-                            point_error=ps.point_error)
-        tr2 = product_trace(shuffled)
+        shuffled = PointSet(pts, "kronecker", point_error=ps.point_error)
+        tr2 = mpf_trace(shuffled)
         assert abs(float(tr.log_values[-1]) - float(tr2.log_values[-1])) \
             <= float(tr.error_bound + tr2.error_bound) + 1e-25
 
 
 def test_error_bound_accumulates_linearly(sqrt2m1):
     ps = kronecker(sqrt2m1, 400)
-    t_half = product_trace(PointSet(list(ps.points)[:200], "kronecker",
-                                    dict(ps.params), ps.point_error))
-    t_full = product_trace(ps)
+    t_half = mpf_trace(PointSet(list(ps.points)[:200], "kronecker",
+                                ps.point_error))
+    t_full = mpf_trace(ps)
     assert t_full.error_bound < 4 * t_half.error_bound
 
 
@@ -86,7 +91,7 @@ def test_zero_point_sentinel():
     ps = PointSet([Fraction(1, 2), Fraction(0), Fraction(1, 4)], "extremal")
     tr = product_trace(ps)
     assert tr.has_zero
-    vals = tr.as_float_array()
+    vals = tr.log_values
     assert vals[0] == pytest.approx(math.log(2.0))
     assert vals[1] == -math.inf and vals[2] == -math.inf
 
@@ -113,6 +118,28 @@ def test_float_trace_charges_point_error():
     m = np.minimum(pts, np.subtract(1.0, pts))
     assert tr.error_bound - bare == pytest.approx(
         float(np.sum(1.6e-12 / m)), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["sqrt2m1", "golden", "(1+1*sqrt(7))/5"])
+def test_kronecker_point_set_takes_float_path(spec):
+    # mpf points are read as float64: the trace is that of the rounded
+    # points, bit for bit, and its bound covers the gap to the mpf oracle
+    # over the same 320-bit points at every n
+    alpha = parse_alpha(spec)
+    N = 3000
+    ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
+    ps = kronecker(alpha, N, evaluator=ev)
+    tr = product_trace(ps)
+    rounded = product_trace(np.array([float(x) for x in ps.points]))
+    assert tr.log_values.dtype == np.float64
+    assert tr.log_values.tobytes() == rounded.log_values.tobytes()
+    assert tr.N == N and not tr.has_zero
+    oracle = mpf_trace(ps, ORACLE_BITS)
+    with mpmath.mp.workprec(ORACLE_BITS):
+        for n, (got, want) in enumerate(zip(tr.log_values.tolist(),
+                                            oracle.log_values), 1):
+            assert abs(mpmath.mpf(got) - want) <= \
+                tr.error_bound + oracle.error_bound, n
 
 
 def float_terms_by_expressions(arr, pt_err):
@@ -151,14 +178,12 @@ def test_float_terms_bit_for_bit(points):
 
 # ------------------------------------------------------ rotation kernel
 
-ORACLE_BITS = 320
-
 
 def oracle_trace(alpha, N):
-    """log P_n, n <= N, from the log-space mpf trace (`_trace_mpf`) over the
-    evaluator's 320-bit points."""
+    """log P_n, n <= N, from the log-space mpf trace (`oracles.mpf_trace`)
+    over the evaluator's 320-bit points."""
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
-    return product_trace(kronecker(alpha, N, evaluator=ev))
+    return mpf_trace(kronecker(alpha, N, evaluator=ev), ORACLE_BITS)
 
 
 def rows_within_bound(series, oracle_logs, oracle_err, ns=None):

@@ -143,7 +143,7 @@ def test_rational_array_sequence_protocol():
 def test_range_invariants(sqrt2m1):
     for ps in (kronecker(sqrt2m1, 100), van_der_corput(100),
                uniform_grid(100)):
-        assert len(ps) == ps.params["N"]
+        assert len(ps) == 100
         for x in ps:
             assert 0 <= x <= 1
 
