@@ -4,17 +4,18 @@ Traces accumulate in log space: extremal sets overflow doubles long before
 desk scale, and log-space also makes the bound checkers uniform. Every
 point set (exact rationals, floats or mpf values) is read as float64 and
 takes one compensated double path, whose error bound charges each point's
-own error (`PointSet.point_error`); the checkers' Kronecker orbits come
-from the fixed-point kernel (`orbit_trace`). The printed 40-digit series
-(`rotation_products`) keeps the product itself, as an integer mantissa and
-exponent, and takes its sines from a fixed-point rotation w^n in integers;
-its rows are rounded (`row_value`) and printed (`row_texts`) in integers
-too.
+own error (`PointSet.point_error`) and a sequence's rounding to float64;
+the checkers' Kronecker orbits come from the fixed-point kernel
+(`orbit_trace`). The printed 40-digit series (`rotation_products`) keeps
+the product itself, as an integer mantissa and exponent, and takes its
+sines from a fixed-point rotation w^n in integers; its rows are rounded
+(`row_value`) and printed (`row_texts`) in integers too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
                          kronecker_fixed_point_blocks, scaled_floor)
 from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
                        log_two_sin_pi_array)
-from .sequences import PointSet
+from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
 _NORMALIZER_POWER = {"none": 0, "one_over_N": 1, "one_over_N_squared": 2}
@@ -39,8 +40,8 @@ class ProductTrace:
     `log_values`, with an accumulated error bound on the final (and by
     construction any earlier) entry.
 
-    A point exactly at 0 or 1 makes the product zero; that is reported
-    through `has_zero` and -inf entries, not an exception.
+    A point exactly at 0 or 1, with no error, makes the product zero; that
+    is reported through `has_zero` and -inf entries, not an exception.
     """
 
     log_values: np.ndarray
@@ -51,12 +52,16 @@ class ProductTrace:
 
 def product_trace(ps) -> ProductTrace:
     """Compensated log-space prefix products over a point set, whose points
-    are read as float64 (`as_float_array`)."""
+    are read as float64 (`as_float_array`); a sequence's points that float64
+    does not hold exactly add one ulp of float(x) to their `point_error`."""
     pts = ps.points if isinstance(ps, PointSet) else ps
     if len(pts) == 0:
         raise ValueError("empty point set")
     pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
     arr = as_float_array(pts)
+    if not isinstance(pts, (np.ndarray, RationalArray)):
+        exact = np.fromiter(map(operator.eq, pts, arr.tolist()), bool)
+        pt_err = pt_err + np.where(exact, 0.0, np.spacing(arr))
     terms, err, endpoint = _float_terms(arr, pt_err)
     has_zero = bool(endpoint.any())
     if has_zero:
@@ -75,18 +80,25 @@ def _float_terms(arr: np.ndarray, pt_err) -> tuple:
     Endpoints are replaced by 1/2 in a copy only when there are any, and
     the bounds are built in place in one scratch array of N."""
     endpoint = (arr == 0.0) | (arr == 1.0)
-    safe = np.where(endpoint, 0.5, arr) if endpoint.any() else arr
+    any_endpoint = bool(endpoint.any())
+    safe = np.where(endpoint, 0.5, arr) if any_endpoint else arr
     terms = log_two_sin_pi_array(safe)
     scratch = np.abs(terms)
     scratch += 1.0
     scratch *= TERM_EPS
     err = float(scratch.sum())
     if isinstance(pt_err, np.ndarray) or pt_err:
-        # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= pi / (2 min(x, 1-x))
+        # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= 1 / min(x, 1-x): a term
+        # moves by at most e / (m - e), m = min(x, 1-x) of the float, which
+        # 1.6 e / m covers while m >= 3.2 e (each charge at most 1/2)
         np.subtract(1.0, safe, out=scratch)
         np.minimum(safe, scratch, out=scratch)
         np.divide(1.6 * pt_err, scratch, out=scratch)
-        err += float(scratch.sum())
+        charge = float(scratch.sum())
+        if (charge > 0.5 and scratch.max() > 0.5) or (
+                any_endpoint and np.any(np.where(endpoint, pt_err, 0.0))):
+            raise ValueError("a point lies within 3.2 errors of 0 or 1")
+        err += charge
     return terms, err, endpoint
 
 

@@ -28,10 +28,9 @@ class MpfTrace:
     error_bound: float
 
 
-def mpf_trace(ps, prec: int | None = None) -> MpfTrace:
+def mpf_trace(ps, prec: int) -> MpfTrace:
     """Log-space prefix products of the mpf points of `ps` (a PointSet or a
-    sequence), accumulated at `prec` + 8 bits; `prec` defaults to the
-    points' widest mantissa, at least 64 bits.
+    sequence), accumulated at `prec` + 8 bits.
 
     Each term is charged 4 ulps at `prec` bits, relative to 1 + |term|, and
     the point set's `point_error` through the slope of log(2 sin pi x).
@@ -40,8 +39,6 @@ def mpf_trace(ps, prec: int | None = None) -> MpfTrace:
     """
     pts = list(ps.points if isinstance(ps, PointSet) else ps)
     pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
-    if prec is None:
-        prec = max(max(x._mpf_[3] for x in pts), 64)
     logs = []
     err = 0.0
     term_ulp = math.ldexp(1.0, -prec)
@@ -52,7 +49,7 @@ def mpf_trace(ps, prec: int | None = None) -> MpfTrace:
             run = run + t
             logs.append(run)
             if pt_err:
-                # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= pi / (2 min(x, 1-x))
+                # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= 1 / min(x, 1-x)
                 err += 1.6 * pt_err / float(min(x, 1 - x))
             err += 4.0 * term_ulp * (1.0 + abs(float(t)))
     return MpfTrace(logs, err)

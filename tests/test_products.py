@@ -49,14 +49,13 @@ def test_shifted_identity_against_direct_product():
 
 
 ORACLE_BITS = 320
-# the mantissa width of `kronecker`'s points from its default evaluator, at
-# which `mpf_trace` accumulates them by default
+# the mantissa width of `kronecker`'s points from its default evaluator
 KRONECKER_BITS = default_precision_bits(DEFAULT_N_MAX)
 
 
 def test_kronecker_trace_vs_quadruple_precision(sqrt2m1):
     ps = kronecker(sqrt2m1, 500)
-    tr = mpf_trace(ps)
+    tr = mpf_trace(ps, KRONECKER_BITS)
     # independent recomputation at 4x the working precision
     with mpmath.mp.workprec(4 * KRONECKER_BITS):
         a = mpmath.sqrt(2) - 1
@@ -68,13 +67,13 @@ def test_kronecker_trace_vs_quadruple_precision(sqrt2m1):
 
 def test_permutation_invariance(sqrt2m1):
     ps = kronecker(sqrt2m1, 300)
-    tr = mpf_trace(ps)
+    tr = mpf_trace(ps, KRONECKER_BITS)
     pts = list(ps.points)
     rnd = random.Random(1)
     for _ in range(5):
         rnd.shuffle(pts)
         shuffled = PointSet(pts, "kronecker", point_error=ps.point_error)
-        tr2 = mpf_trace(shuffled)
+        tr2 = mpf_trace(shuffled, KRONECKER_BITS)
         assert abs(float(tr.log_values[-1]) - float(tr2.log_values[-1])) \
             <= float(tr.error_bound + tr2.error_bound) + 1e-25
 
@@ -82,8 +81,8 @@ def test_permutation_invariance(sqrt2m1):
 def test_error_bound_accumulates_linearly(sqrt2m1):
     ps = kronecker(sqrt2m1, 400)
     t_half = mpf_trace(PointSet(list(ps.points)[:200], "kronecker",
-                                ps.point_error))
-    t_full = mpf_trace(ps)
+                                ps.point_error), KRONECKER_BITS)
+    t_full = mpf_trace(ps, KRONECKER_BITS)
     assert t_full.error_bound < 4 * t_half.error_bound
 
 
@@ -120,12 +119,18 @@ def test_float_trace_charges_point_error():
         float(np.sum(1.6e-12 / m)), rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", ["sqrt2m1", "golden", "(1+1*sqrt(7))/5"])
-def test_kronecker_point_set_takes_float_path(spec):
+@pytest.mark.parametrize("alpha", [
+    parse_alpha("sqrt2m1"), parse_alpha("golden"),
+    parse_alpha("(1+1*sqrt(7))/5"),
+    # alpha = [0; 3, 2^40, ...] puts {3m alpha}, m <= 1000, about
+    # m 2^-41.6 below 1, where rounding to float64 moves a term by up to
+    # 2^-54 / (1 - x)
+    surd_from_cf([3, 2 ** 40], [1, 4]),
+], ids=["sqrt2m1", "golden", "sqrt7", "quotient-2^40"])
+def test_kronecker_point_set_takes_float_path(alpha):
     # mpf points are read as float64: the trace is that of the rounded
     # points, bit for bit, and its bound covers the gap to the mpf oracle
     # over the same 320-bit points at every n
-    alpha = parse_alpha(spec)
     N = 3000
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
     ps = kronecker(alpha, N, evaluator=ev)
@@ -142,6 +147,42 @@ def test_kronecker_point_set_takes_float_path(spec):
                 tr.error_bound + oracle.error_bound, n
 
 
+def test_inexact_points_charge_their_rounding():
+    # a Fraction or mpf point just below 1 moves its float64 term by up to
+    # 2^-53 / (1 - x); the bound charges that, while exact floats and
+    # dyadic Fractions cost nothing
+    for x in (Fraction(3 * 2 ** 40 - 1, 3 * 2 ** 40),
+              Fraction(999999, 1000000), mpmath.mpf(1) / 3):
+        tr = product_trace([x])
+        with mpmath.mp.workprec(200):
+            want = log_two_sin_pi_mp(mpmath.mpf(x.numerator) / x.denominator
+                                     if isinstance(x, Fraction) else x, 200)
+        assert abs(mpmath.mpf(float(tr.log_values[0])) - want) \
+            <= tr.error_bound, x
+    exact = [0.75, Fraction(1, 4), 1e-6]
+    assert product_trace(exact).error_bound == \
+        product_trace(np.array([float(x) for x in exact])).error_bound
+
+
+def test_points_at_their_error_from_an_endpoint_are_rejected():
+    # alpha = [0; 3, 2^70, ...] puts {3 alpha} about 2^-71.6 below 1: its
+    # float64 value is 1.0, which would make the product zero
+    alpha = surd_from_cf([3, 2 ** 70], [1, 4])
+    ps = kronecker(alpha, 3)
+    assert float(ps.points[2]) == 1.0
+    with pytest.raises(ValueError, match="of 0 or 1"):
+        product_trace(ps)
+    with pytest.raises(ValueError, match="of 0 or 1"):
+        product_trace([Fraction(2 ** 60 - 1, 2 ** 60)])
+    # short of an endpoint, a point needs 3.2 of its errors to either side
+    near = [0.5, 1.0 - 2.0 ** -50]
+    with pytest.raises(ValueError, match="of 0 or 1"):
+        product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -51))
+    with pytest.raises(ValueError, match="of 0 or 1"):
+        product_trace([Fraction(2 ** 54 - 3, 2 ** 54)])
+    product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -52))
+
+
 def float_terms_by_expressions(arr, pt_err):
     """`products._float_terms` written as plain array expressions, one
     temporary per operation: the reference its in-place form must match
@@ -152,7 +193,10 @@ def float_terms_by_expressions(arr, pt_err):
     err = float((TERM_EPS * (1.0 + np.abs(terms))).sum())
     if isinstance(pt_err, np.ndarray) or pt_err:
         m = np.minimum(safe, 1.0 - safe)
-        err += float(np.sum(1.6 * pt_err / m))
+        charges = 1.6 * pt_err / m
+        if charges.max() > 0.5 or np.any(np.where(endpoint, pt_err, 0.0)):
+            raise ValueError("a point lies within 3.2 errors of 0 or 1")
+        err += float(np.sum(charges))
     return terms, err, endpoint
 
 
@@ -163,13 +207,20 @@ def float_terms_by_expressions(arr, pt_err):
 ], ids=["vdc", "grid", "endpoints"])
 def test_float_terms_bit_for_bit(points):
     # the terms, the bound and the mask equal the expressions' bits, with
-    # no point error, a scalar one and one per point
+    # no point error, a scalar one and one per point (zero at endpoints);
+    # where the expressions reject a point error, so does the in-place form
     before = points.copy()
     per_point = np.linspace(1e-20, 1e-16, len(points))
+    per_point[(points == 0.0) | (points == 1.0)] = 0.0
     for pt_err in (0.0, 1e-17, per_point):
+        try:
+            want_terms, want_err, want_endpoint = float_terms_by_expressions(
+                points, pt_err)
+        except ValueError:
+            with pytest.raises(ValueError):
+                products._float_terms(points, pt_err)
+            continue
         terms, err, endpoint = products._float_terms(points, pt_err)
-        want_terms, want_err, want_endpoint = float_terms_by_expressions(
-            points, pt_err)
         assert terms.tobytes() == want_terms.tobytes()
         assert err == want_err
         assert np.array_equal(endpoint, want_endpoint)
