@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import kronecker_discrepancy, vdc_discrepancy
+from .discrepancy import (int_sorted_max, kronecker_discrepancy,
+                          vdc_discrepancy)
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, kronecker_fixed_point_blocks,
                          ostrowski_digit_sums)
 from .numerics import LOG2
-from .products import ProductTrace, orbit_trace, product_trace
-from .sequences import van_der_corput
+from .products import (BlockTrace, ProductTrace, orbit_trace, product_trace,
+                       term_max)
+from .sequences import (uniform_grid_blocks, van_der_corput,
+                        van_der_corput_blocks)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 BASE_TOL = 1e-9
@@ -249,19 +253,50 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
     (a) and (c) are identities, so a gap within the tolerance passes: the
     trace's error bound, which holds for every prefix, plus the float
     rounding of the closed form.
+
+    The points stream through a `BlockTrace` in blocks
+    (`van_der_corput_blocks`); each block is cut at the octave starts, and
+    what the checks read is carried: the log-product at n1 and at 2^s, each
+    octave's first argmin and the running first argmax at each octave's
+    end.
     """
     if not 1 <= s_max <= 24:
         raise ValueError("s_max must be in [1, 24]")
     n_top = 2 ** (s_max + 1) - 1
-    # dyadics with at most 25 bits are exact in float64
-    tr = product_trace(van_der_corput(n_top))
-    cum = tr.log_values
+    # the smallest distance to 0 or 1 is 2^-(s_max+1), the largest 1/2
+    trace = BlockTrace(n_top, term_max(np.array([0.5 ** (s_max + 1), 0.5])))
+    at_n1, first, low = {}, {}, {}  # per octave: values, (value, index)
+    peak = {}  # the running (max, first index) at each octave's end
+    best = (-math.inf, 0)
+    start = 0
+    for block in van_der_corput_blocks(n_top):
+        # dyadics with at most 25 bits are exact in float64
+        cum = trace.feed(block)
+        i, end = start, start + len(cum)
+        while i < end:
+            s = (i + 1).bit_length() - 1  # the octave of n = i + 1
+            j = min(end, 2 ** (s + 1) - 1)
+            piece = cum[i - start:j - start]
+            if i == 2 ** s - 1:
+                first[s] = float(piece[0])
+            if i <= 2 ** (s + 1) - 3 < j:
+                at_n1[s] = float(cum[2 ** (s + 1) - 3 - start])
+            k = int(np.argmin(piece))
+            if s not in low or piece[k] < low[s][0]:
+                low[s] = (float(piece[k]), i + k)
+            k = int(np.argmax(piece))
+            if piece[k] > best[0]:
+                best = (float(piece[k]), i + k)
+            if j == 2 ** (s + 1) - 1:
+                peak[s] = best
+            i = j
+        start = end
     report = BoundReport("vdc-limits", {"s_max": s_max}, (1, n_top))
     peak_ratios = {}
     min_ratios = {}
     for s in range(1, s_max + 1):
         n1 = 2 ** (s + 1) - 2
-        lhs = float(cum[n1 - 1])
+        lhs = at_n1[s]
         log_sin = math.log(math.sin(math.pi / 2 ** (s + 1)))
         rhs = s * LOG2 - log_sin
         min_rhs = (s + 1) * LOG2 + log_sin
@@ -272,25 +307,23 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
         # sin adds under 2^-52: the log moves by under 3 2^-53 and rounds by
         # under 2 2^-53 |log_sin|. The sum rounds by 2^-53 A. In all under
         # 8 2^-53 A = 2^-50 A.
-        tol = tr.error_bound + 2.0 ** -50 * ((s + 1) * LOG2 - log_sin)
+        tol = trace.error_bound() + 2.0 ** -50 * ((s + 1) * LOG2 - log_sin)
         if abs(lhs - rhs) > tol:
             report.violations.append((n1, lhs, rhs))
         peak_ratios[s] = math.exp(lhs - 2.0 * math.log(n1))
-        lo, hi = 2 ** s, 2 ** (s + 1)
-        seg = cum[lo - 1:hi - 1]
-        k_min = int(np.argmin(seg))
-        min_val = float(seg[k_min])
-        if k_min != 0:
-            report.violations.append((lo + k_min, min_val, float(seg[0])))
+        lo = 2 ** s
+        min_val, k_min = low[s]
+        if k_min != lo - 1:
+            report.violations.append((k_min + 1, min_val, first[s]))
         if abs(min_val - min_rhs) > tol:
             report.violations.append((lo, min_val, min_rhs))
         min_ratios[s] = math.exp(min_val)
         # the global-argmax claim is asymptotic and genuinely false at s = 1
         # (P_3 = 4 > P_2); it holds from s = 2 on at desk scale
         if s >= 2:
-            k_max = int(np.argmax(cum[:hi - 1]))
+            max_val, k_max = peak[s]
             if k_max + 1 != n1:
-                report.violations.append((k_max + 1, float(cum[k_max]), lhs))
+                report.violations.append((k_max + 1, max_val, lhs))
     report.passed = not report.violations
     report.empirical_constants["peak_over_n2"] = peak_ratios
     report.empirical_constants["octave_min"] = min_ratios
@@ -333,18 +366,25 @@ def check_kronecker_conjectures(alpha: IrrationalSpec,
 
 def grid_hlawka_report(N: int) -> BoundReport:
     """Hlawka bound for the single grid k/(N+1): P_N is exactly N+1 and the
-    bound evaluates to (N+1)^(2N/(N+1)) <= (N+1)^2."""
-    from .discrepancy import star_discrepancy
-    from .sequences import uniform_grid
+    bound evaluates to (N+1)^(2N/(N+1)) <= (N+1)^2.
 
-    ps = uniform_grid(N)
-    tr = product_trace(ps)
-    d = star_discrepancy(ps)
-    delta = float(d.delta)
-    lhs = float(tr.log_values[-1])
+    The grid is sorted, so it streams in blocks (`uniform_grid_blocks`)
+    twice: through a `BlockTrace` for log P_N, and through
+    `int_sorted_max` for Delta_N."""
+    blocks = uniform_grid_blocks(N)
+    den = N + 1
+    # the smallest distances to 0 or 1 are at 1 and N, the largest near
+    # (N+1)/2, on either side
+    ends = np.array([1, N, den // 2, den - den // 2]) / den
+    trace = BlockTrace(N, term_max(ends))
+    for block in blocks:
+        lhs = float(trace.feed(block)[-1])
+    m, _ = int_sorted_max((b.numerators for b in uniform_grid_blocks(N)),
+                          den, N)
+    delta = float(Fraction(m, den))
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
-    if lhs > rhs + tr.error_bound + BASE_TOL:
+    if lhs > rhs + trace.error_bound() + BASE_TOL:
         report.violations.append((N, lhs, rhs))
     report.passed = not report.violations
     report.empirical_constants["P_N"] = math.exp(lhs)

@@ -53,29 +53,35 @@ def star_discrepancy(ps) -> DiscrepancyResult:
     return _float(np.sort(np.asarray(pts, dtype=np.float64)))
 
 
-def _int_sorted_max(nums: np.ndarray, den: int) -> tuple:
-    """(m, k) for sorted integer numerators over `den`: m is the largest of
-    N nums_i - i den and (i+1) den - N nums_i, i = 0..N-1, that is
-    N den D_N*, and k the first index attaining it (the up branch wins
-    ties). int64 `nums` need den * N < 2^62; an object array of Python
-    ints has no limit."""
-    N = len(nums)
-    i = np.arange(N, dtype=nums.dtype)
-    up = nums * N - i * den          # (x_(i+1) - i/N) * den * N
-    dn = (i + 1) * den - nums * N    # ((i+1)/N - x_(i+1)) * den * N
-    ku = int(np.argmax(up))
-    kd = int(np.argmax(dn))
-    if up[ku] >= dn[kd]:
-        return int(up[ku]), ku
-    return int(dn[kd]), kd
+def int_sorted_max(blocks, den: int, N: int) -> tuple:
+    """(m, k) for N sorted integer numerators over `den`, given in
+    consecutive blocks: m is the largest of N nums_i - i den and
+    (i+1) den - N nums_i, i = 0..N-1, that is N den D_N*, and k the first
+    index attaining it (the up branch wins ties). Each branch's largest
+    value and first index are carried from block to block. int64 blocks
+    need den * N < 2^62; object arrays of Python ints have no limit."""
+    best_up = best_dn = (None, 0)
+    start = 0
+    for nums in blocks:
+        i = np.arange(start, start + len(nums), dtype=nums.dtype)
+        up = nums * N - i * den          # (x_(i+1) - i/N) * den * N
+        dn = (i + 1) * den - nums * N    # ((i+1)/N - x_(i+1)) * den * N
+        ku = int(np.argmax(up))
+        kd = int(np.argmax(dn))
+        if best_up[0] is None or up[ku] > best_up[0]:
+            best_up = (int(up[ku]), start + ku)
+        if best_dn[0] is None or dn[kd] > best_dn[0]:
+            best_dn = (int(dn[kd]), start + kd)
+        start += len(nums)
+    return best_up if best_up[0] >= best_dn[0] else best_dn
 
 
 def _exact(nums, den: int) -> DiscrepancyResult:
     """D_N* of the points nums_i / den from their sorted numerators, in
-    int64 while den * N < 2^62 and in Python ints above."""
+    int64 while den * N < 2^62 and in Python ints above, as one block."""
     N = len(nums)
     nums = np.asarray(nums, dtype=np.int64 if den * N < 1 << 62 else object)
-    m, k = _int_sorted_max(nums, den)
+    m, k = int_sorted_max([nums], den, N)
     return DiscrepancyResult(Fraction(m, den * N), Fraction(m, den),
                              Fraction(int(nums[k]), den))
 

@@ -59,43 +59,77 @@ def log_two_sin_pi_array(x: np.ndarray) -> np.ndarray:
 SUM_CHUNK = 1 << 16
 
 
-def compensated_cumsum(a: np.ndarray) -> tuple:
-    """(prefix sums of finite `a`, a bound on the error of every prefix).
+class PrefixSum:
+    """Compensated prefix sums of n finite terms, fed in order block by
+    block (`feed`), with a bound on the error of every prefix
+    (`error_bound`). The terms must lie within [-amax, amax]; `feed` does
+    not check that.
 
     Plain np.cumsum loses ~n*eps absolute accuracy over millions of terms.
     Here each term is split exactly into a multiple of 2^-k, summed in
     int64 without rounding, and a remainder below 2^-(k+1), summed in
-    float64. k is the largest scale at which n * max|a_i| * 2^k, and so
-    every integer partial sum, stays below 2^62. The error of a prefix is
-    then two roundings of its value plus the remainder sum's
-    n * eps * sum|remainder| <= n^2 * eps * 2^-(k+1). Work goes in chunks
-    of SUM_CHUNK terms, so temporaries stay O(chunk).
+    float64. k is the largest scale at which n * amax * 2^k, and so every
+    integer partial sum, stays below 2^62. The error of a prefix is then
+    two roundings of its value plus the remainder sum's
+    n * eps * sum|remainder| <= n^2 * eps * 2^-(k+1). The integer sum and
+    the remainder sum are carried from block to block, so blocks of
+    SUM_CHUNK terms give `compensated_cumsum`'s prefix sums bit for bit.
     """
+
+    def __init__(self, n: int, amax: float):
+        if not math.isfinite(amax):
+            raise ValueError("compensated_cumsum needs finite terms")
+        self.n, self.amax = n, amax
+        # |a_i| 2^k < 2^52 keeps each rounded term exact
+        self.k = min(52 - math.frexp(amax)[1],
+                     62 - math.frexp(n * amax + 1.0)[1])
+        self.fed, self.carry_hi, self.carry_lo, self.out_max = 0, 0, 0.0, 0.0
+
+    def feed(self, part: np.ndarray, out: np.ndarray | None = None):
+        """The prefix sums through each term of `part`, the next terms in
+        order, written to `out` (default: a new array) and returned."""
+        self.fed += len(part)
+        if self.fed > self.n:
+            raise ValueError("terms past the declared count")
+        # in place: three block-sized temporaries, `hi` reused for the sums
+        k = self.k
+        hi = np.ldexp(part, k)
+        np.rint(hi, out=hi)
+        lo = np.ldexp(hi, -k)
+        np.subtract(part, lo, out=lo)
+        np.cumsum(lo, out=lo)
+        lo += self.carry_lo
+        ints = hi.astype(np.int64)
+        np.cumsum(ints, out=ints)
+        ints += self.carry_hi
+        res = hi if out is None else out
+        res[:] = ints
+        np.ldexp(res, -k, out=res)
+        res += lo
+        self.carry_hi, self.carry_lo = int(ints[-1]), float(lo[-1])
+        self.out_max = max(self.out_max, float(np.abs(res).max()))
+        return res
+
+    def error_bound(self) -> float:
+        """The bound on the error of every prefix sum of the n terms."""
+        return 2.0 ** -51 * (self.out_max
+                             + math.ldexp(self.n * self.n, -self.k - 1))
+
+
+def compensated_cumsum(a: np.ndarray) -> tuple:
+    """(prefix sums of finite `a`, a bound on the error of every prefix),
+    by a `PrefixSum` fed chunks of SUM_CHUNK terms, so temporaries stay
+    O(chunk)."""
     a = np.asarray(a, dtype=np.float64)
     n = len(a)
     out = np.empty_like(a)
     if n == 0:
         return out, 0.0
-    amax = max(abs(float(a.max())), abs(float(a.min())))
-    if not math.isfinite(amax):
-        raise ValueError("compensated_cumsum needs finite terms")
-    # |a_i| 2^k < 2^52 keeps each rounded term exact
-    k = min(52 - math.frexp(amax)[1], 62 - math.frexp(n * amax + 1.0)[1])
-    carry_hi, carry_lo, out_max = 0, 0.0, 0.0
+    acc = PrefixSum(n, max(abs(float(a.max())), abs(float(a.min()))))
     chunk = SUM_CHUNK
     for s in range(0, n, chunk):
-        part = a[s:s + chunk]
-        hi = np.rint(np.ldexp(part, k))
-        lo = (part - np.ldexp(hi, -k)).cumsum()
-        lo += carry_lo
-        ints = hi.astype(np.int64).cumsum()
-        ints += carry_hi
-        res = out[s:s + chunk]
-        np.ldexp(ints.astype(np.float64), -k, out=res)
-        res += lo
-        carry_hi, carry_lo = int(ints[-1]), float(lo[-1])
-        out_max = max(out_max, float(np.abs(res).max()))
-    return out, 2.0 ** -51 * (out_max + math.ldexp(n * n, -k - 1))
+        acc.feed(a[s:s + chunk], out[s:s + chunk])
+    return out, acc.error_bound()
 
 
 def as_float_array(points) -> np.ndarray:

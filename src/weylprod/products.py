@@ -3,10 +3,11 @@
 Traces accumulate in log space: extremal sets overflow doubles long before
 desk scale, and log-space also makes the bound checkers uniform. Every
 point set (exact rationals, floats or mpf values) is read as float64 and
-takes one compensated double path, whose error bound charges each point's
-own error (`PointSet.point_error`) and a sequence's rounding to float64;
-the checkers' Kronecker orbits come from the fixed-point kernel
-(`orbit_trace`). The printed 40-digit series (`rotation_products`) keeps
+takes one compensated double path, a block consumer (`BlockTrace`) whose
+error bound charges each point's own error (`PointSet.point_error`) and its
+rounding to float64; the rational checkers stream their points through it
+in blocks, and the checkers' Kronecker orbits come from the fixed-point
+kernel (`orbit_trace`). The printed 40-digit series (`rotation_products`) keeps
 the product itself, as an integer mantissa and exponent, and takes its
 sines from a fixed-point rotation w^n in integers; its rows are rounded
 (`row_value`) and printed (`row_texts`) in integers too.
@@ -25,8 +26,8 @@ import numpy as np
 from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
                          default_precision_bits, exact_residue,
                          kronecker_fixed_point_blocks, scaled_floor)
-from .numerics import (TERM_EPS, as_float_array, compensated_cumsum,
-                       log_two_sin_pi_array)
+from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, as_float_array,
+                       compensated_cumsum, log_two_sin_pi_array)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -52,25 +53,107 @@ class ProductTrace:
 
 def product_trace(ps) -> ProductTrace:
     """Compensated log-space prefix products over a point set, whose points
-    are read as float64 (`as_float_array`); a sequence's points that float64
-    does not hold exactly add one ulp of float(x) to their `point_error`."""
+    are read as float64 (`as_float_array`) and run through a `BlockTrace`
+    in blocks of SUM_CHUNK; a sequence's points that float64 does not hold
+    exactly add one ulp of float(x) to their `point_error`."""
     pts = ps.points if isinstance(ps, PointSet) else ps
-    if len(pts) == 0:
+    n = len(pts)
+    if n == 0:
         raise ValueError("empty point set")
     pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
     arr = as_float_array(pts)
     if not isinstance(pts, (np.ndarray, RationalArray)):
         exact = np.fromiter(map(operator.eq, pts, arr.tolist()), bool)
         pt_err = pt_err + np.where(exact, 0.0, np.spacing(arr))
-    terms, err, endpoint = _float_terms(arr, pt_err)
-    has_zero = bool(endpoint.any())
-    if has_zero:
-        first = int(np.argmax(endpoint))
+    trace = BlockTrace(n, term_max(arr))
+    out = np.empty(n)
+    for s in range(0, n, SUM_CHUNK):
+        e = s + SUM_CHUNK
+        trace.feed(pts[s:e] if isinstance(pts, RationalArray) else arr[s:e],
+                   pt_err[s:e] if isinstance(pt_err, np.ndarray) else pt_err,
+                   out[s:e])
+    return ProductTrace(out, trace.error_bound(), n, trace.has_zero)
+
+
+def term_max(x: np.ndarray) -> float:
+    """max |log(2 sin pi x)| over the float points x before the first one at
+    0 or 1 (0 if there are none), where a zero product stops the sum.
+
+    The term grows with m = min(x, 1 - x), so the largest |term| is the
+    larger at the smallest and the largest m, taken from the kernel itself.
+    """
+    zero = (x == 0.0) | (x == 1.0)
+    if zero.any():
+        x = x[:int(np.argmax(zero))]
+    if not len(x):
+        return 0.0
+    m = np.subtract(1.0, x)
+    np.minimum(x, m, out=m)
+    ends = log_two_sin_pi_array(np.array([m.min(), m.max()]))
+    return float(np.abs(ends).max())
+
+
+# the exponent field of a float64; a positive normal x masked to it is the
+# power of two 2^e <= x
+_EXPONENT_BITS = 0x7FF << 52
+
+
+class BlockTrace:
+    """Block consumer of prefix log-products: the n points of a set, fed in
+    order (`feed`), each block as float64 values or a `RationalArray`, with
+    a bound on the error of every prefix (`error_bound`). Every
+    |log(2 sin pi x)| must be within `amax` (`term_max`); `feed` raises
+    ValueError on one that is not. Blocks of
+    SUM_CHUNK points sum as one `compensated_cumsum` of all the terms
+    would, bit for bit, and only a block's terms and sums are held.
+
+    A `RationalArray` block's float64 values are charged their rounding:
+    nothing over a power-of-two denominator up to 2^53; half an ulp below
+    2^53, where the numerator and the denominator convert exactly and the
+    quotient rounds once; 3 ulps above, for three roundings of 2^-53
+    relative. The endpoints 0 and 1 are exact (x = 0 has no exponent bits).
+    After the first point at 0 or 1 the product is zero: `has_zero` is set
+    and the sums are -inf.
+    """
+
+    def __init__(self, n: int, amax: float):
+        self.sums = PrefixSum(n, amax)
+        self.term_error = 0.0
+        self.has_zero = False
+
+    def feed(self, x, pt_err=0.0, out: np.ndarray | None = None):
+        """The prefix log-products through each point of `x`, written to
+        `out` (default: a new array) and returned; `pt_err` bounds each
+        point's own error."""
+        if isinstance(x, RationalArray):
+            nums, den = x.numerators, x.denominator
+            x = x.to_float_array()
+            if den & (den - 1) or den > 1 << 53:
+                # ulp(x) = 2^(e-52) for x in [2^e, 2^(e+1)), from the
+                # exponent bits (np.spacing costs about as much as the sine)
+                ulps = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+                ulps *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
+                ulps[nums == den] = 0.0
+                ulps += pt_err
+                pt_err = ulps
+        terms, err, endpoint = _float_terms(x, pt_err)
+        self.term_error += err
+        first = (0 if self.has_zero else
+                 int(np.argmax(endpoint)) if endpoint.any() else len(x))
         terms[first:] = 0.0
-    cum, sum_err = compensated_cumsum(terms)
-    if has_zero:
-        cum[first:] = -math.inf
-    return ProductTrace(cum, err + sum_err, len(arr), has_zero)
+        amax = self.sums.amax
+        if not (float(terms.max()) <= amax and float(terms.min()) >= -amax):
+            raise ValueError("a term exceeds its declared bound amax")
+        cum = self.sums.feed(terms, out)
+        if first < len(x):
+            cum[first:] = -math.inf
+            self.has_zero = True
+        return cum
+
+    def error_bound(self) -> float:
+        """The bound on the error of every prefix log-product so far; for
+        the whole set once all n points are fed."""
+        return self.term_error + self.sums.error_bound()
 
 
 def _float_terms(arr: np.ndarray, pt_err) -> tuple:

@@ -1,7 +1,9 @@
 """Point set generators for the product experiments.
 
 Rational families (van der Corput, uniform grid) are produced as exact
-rationals over a common denominator (`RationalArray`); `kronecker` gives
+rationals over a common denominator (`RationalArray`), whole or in blocks
+of SUM_CHUNK points (`van_der_corput_blocks`, `uniform_grid_blocks`) for
+the checkers that stream them; `kronecker` gives
 high-precision mpf values from the evaluator of the exact surd machinery
 (`FracPartEvaluator`), the points of the tests' mpf oracle (the checkers
 take their orbits from the fixed-point kernel instead). `coin_flips` draws the coin that picks
@@ -16,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
+from .numerics import SUM_CHUNK
 
 # coin draws allowed per requested term before a selection gives up: a fair
 # coin needs about 2, and falls short of N heads in 64 N draws with
@@ -112,27 +115,66 @@ def kronecker(alpha: IrrationalSpec, N: int,
 def van_der_corput(N: int) -> PointSet:
     """Base-2 radical inverses of 1..N as exact dyadic rationals over the
     common denominator 2^L, L = bitlen(N): bit i of n goes to 2^(L-1-i).
-
-    The numerators r(n) are built by doubling from r(0) = 0: the n in
-    [2^k, 2^(k+1)) are n - 2^k with bit k set, so r(n) = r(n - 2^k) +
-    2^(L-1-k), one vector add per bit for N + 1 entries in all."""
+    The numerators are those of `van_der_corput_blocks(N)`, one after the
+    other."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    nums = np.empty(N, dtype=np.int64)
+    for s, block in zip(range(0, N, SUM_CHUNK), van_der_corput_blocks(N)):
+        nums[s:s + len(block)] = block.numerators
+    return PointSet(RationalArray(nums, 1 << N.bit_length()), "vdc")
+
+
+def van_der_corput_blocks(N: int):
+    """The points of `van_der_corput(N)` as RationalArrays over 2^L,
+    L = bitlen(N), in consecutive blocks of SUM_CHUNK (the last one
+    shorter); none for N < 1.
+
+    With b = min(L, log2 SUM_CHUNK), write n = h 2^b + j, j < 2^b: bit i of
+    j goes to 2^(L-1-i) and bit i of h to 2^(L-b-1-i). The first part is a
+    2^b-entry table, built by doubling from r(0) = 0 (the j in
+    [2^k, 2^(k+1)) are j - 2^k with bit k set, one vector add per bit); the
+    second is one Python int per block. A block holds n = s+1..s+SUM_CHUNK,
+    s a multiple of SUM_CHUNK, so its j run from 1 up and the last one
+    wraps to 0 under h + 1: the table is read rotated by one."""
     L = N.bit_length()
-    r = np.zeros(N + 1, dtype=np.int64)
-    for k in range(L):
-        lo = 1 << k
-        hi = min(2 * lo, N + 1)
-        np.add(r[:hi - lo], 1 << (L - 1 - k), out=r[lo:hi])
-    return PointSet(RationalArray(r[1:], 1 << L), "vdc")
+    b = min(L, SUM_CHUNK.bit_length() - 1)
+    table = np.zeros(1 << b, dtype=np.int64)
+    for k in range(b):
+        np.add(table[:1 << k], 1 << (L - 1 - k), out=table[1 << k:2 << k])
+    table = np.roll(table, -1)
+
+    def high(h):
+        return int(format(h, f"0{L - b}b")[::-1], 2) if L > b else 0
+
+    for s in range(0, N, SUM_CHUNK):
+        size = min(SUM_CHUNK, N - s)
+        h = s >> b
+        nums = table[:size] + high(h)
+        if size == len(table):
+            nums[-1] = high(h + 1)
+        yield RationalArray(nums, 1 << L)
 
 
 def uniform_grid(N: int) -> PointSet:
     """The grid k/(N+1), k = 1..N, as exact rationals."""
-    if not 1 <= N < 2 ** 31:
-        raise ValueError("N must be in [1, 2^31)")
+    _check_grid(N)
     pts = RationalArray(np.arange(1, N + 1, dtype=np.int64), N + 1)
     return PointSet(pts, "uniform-grid")
+
+
+def uniform_grid_blocks(N: int):
+    """The points of `uniform_grid(N)` as RationalArrays in consecutive
+    blocks of SUM_CHUNK (the last one shorter)."""
+    _check_grid(N)
+    return (RationalArray(np.arange(s + 1, min(s + SUM_CHUNK, N) + 1,
+                                    dtype=np.int64), N + 1)
+            for s in range(0, N, SUM_CHUNK))
+
+
+def _check_grid(N: int) -> None:
+    if not 1 <= N < 2 ** 31:
+        raise ValueError("N must be in [1, 2^31)")
 
 
 def coin_flips(rng: np.random.Generator, N_terms: int,

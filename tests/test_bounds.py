@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from weylprod import bounds
 from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              check_cesaro_log_bound, check_hlawka,
@@ -17,9 +19,9 @@ from weylprod.discrepancy import discrepancy_trace, kronecker_discrepancy
 from weylprod.irrational import (cf_expand, cf_expand_until,
                                  kronecker_fixed_point, ostrowski,
                                  surd_from_cf)
-from weylprod.numerics import LOG2
+from weylprod.numerics import LOG2, SUM_CHUNK
 from weylprod.products import ProductTrace, orbit_trace, product_trace
-from weylprod.sequences import van_der_corput
+from weylprod.sequences import PointSet, RationalArray, van_der_corput
 
 
 # Per-N reference loops: the checkers evaluate the same formulas on whole
@@ -104,6 +106,12 @@ def test_hlawka_grid_example():
     # the product is exactly N+1; the bound is below (N+1)^2
     assert rep.empirical_constants["P_N"] == pytest.approx(101.0, rel=1e-10)
     assert rep.empirical_constants["bound"] <= 101.0 ** 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 100, 65535, 65536, 65537, 500000])
+def test_grid_hlawka_streams_as_the_whole_array(N):
+    assert grid_hlawka_report(N).to_dict() == \
+        oracles.grid_hlawka_report(N).to_dict()
 
 
 def test_hlawka_vdc_prefixes():
@@ -380,6 +388,48 @@ def test_vdc_limits_past_2_21():
     # s = 21; it stays within the trace's derived error bound
     rep = check_vdc_limits(21)
     assert rep.passed and not rep.violations
+
+
+@pytest.mark.parametrize("s_max", [1, 15, 16, 17])
+def test_vdc_limits_stream_as_the_whole_array(s_max):
+    assert check_vdc_limits(s_max).to_dict() == \
+        oracles.check_vdc_limits(s_max).to_dict()
+
+
+def test_vdc_limits_carried_rows_on_shuffled_points(monkeypatch):
+    # shuffled van der Corput points break every octave claim across many
+    # blocks; the streamed checker reports the oracle's rows, in its order
+    s_max = 17
+    n_top = 2 ** (s_max + 1) - 1
+    pts = van_der_corput(n_top).points
+    nums = np.random.default_rng(7).permutation(pts.numerators)
+    den = pts.denominator
+    monkeypatch.setattr(oracles, "van_der_corput", lambda n: PointSet(
+        RationalArray(nums, den), "vdc"))
+    monkeypatch.setattr(bounds, "van_der_corput_blocks", lambda n: (
+        RationalArray(nums[s:s + SUM_CHUNK], den)
+        for s in range(0, n, SUM_CHUNK)))
+    want = oracles.check_vdc_limits(s_max).to_dict()
+    assert len(want["violations"]) > 2 * s_max
+    assert check_vdc_limits(s_max).to_dict() == want
+
+
+def test_rational_checkers_run_in_flat_memory():
+    # numpy reports its buffers to tracemalloc: the streamed checkers hold
+    # a few blocks, whatever the size
+    def peak(check, arg):
+        tracemalloc.start()
+        try:
+            check(arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for check, small, large in ((grid_hlawka_report, 2 ** 18, 2 ** 21),
+                                (check_vdc_limits, 17, 20)):
+        a, b = peak(check, small), peak(check, large)
+        assert abs(b - a) <= 2 ** 20 and max(a, b) < 16 * 2 ** 20, \
+            (check.__name__, a, b)
 
 
 def test_vdc_limits_guard():

@@ -11,8 +11,9 @@ from weylprod import irrational
 from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   PrefixDiscrepancy, _vdc_deltas,
                                   brute_force_star_discrepancy,
-                                  discrepancy_trace, kronecker_discrepancy,
-                                  star_discrepancy, vdc_discrepancy)
+                                  discrepancy_trace, int_sorted_max,
+                                  kronecker_discrepancy, star_discrepancy,
+                                  vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import as_float_array
 from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
@@ -151,6 +152,25 @@ def test_rational_array_past_int64(den):
         r = star_discrepancy(RationalArray(nums, den))
         d, anchor = sorted_order_formula([Fraction(v, den) for v in nums])
         assert r == DiscrepancyResult(d, N * d, anchor)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=40),
+       st.lists(st.integers(1, 40), max_size=6), st.integers(12, 15))
+def test_sorted_max_carried_across_blocks(nums, cuts, den):
+    # the carried (max, first index) of each branch gives the largest
+    # value and its first index, the up branch winning ties (small
+    # numerators make ties common)
+    nums = sorted(nums)
+    N = len(nums)
+    up = [x * N - i * den for i, x in enumerate(nums)]
+    dn = [(i + 1) * den - x * N for i, x in enumerate(nums)]
+    want = ((max(up), up.index(max(up))) if max(up) >= max(dn)
+            else (max(dn), dn.index(max(dn))))
+    arr = np.array(nums, dtype=np.int64)
+    edges = [0] + sorted({c for c in cuts if c < N}) + [N]
+    blocks = [arr[a:b] for a, b in zip(edges, edges[1:])]
+    assert int_sorted_max(blocks, den, N) == want
 
 
 def test_trace_single_point_formula():

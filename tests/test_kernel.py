@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import mpf_trace
+from oracles import compensated_cumsum_by_chunks, mpf_trace
 from weylprod import irrational, numerics
 from weylprod.bounds import kronecker_log_trace
 from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
@@ -132,6 +132,34 @@ def test_compensated_cumsum_bound(chunk, monkeypatch):
     assert err < 1e-12
     with pytest.raises(ValueError):
         compensated_cumsum(np.array([1.0, -np.inf]))
+
+
+@pytest.mark.parametrize("chunk", [numerics.SUM_CHUNK, 1000])
+def test_prefix_sum_fed_in_blocks_is_compensated_cumsum(chunk, monkeypatch):
+    # a PrefixSum fed chunk by chunk gives compensated_cumsum's prefix sums
+    # and bound bit for bit, on both sides of a chunk edge
+    monkeypatch.setattr(numerics, "SUM_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        a = np.log(2.0 * np.sin(np.pi * rng.random(n)))
+        want, bound = compensated_cumsum(a)
+        acc = numerics.PrefixSum(n, float(np.abs(a).max()))
+        got = np.concatenate([acc.feed(a[s:s + chunk])
+                              for s in range(0, n, chunk)])
+        assert got.tobytes() == want.tobytes(), n
+        assert acc.error_bound() == bound, n
+        # and both are the chunk loop's, bit for bit
+        loop, loop_bound = compensated_cumsum_by_chunks(a)
+        assert got.tobytes() == loop.tobytes() and bound == loop_bound, n
+
+
+def test_prefix_sum_refuses_terms_past_its_count():
+    acc = numerics.PrefixSum(3, 1.0)
+    acc.feed(np.array([0.5, -1.0]))
+    with pytest.raises(ValueError, match="declared count"):
+        acc.feed(np.array([0.25, 0.25]))
+    with pytest.raises(ValueError, match="finite"):
+        numerics.PrefixSum(3, math.inf)
 
 
 def test_beyond_two_to_the_24(sqrt2m1):

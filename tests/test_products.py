@@ -18,8 +18,8 @@ from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
 from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
                                normalizer_power, product_trace,
                                rotation_products, row_text, row_value)
-from weylprod.sequences import (PointSet, kronecker, uniform_grid,
-                                van_der_corput)
+from weylprod.sequences import (PointSet, RationalArray, kronecker,
+                                uniform_grid, van_der_corput)
 from weylprod.stochastic import log_integral
 
 
@@ -162,6 +162,37 @@ def test_inexact_points_charge_their_rounding():
     exact = [0.75, Fraction(1, 4), 1e-6]
     assert product_trace(exact).error_bound == \
         product_trace(np.array([float(x) for x in exact])).error_bound
+
+
+def test_rational_arrays_charge_their_rounding():
+    # a non-dyadic RationalArray is read as float64 within half an ulp of
+    # each point; near 1 that moves a term far past TERM_EPS
+    for nums, den in (([3 * 2 ** 40 - 1], 3 * 2 ** 40), ([999999], 10 ** 6),
+                      (np.arange(1, 5000), 5000)):
+        ps = PointSet(RationalArray(nums, den), "extremal")
+        tr = product_trace(ps)
+        want = mpf_trace(ps, 200)
+        assert tr.error_bound > 0.0
+        for n in {1, len(nums)}:
+            assert abs(mpmath.mpf(float(tr.log_values[n - 1]))
+                       - want.log_values[n - 1]) <= tr.error_bound, (den, n)
+    # dyadic denominators are exact; 0 and 1 are exact over any denominator
+    assert product_trace(RationalArray([1, 3], 4)).error_bound == \
+        product_trace(np.array([0.25, 0.75])).error_bound
+    tr = product_trace(RationalArray([1, 3, 0], 3))
+    assert tr.has_zero and tr.log_values[2] == -math.inf
+    # past 2^53 the numerator rounds too: a point that rounds to 1.0 is
+    # refused, not traced as a zero product
+    with pytest.raises(ValueError, match="of 0 or 1"):
+        product_trace(RationalArray([2 ** 60 - 1], 2 ** 60))
+
+
+def test_block_trace_refuses_a_term_past_amax():
+    # amax sets the integer scale of the exact sum; a larger term could
+    # overflow it, so it is refused
+    trace = products.BlockTrace(2, 0.5)
+    with pytest.raises(ValueError, match="amax"):
+        trace.feed(np.array([0.25, 0.5]))  # log 2 > 0.5
 
 
 def test_points_at_their_error_from_an_endpoint_are_rejected():

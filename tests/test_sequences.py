@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylprod.irrational import FracPartEvaluator
+from weylprod.numerics import SUM_CHUNK
 from weylprod.sequences import (PointSet, RationalArray, kronecker,
-                                uniform_grid, van_der_corput)
+                                uniform_grid, uniform_grid_blocks,
+                                van_der_corput, van_der_corput_blocks)
 
 
 # ---------------------------------------------------------------- kronecker
@@ -112,6 +114,27 @@ def test_vdc_numerators_match_bit_loop():
         assert pts.denominator == 1 << N.bit_length()
         assert pts.numerators.dtype == np.int64
         assert np.array_equal(pts.numerators, vdc_numerators_by_bits(N)), N
+
+
+@pytest.mark.parametrize("N", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                               3 * 2 ** 16 + 5, 2 ** 20 - 1])
+def test_vdc_blocks_match_bit_loop(N):
+    # blocks of SUM_CHUNK from the reversal table, each wrapping to the next
+    # high part at its last n
+    blocks = list(van_der_corput_blocks(N))
+    assert [len(b) for b in blocks[:-1]] == [SUM_CHUNK] * (len(blocks) - 1)
+    assert {b.denominator for b in blocks} == {1 << N.bit_length()}
+    nums = np.concatenate([b.numerators for b in blocks])
+    assert np.array_equal(nums, vdc_numerators_by_bits(N))
+
+
+@pytest.mark.parametrize("N", [1, SUM_CHUNK, SUM_CHUNK + 1])
+def test_grid_blocks_are_the_grid(N):
+    blocks = list(uniform_grid_blocks(N))
+    assert [len(b) for b in blocks[:-1]] == [SUM_CHUNK] * (len(blocks) - 1)
+    assert {b.denominator for b in blocks} == {N + 1}
+    assert np.array_equal(np.concatenate([b.numerators for b in blocks]),
+                          uniform_grid(N).points.numerators)
 
 
 def test_vdc_floats_match_fractions():
