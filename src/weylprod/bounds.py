@@ -74,7 +74,8 @@ def kronecker_log_trace(alpha: IrrationalSpec, N: int):
 def _hlawka_rhs(N: int, delta: float, err: float) -> tuple:
     """(rhs, tol) of the Hlawka check at one N, in scalar arithmetic."""
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
-    # the discrepancy trace is double precision; absorb its effect
+    # a Kronecker `delta_at` is the float64 sorted-order Delta of float64
+    # points; the slack absorbs its effect (a vdC Delta is exact)
     tol = err + BASE_TOL + 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
     return rhs, tol
 
@@ -84,8 +85,9 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
     Delta_N = N D_N*.
 
-    `d_trace`, a `PrefixDiscrepancy`, gives bounds `lower` <= Delta_N <=
-    `upper` for every N and `delta_at(N)`, Delta_N itself. The right-hand
+    `d_trace` (a Kronecker `PrefixDiscrepancy` or the exact vdC
+    `ExactPrefixDiscrepancy`) gives bounds `lower` <= Delta_N <= `upper` for
+    every N and `delta_at(N)`, Delta_N itself. The right-hand
     side is concave in Delta, so its minimum over [lower, upper] sits at an
     end; the whole range is screened with that minimum and numpy's log.
     Every N that the screen cannot clear, and every N whose largest possible
@@ -95,8 +97,8 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
         raise ValueError("product and discrepancy traces are not aligned")
-    if N_min < 1:
-        raise ValueError(f"N_min must be >= 1, got {N_min}")
+    if not 1 <= N_min <= len(logs):
+        raise ValueError(f"N_min must be in [1, {len(logs)}], got {N_min}")
     err = ps_trace.error_bound
     report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
     N = np.arange(N_min, len(logs) + 1)
@@ -397,8 +399,9 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
     """Hlawka check over all prefixes of the van der Corput or Kronecker
     sequence."""
     if kind == "vdc":
-        tr = product_trace(van_der_corput(N_max))
-        dtr = vdc_discrepancy(N_max)
+        points = van_der_corput(N_max)
+        tr = product_trace(points)
+        dtr = vdc_discrepancy(points)
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":
         if alpha is None:

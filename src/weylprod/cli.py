@@ -2,7 +2,7 @@
 
 Exit codes: 0 = pass, 1 = a checked bound was violated, 2 = usage error,
 3 = an input/output error (an output file could not be written; a reader
-that closes stdout early is not one).
+that closes stdout early is not one) or running out of memory.
 Every command is deterministic given its full flag set (seed and precision
 included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
@@ -339,6 +339,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

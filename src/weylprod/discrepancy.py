@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import as_float_array, compensated_cumsum
-from .sequences import PointSet, RationalArray, van_der_corput
+from .sequences import PointSet, RationalArray
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,10 @@ class PrefixDiscrepancy:
     gives for the sequence's float64 `points`, and `delta_at(n)`, that value
     itself for one n.
 
-    Built in O(N) or O(N log N) from the sequence's structure, by
-    `kronecker_discrepancy` and `vdc_discrepancy`; `delta_at` costs O(N)
-    per call from one argsort of the points.
+    Built in O(N log N) from a Kronecker orbit's structure by
+    `kronecker_discrepancy`; `delta_at` costs O(N) per call from one
+    argsort of the points. The van der Corput prefixes need no bracket:
+    `vdc_discrepancy` gives their Delta_n exactly.
     """
 
     points: np.ndarray
@@ -205,76 +206,63 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
                              lower, upper)
 
 
-# value of an unreachable state of `_vdc_deltas`; every path sum stays
-# below L 2^(L+1) in magnitude, so adding gains to it never wraps
-_UNREACHED = -(1 << 62)
+@dataclass(frozen=True, eq=False)
+class ExactPrefixDiscrepancy:
+    """Delta_n = n D_n* of every prefix n = 1..N, exact in float64: `lower`
+    and `upper` are both `delta`, and `delta_at(n)` reads it."""
+
+    delta: np.ndarray
+
+    lower = upper = property(lambda self: self.delta)
+
+    def __len__(self):
+        return len(self.delta)
+
+    def delta_at(self, n: int) -> float:
+        if not 1 <= n <= len(self.delta):
+            raise IndexError(f"prefix {n} outside [1, {len(self.delta)}]")
+        return float(self.delta[n - 1])
 
 
-def _vdc_deltas(n_max: int) -> np.ndarray:
-    """2^L Delta_N, L = bitlen(n_max + 1), for the van der Corput points
-    phi(1..N) of every N = 1..n_max, exactly in int64.
+def vdc_discrepancy(ps) -> ExactPrefixDiscrepancy:
+    """Delta_n = n D_n* of the van der Corput points phi(1..n), for every
+    prefix n = 1..N of `ps` = `van_der_corput(N)`, exactly:
 
-    Delta_N is the largest of N x - A(x), x > 0, and A(x) + [x is a
-    point] - N x over the dyadics x = 0.a_1..a_L, A(x) counting the points
-    below x. With M = N + 1 and R_j = sum_{i<=j} a_i 2^(i-1), the n in
-    [0, M) with phi(n) < x are those whose lowest j bits are R_{j-1} for a
-    j with a_j = 1, so
-        A(x) = sum_{a_j=1} (floor(M / 2^j) + t_j) - 1,
-        t_j = [R_{j-1} < M mod 2^j],
-    the -1 for n = 0. t_j is 1 where bit j-1 of M is set and s_{j-1}
-    otherwise, s_j = [R_j < M mod 2^j]. phi(R_L) = x, so x > 0 is a point
-    iff s_L (M < 2^L); at x = 0 the -1 and s_L = 1 cancel. Scaled by 2^L,
-    a_j = 1 thus gains
-        c(t_j) = 2^L (N 2^-j - floor(M / 2^j) - t_j)
-               = 2^(L-j) (M mod 2^j - 1) - t_j 2^L
-    on the N x - A(x) side and -c(t_j) on the other, a_j = 0 gains 0, and
-    s moves to 1 when a_j < bit j-1 of M, to 0 when a_j exceeds it: a
-    max-plus program over j with the two states of s. The N x - A(x) side
-    holds only paths with some a_i = 1; the all-zero path, with value 0 at
-    s = [M mod 2^(j-1) > 0], enters it when a_j = 1.
+        Delta_n = 2^-v + sum_{k=1}^{n-1} (1 - 2 phi(k)),   v = v_2(n + 1).
+
+    (i) S(n) = sum_{j>=1} ||n / 2^j|| is n D_n* of phi(0..n-1) (Bejian and
+    Faure, C. R. Acad. Sci. Paris 285, 1977). From n to n + 1, ||n / 2^j||
+    grows by 2^-j where bit j-1 of n is 0 (n mod 2^j < 2^(j-1)) and falls
+    by 2^-j where it is 1, so S(n + 1) - S(n) = 1 - 2 phi(n) and
+    S(n) = sum_{k<n} (1 - 2 phi(k)), whose k = 0 term is 1.
+    (ii) phi(1..n) swaps the point 0 for y = phi(n). n ends in v one bits
+    and a zero, so y lies in [1 - 2^-v, 1 - 2^-(v+1)). Every [0, x] with
+    x < y loses a point, so the excess of points over n x drops by 1
+    there; at and above y the counts stand, and the points above 1 - 2^-v
+    are 1 - 2^-v + 2^-v phi(k), k < (n + 1) 2^-v - 1, a scaled shorter
+    prefix, over which the excess peaks at S(n) - 1 + 2^-v. The shortfall
+    stays below that, so the swap costs -1 + 2^-v. The tests check the
+    identity against the sorted-order formula at every n <= 4096 and
+    against a digit-by-digit max-plus program at every n <= 2^20 + 1.
+
+    Over den = 2^L, L = bitlen(N), the numerators p_k = den phi(k) give
+    den Delta_n = (den >> v) + sum_{k<n} (den - 2 p_k): one int64 cumsum.
+    Each ||n / 2^j|| is at most 1/2, and those with j > L sum below 1, so
+    den Delta_n and every partial sum lie below den (L/2 + 1) < 2^53:
+    nothing overflows, and / den is exact in float64.
     """
-    L = (n_max + 1).bit_length()
-    one = 1 << L
-    M = np.arange(2, n_max + 2, dtype=np.int64)
-    up0 = np.full(n_max, _UNREACHED, dtype=np.int64)  # N x - A(x), s = 0
-    up1 = up0.copy()                                  # and s = 1
-    dn0 = np.zeros(n_max, dtype=np.int64)  # A(x) - N x, s = 0: x = 0
-    dn1 = up0.copy()
-    for j in range(1, L + 1):
-        bit = (M >> (j - 1)) & 1 == 1
-        c1 = (((M & ((1 << j) - 1)) - 1) << (L - j)) - one  # t_j = 1
-        c0 = np.where(bit, c1, c1 + one)                    # t_j = s = 0
-        zero = (M & ((1 << (j - 1)) - 1)) == 0  # the all-zero path's s
-        v0 = np.where(zero, np.maximum(up0, 0), up0)
-        v1 = np.where(zero, up1, np.maximum(up1, 0))
-        # bit set: a_j = 1 keeps s, a_j = 0 moves it to 1; bit clear:
-        # a_j = 1 moves s to 0, a_j = 0 keeps it
-        t = v1 + c1
-        up0, up1 = (np.maximum(v0 + c0, np.where(bit, _UNREACHED,
-                                                 np.maximum(up0, t))),
-                    np.where(bit, np.maximum(np.maximum(up0, up1), t), up1))
-        t = dn1 - c1
-        dn0, dn1 = (np.maximum(dn0 - c0, np.where(bit, _UNREACHED,
-                                                  np.maximum(dn0, t))),
-                    np.where(bit, np.maximum(np.maximum(dn0, dn1), t), dn1))
-    return np.maximum(np.maximum(up0, up1) + one, np.maximum(dn0 - one, dn1))
-
-
-def vdc_discrepancy(N: int) -> PrefixDiscrepancy:
-    """Prefix-discrepancy bounds of the van der Corput points phi(1..N)
-    from the exact Delta_n of every prefix (`_vdc_deltas`), O(N log N)."""
-    pts = van_der_corput(N).points.to_float_array()
-    delta = _vdc_deltas(N) / float(1 << (N + 1).bit_length())
-    # Margin, for the prefix n. The points are exact in float64. The
-    # trace's Delta_n takes each candidate value of the sorted-order formula
-    # within 2^-53 of exact (two roundings of magnitude <= 1, in units of
-    # 2^-54), and d n one more rounding of at most 2^-53 n: within 2^-52 n
-    # of the exact Delta_n <= n. Converting that to float64 rounds by at
-    # most 2^-53 n, and adding or subtracting the margin by at most
-    # 2^-53 (n + margin): 2^-50 n covers the sum.
-    margin = np.arange(1, N + 1) * 2.0 ** -50
-    return PrefixDiscrepancy(pts, np.argsort(pts, kind="stable"),
-                             delta - margin, delta + margin)
+    N = len(ps)
+    if not (isinstance(ps, PointSet) and ps.provenance == "vdc"
+            and isinstance(ps.points, RationalArray)
+            and ps.points.denominator == 1 << N.bit_length()):
+        raise ValueError("vdc_discrepancy needs van_der_corput(N): exact "
+                         "points over 2^bitlen(N)")
+    nums, den = ps.points.numerators, ps.points.denominator
+    scaled = np.zeros(N, dtype=np.int64)
+    np.cumsum(den - 2 * nums[:-1], out=scaled[1:])
+    m = np.arange(2, N + 2, dtype=np.int64)  # n + 1
+    scaled += den // (m & -m)                # den >> v
+    return ExactPrefixDiscrepancy(scaled / den)
 
 
 def discrepancy_trace(ps) -> DiscrepancyTrace:

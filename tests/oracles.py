@@ -1,5 +1,7 @@
 """References that the fast paths are checked against: log(2 sin pi x) and
-its prefix sums in mpf, the compensated sum as one chunk loop, and the whole-array forms of the streamed rational
+its prefix sums in mpf, the compensated sum as one chunk loop, the van der
+Corput prefix discrepancy as a max-plus program over the binary digits of
+N + 1 (`vdc_deltas`), and the whole-array forms of the streamed rational
 checkers (`grid_hlawka_report`, `check_vdc_limits`), which hold every
 point, term and prefix sum."""
 
@@ -92,6 +94,61 @@ def compensated_cumsum_by_chunks(a: np.ndarray) -> tuple:
         carry_hi, carry_lo = int(ints[-1]), float(lo[-1])
         out_max = max(out_max, float(np.abs(res).max()))
     return out, 2.0 ** -51 * (out_max + math.ldexp(n * n, -k - 1))
+
+
+# value of an unreachable state of `vdc_deltas`; every path sum stays
+# below L 2^(L+1) in magnitude, so adding gains to it never wraps
+_UNREACHED = -(1 << 62)
+
+
+def vdc_deltas(n_max: int) -> np.ndarray:
+    """2^L Delta_N, L = bitlen(n_max + 1), for the van der Corput points
+    phi(1..N) of every N = 1..n_max, exactly in int64.
+
+    Delta_N is the largest of N x - A(x), x > 0, and A(x) + [x is a
+    point] - N x over the dyadics x = 0.a_1..a_L, A(x) counting the points
+    below x. With M = N + 1 and R_j = sum_{i<=j} a_i 2^(i-1), the n in
+    [0, M) with phi(n) < x are those whose lowest j bits are R_{j-1} for a
+    j with a_j = 1, so
+        A(x) = sum_{a_j=1} (floor(M / 2^j) + t_j) - 1,
+        t_j = [R_{j-1} < M mod 2^j],
+    the -1 for n = 0. t_j is 1 where bit j-1 of M is set and s_{j-1}
+    otherwise, s_j = [R_j < M mod 2^j]. phi(R_L) = x, so x > 0 is a point
+    iff s_L (M < 2^L); at x = 0 the -1 and s_L = 1 cancel. Scaled by 2^L,
+    a_j = 1 thus gains
+        c(t_j) = 2^L (N 2^-j - floor(M / 2^j) - t_j)
+               = 2^(L-j) (M mod 2^j - 1) - t_j 2^L
+    on the N x - A(x) side and -c(t_j) on the other, a_j = 0 gains 0, and
+    s moves to 1 when a_j < bit j-1 of M, to 0 when a_j exceeds it: a
+    max-plus program over j with the two states of s. The N x - A(x) side
+    holds only paths with some a_i = 1; the all-zero path, with value 0 at
+    s = [M mod 2^(j-1) > 0], enters it when a_j = 1.
+    """
+    L = (n_max + 1).bit_length()
+    one = 1 << L
+    M = np.arange(2, n_max + 2, dtype=np.int64)
+    up0 = np.full(n_max, _UNREACHED, dtype=np.int64)  # N x - A(x), s = 0
+    up1 = up0.copy()                                  # and s = 1
+    dn0 = np.zeros(n_max, dtype=np.int64)  # A(x) - N x, s = 0: x = 0
+    dn1 = up0.copy()
+    for j in range(1, L + 1):
+        bit = (M >> (j - 1)) & 1 == 1
+        c1 = (((M & ((1 << j) - 1)) - 1) << (L - j)) - one  # t_j = 1
+        c0 = np.where(bit, c1, c1 + one)                    # t_j = s = 0
+        zero = (M & ((1 << (j - 1)) - 1)) == 0  # the all-zero path's s
+        v0 = np.where(zero, np.maximum(up0, 0), up0)
+        v1 = np.where(zero, up1, np.maximum(up1, 0))
+        # bit set: a_j = 1 keeps s, a_j = 0 moves it to 1; bit clear:
+        # a_j = 1 moves s to 0, a_j = 0 keeps it
+        t = v1 + c1
+        up0, up1 = (np.maximum(v0 + c0, np.where(bit, _UNREACHED,
+                                                 np.maximum(up0, t))),
+                    np.where(bit, np.maximum(np.maximum(up0, up1), t), up1))
+        t = dn1 - c1
+        dn0, dn1 = (np.maximum(dn0 - c0, np.where(bit, _UNREACHED,
+                                                  np.maximum(dn0, t))),
+                    np.where(bit, np.maximum(np.maximum(dn0, dn1), t), dn1))
+    return np.maximum(np.maximum(up0, up1) + one, np.maximum(dn0 - one, dn1))
 
 
 def check_vdc_limits(s_max: int = 18) -> BoundReport:

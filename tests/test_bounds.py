@@ -15,7 +15,8 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              grid_hlawka_report, hlawka_sequence_report,
                              kronecker_log_trace)
 from weylprod import discrepancy
-from weylprod.discrepancy import discrepancy_trace, kronecker_discrepancy
+from weylprod.discrepancy import (discrepancy_trace, kronecker_discrepancy,
+                                  star_discrepancy)
 from weylprod.irrational import (cf_expand, cf_expand_until,
                                  kronecker_fixed_point, ostrowski,
                                  surd_from_cf)
@@ -150,12 +151,16 @@ def test_hlawka_matches_per_n_loop(seed):
 
 
 def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
+    # the vdC deltas are exact; the Kronecker ones are the float64 trace's,
+    # which `delta_at` reproduces bit for bit
     orbit = kronecker_fixed_point(sqrt2m1, 1500)
     vdc = van_der_corput(1500)
-    for kind, tr, pts, n_mins in (
-            ("vdc", product_trace(vdc), vdc, (1, 16)),
-            ("kronecker", orbit_trace([orbit], 1500), orbit.points(), (16,))):
-        deltas = discrepancy_trace(pts).delta
+    vdc_deltas = [float(star_discrepancy(vdc.points[:n]).delta)
+                  for n in range(1, 1501)]
+    for kind, tr, deltas, n_mins in (
+            ("vdc", product_trace(vdc), vdc_deltas, (1, 16)),
+            ("kronecker", orbit_trace([orbit], 1500),
+             discrepancy_trace(orbit.points()).delta, (16,))):
         for N_min in n_mins:
             rep = hlawka_sequence_report(kind, 1500, N_min=N_min,
                                          alpha=sqrt2m1)
@@ -246,6 +251,15 @@ def test_hlawka_n_min_below_one(N_min):
     deltas = np.ones(5)
     with pytest.raises(ValueError, match="N_min"):
         check_hlawka(tr, Bracket(deltas, deltas, deltas), N_min=N_min)
+
+
+@pytest.mark.parametrize("kind", ["vdc", "kronecker"])
+def test_hlawka_n_min_above_n_max(kind, sqrt2m1):
+    # a range with no N in it compares nothing, so it cannot pass
+    with pytest.raises(ValueError, match="N_min"):
+        hlawka_sequence_report(kind, 10, N_min=16, alpha=sqrt2m1)
+    rep = hlawka_sequence_report(kind, 10, N_min=10, alpha=sqrt2m1)
+    assert rep.n_range == (10, 10)
 
 
 # ---------------------------------------------------------------- sandwich

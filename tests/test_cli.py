@@ -576,6 +576,19 @@ def test_unwritable_out_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_out_of_memory_exit_3(monkeypatch, capsys):
+    # running out of memory is not a failed bound (exit 1): exit 3 with
+    # one line, no traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.bnd, "hlawka_sequence_report", no_memory)
+    code, out, err = run(["verify", "hlawka", "--gen", "vdc",
+                          "--n-max", "100"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("argv, lines", [
     (["figure", "--n-max", "50000"], 1),
     (["verify", "conjectures", "--n-max", "30"], 0),

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from weylprod import irrational
 from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
-                                  PrefixDiscrepancy, _vdc_deltas,
+                                  PrefixDiscrepancy,
                                   brute_force_star_discrepancy,
                                   discrepancy_trace, int_sorted_max,
                                   kronecker_discrepancy, star_discrepancy,
                                   vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import as_float_array
-from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
-                                van_der_corput)
+from weylprod.sequences import (PointSet, RationalArray, kronecker,
+                                uniform_grid, van_der_corput)
 
 EPS = Fraction(1, 1 << 40)
 
@@ -324,32 +325,52 @@ def test_kronecker_bounds_interface(sqrt2m1):
 # ------------------------------------------ van der Corput from its digits
 
 def test_vdc_deltas_match_exact():
-    # every N <= 4096 over one grid; N = 2^k - 1, 2^k, 2^k + 1 up to k = 20
-    # over another, and up to k = 12 as the largest prefix, where the
-    # grid's L = bitlen(N + 1) steps
-    L = (4096 + 1).bit_length()
-    deltas = _vdc_deltas(4096)
-    for N in range(1, 4097):
-        exact = star_discrepancy(van_der_corput(N)).delta
-        assert Fraction(int(deltas[N - 1]), 1 << L) == exact, N
+    # the prefix sum against the max-plus digit program at every
+    # N <= 2^20 + 1, one call each; both are exact in float64
     top = 2 ** 20 + 1
-    deltas = _vdc_deltas(top)
+    got = vdc_discrepancy(van_der_corput(top)).delta
+    want = oracles.vdc_deltas(top) / float(1 << (top + 1).bit_length())
+    assert np.array_equal(got, want)
+    # against the sorted-order formula: every N <= 4096 from one call, and
+    # N = 2^k - 1, 2^k, 2^k + 1 up to k = 20 each from its own point set,
+    # where the denominator 2^bitlen(N) steps
+    got = vdc_discrepancy(van_der_corput(4096)).delta
+    for N in range(1, 4097):
+        assert got[N - 1] == star_discrepancy(van_der_corput(N)).delta, N
     for k in range(1, 21):
         for N in (2 ** k - 1, 2 ** k, 2 ** k + 1):
-            exact = star_discrepancy(van_der_corput(N)).delta
-            got = Fraction(int(deltas[N - 1]), 1 << (top + 1).bit_length())
-            assert got == exact, N
-            if k <= 12:
-                got = Fraction(int(_vdc_deltas(N)[-1]),
-                               1 << (N + 1).bit_length())
-                assert got == exact, N
+            ps = van_der_corput(N)
+            exact = star_discrepancy(ps).delta
+            assert vdc_discrepancy(ps).delta_at(N) == exact, N
+
+
+def test_vdc_discrepancy_refuses_other_point_sets():
+    # uniform_grid(7) is exact over 8 = 2^bitlen(7), but not the vdC points
+    for ps in (uniform_grid(10), uniform_grid(7),
+               PointSet(RationalArray([1, 2], 3), "vdc"),
+               PointSet([0.5, 0.25], "vdc"),
+               van_der_corput(8).points):
+        with pytest.raises(ValueError, match="van_der_corput"):
+            vdc_discrepancy(ps)
 
 
 def test_vdc_bounds_bracket_trace():
     N = 3000
-    vd = vdc_discrepancy(N)
-    delta = discrepancy_trace(van_der_corput(N)).delta
+    ps = van_der_corput(N)
+    vd = vdc_discrepancy(ps)
+    exact = np.array([float(star_discrepancy(ps.points[:n]).delta)
+                      for n in range(1, N + 1)])
     assert len(vd) == N
-    assert np.all(vd.lower <= delta) and np.all(delta <= vd.upper)
-    for n in range(1, N + 1):
-        assert vd.delta_at(n) == delta[n - 1], n
+    assert np.array_equal(vd.lower, exact)
+    assert np.array_equal(vd.upper, exact)
+    # the float64 trace of the same points is within 2^-50 n of it
+    delta = discrepancy_trace(ps).delta
+    n = np.arange(1, N + 1)
+    assert np.all(np.abs(delta - exact) <= 2.0 ** -50 * n)
+    for k in (1, 22, N):
+        assert vd.delta_at(k) == exact[k - 1]
+    assert vd.delta_at(22) == 17 / 8
+    with pytest.raises(IndexError):
+        vd.delta_at(0)
+    with pytest.raises(IndexError):
+        vd.delta_at(N + 1)

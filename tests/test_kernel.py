@@ -11,13 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import compensated_cumsum_by_chunks, mpf_trace
+from oracles import (compensated_cumsum_by_chunks, log_two_sin_pi_mp,
+                     mpf_trace)
 from weylprod import irrational, numerics
 from weylprod.bounds import kronecker_log_trace
 from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
                                  kronecker_fixed_point,
                                  kronecker_fixed_point_blocks, surd_from_cf)
-from weylprod.numerics import (compensated_cumsum, log_two_sin_pi,
+from weylprod.numerics import (TERM_EPS, compensated_cumsum, log_two_sin_pi,
                                log_two_sin_pi_array)
 from weylprod.products import orbit_trace
 from weylprod.sequences import kronecker
@@ -215,3 +216,41 @@ def test_log_kernel_edge_points():
     assert got[0] == math.log(2.0)
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(x, np.array(EDGE_POINTS))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the screen needs a 64-bit long double mantissa")
+def test_log_kernel_within_term_eps():
+    """`log_two_sin_pi_array` stays within TERM_EPS (1 + |term|) of
+    log(2 sin pi x) on this host's numpy, densely sampled where its error
+    peaks: near 1/6 and 5/6, where 2 sin(pi x) = 1 and the log's relative
+    error meets a term near 0, and near 0, 1/2 and 1. Every sample is
+    screened against a long-double evaluation; the worst are settled in
+    mpmath at 128 bits."""
+    rng = np.random.default_rng(6)
+    n = 100_000
+    parts = [rng.uniform(0.0, 1.0, n),
+             np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-60, -1, n)),
+             1.0 - np.ldexp(rng.uniform(1.0, 2.0, n),
+                            rng.integers(-53, -1, n))]
+    for c in (1.0 / 6.0, 5.0 / 6.0, 0.5):
+        parts += [c + rng.uniform(-1e-3, 1e-3, 2 * n),
+                  c + rng.uniform(-1e-9, 1e-9, n // 4),
+                  c + np.arange(-2000, 2001) * np.spacing(c)]
+    x = np.concatenate(parts)
+    got = log_two_sin_pi_array(x)
+    # min(x, 1 - x) is exact: x itself below 1/2, 1 - x above it
+    xl = x.astype(np.longdouble)
+    r = np.minimum(xl, 1 - xl)
+    pi = 4 * np.arctan(np.longdouble(1))
+    ref = np.log(2 * np.sin(pi * r))
+    scale = 1.0 + np.abs(ref)
+    # the long-double reference is within a few 2^-64 (1 + |term|)
+    ratio = (np.abs(got - ref) + 2.0 ** -60 * scale) / (TERM_EPS * scale)
+    assert ratio.max() <= 1.0
+    worst = 0.0
+    for i in np.argsort(ratio)[-24:].tolist():
+        exact = log_two_sin_pi_mp(mpmath.mpf(float(x[i])), 128)
+        err = abs(mpmath.mpf(float(got[i])) - exact) / (1 + abs(exact))
+        worst = max(worst, float(err) / TERM_EPS)
+    assert worst <= 1.0
