@@ -129,14 +129,13 @@ class PrefixDiscrepancy:
     gives for the sequence's float64 `points`, and `delta_at(n)`, that value
     itself for one n.
 
-    Built in O(N log N) from a Kronecker orbit's structure by
-    `kronecker_discrepancy`; `delta_at` costs O(N) per call from one
-    argsort of the points. The van der Corput prefixes need no bracket:
+    Built in O(N) from a Kronecker orbit's structure by
+    `kronecker_discrepancy`; `delta_at(n)` sorts the prefix's n points, in
+    O(n log n). The van der Corput prefixes need no bracket:
     `vdc_discrepancy` gives their Delta_n exactly.
     """
 
     points: np.ndarray
-    order: np.ndarray  # stable argsort of points
     lower: np.ndarray
     upper: np.ndarray
 
@@ -144,12 +143,11 @@ class PrefixDiscrepancy:
         return len(self.points)
 
     def delta_at(self, n: int) -> float:
-        """Delta_n by the sorted-order formula in float64, bit for bit the
-        trace's value: the prefix's points in sorted order are the sorted
-        points with index below n."""
+        """Delta_n by the sorted-order formula in float64 over the sorted
+        first n points, bit for bit the trace's value."""
         if not 1 <= n <= len(self.points):
             raise IndexError(f"prefix {n} outside [1, {len(self.points)}]")
-        return float(_float(self.points[self.order[self.order < n]]).delta)
+        return float(_float(np.sort(self.points[:n])).delta)
 
 
 def _last_arg(T: np.ndarray, run: np.ndarray) -> np.ndarray:
@@ -202,8 +200,7 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
               + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
     lower = base + inner - margin
     upper = base + (run_max[:-1] - run_min[:-1]) + margin
-    return PrefixDiscrepancy(pts, np.argsort(pts, kind="stable"),
-                             lower, upper)
+    return PrefixDiscrepancy(pts, lower, upper)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,14 @@
 """Numerically stable evaluation of P_N = prod 2 sin(pi x_k).
 
 Traces accumulate in log space: extremal sets overflow doubles long before
-desk scale, and log-space also makes the bound checkers uniform. Every
-point set (exact rationals, floats or mpf values) is read as float64 and
-takes one compensated double path, a block consumer (`BlockTrace`) whose
-error bound charges each point's own error (`PointSet.point_error`) and its
-rounding to float64; the rational checkers stream their points through it
-in blocks, and the checkers' Kronecker orbits come from the fixed-point
-kernel (`orbit_trace`). The printed 40-digit series (`rotation_products`) keeps
+desk scale, and log-space also makes the bound checkers uniform. A point
+set is exact rationals (`RationalArray`) or float64 values, every point
+strictly inside (0, 1), so no product is zero; it takes one compensated
+double path, a block consumer (`BlockTrace`) whose error bound charges each
+point's own error (`PointSet.point_error`) and its rounding to float64; the
+rational checkers stream their points through it in blocks, and the
+checkers' Kronecker orbits come from the fixed-point kernel
+(`orbit_trace`). The printed 40-digit series (`rotation_products`) keeps
 the product itself, as an integer mantissa and exponent, and takes its
 sines from a fixed-point rotation w^n in integers; its rows are rounded
 (`row_value`) and printed (`row_texts`) in integers too.
@@ -16,7 +17,6 @@ sines from a fixed-point rotation w^n in integers; its rows are rounded
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +26,8 @@ import numpy as np
 from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
                          default_precision_bits, exact_residue,
                          kronecker_fixed_point_blocks, scaled_floor)
-from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, as_float_array,
-                       compensated_cumsum, log_two_sin_pi_array)
+from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, compensated_cumsum,
+                       log_two_sin_pi_array)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -39,58 +39,52 @@ NORMALIZERS = tuple(_NORMALIZER_POWER)
 class ProductTrace:
     """Prefix log-products log P_1 .. log P_N as a float64 array
     `log_values`, with an accumulated error bound on the final (and by
-    construction any earlier) entry.
-
-    A point exactly at 0 or 1, with no error, makes the product zero; that
-    is reported through `has_zero` and -inf entries, not an exception.
-    """
+    construction any earlier) entry."""
 
     log_values: np.ndarray
     error_bound: float
     N: int
-    has_zero: bool = False
 
 
 def product_trace(ps) -> ProductTrace:
-    """Compensated log-space prefix products over a point set, whose points
-    are read as float64 (`as_float_array`) and run through a `BlockTrace`
-    in blocks of SUM_CHUNK; a sequence's points that float64 does not hold
-    exactly add one ulp of float(x) to their `point_error`."""
+    """Compensated log-space prefix products over a `RationalArray` or a
+    float64 ndarray of points, bare or in a `PointSet` (whose `point_error`
+    is charged), run through a `BlockTrace` in blocks of SUM_CHUNK. Any
+    other points raise TypeError; a point at 0 or 1, or a NaN, raises
+    ValueError (`term_max`)."""
     pts = ps.points if isinstance(ps, PointSet) else ps
-    n = len(pts)
+    pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
+    if isinstance(pts, RationalArray):
+        arr = pts.to_float_array()
+    elif isinstance(pts, np.ndarray) and pts.dtype == np.float64:
+        arr = pts
+    else:
+        raise TypeError("points must be a RationalArray or a float64 "
+                        f"ndarray, not {type(pts).__name__}")
+    n = len(arr)
     if n == 0:
         raise ValueError("empty point set")
-    pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
-    arr = as_float_array(pts)
-    if not isinstance(pts, (np.ndarray, RationalArray)):
-        exact = np.fromiter(map(operator.eq, pts, arr.tolist()), bool)
-        pt_err = pt_err + np.where(exact, 0.0, np.spacing(arr))
     trace = BlockTrace(n, term_max(arr))
     out = np.empty(n)
     for s in range(0, n, SUM_CHUNK):
-        e = s + SUM_CHUNK
-        trace.feed(pts[s:e] if isinstance(pts, RationalArray) else arr[s:e],
-                   pt_err[s:e] if isinstance(pt_err, np.ndarray) else pt_err,
-                   out[s:e])
-    return ProductTrace(out, trace.error_bound(), n, trace.has_zero)
+        trace.feed(pts[s:s + SUM_CHUNK], pt_err, out[s:s + SUM_CHUNK])
+    return ProductTrace(out, trace.error_bound(), n)
 
 
 def term_max(x: np.ndarray) -> float:
-    """max |log(2 sin pi x)| over the float points x before the first one at
-    0 or 1 (0 if there are none), where a zero product stops the sum.
+    """max |log(2 sin pi x)| over the non-empty float points x, which must
+    lie inside (0, 1): a point at 0 or 1, or a NaN, raises ValueError
+    before any log is taken.
 
     The term grows with m = min(x, 1 - x), so the largest |term| is the
     larger at the smallest and the largest m, taken from the kernel itself.
     """
-    zero = (x == 0.0) | (x == 1.0)
-    if zero.any():
-        x = x[:int(np.argmax(zero))]
-    if not len(x):
-        return 0.0
     m = np.subtract(1.0, x)
     np.minimum(x, m, out=m)
-    ends = log_two_sin_pi_array(np.array([m.min(), m.max()]))
-    return float(np.abs(ends).max())
+    ends = np.array([m.min(), m.max()])
+    if not ends[0] > 0.0:
+        raise ValueError("a point is not inside (0, 1)")
+    return float(np.abs(log_two_sin_pi_array(ends)).max())
 
 
 # the exponent field of a float64; a positive normal x masked to it is the
@@ -101,9 +95,10 @@ _EXPONENT_BITS = 0x7FF << 52
 class BlockTrace:
     """Block consumer of prefix log-products: the n points of a set, fed in
     order (`feed`), each block as float64 values or a `RationalArray`, with
-    a bound on the error of every prefix (`error_bound`). Every
-    |log(2 sin pi x)| must be within `amax` (`term_max`); `feed` raises
-    ValueError on one that is not. Blocks of
+    a bound on the error of every prefix (`error_bound`). Every point must
+    lie inside (0, 1) and every |log(2 sin pi x)| within `amax`
+    (`term_max`); `feed` raises ValueError on a block that breaks either,
+    checking the points before it takes a log. Blocks of
     SUM_CHUNK points sum as one `compensated_cumsum` of all the terms
     would, bit for bit, and only a block's terms and sums are held.
 
@@ -111,44 +106,36 @@ class BlockTrace:
     nothing over a power-of-two denominator up to 2^53; half an ulp below
     2^53, where the numerator and the denominator convert exactly and the
     quotient rounds once; 3 ulps above, for three roundings of 2^-53
-    relative. The endpoints 0 and 1 are exact (x = 0 has no exponent bits).
-    After the first point at 0 or 1 the product is zero: `has_zero` is set
-    and the sums are -inf.
+    relative.
     """
 
     def __init__(self, n: int, amax: float):
         self.sums = PrefixSum(n, amax)
         self.term_error = 0.0
-        self.has_zero = False
 
     def feed(self, x, pt_err=0.0, out: np.ndarray | None = None):
         """The prefix log-products through each point of `x`, written to
         `out` (default: a new array) and returned; `pt_err` bounds each
         point's own error."""
+        den = 1
         if isinstance(x, RationalArray):
-            nums, den = x.numerators, x.denominator
+            den = x.denominator
             x = x.to_float_array()
-            if den & (den - 1) or den > 1 << 53:
-                # ulp(x) = 2^(e-52) for x in [2^e, 2^(e+1)), from the
-                # exponent bits (np.spacing costs about as much as the sine)
-                ulps = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
-                ulps *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
-                ulps[nums == den] = 0.0
-                ulps += pt_err
-                pt_err = ulps
-        terms, err, endpoint = _float_terms(x, pt_err)
-        self.term_error += err
-        first = (0 if self.has_zero else
-                 int(np.argmax(endpoint)) if endpoint.any() else len(x))
-        terms[first:] = 0.0
+        if not (x.min() > 0.0 and x.max() < 1.0):
+            raise ValueError("a point is not inside (0, 1)")
+        if den & (den - 1) or den > 1 << 53:
+            # ulp(x) = 2^(e-52) for x in [2^e, 2^(e+1)), from the exponent
+            # bits (np.spacing costs about as much as the sine)
+            ulps = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+            ulps *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
+            ulps += pt_err
+            pt_err = ulps
+        terms, err = _float_terms(x, pt_err)
         amax = self.sums.amax
         if not (float(terms.max()) <= amax and float(terms.min()) >= -amax):
             raise ValueError("a term exceeds its declared bound amax")
-        cum = self.sums.feed(terms, out)
-        if first < len(x):
-            cum[first:] = -math.inf
-            self.has_zero = True
-        return cum
+        self.term_error += err
+        return self.sums.feed(terms, out)
 
     def error_bound(self) -> float:
         """The bound on the error of every prefix log-product so far; for
@@ -157,15 +144,11 @@ class BlockTrace:
 
 
 def _float_terms(arr: np.ndarray, pt_err) -> tuple:
-    """(terms log(2 sin pi x), their error bound, endpoint mask) for float
-    points `arr`; `pt_err` bounds each point's error (scalar or array).
+    """(terms log(2 sin pi x), their error bound) for float points `arr`
+    inside (0, 1); `pt_err` bounds each point's error (scalar or array).
 
-    Endpoints are replaced by 1/2 in a copy only when there are any, and
-    the bounds are built in place in one scratch array of N."""
-    endpoint = (arr == 0.0) | (arr == 1.0)
-    any_endpoint = bool(endpoint.any())
-    safe = np.where(endpoint, 0.5, arr) if any_endpoint else arr
-    terms = log_two_sin_pi_array(safe)
+    The bounds are built in place in one scratch array of N."""
+    terms = log_two_sin_pi_array(arr)
     scratch = np.abs(terms)
     scratch += 1.0
     scratch *= TERM_EPS
@@ -174,15 +157,14 @@ def _float_terms(arr: np.ndarray, pt_err) -> tuple:
         # |d/dx log(2 sin pi x)| = pi |cot(pi x)| <= 1 / min(x, 1-x): a term
         # moves by at most e / (m - e), m = min(x, 1-x) of the float, which
         # 1.6 e / m covers while m >= 3.2 e (each charge at most 1/2)
-        np.subtract(1.0, safe, out=scratch)
-        np.minimum(safe, scratch, out=scratch)
+        np.subtract(1.0, arr, out=scratch)
+        np.minimum(arr, scratch, out=scratch)
         np.divide(1.6 * pt_err, scratch, out=scratch)
         charge = float(scratch.sum())
-        if (charge > 0.5 and scratch.max() > 0.5) or (
-                any_endpoint and np.any(np.where(endpoint, pt_err, 0.0))):
+        if charge > 0.5 and scratch.max() > 0.5:
             raise ValueError("a point lies within 3.2 errors of 0 or 1")
         err += charge
-    return terms, err, endpoint
+    return terms, err
 
 
 def orbit_trace(orbits, N: int) -> ProductTrace:
@@ -196,7 +178,7 @@ def orbit_trace(orbits, N: int) -> ProductTrace:
     terms = np.empty(N, dtype=np.float64)
     err = 0.0
     for orbit in orbits:
-        t, e, _ = _float_terms(orbit.dist, orbit.error())
+        t, e = _float_terms(orbit.dist, orbit.error())
         terms[orbit.first - 1:orbit.first - 1 + len(t)] = t
         err += e
     cum, sum_err = compensated_cumsum(terms)

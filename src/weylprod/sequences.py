@@ -61,7 +61,9 @@ class RationalArray:
 
 @dataclass
 class PointSet:
-    """A finite ordered multiset of numbers in [0, 1] with provenance.
+    """A finite ordered multiset of numbers in [0, 1], or in (0, 1) for the
+    `kronecker` and `vdc` provenances; any other point, or a NaN, raises
+    ValueError.
 
     `point_error` is a uniform absolute bound on the error of each stored
     value (zero for exact rationals and seeded floats).
@@ -72,24 +74,20 @@ class PointSet:
     point_error: float = 0.0
 
     def __post_init__(self):
+        pts, one = self.points, 1
+        if not len(pts):
+            return
         strict = self.provenance in ("kronecker", "vdc")
-        if isinstance(self.points, RationalArray):
-            nums, den = self.points.numerators, self.points.denominator
-            if len(nums) and (int(nums.min()) < 0 or int(nums.max()) > den):
-                raise ValueError("point outside [0, 1]")
-            if strict and len(nums) and (
-                    int(nums.min()) == 0 or int(nums.max()) == den):
-                raise ValueError(f"{self.provenance} point hit an endpoint")
-            return
-        if not len(self.points):
-            return
-        # the extremes decide both checks, in 2N comparisons
-        lo, hi = min(self.points), max(self.points)
-        for x in (lo, hi):
-            if x < 0 or x > 1:
-                raise ValueError(f"point {x!r} outside [0, 1]")
-        if strict and (lo == 0 or hi == 1):
-            raise ValueError(f"{self.provenance} point hit an endpoint")
+        if isinstance(pts, RationalArray):
+            one = pts.denominator
+            pts = (int(pts.numerators.min()), int(pts.numerators.max()))
+        elif isinstance(pts, np.ndarray):
+            pts = (pts.min(), pts.max())  # both NaN if any point is
+        # one range test per point, or per extreme, which a NaN fails
+        for x in pts:
+            if not (0 < x < one if strict else 0 <= x <= one):
+                raise ValueError(f"{self.provenance} point outside "
+                                 f"{'(0, 1)' if strict else '[0, 1]'}")
 
     def __len__(self):
         return len(self.points)

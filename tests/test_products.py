@@ -24,8 +24,10 @@ from weylprod.stochastic import log_integral
 
 
 def test_single_half_point():
-    tr = product_trace([Fraction(1, 2)])
-    assert float(tr.log_values[-1]) == pytest.approx(math.log(2.0), abs=1e-15)
+    for pts in (RationalArray([1], 2), np.array([0.5])):
+        tr = product_trace(pts)
+        assert float(tr.log_values[-1]) == \
+            pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_roots_of_unity_identity():
@@ -86,13 +88,50 @@ def test_error_bound_accumulates_linearly(sqrt2m1):
     assert t_full.error_bound < 4 * t_half.error_bound
 
 
-def test_zero_point_sentinel():
-    ps = PointSet([Fraction(1, 2), Fraction(0), Fraction(1, 4)], "extremal")
-    tr = product_trace(ps)
-    assert tr.has_zero
-    vals = tr.log_values
-    assert vals[0] == pytest.approx(math.log(2.0))
-    assert vals[1] == -math.inf and vals[2] == -math.inf
+def refuse_logs(monkeypatch):
+    """Make every log the product layer takes fail the test."""
+    def no_log(x):
+        raise AssertionError("a log was taken")
+    monkeypatch.setattr(products, "log_two_sin_pi_array", no_log)
+
+
+def test_points_off_the_open_interval_are_refused(monkeypatch):
+    # a point at 0 or 1 would make the product zero, and a NaN has none:
+    # each is refused before any log is taken, as a bare RationalArray or
+    # ndarray and in a PointSet (which refuses a NaN itself)
+    alpha = surd_from_cf([3, 2 ** 70], [1, 4])
+    kron = np.array([float(x) for x in kronecker(alpha, 3).points])
+    # {3 alpha} lies about 2^-71.6 below 1 and rounds to 1.0
+    assert kron[2] == 1.0
+    refuse_logs(monkeypatch)
+    for pts in (RationalArray([2, 0, 1], 4), RationalArray([1, 3, 3], 3),
+                # past 2^53 the numerator rounds too, here to 1.0
+                RationalArray([2 ** 60 - 1], 2 ** 60),
+                np.array([0.5, 0.0, 0.25]), np.array([0.5, 1.0]),
+                np.array([0.5, np.nan]), kron):
+        with pytest.raises(ValueError, match=r"not inside \(0, 1\)"):
+            product_trace(pts)
+        with pytest.raises(ValueError):
+            product_trace(PointSet(pts, "extremal"))
+
+
+def test_block_trace_refuses_a_block_off_the_open_interval(monkeypatch):
+    # the streamed checkers feed blocks a whole-set `term_max` never saw
+    trace = products.BlockTrace(4, 1.0)
+    trace.feed(np.array([0.25, 0.5]))
+    refuse_logs(monkeypatch)
+    for block in (np.array([0.5, 0.0]), np.array([1.0, 0.5]),
+                  RationalArray([1, 3], 3), np.array([np.nan, 0.5])):
+        with pytest.raises(ValueError, match=r"not inside \(0, 1\)"):
+            trace.feed(block)
+
+
+def test_product_trace_takes_rational_or_float64_arrays():
+    for pts in ([0.5], [Fraction(1, 2)],
+                PointSet([Fraction(1, 2)], "extremal"),
+                np.array([Fraction(1, 2)]), np.array([0.5], np.float32)):
+        with pytest.raises(TypeError, match="RationalArray or a float64"):
+            product_trace(pts)
 
 
 def test_log_sin_integral_vanishes():
@@ -110,13 +149,14 @@ def test_mp_log_term_matches_float():
 
 def test_float_trace_charges_point_error():
     # a scalar point error adds 1.6 e / min(x, 1 - x) per point to the
-    # terms' rounding allowance
-    pts = [0.1, 0.5, 0.75, 1e-6]
-    bare = product_trace(PointSet(pts, "iid-uniform")).error_bound
-    tr = product_trace(PointSet(pts, "iid-uniform", point_error=1e-12))
-    m = np.minimum(pts, np.subtract(1.0, pts))
-    assert tr.error_bound - bare == pytest.approx(
-        float(np.sum(1.6e-12 / m)), rel=1e-12)
+    # terms' rounding allowance; the dyadic rationals are exact floats
+    x = np.array([0.125, 0.5, 0.75, 2.0 ** -20])
+    for pts in (x, RationalArray([2 ** 17, 2 ** 19, 3 * 2 ** 18, 1], 2 ** 20)):
+        bare = product_trace(PointSet(pts, "iid-uniform")).error_bound
+        tr = product_trace(PointSet(pts, "iid-uniform", point_error=1e-12))
+        m = np.minimum(x, np.subtract(1.0, x))
+        assert tr.error_bound - bare == pytest.approx(
+            float(np.sum(1.6e-12 / m)), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -128,40 +168,26 @@ def test_float_trace_charges_point_error():
     surd_from_cf([3, 2 ** 40], [1, 4]),
 ], ids=["sqrt2m1", "golden", "sqrt7", "quotient-2^40"])
 def test_kronecker_point_set_takes_float_path(alpha):
-    # mpf points are read as float64: the trace is that of the rounded
-    # points, bit for bit, and its bound covers the gap to the mpf oracle
-    # over the same 320-bit points at every n
+    # mpf points rounded to float64 are within half an ulp, at most 2^-54,
+    # of the 320-bit points: charged as their point error, that only
+    # widens the bound, and the bound covers the gap to the mpf oracle over
+    # the 320-bit points at every n
     N = 3000
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
     ps = kronecker(alpha, N, evaluator=ev)
-    tr = product_trace(ps)
-    rounded = product_trace(np.array([float(x) for x in ps.points]))
+    rounded = np.array([float(x) for x in ps.points])
+    tr = product_trace(PointSet(rounded, "kronecker",
+                                point_error=ps.point_error + 2.0 ** -54))
     assert tr.log_values.dtype == np.float64
-    assert tr.log_values.tobytes() == rounded.log_values.tobytes()
-    assert tr.N == N and not tr.has_zero
+    assert tr.log_values.tobytes() == \
+        product_trace(rounded).log_values.tobytes()
+    assert tr.N == N
     oracle = mpf_trace(ps, ORACLE_BITS)
     with mpmath.mp.workprec(ORACLE_BITS):
         for n, (got, want) in enumerate(zip(tr.log_values.tolist(),
                                             oracle.log_values), 1):
             assert abs(mpmath.mpf(got) - want) <= \
                 tr.error_bound + oracle.error_bound, n
-
-
-def test_inexact_points_charge_their_rounding():
-    # a Fraction or mpf point just below 1 moves its float64 term by up to
-    # 2^-53 / (1 - x); the bound charges that, while exact floats and
-    # dyadic Fractions cost nothing
-    for x in (Fraction(3 * 2 ** 40 - 1, 3 * 2 ** 40),
-              Fraction(999999, 1000000), mpmath.mpf(1) / 3):
-        tr = product_trace([x])
-        with mpmath.mp.workprec(200):
-            want = log_two_sin_pi_mp(mpmath.mpf(x.numerator) / x.denominator
-                                     if isinstance(x, Fraction) else x, 200)
-        assert abs(mpmath.mpf(float(tr.log_values[0])) - want) \
-            <= tr.error_bound, x
-    exact = [0.75, Fraction(1, 4), 1e-6]
-    assert product_trace(exact).error_bound == \
-        product_trace(np.array([float(x) for x in exact])).error_bound
 
 
 def test_rational_arrays_charge_their_rounding():
@@ -176,15 +202,9 @@ def test_rational_arrays_charge_their_rounding():
         for n in {1, len(nums)}:
             assert abs(mpmath.mpf(float(tr.log_values[n - 1]))
                        - want.log_values[n - 1]) <= tr.error_bound, (den, n)
-    # dyadic denominators are exact; 0 and 1 are exact over any denominator
+    # dyadic denominators are exact
     assert product_trace(RationalArray([1, 3], 4)).error_bound == \
         product_trace(np.array([0.25, 0.75])).error_bound
-    tr = product_trace(RationalArray([1, 3, 0], 3))
-    assert tr.has_zero and tr.log_values[2] == -math.inf
-    # past 2^53 the numerator rounds too: a point that rounds to 1.0 is
-    # refused, not traced as a zero product
-    with pytest.raises(ValueError, match="of 0 or 1"):
-        product_trace(RationalArray([2 ** 60 - 1], 2 ** 60))
 
 
 def test_block_trace_refuses_a_term_past_amax():
@@ -196,21 +216,13 @@ def test_block_trace_refuses_a_term_past_amax():
 
 
 def test_points_at_their_error_from_an_endpoint_are_rejected():
-    # alpha = [0; 3, 2^70, ...] puts {3 alpha} about 2^-71.6 below 1: its
-    # float64 value is 1.0, which would make the product zero
-    alpha = surd_from_cf([3, 2 ** 70], [1, 4])
-    ps = kronecker(alpha, 3)
-    assert float(ps.points[2]) == 1.0
-    with pytest.raises(ValueError, match="of 0 or 1"):
-        product_trace(ps)
-    with pytest.raises(ValueError, match="of 0 or 1"):
-        product_trace([Fraction(2 ** 60 - 1, 2 ** 60)])
-    # short of an endpoint, a point needs 3.2 of its errors to either side
-    near = [0.5, 1.0 - 2.0 ** -50]
+    # short of an endpoint, a point needs 3.2 of its errors to either side;
+    # past 2^53 a dyadic point is charged 3 ulps of its rounding
+    near = np.array([0.5, 1.0 - 2.0 ** -50])
     with pytest.raises(ValueError, match="of 0 or 1"):
         product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -51))
     with pytest.raises(ValueError, match="of 0 or 1"):
-        product_trace([Fraction(2 ** 54 - 3, 2 ** 54)])
+        product_trace(RationalArray([2 ** 54 - 3], 2 ** 54))
     product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -52))
 
 
@@ -218,43 +230,37 @@ def float_terms_by_expressions(arr, pt_err):
     """`products._float_terms` written as plain array expressions, one
     temporary per operation: the reference its in-place form must match
     bit for bit."""
-    endpoint = (arr == 0.0) | (arr == 1.0)
-    safe = np.where(endpoint, 0.5, arr)
-    terms = log_two_sin_pi_array(safe)
+    terms = log_two_sin_pi_array(arr)
     err = float((TERM_EPS * (1.0 + np.abs(terms))).sum())
     if isinstance(pt_err, np.ndarray) or pt_err:
-        m = np.minimum(safe, 1.0 - safe)
-        charges = 1.6 * pt_err / m
-        if charges.max() > 0.5 or np.any(np.where(endpoint, pt_err, 0.0)):
+        charges = 1.6 * pt_err / np.minimum(arr, 1.0 - arr)
+        if charges.max() > 0.5:
             raise ValueError("a point lies within 3.2 errors of 0 or 1")
         err += float(np.sum(charges))
-    return terms, err, endpoint
+    return terms, err
 
 
 @pytest.mark.parametrize("points", [
     van_der_corput(5000).points.to_float_array(),
     uniform_grid(3001).points.to_float_array(),
-    np.array([0.25, 0.0, 0.5, 0.9, 1.0, 1e-9]),
-], ids=["vdc", "grid", "endpoints"])
+    np.array([0.25, 1e-300, 0.5, 0.9, 1.0 - 2.0 ** -53, 1e-9]),
+], ids=["vdc", "grid", "near-ends"])
 def test_float_terms_bit_for_bit(points):
-    # the terms, the bound and the mask equal the expressions' bits, with
-    # no point error, a scalar one and one per point (zero at endpoints);
-    # where the expressions reject a point error, so does the in-place form
+    # the terms and the bound equal the expressions' bits, with no point
+    # error, a scalar one and one per point; where the expressions reject a
+    # point error, so does the in-place form
     before = points.copy()
     per_point = np.linspace(1e-20, 1e-16, len(points))
-    per_point[(points == 0.0) | (points == 1.0)] = 0.0
     for pt_err in (0.0, 1e-17, per_point):
         try:
-            want_terms, want_err, want_endpoint = float_terms_by_expressions(
-                points, pt_err)
+            want_terms, want_err = float_terms_by_expressions(points, pt_err)
         except ValueError:
             with pytest.raises(ValueError):
                 products._float_terms(points, pt_err)
             continue
-        terms, err, endpoint = products._float_terms(points, pt_err)
+        terms, err = products._float_terms(points, pt_err)
         assert terms.tobytes() == want_terms.tobytes()
         assert err == want_err
-        assert np.array_equal(endpoint, want_endpoint)
     assert points.tobytes() == before.tobytes()
 
 

@@ -177,3 +177,28 @@ def test_pointset_rejects_bad_points():
     with pytest.raises(ValueError):
         PointSet([Fraction(0), Fraction(1, 2)], "vdc")
     PointSet([Fraction(0), Fraction(1, 2)], "extremal")  # endpoints ok here
+
+
+def test_pointset_refuses_nan():
+    # a NaN fails both `< 0` and `> 1`; it must fail the range test itself
+    for pts in (np.array([0.5, np.nan]), [0.5, float("nan")],
+                [mpmath.mpf(0.5), mpmath.nan]):
+        for provenance in ("iid-uniform", "kronecker"):
+            with pytest.raises(ValueError, match="outside"):
+                PointSet(pts, provenance)
+
+
+class _NoIter(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("points checked one by one in Python")
+
+
+def test_pointset_checks_arrays_by_reductions():
+    # an ndarray is checked by numpy reductions, not point by point
+    pts = np.linspace(0.0, 1.0, 10 ** 6).view(_NoIter)
+    PointSet(pts, "iid-uniform")
+    with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+        PointSet(pts, "kronecker")
+    with pytest.raises(ValueError, match="outside"):
+        PointSet(np.multiply(pts, 1.5).view(_NoIter), "iid-uniform")
+    PointSet(pts[1:-1], "kronecker")
