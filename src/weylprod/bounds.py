@@ -21,7 +21,7 @@ from .discrepancy import (int_sorted_max, kronecker_discrepancy,
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, kronecker_fixed_point_blocks,
                          ostrowski_digit_sums)
-from .numerics import LOG2
+from .numerics import LOG2, SUM_CHUNK
 from .products import (BlockTrace, ProductTrace, orbit_trace, product_trace,
                        term_max)
 from .sequences import (uniform_grid_blocks, van_der_corput,
@@ -106,11 +106,12 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     hi = d_trace.upper[N_min - 1:]
     lhs = logs[N_min - 1:]
     log_N = np.log(N)
+    exact = d_trace.lower is d_trace.upper  # a bracket of one point
 
     def rhs(delta):
         return 2.0 * delta * (log_N - np.log(delta))
 
-    rhs_lo = np.minimum(rhs(lo), rhs(hi))
+    rhs_lo = rhs(lo) if exact else np.minimum(rhs(lo), rhs(hi))
     slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
     for i in np.flatnonzero(lhs > rhs_lo - slack).tolist():
         n, lhs_n = int(N[i]), float(lhs[i])
@@ -123,9 +124,10 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     i0 = max(0, 2 - N_min)  # gamma needs log N > 0
     if i0 < len(N):
         sq = log_N[i0:] ** 2
-        top = (rhs_lo[i0:] / sq).max()
+        low = rhs_lo[i0:] / sq
+        top = low.max()
         # the largest rhs over [lower, upper] is at Delta = N/e, clamped
-        peak = rhs(np.clip(N / math.e, lo, hi))[i0:] / sq
+        peak = low if exact else rhs(np.clip(N / math.e, lo, hi))[i0:] / sq
         near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
         for i in near.tolist():
             n = int(N[i])
@@ -267,13 +269,14 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
     n_top = 2 ** (s_max + 1) - 1
     # the smallest distance to 0 or 1 is 2^-(s_max+1), the largest 1/2
     trace = BlockTrace(n_top, term_max(np.array([0.5 ** (s_max + 1), 0.5])))
+    out = np.empty(min(n_top, SUM_CHUNK))
     at_n1, first, low = {}, {}, {}  # per octave: values, (value, index)
     peak = {}  # the running (max, first index) at each octave's end
     best = (-math.inf, 0)
     start = 0
     for block in van_der_corput_blocks(n_top):
         # dyadics with at most 25 bits are exact in float64
-        cum = trace.feed(block)
+        cum = trace.feed(block, out=out[:len(block)])
         i, end = start, start + len(cum)
         while i < end:
             s = (i + 1).bit_length() - 1  # the octave of n = i + 1
@@ -379,14 +382,17 @@ def grid_hlawka_report(N: int) -> BoundReport:
     # (N+1)/2, on either side
     ends = np.array([1, N, den // 2, den - den // 2]) / den
     trace = BlockTrace(N, term_max(ends))
+    out = np.empty(min(N, SUM_CHUNK))
     for block in blocks:
-        lhs = float(trace.feed(block)[-1])
+        lhs = float(trace.feed(block, out=out[:len(block)])[-1])
+    err = trace.error_bound()
+    del trace, out  # the trace's block arrays go before the next pass's
     m, _ = int_sorted_max((b.numerators for b in uniform_grid_blocks(N)),
                           den, N)
     delta = float(Fraction(m, den))
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
-    if lhs > rhs + trace.error_bound() + BASE_TOL:
+    if lhs > rhs + err + BASE_TOL:
         report.violations.append((N, lhs, rhs))
     report.passed = not report.violations
     report.empirical_constants["P_N"] = math.exp(lhs)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import as_float_array, compensated_cumsum
+from .numerics import SUM_CHUNK, as_float_array, compensated_cumsum
 from .sequences import PointSet, RationalArray
 
 
@@ -55,24 +55,34 @@ def star_discrepancy(ps) -> DiscrepancyResult:
 
 def int_sorted_max(blocks, den: int, N: int) -> tuple:
     """(m, k) for N sorted integer numerators over `den`, given in
-    consecutive blocks: m is the largest of N nums_i - i den and
-    (i+1) den - N nums_i, i = 0..N-1, that is N den D_N*, and k the first
-    index attaining it (the up branch wins ties). Each branch's largest
-    value and first index are carried from block to block. int64 blocks
-    need den * N < 2^62; object arrays of Python ints have no limit."""
+    consecutive blocks: m is the largest of up_i = N nums_i - i den and
+    dn_i = (i+1) den - N nums_i = den - up_i, i = 0..N-1, that is
+    N den D_N*, and k the first index attaining it (the up branch wins
+    ties). Each branch's largest value and first index are carried from
+    block to block; up is built in place in one array kept for all blocks
+    (min(N, SUM_CHUNK) entries), and dn's largest is den less up's least.
+    int64 blocks need den * N < 2^62; object arrays of Python ints have no
+    limit."""
     best_up = best_dn = (None, 0)
     start = 0
+    up = None
     for nums in blocks:
-        i = np.arange(start, start + len(nums), dtype=nums.dtype)
-        up = nums * N - i * den          # (x_(i+1) - i/N) * den * N
-        dn = (i + 1) * den - nums * N    # ((i+1)/N - x_(i+1)) * den * N
-        ku = int(np.argmax(up))
-        kd = int(np.argmax(dn))
-        if best_up[0] is None or up[ku] > best_up[0]:
-            best_up = (int(up[ku]), start + ku)
-        if best_dn[0] is None or dn[kd] > best_dn[0]:
-            best_dn = (int(dn[kd]), start + kd)
-        start += len(nums)
+        b = len(nums)
+        if up is None or b > len(up):
+            size = max(b, min(N, SUM_CHUNK))
+            up = np.empty(size, dtype=nums.dtype)
+            steps = np.arange(size, dtype=nums.dtype) * den
+        u = np.multiply(nums, N, out=up[:b])
+        u -= start * den
+        u -= steps[:b]                   # (x_(i+1) - i/N) * den * N
+        ku = int(np.argmax(u))
+        kd = int(np.argmin(u))
+        vu, vd = int(u[ku]), den - int(u[kd])
+        if best_up[0] is None or vu > best_up[0]:
+            best_up = (vu, start + ku)
+        if best_dn[0] is None or vd > best_dn[0]:
+            best_dn = (vd, start + kd)
+        start += b
     return best_up if best_up[0] >= best_dn[0] else best_dn
 
 

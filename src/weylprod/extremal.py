@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -130,66 +131,59 @@ def sup_product_upper_bound(N: int, d: float, epsilon: float) -> float:
         raise ValueError("epsilon must be positive")
     if d <= 0:
         raise ValueError("d must be positive")
-    return _upper_bound(log_c_epsilon(epsilon), N, d, epsilon)
-
-
-def _upper_bound(log_c: float, N: int, d: float, epsilon: float) -> float:
-    """`sup_product_upper_bound` with log c(eps) already computed."""
-    return (log_c - math.log(N)
+    return (log_c_epsilon(epsilon) - math.log(N)
             + 2.0 * N * d * math.log((_E_OVER_PI + epsilon) / d))
-
-
-def _add_exact(partials: list, x: float) -> None:
-    """Add x to the non-overlapping float partials whose exact sum is a
-    running total (Shewchuk's algorithm, as in the msum recipe behind
-    math.fsum); math.fsum(partials) then reads the total correctly
-    rounded."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
 
 
 def sweep(N_values, M_limit, epsilon: float) -> list:
     """Rows (N, M, d, logP, logLower, logUpper, holds_lower, holds_upper)
     over even N in N_values and M = 1..M_limit(N).
 
-    logP equals `extremal_product_closed_form` row by row: one exact
-    running sum of log sin(pi k/N) per N replaces its fsum over k < M,
-    and both round the same exact sum correctly.
+    logP equals `extremal_product_closed_form` row by row, from one integer
+    prefix sum per N. The terms t_k = log sin(pi k/N), k < M_limit(N), are
+    floats, so each is an integer multiple of 2^(e_k - 53), e_k its
+    `frexp` exponent, and all are multiples of 2^-s with s = 53 - min e_k.
+    Their prefix sums t_1 + .. + t_(M-1) are then exact Python ints in
+    units of 2^-s, and converting one to float and scaling it by 2^-s
+    rounds the exact sum once, correctly, as the fsum over k < M does. The
+    bounds are `sup_product_lower_bound` and `sup_product_upper_bound`
+    with their parts that depend on N alone taken once per N, in the same
+    order of operations.
     """
     log_c = log_c_epsilon(epsilon)
+    e_up = _E_OVER_PI + epsilon
     rows = []
     for N in N_values:
         M_max = M_limit(N)
-        if M_max >= 1:
-            ExtremalConfig(N, M_max)  # validates N and every M <= M_max
-        log_2n = math.log(2.0 * N)
-        partials = []
-        for M in range(1, M_max + 1):
-            if M > 1:
-                _add_exact(partials, math.log(math.sin(math.pi * (M - 1) / N)))
+        if M_max < 1:
+            continue
+        ExtremalConfig(N, M_max)  # validates N and every M <= M_max
+        terms = [math.log(math.sin(math.pi * k / N)) for k in range(1, M_max)]
+        s = 53 - min((math.frexp(t)[1] for t in terms), default=0)
+        sums = accumulate((int(math.ldexp(t, s)) for t in terms), initial=0)
+        log_2n, log_n, two_n = math.log(2.0 * N), math.log(N), 2.0 * N
+        lower_n, upper_n = _LOG_2PI2 - 6.0 - log_n, log_c - log_n
+        for M, acc in zip(range(1, M_max + 1), sums):
             d = M / N
-            lp = log_2n - 2.0 * math.fsum(partials)
-            lo = sup_product_lower_bound(N, d)
-            hi = _upper_bound(log_c, N, d, epsilon)
+            lp = log_2n - 2.0 * math.ldexp(float(acc), -s)
+            lo = lower_n + two_n * d * math.log(_E_OVER_PI / d)
+            hi = upper_n + two_n * d * math.log(e_up / d)
             rows.append((N, M, d, lp, lo, hi, lo <= lp + 1e-9, lp <= hi + 1e-9))
     return rows
 
 
-def write_sweep_csv(rows, path) -> None:
+# rows `write_sweep_csv` joins into one write
+CSV_ROWS = 1024
+
+
+def write_sweep_csv(rows: list, path) -> None:
     with atomic_open(path) as fh:
         fh.write("N,M,d,logP,logLower,logUpper,holds_lower,holds_upper\n")
-        for N, M, d, lp, lo, hi, hl, hu in rows:
-            fh.write(f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},"
-                     f"{str(hl).lower()},{str(hu).lower()}\n")
+        for i in range(0, len(rows), CSV_ROWS):
+            fh.write("".join(
+                f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},"
+                f"{str(hl).lower()},{str(hu).lower()}\n"
+                for N, M, d, lp, lo, hi, hl, hu in rows[i:i + CSV_ROWS]))
 
 
 def direct_log_product(cfg: ExtremalConfig) -> float:

@@ -41,14 +41,16 @@ def log_two_sin_pi(x) -> float:
     return math.log(2.0 * math.sin(math.pi * xf))
 
 
-def log_two_sin_pi_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized log(2 sin(pi x)) for an array with entries in (0, 1).
+def log_two_sin_pi_array(x: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized log(2 sin(pi x)) for an array with entries in (0, 1),
+    written to `out` (default: a new array), which must not overlap `x`.
 
     min(x, 1 - x) reflects to (0, 1/2] (1 - x is exact for x >= 1/2, and
     rounds to at least 1/2 below it), and every later step works in place
-    on that one fresh array; `x` itself is never written.
+    on that one array; `x` itself is never written.
     """
-    r = np.subtract(1.0, x)
+    r = np.subtract(1.0, x, out=out)
     np.minimum(x, r, out=r)
     r *= np.pi
     np.sin(r, out=r)
@@ -57,6 +59,28 @@ def log_two_sin_pi_array(x: np.ndarray) -> np.ndarray:
 
 
 SUM_CHUNK = 1 << 16
+
+
+class Scratch:
+    """Block-sized work arrays that a streamed consumer keeps from block to
+    block. `get(slot, n, dtype)` is the first n entries of the 8-byte array
+    in `slot`, allocated at the first call with at least `size` entries and
+    again only for a longer block. Steps that share one Scratch (a
+    `products.BlockTrace` and its `PrefixSum`) may take the same slot one
+    after the other.
+
+    A fresh 2^16-float64 temporary (512 KB, above glibc's mmap threshold)
+    is mapped, faulted in and unmapped again on every block; a kept one is
+    not."""
+
+    def __init__(self, size: int):
+        self.size, self._arrays = size, {}
+
+    def get(self, slot: int, n: int, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(slot)
+        if a is None or len(a) < n:
+            a = self._arrays[slot] = np.empty(max(n, self.size))
+        return a[:n].view(dtype)
 
 
 class PrefixSum:
@@ -74,9 +98,11 @@ class PrefixSum:
     n * eps * sum|remainder| <= n^2 * eps * 2^-(k+1). The integer sum and
     the remainder sum are carried from block to block, so blocks of
     SUM_CHUNK terms give `compensated_cumsum`'s prefix sums bit for bit.
+    Its three work arrays are slots 0-2 of `work` (default: its own
+    `Scratch` of min(n, SUM_CHUNK) terms), taken only inside `feed`.
     """
 
-    def __init__(self, n: int, amax: float):
+    def __init__(self, n: int, amax: float, work: Scratch | None = None):
         if not math.isfinite(amax):
             raise ValueError("compensated_cumsum needs finite terms")
         self.n, self.amax = n, amax
@@ -84,6 +110,7 @@ class PrefixSum:
         self.k = min(52 - math.frexp(amax)[1],
                      62 - math.frexp(n * amax + 1.0)[1])
         self.fed, self.carry_hi, self.carry_lo, self.out_max = 0, 0, 0.0, 0.0
+        self.work = Scratch(min(n, SUM_CHUNK)) if work is None else work
 
     def feed(self, part: np.ndarray, out: np.ndarray | None = None):
         """The prefix sums through each term of `part`, the next terms in
@@ -91,23 +118,24 @@ class PrefixSum:
         self.fed += len(part)
         if self.fed > self.n:
             raise ValueError("terms past the declared count")
-        # in place: three block-sized temporaries, `hi` reused for the sums
-        k = self.k
-        hi = np.ldexp(part, k)
+        # in place, in the three work arrays
+        k, b, work = self.k, len(part), self.work
+        hi = np.ldexp(part, k, out=work.get(0, b))
         np.rint(hi, out=hi)
-        lo = np.ldexp(hi, -k)
+        lo = np.ldexp(hi, -k, out=work.get(1, b))
         np.subtract(part, lo, out=lo)
         np.cumsum(lo, out=lo)
         lo += self.carry_lo
-        ints = hi.astype(np.int64)
+        ints = work.get(2, b, np.int64)
+        np.copyto(ints, hi, casting="unsafe")
         np.cumsum(ints, out=ints)
         ints += self.carry_hi
-        res = hi if out is None else out
+        res = np.empty(b) if out is None else out
         res[:] = ints
         np.ldexp(res, -k, out=res)
         res += lo
         self.carry_hi, self.carry_lo = int(ints[-1]), float(lo[-1])
-        self.out_max = max(self.out_max, float(np.abs(res).max()))
+        self.out_max = max(self.out_max, float(res.max()), -float(res.min()))
         return res
 
     def error_bound(self) -> float:

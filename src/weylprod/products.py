@@ -26,8 +26,8 @@ import numpy as np
 from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
                          default_precision_bits, exact_residue,
                          kronecker_fixed_point_blocks, scaled_floor)
-from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, compensated_cumsum,
-                       log_two_sin_pi_array)
+from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch,
+                       compensated_cumsum, log_two_sin_pi_array)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -51,11 +51,13 @@ def product_trace(ps) -> ProductTrace:
     float64 ndarray of points, bare or in a `PointSet` (whose `point_error`
     is charged), run through a `BlockTrace` in blocks of SUM_CHUNK. Any
     other points raise TypeError; a point at 0 or 1, or a NaN, raises
-    ValueError (`term_max`)."""
+    ValueError (`term_max`). A `RationalArray` is converted to float64
+    once, and its blocks are fed as slices with their denominator."""
     pts = ps.points if isinstance(ps, PointSet) else ps
     pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
+    den = 1
     if isinstance(pts, RationalArray):
-        arr = pts.to_float_array()
+        arr, den = pts.to_float_array(), pts.denominator
     elif isinstance(pts, np.ndarray) and pts.dtype == np.float64:
         arr = pts
     else:
@@ -67,7 +69,7 @@ def product_trace(ps) -> ProductTrace:
     trace = BlockTrace(n, term_max(arr))
     out = np.empty(n)
     for s in range(0, n, SUM_CHUNK):
-        trace.feed(pts[s:s + SUM_CHUNK], pt_err, out[s:s + SUM_CHUNK])
+        trace.feed(arr[s:s + SUM_CHUNK], pt_err, out[s:s + SUM_CHUNK], den)
     return ProductTrace(out, trace.error_bound(), n)
 
 
@@ -100,37 +102,49 @@ class BlockTrace:
     (`term_max`); `feed` raises ValueError on a block that breaks either,
     checking the points before it takes a log. Blocks of
     SUM_CHUNK points sum as one `compensated_cumsum` of all the terms
-    would, bit for bit, and only a block's terms and sums are held.
+    would, bit for bit, and only a block's terms and sums are held, in four
+    work arrays of min(n, SUM_CHUNK) points kept from block to block (a
+    `Scratch`): the terms in slot 3, and in slots 0-2, which the sums take
+    next, a block's float points, their rounding charges and the terms'
+    bounds.
 
-    A `RationalArray` block's float64 values are charged their rounding:
-    nothing over a power-of-two denominator up to 2^53; half an ulp below
-    2^53, where the numerator and the denominator convert exactly and the
-    quotient rounds once; 3 ulps above, for three roundings of 2^-53
-    relative.
+    Points that are the float64 values of rationals over `den` are charged
+    their rounding: nothing over a power-of-two denominator up to 2^53;
+    half an ulp below 2^53, where the numerator and the denominator convert
+    exactly and the quotient rounds once; 3 ulps above, for three roundings
+    of 2^-53 relative.
     """
 
     def __init__(self, n: int, amax: float):
-        self.sums = PrefixSum(n, amax)
+        self.work = Scratch(min(n, SUM_CHUNK))
+        self.sums = PrefixSum(n, amax, self.work)
         self.term_error = 0.0
 
-    def feed(self, x, pt_err=0.0, out: np.ndarray | None = None):
+    def feed(self, x, pt_err=0.0, out: np.ndarray | None = None,
+             den: int = 1):
         """The prefix log-products through each point of `x`, written to
-        `out` (default: a new array) and returned; `pt_err` bounds each
-        point's own error."""
-        den = 1
+        `out` (default: a new array) and returned; `pt_err`, a scalar,
+        bounds each point's own error, and float points are rounded from
+        rationals over `den` (a `RationalArray` block brings its own)."""
+        b, work = len(x), self.work
         if isinstance(x, RationalArray):
-            den = x.denominator
-            x = x.to_float_array()
+            den, nums = x.denominator, x.numerators
+            # converted first: a division that casts allocates a buffer
+            x = work.get(0, b)
+            np.copyto(x, nums)
+            x /= den
         if not (x.min() > 0.0 and x.max() < 1.0):
             raise ValueError("a point is not inside (0, 1)")
         if den & (den - 1) or den > 1 << 53:
             # ulp(x) = 2^(e-52) for x in [2^e, 2^(e+1)), from the exponent
             # bits (np.spacing costs about as much as the sine)
-            ulps = (x.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+            ulps = work.get(1, b)
+            np.bitwise_and(x.view(np.int64), _EXPONENT_BITS,
+                           out=ulps.view(np.int64))
             ulps *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
             ulps += pt_err
             pt_err = ulps
-        terms, err = _float_terms(x, pt_err)
+        terms, err = _float_terms(x, pt_err, work.get(3, b), work.get(2, b))
         amax = self.sums.amax
         if not (float(terms.max()) <= amax and float(terms.min()) >= -amax):
             raise ValueError("a term exceeds its declared bound amax")
@@ -143,13 +157,16 @@ class BlockTrace:
         return self.term_error + self.sums.error_bound()
 
 
-def _float_terms(arr: np.ndarray, pt_err) -> tuple:
+def _float_terms(arr: np.ndarray, pt_err, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> tuple:
     """(terms log(2 sin pi x), their error bound) for float points `arr`
-    inside (0, 1); `pt_err` bounds each point's error (scalar or array).
+    inside (0, 1); `pt_err` bounds each point's error (scalar or array; an
+    array is spent, scaled in place).
 
-    The bounds are built in place in one scratch array of N."""
-    terms = log_two_sin_pi_array(arr)
-    scratch = np.abs(terms)
+    The terms are written to `out` and the bounds built in place in
+    `scratch` (default: new arrays of N)."""
+    terms = log_two_sin_pi_array(arr, out)
+    scratch = np.abs(terms, out=scratch)
     scratch += 1.0
     scratch *= TERM_EPS
     err = float(scratch.sum())
@@ -159,7 +176,8 @@ def _float_terms(arr: np.ndarray, pt_err) -> tuple:
         # 1.6 e / m covers while m >= 3.2 e (each charge at most 1/2)
         np.subtract(1.0, arr, out=scratch)
         np.minimum(arr, scratch, out=scratch)
-        np.divide(1.6 * pt_err, scratch, out=scratch)
+        pt_err *= 1.6
+        np.divide(pt_err, scratch, out=scratch)
         charge = float(scratch.sum())
         if charge > 0.5 and scratch.max() > 0.5:
             raise ValueError("a point lies within 3.2 errors of 0 or 1")

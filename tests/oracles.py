@@ -1,9 +1,10 @@
 """References that the fast paths are checked against: log(2 sin pi x) and
 its prefix sums in mpf, the compensated sum as one chunk loop, the van der
 Corput prefix discrepancy as a max-plus program over the binary digits of
-N + 1 (`vdc_deltas`), and the whole-array forms of the streamed rational
+N + 1 (`vdc_deltas`), the whole-array forms of the streamed rational
 checkers (`grid_hlawka_report`, `check_vdc_limits`), which hold every
-point, term and prefix sum."""
+point, term and prefix sum, and the extremal sweep with its running sums
+kept as exact float partials (`sweep_by_partials`)."""
 
 import math
 from dataclasses import dataclass
@@ -13,6 +14,8 @@ import numpy as np
 
 from weylprod.bounds import BASE_TOL, BoundReport
 from weylprod.discrepancy import star_discrepancy
+from weylprod.extremal import (_E_OVER_PI, ExtremalConfig, log_c_epsilon,
+                               sup_product_lower_bound)
 from weylprod import numerics
 from weylprod.numerics import LOG2
 from weylprod.products import product_trace
@@ -228,3 +231,45 @@ def grid_hlawka_report(N: int) -> BoundReport:
     report.empirical_constants["P_N"] = math.exp(lhs)
     report.empirical_constants["bound"] = math.exp(rhs)
     return report
+
+
+def _add_exact(partials: list, x: float) -> None:
+    """Add x to the non-overlapping float partials whose exact sum is a
+    running total (Shewchuk's algorithm, as in the msum recipe behind
+    math.fsum); math.fsum(partials) then reads the total correctly
+    rounded."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def sweep_by_partials(N_values, M_limit, epsilon: float) -> list:
+    """`extremal.sweep` with one exact running sum of log sin(pi k/N) per
+    N, held as Shewchuk partials and read with math.fsum row by row, and
+    both bounds evaluated per row."""
+    log_c = log_c_epsilon(epsilon)
+    rows = []
+    for N in N_values:
+        M_max = M_limit(N)
+        if M_max >= 1:
+            ExtremalConfig(N, M_max)  # validates N and every M <= M_max
+        log_2n = math.log(2.0 * N)
+        partials = []
+        for M in range(1, M_max + 1):
+            if M > 1:
+                _add_exact(partials, math.log(math.sin(math.pi * (M - 1) / N)))
+            d = M / N
+            lp = log_2n - 2.0 * math.fsum(partials)
+            lo = sup_product_lower_bound(N, d)
+            hi = (log_c - math.log(N)
+                  + 2.0 * N * d * math.log((_E_OVER_PI + epsilon) / d))
+            rows.append((N, M, d, lp, lo, hi, lo <= lp + 1e-9, lp <= hi + 1e-9))
+    return rows

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,10 @@ from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   kronecker_discrepancy, star_discrepancy,
                                   vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
-from weylprod.numerics import as_float_array
+from weylprod.numerics import SUM_CHUNK, as_float_array
 from weylprod.sequences import (PointSet, RationalArray, kronecker,
-                                uniform_grid, van_der_corput)
+                                uniform_grid, uniform_grid_blocks,
+                                van_der_corput)
 
 EPS = Fraction(1, 1 << 40)
 
@@ -172,6 +174,31 @@ def test_sorted_max_carried_across_blocks(nums, cuts, den):
     edges = [0] + sorted({c for c in cuts if c < N}) + [N]
     blocks = [arr[a:b] for a, b in zip(edges, edges[1:])]
     assert int_sorted_max(blocks, den, N) == want
+
+
+def test_sorted_max_allocates_no_block_per_block():
+    # after the first block, `up` is built in the kept array: over the next
+    # seven blocks the traced peak grows by less than an eighth of one
+    # block's 512 KB
+    N = 8 * SUM_CHUNK
+    nums = [b.numerators for b in uniform_grid_blocks(N)]
+    want = int_sorted_max([np.concatenate(nums)], N + 1, N)
+    base = []
+
+    def blocks():
+        yield nums[0]
+        tracemalloc.reset_peak()
+        base.append(tracemalloc.get_traced_memory()[0])
+        yield from nums[1:]
+
+    tracemalloc.start()
+    try:
+        got = int_sorted_max(blocks(), N + 1, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak - base[0] < 64 * 1024
 
 
 def test_trace_single_point_formula():

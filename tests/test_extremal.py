@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import sweep_by_partials
 
+from weylprod import extremal
 from weylprod.discrepancy import star_discrepancy
 from weylprod.extremal import (ExtremalConfig, build_extremal,
                                direct_log_product,
@@ -214,14 +216,19 @@ def test_sup_search_no_counterexample():
         assert best <= extremal_product_closed_form(cfg) + 1e-9
 
 
-def test_sweep_rows_and_csv(tmp_path):
+def test_sweep_rows_and_csv(tmp_path, monkeypatch):
     rows = sweep(range(8, 65, 2), lambda N: max(1, N // 8), 0.1)
     assert all(r[6] and r[7] for r in rows)  # both bounds hold on this range
     path = tmp_path / "sweep.csv"
+    # rows are written in joined chunks; a chunk of 7 puts edges inside
+    monkeypatch.setattr(extremal, "CSV_ROWS", 7)
     write_sweep_csv(rows, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "N,M,d,logP,logLower,logUpper,holds_lower,holds_upper"
-    assert len(lines) == len(rows) + 1
+    assert lines[1:] == [",".join([str(N), str(M), repr(d), repr(lp),
+                                   repr(lo), repr(hi), str(hl).lower(),
+                                   str(hu).lower()])
+                         for N, M, d, lp, lo, hi, hl, hu in rows]
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.37])
@@ -235,6 +242,28 @@ def test_sweep_matches_per_row_formulas(epsilon):
         assert lo == sup_product_lower_bound(N, d)
         assert hi == sup_product_upper_bound(N, d, epsilon), (N, M)
         assert (hl, hu) == (lo <= lp + 1e-9, lp <= hi + 1e-9)
+
+
+def test_sweep_equals_exact_partials():
+    # the integer prefix sums give the partials oracle's rows exactly, at
+    # the M <= N/8 of `verify extremal`, for every third even N up to 4096
+    N_values = range(8, 4097, 6)
+    rows = sweep(N_values, lambda N: N // 8, 0.08)
+    assert rows == sweep_by_partials(N_values, lambda N: N // 8, 0.08)
+
+
+def test_sweep_equals_exact_partials_up_to_half():
+    # at M up to N/2 the last terms log sin(pi k/N) come within about
+    # 5/N^2 of 0, so the integer sums are in units of 2^-s with s past 53
+    # (s = 78 at N = 2^14); sampled N up to 2^14, and both ends of the
+    # range of M
+    rnd = random.Random(19)
+    N_values = [8, 10, 2 ** 14] + sorted(2 * rnd.randrange(5, 2 ** 13)
+                                         for _ in range(6))
+    rows = sweep(N_values, lambda N: N // 2, 0.1)
+    assert rows == sweep_by_partials(N_values, lambda N: N // 2, 0.1)
+    last = math.log(math.sin(math.pi * (2 ** 13 - 1) / 2 ** 14))
+    assert 53 - math.frexp(last)[1] > 53
 
 
 def test_sweep_rejects_invalid_m():

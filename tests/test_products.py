@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,8 @@ from mpmath import libmp
 
 from oracles import log_two_sin_pi_mp, mpf_trace
 from weylprod import products
-from weylprod.numerics import TERM_EPS, log_two_sin_pi, log_two_sin_pi_array
+from weylprod.numerics import (SUM_CHUNK, TERM_EPS, log_two_sin_pi,
+                               log_two_sin_pi_array)
 from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
                                  default_precision_bits, parse_alpha,
                                  surd_from_cf)
@@ -19,7 +21,8 @@ from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
                                normalizer_power, product_trace,
                                rotation_products, row_text, row_value)
 from weylprod.sequences import (PointSet, RationalArray, kronecker,
-                                uniform_grid, van_der_corput)
+                                uniform_grid, uniform_grid_blocks,
+                                van_der_corput, van_der_corput_blocks)
 from weylprod.stochastic import log_integral
 
 
@@ -226,6 +229,36 @@ def test_points_at_their_error_from_an_endpoint_are_rejected():
     product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -52))
 
 
+@pytest.mark.parametrize("blocks", [uniform_grid_blocks,
+                                    van_der_corput_blocks],
+                         ids=["grid", "vdc"])
+def test_block_trace_allocates_no_block_per_block(blocks):
+    # after the first block, every block is written into the trace's kept
+    # arrays and the caller's `out`: over the next seven blocks the traced
+    # peak grows by less than an eighth of one block's 512 KB, with and
+    # without the rounding charge of a non-dyadic denominator
+    N = 8 * SUM_CHUNK
+    parts = list(blocks(N))
+    trace = products.BlockTrace(N, products.term_max(
+        np.concatenate([b.to_float_array() for b in parts])))
+    want = product_trace(RationalArray(
+        np.concatenate([b.numerators for b in parts]), parts[0].denominator))
+    out = np.empty(SUM_CHUNK)
+    tracemalloc.start()
+    try:
+        trace.feed(parts[0], out=out)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for part in parts[1:]:
+            last = float(trace.feed(part, out=out)[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 64 * 1024
+    assert last == float(want.log_values[-1])
+    assert trace.error_bound() == want.error_bound
+
+
 def float_terms_by_expressions(arr, pt_err):
     """`products._float_terms` written as plain array expressions, one
     temporary per operation: the reference its in-place form must match
@@ -247,20 +280,29 @@ def float_terms_by_expressions(arr, pt_err):
 ], ids=["vdc", "grid", "near-ends"])
 def test_float_terms_bit_for_bit(points):
     # the terms and the bound equal the expressions' bits, with no point
-    # error, a scalar one and one per point; where the expressions reject a
-    # point error, so does the in-place form
+    # error, a scalar one and one per point, in new arrays and in given
+    # ones; where the expressions reject a point error, so does the in-place
+    # form (a per-point error array is spent, so each call gets a copy)
     before = points.copy()
     per_point = np.linspace(1e-20, 1e-16, len(points))
+    given = (np.empty(len(points)), np.empty(len(points)))
+
+    def fresh(e):
+        return e.copy() if isinstance(e, np.ndarray) else e
+
     for pt_err in (0.0, 1e-17, per_point):
         try:
             want_terms, want_err = float_terms_by_expressions(points, pt_err)
         except ValueError:
             with pytest.raises(ValueError):
-                products._float_terms(points, pt_err)
+                products._float_terms(points, fresh(pt_err))
             continue
-        terms, err = products._float_terms(points, pt_err)
-        assert terms.tobytes() == want_terms.tobytes()
-        assert err == want_err
+        for arrays in ((), given):
+            terms, err = products._float_terms(points, fresh(pt_err),
+                                               *arrays)
+            assert terms.tobytes() == want_terms.tobytes()
+            assert err == want_err
+        assert terms is given[0]
     assert points.tobytes() == before.tobytes()
 
 
