@@ -71,12 +71,14 @@ def kronecker_log_trace(alpha: IrrationalSpec, N: int):
     return tr.log_values, tr.error_bound
 
 
-def _hlawka_rhs(N: int, delta: float, err: float) -> tuple:
+def _hlawka_rhs(N: int, delta: float, err: float, exact: bool) -> tuple:
     """(rhs, tol) of the Hlawka check at one N, in scalar arithmetic."""
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
-    # a Kronecker `delta_at` is the float64 sorted-order Delta of float64
-    # points; the slack absorbs its effect (a vdC Delta is exact)
-    tol = err + BASE_TOL + 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
+    tol = err + BASE_TOL
+    if not exact:
+        # a Kronecker `delta_at` is the float64 sorted-order Delta of
+        # float64 points; the slack absorbs its effect
+        tol += 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
     return rhs, tol
 
 
@@ -85,14 +87,14 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
     Delta_N = N D_N*.
 
-    `d_trace` (a Kronecker `PrefixDiscrepancy` or the exact vdC
-    `ExactPrefixDiscrepancy`) gives bounds `lower` <= Delta_N <= `upper` for
-    every N and `delta_at(N)`, Delta_N itself. The right-hand
-    side is concave in Delta, so its minimum over [lower, upper] sits at an
-    end; the whole range is screened with that minimum and numpy's log.
-    Every N that the screen cannot clear, and every N whose largest possible
-    gamma reaches the largest certain one, is settled with Delta_N and the
-    scalar formula.
+    `d_trace` is either the exact Delta_N of every N, an array (the vdC
+    `vdc_discrepancy`), or a Kronecker `PrefixDiscrepancy`, which gives
+    bounds `lower` <= Delta_N <= `upper` for every N and `delta_at(N)`,
+    Delta_N itself. The right-hand side is concave in Delta, so its minimum
+    over [lower, upper] sits at an end; the whole range is screened with
+    that minimum and numpy's log. Every N that the screen cannot clear, and
+    every N whose largest possible gamma reaches the largest certain one,
+    is settled with Delta_N and the scalar formula.
     """
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
@@ -102,11 +104,16 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     err = ps_trace.error_bound
     report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
     N = np.arange(N_min, len(logs) + 1)
-    lo = d_trace.lower[N_min - 1:]
-    hi = d_trace.upper[N_min - 1:]
+    exact = isinstance(d_trace, np.ndarray)
+    if exact:
+        lo = hi = d_trace[N_min - 1:]
+        delta_at = lambda n: float(d_trace[n - 1])
+    else:
+        lo = d_trace.lower[N_min - 1:]
+        hi = d_trace.upper[N_min - 1:]
+        delta_at = d_trace.delta_at
     lhs = logs[N_min - 1:]
     log_N = np.log(N)
-    exact = d_trace.lower is d_trace.upper  # a bracket of one point
 
     def rhs(delta):
         return 2.0 * delta * (log_N - np.log(delta))
@@ -115,7 +122,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
     for i in np.flatnonzero(lhs > rhs_lo - slack).tolist():
         n, lhs_n = int(N[i]), float(lhs[i])
-        r, tol = _hlawka_rhs(n, d_trace.delta_at(n), err)
+        r, tol = _hlawka_rhs(n, delta_at(n), err, exact)
         if lhs_n > r + tol:
             report.violations.append((n, lhs_n, r))
         elif lhs_n > r:
@@ -131,7 +138,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
         near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
         for i in near.tolist():
             n = int(N[i])
-            r, _ = _hlawka_rhs(n, d_trace.delta_at(n), err)
+            r, _ = _hlawka_rhs(n, delta_at(n), err, exact)
             gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
     report.passed = not report.violations
     report.empirical_constants["gamma_hat"] = gamma_hat

@@ -213,27 +213,9 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     return PrefixDiscrepancy(pts, lower, upper)
 
 
-@dataclass(frozen=True, eq=False)
-class ExactPrefixDiscrepancy:
-    """Delta_n = n D_n* of every prefix n = 1..N, exact in float64: `lower`
-    and `upper` are both `delta`, and `delta_at(n)` reads it."""
-
-    delta: np.ndarray
-
-    lower = upper = property(lambda self: self.delta)
-
-    def __len__(self):
-        return len(self.delta)
-
-    def delta_at(self, n: int) -> float:
-        if not 1 <= n <= len(self.delta):
-            raise IndexError(f"prefix {n} outside [1, {len(self.delta)}]")
-        return float(self.delta[n - 1])
-
-
-def vdc_discrepancy(ps) -> ExactPrefixDiscrepancy:
+def vdc_discrepancy(ps) -> np.ndarray:
     """Delta_n = n D_n* of the van der Corput points phi(1..n), for every
-    prefix n = 1..N of `ps` = `van_der_corput(N)`, exactly:
+    prefix n = 1..N of `ps` = `van_der_corput(N)`, exactly, at index n - 1:
 
         Delta_n = 2^-v + sum_{k=1}^{n-1} (1 - 2 phi(k)),   v = v_2(n + 1).
 
@@ -269,7 +251,7 @@ def vdc_discrepancy(ps) -> ExactPrefixDiscrepancy:
     np.cumsum(den - 2 * nums[:-1], out=scaled[1:])
     m = np.arange(2, N + 2, dtype=np.int64)  # n + 1
     scaled += den // (m & -m)                # den >> v
-    return ExactPrefixDiscrepancy(scaled / den)
+    return scaled / den
 
 
 def discrepancy_trace(ps) -> DiscrepancyTrace:

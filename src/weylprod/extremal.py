@@ -22,6 +22,8 @@ from .sequences import PointSet, RationalArray
 
 _LOG_2PI2 = math.log(2.0 * math.pi ** 2)
 _E_OVER_PI = math.e / math.pi
+# threshold_B searches M up to this cap and raises beyond it
+THRESHOLD_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def growth_factor(M: int) -> float:
     return (M - 1) ** (1.0 / M) * M / (M - 1)
 
 
-def threshold_B(epsilon: float, cap: int = 10 ** 7) -> int:
+def threshold_B(epsilon: float) -> int:
     """Smallest B with (M-1)^(1/M) M/(M-1) < 1 + (pi/(2e)) eps for all M > B.
 
     growth_factor decreases monotonically from M = 2 on, so the first M
@@ -93,11 +95,12 @@ def threshold_B(epsilon: float, cap: int = 10 ** 7) -> int:
     Its log falls by ln(M-1)/M^2 per step, at least 1.6e-13 of its value
     up to M = 10^7, far above the few ulps of rounding, so the computed
     values decrease too and the bisection lands on the M a linear scan
-    would.
+    would. Thresholds above THRESHOLD_CAP raise.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     target = 1.0 + math.pi / (2.0 * math.e) * epsilon
+    cap = THRESHOLD_CAP
     if cap < 2 or not growth_factor(cap) < target:
         raise ValueError(
             f"epsilon = {epsilon} too small: threshold beyond {cap}")

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from .numerics import SUM_CHUNK
+
 DEFAULT_N_MAX = 2 ** 24
 
 
@@ -344,7 +346,6 @@ class FracPartEvaluator:
 # n * limb + carry inside uint64.
 FIXED_POINT_BITS = 128
 KERNEL_MAX_N = 2 ** 31 - 1
-KERNEL_BLOCK = 1 << 16
 _LIMB_BITS = 32
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
 _FALLBACK_SHIFT = np.uint64(FIXED_POINT_BITS - 64 - 53)
@@ -433,7 +434,8 @@ def _fixed_point_block(alpha: IrrationalSpec, limbs, lo: int,
 
 def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
     """The orbit n = 1..N as an iterator over consecutive `FixedPointOrbit`
-    blocks of KERNEL_BLOCK points, so that temporaries stay O(block).
+    blocks of SUM_CHUNK points, so that temporaries stay O(block) and each
+    block is one chunk of the prefix sums downstream.
     The arguments are checked at the call, before any block is built.
 
     {n alpha} * 2^P = n*A mod 2^P (up to n) with P = 128 and
@@ -447,18 +449,21 @@ def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
     A = scaled_floor(alpha, FIXED_POINT_BITS)
     limbs = [np.uint64((A >> (_LIMB_BITS * i)) & int(_LIMB_MASK))
              for i in range(FIXED_POINT_BITS // _LIMB_BITS)]
-    block = KERNEL_BLOCK
+    block = SUM_CHUNK
     return (_fixed_point_block(alpha, limbs, lo, min(lo + block, N + 1))
             for lo in range(1, N + 1, block))
 
 
 def kronecker_fixed_point(alpha: IrrationalSpec, N: int) -> FixedPointOrbit:
-    """The whole orbit n = 1..N as one `FixedPointOrbit`."""
-    blocks = list(kronecker_fixed_point_blocks(alpha, N))
-    if len(blocks) == 1:
-        return blocks[0]
-    return FixedPointOrbit(1, np.concatenate([b.dist for b in blocks]),
-                           np.concatenate([b.upper for b in blocks]))
+    """The whole orbit n = 1..N as one `FixedPointOrbit`, filled block by
+    block."""
+    blocks = kronecker_fixed_point_blocks(alpha, N)  # checks N first
+    dist = np.empty(N)
+    upper = np.empty(N, dtype=bool)
+    for b in blocks:
+        s = slice(b.first - 1, b.first - 1 + len(b.dist))
+        dist[s], upper[s] = b.dist, b.upper
+    return FixedPointOrbit(1, dist, upper)
 
 
 def surd_from_cf(prefix, period) -> IrrationalSpec:

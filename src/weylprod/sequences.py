@@ -176,20 +176,16 @@ def _check_grid(N: int) -> None:
 
 
 def coin_flips(rng: np.random.Generator, N_terms: int,
-               size: int | None = None, coin=None) -> np.ndarray:
-    """Coin flips (True = heads) holding at least N_terms heads: `size`
-    flips (default int(2.3 N_terms) + 256) from `coin(rng, size) -> bool
-    array`, or fair bits from `rng`; short of N_terms heads, all are
-    redrawn at 1.5 times the size, up to MAX_DRAWS_PER_TERM * N_terms + 256
-    flips."""
+               size: int | None = None) -> np.ndarray:
+    """Fair coin flips from `rng` (True = heads) holding at least N_terms
+    heads: `size` flips (default int(2.3 N_terms) + 256); short of N_terms
+    heads, all are redrawn at 1.5 times the size, up to
+    MAX_DRAWS_PER_TERM * N_terms + 256 flips."""
     if size is None:
         size = int(2.3 * N_terms) + 256
     max_draws = MAX_DRAWS_PER_TERM * N_terms + 256
     while True:
-        if coin is not None:
-            bits = np.asarray(coin(rng, size), dtype=bool)
-        else:
-            bits = rng.integers(0, 2, size=size).astype(bool)
+        bits = rng.integers(0, 2, size=size).astype(bool)
         heads = int(np.count_nonzero(bits))
         if heads >= N_terms:
             return bits

@@ -70,7 +70,7 @@ class PathStatistics:
     """Per-path LIL ratios plus pooled sample moments for one experiment.
 
     `lil_ratios[i]`, read from `rows[i]`, is path i's max over N in
-    [n_lo, N_max] of
+    [N_LO, N_max] of
     S_N / sqrt(2 B_N loglog B_N) (for the subsequence model the theorem's
     normalizer sqrt(K loglog K) is used instead, with the reference
     constant recorded in `details`).
@@ -128,8 +128,7 @@ def _pooled_moments(total: float, total_sq: float, count: int):
     return mean, total_sq / count - mean * mean
 
 
-def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
-                       n_lo: int = N_LO) -> PathStatistics:
+def iid_lil_experiment(n_paths: int, N_max: int, seed: int) -> PathStatistics:
     """S_N = sum log(2 sin pi X_k) for i.i.d. uniform X, B_N = N pi^2/12."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -137,7 +136,7 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
         raise ValueError(f"N_max must be >= {IID_MIN_N_MAX}")
     children = np.random.SeedSequence(seed).spawn(n_paths)
     B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
-    grid = _ratio_grid(B, n_lo)
+    grid = _ratio_grid(B, N_LO)
     rows = []
     tot = tot_sq = 0.0
     for pid, child in enumerate(children):
@@ -154,7 +153,7 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int,
     mean, var = _pooled_moments(tot, tot_sq, n_paths * N_max)
     return PathStatistics(
         "iid", n_paths, N_max, seed, mean, var,
-        details={"n_lo": n_lo, "reference_constant": 1.0,
+        details={"n_lo": N_LO, "reference_constant": 1.0,
                  "sigma_constant": IID_SIGMA_CONSTANT,
                  "target_variance": PI2_OVER_12,
                  "n_samples": n_paths * N_max},
@@ -168,24 +167,19 @@ def kronecker_log_weights(alpha: IrrationalSpec, N: int) -> np.ndarray:
 
 
 def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
-                              seed: int, n_lo: int = N_LO,
-                              signs=None) -> PathStatistics:
-    """S_N = sum R_n log(2 sin pi n alpha) with fair +-1 signs.
-
-    `signs` can be a fixed +-1 array (test hook; e.g. all +1 reduces each
-    path to the deterministic weight sum). B_N accumulates the squared
-    deterministic weights.
-    """
+                              seed: int) -> PathStatistics:
+    """S_N = sum R_n log(2 sin pi n alpha) with fair +-1 signs. B_N
+    accumulates the squared deterministic weights."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if N_max < max(n_lo, 1):
-        raise ValueError(f"N_max = {N_max} is below n_lo = {n_lo}: "
+    if N_max < N_LO:
+        raise ValueError(f"N_max = {N_max} is below n_lo = {N_LO}: "
                          f"no N is left to take the ratio at")
     dist = kronecker_fixed_point(alpha, N_max).dist
     w = log_two_sin_pi_array(dist)
     w_sq = w * w
     B = np.cumsum(w_sq)
-    grid = _ratio_grid(B, n_lo)
+    grid = _ratio_grid(B, N_LO)
     # R_n^2 = 1, so every fair-sign path has sum z^2 = sum w^2 exactly
     path_sq = float(w_sq.sum())
     n = np.arange(1, N_max + 1, dtype=np.float64)
@@ -202,41 +196,31 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     children = np.random.SeedSequence(seed).spawn(n_paths)
     rows = []
     tot = tot_sq = 0.0
-    det_shape = None
     for pid, child in enumerate(children):
-        if signs is not None:
-            z = np.asarray(signs, dtype=np.float64)[:N_max] * w
-        else:
-            rng = np.random.default_rng(child)
-            z = rng.integers(0, 2, size=N_max).astype(np.float64)
-            z *= 2.0
-            z -= 1.0
-            z *= w
+        rng = np.random.default_rng(child)
+        z = rng.integers(0, 2, size=N_max).astype(np.float64)
+        z *= 2.0
+        z -= 1.0
+        z *= w
         S = np.cumsum(z)
         row = _path_row(pid, S, B, grid)
         rows.append(row)
         tot += float(z.sum())
-        tot_sq += path_sq if signs is None else float((z * z).sum())
-        if signs is not None and det_shape is None:
-            # |sum_{n<=N} w_n| / log^2 N for the degenerate all-equal signs
-            sel = np.arange(9, N_max)
-            det_shape = float(np.max(np.abs(S[sel]) / np.log(sel + 1.0) ** 2))
+        tot_sq += path_sq
     mean, var = _pooled_moments(tot, tot_sq, n_paths * N_max)
-    details = {"n_lo": n_lo, "reference_constant": 1.0,
-               "target_variance": PI2_OVER_12,
-               "B_over_N": float(B[-1] / N_max),
-               "c0_hat": c0_hat, "c1_hat": c1_hat,
-               "mn_condition_ratio": cond,
-               "alpha": str(alpha)}
-    if det_shape is not None:
-        details["deterministic_sum_over_log2"] = det_shape
-    return PathStatistics("rademacher", n_paths, N_max, seed, mean, var,
-                          details=details, rows=rows)
+    return PathStatistics(
+        "rademacher", n_paths, N_max, seed, mean, var,
+        details={"n_lo": N_LO, "reference_constant": 1.0,
+                 "target_variance": PI2_OVER_12,
+                 "B_over_N": float(B[-1] / N_max),
+                 "c0_hat": c0_hat, "c1_hat": c1_hat,
+                 "mn_condition_ratio": cond,
+                 "alpha": str(alpha)},
+        rows=rows)
 
 
 def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
-                                   N_terms: int, seed: int, k_lo: int = N_LO,
-                                   coin=None) -> PathStatistics:
+                                   N_terms: int, seed: int) -> PathStatistics:
     """Random subsequence model: keep index n when the n-th fair coin shows
     heads, sum the first N_terms kept weights, normalize by
     sqrt(K loglog K); the theorem's constant pi/sqrt(12) is recorded.
@@ -248,12 +232,12 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if N_terms < max(k_lo, 10):
+    if N_terms < max(N_LO, 10):
         raise ValueError("N_terms too small")
     w = np.empty(0)
     children = np.random.SeedSequence(seed).spawn(n_paths)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
-    grid = _ratio_grid(K, max(k_lo, 3), factor=1.0)
+    grid = _ratio_grid(K, max(N_LO, 3), factor=1.0)
     rows = []
     tot = tot_sq = 0.0
     identity_worst = 0.0
@@ -261,8 +245,8 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     for pid, child in enumerate(children):
         rng = np.random.default_rng(child)
         # the first path draws the start size, later ones as many flips as
-        # w holds; w grows whenever a short coin made the draw grow
-        bits = coin_flips(rng, N_terms, len(w) or None, coin)
+        # w holds; w grows whenever too few heads made the draw grow
+        bits = coin_flips(rng, N_terms, len(w) or None)
         if len(bits) > len(w):
             w = kronecker_log_weights(alpha, len(bits))
             cum_w = np.cumsum(w)
@@ -283,7 +267,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     mean, var = _pooled_moments(tot, tot_sq, n_paths * N_terms)
     return PathStatistics(
         "subsequence", n_paths, N_terms, seed, mean, var,
-        details={"k_lo": k_lo, "reference_constant": SUBSEQ_CONSTANT,
+        details={"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
                  "selection_identity_max_abs_diff": identity_worst,
                  "selection_counts": counts,
                  "alpha": str(alpha)},

@@ -28,13 +28,17 @@ from weylprod.sequences import PointSet, RationalArray, van_der_corput
 # Per-N reference loops: the checkers evaluate the same formulas on whole
 # arrays and must give the same reports.
 
-def hlawka_oracle(logs, deltas, err, N_min):
+def hlawka_oracle(logs, deltas, err, N_min, exact=False):
+    """The Hlawka rows and gamma_hat at the given Delta_N; an inexact Delta
+    (not `exact`) is charged the float-Delta slack."""
     violations, inconclusive, gamma_hat = [], [], 0.0
     for N in range(N_min, len(logs) + 1):
         delta = float(deltas[N - 1])
         lhs = float(logs[N - 1])
         rhs = 2.0 * delta * (math.log(N) - math.log(delta))
-        tol = err + BASE_TOL + 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
+        tol = err + BASE_TOL
+        if not exact:
+            tol += 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
         if N > 1:
             gamma_hat = max(gamma_hat, rhs / math.log(N) ** 2)
         if lhs > rhs + tol:
@@ -134,20 +138,25 @@ def test_hlawka_matches_per_n_loop(seed):
     deltas = rng.uniform(0.5, 12.0, n)
     N = np.arange(1, n + 1)
     rhs = 2.0 * deltas * (np.log(N) - np.log(deltas))
-    # some lhs just inside and just outside the tolerance (which is a
-    # little above 1e-9), some far below
-    logs = rhs + rng.choice([-1.0, 2e-12, 1e-10, 1.5e-9, 1.0], size=n,
-                            p=[0.8, 0.05, 0.05, 0.05, 0.05])
     err = 1e-11 * seed
+    # some lhs just inside and just outside the tolerance (which is a
+    # little above 1e-9), some far below; the float-Delta slack is at
+    # least 8e-12, so err + 1e-9 + 4e-12 is outside the tolerance of an
+    # exact Delta and inside that of a bracket
+    logs = rhs + rng.choice([-1.0, 2e-12, 1e-10, 1.5e-9, 1.0,
+                             err + BASE_TOL + 4e-12], size=n,
+                            p=[0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
     tr = ProductTrace(logs, err, n)
-    for N_min in (1, 16):
-        rep = check_hlawka(tr, Bracket(deltas, deltas, deltas), N_min=N_min)
-        violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
-                                                            err, N_min)
-        assert rep.violations == violations and violations
-        assert rep.inconclusive == inconclusive and inconclusive
-        assert rep.empirical_constants["gamma_hat"] == gamma_hat
-        assert rep.passed is False
+    for d_trace, exact in ((Bracket(deltas, deltas, deltas), False),
+                           (deltas, True)):
+        for N_min in (1, 16):
+            rep = check_hlawka(tr, d_trace, N_min=N_min)
+            violations, inconclusive, gamma_hat = hlawka_oracle(
+                logs, deltas, err, N_min, exact)
+            assert rep.violations == violations and violations
+            assert rep.inconclusive == inconclusive and inconclusive
+            assert rep.empirical_constants["gamma_hat"] == gamma_hat
+            assert rep.passed is False
 
 
 def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
@@ -157,15 +166,15 @@ def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
     vdc = van_der_corput(1500)
     vdc_deltas = [float(star_discrepancy(vdc.points[:n]).delta)
                   for n in range(1, 1501)]
-    for kind, tr, deltas, n_mins in (
-            ("vdc", product_trace(vdc), vdc_deltas, (1, 16)),
+    for kind, tr, deltas, n_mins, exact in (
+            ("vdc", product_trace(vdc), vdc_deltas, (1, 16), True),
             ("kronecker", orbit_trace([orbit], 1500),
-             discrepancy_trace(orbit.points()).delta, (16,))):
+             discrepancy_trace(orbit.points()).delta, (16,), False)):
         for N_min in n_mins:
             rep = hlawka_sequence_report(kind, 1500, N_min=N_min,
                                          alpha=sqrt2m1)
             want = hlawka_oracle(tr.log_values, deltas, tr.error_bound,
-                                 N_min)
+                                 N_min, exact)
             assert (rep.violations, rep.inconclusive,
                     rep.empirical_constants["gamma_hat"]) == want
 

@@ -355,20 +355,20 @@ def test_vdc_deltas_match_exact():
     # the prefix sum against the max-plus digit program at every
     # N <= 2^20 + 1, one call each; both are exact in float64
     top = 2 ** 20 + 1
-    got = vdc_discrepancy(van_der_corput(top)).delta
+    got = vdc_discrepancy(van_der_corput(top))
     want = oracles.vdc_deltas(top) / float(1 << (top + 1).bit_length())
     assert np.array_equal(got, want)
     # against the sorted-order formula: every N <= 4096 from one call, and
     # N = 2^k - 1, 2^k, 2^k + 1 up to k = 20 each from its own point set,
     # where the denominator 2^bitlen(N) steps
-    got = vdc_discrepancy(van_der_corput(4096)).delta
+    got = vdc_discrepancy(van_der_corput(4096))
     for N in range(1, 4097):
         assert got[N - 1] == star_discrepancy(van_der_corput(N)).delta, N
     for k in range(1, 21):
         for N in (2 ** k - 1, 2 ** k, 2 ** k + 1):
             ps = van_der_corput(N)
             exact = star_discrepancy(ps).delta
-            assert vdc_discrepancy(ps).delta_at(N) == exact, N
+            assert vdc_discrepancy(ps)[N - 1] == exact, N
 
 
 def test_vdc_discrepancy_refuses_other_point_sets():
@@ -387,17 +387,10 @@ def test_vdc_bounds_bracket_trace():
     vd = vdc_discrepancy(ps)
     exact = np.array([float(star_discrepancy(ps.points[:n]).delta)
                       for n in range(1, N + 1)])
-    assert len(vd) == N
-    assert np.array_equal(vd.lower, exact)
-    assert np.array_equal(vd.upper, exact)
+    assert vd.dtype == np.float64
+    assert np.array_equal(vd, exact)
     # the float64 trace of the same points is within 2^-50 n of it
     delta = discrepancy_trace(ps).delta
     n = np.arange(1, N + 1)
     assert np.all(np.abs(delta - exact) <= 2.0 ** -50 * n)
-    for k in (1, 22, N):
-        assert vd.delta_at(k) == exact[k - 1]
-    assert vd.delta_at(22) == 17 / 8
-    with pytest.raises(IndexError):
-        vd.delta_at(0)
-    with pytest.raises(IndexError):
-        vd.delta_at(N + 1)
+    assert vd[21] == 17 / 8

@@ -146,29 +146,31 @@ def test_threshold_and_c_epsilon_match_loops(eps):
         assert B == 1 and log_c_epsilon(eps) == math.log(2 * math.pi ** 2) - 2
 
 
-def test_threshold_bisection_at_every_cap():
+def test_threshold_bisection_at_every_cap(monkeypatch):
     # every cap from 2 up to past B(0.1) = 99: the bisection returns the
     # scan's B, or raises where the scan does
     for cap in range(1, 120):
+        monkeypatch.setattr(extremal, "THRESHOLD_CAP", cap)
         try:
             want = threshold_B_scan(0.1, cap)
         except ValueError:
             with pytest.raises(ValueError, match="too small"):
-                threshold_B(0.1, cap)
+                threshold_B(0.1)
         else:
-            assert threshold_B(0.1, cap) == want
+            assert threshold_B(0.1) == want
 
 
-def test_threshold_too_small_epsilon_raises():
-    with pytest.raises(ValueError, match="too small"):
-        threshold_B_scan(0.01, cap=1000)
-    with pytest.raises(ValueError, match="too small"):
-        threshold_B(0.01, cap=1000)
-    # beyond the default cap of 10^7: raised without a scan
+def test_threshold_too_small_epsilon_raises(monkeypatch):
+    # beyond the cap of 10^7: raised without a scan
     with pytest.raises(ValueError, match="too small"):
         threshold_B(1e-9)
     with pytest.raises(ValueError, match="too small"):
         log_c_epsilon(1e-9)
+    monkeypatch.setattr(extremal, "THRESHOLD_CAP", 1000)
+    with pytest.raises(ValueError, match="too small"):
+        threshold_B_scan(0.01, cap=1000)
+    with pytest.raises(ValueError, match="too small"):
+        threshold_B(0.01)
 
 
 def test_upper_bound_epsilon_growth_term():

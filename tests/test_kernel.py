@@ -54,16 +54,21 @@ def oracle_distances(alpha, N):
 @given(alphas(), st.integers(1, 600), st.integers(1, 97))
 def test_points_within_derived_bound(alpha, N, block):
     want, oracle_err = oracle_distances(alpha, N)
-    saved = irrational.KERNEL_BLOCK
-    irrational.KERNEL_BLOCK = block
+    saved = irrational.SUM_CHUNK
+    irrational.SUM_CHUNK = block
     try:
         blocks = list(kronecker_fixed_point_blocks(alpha, N))
+        whole = kronecker_fixed_point(alpha, N)
     finally:
-        irrational.KERNEL_BLOCK = saved
+        irrational.SUM_CHUNK = saved
     assert [b.first for b in blocks] == list(range(1, N + 1, block))
     dist = np.concatenate([b.dist for b in blocks])
     err = np.concatenate([b.error() for b in blocks])
     upper = np.concatenate([b.upper for b in blocks])
+    # the whole orbit is filled from the same blocks
+    assert whole.first == 1
+    assert np.array_equal(whole.dist, dist)
+    assert np.array_equal(whole.upper, upper)
     with mpmath.mp.workprec(ORACLE_BITS):
         for n in range(1, N + 1):
             gap = abs(mpmath.mpf(float(dist[n - 1])) - want[n - 1])
@@ -72,7 +77,7 @@ def test_points_within_derived_bound(alpha, N, block):
             # the distance
             assert gap <= 2.0 ** -49 * want[n - 1] + oracle_err, n
     # points above 1/2 come back through 1 - dist
-    pts = kronecker_fixed_point(alpha, N).points()
+    pts = whole.points()
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
     for n in range(1, N + 1):
         v = ev.frac_part(n).value
@@ -115,7 +120,7 @@ def test_kernel_limits(sqrt2m1):
 def test_orbit_trace_matches_single_block(golden, monkeypatch):
     N = 1000
     whole = orbit_trace([kronecker_fixed_point(golden, N)], N)
-    monkeypatch.setattr(irrational, "KERNEL_BLOCK", 77)
+    monkeypatch.setattr(irrational, "SUM_CHUNK", 77)
     split = orbit_trace(kronecker_fixed_point_blocks(golden, N), N)
     assert np.array_equal(whole.log_values, split.log_values)
     assert whole.error_bound == pytest.approx(split.error_bound, rel=1e-12)

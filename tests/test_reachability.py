@@ -9,6 +9,10 @@ and a class reaches everything its methods mention. Code at module level,
 other than imports, runs at import and counts as a root. Annotations are
 not uses. A local name that shadows a top-level one counts as a use of it,
 so the guard can miss dead code but does not flag live code.
+
+A second guard, below, holds the options (parameters with a default) to
+the same roots: each must be set by a call in `src/`, `bench/` or the
+acceptance suite, not only by the unit tests.
 """
 
 import ast
@@ -183,3 +187,110 @@ def test_guard_sees_a_dead_definition(tmp_path, monkeypatch):
         fh.write("\n\ndef _never_called():\n    return LOG2\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert unreachable() == ["numerics._never_called"]
+
+
+# ------------------------------------------------------------------ options
+# A parameter with a default is an option. Every option must be set by some
+# call outside the unit tests (in `src/`, `bench/` or the acceptance suite):
+# an option that only tests set selects a path that no command runs. Calls
+# are matched to definitions by name, so a call to any `feed` sets the
+# options of every `feed`, and a call of a class sets its `__init__`'s.
+
+# option -> why it stays although nothing outside the unit tests sets it
+OPTION_ALLOWLIST = {
+    "irrational.FracPartEvaluator.__init__(precision_bits)":
+        "the tests' mpf oracle, whose precision the tests choose",
+    "sequences.kronecker(evaluator)":
+        "the tests' mpf oracle, whose precision the tests choose",
+    "numerics.decimal_str(digits)":
+        "no caller at all; kept while bench/tracing.py wraps decimal_str",
+}
+
+
+def _options(tree):
+    """(qualified name, call name, positional parameters, parameters with a
+    default) of every top-level function and method. A method's self or cls
+    is not passed at a call, and a class is called for its __init__."""
+    defs = [(node.name, node.name, 0, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            call = cls.name if node.name == "__init__" else node.name
+            defs.append((f"{cls.name}.{node.name}", call, 0 if static else 1,
+                         node))
+    for qual, call, skip, node in defs:
+        a = node.args
+        positional = [p.arg for p in a.posonlyargs + a.args][skip:]
+        with_default = positional[len(positional) - len(a.defaults):] \
+            if a.defaults else []
+        with_default += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None]
+        yield qual, call, positional, with_default
+
+
+def _calls(trees) -> dict:
+    """call name -> [(positional count, keyword names)] over every call in
+    the parsed files; a *args or **kwargs counts as passing everything."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            n_pos = (float("inf") if any(isinstance(a, ast.Starred)
+                                         for a in node.args)
+                     else len(node.args))
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((n_pos, keywords))
+    return calls
+
+
+def unset_options() -> list:
+    sources = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py"))}
+    others = sorted((ROOT / "bench").glob("*.py")) + [
+        ROOT / "tests" / "test_acceptance.py"]
+    calls = _calls([*sources.values(),
+                    *(ast.parse(path.read_text()) for path in others)])
+    unset = []
+    for module, tree in sources.items():
+        for qual, call, positional, options in _options(tree):
+            for option in options:
+                index = positional.index(option) if option in positional \
+                    else float("inf")
+                if not any(None in kw or option in kw or n_pos > index
+                           for n_pos, kw in calls.get(call, ())):
+                    unset.append(f"{module}.{qual}({option})")
+    return sorted(unset)
+
+
+def test_every_option_is_set_outside_the_tests():
+    assert unset_options() == sorted(OPTION_ALLOWLIST)
+
+
+def test_guard_sees_a_test_only_option(tmp_path, monkeypatch):
+    # the guard itself: an option no call sets is reported; one set by
+    # position or by keyword is not
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("\n\ndef _probe(x, knob=0, *, flag=False):\n"
+                 "    return x + knob + flag\n\n\n"
+                 "PROBED = _probe(LOG2)\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unset_options() == sorted([*OPTION_ALLOWLIST,
+                                      "numerics._probe(flag)",
+                                      "numerics._probe(knob)"])
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("PROBED = _probe(LOG2, 1) + _probe(LOG2, flag=True)\n")
+    assert unset_options() == sorted(OPTION_ALLOWLIST)

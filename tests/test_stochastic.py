@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from weylprod import stochastic
 from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
+from weylprod.sequences import coin_flips
 from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT,
                                  iid_lil_experiment, kronecker_log_weights,
                                  log_integral, rademacher_lil_experiment,
@@ -59,7 +61,7 @@ def iid_oracle(n_paths, N_max, seed, n_lo=100):
     return ratios, rows, *moments(tot, tot_sq, n_paths * N_max), details
 
 
-def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100, signs=None):
+def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100):
     dist = kronecker_fixed_point(alpha, N_max).dist
     w = where_kernel(dist)
     B = np.cumsum(w * w)
@@ -74,13 +76,9 @@ def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100, signs=None):
     children = np.random.SeedSequence(seed).spawn(n_paths)
     ratios, rows = [], []
     tot = tot_sq = 0.0
-    det_shape = None
     for pid, child in enumerate(children):
-        if signs is not None:
-            R = np.asarray(signs, dtype=np.float64)[:N_max]
-        else:
-            rng = np.random.default_rng(child)
-            R = rng.integers(0, 2, size=N_max) * 2.0 - 1.0
+        rng = np.random.default_rng(child)
+        R = rng.integers(0, 2, size=N_max) * 2.0 - 1.0
         z = R * w
         S = np.cumsum(z)
         r, pos = ratio_path_oracle(S, B, n_lo)
@@ -88,16 +86,11 @@ def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100, signs=None):
         rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
         tot += float(z.sum())
         tot_sq += float((z * z).sum())
-        if signs is not None and det_shape is None:
-            sel = np.arange(9, N_max)
-            det_shape = float(np.max(np.abs(S[sel]) / np.log(sel + 1.0) ** 2))
     details = {"n_lo": n_lo, "reference_constant": 1.0,
                "target_variance": PI2_OVER_12,
                "B_over_N": float(B[-1] / N_max),
                "c0_hat": c0_hat, "c1_hat": c1_hat,
                "mn_condition_ratio": cond, "alpha": str(alpha)}
-    if det_shape is not None:
-        details["deterministic_sum_over_log2"] = det_shape
     return ratios, rows, *moments(tot, tot_sq, n_paths * N_max), details
 
 
@@ -148,6 +141,27 @@ def subsequence_oracle(alpha, n_paths, N_terms, seed, k_lo=100, coin=None):
     return ratios, rows, *moments(tot, tot_sq, n_paths * N_terms), details
 
 
+class ConstantCoin:
+    """A generator stub whose coins all show `face` (1 heads, 0 tails)."""
+
+    def __init__(self, face):
+        self.face = face
+
+    def integers(self, low, high, size):
+        return np.full(size, self.face)
+
+
+def heads(rng, size):
+    return np.ones(size, dtype=bool)
+
+
+def all_heads(monkeypatch):
+    """Make the subsequence model's coin show heads every time."""
+    monkeypatch.setattr(stochastic, "coin_flips",
+                        lambda rng, N_terms, size=None:
+                        coin_flips(ConstantCoin(1), N_terms, size))
+
+
 def assert_matches(stats, oracle):
     ratios, rows, mean, var, details = oracle
     assert stats.rows == rows
@@ -163,48 +177,39 @@ ALPHAS = ("sqrt2m1", "golden", "(15+1*sqrt(5))/22", "(-6+1*sqrt(60))/6")
 @pytest.mark.parametrize("seed,n_paths,N_max,n_lo", [
     (0, 3, 1000, 100), (5, 4, 2500, 100), (123, 2, 4097, 1),
     (77, 5, 1500, 1000)])
-def test_iid_matches_oracle(seed, n_paths, N_max, n_lo):
-    stats = iid_lil_experiment(n_paths, N_max, seed, n_lo=n_lo)
+def test_iid_matches_oracle(seed, n_paths, N_max, n_lo, monkeypatch):
+    monkeypatch.setattr(stochastic, "N_LO", n_lo)
+    stats = iid_lil_experiment(n_paths, N_max, seed)
     assert_matches(stats, iid_oracle(n_paths, N_max, seed, n_lo))
 
 
 @pytest.mark.parametrize("k,seed,n_paths,N_max,n_lo", [
     (0, 1, 3, 1000, 100), (1, 9, 4, 2500, 100), (2, 42, 2, 613, 1),
     (3, 7, 3, 100, 100), (0, 3, 2, 12, 1)])
-def test_rademacher_matches_oracle(k, seed, n_paths, N_max, n_lo):
+def test_rademacher_matches_oracle(k, seed, n_paths, N_max, n_lo,
+                                   monkeypatch):
+    monkeypatch.setattr(stochastic, "N_LO", n_lo)
     alpha = parse_alpha(ALPHAS[k])
-    stats = rademacher_lil_experiment(alpha, n_paths, N_max, seed, n_lo=n_lo)
+    stats = rademacher_lil_experiment(alpha, n_paths, N_max, seed)
     assert_matches(stats, rademacher_oracle(alpha, n_paths, N_max, seed,
                                             n_lo))
-
-
-@pytest.mark.parametrize("signs", [
-    np.ones(1500), -np.ones(1500),
-    np.random.default_rng(4).integers(0, 2, 1500) * 2.0 - 1.0,
-    np.linspace(-1.5, 1.5, 1600)])
-def test_rademacher_signs_hook_matches_oracle(sqrt2m1, signs):
-    before = signs.copy()
-    stats = rademacher_lil_experiment(sqrt2m1, 3, 1500, seed=2, signs=signs)
-    assert_matches(stats, rademacher_oracle(sqrt2m1, 3, 1500, 2,
-                                            signs=signs))
-    np.testing.assert_array_equal(signs, before)
 
 
 @pytest.mark.parametrize("k,seed,n_paths,N_terms,k_lo", [
     (0, 4, 3, 1000, 100), (1, 11, 4, 2200, 100), (2, 5, 2, 500, 1),
     (3, 8, 3, 300, 300)])
-def test_subsequence_matches_oracle(k, seed, n_paths, N_terms, k_lo):
+def test_subsequence_matches_oracle(k, seed, n_paths, N_terms, k_lo,
+                                    monkeypatch):
+    monkeypatch.setattr(stochastic, "N_LO", k_lo)
     alpha = parse_alpha(ALPHAS[k])
-    stats = subsequence_product_experiment(alpha, n_paths, N_terms, seed,
-                                           k_lo=k_lo)
+    stats = subsequence_product_experiment(alpha, n_paths, N_terms, seed)
     assert_matches(stats, subsequence_oracle(alpha, n_paths, N_terms, seed,
                                              k_lo))
 
 
-def test_subsequence_all_heads_matches_oracle(golden):
-    heads = lambda rng, size: np.ones(size, dtype=bool)
-    stats = subsequence_product_experiment(golden, 3, 1200, seed=1,
-                                           coin=heads)
+def test_subsequence_all_heads_matches_oracle(golden, monkeypatch):
+    all_heads(monkeypatch)
+    stats = subsequence_product_experiment(golden, 3, 1200, seed=1)
     assert_matches(stats, subsequence_oracle(golden, 3, 1200, 1, coin=heads))
 
 
@@ -220,21 +225,23 @@ def test_rademacher_n_max_below_n_lo(sqrt2m1, monkeypatch):
             rademacher_lil_experiment(sqrt2m1, 2, N_max, seed=0)
 
 
-def test_rademacher_empty_ratio_grid(sqrt2m1):
+def test_rademacher_empty_ratio_grid(sqrt2m1, monkeypatch):
     # B_N stays below e for the first few N, so n_lo = 1 with N_max = 2
     # leaves no admissible N once the orbit is known
+    monkeypatch.setattr(stochastic, "N_LO", 1)
     with pytest.raises(ValueError, match="ratio grid is empty"):
-        rademacher_lil_experiment(sqrt2m1, 2, 2, seed=0, n_lo=1)
+        rademacher_lil_experiment(sqrt2m1, 2, 2, seed=0)
 
 
 @pytest.mark.parametrize("N_max", range(3, 10))
-def test_rademacher_below_condition_grid(N_max):
+def test_rademacher_below_condition_grid(N_max, monkeypatch):
     # the side-condition grid starts at N = 10; shorter orbits either have
     # no admissible N or report the condition only at N <= N_max (with
     # a_1 = 20, B_N passes e at N = 8)
+    monkeypatch.setattr(stochastic, "N_LO", 1)
     alpha = surd_from_cf([20], [1])
     try:
-        stats = rademacher_lil_experiment(alpha, 2, N_max, seed=0, n_lo=1)
+        stats = rademacher_lil_experiment(alpha, 2, N_max, seed=0)
     except ValueError as exc:
         assert "ratio grid is empty" in str(exc)
     else:
@@ -318,15 +325,11 @@ def test_rademacher_lil_condition_decreasing(sqrt2m1):
 
 
 def test_rademacher_all_plus_hook(sqrt2m1):
-    # forcing every sign to +1 collapses the path onto the deterministic
-    # weight sum, which stays within the log^2 N shape
-    stats = rademacher_lil_experiment(sqrt2m1, 1, 20000, seed=0,
-                                      signs=np.ones(20000))
-    w = kronecker_log_weights(sqrt2m1, 20000)
-    S = np.cumsum(w)
-    pid, n, s_n, b_n, r = stats.rows[0]
-    assert s_n == pytest.approx(float(S[n - 1]))
-    assert stats.details["deterministic_sum_over_log2"] < 2.0
+    # all signs +1 is the deterministic weight sum, which stays within the
+    # log^2 N shape: |sum_{n<=N} w_n| / log^2 N < 2 for 10 <= N <= 20000
+    S = np.cumsum(kronecker_log_weights(sqrt2m1, 20000))
+    N = np.arange(10, 20001)
+    assert float(np.max(np.abs(S[N - 1]) / np.log(N) ** 2)) < 2.0
 
 
 def test_rademacher_ratio_band(sqrt2m1):
@@ -356,10 +359,9 @@ def test_subsequence_reproducible(sqrt2m1):
     assert a.lil_ratios == b.lil_ratios and a.rows == b.rows
 
 
-def test_subsequence_all_heads_coin(sqrt2m1):
-    heads = lambda rng, size: np.ones(size, dtype=bool)
-    stats = subsequence_product_experiment(sqrt2m1, 2, 1000, seed=0,
-                                           coin=heads)
+def test_subsequence_all_heads_coin(sqrt2m1, monkeypatch):
+    all_heads(monkeypatch)
+    stats = subsequence_product_experiment(sqrt2m1, 2, 1000, seed=0)
     # every index selected: the selected sum is the full deterministic sum
     w = kronecker_log_weights(sqrt2m1, 1000)
     pid, n, s_n, b_n, r = stats.rows[0]
@@ -367,10 +369,10 @@ def test_subsequence_all_heads_coin(sqrt2m1):
     assert stats.details["selection_identity_max_abs_diff"] < 1e-10
 
 
-def test_subsequence_tails_coin_stops(sqrt2m1):
-    tails = lambda rng, size: np.zeros(size, dtype=bool)
+def test_subsequence_tails_coin_stops():
+    # a coin that never shows heads widens the draw and then gives up
     with pytest.raises(ValueError, match="heads"):
-        subsequence_product_experiment(sqrt2m1, 2, 1000, seed=0, coin=tails)
+        coin_flips(ConstantCoin(0), 1000)
 
 
 # ------------------------------------------------------------------ output
