@@ -19,11 +19,9 @@ import numpy as np
 from .discrepancy import (int_sorted_max, kronecker_discrepancy,
                           vdc_discrepancy)
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
-                         kronecker_fixed_point, kronecker_fixed_point_blocks,
-                         ostrowski_digit_sums)
+                         kronecker_fixed_point, ostrowski_digit_sums)
 from .numerics import LOG2, SUM_CHUNK
-from .products import (BlockTrace, ProductTrace, orbit_trace, product_trace,
-                       term_max)
+from .products import BlockTrace, ProductTrace, product_trace, term_max
 from .sequences import (uniform_grid_blocks, van_der_corput,
                         van_der_corput_blocks)
 
@@ -63,22 +61,26 @@ class BoundReport:
 def kronecker_log_trace(alpha: IrrationalSpec, N: int):
     """(float64 prefix log-products, error bound) for {n alpha}, n = 1..N.
 
-    Points come from the 128-bit fixed-point kernel; the bound adds its
-    per-point errors, the float log-term rounding and the prefix-sum
-    rounding, and holds for every prefix.
+    Points come from the 128-bit fixed-point kernel (`product_trace` of
+    the orbit); the bound adds its per-point errors, the float log-term
+    rounding and the prefix-sum rounding, and holds for every prefix.
     """
-    tr = orbit_trace(kronecker_fixed_point_blocks(alpha, N), N)
+    tr = product_trace(kronecker_fixed_point(alpha, N))
     return tr.log_values, tr.error_bound
 
 
-def _hlawka_rhs(N: int, delta: float, err: float, exact: bool) -> tuple:
-    """(rhs, tol) of the Hlawka check at one N, in scalar arithmetic."""
+def _hlawka_rhs(N: int, delta: float, err: float, eps) -> tuple:
+    """(rhs, tol) of the Hlawka check at one N, in scalar arithmetic, for
+    an exact Delta (`eps` None) or a Kronecker `delta_at(N)`, which is
+    within h = N (eps + 2^-53) of Delta_N (`PrefixDiscrepancy`)."""
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
     tol = err + BASE_TOL
-    if not exact:
-        # a Kronecker `delta_at` is the float64 sorted-order Delta of
-        # float64 points; the slack absorbs its effect
-        tol += 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
+    if eps is not None:
+        # rhs' = 2 (log(N / Delta) - 1) and rhs'' = -2 / Delta, Delta >= 1/2
+        # > h: moving Delta by h moves rhs by at most this charge
+        h = N * (eps + 2.0 ** -53)
+        tol += (2.0 * (abs(math.log(N / delta)) + 1.0) * h
+                + h * h / (delta - h))
     return rhs, tol
 
 
@@ -90,11 +92,11 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     `d_trace` is either the exact Delta_N of every N, an array (the vdC
     `vdc_discrepancy`), or a Kronecker `PrefixDiscrepancy`, which gives
     bounds `lower` <= Delta_N <= `upper` for every N and `delta_at(N)`,
-    Delta_N itself. The right-hand side is concave in Delta, so its minimum
-    over [lower, upper] sits at an end; the whole range is screened with
-    that minimum and numpy's log. Every N that the screen cannot clear, and
-    every N whose largest possible gamma reaches the largest certain one,
-    is settled with Delta_N and the scalar formula.
+    Delta_N in float64. The right-hand side is concave in Delta, so its
+    minimum over [lower, upper] sits at an end; the whole range is screened
+    with that minimum and numpy's log. Every N that the screen cannot
+    clear, and every N whose largest possible gamma reaches the largest
+    certain one, is settled with Delta_N and the scalar formula.
     """
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
@@ -107,11 +109,11 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     exact = isinstance(d_trace, np.ndarray)
     if exact:
         lo = hi = d_trace[N_min - 1:]
-        delta_at = lambda n: float(d_trace[n - 1])
+        delta_at, eps = (lambda n: float(d_trace[n - 1])), None
     else:
         lo = d_trace.lower[N_min - 1:]
         hi = d_trace.upper[N_min - 1:]
-        delta_at = d_trace.delta_at
+        delta_at, eps = d_trace.delta_at, d_trace.eps
     lhs = logs[N_min - 1:]
     log_N = np.log(N)
 
@@ -122,7 +124,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
     for i in np.flatnonzero(lhs > rhs_lo - slack).tolist():
         n, lhs_n = int(N[i]), float(lhs[i])
-        r, tol = _hlawka_rhs(n, delta_at(n), err, exact)
+        r, tol = _hlawka_rhs(n, delta_at(n), err, eps)
         if lhs_n > r + tol:
             report.violations.append((n, lhs_n, r))
         elif lhs_n > r:
@@ -138,7 +140,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
         near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
         for i in near.tolist():
             n = int(N[i])
-            r, _ = _hlawka_rhs(n, delta_at(n), err, exact)
+            r, _ = _hlawka_rhs(n, delta_at(n), err, eps)
             gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
     report.passed = not report.violations
     report.empirical_constants["gamma_hat"] = gamma_hat
@@ -412,17 +414,15 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
     """Hlawka check over all prefixes of the van der Corput or Kronecker
     sequence."""
     if kind == "vdc":
-        points = van_der_corput(N_max)
-        tr = product_trace(points)
-        dtr = vdc_discrepancy(points)
+        points, discrepancy = van_der_corput(N_max), vdc_discrepancy
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":
         if alpha is None:
             raise ValueError("kronecker generator needs alpha")
-        orbit = kronecker_fixed_point(alpha, N_max)
-        tr = orbit_trace([orbit], N_max)
-        dtr = kronecker_discrepancy(orbit)
+        points = kronecker_fixed_point(alpha, N_max)
+        discrepancy = kronecker_discrepancy
         params = {"gen": "kronecker", "alpha": str(alpha), "N_max": N_max}
     else:
         raise ValueError(f"unknown generator {kind!r}")
-    return check_hlawka(tr, dtr, N_min=N_min, parameters=params)
+    return check_hlawka(product_trace(points), discrepancy(points),
+                        N_min=N_min, parameters=params)

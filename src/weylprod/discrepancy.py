@@ -137,7 +137,9 @@ class PrefixDiscrepancy:
     """Bounds `lower` <= Delta_n <= `upper` for every prefix n = 1..N of a
     point sequence, where Delta_n = n D_n* is the value `discrepancy_trace`
     gives for the sequence's float64 `points`, and `delta_at(n)`, that value
-    itself for one n.
+    itself for one n. Each point is within `eps` - 2^-53 of the exact one,
+    so `delta_at(n)` is within n (eps + 2^-53) of the exact Delta_n
+    (`kronecker_discrepancy`).
 
     Built in O(N) from a Kronecker orbit's structure by
     `kronecker_discrepancy`; `delta_at(n)` sorts the prefix's n points, in
@@ -148,6 +150,7 @@ class PrefixDiscrepancy:
     points: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    eps: float
 
     def __len__(self):
         return len(self.points)
@@ -197,11 +200,12 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     # most 2^-55 below 1/4. So for m <= n, the computed T(m) is within
     # n eps + cum_err of the exact T(m), and each bound, built from three
     # values of T, within 3 (n eps + cum_err) of the exact expression.
-    # Moving every point by at most eps moves n D_n* by at most n eps, so
-    # the trace's Delta_n, taken from points(), is within n eps of the exact
-    # n D_n*, plus the rounding of its formula: each candidate value is
-    # within 2^-53 of exact (two roundings of magnitude <= 1, in units of
-    # 2^-54), and d n takes one more rounding of at most 2^-53 n.
+    # Each point of points() is within eps - 2^-53 of {k alpha}, which moves
+    # n D_n* by at most n (eps - 2^-53); the sorted-order formula over
+    # points() rounds each candidate value of d by at most 2^-53 (two
+    # roundings of magnitude <= 1), 2^-53 n in Delta_n, and d n by at most
+    # 2^-53 n more. So `delta_at(n)` is within n (eps + 2^-53) of the exact
+    # Delta_n, and each bound takes that once more.
     # The bounds' own float operations (three, plus the widening) each
     # round by at most 2^-53 of a magnitude below 1 + 3 max|T|.
     eps = float(orbit.error().max()) + 2.0 ** -52
@@ -210,7 +214,7 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
               + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
     lower = base + inner - margin
     upper = base + (run_max[:-1] - run_min[:-1]) + margin
-    return PrefixDiscrepancy(pts, lower, upper)
+    return PrefixDiscrepancy(pts, lower, upper, eps)
 
 
 def vdc_discrepancy(ps) -> np.ndarray:

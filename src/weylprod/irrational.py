@@ -9,10 +9,11 @@ from an exact floor at a precision budget wide enough that sine products
 over them can be trusted far below double precision (`FracPartEvaluator`,
 the oracle, behind `sequences.kronecker`); and as float64 distances to the
 nearest integer from a vectorised 128-bit fixed-point kernel with a
-derived per-point error bound (`kronecker_fixed_point`). The fixed-point
-paths here and in `products.rotation_products` start from
-A = floor(alpha*2^P) (`scaled_floor`) and take points they cannot resolve
-from an exact residue floor(n alpha 2^b) mod 2^b (`exact_residue`).
+derived per-point error bound (`kronecker_fixed_point`), whose orbits
+`products.product_trace` takes in slices. The fixed-point paths here and
+in `products.rotation_products` start from A = floor(alpha*2^P)
+(`scaled_floor`) and take points they cannot resolve from an exact
+residue floor(n alpha 2^b) mod 2^b (`exact_residue`).
 """
 
 from __future__ import annotations
@@ -368,12 +369,19 @@ class FixedPointOrbit:
     dist: np.ndarray
     upper: np.ndarray
 
+    def __len__(self):
+        return len(self.dist)
+
+    def __getitem__(self, s: slice) -> FixedPointOrbit:
+        """The points at the positions of `s`, a slice of step 1."""
+        return FixedPointOrbit(self.first + s.indices(len(self))[0],
+                               self.dist[s], self.upper[s])
+
     def error(self) -> np.ndarray:
         """Per-point bound on |dist - ||n alpha|||: the float conversion
         plus n * 2^-P from truncating alpha * 2^P. Points recomputed exactly
         are within 2^-52 * dist + 2^-256, which this also covers."""
-        n = np.arange(self.first, self.first + len(self.dist),
-                      dtype=np.float64)
+        n = np.arange(self.first, self.first + len(self), dtype=np.float64)
         return _CONVERSION_REL * self.dist + np.ldexp(n, -FIXED_POINT_BITS)
 
     def points(self) -> np.ndarray:
@@ -461,7 +469,7 @@ def kronecker_fixed_point(alpha: IrrationalSpec, N: int) -> FixedPointOrbit:
     dist = np.empty(N)
     upper = np.empty(N, dtype=bool)
     for b in blocks:
-        s = slice(b.first - 1, b.first - 1 + len(b.dist))
+        s = slice(b.first - 1, b.first - 1 + len(b))
         dist[s], upper[s] = b.dist, b.upper
     return FixedPointOrbit(1, dist, upper)
 

@@ -2,13 +2,14 @@
 
 Traces accumulate in log space: extremal sets overflow doubles long before
 desk scale, and log-space also makes the bound checkers uniform. A point
-set is exact rationals (`RationalArray`) or float64 values, every point
-strictly inside (0, 1), so no product is zero; it takes one compensated
-double path, a block consumer (`BlockTrace`) whose error bound charges each
-point's own error (`PointSet.point_error`) and its rounding to float64; the
-rational checkers stream their points through it in blocks, and the
-checkers' Kronecker orbits come from the fixed-point kernel
-(`orbit_trace`). The printed 40-digit series (`rotation_products`) keeps
+set is exact rationals (`RationalArray`), float64 values or a Kronecker
+orbit from the fixed-point kernel (`irrational.FixedPointOrbit`), every
+point strictly inside (0, 1), so no product is zero. All three take one
+compensated double path, a block consumer (`BlockTrace`) whose error bound
+charges each point by its representation: an exact dyadic nothing, any
+other rational its rounding to float64, an orbit point its kernel
+`error()`. The rational checkers stream their points through it in
+blocks. The printed 40-digit series (`rotation_products`) keeps
 the product itself, as an integer mantissa and exponent, and takes its
 sines from a fixed-point rotation w^n in integers; its rows are rounded
 (`row_value`) and printed (`row_texts`) in integers too.
@@ -23,11 +24,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .irrational import (DEFAULT_N_MAX, IrrationalSpec, check_precision_bits,
-                         default_precision_bits, exact_residue,
-                         kronecker_fixed_point_blocks, scaled_floor)
+from .irrational import (DEFAULT_N_MAX, FixedPointOrbit, IrrationalSpec,
+                         check_precision_bits, default_precision_bits,
+                         exact_residue, kronecker_fixed_point_blocks,
+                         scaled_floor)
 from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch,
-                       compensated_cumsum, log_two_sin_pi_array)
+                       log_two_sin_pi_array)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -48,28 +50,30 @@ class ProductTrace:
 
 def product_trace(ps) -> ProductTrace:
     """Compensated log-space prefix products over a `RationalArray` or a
-    float64 ndarray of points, bare or in a `PointSet` (whose `point_error`
-    is charged), run through a `BlockTrace` in blocks of SUM_CHUNK. Any
-    other points raise TypeError; a point at 0 or 1, or a NaN, raises
+    float64 ndarray of points, bare or in a `PointSet`, or over a bare
+    `FixedPointOrbit`, run through a `BlockTrace` in blocks of SUM_CHUNK.
+    Any other points raise TypeError; a point at 0 or 1, or a NaN, raises
     ValueError (`term_max`). A `RationalArray` is converted to float64
-    once, and its blocks are fed as slices with their denominator."""
+    once, and its blocks are fed as slices with their denominator; an
+    orbit's blocks are orbit slices, each with its own `error()`."""
     pts = ps.points if isinstance(ps, PointSet) else ps
-    pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
     den = 1
     if isinstance(pts, RationalArray):
-        arr, den = pts.to_float_array(), pts.denominator
+        pts, den = pts.to_float_array(), pts.denominator
+    if isinstance(pts, FixedPointOrbit):
+        arr = pts.dist
     elif isinstance(pts, np.ndarray) and pts.dtype == np.float64:
         arr = pts
     else:
-        raise TypeError("points must be a RationalArray or a float64 "
-                        f"ndarray, not {type(pts).__name__}")
+        raise TypeError("points must be a RationalArray, a float64 ndarray "
+                        f"or a FixedPointOrbit, not {type(pts).__name__}")
     n = len(arr)
     if n == 0:
         raise ValueError("empty point set")
     trace = BlockTrace(n, term_max(arr))
     out = np.empty(n)
     for s in range(0, n, SUM_CHUNK):
-        trace.feed(arr[s:s + SUM_CHUNK], pt_err, out[s:s + SUM_CHUNK], den)
+        trace.feed(pts[s:s + SUM_CHUNK], out[s:s + SUM_CHUNK], den)
     return ProductTrace(out, trace.error_bound(), n)
 
 
@@ -96,23 +100,24 @@ _EXPONENT_BITS = 0x7FF << 52
 
 class BlockTrace:
     """Block consumer of prefix log-products: the n points of a set, fed in
-    order (`feed`), each block as float64 values or a `RationalArray`, with
-    a bound on the error of every prefix (`error_bound`). Every point must
-    lie inside (0, 1) and every |log(2 sin pi x)| within `amax`
-    (`term_max`); `feed` raises ValueError on a block that breaks either,
-    checking the points before it takes a log. Blocks of
-    SUM_CHUNK points sum as one `compensated_cumsum` of all the terms
-    would, bit for bit, and only a block's terms and sums are held, in four
-    work arrays of min(n, SUM_CHUNK) points kept from block to block (a
-    `Scratch`): the terms in slot 3, and in slots 0-2, which the sums take
-    next, a block's float points, their rounding charges and the terms'
-    bounds.
+    order (`feed`), each block as float64 values, a `RationalArray` or a
+    `FixedPointOrbit`, with a bound on the error of every prefix
+    (`error_bound`). Every point must lie inside (0, 1) and every
+    |log(2 sin pi x)| within `amax` (`term_max`); `feed` raises ValueError
+    on a block that breaks either, checking the points before it takes a
+    log. Blocks of SUM_CHUNK points sum as one `compensated_cumsum` of all
+    the terms would, bit for bit, and only a block's terms and sums are
+    held, in four work arrays of min(n, SUM_CHUNK) points kept from block
+    to block (a `Scratch`): the terms in slot 3, and in slots 0-2, which
+    the sums take next, a block's float points, their rounding charges and
+    the terms' bounds.
 
-    Points that are the float64 values of rationals over `den` are charged
-    their rounding: nothing over a power-of-two denominator up to 2^53;
-    half an ulp below 2^53, where the numerator and the denominator convert
-    exactly and the quotient rounds once; 3 ulps above, for three roundings
-    of 2^-53 relative.
+    Each point is charged its error. Float64 values of rationals over `den`
+    are charged their rounding: nothing over a power-of-two denominator up
+    to 2^53; half an ulp below 2^53, where the numerator and the
+    denominator convert exactly and the quotient rounds once; 3 ulps above,
+    for three roundings of 2^-53 relative. An orbit block gives its terms
+    from its distances ||n alpha||, each charged its own `error()`.
     """
 
     def __init__(self, n: int, amax: float):
@@ -120,14 +125,16 @@ class BlockTrace:
         self.sums = PrefixSum(n, amax, self.work)
         self.term_error = 0.0
 
-    def feed(self, x, pt_err=0.0, out: np.ndarray | None = None,
-             den: int = 1):
+    def feed(self, x, out: np.ndarray | None = None, den: int = 1):
         """The prefix log-products through each point of `x`, written to
-        `out` (default: a new array) and returned; `pt_err`, a scalar,
-        bounds each point's own error, and float points are rounded from
-        rationals over `den` (a `RationalArray` block brings its own)."""
+        `out` (default: a new array) and returned; float points are rounded
+        from rationals over `den` (a `RationalArray` block brings its own,
+        and an orbit block its `error()` instead)."""
         b, work = len(x), self.work
-        if isinstance(x, RationalArray):
+        pt_err = 0.0
+        if isinstance(x, FixedPointOrbit):
+            pt_err, x = x.error(), x.dist
+        elif isinstance(x, RationalArray):
             den, nums = x.denominator, x.numerators
             # converted first: a division that casts allocates a buffer
             x = work.get(0, b)
@@ -142,7 +149,6 @@ class BlockTrace:
             np.bitwise_and(x.view(np.int64), _EXPONENT_BITS,
                            out=ulps.view(np.int64))
             ulps *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
-            ulps += pt_err
             pt_err = ulps
         terms, err = _float_terms(x, pt_err, work.get(3, b), work.get(2, b))
         amax = self.sums.amax
@@ -183,24 +189,6 @@ def _float_terms(arr: np.ndarray, pt_err, out: np.ndarray | None = None,
             raise ValueError("a point lies within 3.2 errors of 0 or 1")
         err += charge
     return terms, err
-
-
-def orbit_trace(orbits, N: int) -> ProductTrace:
-    """Prefix log-products over Kronecker orbit blocks from the fixed-point
-    kernel (`irrational.kronecker_fixed_point_blocks`), n = 1..N.
-
-    Terms come from the distances ||n alpha||, which never reach 0 for an
-    irrational alpha, with each block's per-point error bound; only the
-    terms and the prefix sums are held for the whole orbit.
-    """
-    terms = np.empty(N, dtype=np.float64)
-    err = 0.0
-    for orbit in orbits:
-        t, e = _float_terms(orbit.dist, orbit.error())
-        terms[orbit.first - 1:orbit.first - 1 + len(t)] = t
-        err += e
-    cum, sum_err = compensated_cumsum(terms)
-    return ProductTrace(cum, err + sum_err, N)
 
 
 def closed_form_shifted(N: int, x) -> float:
@@ -447,7 +435,7 @@ def _rotation_charges(alpha: IrrationalSpec, N: int, wp: int,
     """
     sums, exact = [], []
     for orbit in kronecker_fixed_point_blocks(alpha, N):
-        n = np.arange(orbit.first, orbit.first + len(orbit.dist))
+        n = np.arange(orbit.first, orbit.first + len(orbit))
         delta = 3.0 * ((n - 1) % ANCHOR_STEPS + 1)
         # low = T_n 2^-(wp+1) from below
         low = np.maximum(orbit.dist - orbit.error(), 0.0)

@@ -3,11 +3,12 @@
 Rational families (van der Corput, uniform grid) are produced as exact
 rationals over a common denominator (`RationalArray`), whole or in blocks
 of SUM_CHUNK points (`van_der_corput_blocks`, `uniform_grid_blocks`) for
-the checkers that stream them; `kronecker` gives
-high-precision mpf values from the evaluator of the exact surd machinery
-(`FracPartEvaluator`), the points of the tests' mpf oracle (the checkers
-take their orbits from the fixed-point kernel instead). `coin_flips` draws the coin that picks
-the random subsequence of the subsequence Monte Carlo model.
+the checkers that stream them. `kronecker` gives high-precision mpf values
+from the evaluator of the exact surd machinery (`FracPartEvaluator`), the
+points of the tests' mpf oracle; the checkers take their orbits from the
+fixed-point kernel (`irrational.kronecker_fixed_point`) instead.
+`coin_flips` draws the coin that picks the subsequence Monte Carlo model's
+random subsequence.
 """
 
 from __future__ import annotations
@@ -63,15 +64,13 @@ class RationalArray:
 class PointSet:
     """A finite ordered multiset of numbers in [0, 1], or in (0, 1) for the
     `kronecker` and `vdc` provenances; any other point, or a NaN, raises
-    ValueError.
-
-    `point_error` is a uniform absolute bound on the error of each stored
-    value (zero for exact rationals and seeded floats).
+    ValueError. The points are taken as they are stored: exact rationals,
+    float64 values, or the mpf values of `kronecker`, whose error its
+    evaluator bounds.
     """
 
     points: object
     provenance: str
-    point_error: float = 0.0
 
     def __post_init__(self):
         pts, one = self.points, 1
@@ -100,14 +99,14 @@ def kronecker(alpha: IrrationalSpec, N: int,
               evaluator: FracPartEvaluator | None = None) -> PointSet:
     """First N fractional parts {k*alpha}, k = 1..N, in index order, as mpf
     values from `evaluator.frac_part` (default: an evaluator for the 2^24
-    budget, or N's above it)."""
+    budget, or N's above it), each within its `error_bound`."""
     if N < 0:
         raise ValueError("N must be >= 0")
     ev = evaluator or FracPartEvaluator(alpha, n_max=max(DEFAULT_N_MAX, N))
     if N > ev.n_max:
         raise ValueError(f"N = {N} exceeds the evaluator budget {ev.n_max}")
     pts = [ev.frac_part(k).value for k in range(1, N + 1)]
-    return PointSet(pts, "kronecker", point_error=ev.error_bound)
+    return PointSet(pts, "kronecker")
 
 
 def van_der_corput(N: int) -> PointSet:

@@ -1,10 +1,11 @@
 """References that the fast paths are checked against: log(2 sin pi x) and
-its prefix sums in mpf, the compensated sum as one chunk loop, the van der
-Corput prefix discrepancy as a max-plus program over the binary digits of
-N + 1 (`vdc_deltas`), the whole-array forms of the streamed rational
-checkers (`grid_hlawka_report`, `check_vdc_limits`), which hold every
-point, term and prefix sum, and the extremal sweep with its running sums
-kept as exact float partials (`sweep_by_partials`)."""
+its prefix sums in mpf, the compensated sum as one chunk loop, the
+Kronecker orbit's log-products as one whole-orbit sum (`orbit_trace`), the
+van der Corput prefix discrepancy as a max-plus program over the binary
+digits of N + 1 (`vdc_deltas`), the whole-array forms of the streamed
+rational checkers (`grid_hlawka_report`, `check_vdc_limits`), which hold
+every point, term and prefix sum, and the extremal sweep with its running
+sums kept as exact float partials (`sweep_by_partials`)."""
 
 import math
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from weylprod.discrepancy import star_discrepancy
 from weylprod.extremal import (_E_OVER_PI, ExtremalConfig, log_c_epsilon,
                                sup_product_lower_bound)
 from weylprod import numerics
-from weylprod.numerics import LOG2
-from weylprod.products import product_trace
+from weylprod.numerics import LOG2, compensated_cumsum
+from weylprod.products import ProductTrace, _float_terms, product_trace
 from weylprod.sequences import PointSet, uniform_grid, van_der_corput
 
 
@@ -41,17 +42,17 @@ class MpfTrace:
     error_bound: float
 
 
-def mpf_trace(ps, prec: int) -> MpfTrace:
+def mpf_trace(ps, prec: int, pt_err: float) -> MpfTrace:
     """Log-space prefix products of the mpf points of `ps` (a PointSet or a
     sequence), accumulated at `prec` + 8 bits.
 
     Each term is charged 4 ulps at `prec` bits, relative to 1 + |term|, and
-    the point set's `point_error` through the slope of log(2 sin pi x).
-    Kronecker points never reach 0 or 1, so there is no zero product to
-    handle.
+    `pt_err`, a bound on each point's error (the `FracPartEvaluator`'s
+    `error_bound` for `kronecker` points, 0 for exact ones), through the
+    slope of log(2 sin pi x). Kronecker points never reach 0 or 1, so there
+    is no zero product to handle.
     """
     pts = list(ps.points if isinstance(ps, PointSet) else ps)
-    pt_err = ps.point_error if isinstance(ps, PointSet) else 0.0
     logs = []
     err = 0.0
     term_ulp = math.ldexp(1.0, -prec)
@@ -66,6 +67,27 @@ def mpf_trace(ps, prec: int) -> MpfTrace:
                 err += 1.6 * pt_err / float(min(x, 1 - x))
             err += 4.0 * term_ulp * (1.0 + abs(float(t)))
     return MpfTrace(logs, err)
+
+
+def orbit_trace(orbits, N: int) -> ProductTrace:
+    """Prefix log-products over Kronecker orbit blocks from the fixed-point
+    kernel (`irrational.kronecker_fixed_point_blocks`), n = 1..N, as one
+    `compensated_cumsum` of the whole orbit's terms: the reference that
+    `product_trace` of an orbit, fed through `products.BlockTrace` in
+    slices, must equal bit for bit.
+
+    Terms come from the distances ||n alpha||, which never reach 0 for an
+    irrational alpha, with each block's per-point error bound; only the
+    terms and the prefix sums are held for the whole orbit.
+    """
+    terms = np.empty(N, dtype=np.float64)
+    err = 0.0
+    for orbit in orbits:
+        t, e = _float_terms(orbit.dist, orbit.error())
+        terms[orbit.first - 1:orbit.first - 1 + len(t)] = t
+        err += e
+    cum, sum_err = compensated_cumsum(terms)
+    return ProductTrace(cum, err + sum_err, N)
 
 
 def compensated_cumsum_by_chunks(a: np.ndarray) -> tuple:

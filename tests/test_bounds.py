@@ -1,7 +1,9 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,28 +19,31 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
 from weylprod import discrepancy
 from weylprod.discrepancy import (discrepancy_trace, kronecker_discrepancy,
                                   star_discrepancy)
-from weylprod.irrational import (cf_expand, cf_expand_until,
-                                 kronecker_fixed_point, ostrowski,
-                                 surd_from_cf)
+from weylprod.irrational import (FracPartEvaluator, cf_expand,
+                                 cf_expand_until, kronecker_fixed_point,
+                                 ostrowski, parse_alpha, surd_from_cf)
 from weylprod.numerics import LOG2, SUM_CHUNK
-from weylprod.products import ProductTrace, orbit_trace, product_trace
+from weylprod.products import ProductTrace, product_trace
 from weylprod.sequences import PointSet, RationalArray, van_der_corput
 
 
 # Per-N reference loops: the checkers evaluate the same formulas on whole
 # arrays and must give the same reports.
 
-def hlawka_oracle(logs, deltas, err, N_min, exact=False):
-    """The Hlawka rows and gamma_hat at the given Delta_N; an inexact Delta
-    (not `exact`) is charged the float-Delta slack."""
+def hlawka_oracle(logs, deltas, err, N_min, eps):
+    """The Hlawka rows and gamma_hat at the given Delta_N. An inexact Delta
+    (`eps` not None) is within h = N (eps + 2^-53) of Delta_N, and the
+    tolerance takes what moving Delta by h can do to the right-hand side."""
     violations, inconclusive, gamma_hat = [], [], 0.0
     for N in range(N_min, len(logs) + 1):
         delta = float(deltas[N - 1])
         lhs = float(logs[N - 1])
         rhs = 2.0 * delta * (math.log(N) - math.log(delta))
         tol = err + BASE_TOL
-        if not exact:
-            tol += 2.0 * (abs(math.log(N / delta)) + 1.0) * 4e-12
+        if eps is not None:
+            h = N * (eps + 2.0 ** -53)
+            slope = 2.0 * (abs(math.log(N / delta)) + 1.0)
+            tol += slope * h + h * h / (delta - h)
         if N > 1:
             gamma_hat = max(gamma_hat, rhs / math.log(N) ** 2)
         if lhs > rhs + tol:
@@ -92,11 +97,18 @@ def near_rhs(rhs, tol, seed):
 
 # ------------------------------------------------------------------ hlawka
 
-class Bracket:
-    """Prefix-discrepancy bounds around known deltas, for check_hlawka."""
+# a Bracket's eps: its deltas are taken to be off by at least 4e-12, which
+# charges the tolerance at least 8e-12
+BRACKET_EPS = 4e-12
 
-    def __init__(self, delta, lower, upper):
+
+class Bracket:
+    """Prefix-discrepancy bounds around known deltas, for check_hlawka, with
+    the `eps` of a `PrefixDiscrepancy`."""
+
+    def __init__(self, delta, lower, upper, eps=BRACKET_EPS):
         self.delta, self.lower, self.upper = delta, lower, upper
+        self.eps = eps
 
     def __len__(self):
         return len(self.delta)
@@ -140,19 +152,19 @@ def test_hlawka_matches_per_n_loop(seed):
     rhs = 2.0 * deltas * (np.log(N) - np.log(deltas))
     err = 1e-11 * seed
     # some lhs just inside and just outside the tolerance (which is a
-    # little above 1e-9), some far below; the float-Delta slack is at
-    # least 8e-12, so err + 1e-9 + 4e-12 is outside the tolerance of an
-    # exact Delta and inside that of a bracket
+    # little above 1e-9), some far below; a bracket's tolerance takes at
+    # least 8e-12 for its inexact Delta, so err + 1e-9 + 4e-12 is outside
+    # the tolerance of an exact Delta and inside that of a bracket
     logs = rhs + rng.choice([-1.0, 2e-12, 1e-10, 1.5e-9, 1.0,
                              err + BASE_TOL + 4e-12], size=n,
                             p=[0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
     tr = ProductTrace(logs, err, n)
-    for d_trace, exact in ((Bracket(deltas, deltas, deltas), False),
-                           (deltas, True)):
+    for d_trace, eps in ((Bracket(deltas, deltas, deltas), BRACKET_EPS),
+                         (deltas, None)):
         for N_min in (1, 16):
             rep = check_hlawka(tr, d_trace, N_min=N_min)
             violations, inconclusive, gamma_hat = hlawka_oracle(
-                logs, deltas, err, N_min, exact)
+                logs, deltas, err, N_min, eps)
             assert rep.violations == violations and violations
             assert rep.inconclusive == inconclusive and inconclusive
             assert rep.empirical_constants["gamma_hat"] == gamma_hat
@@ -166,15 +178,16 @@ def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
     vdc = van_der_corput(1500)
     vdc_deltas = [float(star_discrepancy(vdc.points[:n]).delta)
                   for n in range(1, 1501)]
-    for kind, tr, deltas, n_mins, exact in (
-            ("vdc", product_trace(vdc), vdc_deltas, (1, 16), True),
-            ("kronecker", orbit_trace([orbit], 1500),
-             discrepancy_trace(orbit.points()).delta, (16,), False)):
+    for kind, tr, deltas, n_mins, eps in (
+            ("vdc", product_trace(vdc), vdc_deltas, (1, 16), None),
+            ("kronecker", product_trace(orbit),
+             discrepancy_trace(orbit.points()).delta, (16,),
+             kronecker_discrepancy(orbit).eps)):
         for N_min in n_mins:
             rep = hlawka_sequence_report(kind, 1500, N_min=N_min,
                                          alpha=sqrt2m1)
             want = hlawka_oracle(tr.log_values, deltas, tr.error_bound,
-                                 N_min, exact)
+                                 N_min, eps)
             assert (rep.violations, rep.inconclusive,
                     rep.empirical_constants["gamma_hat"]) == want
 
@@ -210,8 +223,8 @@ def test_hlawka_bracket_matches_per_n_loop(seed):
     for N_min in (1, 16):
         rep = check_hlawka(tr, Bracket(deltas, lower, deltas + width[1]),
                            N_min=N_min)
-        violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
-                                                            0.0, N_min)
+        violations, inconclusive, gamma_hat = hlawka_oracle(
+            logs, deltas, 0.0, N_min, BRACKET_EPS)
         assert rep.violations == violations and violations
         assert rep.inconclusive == inconclusive and inconclusive
         assert rep.empirical_constants["gamma_hat"] == gamma_hat
@@ -237,15 +250,58 @@ def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
     tr = ProductTrace(logs, err, n)
     for N_min in (1, 16):
         rep = check_hlawka(tr, kd, N_min=N_min)
-        violations, inconclusive, gamma_hat = hlawka_oracle(logs, deltas,
-                                                            err, N_min)
+        violations, inconclusive, gamma_hat = hlawka_oracle(
+            logs, deltas, err, N_min, kd.eps)
         assert rep.violations == violations and violations
         assert rep.inconclusive == inconclusive and inconclusive
         assert rep.empirical_constants["gamma_hat"] == gamma_hat
         # the same report as from the exact trace
-        rep_t = check_hlawka(tr, Bracket(deltas, deltas, deltas),
+        rep_t = check_hlawka(tr, Bracket(deltas, deltas, deltas, kd.eps),
                              N_min=N_min)
         assert rep.to_dict() == rep_t.to_dict()
+
+
+def test_hlawka_tolerance_covers_the_float_delta_error(sqrt2m1):
+    # at the default N_max of 10^4, `delta_at` may be off by
+    # h = n (eps + 2^-53), which is above 4e-12: a lhs that a charge for a
+    # 4e-12 move of Delta leaves outside the tolerance is inconclusive
+    n = 10 ** 4
+    orbit = kronecker_fixed_point(sqrt2m1, n)
+    kd = kronecker_discrepancy(orbit)
+    h = n * (float(orbit.error().max()) + 2.0 ** -52 + 2.0 ** -53)
+    assert h > 4e-12
+    delta = kd.delta_at(n)
+    rhs = 2.0 * delta * (math.log(n) - math.log(delta))
+    slope = 2.0 * (abs(math.log(n / delta)) + 1.0)
+    logs = np.full(n, -1e3)
+    logs[-1] = rhs + BASE_TOL + slope * (h + 4e-12) / 2.0
+    rep = check_hlawka(ProductTrace(logs, 0.0, n), kd, N_min=n)
+    assert rep.violations == []
+    assert rep.inconclusive == [(n, float(logs[-1]), rhs)]
+
+
+@pytest.mark.parametrize("name", ["sqrt2m1", "golden"])
+def test_delta_at_within_its_error(name):
+    # |delta_at(n) - Delta_n| <= n (eps + 2^-53), against the sorted-order
+    # Delta_n of 200-bit points, each within 2^-198, held as X = x 2^200
+    # floored in integers
+    N = 2 * 10 ** 4
+    alpha = parse_alpha(name)
+    kd = kronecker_discrepancy(kronecker_fixed_point(alpha, N))
+    ev = FracPartEvaluator(alpha, n_max=N, precision_bits=200)
+    one = 1 << 200
+    X = [mpmath.libmp.to_fixed(ev.frac_part(k).value._mpf_, 200)
+         for k in range(1, N + 1)]
+    rng = np.random.default_rng(7)
+    ns = {1, 2, 3, 100, 7200, 10 ** 4, N} | set(
+        rng.integers(1, N + 1, 8).tolist())
+    for n in sorted(ns):
+        xs = sorted(X[:n])
+        scaled = max(max(n * x - i * one, (i + 1) * one - n * x)
+                     for i, x in enumerate(xs))
+        gap = abs(Fraction(kd.delta_at(n)) - Fraction(scaled, one))
+        # the integers move each point by under 2^-197, Delta_n by n times
+        assert gap <= n * (kd.eps + 2.0 ** -53) + n * 2.0 ** -196, n
 
 
 def test_hlawka_misaligned_traces():

@@ -85,7 +85,8 @@ def figure_oracle():
     evaluator's 320-bit points."""
     alpha = parse_alpha(FIGURE_ALPHA)
     ev = FracPartEvaluator(alpha, n_max=FIGURE_N, precision_bits=ORACLE_BITS)
-    return mpf_trace(kronecker(alpha, FIGURE_N, evaluator=ev), ORACLE_BITS)
+    return mpf_trace(kronecker(alpha, FIGURE_N, evaluator=ev), ORACLE_BITS,
+                     ev.error_bound)
 
 
 def read_figure(path, fmt):

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import (compensated_cumsum_by_chunks, log_two_sin_pi_mp,
-                     mpf_trace)
-from weylprod import irrational, numerics
+                     mpf_trace, orbit_trace)
+from weylprod import irrational, numerics, products
 from weylprod.bounds import kronecker_log_trace
 from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
                                  kronecker_fixed_point,
                                  kronecker_fixed_point_blocks, surd_from_cf)
 from weylprod.numerics import (TERM_EPS, compensated_cumsum, log_two_sin_pi,
                                log_two_sin_pi_array)
-from weylprod.products import orbit_trace
+from weylprod.products import product_trace
 from weylprod.sequences import kronecker
 
 ORACLE_BITS = 320
@@ -90,7 +90,8 @@ def test_points_within_derived_bound(alpha, N, block):
 def test_log_trace_within_trace_bounds(alpha, N):
     logs, err = kronecker_log_trace(alpha, N)
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
-    ref = mpf_trace(kronecker(alpha, N, evaluator=ev), ORACLE_BITS)
+    ref = mpf_trace(kronecker(alpha, N, evaluator=ev), ORACLE_BITS,
+                    ev.error_bound)
     assert len(logs) == N
     for n in range(N):
         gap = abs(mpmath.mpf(float(logs[n])) - ref.log_values[n])
@@ -117,11 +118,28 @@ def test_kernel_limits(sqrt2m1):
         kronecker_log_trace(sqrt2m1, 2 ** 31)
 
 
-def test_orbit_trace_matches_single_block(golden, monkeypatch):
+def test_orbit_product_trace_matches_whole_orbit_sum(sqrt2m1, golden,
+                                                     monkeypatch):
+    # `product_trace` of an orbit, fed to a BlockTrace in orbit slices,
+    # gives the whole-orbit sum over the kernel's blocks (`orbit_trace`)
+    # bit for bit: the same terms and per-block charges, and term_max is
+    # the largest |term|, so the sum takes the same integer scale; with
+    # one block of N points too, and at a block size of 77 everywhere
+    quotient = surd_from_cf([3, 10 ** 6], [1, 4])
+    for alpha in (sqrt2m1, golden, quotient):
+        for N in (1, 2, 13, 3000, 65536, 65537, 200001):
+            got = product_trace(kronecker_fixed_point(alpha, N))
+            want = orbit_trace(kronecker_fixed_point_blocks(alpha, N), N)
+            assert got.log_values.tobytes() == want.log_values.tobytes(), N
+            assert got.error_bound == want.error_bound, N
+            assert got.N == N
     N = 1000
     whole = orbit_trace([kronecker_fixed_point(golden, N)], N)
-    monkeypatch.setattr(irrational, "SUM_CHUNK", 77)
-    split = orbit_trace(kronecker_fixed_point_blocks(golden, N), N)
+    for module in (irrational, numerics, products):
+        monkeypatch.setattr(module, "SUM_CHUNK", 77)
+    split = product_trace(kronecker_fixed_point(golden, N))
+    assert split.log_values.tobytes() == orbit_trace(
+        kronecker_fixed_point_blocks(golden, N), N).log_values.tobytes()
     assert np.array_equal(whole.log_values, split.log_values)
     assert whole.error_bound == pytest.approx(split.error_bound, rel=1e-12)
 

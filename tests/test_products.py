@@ -14,8 +14,9 @@ from oracles import log_two_sin_pi_mp, mpf_trace
 from weylprod import products
 from weylprod.numerics import (SUM_CHUNK, TERM_EPS, log_two_sin_pi,
                                log_two_sin_pi_array)
-from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
-                                 default_precision_bits, parse_alpha,
+from weylprod.irrational import (DEFAULT_N_MAX, FixedPointOrbit,
+                                 FracPartEvaluator, default_precision_bits,
+                                 kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
 from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
                                normalizer_power, product_trace,
@@ -54,13 +55,15 @@ def test_shifted_identity_against_direct_product():
 
 
 ORACLE_BITS = 320
-# the mantissa width of `kronecker`'s points from its default evaluator
+# the mantissa width of `kronecker`'s points from its default evaluator,
+# and the error bound of each point
 KRONECKER_BITS = default_precision_bits(DEFAULT_N_MAX)
+KRONECKER_ERR = FracPartEvaluator(parse_alpha("sqrt2m1")).error_bound
 
 
 def test_kronecker_trace_vs_quadruple_precision(sqrt2m1):
     ps = kronecker(sqrt2m1, 500)
-    tr = mpf_trace(ps, KRONECKER_BITS)
+    tr = mpf_trace(ps, KRONECKER_BITS, KRONECKER_ERR)
     # independent recomputation at 4x the working precision
     with mpmath.mp.workprec(4 * KRONECKER_BITS):
         a = mpmath.sqrt(2) - 1
@@ -72,22 +75,22 @@ def test_kronecker_trace_vs_quadruple_precision(sqrt2m1):
 
 def test_permutation_invariance(sqrt2m1):
     ps = kronecker(sqrt2m1, 300)
-    tr = mpf_trace(ps, KRONECKER_BITS)
+    tr = mpf_trace(ps, KRONECKER_BITS, KRONECKER_ERR)
     pts = list(ps.points)
     rnd = random.Random(1)
     for _ in range(5):
         rnd.shuffle(pts)
-        shuffled = PointSet(pts, "kronecker", point_error=ps.point_error)
-        tr2 = mpf_trace(shuffled, KRONECKER_BITS)
+        tr2 = mpf_trace(PointSet(pts, "kronecker"), KRONECKER_BITS,
+                        KRONECKER_ERR)
         assert abs(float(tr.log_values[-1]) - float(tr2.log_values[-1])) \
             <= float(tr.error_bound + tr2.error_bound) + 1e-25
 
 
 def test_error_bound_accumulates_linearly(sqrt2m1):
     ps = kronecker(sqrt2m1, 400)
-    t_half = mpf_trace(PointSet(list(ps.points)[:200], "kronecker",
-                                ps.point_error), KRONECKER_BITS)
-    t_full = mpf_trace(ps, KRONECKER_BITS)
+    t_half = mpf_trace(PointSet(list(ps.points)[:200], "kronecker"),
+                       KRONECKER_BITS, KRONECKER_ERR)
+    t_full = mpf_trace(ps, KRONECKER_BITS, KRONECKER_ERR)
     assert t_full.error_bound < 4 * t_half.error_bound
 
 
@@ -133,7 +136,8 @@ def test_product_trace_takes_rational_or_float64_arrays():
     for pts in ([0.5], [Fraction(1, 2)],
                 PointSet([Fraction(1, 2)], "extremal"),
                 np.array([Fraction(1, 2)]), np.array([0.5], np.float32)):
-        with pytest.raises(TypeError, match="RationalArray or a float64"):
+        with pytest.raises(TypeError, match="RationalArray, a float64 "
+                                            "ndarray or a FixedPointOrbit"):
             product_trace(pts)
 
 
@@ -150,16 +154,27 @@ def test_mp_log_term_matches_float():
         assert a == pytest.approx(b, rel=1e-13)
 
 
-def test_float_trace_charges_point_error():
-    # a scalar point error adds 1.6 e / min(x, 1 - x) per point to the
-    # terms' rounding allowance; the dyadic rationals are exact floats
+def test_float_trace_charges_point_error(golden):
+    # a point error e adds 1.6 e / min(x, 1 - x) per point to the terms'
+    # rounding allowance: a scalar one in the term kernel, and each orbit
+    # point's own `error()` in `product_trace`, over several blocks, on top
+    # of the same trace of its bare distances; the dyadic rationals are
+    # exact floats, charged nothing
     x = np.array([0.125, 0.5, 0.75, 2.0 ** -20])
-    for pts in (x, RationalArray([2 ** 17, 2 ** 19, 3 * 2 ** 18, 1], 2 ** 20)):
-        bare = product_trace(PointSet(pts, "iid-uniform")).error_bound
-        tr = product_trace(PointSet(pts, "iid-uniform", point_error=1e-12))
-        m = np.minimum(x, np.subtract(1.0, x))
-        assert tr.error_bound - bare == pytest.approx(
-            float(np.sum(1.6e-12 / m)), rel=1e-12)
+    m = np.minimum(x, np.subtract(1.0, x))
+    bare = products._float_terms(x, 0.0)[1]
+    assert products._float_terms(x, 1e-12)[1] - bare == pytest.approx(
+        float(np.sum(1.6e-12 / m)), rel=1e-12)
+    dyadic = RationalArray([2 ** 17, 2 ** 19, 3 * 2 ** 18, 1], 2 ** 20)
+    assert product_trace(dyadic).error_bound == \
+        product_trace(x).error_bound
+    orbit = kronecker_fixed_point(golden, 2 * SUM_CHUNK + 5)
+    tr = product_trace(orbit)
+    assert tr.log_values.tobytes() == \
+        product_trace(orbit.dist).log_values.tobytes()
+    assert tr.error_bound - product_trace(orbit.dist).error_bound == \
+        pytest.approx(float(np.sum(1.6 * orbit.error() / orbit.dist)),
+                      rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -172,25 +187,29 @@ def test_float_trace_charges_point_error():
 ], ids=["sqrt2m1", "golden", "sqrt7", "quotient-2^40"])
 def test_kronecker_point_set_takes_float_path(alpha):
     # mpf points rounded to float64 are within half an ulp, at most 2^-54,
-    # of the 320-bit points: charged as their point error, that only
-    # widens the bound, and the bound covers the gap to the mpf oracle over
-    # the 320-bit points at every n
+    # of the 320-bit points: charged as their point error (the term
+    # kernel's charge), that widens the float trace's bound, which then
+    # covers the gap to the mpf oracle over the 320-bit points at every n;
+    # the fixed-point orbit's trace covers it with its own bound
     N = 3000
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
     ps = kronecker(alpha, N, evaluator=ev)
     rounded = np.array([float(x) for x in ps.points])
-    tr = product_trace(PointSet(rounded, "kronecker",
-                                point_error=ps.point_error + 2.0 ** -54))
+    tr = product_trace(PointSet(rounded, "kronecker"))
     assert tr.log_values.dtype == np.float64
     assert tr.log_values.tobytes() == \
         product_trace(rounded).log_values.tobytes()
     assert tr.N == N
-    oracle = mpf_trace(ps, ORACLE_BITS)
+    charge = (products._float_terms(rounded, ev.error_bound + 2.0 ** -54)[1]
+              - products._float_terms(rounded, 0.0)[1])
+    orbit = product_trace(kronecker_fixed_point(alpha, N))
+    oracle = mpf_trace(ps, ORACLE_BITS, ev.error_bound)
     with mpmath.mp.workprec(ORACLE_BITS):
-        for n, (got, want) in enumerate(zip(tr.log_values.tolist(),
-                                            oracle.log_values), 1):
-            assert abs(mpmath.mpf(got) - want) <= \
-                tr.error_bound + oracle.error_bound, n
+        for n, want in enumerate(oracle.log_values, 1):
+            assert abs(mpmath.mpf(float(tr.log_values[n - 1])) - want) <= \
+                tr.error_bound + charge + oracle.error_bound, n
+            assert abs(mpmath.mpf(float(orbit.log_values[n - 1])) - want) \
+                <= orbit.error_bound + oracle.error_bound, n
 
 
 def test_rational_arrays_charge_their_rounding():
@@ -200,7 +219,7 @@ def test_rational_arrays_charge_their_rounding():
                       (np.arange(1, 5000), 5000)):
         ps = PointSet(RationalArray(nums, den), "extremal")
         tr = product_trace(ps)
-        want = mpf_trace(ps, 200)
+        want = mpf_trace(ps, 200, 0.0)
         assert tr.error_bound > 0.0
         for n in {1, len(nums)}:
             assert abs(mpmath.mpf(float(tr.log_values[n - 1]))
@@ -221,12 +240,18 @@ def test_block_trace_refuses_a_term_past_amax():
 def test_points_at_their_error_from_an_endpoint_are_rejected():
     # short of an endpoint, a point needs 3.2 of its errors to either side;
     # past 2^53 a dyadic point is charged 3 ulps of its rounding
+    # (an orbit's first point has the error 2^-128 from its n = 1)
     near = np.array([0.5, 1.0 - 2.0 ** -50])
     with pytest.raises(ValueError, match="of 0 or 1"):
-        product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -51))
+        products._float_terms(near, 2.0 ** -51)
     with pytest.raises(ValueError, match="of 0 or 1"):
         product_trace(RationalArray([2 ** 54 - 3], 2 ** 54))
-    product_trace(PointSet(near, "iid-uniform", point_error=2.0 ** -52))
+    with pytest.raises(ValueError, match="of 0 or 1"):
+        product_trace(FixedPointOrbit(1, np.array([2.0 ** -127, 0.25]),
+                                      np.zeros(2, dtype=bool)))
+    products._float_terms(near, 2.0 ** -52)
+    product_trace(FixedPointOrbit(1, np.array([2.0 ** -126, 0.25]),
+                                  np.zeros(2, dtype=bool)))
 
 
 @pytest.mark.parametrize("blocks", [uniform_grid_blocks,
@@ -313,7 +338,8 @@ def oracle_trace(alpha, N):
     """log P_n, n <= N, from the log-space mpf trace (`oracles.mpf_trace`)
     over the evaluator's 320-bit points."""
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=ORACLE_BITS)
-    return mpf_trace(kronecker(alpha, N, evaluator=ev), ORACLE_BITS)
+    return mpf_trace(kronecker(alpha, N, evaluator=ev), ORACLE_BITS,
+                     ev.error_bound)
 
 
 def rows_within_bound(series, oracle_logs, oracle_err, ns=None):

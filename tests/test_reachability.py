@@ -190,11 +190,14 @@ def test_guard_sees_a_dead_definition(tmp_path, monkeypatch):
 
 
 # ------------------------------------------------------------------ options
-# A parameter with a default is an option. Every option must be set by some
-# call outside the unit tests (in `src/`, `bench/` or the acceptance suite):
-# an option that only tests set selects a path that no command runs. Calls
-# are matched to definitions by name, so a call to any `feed` sets the
-# options of every `feed`, and a call of a class sets its `__init__`'s.
+# A parameter with a default is an option, and so is a dataclass field with
+# a plain default, a parameter of the generated `__init__` (a
+# `field(default_factory=...)` is state, not an option). Every option must
+# be set by some call outside the unit tests (in `src/`, `bench/` or the
+# acceptance suite): an option that only tests set selects a path that no
+# command runs. Calls are matched to definitions by name, so a call to any
+# `feed` sets the options of every `feed`, and a call of a class sets its
+# `__init__`'s.
 
 # option -> why it stays although nothing outside the unit tests sets it
 OPTION_ALLOWLIST = {
@@ -207,15 +210,49 @@ OPTION_ALLOWLIST = {
 }
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for d in cls.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_init(cls: ast.ClassDef):
+    """(positional parameters, parameters with a default) of the
+    `__init__` that @dataclass generates for `cls`: its annotated fields in
+    order, a default unless it is a `field(default_factory=...)`."""
+    positional, with_default = [], []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            continue
+        positional.append(node.target.id)
+        value = node.value
+        if value is None or (isinstance(value, ast.Call)
+                             and getattr(value.func, "id", None) == "field"
+                             and "default" not in {k.arg
+                                                   for k in value.keywords}):
+            continue
+        with_default.append(node.target.id)
+    return positional, with_default
+
+
 def _options(tree):
     """(qualified name, call name, positional parameters, parameters with a
-    default) of every top-level function and method. A method's self or cls
-    is not passed at a call, and a class is called for its __init__."""
+    default) of every top-level function and method, and of the `__init__`
+    of every dataclass that defines none. A method's self or cls is not
+    passed at a call, and a class is called for its __init__."""
     defs = [(node.name, node.name, 0, node) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
+        if _is_dataclass(cls) and not any(
+                getattr(node, "name", None) == "__init__"
+                for node in cls.body):
+            yield (f"{cls.name}.__init__", cls.name,
+                   *_dataclass_init(cls))
         for node in cls.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -293,4 +330,23 @@ def test_guard_sees_a_test_only_option(tmp_path, monkeypatch):
                                       "numerics._probe(knob)"])
     with open(tmp_path / "numerics.py", "a") as fh:
         fh.write("PROBED = _probe(LOG2, 1) + _probe(LOG2, flag=True)\n")
+    assert unset_options() == sorted(OPTION_ALLOWLIST)
+
+
+def test_guard_sees_a_dataclass_option(tmp_path, monkeypatch):
+    # a dataclass field with a plain default is an option of its __init__,
+    # unset until a call passes it; a field(default_factory=...) is state
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("\n\nfrom dataclasses import dataclass, field\n\n\n"
+                 "@dataclass(frozen=True)\nclass _Probe:\n"
+                 "    x: float\n    knob: int = 0\n"
+                 "    rows: list = field(default_factory=list)\n\n\n"
+                 "PROBED = _Probe(LOG2)\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unset_options() == sorted([*OPTION_ALLOWLIST,
+                                      "numerics._Probe.__init__(knob)"])
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("PROBED = _Probe(LOG2, 1)\n")
     assert unset_options() == sorted(OPTION_ALLOWLIST)

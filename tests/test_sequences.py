@@ -17,10 +17,11 @@ from weylprod.sequences import (PointSet, RationalArray, kronecker,
 
 def test_kronecker_first_two(sqrt2m1):
     ps = kronecker(sqrt2m1, 2)
+    err = FracPartEvaluator(sqrt2m1).error_bound
     with mpmath.mp.workprec(200):
         r2 = mpmath.sqrt(2)
-        assert abs(ps.points[0] - (r2 - 1)) < ps.point_error
-        assert abs(ps.points[1] - (2 * r2 - 2)) < ps.point_error
+        assert abs(ps.points[0] - (r2 - 1)) < err
+        assert abs(ps.points[1] - (2 * r2 - 2)) < err
 
 
 def test_kronecker_one_point_per_interval(sqrt2m1):
