@@ -1,11 +1,16 @@
 """Checkers for the deterministic product bounds.
 
-The bound checkers compare log-space quantities with an explicit tolerance
-of (trace error bound + 1e-9). A would-be violation that falls inside the
-tolerance is reported as inconclusive rather than failed. `vdc-limits`
-compares with closed forms that are identities, to the trace error bound
-plus their own rounding, and a gap inside that passes. Conjecture checks
-never fail at all, they produce evidence reports.
+One rule turns every bound check lhs <= rhs into a verdict
+(`_report_rows`): with tol the trace's error bound + `BASE_TOL`, plus any
+charge for an inexact rhs, a row (N, lhs, rhs) is a violation above
+rhs + tol and inconclusive in (rhs, rhs + tol], and a report passes when
+it has no violation. Three verdicts stay outside the rule on purpose:
+`check_vdc_limits` compares with identities (closed forms, to the trace's
+error bound plus their rounding, and exact argmin and argmax positions),
+so a gap within its tolerance passes; the extremal sweep's report (`cli`)
+counts only failures at N >= 64, as its bounds are asymptotic; and the
+evidence reports (`type-growth`, `conjectures`) compare nothing and never
+fail.
 """
 
 from __future__ import annotations
@@ -20,13 +25,12 @@ from .discrepancy import (int_sorted_max, kronecker_discrepancy,
                           vdc_discrepancy)
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, ostrowski_digit_sums)
-from .numerics import LOG2, SUM_CHUNK
+from .numerics import BASE_TOL, LOG2, SUM_CHUNK
 from .products import BlockTrace, ProductTrace, product_trace, term_max
 from .sequences import (uniform_grid_blocks, van_der_corput,
                         van_der_corput_blocks)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-BASE_TOL = 1e-9
 # relative slack of a numpy screen against the scalar math.log formula it
 # stands in for: numpy's and math's logs differ by at most an ulp or two
 SCREEN_REL = 1e-12
@@ -56,6 +60,20 @@ class BoundReport:
             "inconclusive": [list(v) for v in self.inconclusive],
             "empirical_constants": self.empirical_constants,
         }
+
+
+def _report_rows(report: BoundReport, n, lhs, rhs, tol) -> None:
+    """The verdict of the comparisons lhs <= rhs (+ tol) at the N in `n`:
+    append an (N, lhs, rhs) row to the violations where lhs > rhs + tol,
+    and to the inconclusive rows where rhs < lhs <= rhs + tol, in the order
+    of `n`; then set `passed` to whether the report has no violation. Each
+    of n, lhs, rhs and tol is a scalar or an array, broadcast together."""
+    n, lhs, rhs, tol = np.broadcast_arrays(np.atleast_1d(n), lhs, rhs, tol)
+    over = lhs > rhs + tol
+    for i in np.flatnonzero(lhs > rhs).tolist():
+        row = (int(n[i]), float(lhs[i]), float(rhs[i]))
+        (report.violations if over[i] else report.inconclusive).append(row)
+    report.passed = not report.violations
 
 
 def kronecker_log_trace(alpha: IrrationalSpec, N: int):
@@ -122,13 +140,11 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
 
     rhs_lo = rhs(lo) if exact else np.minimum(rhs(lo), rhs(hi))
     slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
-    for i in np.flatnonzero(lhs > rhs_lo - slack).tolist():
-        n, lhs_n = int(N[i]), float(lhs[i])
-        r, tol = _hlawka_rhs(n, delta_at(n), err, eps)
-        if lhs_n > r + tol:
-            report.violations.append((n, lhs_n, r))
-        elif lhs_n > r:
-            report.inconclusive.append((n, lhs_n, r))
+    unclear = np.flatnonzero(lhs > rhs_lo - slack)
+    rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, eps)
+                        for n in N[unclear].tolist()]).reshape(-1, 2)
+    _report_rows(report, N[unclear], lhs[unclear], rhs_tol[:, 0],
+                 rhs_tol[:, 1])
     gamma_hat = 0.0
     i0 = max(0, 2 - N_min)  # gamma needs log N > 0
     if i0 < len(N):
@@ -142,14 +158,14 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
             n = int(N[i])
             r, _ = _hlawka_rhs(n, delta_at(n), err, eps)
             gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
-    report.passed = not report.violations
     report.empirical_constants["gamma_hat"] = gamma_hat
     return report
 
 
 def check_kronecker_sandwich(alpha: IrrationalSpec,
                              q_max: int = 10 ** 5) -> BoundReport:
-    """1 <= P_{q-1} <= q^2/2 at every best approximation denominator q."""
+    """1 <= P_{q-1} <= q^2/2 at every best approximation denominator q;
+    a row of the lower side reads (q, 0, log P_{q-1})."""
     table = cf_expand_until(alpha, q_max)
     tabulated = sorted(set(q for q in table.q if 2 <= q <= q_max))
     if not tabulated:
@@ -159,27 +175,13 @@ def check_kronecker_sandwich(alpha: IrrationalSpec,
     report = BoundReport("kronecker-sandwich",
                          {"alpha": str(alpha), "q_max": q_max},
                          (min(tabulated), max(tabulated)))
-    ratio_max = 0.0
-    for q in tabulated:
-        lp = float(logs[q - 2])
-        upper = 2.0 * math.log(q) - LOG2
-        ratio_max = max(ratio_max, math.exp(lp - math.log(q)))
-        if lp < -tol or lp > upper + tol:
-            report.violations.append((q, lp, upper))
-        elif lp < 0.0 or lp > upper:
-            report.inconclusive.append((q, lp, upper))
-    report.passed = not report.violations
-    report.empirical_constants["max_P_over_q"] = ratio_max
+    lp = logs[np.array(tabulated) - 2]
+    upper = [2.0 * math.log(q) - LOG2 for q in tabulated]
+    _report_rows(report, tabulated, 0.0, lp, tol)
+    _report_rows(report, tabulated, lp, upper, tol)
+    report.empirical_constants["max_P_over_q"] = max(
+        math.exp(v - math.log(q)) for q, v in zip(tabulated, lp.tolist()))
     return report
-
-
-def _report_rows(report: BoundReport, lhs, rhs, tol) -> None:
-    """Append (N, lhs, rhs) rows for N = 1..len(lhs): violations above
-    rhs + tol, inconclusive between rhs and rhs + tol."""
-    over = lhs > rhs + tol
-    for i in np.flatnonzero(lhs > rhs).tolist():
-        row = (i + 1, float(lhs[i]), float(rhs[i]))
-        (report.violations if over[i] else report.inconclusive).append(row)
 
 
 def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4) -> BoundReport:
@@ -197,8 +199,7 @@ def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4) -> BoundR
                          (1, N_max))
     levels, digit_sum = ostrowski_digit_sums(table, N_max)
     rhs = digit_sum * LOG2 + np.array(logq_cum)[levels]
-    _report_rows(report, logs, rhs, tol)
-    report.passed = not report.violations
+    _report_rows(report, np.arange(1, N_max + 1), logs, rhs, tol)
     report.empirical_constants["min_slack"] = float(np.min(rhs - logs))
     return report
 
@@ -225,8 +226,7 @@ def check_cesaro_log_bound(alpha: IrrationalSpec,
     levels, _ = ostrowski_digit_sums(table, N_max)
     bound = np.array([cesaro_bound_value(table, l)
                       for l in range(int(levels[-1]) + 1)])
-    _report_rows(report, means, bound[levels], (err + BASE_TOL) / N)
-    report.passed = not report.violations
+    _report_rows(report, N, means, bound[levels], (err + BASE_TOL) / N)
     # suffix maxima: sup over N' >= N of the Cesaro mean
     suffix = np.maximum.accumulate(means[::-1])[::-1]
     lo = min(CESARO_PROXY_START, N_max)
@@ -398,12 +398,9 @@ def grid_hlawka_report(N: int) -> BoundReport:
     del trace, out  # the trace's block arrays go before the next pass's
     m, _ = int_sorted_max((b.numerators for b in uniform_grid_blocks(N)),
                           den, N)
-    delta = float(Fraction(m, den))
-    rhs = 2.0 * delta * (math.log(N) - math.log(delta))
+    rhs, tol = _hlawka_rhs(N, float(Fraction(m, den)), err, None)
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
-    if lhs > rhs + err + BASE_TOL:
-        report.violations.append((N, lhs, rhs))
-    report.passed = not report.violations
+    _report_rows(report, N, lhs, rhs, tol)
     report.empirical_constants["P_N"] = math.exp(lhs)
     report.empirical_constants["bound"] = math.exp(rhs)
     return report

@@ -171,10 +171,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def _verify_extremal_single(args: argparse.Namespace) -> int:
     """Bounds at one (N, d) pair; the extremal product is evaluated, and
-    compared with the lower bound, only when N is even and N*d an integer,
-    exactly, with d read as the decimal it was given (the construction
-    needs both). Otherwise nothing is compared, and the
-    report says so with "passed": null and "n_checked": 0."""
+    compared with the lower bound, only when N is even and M = N*d an
+    integer in [1, N/2], exactly, with d read as the decimal it was given
+    (the construction needs all three). Otherwise nothing is compared, and
+    the report says so with "passed": null and "n_checked": 0."""
     if args.N is None:
         raise UsageError("verify extremal --d needs --N")
     d = float(args.d)
@@ -186,12 +186,10 @@ def _verify_extremal_single(args: argparse.Namespace) -> int:
     report.empirical_constants = {"logLower": lo, "logUpper": hi}
     M = args.d * args.N
     n_checked = 0
-    if args.N % 2 == 0 and M.denominator == 1 and M >= 1:
+    if args.N % 2 == 0 and M.denominator == 1 and 1 <= M <= args.N // 2:
         lp = extremal_product_closed_form(ExtremalConfig(args.N, int(M)))
         report.empirical_constants["logP"] = lp
-        if lo > lp + 1e-9:
-            report.violations.append((args.N, lo, lp))
-        report.passed = not report.violations
+        bnd._report_rows(report, args.N, lo, lp, bnd.BASE_TOL)
         n_checked = 1
     payload = report.to_dict()
     payload["n_checked"] = n_checked

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .atomicio import atomic_open
-from .numerics import log_two_sin_pi_array
+from .numerics import BASE_TOL, log_two_sin_pi_array
 from .sequences import PointSet, RationalArray
 
 _LOG_2PI2 = math.log(2.0 * math.pi ** 2)
@@ -140,7 +140,8 @@ def sup_product_upper_bound(N: int, d: float, epsilon: float) -> float:
 
 def sweep(N_values, M_limit, epsilon: float) -> list:
     """Rows (N, M, d, logP, logLower, logUpper, holds_lower, holds_upper)
-    over even N in N_values and M = 1..M_limit(N).
+    over even N in N_values and M = 1..M_limit(N); the flags pad by
+    `BASE_TOL`.
 
     logP equals `extremal_product_closed_form` row by row, from one integer
     prefix sum per N. The terms t_k = log sin(pi k/N), k < M_limit(N), are
@@ -171,7 +172,8 @@ def sweep(N_values, M_limit, epsilon: float) -> list:
             lp = log_2n - 2.0 * math.ldexp(float(acc), -s)
             lo = lower_n + two_n * d * math.log(_E_OVER_PI / d)
             hi = upper_n + two_n * d * math.log(e_up / d)
-            rows.append((N, M, d, lp, lo, hi, lo <= lp + 1e-9, lp <= hi + 1e-9))
+            rows.append((N, M, d, lp, lo, hi, lo <= lp + BASE_TOL,
+                         lp <= hi + BASE_TOL))
     return rows
 
 

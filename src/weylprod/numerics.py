@@ -20,6 +20,9 @@ LOG2 = math.log(2.0)
 # relative error and the log adds one more rounding.
 TERM_EPS = 3e-16
 
+# the pad every bound check adds to its trace's error bound
+BASE_TOL = 1e-9
+
 
 def log_two_sin_pi(x) -> float:
     """log(2 sin(pi x)) in double precision for x in (0, 1).

@@ -53,14 +53,14 @@ def product_trace(ps) -> ProductTrace:
     float64 ndarray of points, bare or in a `PointSet`, or over a bare
     `FixedPointOrbit`, run through a `BlockTrace` in blocks of SUM_CHUNK.
     Any other points raise TypeError; a point at 0 or 1, or a NaN, raises
-    ValueError (`term_max`). A `RationalArray` is converted to float64
-    once, and its blocks are fed as slices with their denominator; an
-    orbit's blocks are orbit slices, each with its own `error()`."""
+    ValueError (`term_max`). Every kind is fed in slices, each charged its
+    own error: a `RationalArray` slice its rounding to float64, an orbit
+    slice its `error()`. A `RationalArray` is converted to float64 whole
+    only for `term_max`."""
     pts = ps.points if isinstance(ps, PointSet) else ps
-    den = 1
     if isinstance(pts, RationalArray):
-        pts, den = pts.to_float_array(), pts.denominator
-    if isinstance(pts, FixedPointOrbit):
+        arr = pts.to_float_array()
+    elif isinstance(pts, FixedPointOrbit):
         arr = pts.dist
     elif isinstance(pts, np.ndarray) and pts.dtype == np.float64:
         arr = pts
@@ -71,9 +71,10 @@ def product_trace(ps) -> ProductTrace:
     if n == 0:
         raise ValueError("empty point set")
     trace = BlockTrace(n, term_max(arr))
+    del arr  # a `RationalArray`'s float copy goes before `out` comes
     out = np.empty(n)
     for s in range(0, n, SUM_CHUNK):
-        trace.feed(pts[s:s + SUM_CHUNK], out[s:s + SUM_CHUNK], den)
+        trace.feed(pts[s:s + SUM_CHUNK], out[s:s + SUM_CHUNK])
     return ProductTrace(out, trace.error_bound(), n)
 
 
@@ -112,12 +113,13 @@ class BlockTrace:
     the sums take next, a block's float points, their rounding charges and
     the terms' bounds.
 
-    Each point is charged its error. Float64 values of rationals over `den`
-    are charged their rounding: nothing over a power-of-two denominator up
-    to 2^53; half an ulp below 2^53, where the numerator and the
-    denominator convert exactly and the quotient rounds once; 3 ulps above,
-    for three roundings of 2^-53 relative. An orbit block gives its terms
-    from its distances ||n alpha||, each charged its own `error()`.
+    Each point is charged its error. Float64 values are taken as exact.
+    A `RationalArray` block over `den` is converted to float64 and charged
+    its rounding: nothing over a power-of-two denominator up to 2^53; half
+    an ulp below 2^53, where the numerator and the denominator convert
+    exactly and the quotient rounds once; 3 ulps above, for three
+    roundings of 2^-53 relative. An orbit block gives its terms from its
+    distances ||n alpha||, each charged its own `error()`.
     """
 
     def __init__(self, n: int, amax: float):
@@ -125,11 +127,9 @@ class BlockTrace:
         self.sums = PrefixSum(n, amax, self.work)
         self.term_error = 0.0
 
-    def feed(self, x, out: np.ndarray | None = None, den: int = 1):
-        """The prefix log-products through each point of `x`, written to
-        `out` (default: a new array) and returned; float points are rounded
-        from rationals over `den` (a `RationalArray` block brings its own,
-        and an orbit block its `error()` instead)."""
+    def feed(self, x, out: np.ndarray | None = None):
+        """The prefix log-products through each point of the block `x`,
+        written to `out` (default: a new array) and returned."""
         b, work = len(x), self.work
         pt_err = 0.0
         if isinstance(x, FixedPointOrbit):
@@ -140,16 +140,15 @@ class BlockTrace:
             x = work.get(0, b)
             np.copyto(x, nums)
             x /= den
+            if den & (den - 1) or den > 1 << 53:
+                # ulp(x) = 2^(e-52) for x in [2^e, 2^(e+1)), from the
+                # exponent bits (np.spacing costs about as much as the sine)
+                pt_err = work.get(1, b)
+                np.bitwise_and(x.view(np.int64), _EXPONENT_BITS,
+                               out=pt_err.view(np.int64))
+                pt_err *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
         if not (x.min() > 0.0 and x.max() < 1.0):
             raise ValueError("a point is not inside (0, 1)")
-        if den & (den - 1) or den > 1 << 53:
-            # ulp(x) = 2^(e-52) for x in [2^e, 2^(e+1)), from the exponent
-            # bits (np.spacing costs about as much as the sine)
-            ulps = work.get(1, b)
-            np.bitwise_and(x.view(np.int64), _EXPONENT_BITS,
-                           out=ulps.view(np.int64))
-            ulps *= 2.0 ** -53 if den <= 1 << 53 else 3.0 * 2.0 ** -52
-            pt_err = ulps
         terms, err = _float_terms(x, pt_err, work.get(3, b), work.get(2, b))
         amax = self.sums.amax
         if not (float(terms.max()) <= amax and float(terms.min()) >= -amax):

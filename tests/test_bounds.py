@@ -329,6 +329,24 @@ def test_hlawka_n_min_above_n_max(kind, sqrt2m1):
 
 # ---------------------------------------------------------------- sandwich
 
+def test_sandwich_lower_side_rows(sqrt2m1, monkeypatch):
+    # q = 5, 12, 29, ... tabulated: log P_4 below -tol is a violation of
+    # 0 <= log P, log P_11 in (-tol, 0) inconclusive, and log P_28 above
+    # 2 log 29 - log 2 + tol a violation of the upper side, listed after
+    err = 1e-12
+    tol = err + BASE_TOL
+    logs = np.full(984, 0.5)
+    logs[3], logs[10] = -1.0, -tol / 2.0
+    upper = 2.0 * math.log(29) - LOG2
+    logs[27] = upper + 1.0
+    monkeypatch.setattr(bounds, "kronecker_log_trace",
+                        lambda a, n: (logs[:n].copy(), err))
+    rep = check_kronecker_sandwich(sqrt2m1, q_max=1000)
+    assert rep.violations == [(5, 0.0, -1.0), (29, upper + 1.0, upper)]
+    assert rep.inconclusive == [(12, 0.0, -tol / 2.0)]
+    assert rep.passed is False
+
+
 def test_sandwich_single_factor(sqrt2m1):
     # q = 2: P_1 = 2 sin(pi alpha) lies in [1, q^2/2] = [1, 2]
     rep = check_kronecker_sandwich(sqrt2m1, q_max=2)
@@ -370,6 +388,37 @@ def test_ostrowski_bound_at_denominators(sqrt2m1):
         q = table.q[l]
         rhs = LOG2 + 3.0 * math.fsum(math.log(t) for t in table.q[:l + 1])
         assert logs[q - 1] <= rhs
+
+
+def test_report_rows_rule():
+    # scalars: one comparison each
+    for lhs, violations, inconclusive in ((2.0, [(7, 2.0, 1.0)], []),
+                                         (1.2, [], [(7, 1.2, 1.0)]),
+                                         (1.0, [], [])):
+        rep = BoundReport("t", {}, (7, 7), passed=None)
+        bounds._report_rows(rep, 7, lhs, 1.0, 0.5)
+        assert (rep.violations, rep.inconclusive) == (violations,
+                                                      inconclusive)
+        assert rep.passed is (not violations)
+    # arrays, with an array tol, in the order of n
+    rep = BoundReport("t", {}, (1, 4))
+    bounds._report_rows(rep, np.arange(5, 1, -1),
+                        np.array([0.0, 1.5, 2.5, 1.0]), 1.0,
+                        np.array([1.0, 1.0, 1.0, 0.0]))
+    assert rep.violations == [(3, 2.5, 1.0)]
+    assert rep.inconclusive == [(4, 1.5, 1.0)]
+    assert all(type(row[0]) is int and type(row[1]) is float
+               for row in rep.violations + rep.inconclusive)
+    assert rep.passed is False
+    # rows add to those already there, and the verdict covers them all
+    bounds._report_rows(rep, 9, 0.0, 1.0, BASE_TOL)
+    assert rep.passed is False and len(rep.violations) == 1
+    # nothing compared is no violation
+    rep = BoundReport("t", {}, (1, 0), passed=None)
+    bounds._report_rows(rep, np.arange(1, 1), np.empty(0), np.empty(0),
+                        BASE_TOL)
+    assert rep.passed is True
+    assert rep.violations == rep.inconclusive == []
 
 
 @pytest.mark.parametrize("alpha_cf", [([], [2]), ([], [1]), ([1], [2]),

@@ -371,6 +371,18 @@ def test_verify_extremal_single_exact_integrality(capsys, d, checked):
         assert report["passed"] is None and report["n_checked"] == 0
 
 
+@pytest.mark.parametrize("d", ["0.75", "1"])
+def test_verify_extremal_single_d_above_half_not_evaluated(capsys, d):
+    # M = N d > N/2: the bounds are valid, but the construction does not
+    # exist, so nothing is compared
+    code, stdout, _ = run(["verify", "extremal", "--N", "4", "--d", d],
+                          capsys)
+    report = json.loads(stdout)
+    assert code == 0
+    assert report["passed"] is None and report["n_checked"] == 0
+    assert set(report["empirical_constants"]) == {"logLower", "logUpper"}
+
+
 def test_verify_extremal_single_bad_d_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "extremal", "--N", "10", "--d", "0.3x"])
