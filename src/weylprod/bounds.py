@@ -102,6 +102,11 @@ def _hlawka_rhs(N: int, delta: float, err: float, eps) -> tuple:
     return rhs, tol
 
 
+def _screen_rhs(delta, log_N):
+    """The Hlawka right-hand side 2 Delta (log N - log Delta) in numpy."""
+    return 2.0 * delta * (log_N - np.log(delta))
+
+
 def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
                  parameters: dict | None = None) -> BoundReport:
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
@@ -111,10 +116,14 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     `vdc_discrepancy`), or a Kronecker `PrefixDiscrepancy`, which gives
     bounds `lower` <= Delta_N <= `upper` for every N and `delta_at(N)`,
     Delta_N in float64. The right-hand side is concave in Delta, so its
-    minimum over [lower, upper] sits at an end; the whole range is screened
-    with that minimum and numpy's log. Every N that the screen cannot
-    clear, and every N whose largest possible gamma reaches the largest
-    certain one, is settled with Delta_N and the scalar formula.
+    minimum over [lower, upper] sits at an end; the range is screened with
+    that minimum and numpy's log in blocks of SUM_CHUNK N, in order, so
+    the temporaries stay O(block). Every N that the screen cannot clear is
+    settled with Delta_N and the scalar formula, block by block. So is
+    every N whose largest possible gamma reaches the largest certain one:
+    each block keeps its candidates against the running top, and the kept
+    ones are filtered by the final top, which only rises, so they hold
+    every final candidate.
     """
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
@@ -123,39 +132,45 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
         raise ValueError(f"N_min must be in [1, {len(logs)}], got {N_min}")
     err = ps_trace.error_bound
     report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
-    N = np.arange(N_min, len(logs) + 1)
     exact = isinstance(d_trace, np.ndarray)
     if exact:
-        lo = hi = d_trace[N_min - 1:]
+        lower = upper = d_trace
         delta_at, eps = (lambda n: float(d_trace[n - 1])), None
     else:
-        lo = d_trace.lower[N_min - 1:]
-        hi = d_trace.upper[N_min - 1:]
+        lower, upper = d_trace.lower, d_trace.upper
         delta_at, eps = d_trace.delta_at, d_trace.eps
-    lhs = logs[N_min - 1:]
-    log_N = np.log(N)
-
-    def rhs(delta):
-        return 2.0 * delta * (log_N - np.log(delta))
-
-    rhs_lo = rhs(lo) if exact else np.minimum(rhs(lo), rhs(hi))
-    slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
-    unclear = np.flatnonzero(lhs > rhs_lo - slack)
-    rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, eps)
-                        for n in N[unclear].tolist()]).reshape(-1, 2)
-    _report_rows(report, N[unclear], lhs[unclear], rhs_tol[:, 0],
-                 rhs_tol[:, 1])
+    top = -math.inf
+    near = []  # (largest possible gamma, N) of the candidates so far
+    for s in range(N_min - 1, len(logs), SUM_CHUNK):
+        e = min(s + SUM_CHUNK, len(logs))
+        N = np.arange(s + 1, e + 1, dtype=np.float64)
+        lo, hi, lhs = lower[s:e], upper[s:e], logs[s:e]
+        log_N = np.log(N)
+        rhs_lo = _screen_rhs(lo, log_N)
+        if not exact:
+            rhs_lo = np.minimum(rhs_lo, _screen_rhs(hi, log_N))
+        slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
+        unclear = np.flatnonzero(lhs > rhs_lo - slack)
+        ns = (unclear + (s + 1)).tolist()
+        rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, eps)
+                            for n in ns]).reshape(-1, 2)
+        _report_rows(report, ns, lhs[unclear], rhs_tol[:, 0], rhs_tol[:, 1])
+        i0 = max(0, 1 - s)  # gamma needs log N > 0
+        if i0 < len(N):
+            sq = log_N[i0:] ** 2
+            low = rhs_lo[i0:] / sq
+            top = max(top, low.max())
+            # the largest rhs over [lower, upper] is at Delta = N/e, clamped
+            peak = low if exact else _screen_rhs(
+                np.clip(N / math.e, lo, hi), log_N)[i0:] / sq
+            cut = top - SCREEN_REL * abs(top)
+            hit = np.flatnonzero(peak >= cut)
+            near = [c for c in near if c[0] >= cut] + list(zip(
+                peak[hit].tolist(), (hit + (s + 1 + i0)).tolist()))
+    cut = top - SCREEN_REL * abs(top)
     gamma_hat = 0.0
-    i0 = max(0, 2 - N_min)  # gamma needs log N > 0
-    if i0 < len(N):
-        sq = log_N[i0:] ** 2
-        low = rhs_lo[i0:] / sq
-        top = low.max()
-        # the largest rhs over [lower, upper] is at Delta = N/e, clamped
-        peak = low if exact else rhs(np.clip(N / math.e, lo, hi))[i0:] / sq
-        near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
-        for i in near.tolist():
-            n = int(N[i])
+    for p, n in near:
+        if p >= cut:
             r, _ = _hlawka_rhs(n, delta_at(n), err, eps)
             gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
     report.empirical_constants["gamma_hat"] = gamma_hat

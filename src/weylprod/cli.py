@@ -37,6 +37,8 @@ from .products import KERNEL, NORMALIZERS, rotation_products, row_texts
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
                 "cesaro", "type-growth", "vdc-limits", "conjectures")
 MC_MODELS = ("iid", "rademacher", "subsequence")
+# the smallest N a prefix Hlawka check starts at unless --n-min is given
+HLAWKA_N_MIN = 16
 
 
 class UsageError(Exception):
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--N", type=int, default=None,
                      help="single N (grid generator)")
     ver.add_argument("--n-max", "--N-max", dest="n_max", type=int, default=None)
-    ver.add_argument("--n-min", type=int, default=16)
+    ver.add_argument("--n-min", type=int, default=HLAWKA_N_MIN)
     ver.add_argument("--q-max", type=int, default=10 ** 5)
     ver.add_argument("--s-max", type=int, default=18)
     ver.add_argument("--t", type=float, default=1.5)
@@ -203,7 +205,9 @@ def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
             raise UsageError("verify hlawka --gen grid needs --N")
         return bnd.grid_hlawka_report(args.N)
     if not 1 <= args.n_min <= args.n_max:
-        raise UsageError(f"--n-min must be in [1, --n-max = {args.n_max}]")
+        raise UsageError(f"--n-min must be in [1, --n-max = {args.n_max}], "
+                         f"got {args.n_min} (--n-min defaults to "
+                         f"{HLAWKA_N_MIN})")
     return bnd.hlawka_sequence_report(args.gen, args.n_max,
                                       N_min=args.n_min, alpha=args.alpha)
 

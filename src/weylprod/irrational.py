@@ -22,7 +22,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .numerics import SUM_CHUNK
@@ -322,6 +321,7 @@ class FracPartEvaluator:
         check_precision_bits(self.precision_bits)
         surd_bits = (alpha.b * alpha.b * alpha.d).bit_length() // 2 + 2
         self._work = self.precision_bits + n_max.bit_length() + surd_bits + 12
+        import mpmath
         with mpmath.mp.workprec(self._work):
             self._sqrt_d = mpmath.sqrt(alpha.d)
         self.error_bound = math.ldexp(1.0, 2 - self.precision_bits)
@@ -332,6 +332,7 @@ class FracPartEvaluator:
                              f"[1, {self.n_max}]")
         a = self.alpha
         m = floor_surd(n * a.a, n * a.b, a.c, a.d)
+        import mpmath
         with mpmath.mp.workprec(self._work):
             v = (n * a.a - m * a.c + n * a.b * self._sqrt_d) / a.c
         with mpmath.mp.workprec(self.precision_bits):

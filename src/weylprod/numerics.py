@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 LOG2 = math.log(2.0)
@@ -180,6 +179,7 @@ def decimal_str(x, digits: int = 40) -> str:
     digits are meaningful; mpf and float values print their exact binary
     content (lossless round-trip for doubles).
     """
+    import mpmath
     if isinstance(x, Fraction):
         with mpmath.mp.workprec(int(digits * 3.33) + 24):
             v = mpmath.mpf(x.numerator) / x.denominator

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .irrational import (DEFAULT_N_MAX, FixedPointOrbit, IrrationalSpec,
@@ -296,6 +295,7 @@ def row_text(row: tuple, scales: dict | None = None) -> str:
         scales[top] = _digit_scale(top)
     scale = scales[top]
     if scale is None or x <= 0:
+        import mpmath
         return mpmath.libmp.to_str(mpmath.libmp.from_man_exp(x, xe),
                                    ROW_DIGITS)
     fixprec, fixdps, ten = scale
@@ -346,7 +346,7 @@ def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
     2^-(wp+9.3) relative. mpf_sin_pi at wp + 10 bits is within one ulp,
     2^-(wp+9)."""
     r, bits = exact_residue(alpha, n, 2 * wp, wp + 10)
-    libmp = mpmath.libmp
+    from mpmath import libmp
     s = libmp.mpf_sin_pi(libmp.from_man_exp(r, -bits), wp + 10, "n")
     return s[1], s[2]
 
@@ -377,7 +377,7 @@ class RotationProducts:
         # fixed point and advances by one complex multiply, floored.
         prec, N, k = self.precision_bits, self.N, self.power
         wp, W, P = _working_bits(prec, N)
-        libmp = mpmath.libmp
+        from mpmath import libmp
         cos_sin_pi, from_man_exp = libmp.mpf_cos_sin_pi, libmp.from_man_exp
         to_fixed = libmp.to_fixed
         A = scaled_floor(self.alpha, P)

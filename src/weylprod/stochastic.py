@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .atomicio import atomic_open
@@ -48,6 +47,7 @@ def _log_sine_moment(k: int) -> QuadResult:
     """integral_0^1 log^k(2 sin pi x) dx. The integrand is symmetric about
     1/2: twice its integral over [0, 1/2] by tanh-sinh quadrature at double
     precision, whose nodes cluster at the logarithmic singularity at 0."""
+    import mpmath
     with mpmath.mp.workprec(53):
         value, err = mpmath.quad(
             lambda x: mpmath.log(2 * mpmath.sinpi(x)) ** k, [0, 0.5],

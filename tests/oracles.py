@@ -3,9 +3,9 @@ its prefix sums in mpf, the compensated sum as one chunk loop, the
 Kronecker orbit's log-products as one whole-orbit sum (`orbit_trace`), the
 van der Corput prefix discrepancy as a max-plus program over the binary
 digits of N + 1 (`vdc_deltas`), the whole-array forms of the streamed
-rational checkers (`grid_hlawka_report`, `check_vdc_limits`), which hold
-every point, term and prefix sum, and the extremal sweep with its running
-sums kept as exact float partials (`sweep_by_partials`)."""
+checkers (`check_hlawka`, `grid_hlawka_report`, `check_vdc_limits`), which
+hold every point, term, prefix sum and screen value, and the extremal sweep
+with its running sums kept as exact float partials (`sweep_by_partials`)."""
 
 import math
 from dataclasses import dataclass
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from weylprod.bounds import BASE_TOL, BoundReport
+from weylprod.bounds import (BASE_TOL, SCREEN_REL, BoundReport, _hlawka_rhs,
+                             _report_rows)
 from weylprod.discrepancy import star_discrepancy
 from weylprod.extremal import (_E_OVER_PI, ExtremalConfig, log_c_epsilon,
                                sup_product_lower_bound)
@@ -234,6 +235,61 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
     report.empirical_constants["octave_min"] = min_ratios
     report.empirical_constants["limsup_target"] = 1.0 / (2.0 * math.pi)
     report.empirical_constants["liminf_target"] = math.pi
+    return report
+
+
+def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
+                 parameters: dict | None = None) -> BoundReport:
+    """`bounds.check_hlawka` screening the whole range of N at once: six
+    or so N-length temporaries, against the streamed form's O(SUM_CHUNK)
+    blocks. The right-hand side is concave in Delta, so its minimum over
+    [lower, upper] sits at an end; the range is screened with that minimum
+    and numpy's log. Every N that the screen cannot clear, and every N
+    whose largest possible gamma reaches the largest certain one, is
+    settled with Delta_N and the scalar formula."""
+    logs = ps_trace.log_values
+    if len(logs) != len(d_trace):
+        raise ValueError("product and discrepancy traces are not aligned")
+    if not 1 <= N_min <= len(logs):
+        raise ValueError(f"N_min must be in [1, {len(logs)}], got {N_min}")
+    err = ps_trace.error_bound
+    report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
+    N = np.arange(N_min, len(logs) + 1)
+    exact = isinstance(d_trace, np.ndarray)
+    if exact:
+        lo = hi = d_trace[N_min - 1:]
+        delta_at, eps = (lambda n: float(d_trace[n - 1])), None
+    else:
+        lo = d_trace.lower[N_min - 1:]
+        hi = d_trace.upper[N_min - 1:]
+        delta_at, eps = d_trace.delta_at, d_trace.eps
+    lhs = logs[N_min - 1:]
+    log_N = np.log(N)
+
+    def rhs(delta):
+        return 2.0 * delta * (log_N - np.log(delta))
+
+    rhs_lo = rhs(lo) if exact else np.minimum(rhs(lo), rhs(hi))
+    slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
+    unclear = np.flatnonzero(lhs > rhs_lo - slack)
+    rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, eps)
+                        for n in N[unclear].tolist()]).reshape(-1, 2)
+    _report_rows(report, N[unclear], lhs[unclear], rhs_tol[:, 0],
+                 rhs_tol[:, 1])
+    gamma_hat = 0.0
+    i0 = max(0, 2 - N_min)  # gamma needs log N > 0
+    if i0 < len(N):
+        sq = log_N[i0:] ** 2
+        low = rhs_lo[i0:] / sq
+        top = low.max()
+        # the largest rhs over [lower, upper] is at Delta = N/e, clamped
+        peak = low if exact else rhs(np.clip(N / math.e, lo, hi))[i0:] / sq
+        near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
+        for i in near.tolist():
+            n = int(N[i])
+            r, _ = _hlawka_rhs(n, delta_at(n), err, eps)
+            gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
+    report.empirical_constants["gamma_hat"] = gamma_hat
     return report
 
 

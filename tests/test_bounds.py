@@ -18,7 +18,7 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              kronecker_log_trace)
 from weylprod import discrepancy
 from weylprod.discrepancy import (discrepancy_trace, kronecker_discrepancy,
-                                  star_discrepancy)
+                                  star_discrepancy, vdc_discrepancy)
 from weylprod.irrational import (FracPartEvaluator, cf_expand,
                                  cf_expand_until, kronecker_fixed_point,
                                  ostrowski, parse_alpha, surd_from_cf)
@@ -325,6 +325,79 @@ def test_hlawka_n_min_above_n_max(kind, sqrt2m1):
         hlawka_sequence_report(kind, 10, N_min=16, alpha=sqrt2m1)
     rep = hlawka_sequence_report(kind, 10, N_min=10, alpha=sqrt2m1)
     assert rep.n_range == (10, 10)
+
+
+def _hlawka_traces(kind, n):
+    """(product trace, Delta trace) of the first n vdC or Kronecker points,
+    as `hlawka_sequence_report` builds them."""
+    if kind == "vdc":
+        ps = van_der_corput(n)
+        return product_trace(ps), vdc_discrepancy(ps)
+    orbit = kronecker_fixed_point(parse_alpha("sqrt2m1"), n)
+    return product_trace(orbit), kronecker_discrepancy(orbit)
+
+
+@pytest.mark.parametrize("kind", ["vdc", "kronecker"])
+@pytest.mark.parametrize("n", [SUM_CHUNK - 1, SUM_CHUNK + 1,
+                               2 * SUM_CHUNK + 5])
+def test_hlawka_streams_as_the_whole_array(kind, n):
+    # the blocked screen gives the whole-array report, gamma_hat bit for
+    # bit: on the sequence's own trace, and with lhs raised to just below,
+    # inside and past the tolerance at N on both sides of the block edges
+    tr, d = _hlawka_traces(kind, n)
+    rng = np.random.default_rng(n)
+    edges = [k * SUM_CHUNK + j for k in (1, 2) for j in (-1, 0, 1, 2)]
+    at = sorted({m for m in edges if 16 <= m <= n}
+                | set(rng.integers(16, n + 1, 6).tolist()))
+    logs = tr.log_values.copy()
+    for i, m in enumerate(at):
+        if kind == "vdc":
+            delta, eps = float(d[m - 1]), None
+        else:
+            delta, eps = d.delta_at(m), d.eps
+        rhs, tol = bounds._hlawka_rhs(m, delta, tr.error_bound, eps)
+        logs[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3]
+    raised = ProductTrace(logs, tr.error_bound, n)
+    for trace in (tr, raised):
+        for N_min in (1, 16):
+            got = check_hlawka(trace, d, N_min=N_min).to_dict()
+            want = oracles.check_hlawka(trace, d, N_min=N_min).to_dict()
+            assert got == want
+            assert got["empirical_constants"]["gamma_hat"].hex() == \
+                want["empirical_constants"]["gamma_hat"].hex()
+    assert want["violations"] and want["inconclusive"]
+
+
+def test_hlawka_gamma_top_rising_across_blocks():
+    # Delta = N/e maximises the right-hand side; spikes there in every block,
+    # each above the last, move the running top up block by block, so each
+    # block's candidates must give way to the next block's
+    n = 3 * SUM_CHUNK
+    tr, d = _hlawka_traces("vdc", n)
+    d = d.copy()
+    for m in (SUM_CHUNK - 3, SUM_CHUNK + 1, 2 * SUM_CHUNK, 3 * SUM_CHUNK):
+        d[m - 1] = m / math.e
+    for N_min in (1, 16):
+        got = check_hlawka(tr, d, N_min=N_min).to_dict()
+        want = oracles.check_hlawka(tr, d, N_min=N_min).to_dict()
+        assert got == want
+        gamma = got["empirical_constants"]["gamma_hat"]
+        assert gamma.hex() == want["empirical_constants"]["gamma_hat"].hex()
+        assert gamma == pytest.approx(2.0 / math.e * n / math.log(n) ** 2)
+
+
+def test_hlawka_screens_in_flat_memory():
+    # numpy reports its buffers to tracemalloc: at 2^20 vdC points the
+    # check holds a few SUM_CHUNK blocks above the 16 MB of traces it reads
+    tr, d = _hlawka_traces("vdc", 2 ** 20)
+    tracemalloc.start()
+    try:
+        rep = check_hlawka(tr, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 8 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------- sandwich

@@ -396,6 +396,11 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
      "--n-min"),
     (["hlawka", "--gen", "kronecker", "--n-max", "100", "--n-min", "-5"],
      "--n-min"),
+    # --n-min is not given: the message names the default that trips
+    (["hlawka", "--gen", "vdc", "--n-max", "10"],
+     "--n-min must be in [1, --n-max = 10], got 16 (--n-min defaults to 16)"),
+    (["hlawka", "--gen", "kronecker", "--n-max", "10"],
+     "got 16 (--n-min defaults to 16)"),
     (["hlawka", "--gen", "vdc", "--n-max", "0"], "--n-max"),
     (["extremal", "--n-max", "0"], "--n-max"),
     (["ostrowski", "--n-max", "0"], "--n-max"),
@@ -641,6 +646,45 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["theorem"] == "conjectures"
+
+
+_WITHOUT_MPMATH = """
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises
+import weylprod
+import weylprod.cli
+out = sys.argv[1]
+for argv in (
+        ["verify", "ostrowski", "--n-max", "200"],
+        ["verify", "cesaro", "--n-max", "200"],
+        ["verify", "hlawka", "--gen", "vdc", "--n-max", "200"],
+        ["verify", "hlawka", "--gen", "kronecker", "--n-max", "200"],
+        ["verify", "vdc-limits", "--s-max", "6"],
+        ["verify", "extremal", "--n-max", "64", "--format", "csv",
+         "--out", out + "/sweep.csv"],
+        ["mc", "iid", "--paths", "2", "--n-max", "1000", "--out",
+         out + "/iid"],
+        ["mc", "rademacher", "--paths", "2", "--n-max", "200", "--out",
+         out + "/rademacher"],
+        ["mc", "subsequence", "--paths", "2", "--terms", "100", "--out",
+         out + "/subsequence"]):
+    code = weylprod.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv}: exit {code}")
+"""
+
+
+def test_verify_and_mc_run_without_mpmath(tmp_path):
+    # mpmath is loaded only by figure, the quadratures and the mpf oracles:
+    # the package, the CLI and every verify and mc command here run with it
+    # unimportable
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH, str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").exists()
+    for model in ("iid", "rademacher", "subsequence"):
+        assert (tmp_path / f"{model}.csv").exists()
 
 
 _WITHOUT_SCIPY = """
