@@ -396,11 +396,6 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
      "--n-min"),
     (["hlawka", "--gen", "kronecker", "--n-max", "100", "--n-min", "-5"],
      "--n-min"),
-    # --n-min is not given: the message names the default that trips
-    (["hlawka", "--gen", "vdc", "--n-max", "10"],
-     "--n-min must be in [1, --n-max = 10], got 16 (--n-min defaults to 16)"),
-    (["hlawka", "--gen", "kronecker", "--n-max", "10"],
-     "got 16 (--n-min defaults to 16)"),
     (["hlawka", "--gen", "vdc", "--n-max", "0"], "--n-max"),
     (["extremal", "--n-max", "0"], "--n-max"),
     (["ostrowski", "--n-max", "0"], "--n-max"),
@@ -415,6 +410,11 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     (["type-growth", "--n-max", "50", "--t", "nan"], "t must exceed 1"),
     (["hlawka", "--epsilon", "nan"], "--epsilon"),
     (["extremal", "--epsilon", "nan"], "--epsilon"),
+    # --n-min is not given: the message names the default that trips
+    (["hlawka", "--gen", "vdc", "--n-max", "10"],
+     "--n-min must be in [1, --n-max = 10], got 16 (--n-min defaults to 16)"),
+    (["hlawka", "--gen", "kronecker", "--n-max", "10"],
+     "got 16 (--n-min defaults to 16)"),
 ])
 def test_verify_size_below_one_names_flag(capsys, args, flag):
     # rejected as usage errors, not run at a default size or crashed
