@@ -242,10 +242,9 @@ def check_cesaro_log_bound(alpha: IrrationalSpec,
     bound = np.array([cesaro_bound_value(table, l)
                       for l in range(int(levels[-1]) + 1)])
     _report_rows(report, N, means, bound[levels], (err + BASE_TOL) / N)
-    # suffix maxima: sup over N' >= N of the Cesaro mean
-    suffix = np.maximum.accumulate(means[::-1])[::-1]
+    # the sup of the Cesaro mean over N >= the proxy's start
     lo = min(CESARO_PROXY_START, N_max)
-    report.empirical_constants["limsup_proxy"] = float(suffix[lo - 1])
+    report.empirical_constants["limsup_proxy"] = float(means[lo - 1:].max())
     report.empirical_constants["mean_at_q_minus_1"] = {
         int(q): float(means[q - 2])
         for q in table.q if 2 <= q - 1 <= N_max

@@ -239,10 +239,11 @@ def vdc_discrepancy(ps) -> np.ndarray:
     against a digit-by-digit max-plus program at every n <= 2^20 + 1.
 
     Over den = 2^L, L = bitlen(N), the numerators p_k = den phi(k) give
-    den Delta_n = (den >> v) + sum_{k<n} (den - 2 p_k): one int64 cumsum.
-    Each ||n / 2^j|| is at most 1/2, and those with j > L sum below 1, so
-    den Delta_n and every partial sum lie below den (L/2 + 1) < 2^53:
-    nothing overflows, and / den is exact in float64.
+    den Delta_n = (den >> v) + sum_{k<n} (den - 2 p_k): an int64 cumsum
+    per block of SUM_CHUNK prefixes, from the sum before the block, carried
+    as a Python int. Each ||n / 2^j|| is at most 1/2, and those with j > L
+    sum below 1, so den Delta_n and every partial sum lie below
+    den (L/2 + 1) < 2^53: nothing overflows, and / den is exact in float64.
     """
     N = len(ps)
     if not (isinstance(ps, PointSet) and ps.provenance == "vdc"
@@ -251,11 +252,18 @@ def vdc_discrepancy(ps) -> np.ndarray:
         raise ValueError("vdc_discrepancy needs van_der_corput(N): exact "
                          "points over 2^bitlen(N)")
     nums, den = ps.points.numerators, ps.points.denominator
-    scaled = np.zeros(N, dtype=np.int64)
-    np.cumsum(den - 2 * nums[:-1], out=scaled[1:])
-    m = np.arange(2, N + 2, dtype=np.int64)  # n + 1
-    scaled += den // (m & -m)                # den >> v
-    return scaled / den
+    out = np.empty(N)
+    carry = 0  # the sum of the terms before the block
+    for s in range(0, N, SUM_CHUNK):
+        terms = den - 2 * nums[s:s + SUM_CHUNK]  # den - 2 p_k, k > s
+        scaled = np.cumsum(terms)
+        scaled -= terms                          # sum_{s<k<n}, n > s
+        scaled += carry
+        carry += int(terms.sum())
+        m = np.arange(s + 2, s + 2 + len(terms), dtype=np.int64)  # n + 1
+        scaled += den // (m & -m)                # den >> v
+        np.divide(scaled, den, out=out[s:s + len(terms)])
+    return out
 
 
 def discrepancy_trace(ps) -> DiscrepancyTrace:

@@ -18,6 +18,7 @@ residue floor(n alpha 2^b) mod 2^b (`exact_residue`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -184,23 +185,42 @@ class ConvergentTable:
 
 
 def cf_expand(alpha: IrrationalSpec, K: int) -> ConvergentTable:
-    """Continued fraction expansion of alpha to K partial quotients.
+    """Continued fraction expansion of alpha to K partial quotients."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return _table(alpha, itertools.islice(_convergents(alpha), K))
+
+
+def cf_expand_until(alpha: IrrationalSpec, q_min: int) -> ConvergentTable:
+    """The shortest expansion whose last denominator exceeds q_min, of at
+    least one quotient. Every partial quotient is at least 1, so
+    q_K >= F_(K+1): it stops within about log_phi(q_min) + 2 quotients."""
+    steps = []
+    for step in _convergents(alpha):
+        steps.append(step)
+        if step[2] > q_min:
+            return _table(alpha, steps)
+
+
+def _table(alpha: IrrationalSpec, steps) -> ConvergentTable:
+    """The ConvergentTable of the (a_i, p_i, q_i), i = 1..K, in `steps`."""
+    quots, ps, qs = zip(*steps)
+    return ConvergentTable(alpha, quots, (0,) + ps, (1,) + qs)
+
+
+def _convergents(alpha: IrrationalSpec):
+    """(a_i, p_i, q_i) for i = 1, 2, ..., without end.
 
     Works on the surd state x_i = (p + q*sqrt(d))/r with integer p, q, r;
     each step inverts the fractional part and takes an exact floor, so the
     expansion (eventually periodic for quadratic irrationals) is exact.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     d = alpha.d
     p_, q_, r_ = alpha.a, alpha.b, alpha.c
     a_cur = 0  # floor(alpha) = 0 since alpha in (0, 1)
-    quots = []
-    ps = [0]
-    qs = [1]
     pprev, pcur = 1, 0
     qprev, qcur = 0, 1
-    for _ in range(K):
+    while True:
         # x <- 1 / (x - a_cur)
         p_ -= a_cur * r_
         denom = p_ * p_ - q_ * q_ * d
@@ -213,28 +233,9 @@ def cf_expand(alpha: IrrationalSpec, K: int) -> ConvergentTable:
         a_cur = floor_surd(p_, q_, r_, d)
         if a_cur < 1:
             raise AssertionError("partial quotient < 1; invalid surd state")
-        quots.append(a_cur)
         pprev, pcur = pcur, a_cur * pcur + pprev
         qprev, qcur = qcur, a_cur * qcur + qprev
-        ps.append(pcur)
-        qs.append(qcur)
-    return ConvergentTable(alpha, tuple(quots), tuple(ps), tuple(qs))
-
-
-# partial quotients `cf_expand_until` expands at most
-CF_MAX_QUOTIENTS = 512
-
-
-def cf_expand_until(alpha: IrrationalSpec, q_min: int) -> ConvergentTable:
-    """Expand until the last denominator exceeds q_min."""
-    K = 8
-    while K <= CF_MAX_QUOTIENTS:
-        table = cf_expand(alpha, K)
-        if table.q[-1] > q_min:
-            return table
-        K *= 2
-    raise ValueError(f"denominators did not exceed {q_min} within "
-                     f"{CF_MAX_QUOTIENTS} quotients")
+        yield a_cur, pcur, qcur
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,6 @@ the checkers that stream them. `kronecker` gives high-precision mpf values
 from the evaluator of the exact surd machinery (`FracPartEvaluator`), the
 points of the tests' mpf oracle; the checkers take their orbits from the
 fixed-point kernel (`irrational.kronecker_fixed_point`) instead.
-`coin_flips` draws the coin that picks the subsequence Monte Carlo model's
-random subsequence.
 """
 
 from __future__ import annotations
@@ -20,12 +18,6 @@ import numpy as np
 
 from .irrational import DEFAULT_N_MAX, FracPartEvaluator, IrrationalSpec
 from .numerics import SUM_CHUNK
-
-# coin draws allowed per requested term before a selection gives up: a fair
-# coin needs about 2, and falls short of N heads in 64 N draws with
-# probability below 2^-(50 N)
-MAX_DRAWS_PER_TERM = 64
-
 
 class RationalArray:
     """Exact rationals n_i / den held as an int64 numerator array.
@@ -172,26 +164,3 @@ def uniform_grid_blocks(N: int):
 def _check_grid(N: int) -> None:
     if not 1 <= N < 2 ** 31:
         raise ValueError("N must be in [1, 2^31)")
-
-
-def coin_flips(rng: np.random.Generator, N_terms: int,
-               size: int | None = None) -> np.ndarray:
-    """Fair coin flips from `rng` (True = heads) holding at least N_terms
-    heads: `size` flips (default int(2.3 N_terms) + 256); short of N_terms
-    heads, all are redrawn at 1.5 times the size, up to
-    MAX_DRAWS_PER_TERM * N_terms + 256 flips."""
-    if size is None:
-        size = int(2.3 * N_terms) + 256
-    max_draws = MAX_DRAWS_PER_TERM * N_terms + 256
-    while True:
-        bits = rng.integers(0, 2, size=size).astype(bool)
-        heads = int(np.count_nonzero(bits))
-        if heads >= N_terms:
-            return bits
-        # astronomically unlikely with a fair coin; widen and redraw
-        size = int(1.5 * size)
-        if size > max_draws:
-            raise ValueError(
-                f"the coin showed {heads} heads in {len(bits)} draws, fewer "
-                f"than the {N_terms} terms requested; giving up above "
-                f"{max_draws} draws")

@@ -27,7 +27,6 @@ import numpy as np
 from .atomicio import atomic_open
 from .irrational import IrrationalSpec, kronecker_fixed_point
 from .numerics import log_two_sin_pi_array
-from .sequences import coin_flips
 
 PI2_OVER_12 = math.pi ** 2 / 12.0
 IID_SIGMA_CONSTANT = math.pi / math.sqrt(6.0)
@@ -219,6 +218,25 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
         rows=rows)
 
 
+def _coin_draws(N_terms: int) -> int:
+    """The flips a subsequence path draws, and so the weights it reads."""
+    return int(2.3 * N_terms) + 256
+
+
+def coin_flips(rng: np.random.Generator, N_terms: int) -> np.ndarray:
+    """`_coin_draws(N_terms)` fair coin flips from `rng` (True = heads),
+    drawn once; fewer than N_terms heads raise ValueError. Over n draws,
+    Hoeffding's inequality puts that below exp(-2 (n/2 - N_terms)^2 / n),
+    which is below e^-57 for every N_terms (least near N_terms = 650)."""
+    draws = _coin_draws(N_terms)
+    bits = rng.integers(0, 2, size=draws).astype(bool)
+    heads = int(np.count_nonzero(bits))
+    if heads < N_terms:
+        raise ValueError(f"the coin showed {heads} heads in {draws} draws, "
+                         f"fewer than the {N_terms} terms requested")
+    return bits
+
+
 def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
                                    N_terms: int, seed: int) -> PathStatistics:
     """Random subsequence model: keep index n when the n-th fair coin shows
@@ -234,7 +252,8 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         raise ValueError("n_paths must be >= 1")
     if N_terms < max(N_LO, 10):
         raise ValueError("N_terms too small")
-    w = np.empty(0)
+    w = kronecker_log_weights(alpha, _coin_draws(N_terms))
+    cum_w = np.cumsum(w)
     children = np.random.SeedSequence(seed).spawn(n_paths)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
     grid = _ratio_grid(K, max(N_LO, 3), factor=1.0)
@@ -243,13 +262,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     identity_worst = 0.0
     counts = []
     for pid, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        # the first path draws the start size, later ones as many flips as
-        # w holds; w grows whenever too few heads made the draw grow
-        bits = coin_flips(rng, N_terms, len(w) or None)
-        if len(bits) > len(w):
-            w = kronecker_log_weights(alpha, len(bits))
-            cum_w = np.cumsum(w)
+        bits = coin_flips(np.random.default_rng(child), N_terms)
         positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
         w_sel = w[positions - 1]

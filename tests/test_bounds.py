@@ -400,6 +400,20 @@ def test_hlawka_screens_in_flat_memory():
     assert peak < 8 * 2 ** 20, peak
 
 
+def test_vdc_discrepancy_in_flat_memory():
+    # numpy reports its buffers to tracemalloc: at 2^20 points the exact
+    # Delta holds a few SUM_CHUNK blocks above the 8 MB array it returns
+    ps = van_der_corput(2 ** 20)
+    tracemalloc.start()
+    try:
+        d = vdc_discrepancy(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.nbytes == 8 * 2 ** 20
+    assert peak < 12 * 2 ** 20, peak
+
+
 # ---------------------------------------------------------------- sandwich
 
 def test_sandwich_lower_side_rows(sqrt2m1, monkeypatch):

@@ -534,6 +534,22 @@ def test_mc_subsequence_identity_flag(tmp_path, capsys, monkeypatch):
     assert summary["details"]["selection_identity_max_abs_diff"] < 1e-8
 
 
+def test_mc_subsequence_short_coin_exits_2(tmp_path, capsys, monkeypatch):
+    # a coin one head short of the terms: an error, not a redraw
+    class ShortCoin:
+        def integers(self, low, high, size):
+            return (np.arange(size) < 99).astype(np.int64)
+
+    real = st.coin_flips
+    monkeypatch.setattr(st, "coin_flips",
+                        lambda rng, N_terms: real(ShortCoin(), N_terms))
+    code, _, err = run(["mc", "subsequence", "--paths", "2", "--terms",
+                        "100", "--out", str(tmp_path / "s")], capsys)
+    assert code == 2
+    assert "99 heads in 485 draws" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_csv_summary_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(["mc", "iid", "--paths", "5", "--n-max", "1500", "--seed", "1",

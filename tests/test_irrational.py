@@ -324,6 +324,18 @@ def test_ostrowski_canonical_form(alpha, Ns):
         assert (levels[N - 1], sums[N - 1]) == (l, sum(b))
 
 
+@settings(max_examples=100)
+@given(cf_alphas(), st.integers(0, 2 ** 70))
+def test_cf_expand_until_is_shortest(alpha, q_min):
+    # the first table of at least one quotient whose q_K exceeds q_min,
+    # and the same table as a fixed-length expansion
+    t = cf_expand_until(alpha, q_min)
+    K = len(t.partial_quotients)
+    assert K >= 1 and t.q[-1] > q_min
+    assert K == 1 or t.q[-2] <= q_min
+    assert t == cf_expand(alpha, K)
+
+
 def test_ostrowski_table_too_shallow(sqrt2m1):
     t = cf_expand(sqrt2m1, 4)
     with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
-"""Every top-level function and class in `src/weylprod` is reachable from a
-root: `cli.main`, a name `bench/` imports or traces, or a name the
-acceptance suite imports. The roots are read from those files.
+"""Every top-level function, class and constant in `src/weylprod` is
+reachable from a root: `cli.main`, a name `bench/` imports or traces, or a
+name the acceptance suite imports. The roots are read from those files.
 
-Reachability is by name, from the source alone: a definition reaches every
+A constant is a module-level assignment to plain names, other than dunder
+names (`__all__`); it reaches what its value mentions. Reachability is by
+name, from the source alone: a definition reaches every
 top-level name of the package that its body mentions, directly, through a
 `from .module import name` or through a module alias (`bnd.check_hlawka`),
 and a class reaches everything its methods mention. Code at module level,
-other than imports, runs at import and counts as a root. Annotations are
-not uses. A local name that shadows a top-level one counts as a use of it,
+other than imports and constants, runs at import and counts as a root.
+Annotations are not uses. A local name that shadows a top-level one counts as a use of it,
 so the guard can miss dead code but does not flag live code.
 
 A second guard, below, holds the options (parameters with a default) to
@@ -95,6 +97,9 @@ class _Index:
                 node.name: node for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef))}
+            self.defs[module].update(
+                (name, node) for node in tree.body
+                for name in _constant_names(node))
         for module, tree in self.trees.items():
             bind = {name: (module, name) for name in self.defs[module]}
             alias = {}
@@ -114,8 +119,23 @@ class _Index:
 
     def uses(self, module: str, node) -> set:
         v = _Uses(module, self)
-        v.visit(node)
+        v.visit(node.value if _constant_names(node) else node)
         return v.found
+
+
+def _constant_names(node) -> list:
+    """The names a module-level statement defines as constants: the
+    targets of an assignment to plain, non-dunder names, else none."""
+    if isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    elif isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        return []
+    names = [getattr(t, "id", None) for t in targets]
+    if None in names or any(n.startswith("__") for n in names):
+        return []
+    return names
 
 
 def _external_roots(index: _Index, path: Path) -> set:
@@ -158,9 +178,10 @@ def unreachable() -> list:
         roots |= _external_roots(index, path)
     for module, tree in index.trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef, ast.Import,
-                                     ast.ImportFrom)):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef, ast.Import,
+                                      ast.ImportFrom))
+                    or _constant_names(node)):
                 roots |= index.uses(module, node)
     seen, todo = set(), list(roots)
     while todo:
@@ -186,6 +207,23 @@ def test_guard_sees_a_dead_definition(tmp_path, monkeypatch):
     with open(tmp_path / "numerics.py", "a") as fh:
         fh.write("\n\ndef _never_called():\n    return LOG2\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unreachable() == ["numerics._never_called"]
+
+
+def test_guard_sees_a_dead_constant(tmp_path, monkeypatch):
+    # the guard itself: a constant that no reachable code reads is
+    # reported, and so is one read only by dead code; a read at import
+    # clears both
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("\n\n_UNREAD_BASE = 64\n_UNREAD = _UNREAD_BASE * LOG2\n\n\n"
+                 "def _never_called():\n    return _UNREAD\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unreachable() == ["numerics._UNREAD", "numerics._UNREAD_BASE",
+                             "numerics._never_called"]
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("\n\nif _UNREAD < 0:\n    raise ValueError\n")
     assert unreachable() == ["numerics._never_called"]
 
 

@@ -7,8 +7,7 @@ import pytest
 from weylprod import stochastic
 from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
-from weylprod.sequences import coin_flips
-from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT,
+from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT, coin_flips,
                                  iid_lil_experiment, kronecker_log_weights,
                                  log_integral, rademacher_lil_experiment,
                                  subsequence_product_experiment, summary_dict,
@@ -158,8 +157,8 @@ def heads(rng, size):
 def all_heads(monkeypatch):
     """Make the subsequence model's coin show heads every time."""
     monkeypatch.setattr(stochastic, "coin_flips",
-                        lambda rng, N_terms, size=None:
-                        coin_flips(ConstantCoin(1), N_terms, size))
+                        lambda rng, N_terms:
+                        coin_flips(ConstantCoin(1), N_terms))
 
 
 def assert_matches(stats, oracle):
@@ -370,9 +369,33 @@ def test_subsequence_all_heads_coin(sqrt2m1, monkeypatch):
 
 
 def test_subsequence_tails_coin_stops():
-    # a coin that never shows heads widens the draw and then gives up
+    # a coin that never shows heads raises after its one draw
     with pytest.raises(ValueError, match="heads"):
         coin_flips(ConstantCoin(0), 1000)
+
+
+class CountedCoin:
+    """A generator stub whose draws show `heads` heads, then tails; it
+    counts its draws."""
+
+    def __init__(self, heads):
+        self.heads, self.draws = heads, 0
+
+    def integers(self, low, high, size):
+        self.draws += 1
+        return (np.arange(size) < self.heads).astype(np.int64)
+
+
+def test_short_coin_raises_after_one_draw():
+    # 2556 = int(2.3 * 1000) + 256 flips, one head short of 1000 terms
+    rng = CountedCoin(999)
+    with pytest.raises(ValueError, match="999 heads in 2556 draws"):
+        coin_flips(rng, 1000)
+    assert rng.draws == 1
+    rng = CountedCoin(1000)
+    bits = coin_flips(rng, 1000)
+    assert rng.draws == 1
+    assert len(bits) == 2556 and np.count_nonzero(bits) == 1000
 
 
 # ------------------------------------------------------------------ output
