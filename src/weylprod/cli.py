@@ -15,6 +15,8 @@ derived bound on the log of every row. The global --precision-bits, given
 before the subcommand (`weylprod --precision-bits 160 figure ...`), or
 WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
 128-bit fixed-point kernel with float64 logs and a derived error bound.
+A run builds only its own subcommand's parser and options (`_Command`),
+and `weylprod -h` builds none.
 """
 
 from __future__ import annotations
@@ -45,27 +47,39 @@ class UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="weylprod",
-        description="Sine-product workbench: figures, bound verification and "
-                    "Monte Carlo experiments over [0,1] point sequences.")
-    p.add_argument("--precision-bits", type=int, default=None,
-                   help="bits figure's rows are rounded to; its running "
-                        "product carries 8 more (default from "
-                        "WEYL_PRECISION_BITS or the 2^24 budget; verify "
-                        "and mc use the fixed-point kernel)")
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, built on first use: `add_parser`'s keyword
+    arguments and the command's option builder are kept, and
+    `ArgumentParser.__init__` and the builder run only when argparse first
+    calls one of the three public methods it calls on a subparser:
+    `parse_known_args` (the command was chosen), `format_usage` (a usage
+    error) or `format_help` (its -h). A run uses one command, and building
+    a subparser with its options costs more than parsing a command line."""
 
-    sub = p.add_subparsers(dest="command", required=True)
+    def __init__(self, options, **kwargs):
+        self._pending = options, kwargs
 
-    fig = sub.add_parser(
-        "figure", help="emit the N,value product series",
-        description="Emit prod_{n<=N} |2 sin(pi n alpha)| (optionally "
-                    "normalized) as an N,value series. Note {n sqrt(2)} = "
-                    "{n (sqrt(2)-1)}, so --alpha sqrt2m1 reproduces series "
-                    "quoted for alpha = sqrt(2). --precision-bits is a "
-                    "global option and goes before 'figure': weylprod "
-                    "--precision-bits 160 figure ...")
+    def _build(self) -> None:
+        pending = vars(self).pop("_pending", None)
+        if pending is not None:
+            options, kwargs = pending
+            super().__init__(**kwargs)
+            options(self)
+
+    def parse_known_args(self, *args, **kwargs):
+        self._build()
+        return super().parse_known_args(*args, **kwargs)
+
+    def format_usage(self):
+        self._build()
+        return super().format_usage()
+
+    def format_help(self):
+        self._build()
+        return super().format_help()
+
+
+def _figure_options(fig: argparse.ArgumentParser) -> None:
     fig.add_argument("--alpha", default="sqrt2m1")
     fig.add_argument("--n-max", "--N-max", dest="n_max", type=int, default=500)
     fig.add_argument("--normalizer", choices=NORMALIZERS, default="none")
@@ -73,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default="csv")
 
-    ver = sub.add_parser("verify", help="run a bound checker")
+
+def _verify_options(ver: argparse.ArgumentParser) -> None:
     ver.add_argument("theorem", choices=THEOREM_TAGS)
     ver.add_argument("--alpha", default="sqrt2m1")
     ver.add_argument("--gen", choices=("grid", "vdc", "kronecker"),
@@ -93,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", dest="fmt", choices=("json", "csv"),
                      default="json")
 
-    mc = sub.add_parser("mc", help="run a Monte Carlo experiment")
+
+def _mc_options(mc: argparse.ArgumentParser) -> None:
     mc.add_argument("model", choices=MC_MODELS)
     mc.add_argument("--alpha", default="sqrt2m1")
     mc.add_argument("--paths", type=int, default=50)
@@ -105,6 +121,34 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--out", default=None,
                     help="output prefix (default mc_<model>)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="weylprod",
+        description="Sine-product workbench: figures, bound verification and "
+                    "Monte Carlo experiments over [0,1] point sequences.")
+    p.add_argument("--precision-bits", type=int, default=None,
+                   help="bits figure's rows are rounded to; its running "
+                        "product carries 8 more (default from "
+                        "WEYL_PRECISION_BITS or the 2^24 budget; verify "
+                        "and mc use the fixed-point kernel)")
+
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_Command)
+    sub.add_parser(
+        "figure", options=_figure_options,
+        help="emit the N,value product series",
+        description="Emit prod_{n<=N} |2 sin(pi n alpha)| (optionally "
+                    "normalized) as an N,value series. Note {n sqrt(2)} = "
+                    "{n (sqrt(2)-1)}, so --alpha sqrt2m1 reproduces series "
+                    "quoted for alpha = sqrt(2). --precision-bits is a "
+                    "global option and goes before 'figure': weylprod "
+                    "--precision-bits 160 figure ...")
+    sub.add_parser("verify", options=_verify_options,
+                   help="run a bound checker")
+    sub.add_parser("mc", options=_mc_options,
+                   help="run a Monte Carlo experiment")
     return p
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -598,6 +599,54 @@ def test_precision_bits_goes_before_the_subcommand(capsys):
     assert exc.value.code == 0
     assert "weylprod --precision-bits 160 figure" in \
         " ".join(capsys.readouterr().out.split())
+
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(CLI_TEXT["python"]),
+                    reason="argparse's wording differs between versions")
+@pytest.mark.parametrize("case", CLI_TEXT["cases"],
+                         ids=lambda case: " ".join(case["argv"]) or "none")
+def test_help_and_usage_text_pinned(case, monkeypatch, capsys):
+    # every help, usage and usage-error byte, as captured before the
+    # subcommand parsers were built on first use
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    code = exit_code(list(case["argv"]))
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["code"], case["stdout"],
+                                        case["stderr"])
+
+
+def refuse(name):
+    def build(parser):
+        raise AssertionError(f"{name} ran")
+    return build
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify", "ostrowski", "--n-max", "100"], "_verify_options"),
+    (["figure", "--n-max", "2"], "_figure_options"),
+    (["mc", "iid", "--paths", "2", "--n-max", "1000", "--out", "{tmp}/mc"],
+     "_mc_options"),
+    (["-h"], None)])
+def test_only_the_invoked_command_is_built(argv, built, tmp_path,
+                                           monkeypatch, capsys):
+    for name in ("_figure_options", "_verify_options", "_mc_options"):
+        if name != built:
+            monkeypatch.setattr(cli, name, refuse(name))
+    assert exit_code([a.format(tmp=tmp_path) for a in argv]) == 0
+    assert capsys.readouterr().out
 
 
 def test_unwritable_out_exit_3(tmp_path, capsys):

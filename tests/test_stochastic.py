@@ -94,8 +94,8 @@ def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100):
 
 
 def subsequence_oracle(alpha, n_paths, N_terms, seed, k_lo=100, coin=None):
-    need = int(2.3 * N_terms) + 256
-    w = where_kernel(kronecker_fixed_point(alpha, need).dist)
+    draws = int(2.3 * N_terms) + 256
+    w = where_kernel(kronecker_fixed_point(alpha, draws).dist)
     cum_w = np.cumsum(w)
     children = np.random.SeedSequence(seed).spawn(n_paths)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
@@ -105,17 +105,13 @@ def subsequence_oracle(alpha, n_paths, N_terms, seed, k_lo=100, coin=None):
     tot = tot_sq = identity_worst = 0.0
     for pid, child in enumerate(children):
         rng = np.random.default_rng(child)
-        while True:
-            if coin is not None:
-                bits = np.asarray(coin(rng, len(w)), dtype=bool)
-            else:
-                bits = rng.integers(0, 2, size=len(w)).astype(bool)
-            positions = np.flatnonzero(bits) + 1
-            if len(positions) >= N_terms:
-                break
-            need = int(1.5 * need)
-            w = where_kernel(kronecker_fixed_point(alpha, need).dist)
-            cum_w = np.cumsum(w)
+        if coin is not None:
+            bits = np.asarray(coin(rng, draws), dtype=bool)
+        else:
+            bits = rng.integers(0, 2, size=draws).astype(bool)
+        positions = np.flatnonzero(bits) + 1
+        if len(positions) < N_terms:
+            raise ValueError(f"{len(positions)} heads in {draws} draws")
         positions = positions[:N_terms]
         n_last = int(positions[-1])
         w_sel = w[positions - 1]
@@ -154,11 +150,15 @@ def heads(rng, size):
     return np.ones(size, dtype=bool)
 
 
-def all_heads(monkeypatch):
-    """Make the subsequence model's coin show heads every time."""
+def tails(rng, size):
+    return np.zeros(size, dtype=bool)
+
+
+def constant_coin(monkeypatch, face):
+    """Make the subsequence model's coin show `face` every time."""
     monkeypatch.setattr(stochastic, "coin_flips",
                         lambda rng, N_terms:
-                        coin_flips(ConstantCoin(1), N_terms))
+                        coin_flips(ConstantCoin(face), N_terms))
 
 
 def assert_matches(stats, oracle):
@@ -207,9 +207,19 @@ def test_subsequence_matches_oracle(k, seed, n_paths, N_terms, k_lo,
 
 
 def test_subsequence_all_heads_matches_oracle(golden, monkeypatch):
-    all_heads(monkeypatch)
+    constant_coin(monkeypatch, 1)
     stats = subsequence_product_experiment(golden, 3, 1200, seed=1)
     assert_matches(stats, subsequence_oracle(golden, 3, 1200, 1, coin=heads))
+
+
+def test_subsequence_short_coin_raises_like_oracle(golden, monkeypatch):
+    # a coin short of N_terms heads ends the run in the model and in the
+    # oracle alike: both draw once and raise, neither draws again
+    constant_coin(monkeypatch, 0)
+    with pytest.raises(ValueError, match="heads"):
+        subsequence_product_experiment(golden, 2, 300, seed=1)
+    with pytest.raises(ValueError, match="heads"):
+        subsequence_oracle(golden, 2, 300, 1, coin=tails)
 
 
 def test_rademacher_n_max_below_n_lo(sqrt2m1, monkeypatch):
@@ -359,7 +369,7 @@ def test_subsequence_reproducible(sqrt2m1):
 
 
 def test_subsequence_all_heads_coin(sqrt2m1, monkeypatch):
-    all_heads(monkeypatch)
+    constant_coin(monkeypatch, 1)
     stats = subsequence_product_experiment(sqrt2m1, 2, 1000, seed=0)
     # every index selected: the selected sum is the full deterministic sum
     w = kronecker_log_weights(sqrt2m1, 1000)
