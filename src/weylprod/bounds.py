@@ -24,7 +24,8 @@ import numpy as np
 from .discrepancy import (int_sorted_max, kronecker_discrepancy,
                           vdc_discrepancy)
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
-                         kronecker_fixed_point, ostrowski_digit_sums)
+                         kronecker_fixed_point, ostrowski_digit_sums,
+                         ostrowski_levels)
 from .numerics import BASE_TOL, LOG2, SUM_CHUNK
 from .products import BlockTrace, ProductTrace, product_trace, term_max
 from .sequences import (uniform_grid_blocks, van_der_corput,
@@ -205,15 +206,11 @@ def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4) -> BoundR
     logs, err = kronecker_log_trace(alpha, N_max)
     tol = err + BASE_TOL
     # cumulative 3 * sum_{i<=l} log q_i
-    logq_cum = []
-    acc = 0.0
-    for q in table.q:
-        acc += math.log(q)
-        logq_cum.append(3.0 * acc)
+    logq_cum = 3.0 * np.cumsum([math.log(q) for q in table.q])
     report = BoundReport("ostrowski", {"alpha": str(alpha), "N_max": N_max},
                          (1, N_max))
     levels, digit_sum = ostrowski_digit_sums(table, N_max)
-    rhs = digit_sum * LOG2 + np.array(logq_cum)[levels]
+    rhs = digit_sum * LOG2 + logq_cum[levels]
     _report_rows(report, np.arange(1, N_max + 1), logs, rhs, tol)
     report.empirical_constants["min_slack"] = float(np.min(rhs - logs))
     return report
@@ -238,7 +235,7 @@ def check_cesaro_log_bound(alpha: IrrationalSpec,
                          (1, N_max))
     N = np.arange(1, N_max + 1)
     means = logs / N
-    levels, _ = ostrowski_digit_sums(table, N_max)
+    levels = ostrowski_levels(table, N_max)
     bound = np.array([cesaro_bound_value(table, l)
                       for l in range(int(levels[-1]) + 1)])
     _report_rows(report, N, means, bound[levels], (err + BASE_TOL) / N)

@@ -268,31 +268,41 @@ def ostrowski(N: int, table: ConvergentTable) -> OstrowskiDigits:
     return OstrowskiDigits(tuple(digits), N, l)
 
 
-def ostrowski_digit_sums(table: ConvergentTable, N_max: int) -> tuple:
-    """(levels, digit sums) of the greedy expansions of N = 1..N_max, as
-    int64 arrays: what `ostrowski(N, table)` gives as `level` and
-    `sum(digits)`, for every N at once.
-
-    One top-down pass over the levels takes b_i = rem // q_i from every N;
-    above an N's own level its remainder is below q_i, so those digits come
-    out 0 by themselves.
-    """
+def ostrowski_levels(table: ConvergentTable, N_max: int) -> np.ndarray:
+    """The levels l, q_l <= N < q_{l+1}, of N = 1..N_max as an int64 array:
+    what `ostrowski(N, table)` gives as `level`, for every N at once."""
     if N_max < 1:
         raise ValueError("N_max must be positive")
     if table.q[-1] <= N_max:
         raise ValueError(
             f"convergent table too shallow: q_K = {table.q[-1]} <= {N_max}")
-    # only denominators up to N_max are needed; the rest may not fit int64
-    q = np.array([x for x in table.q if x <= N_max], dtype=np.int64)
-    N = np.arange(1, N_max + 1, dtype=np.int64)
-    levels = np.searchsorted(q, N, "right") - 1
-    rem = N.copy()
-    sums = np.zeros_like(N)
-    for qi in q[::-1].tolist():
-        b = rem // qi
-        rem -= b * qi
-        sums += b
-    return levels, sums
+    levels = np.empty(N_max, dtype=np.int64)
+    for l, (lo, hi) in enumerate(zip(table.q, table.q[1:])):
+        # empty where q_l = q_{l+1} or q_l > N_max
+        levels[lo - 1:min(hi, N_max + 1) - 1] = l
+    return levels
+
+
+def ostrowski_digit_sums(table: ConvergentTable, N_max: int) -> tuple:
+    """(levels, digit sums) of the greedy expansions of N = 1..N_max, as
+    int64 arrays: what `ostrowski(N, table)` gives as `level` and
+    `sum(digits)`, for every N at once.
+
+    On a level [q_i, q_{i+1}) the top digit is b = N // q_i and the rest
+    N - b q_i < q_i expands on its own: s(N) = b + s(N - b q_i). So the
+    level is tiled, block [b q_i, (b+1) q_i) by s on [0, q_i) plus b, and
+    a repeated denominator (q_0 = q_1 = 1 when a_1 = 1) has an empty level.
+    """
+    levels = ostrowski_levels(table, N_max)
+    s = np.zeros(N_max + 1, dtype=np.int64)  # s(N) for N = 0..N_max
+    top = int(levels[-1])  # the last level with q_i <= N_max
+    for qi, qn in zip(table.q[:top + 1], table.q[1:]):
+        end = min(qn, N_max + 1)
+        m, rest = divmod(end - qi, qi)  # full blocks, then a cut one
+        np.add(s[:qi], np.arange(1, m + 1)[:, None],
+               out=s[qi:qi * (m + 1)].reshape(m, qi))
+        s[qi * (m + 1):end] = s[:rest] + (m + 1)
+    return levels, s[1:]
 
 
 @dataclass(frozen=True)
@@ -345,14 +355,12 @@ class FracPartEvaluator:
 # R = n*A mod 2^P differs from {n alpha} * 2^P by less than n on the circle,
 # so ||n alpha|| = D * 2^-P up to n * 2^-P, with D = min(R, 2^P - R). A point
 # is recomputed from exact integer floors when that absolute error could
-# exceed 2^-53 of D, i.e. when D <= n * 2^53 might hold. n < 2^31 keeps
-# n * limb + carry inside uint64.
+# exceed 2^-53 of D, i.e. when D <= n * 2^53 might hold. R and D are two
+# uint64 words; n < 2^31 keeps the carry from the low word exact in uint64.
 FIXED_POINT_BITS = 128
 KERNEL_MAX_N = 2 ** 31 - 1
-_LIMB_BITS = 32
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
 _FALLBACK_SHIFT = np.uint64(FIXED_POINT_BITS - 64 - 53)
-# three roundings (two limb-pair conversions and their sum) stay below 2^-51
+# three roundings (two word conversions and their sum) stay below 2^-51
 # relative; 2^-50 leaves a factor 2
 _CONVERSION_REL = 2.0 ** -50
 
@@ -414,30 +422,26 @@ def _exact_distance(alpha: IrrationalSpec, n: int) -> tuple:
     return d / (1 << bits), upper
 
 
-def _fixed_point_block(alpha: IrrationalSpec, limbs, lo: int,
+def _fixed_point_block(alpha: IrrationalSpec, A: int, lo: int,
                        hi: int) -> FixedPointOrbit:
     n = np.arange(lo, hi, dtype=np.uint64)
-    # R = n * A mod 2^P in 32-bit limbs; n * limb + carry < 2^63
-    carry = np.zeros_like(n)
-    r = []
-    for a in limbs:
-        t = n * a + carry
-        r.append(t & _LIMB_MASK)
-        carry = t >> np.uint64(_LIMB_BITS)
-    upper = r[-1] >> np.uint64(_LIMB_BITS - 1) == 1
-    # D = 2^P - R = ~R + 1 where R >= 2^(P-1), else R
-    carry = upper.astype(np.uint64)
-    d = []
-    for ri in r:
-        t = np.where(upper, ri ^ _LIMB_MASK, ri) + carry
-        d.append(t & _LIMB_MASK)
-        carry = t >> np.uint64(_LIMB_BITS)
-    shift = np.uint64(_LIMB_BITS)
-    top = (d[3] << shift) | d[2]          # D >> 64, below 2^63
-    low = (d[1] << shift) | d[0]
-    dist = np.ldexp(top.astype(np.float64) + np.ldexp(low.astype(np.float64),
-                                                       -64), -64)
-    for i in np.flatnonzero(top <= n >> _FALLBACK_SHIFT).tolist():
+    # R = n * A mod 2^P = high * 2^64 + low from wrapping word products;
+    # the carry floor(n * a0 / 2^64) goes through a0's 32-bit halves
+    a0 = A & (2 ** 64 - 1)
+    low = n * np.uint64(a0)
+    carry = n * np.uint64(a0 >> 32)                 # below 2^63
+    carry += n * np.uint64(a0 & (2 ** 32 - 1)) >> 32
+    high = n * np.uint64(A >> 64) + (carry >> 32)
+    # D = 2^P - R = ~R + 1 where R >= 2^(P-1), else R: both words are
+    # flipped by xor with the mask -sign, and ~low + 1 carries where low = 0
+    sign = high >> 63
+    high = (high ^ -sign) + (sign & (low == 0))
+    low = (low ^ -sign) + sign
+    # scaling by 2^-64 is exact: no result is subnormal
+    dist = (high.astype(np.float64) + low.astype(np.float64) * 2.0 ** -64
+            ) * 2.0 ** -64
+    upper = sign.astype(bool)
+    for i in np.flatnonzero(high <= n >> _FALLBACK_SHIFT).tolist():
         dist[i], upper[i] = _exact_distance(alpha, lo + i)
     return FixedPointOrbit(lo, dist, upper)
 
@@ -450,17 +454,15 @@ def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
 
     {n alpha} * 2^P = n*A mod 2^P (up to n) with P = 128 and
     A = floor(alpha * 2^P) exact from `floor_surd`; the product is formed
-    in four 32-bit limbs held in uint64 with carries propagated, and its
+    in two uint64 words with an exact carry between them, and its
     distance to 0 mod 2^P converted to float64. N must stay below 2^31.
     """
     if not 1 <= N <= KERNEL_MAX_N:
         raise ValueError(f"N = {N} outside the fixed-point kernel's range "
                          f"[1, {KERNEL_MAX_N}]")
     A = scaled_floor(alpha, FIXED_POINT_BITS)
-    limbs = [np.uint64((A >> (_LIMB_BITS * i)) & int(_LIMB_MASK))
-             for i in range(FIXED_POINT_BITS // _LIMB_BITS)]
     block = SUM_CHUNK
-    return (_fixed_point_block(alpha, limbs, lo, min(lo + block, N + 1))
+    return (_fixed_point_block(alpha, A, lo, min(lo + block, N + 1))
             for lo in range(1, N + 1, block))
 
 

@@ -1,6 +1,8 @@
 """References that the fast paths are checked against: log(2 sin pi x) and
 its prefix sums in mpf, the compensated sum as one chunk loop, the
 Kronecker orbit's log-products as one whole-orbit sum (`orbit_trace`), the
+fixed-point kernel in four 32-bit limbs (`fixed_point_block_by_limbs`), the
+Ostrowski digit sums by division (`ostrowski_digit_sums_by_division`), the
 van der Corput prefix discrepancy as a max-plus program over the binary
 digits of N + 1 (`vdc_deltas`), the whole-array forms of the streamed
 checkers (`check_hlawka`, `grid_hlawka_report`, `check_vdc_limits`), which
@@ -18,6 +20,9 @@ from weylprod.bounds import (BASE_TOL, SCREEN_REL, BoundReport, _hlawka_rhs,
 from weylprod.discrepancy import star_discrepancy
 from weylprod.extremal import (_E_OVER_PI, ExtremalConfig, log_c_epsilon,
                                sup_product_lower_bound)
+from weylprod.irrational import (_FALLBACK_SHIFT, FIXED_POINT_BITS,
+                                 ConvergentTable, FixedPointOrbit,
+                                 IrrationalSpec, _exact_distance)
 from weylprod import numerics
 from weylprod.numerics import LOG2, compensated_cumsum
 from weylprod.products import ProductTrace, _float_terms, product_trace
@@ -89,6 +94,77 @@ def orbit_trace(orbits, N: int) -> ProductTrace:
         err += e
     cum, sum_err = compensated_cumsum(terms)
     return ProductTrace(cum, err + sum_err, N)
+
+
+_LIMB_BITS = 32
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+
+
+def kernel_limbs(A: int) -> list:
+    """The kernel's A = floor(alpha 2^128) as four 32-bit limbs, least
+    significant first, for `fixed_point_block_by_limbs`."""
+    return [np.uint64((A >> (_LIMB_BITS * i)) & int(_LIMB_MASK))
+            for i in range(FIXED_POINT_BITS // _LIMB_BITS)]
+
+
+def fixed_point_block_by_limbs(alpha: IrrationalSpec, limbs, lo: int,
+                               hi: int) -> FixedPointOrbit:
+    """The kernel block n = lo..hi-1 with n A mod 2^128 formed in four
+    32-bit limbs and its carries propagated limb by limb: the reference
+    that `irrational._fixed_point_block`'s two 64-bit words must equal bit
+    for bit."""
+    n = np.arange(lo, hi, dtype=np.uint64)
+    # R = n * A mod 2^P in 32-bit limbs; n * limb + carry < 2^63
+    carry = np.zeros_like(n)
+    r = []
+    for a in limbs:
+        t = n * a + carry
+        r.append(t & _LIMB_MASK)
+        carry = t >> np.uint64(_LIMB_BITS)
+    upper = r[-1] >> np.uint64(_LIMB_BITS - 1) == 1
+    # D = 2^P - R = ~R + 1 where R >= 2^(P-1), else R
+    carry = upper.astype(np.uint64)
+    d = []
+    for ri in r:
+        t = np.where(upper, ri ^ _LIMB_MASK, ri) + carry
+        d.append(t & _LIMB_MASK)
+        carry = t >> np.uint64(_LIMB_BITS)
+    shift = np.uint64(_LIMB_BITS)
+    top = (d[3] << shift) | d[2]          # D >> 64, below 2^63
+    low = (d[1] << shift) | d[0]
+    dist = np.ldexp(top.astype(np.float64) + np.ldexp(low.astype(np.float64),
+                                                       -64), -64)
+    for i in np.flatnonzero(top <= n >> _FALLBACK_SHIFT).tolist():
+        dist[i], upper[i] = _exact_distance(alpha, lo + i)
+    return FixedPointOrbit(lo, dist, upper)
+
+
+def ostrowski_digit_sums_by_division(table: ConvergentTable,
+                                     N_max: int) -> tuple:
+    """(levels, digit sums) of the greedy expansions of N = 1..N_max, as
+    int64 arrays, by division: the reference for
+    `irrational.ostrowski_digit_sums`, which tiles them.
+
+    One top-down pass over the levels takes b_i = rem // q_i from every N;
+    above an N's own level its remainder is below q_i, so those digits come
+    out 0 by themselves.
+    """
+    if N_max < 1:
+        raise ValueError("N_max must be positive")
+    if table.q[-1] <= N_max:
+        raise ValueError(
+            f"convergent table too shallow: q_K = {table.q[-1]} <= {N_max}")
+    # only denominators up to N_max are needed; the rest may not fit int64
+    q = np.array([x for x in table.q if x <= N_max], dtype=np.int64)
+    N = np.arange(1, N_max + 1, dtype=np.int64)
+    levels = np.searchsorted(q, N, "right") - 1
+    rem = N.copy()
+    sums = np.zeros_like(N)
+    for qi in q[::-1].tolist():
+        b = rem // qi
+        rem -= b * qi
+        sums += b
+    return levels, sums
 
 
 def compensated_cumsum_by_chunks(a: np.ndarray) -> tuple:

@@ -546,6 +546,17 @@ def test_cesaro_bound_holds(sqrt2m1):
     assert rep.empirical_constants["limsup_proxy"] < 0.1
 
 
+def test_cesaro_reads_levels_without_digit_sums(sqrt2m1, monkeypatch):
+    # the Cesaro bound reads only the Ostrowski levels: with the digit sums
+    # unavailable its report is unchanged
+    want = check_cesaro_log_bound(sqrt2m1, 2000).to_dict()
+
+    def refuse(*args):
+        raise AssertionError("ostrowski_digit_sums called")
+    monkeypatch.setattr(bounds, "ostrowski_digit_sums", refuse)
+    assert check_cesaro_log_bound(sqrt2m1, 2000).to_dict() == want
+
+
 def test_cesaro_mean_near_zero_at_denominators(sqrt2m1):
     rep = check_cesaro_log_bound(sqrt2m1, 10 ** 4)
     means = rep.empirical_constants["mean_at_q_minus_1"]

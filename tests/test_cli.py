@@ -17,7 +17,7 @@ from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
 from weylprod.cli import main
 from weylprod.extremal import ExtremalConfig, extremal_product_closed_form
-from weylprod.irrational import FracPartEvaluator, parse_alpha
+from weylprod.irrational import FracPartEvaluator, parse_alpha, surd_from_cf
 from weylprod.products import NORMALIZERS, normalizer_power, rotation_products
 from weylprod.sequences import kronecker
 
@@ -559,6 +559,132 @@ def test_mc_csv_summary_round_trip(tmp_path, capsys, monkeypatch):
     ratios = np.array([float(r.split(",")[4]) for r in rows])
     summary = json.loads((tmp_path / "rt.json").read_text())
     assert summary["ratio_mean"] == float(np.mean(ratios))
+
+
+# --------------------------------------------------------- pinned outputs
+
+PIN_N = "20000"
+PIN_ALPHAS = {
+    "golden": "golden",
+    # one partial quotient of 1000
+    "cf-1000": str(surd_from_cf([3, 1000, 7], [1, 2])),
+    # ||3 alpha|| < 2^-64: the kernel's exact fallback
+    "cf-2^64": str(surd_from_cf([1, 2, 2 ** 64 + 5], [1, 2])),
+}
+PIN_COMMANDS = {
+    "ostrowski": ["verify", "ostrowski", "--n-max", PIN_N],
+    "cesaro": ["verify", "cesaro", "--n-max", PIN_N],
+    "type-growth": ["verify", "type-growth", "--n-max", PIN_N],
+    "conjectures": ["verify", "conjectures", "--n-max", PIN_N],
+    "kronecker-sandwich": ["verify", "kronecker-sandwich", "--q-max", PIN_N],
+    "hlawka": ["verify", "hlawka", "--gen", "kronecker", "--n-max", PIN_N],
+    "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
+    "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
+}
+# sha256 of each verify report on stdout, and of each mc run's CSV and
+# JSON, by (alpha, command), recorded with the 4-limb fixed-point kernel
+# and the division form of the Ostrowski digit sums: a change to any byte
+# must be deliberate
+OUTPUT_SHA256 = {
+    ('golden', 'ostrowski'): [
+        "9c3a4735371ca48a08fde8fd81ed50d2463935aa9ba257defe504507d3f2ebff",
+    ],
+    ('golden', 'cesaro'): [
+        "a17d870735e2c848bd37685cb511defb12b7510327433c642c35228cc93f8417",
+    ],
+    ('golden', 'type-growth'): [
+        "cc4b7da9bd075be873992d247fb947557c88bc7f020e394a5b226f21c66a937b",
+    ],
+    ('golden', 'conjectures'): [
+        "f256d103ebbf9c9331d8fef4a1931981adda752734538eaea6d8cc95cdf63377",
+    ],
+    ('golden', 'kronecker-sandwich'): [
+        "00dc86ccaddb1a691535461d9fa0a2e74499c57946825f9937505b70d287c10e",
+    ],
+    ('golden', 'hlawka'): [
+        "25a6673c6d10eef0155a3c917592d2a8503b4b4b1a766f1dfb3040e5448f4967",
+    ],
+    ('golden', 'mc rademacher'): [
+        "5dde16037030f2a70d669605a0aabe2a02afef27b8afd2e29c2f455c3e6e7c3e",
+        "ee11522c1287c90bbe5b6d94655e2127feb100f83ea88e4e11cb9ee139d5fad6",
+    ],
+    ('golden', 'mc subsequence'): [
+        "5d67041ec350d8d2660d4ad56adbed7c3b30c76f7d741c7a38c0eeb61d3d305f",
+        "00b3657473e8c719c38d3b4ee5d8ac0f7ada286daea134a3ae351ca0b7da41a4",
+    ],
+    ('cf-1000', 'ostrowski'): [
+        "739ef7e20154ae60908363369cb8c9cc13cc9182b85293b2f5da2cfa000f6460",
+    ],
+    ('cf-1000', 'cesaro'): [
+        "33abdd5077153c114906ce9df8c8a81b8e3ad51f5a25a28b668bb4993c099a12",
+    ],
+    ('cf-1000', 'type-growth'): [
+        "dee141c25ff378c51f220a4622b4d0b95045ef8d7d71d15fb0d953ae77d9e2e6",
+    ],
+    ('cf-1000', 'conjectures'): [
+        "6aa027fa31f4d15f3fdeedf1dc050b836a0071ca92cd582a627fe31bc61eb84d",
+    ],
+    ('cf-1000', 'kronecker-sandwich'): [
+        "c41be218c7fbb87d43b6bbc5636ab49370ca96a27a4bb406434ed0402e5ae5d4",
+    ],
+    ('cf-1000', 'hlawka'): [
+        "768d084a77bb4a70fa320b7ffa56338b41f03e2a070f870105366e1c225a69d3",
+    ],
+    ('cf-1000', 'mc rademacher'): [
+        "767a5fcb1405b5b21af12127a4685c7af18991c6852ff7845d8a5948e6bdbec9",
+        "4f852af07a73c030a5780cf7c30f799de808065016962e8419f56e92e1c35a98",
+    ],
+    ('cf-1000', 'mc subsequence'): [
+        "935b7678f9851e44b7cf44d47f5f1cdb54643c07a5e064c73950382754d037f7",
+        "5e83fcb0bbe1e9969748eb0b542c6d09fddbbebdc6819b1ff056e56c18453c08",
+    ],
+    ('cf-2^64', 'ostrowski'): [
+        "cb3bb3b852d720eba868ad0d1945d4344aba007de9174d6d13735412b9bc6d40",
+    ],
+    ('cf-2^64', 'cesaro'): [
+        "dad27abd6535ebd7ccf88580679555c41093da100583e9848b676c980524ebd1",
+    ],
+    ('cf-2^64', 'type-growth'): [
+        "dbb1d21d3a45463de66312e8a6b7eaca1519d93f6c5de8bc83c8c33bcc2c09f1",
+    ],
+    ('cf-2^64', 'conjectures'): [
+        "1f19220e519a57c3f8b92e5564976868754dbd6c624fcc1eea16fa3e6f1a2c05",
+    ],
+    ('cf-2^64', 'kronecker-sandwich'): [
+        "9bfb342dc97c5156d2addce50b0c8d4aefb43e42b34788816a226233a06ac295",
+    ],
+    ('cf-2^64', 'hlawka'): [
+        "f8827baf4a33ed75ec6fffcb77605f28e40b6b1665ce8f1bab639536ac584312",
+    ],
+    ('cf-2^64', 'mc rademacher'): [
+        "1405fb25433520379fda8de4019af73ea0e885b0ddcd6bce9f8737a8ecb7869f",
+        "c3e9cfaeb49b4147016a3c3967eb72e225be7577ff8cc68d95463768020ac01f",
+    ],
+    ('cf-2^64', 'mc subsequence'): [
+        "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
+        "287b15c7a451e1839aad62216c131b115748a87611165f4060253a2a4c092997",
+    ],
+}
+
+
+def pinned_outputs(tmp_path, capsys, alpha, command):
+    """The bytes that OUTPUT_SHA256 pins for one (alpha, command)."""
+    argv = PIN_COMMANDS[command] + ["--alpha", PIN_ALPHAS[alpha]]
+    if argv[0] == "mc":
+        prefix = tmp_path / "pin"
+        code, _, _ = run(argv + ["--out", str(prefix)], capsys)
+        assert code == 0
+        return [Path(f"{prefix}.{ext}").read_bytes() for ext in ("csv", "json")]
+    code, out, _ = run(argv, capsys)
+    assert code in (0, 1)
+    return [out.encode()]
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUT_SHA256), ids="/".join)
+def test_verify_and_mc_outputs_pinned(tmp_path, capsys, key):
+    got = [hashlib.sha256(b).hexdigest()
+           for b in pinned_outputs(tmp_path, capsys, *key)]
+    assert got == OUTPUT_SHA256[key]
 
 
 # ------------------------------------------------------------------- flags

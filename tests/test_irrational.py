@@ -3,16 +3,18 @@ import random
 from itertools import product as iproduct
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ostrowski_digit_sums_by_division
 from weylprod.irrational import (DEFAULT_N_MAX, FracPartEvaluator,
                                  IrrationalSpec, cf_expand, cf_expand_until,
                                  default_precision_bits, floor_surd,
                                  is_perfect_square, ostrowski,
-                                 ostrowski_digit_sums, parse_alpha,
-                                 surd_from_cf, surd_sign)
+                                 ostrowski_digit_sums, ostrowski_levels,
+                                 parse_alpha, surd_from_cf, surd_sign)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -284,6 +286,27 @@ def test_ostrowski_digit_sums_match_per_n(sqrt2m1, golden):
                 (dig.level, sum(dig.digits)), N
     with pytest.raises(ValueError):
         ostrowski_digit_sums(cf_expand(sqrt2m1, 4), 100)
+
+
+def test_ostrowski_digit_sums_tiled_match_division(sqrt2m1, golden):
+    # the tiled levels and sums equal the division form's; a prefix of the
+    # reference at 2^20 is the reference at N, as each N is expanded alone
+    for alpha in (sqrt2m1, golden, surd_from_cf([3, 1000, 7], [1, 2]),
+                  surd_from_cf([1, 5, 1], [3])):
+        ref_levels, ref_sums = ostrowski_digit_sums_by_division(
+            cf_expand_until(alpha, 2 ** 20), 2 ** 20)
+        for N in (1, 2, 1000, 123457, 2 ** 20):
+            t = cf_expand_until(alpha, N)
+            levels, sums = ostrowski_digit_sums(t, N)
+            assert levels.dtype == sums.dtype == np.int64
+            assert np.array_equal(levels, ref_levels[:N]), N
+            assert np.array_equal(sums, ref_sums[:N]), N
+            assert np.array_equal(ostrowski_levels(t, N), levels), N
+            if N <= 1000:
+                assert all(np.array_equal(x, y) for x, y in zip(
+                    (levels, sums), ostrowski_digit_sums_by_division(t, N)))
+    with pytest.raises(ValueError):
+        ostrowski_levels(cf_expand(sqrt2m1, 4), 100)
 
 
 @st.composite

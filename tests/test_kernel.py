@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import (compensated_cumsum_by_chunks, log_two_sin_pi_mp,
-                     mpf_trace, orbit_trace)
+from oracles import (compensated_cumsum_by_chunks,
+                     fixed_point_block_by_limbs, kernel_limbs,
+                     log_two_sin_pi_mp, mpf_trace, orbit_trace)
 from weylprod import irrational, numerics, products
 from weylprod.bounds import kronecker_log_trace
 from weylprod.irrational import (KERNEL_MAX_N, FracPartEvaluator,
@@ -96,6 +97,30 @@ def test_log_trace_within_trace_bounds(alpha, N):
     for n in range(N):
         gap = abs(mpmath.mpf(float(logs[n])) - ref.log_values[n])
         assert gap <= err + ref.error_bound, n + 1
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(alphas(), st.data())
+def test_kernel_block_matches_limb_reference(alpha, data):
+    # the two-word kernel gives the four-limb kernel's distances and sides
+    # bit for bit, on a random block and on the block that ends at the
+    # kernel's last n. Besides alpha's own A, any 128-bit A: one with a low
+    # word of 0 makes 2^128 - R carry into the high word. The exact
+    # fallback reads alpha in both kernels alike.
+    A = data.draw(st.one_of(
+        st.just(irrational.scaled_floor(alpha, irrational.FIXED_POINT_BITS)),
+        st.integers(2 ** 64, 2 ** 128 - 1),
+        st.integers(2 ** 32, 2 ** 64 - 1).map(lambda a1: a1 << 64)))
+    start = data.draw(st.integers(1, KERNEL_MAX_N))
+    stop = data.draw(st.integers(start + 1,
+                                 min(start + 4000, KERNEL_MAX_N + 1)))
+    limbs = kernel_limbs(A)
+    for lo, hi in ((start, stop), (KERNEL_MAX_N - 3999, KERNEL_MAX_N + 1)):
+        got = irrational._fixed_point_block(alpha, A, lo, hi)
+        want = fixed_point_block_by_limbs(alpha, limbs, lo, hi)
+        assert got.first == want.first == lo
+        assert got.dist.tobytes() == want.dist.tobytes()
+        assert got.upper.tobytes() == want.upper.tobytes()
 
 
 def test_huge_quotient_takes_exact_branch():
