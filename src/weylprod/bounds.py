@@ -113,18 +113,18 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
     Delta_N = N D_N*.
 
-    `d_trace` is either the exact Delta_N of every N, an array (the vdC
-    `vdc_discrepancy`), or a Kronecker `PrefixDiscrepancy`, which gives
-    bounds `lower` <= Delta_N <= `upper` for every N and `delta_at(N)`,
-    Delta_N in float64. The right-hand side is concave in Delta, so its
-    minimum over [lower, upper] sits at an end; the range is screened with
-    that minimum and numpy's log in blocks of SUM_CHUNK N, in order, so
-    the temporaries stay O(block). Every N that the screen cannot clear is
-    settled with Delta_N and the scalar formula, block by block. So is
-    every N whose largest possible gamma reaches the largest certain one:
-    each block keeps its candidates against the running top, and the kept
-    ones are filtered by the final top, which only rises, so they hold
-    every final candidate.
+    `d_trace` is either the exact Delta_N of every N, an array (of the
+    first N vdC points, `vdc_discrepancy(N)`), or a Kronecker
+    `PrefixDiscrepancy`, which gives bounds `lower` <= Delta_N <= `upper`
+    for every N and `delta_at(N)`, Delta_N in float64. The right-hand side
+    is concave in Delta, so its minimum over [lower, upper] sits at an end;
+    the range is screened with that minimum and numpy's log in blocks of
+    SUM_CHUNK N, in order, so the temporaries stay O(block). Every N that
+    the screen cannot clear is settled with Delta_N and the scalar
+    formula, block by block. So is every N whose largest possible gamma
+    reaches the largest certain one: each block keeps its candidates
+    against the running top, and the kept ones are filtered by the final
+    top, which only rises, so they hold every final candidate.
     """
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
@@ -422,15 +422,15 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
     """Hlawka check over all prefixes of the van der Corput or Kronecker
     sequence."""
     if kind == "vdc":
-        points, discrepancy = van_der_corput(N_max), vdc_discrepancy
+        trace = product_trace(van_der_corput(N_max))  # Delta needs no points
+        d_trace = vdc_discrepancy(N_max)
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":
         if alpha is None:
             raise ValueError("kronecker generator needs alpha")
-        points = kronecker_fixed_point(alpha, N_max)
-        discrepancy = kronecker_discrepancy
+        orbit = kronecker_fixed_point(alpha, N_max)
+        trace, d_trace = product_trace(orbit), kronecker_discrepancy(orbit)
         params = {"gen": "kronecker", "alpha": str(alpha), "N_max": N_max}
     else:
         raise ValueError(f"unknown generator {kind!r}")
-    return check_hlawka(product_trace(points), discrepancy(points),
-                        N_min=N_min, parameters=params)
+    return check_hlawka(trace, d_trace, N_min=N_min, parameters=params)

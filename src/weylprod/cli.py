@@ -215,12 +215,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_extremal_single(args: argparse.Namespace) -> int:
+def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     """Bounds at one (N, d) pair; the extremal product is evaluated, and
     compared with the lower bound, only when N is even and M = N*d an
     integer in [1, N/2], exactly, with d read as the decimal it was given
-    (the construction needs all three). Otherwise nothing is compared, and
-    the report says so with "passed": null and "n_checked": 0."""
+    (the construction needs all three). Otherwise nothing is compared:
+    "passed" stays None, and `cmd_verify` writes "n_checked": 0."""
     if args.N is None:
         raise UsageError("verify extremal --d needs --N")
     d = float(args.d)
@@ -231,16 +231,11 @@ def _verify_extremal_single(args: argparse.Namespace) -> int:
                              (args.N, args.N), passed=None)
     report.empirical_constants = {"logLower": lo, "logUpper": hi}
     M = args.d * args.N
-    n_checked = 0
     if args.N % 2 == 0 and M.denominator == 1 and 1 <= M <= args.N // 2:
         lp = extremal_product_closed_form(ExtremalConfig(args.N, int(M)))
         report.empirical_constants["logP"] = lp
         bnd._report_rows(report, args.N, lo, lp, bnd.BASE_TOL)
-        n_checked = 1
-    payload = report.to_dict()
-    payload["n_checked"] = n_checked
-    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
-    return 1 if report.passed is False else 0
+    return report
 
 
 def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
@@ -268,11 +263,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
     elif args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
+    out = args.out
     if tag == "hlawka":
         report = _verify_hlawka(args)
+    elif tag == "extremal" and args.d is not None:
+        report = _verify_extremal_single(args)
     elif tag == "extremal":
-        if args.d is not None:
-            return _verify_extremal_single(args)
         n_max = args.n_max
         if n_max < 8:
             raise UsageError("--n-max must be >= 8")
@@ -295,9 +291,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "upper_holds_from_N": upper_threshold + 2,
         }
         if args.fmt == "csv":
-            write_sweep_csv(rows, args.out)
-            _emit([json.dumps(report.to_dict(), indent=2) + "\n"], None)
-            return 0 if report.passed else 1
+            # the rows go to the --out file, the report to stdout
+            write_sweep_csv(rows, out)
+            out = None
     elif tag == "kronecker-sandwich":
         report = bnd.check_kronecker_sandwich(args.alpha, q_max=args.q_max)
     elif tag == "ostrowski":
@@ -312,10 +308,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = bnd.check_kronecker_conjectures(args.alpha, args.n_max)
     else:  # pragma: no cover - argparse already rejects unknown tags
         raise UsageError(f"unknown theorem {tag!r}")
-    _emit([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
-    if tag == "conjectures":
-        return 0
-    return 0 if report.passed else 1
+    payload = report.to_dict()
+    if tag == "extremal" and args.d is not None:
+        # a single check compares one row, or none ("passed": None)
+        payload["n_checked"] = int(report.passed is not None)
+    _emit([json.dumps(payload, indent=2) + "\n"], out)
+    return 1 if report.passed is False else 0
 
 
 def cmd_mc(args: argparse.Namespace) -> int:

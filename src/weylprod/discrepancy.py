@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import SUM_CHUNK, as_float_array, compensated_cumsum
-from .sequences import PointSet, RationalArray
+from .sequences import PointSet, RationalArray, van_der_corput_blocks
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,9 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     return PrefixDiscrepancy(pts, lower, upper, eps)
 
 
-def vdc_discrepancy(ps) -> np.ndarray:
+def vdc_discrepancy(N: int) -> np.ndarray:
     """Delta_n = n D_n* of the van der Corput points phi(1..n), for every
-    prefix n = 1..N of `ps` = `van_der_corput(N)`, exactly, at index n - 1:
+    prefix n = 1..N of `van_der_corput(N)`, exactly, at index n - 1:
 
         Delta_n = 2^-v + sum_{k=1}^{n-1} (1 - 2 phi(k)),   v = v_2(n + 1).
 
@@ -238,24 +238,21 @@ def vdc_discrepancy(ps) -> np.ndarray:
     identity against the sorted-order formula at every n <= 4096 and
     against a digit-by-digit max-plus program at every n <= 2^20 + 1.
 
-    Over den = 2^L, L = bitlen(N), the numerators p_k = den phi(k) give
-    den Delta_n = (den >> v) + sum_{k<n} (den - 2 p_k): an int64 cumsum
-    per block of SUM_CHUNK prefixes, from the sum before the block, carried
-    as a Python int. Each ||n / 2^j|| is at most 1/2, and those with j > L
-    sum below 1, so den Delta_n and every partial sum lie below
-    den (L/2 + 1) < 2^53: nothing overflows, and / den is exact in float64.
+    Over den = 2^L, L = bitlen(N), the numerators p_k = den phi(k) of
+    `van_der_corput_blocks(N)` give den Delta_n = (den >> v) +
+    sum_{k<n} (den - 2 p_k): an int64 cumsum per block, from the sum
+    before it, carried as a Python int. Each ||n / 2^j|| is at most 1/2,
+    and those with j > L sum below 1, so den Delta_n and every partial sum
+    lie below den (L/2 + 1) < 2^53: nothing overflows, and / den is exact
+    in float64.
     """
-    N = len(ps)
-    if not (isinstance(ps, PointSet) and ps.provenance == "vdc"
-            and isinstance(ps.points, RationalArray)
-            and ps.points.denominator == 1 << N.bit_length()):
-        raise ValueError("vdc_discrepancy needs van_der_corput(N): exact "
-                         "points over 2^bitlen(N)")
-    nums, den = ps.points.numerators, ps.points.denominator
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    den = 1 << N.bit_length()
     out = np.empty(N)
     carry = 0  # the sum of the terms before the block
-    for s in range(0, N, SUM_CHUNK):
-        terms = den - 2 * nums[s:s + SUM_CHUNK]  # den - 2 p_k, k > s
+    for s, block in zip(range(0, N, SUM_CHUNK), van_der_corput_blocks(N)):
+        terms = den - 2 * block.numerators       # den - 2 p_k, k > s
         scaled = np.cumsum(terms)
         scaled -= terms                          # sum_{s<k<n}, n > s
         scaled += carry

@@ -8,18 +8,19 @@ selection identity, weight bounds).
 
 Each model computes its path-independent work once per run: the weights
 and B_N, and the normaliser grid (`_ratio_grid`) over the admissible N,
-a suffix of 1..N_max. One path then costs its RNG draws, one pass of
-the log(2 sin pi x) kernel (iid; the Kronecker weights are shared), one
-cumsum and one slice-divide-argmax (`_path_row`). The per-path loops
-this replaced are kept in the tests as oracles, and the outputs are
-equal to theirs bit for bit.
+a suffix of 1..N_max, and hands one path loop (`_path_statistics`) its
+draw of a path's summands. One path then costs its RNG draws, one pass
+of the log(2 sin pi x) kernel (iid; the Kronecker weights are shared),
+one cumsum and one slice-divide-argmax (`_path_row`). The tests keep
+each model's own per-path loop as an oracle, and the outputs equal
+theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +82,8 @@ class PathStatistics:
     seed: int
     empirical_mean: float
     empirical_variance: float
-    details: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)  # (path_id, N, S_N, B_N, ratio)
+    details: dict
+    rows: list  # (path_id, N, S_N, B_N, ratio)
 
     @property
     def lil_ratios(self) -> list:
@@ -122,41 +123,51 @@ def _path_row(pid: int, S: np.ndarray, B: np.ndarray,
     return pid, pos + 1, float(S[pos]), float(B[pos]), float(vals[k])
 
 
-def _pooled_moments(total: float, total_sq: float, count: int):
-    mean = total / count
-    return mean, total_sq / count - mean * mean
+def _path_statistics(model: str, n_paths: int, seed: int, B: np.ndarray,
+                     grid: _RatioGrid, draw, settle,
+                     details: dict) -> PathStatistics:
+    """The one path loop of every model, over N = len(B) summands a path.
+
+    Path i takes the i-th generator spawned from SeedSequence(seed) and
+    draws its summands y with `draw(rng)`, a fresh array the loop may
+    overwrite; its row is read from S = cumsum(y) at the ratio argmax
+    (`_path_row`), and `settle`, unless None, is handed S_N. Sum y and sum
+    y^2 over all paths give the pooled mean and variance."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    N = len(B)
+    rows = []
+    tot = tot_sq = 0.0
+    for pid, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+        y = draw(np.random.default_rng(child))
+        S = np.cumsum(y)
+        rows.append(_path_row(pid, S, B, grid))
+        if settle is not None:
+            settle(float(S[-1]))
+        tot += float(y.sum())
+        y *= y
+        tot_sq += float(y.sum())
+    mean = tot / (n_paths * N)
+    var = tot_sq / (n_paths * N) - mean * mean
+    return PathStatistics(model, n_paths, N, seed, mean, var, details, rows)
 
 
 def iid_lil_experiment(n_paths: int, N_max: int, seed: int) -> PathStatistics:
     """S_N = sum log(2 sin pi X_k) for i.i.d. uniform X, B_N = N pi^2/12."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if N_max < IID_MIN_N_MAX:
         raise ValueError(f"N_max must be >= {IID_MIN_N_MAX}")
-    children = np.random.SeedSequence(seed).spawn(n_paths)
     B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
-    grid = _ratio_grid(B, N_LO)
-    rows = []
-    tot = tot_sq = 0.0
-    for pid, child in enumerate(children):
-        rng = np.random.default_rng(child)
+
+    def draw(rng):
         u = rng.random(N_max)
         u[u == 0.0] = 0.5  # measure-zero guard against log(0)
-        y = log_two_sin_pi_array(u)
-        S = np.cumsum(y)
-        row = _path_row(pid, S, B, grid)
-        rows.append(row)
-        tot += float(y.sum())
-        y *= y
-        tot_sq += float(y.sum())
-    mean, var = _pooled_moments(tot, tot_sq, n_paths * N_max)
-    return PathStatistics(
-        "iid", n_paths, N_max, seed, mean, var,
-        details={"n_lo": N_LO, "reference_constant": 1.0,
-                 "sigma_constant": IID_SIGMA_CONSTANT,
-                 "target_variance": PI2_OVER_12,
-                 "n_samples": n_paths * N_max},
-        rows=rows)
+        return log_two_sin_pi_array(u)
+
+    return _path_statistics(
+        "iid", n_paths, seed, B, _ratio_grid(B, N_LO), draw, None,
+        {"n_lo": N_LO, "reference_constant": 1.0,
+         "sigma_constant": IID_SIGMA_CONSTANT,
+         "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max})
 
 
 def kronecker_log_weights(alpha: IrrationalSpec, N: int) -> np.ndarray:
@@ -169,53 +180,36 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
                               seed: int) -> PathStatistics:
     """S_N = sum R_n log(2 sin pi n alpha) with fair +-1 signs. B_N
     accumulates the squared deterministic weights."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if N_max < N_LO:
         raise ValueError(f"N_max = {N_max} is below n_lo = {N_LO}: "
                          f"no N is left to take the ratio at")
     dist = kronecker_fixed_point(alpha, N_max).dist
     w = log_two_sin_pi_array(dist)
-    w_sq = w * w
-    B = np.cumsum(w_sq)
-    grid = _ratio_grid(B, N_LO)
-    # R_n^2 = 1, so every fair-sign path has sum z^2 = sum w^2 exactly
-    path_sq = float(w_sq.sum())
+    B = np.cumsum(w * w)
     n = np.arange(1, N_max + 1, dtype=np.float64)
     # ||n alpha|| >= c0/n: empirical c0, and |w_n| <= c1 log n empirically
     c0_hat = float(np.min(n * dist))
     with np.errstate(divide="ignore"):
-        c1_arr = np.abs(w[1:]) / np.log(n[1:])
-    c1_hat = float(np.max(c1_arr))
+        c1_hat = float(np.max(np.abs(w[1:]) / np.log(n[1:])))
     # the LIL side condition: M_N / sqrt(B_N / loglog B_N) at a log-spaced grid
     log_grid = np.unique(np.geomspace(10, N_max, 40).astype(int))
     cond = {int(g): float(c1_hat * math.log(g)
                           / math.sqrt(B[g - 1] / math.log(math.log(B[g - 1]))))
             for g in log_grid if g <= N_max and B[g - 1] > math.e}
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    rows = []
-    tot = tot_sq = 0.0
-    for pid, child in enumerate(children):
-        rng = np.random.default_rng(child)
+
+    def draw(rng):
         z = rng.integers(0, 2, size=N_max).astype(np.float64)
         z *= 2.0
         z -= 1.0
         z *= w
-        S = np.cumsum(z)
-        row = _path_row(pid, S, B, grid)
-        rows.append(row)
-        tot += float(z.sum())
-        tot_sq += path_sq
-    mean, var = _pooled_moments(tot, tot_sq, n_paths * N_max)
-    return PathStatistics(
-        "rademacher", n_paths, N_max, seed, mean, var,
-        details={"n_lo": N_LO, "reference_constant": 1.0,
-                 "target_variance": PI2_OVER_12,
-                 "B_over_N": float(B[-1] / N_max),
-                 "c0_hat": c0_hat, "c1_hat": c1_hat,
-                 "mn_condition_ratio": cond,
-                 "alpha": str(alpha)},
-        rows=rows)
+        return z
+
+    return _path_statistics(
+        "rademacher", n_paths, seed, B, _ratio_grid(B, N_LO), draw, None,
+        {"n_lo": N_LO, "reference_constant": 1.0,
+         "target_variance": PI2_OVER_12, "B_over_N": float(B[-1] / N_max),
+         "c0_hat": c0_hat, "c1_hat": c1_hat, "mn_condition_ratio": cond,
+         "alpha": str(alpha)})
 
 
 def _coin_draws(N_terms: int) -> int:
@@ -248,43 +242,34 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     with R_n = 2 xi_n - 1 is re-evaluated per path through an independent
     summation and its worst deviation reported.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if N_terms < max(N_LO, 10):
         raise ValueError("N_terms too small")
     w = kronecker_log_weights(alpha, _coin_draws(N_terms))
     cum_w = np.cumsum(w)
-    children = np.random.SeedSequence(seed).spawn(n_paths)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
-    grid = _ratio_grid(K, max(N_LO, 3), factor=1.0)
-    rows = []
-    tot = tot_sq = 0.0
-    identity_worst = 0.0
-    counts = []
-    for pid, child in enumerate(children):
-        bits = coin_flips(np.random.default_rng(child), N_terms)
+    details = {"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
+               "selection_identity_max_abs_diff": 0.0,
+               "selection_counts": [], "alpha": str(alpha)}
+    half = 0.0  # the current path's (full sum + signed sum) / 2
+
+    def draw(rng):
+        nonlocal half
+        bits = coin_flips(rng, N_terms)
         positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
-        w_sel = w[positions - 1]
-        S_sel = np.cumsum(w_sel)
-        row = _path_row(pid, S_sel, K, grid)
-        rows.append(row)
         # independent evaluation of the signed sum for the identity check
         signed = float(np.sum(np.where(bits[:n_last], w[:n_last], -w[:n_last])))
-        full = float(cum_w[n_last - 1])
-        identity_worst = max(identity_worst,
-                         abs(float(S_sel[-1]) - 0.5 * (full + signed)))
-        counts.append((n_last, int(N_terms)))
-        tot += float(w_sel.sum())
-        tot_sq += float((w_sel * w_sel).sum())
-    mean, var = _pooled_moments(tot, tot_sq, n_paths * N_terms)
-    return PathStatistics(
-        "subsequence", n_paths, N_terms, seed, mean, var,
-        details={"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
-                 "selection_identity_max_abs_diff": identity_worst,
-                 "selection_counts": counts,
-                 "alpha": str(alpha)},
-        rows=rows)
+        half = 0.5 * (float(cum_w[n_last - 1]) + signed)
+        details["selection_counts"].append((n_last, int(N_terms)))
+        return w[positions - 1]
+
+    def settle(S_last):
+        key = "selection_identity_max_abs_diff"
+        details[key] = max(details[key], abs(S_last - half))
+
+    return _path_statistics(
+        "subsequence", n_paths, seed, K,
+        _ratio_grid(K, max(N_LO, 3), factor=1.0), draw, settle, details)
 
 
 def write_paths_csv(stats: PathStatistics, path) -> None:

@@ -331,8 +331,7 @@ def _hlawka_traces(kind, n):
     """(product trace, Delta trace) of the first n vdC or Kronecker points,
     as `hlawka_sequence_report` builds them."""
     if kind == "vdc":
-        ps = van_der_corput(n)
-        return product_trace(ps), vdc_discrepancy(ps)
+        return product_trace(van_der_corput(n)), vdc_discrepancy(n)
     orbit = kronecker_fixed_point(parse_alpha("sqrt2m1"), n)
     return product_trace(orbit), kronecker_discrepancy(orbit)
 
@@ -403,10 +402,9 @@ def test_hlawka_screens_in_flat_memory():
 def test_vdc_discrepancy_in_flat_memory():
     # numpy reports its buffers to tracemalloc: at 2^20 points the exact
     # Delta holds a few SUM_CHUNK blocks above the 8 MB array it returns
-    ps = van_der_corput(2 ** 20)
     tracemalloc.start()
     try:
-        d = vdc_discrepancy(ps)
+        d = vdc_discrepancy(2 ** 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

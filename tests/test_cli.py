@@ -580,6 +580,8 @@ PIN_COMMANDS = {
     "hlawka": ["verify", "hlawka", "--gen", "kronecker", "--n-max", PIN_N],
     "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
+    "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
+    "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
 }
 # sha256 of each verify report on stdout, and of each mc run's CSV and
 # JSON, by (alpha, command), recorded with the 4-limb fixed-point kernel
@@ -667,9 +669,24 @@ OUTPUT_SHA256 = {
 }
 
 
+# the same for the commands that read no alpha, by command
+ALPHA_FREE_SHA256 = {
+    "mc iid": [
+        "9a45baf2218cef9a02c8be4f2180b8309c89fe6f4f352b12b77c6b0932aa4a20",
+        "433c341345e6e0d13c77580270dcfd865141f5c45591a7af355393c2d5d9534d",
+    ],
+    "hlawka vdc": [
+        "6f83802fd678b41a9c0e969bb275c34943de2ecbf2160f91b65d22c7c51002f5",
+    ],
+}
+
+
 def pinned_outputs(tmp_path, capsys, alpha, command):
-    """The bytes that OUTPUT_SHA256 pins for one (alpha, command)."""
-    argv = PIN_COMMANDS[command] + ["--alpha", PIN_ALPHAS[alpha]]
+    """The bytes that OUTPUT_SHA256 pins for one (alpha, command), and
+    ALPHA_FREE_SHA256 for one command when alpha is None."""
+    argv = PIN_COMMANDS[command]
+    if alpha is not None:
+        argv = argv + ["--alpha", PIN_ALPHAS[alpha]]
     if argv[0] == "mc":
         prefix = tmp_path / "pin"
         code, _, _ = run(argv + ["--out", str(prefix)], capsys)
@@ -685,6 +702,13 @@ def test_verify_and_mc_outputs_pinned(tmp_path, capsys, key):
     got = [hashlib.sha256(b).hexdigest()
            for b in pinned_outputs(tmp_path, capsys, *key)]
     assert got == OUTPUT_SHA256[key]
+
+
+@pytest.mark.parametrize("command", sorted(ALPHA_FREE_SHA256))
+def test_alpha_free_outputs_pinned(tmp_path, capsys, command):
+    got = [hashlib.sha256(b).hexdigest()
+           for b in pinned_outputs(tmp_path, capsys, None, command)]
+    assert got == ALPHA_FREE_SHA256[command]
 
 
 # ------------------------------------------------------------------- flags

@@ -18,9 +18,8 @@ from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
 from weylprod.numerics import SUM_CHUNK, as_float_array
-from weylprod.sequences import (PointSet, RationalArray, kronecker,
-                                uniform_grid, uniform_grid_blocks,
-                                van_der_corput)
+from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
+                                uniform_grid_blocks, van_der_corput)
 
 EPS = Fraction(1, 1 << 40)
 
@@ -355,36 +354,33 @@ def test_vdc_deltas_match_exact():
     # the prefix sum against the max-plus digit program at every
     # N <= 2^20 + 1, one call each; both are exact in float64
     top = 2 ** 20 + 1
-    got = vdc_discrepancy(van_der_corput(top))
+    got = vdc_discrepancy(top)
     want = oracles.vdc_deltas(top) / float(1 << (top + 1).bit_length())
     assert np.array_equal(got, want)
     # against the sorted-order formula: every N <= 4096 from one call, and
-    # N = 2^k - 1, 2^k, 2^k + 1 up to k = 20 each from its own point set,
+    # N = 2^k - 1, 2^k, 2^k + 1 up to k = 20 each from its own call,
     # where the denominator 2^bitlen(N) steps
-    got = vdc_discrepancy(van_der_corput(4096))
+    got = vdc_discrepancy(4096)
     for N in range(1, 4097):
         assert got[N - 1] == star_discrepancy(van_der_corput(N)).delta, N
     for k in range(1, 21):
         for N in (2 ** k - 1, 2 ** k, 2 ** k + 1):
             ps = van_der_corput(N)
             exact = star_discrepancy(ps).delta
-            assert vdc_discrepancy(ps)[N - 1] == exact, N
+            assert vdc_discrepancy(N)[N - 1] == exact, N
 
 
-def test_vdc_discrepancy_refuses_other_point_sets():
-    # uniform_grid(7) is exact over 8 = 2^bitlen(7), but not the vdC points
-    for ps in (uniform_grid(10), uniform_grid(7),
-               PointSet(RationalArray([1, 2], 3), "vdc"),
-               PointSet([0.5, 0.25], "vdc"),
-               van_der_corput(8).points):
-        with pytest.raises(ValueError, match="van_der_corput"):
-            vdc_discrepancy(ps)
+def test_vdc_discrepancy_refuses_empty_prefix():
+    # as van_der_corput(N) does, N < 1 raises
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            vdc_discrepancy(N)
 
 
 def test_vdc_bounds_bracket_trace():
     N = 3000
     ps = van_der_corput(N)
-    vd = vdc_discrepancy(ps)
+    vd = vdc_discrepancy(N)
     exact = np.array([float(star_discrepancy(ps.points[:n]).delta)
                       for n in range(1, N + 1)])
     assert vd.dtype == np.float64
