@@ -582,6 +582,9 @@ PIN_COMMANDS = {
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
     "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
     "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
+    # 33024 rows: the CLI's sweep blocks of about 2^14 rows end twice inside
+    "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
+                     "0.1", "--format", "csv"],
 }
 # sha256 of each verify report on stdout, and of each mc run's CSV and
 # JSON, by (alpha, command), recorded with the 4-limb fixed-point kernel
@@ -678,12 +681,18 @@ ALPHA_FREE_SHA256 = {
     "hlawka vdc": [
         "6f83802fd678b41a9c0e969bb275c34943de2ecbf2160f91b65d22c7c51002f5",
     ],
+    "extremal csv": [
+        "124c8d15783a2ecc14f91cad89867af3c76c8206cb8c4a1d70c9bf60bed4dae0",
+        "e29ae5425a7ec2f01bb01b519aeddb047074a21fc99d9f92f377590561b4c726",
+    ],
 }
 
 
 def pinned_outputs(tmp_path, capsys, alpha, command):
     """The bytes that OUTPUT_SHA256 pins for one (alpha, command), and
-    ALPHA_FREE_SHA256 for one command when alpha is None."""
+    ALPHA_FREE_SHA256 for one command when alpha is None: an mc run's CSV
+    and JSON, the sweep's CSV file and its report on stdout, or a verify
+    report on stdout."""
     argv = PIN_COMMANDS[command]
     if alpha is not None:
         argv = argv + ["--alpha", PIN_ALPHAS[alpha]]
@@ -692,6 +701,11 @@ def pinned_outputs(tmp_path, capsys, alpha, command):
         code, _, _ = run(argv + ["--out", str(prefix)], capsys)
         assert code == 0
         return [Path(f"{prefix}.{ext}").read_bytes() for ext in ("csv", "json")]
+    if "csv" in argv:
+        path = tmp_path / "pin.csv"
+        code, out, _ = run(argv + ["--out", str(path)], capsys)
+        assert code in (0, 1)
+        return [path.read_bytes(), out.encode()]
     code, out, _ = run(argv, capsys)
     assert code in (0, 1)
     return [out.encode()]
