@@ -28,8 +28,7 @@ from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          ostrowski_levels)
 from .numerics import BASE_TOL, LOG2, SUM_CHUNK
 from .products import BlockTrace, ProductTrace, product_trace, term_max
-from .sequences import (uniform_grid_blocks, van_der_corput,
-                        van_der_corput_blocks)
+from .sequences import uniform_grid_blocks, van_der_corput_blocks
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # relative slack of a numpy screen against the scalar math.log formula it
@@ -420,9 +419,24 @@ def grid_hlawka_report(N: int) -> BoundReport:
 def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
                            alpha: IrrationalSpec | None = None) -> BoundReport:
     """Hlawka check over all prefixes of the van der Corput or Kronecker
-    sequence."""
+    sequence.
+
+    The van der Corput points stream through a `BlockTrace` in blocks
+    (`van_der_corput_blocks`), and Delta needs no points: only the prefix
+    log-products and the Delta of every prefix are held. The points over
+    2^L, L = bitlen(N_max), have their smallest distance to 0 or 1 at
+    n = 2^(L-1), 2^-L, and their largest at n = 1, 1/2, so `term_max` of
+    those two ends is the trace's amax, as it is for all the points."""
     if kind == "vdc":
-        trace = product_trace(van_der_corput(N_max))  # Delta needs no points
+        if N_max < 1:
+            raise ValueError("N must be >= 1")
+        ends = np.array([0.5 ** N_max.bit_length(), 0.5])
+        blocks = BlockTrace(N_max, term_max(ends))
+        logs = np.empty(N_max)
+        for s, block in zip(range(0, N_max, SUM_CHUNK),
+                            van_der_corput_blocks(N_max)):
+            blocks.feed(block, out=logs[s:s + len(block)])
+        trace = ProductTrace(logs, blocks.error_bound(), N_max)
         d_trace = vdc_discrepancy(N_max)
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":

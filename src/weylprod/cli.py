@@ -25,14 +25,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import bounds as bnd
 from . import stochastic as st
 from .atomicio import atomic_open
-from .extremal import (ExtremalConfig, extremal_product_closed_form,
+from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
-                       sweep, write_sweep_csv)
+                       sweep)
 from .irrational import parse_alpha
 from .products import KERNEL, NORMALIZERS, rotation_products, row_texts
 
@@ -238,6 +239,64 @@ def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     return report
 
 
+# rows of one block of the extremal sweep; the blocks hold whole N, so an N
+# with more rows than this makes a block alone
+SWEEP_BLOCK_ROWS = 1 << 12
+
+
+def _sweep_blocks(n_max: int, epsilon: float):
+    """`sweep` over the even N = 8..n_max, M = 1..max(1, N // 8), in
+    consecutive blocks of whole N of at most SWEEP_BLOCK_ROWS rows (one N
+    alone past that), so that only one block is held at a time."""
+    def M_limit(N):
+        return max(1, N // 8)
+
+    block, rows = [], 0
+    for N in range(8, n_max + 1, 2):
+        if block and rows + M_limit(N) > SWEEP_BLOCK_ROWS:
+            yield sweep(block, M_limit, epsilon)
+            block, rows = [], 0
+        block.append(N)
+        rows += M_limit(N)
+    if block:
+        yield sweep(block, M_limit, epsilon)
+
+
+def _verify_extremal_sweep(args: argparse.Namespace) -> bnd.BoundReport:
+    """The sweep's report, with each block's rows written to the --out
+    file as they come under --format csv. The bounds are asymptotic: the
+    report gives the empirical thresholds (2 past the largest N at which a
+    bound fails) and counts only lower-bound failures at N >= 64 as
+    violations."""
+    n_max = args.n_max
+    if n_max < 8:
+        raise UsageError("--n-max must be >= 8")
+    report = bnd.BoundReport(
+        "extremal", {"N_max": n_max, "epsilon": args.epsilon}, (8, n_max))
+    csv = args.fmt == "csv"
+    lower_fail_N = upper_fail_N = 0
+    with atomic_open(args.out) if csv else nullcontext() as fh:
+        if csv:
+            fh.write(Sweep.CSV_HEADER)
+        for rows in _sweep_blocks(n_max, args.epsilon):
+            N, lower_fail = rows.N, ~rows.holds_lower
+            lower_fail_N = max(lower_fail_N,
+                               int(N[lower_fail].max(initial=0)))
+            upper_fail_N = max(upper_fail_N,
+                               int(N[~rows.holds_upper].max(initial=0)))
+            v = lower_fail & (N >= 64)
+            report.violations += zip(N[v].tolist(), rows.log_lower[v].tolist(),
+                                     rows.log_p[v].tolist())
+            if csv:
+                fh.write(rows.csv_text())
+    report.passed = not report.violations
+    report.empirical_constants = {
+        "lower_holds_from_N": lower_fail_N + 2,
+        "upper_holds_from_N": upper_fail_N + 2,
+    }
+    return report
+
+
 def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
     if args.gen == "grid":
         if args.N is None:
@@ -269,31 +328,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif tag == "extremal" and args.d is not None:
         report = _verify_extremal_single(args)
     elif tag == "extremal":
-        n_max = args.n_max
-        if n_max < 8:
-            raise UsageError("--n-max must be >= 8")
-        rows = sweep(range(8, n_max + 1, 2), lambda N: max(1, N // 8),
-                     args.epsilon)
-        report = bnd.BoundReport(
-            "extremal", {"N_max": n_max, "epsilon": args.epsilon}, (8, n_max))
-        lower_fail = [(N, lo, lp) for N, M, d, lp, lo, hi, hl, hu in rows
-                      if not hl]
-        upper_fail = [(N, lp, hi) for N, M, d, lp, lo, hi, hl, hu in rows
-                      if not hu]
-        # the bounds are asymptotic: report the empirical thresholds and
-        # only count failures above them as violations
-        lower_threshold = max((N for N, *_ in lower_fail), default=0)
-        upper_threshold = max((N for N, *_ in upper_fail), default=0)
-        report.violations = [v for v in lower_fail if v[0] >= 64]
-        report.passed = not report.violations
-        report.empirical_constants = {
-            "lower_holds_from_N": lower_threshold + 2,
-            "upper_holds_from_N": upper_threshold + 2,
-        }
+        report = _verify_extremal_sweep(args)
         if args.fmt == "csv":
-            # the rows go to the --out file, the report to stdout
-            write_sweep_csv(rows, out)
-            out = None
+            out = None  # the rows went to the --out file, the report to stdout
     elif tag == "kronecker-sandwich":
         report = bnd.check_kronecker_sandwich(args.alpha, q_max=args.q_max)
     elif tag == "ostrowski":

@@ -4,7 +4,9 @@ For even N and M = N*D the extremal configuration stacks 2M copies of 1/2
 between two symmetric blocks of grid points; it realizes star-discrepancy
 exactly M/N while maximizing the sine product among sets of discrepancy at
 most M/N. Its product has the closed form 2N / (prod_{k<M} sin(pi k/N))^2,
-which the sup-product bounds below sandwich.
+which the sup-product bounds below sandwich. `sweep` evaluates the closed
+form and both bounds at every (N, M) of a list of N as the numpy columns of
+a `Sweep`, which the CLI computes and writes as CSV in blocks of whole N.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 import numpy as np
 
-from .atomicio import atomic_open
 from .numerics import BASE_TOL, log_two_sin_pi_array
 from .sequences import PointSet, RationalArray
 
@@ -138,57 +140,112 @@ def sup_product_upper_bound(N: int, d: float, epsilon: float) -> float:
             + 2.0 * N * d * math.log((_E_OVER_PI + epsilon) / d))
 
 
-def sweep(N_values, M_limit, epsilon: float) -> list:
-    """Rows (N, M, d, logP, logLower, logUpper, holds_lower, holds_upper)
-    over even N in N_values and M = 1..M_limit(N); the flags pad by
-    `BASE_TOL`.
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """The rows of `sweep` as columns, entry i of each for row i: int64 N
+    and M, float64 d, log_p, log_lower and log_upper, and the bool flags
+    holds_lower and holds_upper. `len` is the row count, and iteration
+    yields the rows as tuples of Python numbers (N, M, d, logP, logLower,
+    logUpper, holds_lower, holds_upper)."""
 
-    logP equals `extremal_product_closed_form` row by row, from one integer
-    prefix sum per N. The terms t_k = log sin(pi k/N), k < M_limit(N), are
+    N: np.ndarray
+    M: np.ndarray
+    d: np.ndarray
+    log_p: np.ndarray
+    log_lower: np.ndarray
+    log_upper: np.ndarray
+    holds_lower: np.ndarray
+    holds_upper: np.ndarray
+
+    CSV_HEADER = "N,M,d,logP,logLower,logUpper,holds_lower,holds_upper\n"
+
+    def __len__(self) -> int:
+        return len(self.N)
+
+    def __iter__(self):
+        return zip(*(col.tolist() for col in (
+            self.N, self.M, self.d, self.log_p, self.log_lower,
+            self.log_upper, self.holds_lower, self.holds_upper)))
+
+    def csv_text(self) -> str:
+        """The rows as CSV lines under `CSV_HEADER`: the floats by their
+        `repr`, the flags as true or false."""
+        flags = (2 * self.holds_lower + self.holds_upper).tolist()
+        return "".join([
+            f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},{_FLAG_TEXT[f]}\n"
+            for N, M, d, lp, lo, hi, f in zip(
+                self.N.tolist(), self.M.tolist(), self.d.tolist(),
+                self.log_p.tolist(), self.log_lower.tolist(),
+                self.log_upper.tolist(), flags)])
+
+
+# the CSV text of (holds_lower, holds_upper) at 2 holds_lower + holds_upper
+_FLAG_TEXT = ("false,false", "false,true", "true,false", "true,true")
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn, a `math` function, at every entry of the float64 array x:
+    numpy's own log can differ from libm's in the last bit."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, len(x))
+
+
+def sweep(N_values, M_limit, epsilon: float) -> Sweep:
+    """The rows (N, M, d, logP, logLower, logUpper, holds_lower,
+    holds_upper) over the even N in N_values, in their order, and
+    M = 1..M_limit(N), as the columns of a `Sweep`; an N with
+    M_limit(N) < 1 has no rows. The flags pad by `BASE_TOL`.
+
+    logP equals `extremal_product_closed_form` row by row, from integer
+    prefix sums. The terms t_k = log sin(pi k/N), 1 <= k < M_limit(N), are
     floats, so each is an integer multiple of 2^(e_k - 53), e_k its
-    `frexp` exponent, and all are multiples of 2^-s with s = 53 - min e_k.
-    Their prefix sums t_1 + .. + t_(M-1) are then exact Python ints in
-    units of 2^-s, and converting one to float and scaling it by 2^-s
-    rounds the exact sum once, correctly, as the fsum over k < M does. The
-    bounds are `sup_product_lower_bound` and `sup_product_upper_bound`
-    with their parts that depend on N alone taken once per N, in the same
-    order of operations.
+    `frexp` exponent, and all the terms of the call are multiples of 2^-s
+    with s = 53 - min(0, min e_k). Their running sum over all rows is then
+    exact in Python ints in units of 2^-s, and the sum t_1 + .. + t_(M-1)
+    of a row is that running sum less its value at the N's row M = 1.
+    Converting one to float and scaling it by 2^-s rounds the exact sum
+    once, correctly, as the fsum over k < M does. The bounds are
+    `sup_product_lower_bound` and `sup_product_upper_bound` with their
+    parts that depend on N alone taken once per N, in the same order of
+    operations. Array arithmetic keeps that order; every sine and log is
+    libm's (`math`), one call per value, and the sums are the only Python
+    ints.
     """
     log_c = log_c_epsilon(epsilon)
-    e_up = _E_OVER_PI + epsilon
-    rows = []
+    Ns, counts = [], []
     for N in N_values:
         M_max = M_limit(N)
-        if M_max < 1:
-            continue
-        ExtremalConfig(N, M_max)  # validates N and every M <= M_max
-        terms = [math.log(math.sin(math.pi * k / N)) for k in range(1, M_max)]
-        s = 53 - min((math.frexp(t)[1] for t in terms), default=0)
-        sums = accumulate((int(math.ldexp(t, s)) for t in terms), initial=0)
-        log_2n, log_n, two_n = math.log(2.0 * N), math.log(N), 2.0 * N
-        lower_n, upper_n = _LOG_2PI2 - 6.0 - log_n, log_c - log_n
-        for M, acc in zip(range(1, M_max + 1), sums):
-            d = M / N
-            lp = log_2n - 2.0 * math.ldexp(float(acc), -s)
-            lo = lower_n + two_n * d * math.log(_E_OVER_PI / d)
-            hi = upper_n + two_n * d * math.log(e_up / d)
-            rows.append((N, M, d, lp, lo, hi, lo <= lp + BASE_TOL,
-                         lp <= hi + BASE_TOL))
-    return rows
-
-
-# rows `write_sweep_csv` joins into one write
-CSV_ROWS = 1024
-
-
-def write_sweep_csv(rows: list, path) -> None:
-    with atomic_open(path) as fh:
-        fh.write("N,M,d,logP,logLower,logUpper,holds_lower,holds_upper\n")
-        for i in range(0, len(rows), CSV_ROWS):
-            fh.write("".join(
-                f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},"
-                f"{str(hl).lower()},{str(hu).lower()}\n"
-                for N, M, d, lp, lo, hi, hl, hu in rows[i:i + CSV_ROWS]))
+        if M_max >= 1:
+            ExtremalConfig(N, M_max)  # validates N and every M <= M_max
+            Ns.append(N)
+            counts.append(M_max)
+    count = np.array(counts, dtype=np.int64)
+    n_col = np.array(Ns, dtype=np.int64)
+    first = np.cumsum(count) - count  # the row of each N's M = 1
+    N = np.repeat(n_col, count)
+    M = np.arange(1, len(N) + 1) - np.repeat(first, count)
+    d = M / N
+    # t_(M-1) enters the sum at row M; row M = 1 adds nothing
+    k = M - 1
+    has_term = k > 0
+    x = np.pi * k[has_term] / N[has_term]
+    terms = np.fromiter(map(math.log, map(math.sin, x.tolist())), np.float64,
+                        len(x))
+    s = 53 - int(np.frexp(terms)[1].min(initial=0))
+    scaled = np.zeros(len(N))
+    scaled[has_term] = np.ldexp(terms, s)
+    run = list(accumulate(map(int, scaled.tolist())))
+    starts = chain.from_iterable(map(repeat, map(run.__getitem__,
+                                                 first.tolist()), counts))
+    sums = np.fromiter(map(float, map(sub, run, starts)), np.float64, len(N))
+    log_n, log_2n = _libm(math.log, n_col), _libm(math.log, 2.0 * n_col)
+    log_p = np.repeat(log_2n, count) - 2.0 * np.ldexp(sums, -s)
+    two_n = 2.0 * N
+    lower = (np.repeat(_LOG_2PI2 - 6.0 - log_n, count)
+             + two_n * d * _libm(math.log, _E_OVER_PI / d))
+    upper = (np.repeat(log_c - log_n, count)
+             + two_n * d * _libm(math.log, (_E_OVER_PI + epsilon) / d))
+    return Sweep(N, M, d, log_p, lower, upper, lower <= log_p + BASE_TOL,
+                 log_p <= upper + BASE_TOL)
 
 
 def direct_log_product(cfg: ExtremalConfig) -> float:

@@ -17,6 +17,7 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              grid_hlawka_report, hlawka_sequence_report,
                              kronecker_log_trace)
 from weylprod import discrepancy
+from weylprod.cli import main
 from weylprod.discrepancy import (discrepancy_trace, kronecker_discrepancy,
                                   star_discrepancy, vdc_discrepancy)
 from weylprod.irrational import (FracPartEvaluator, cf_expand,
@@ -397,6 +398,25 @@ def test_hlawka_screens_in_flat_memory():
         tracemalloc.stop()
     assert rep.passed
     assert peak < 8 * 2 ** 20, peak
+
+
+def test_extremal_sweep_csv_in_flat_memory(tmp_path, capsys):
+    # the CLI sweep holds one block of rows and its CSV text at a time: the
+    # 32k rows at n_max 1024 and the 131k at 2048 peak under one cap, where
+    # rows held whole grow with n_max^2 (6.9 MB at 1024)
+    peaks = []
+    for n_max in (1024, 2048):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "extremal", "--n-max", str(n_max),
+                         "--format", "csv", "--out",
+                         str(tmp_path / "sweep.csv")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    assert max(peaks) < 3 * 2 ** 20, peaks
 
 
 def test_vdc_discrepancy_in_flat_memory():

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from oracles import mpf_trace
-from weylprod import cli
+from weylprod import cli, extremal
 from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
 from weylprod.cli import main
-from weylprod.extremal import ExtremalConfig, extremal_product_closed_form
+from weylprod.extremal import (ExtremalConfig, extremal_product_closed_form,
+                               sweep)
 from weylprod.irrational import FracPartEvaluator, parse_alpha, surd_from_cf
 from weylprod.products import NORMALIZERS, normalizer_power, rotation_products
 from weylprod.sequences import kronecker
@@ -317,6 +318,41 @@ def test_verify_extremal_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("N,M,d,logP")
     assert json.loads(stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("tol", [None, -5.0, -19415.0])
+@pytest.mark.parametrize("block_rows", [None, 7, 1])
+def test_verify_extremal_sweep_blocks(tmp_path, capsys, monkeypatch, tol,
+                                      block_rows):
+    # the CLI walks the sweep in blocks of whole N: one block (1225 rows),
+    # blocks of at most 7 rows, or one N each give the rows and the verdict
+    # of the sweep taken whole. A negative tolerance makes the lower bound
+    # fail on part of the rows (-5), or fail on all of them and the upper
+    # bound on part (-19415)
+    if tol is not None:
+        monkeypatch.setattr(extremal, "BASE_TOL", tol)
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", block_rows)
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run(["verify", "extremal", "--n-max", "200",
+                           "--format", "csv", "--out", str(out)], capsys)
+    rows = sweep(range(8, 201, 2), lambda N: max(1, N // 8), 0.1)
+    assert out.read_text() == rows.CSV_HEADER + rows.csv_text()
+    lower_fail = [(N, lo, lp) for N, M, d, lp, lo, hi, hl, hu in rows
+                  if not hl]
+    upper_fail = [N for N, *_, hu in rows if not hu]
+    violations = [list(v) for v in lower_fail if v[0] >= 64]
+    report = json.loads(stdout)
+    assert report["violations"] == violations
+    assert report["passed"] is not violations
+    assert code == (1 if violations else 0)
+    assert report["empirical_constants"] == {
+        "lower_holds_from_N": max((v[0] for v in lower_fail), default=0) + 2,
+        "upper_holds_from_N": max(upper_fail, default=0) + 2,
+    }
+    if tol is not None:
+        assert violations and lower_fail[0][0] < 64
+        assert bool(upper_fail) is (tol < -19000)
 
 
 @pytest.mark.parametrize("args", [

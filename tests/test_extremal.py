@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import sweep_by_partials
 
 from weylprod import extremal
@@ -12,7 +14,7 @@ from weylprod.extremal import (ExtremalConfig, build_extremal,
                                extremal_product_closed_form, growth_factor,
                                log_c_epsilon, sup_product_lower_bound,
                                sup_product_upper_bound, sup_search, sweep,
-                               threshold_B, write_sweep_csv)
+                               threshold_B)
 from weylprod.products import product_trace
 
 
@@ -218,14 +220,10 @@ def test_sup_search_no_counterexample():
         assert best <= extremal_product_closed_form(cfg) + 1e-9
 
 
-def test_sweep_rows_and_csv(tmp_path, monkeypatch):
+def test_sweep_rows_and_csv():
     rows = sweep(range(8, 65, 2), lambda N: max(1, N // 8), 0.1)
     assert all(r[6] and r[7] for r in rows)  # both bounds hold on this range
-    path = tmp_path / "sweep.csv"
-    # rows are written in joined chunks; a chunk of 7 puts edges inside
-    monkeypatch.setattr(extremal, "CSV_ROWS", 7)
-    write_sweep_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
+    lines = (rows.CSV_HEADER + rows.csv_text()).splitlines()
     assert lines[0] == "N,M,d,logP,logLower,logUpper,holds_lower,holds_upper"
     assert lines[1:] == [",".join([str(N), str(M), repr(d), repr(lp),
                                    repr(lo), repr(hi), str(hl).lower(),
@@ -251,7 +249,7 @@ def test_sweep_equals_exact_partials():
     # the M <= N/8 of `verify extremal`, for every third even N up to 4096
     N_values = range(8, 4097, 6)
     rows = sweep(N_values, lambda N: N // 8, 0.08)
-    assert rows == sweep_by_partials(N_values, lambda N: N // 8, 0.08)
+    assert list(rows) == sweep_by_partials(N_values, lambda N: N // 8, 0.08)
 
 
 def test_sweep_equals_exact_partials_up_to_half():
@@ -263,9 +261,36 @@ def test_sweep_equals_exact_partials_up_to_half():
     N_values = [8, 10, 2 ** 14] + sorted(2 * rnd.randrange(5, 2 ** 13)
                                          for _ in range(6))
     rows = sweep(N_values, lambda N: N // 2, 0.1)
-    assert rows == sweep_by_partials(N_values, lambda N: N // 2, 0.1)
+    assert list(rows) == sweep_by_partials(N_values, lambda N: N // 2, 0.1)
     last = math.log(math.sin(math.pi * (2 ** 13 - 1) / 2 ** 14))
     assert 53 - math.frexp(last)[1] > 53
+
+
+# M_limit cases: every N in one row, the CLI's N // 8 (no rows below N = 8),
+# all of M <= N/2, and no rows for N divisible by 6
+M_LIMITS = {
+    "one": lambda N: 1,
+    "eighth": lambda N: N // 8,
+    "half": lambda N: N // 2,
+    "skip": lambda N: 0 if N % 6 == 0 else N // 4,
+}
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 700).map(lambda h: 2 * h), max_size=10),
+       st.sampled_from(sorted(M_LIMITS)),
+       st.sampled_from([0.01, 0.1, 0.37, 3.0]))
+@example([], "half", 0.1)
+@example([8], "one", 0.1)
+@example([6, 12, 6, 18], "skip", 0.1)
+@example([200, 8, 200, 2, 64], "eighth", 0.37)
+def test_sweep_columns_equal_exact_partials(N_values, limit, epsilon):
+    # the column sweep's segment bookkeeping over unsorted and repeated N,
+    # N without rows, one-row N and no N at all, against the per-row oracle
+    rows = sweep(N_values, M_LIMITS[limit], epsilon)
+    expected = sweep_by_partials(N_values, M_LIMITS[limit], epsilon)
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
 
 
 def test_sweep_rejects_invalid_m():
