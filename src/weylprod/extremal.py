@@ -234,6 +234,7 @@ def sweep(N_values, M_limit, epsilon: float) -> Sweep:
     scaled = np.zeros(len(N))
     scaled[has_term] = np.ldexp(terms, s)
     run = list(accumulate(map(int, scaled.tolist())))
+    # each row's copy of the running sum at its N's row M = 1
     starts = chain.from_iterable(map(repeat, map(run.__getitem__,
                                                  first.tolist()), counts))
     sums = np.fromiter(map(float, map(sub, run, starts)), np.float64, len(N))

@@ -618,7 +618,7 @@ PIN_COMMANDS = {
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
     "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
     "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
-    # 33024 rows: the CLI's sweep blocks of about 2^14 rows end twice inside
+    # 33024 rows: the CLI's sweep blocks of at most 2^12 rows end inside it
     "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
                      "0.1", "--format", "csv"],
 }
