@@ -416,27 +416,29 @@ def grid_hlawka_report(N: int) -> BoundReport:
     return report
 
 
+def _vdc_product_trace(N: int) -> ProductTrace:
+    """`product_trace(van_der_corput(N))`, bit for bit, from the points'
+    blocks (`van_der_corput_blocks`) fed through a `BlockTrace`, whose
+    block arrays go when it returns. The points over 2^L, L = bitlen(N),
+    have their smallest distance to 0 or 1 at n = 2^(L-1), 2^-L, and
+    their largest at n = 1, 1/2, so `term_max` of those two ends is the
+    trace's amax, as it is of all the points."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    trace = BlockTrace(N, term_max(np.array([0.5 ** N.bit_length(), 0.5])))
+    logs = np.empty(N)
+    for s, block in zip(range(0, N, SUM_CHUNK), van_der_corput_blocks(N)):
+        trace.feed(block, out=logs[s:s + len(block)])
+    return ProductTrace(logs, trace.error_bound(), N)
+
+
 def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
                            alpha: IrrationalSpec | None = None) -> BoundReport:
     """Hlawka check over all prefixes of the van der Corput or Kronecker
-    sequence.
-
-    The van der Corput points stream through a `BlockTrace` in blocks
-    (`van_der_corput_blocks`), and Delta needs no points: only the prefix
-    log-products and the Delta of every prefix are held. The points over
-    2^L, L = bitlen(N_max), have their smallest distance to 0 or 1 at
-    n = 2^(L-1), 2^-L, and their largest at n = 1, 1/2, so `term_max` of
-    those two ends is the trace's amax, as it is for all the points."""
+    sequence. The van der Corput check holds no points: only the prefix
+    log-products (`_vdc_product_trace`) and the Delta of every prefix."""
     if kind == "vdc":
-        if N_max < 1:
-            raise ValueError("N must be >= 1")
-        ends = np.array([0.5 ** N_max.bit_length(), 0.5])
-        blocks = BlockTrace(N_max, term_max(ends))
-        logs = np.empty(N_max)
-        for s, block in zip(range(0, N_max, SUM_CHUNK),
-                            van_der_corput_blocks(N_max)):
-            blocks.feed(block, out=logs[s:s + len(block)])
-        trace = ProductTrace(logs, blocks.error_bound(), N_max)
+        trace = _vdc_product_trace(N_max)
         d_trace = vdc_discrepancy(N_max)
         params = {"gen": "vdc", "N_max": N_max}
     elif kind == "kronecker":

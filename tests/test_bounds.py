@@ -400,6 +400,20 @@ def test_hlawka_screens_in_flat_memory():
     assert peak < 8 * 2 ** 20, peak
 
 
+def test_vdc_hlawka_report_holds_no_points():
+    # at 2^20 the report holds its 8 MB trace and 8 MB of Delta, and a few
+    # SUM_CHUNK blocks besides: not the points (8 MB of int64 and their
+    # float64 copy), nor the trace's block arrays while Delta is built
+    tracemalloc.start()
+    try:
+        rep = hlawka_sequence_report("vdc", 2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 22 * 2 ** 20, peak
+
+
 def test_extremal_sweep_csv_in_flat_memory(tmp_path, capsys):
     # the CLI sweep holds one block of rows and its CSV text at a time: the
     # 32k rows at n_max 1024 and the 131k at 2048 peak under one cap, where
