@@ -107,8 +107,8 @@ def _screen_rhs(delta, log_N):
     return 2.0 * delta * (log_N - np.log(delta))
 
 
-def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
-                 parameters: dict | None = None) -> BoundReport:
+def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int,
+                 parameters: dict) -> BoundReport:
     """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
     Delta_N = N D_N*.
 
@@ -131,7 +131,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     if not 1 <= N_min <= len(logs):
         raise ValueError(f"N_min must be in [1, {len(logs)}], got {N_min}")
     err = ps_trace.error_bound
-    report = BoundReport("hlawka", parameters or {}, (N_min, len(logs)))
+    report = BoundReport("hlawka", parameters, (N_min, len(logs)))
     exact = isinstance(d_trace, np.ndarray)
     if exact:
         lower = upper = d_trace
@@ -177,8 +177,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     return report
 
 
-def check_kronecker_sandwich(alpha: IrrationalSpec,
-                             q_max: int = 10 ** 5) -> BoundReport:
+def check_kronecker_sandwich(alpha: IrrationalSpec, q_max: int) -> BoundReport:
     """1 <= P_{q-1} <= q^2/2 at every best approximation denominator q;
     a row of the lower side reads (q, 0, log P_{q-1})."""
     table = cf_expand_until(alpha, q_max)
@@ -199,7 +198,7 @@ def check_kronecker_sandwich(alpha: IrrationalSpec,
     return report
 
 
-def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int = 10 ** 4) -> BoundReport:
+def check_ostrowski_bound(alpha: IrrationalSpec, N_max: int) -> BoundReport:
     """log P_N <= sum_i (b_i log 2 + 3 log q_i) with canonical digits."""
     table = cf_expand_until(alpha, N_max)
     logs, err = kronecker_log_trace(alpha, N_max)
@@ -224,8 +223,7 @@ def cesaro_bound_value(table: ConvergentTable, l: int) -> float:
     return t1 + t2
 
 
-def check_cesaro_log_bound(alpha: IrrationalSpec,
-                           N_max: int = 10 ** 4) -> BoundReport:
+def check_cesaro_log_bound(alpha: IrrationalSpec, N_max: int) -> BoundReport:
     """Cesaro mean (1/N) log P_N against the digit-sum bound, plus the
     running sup proxy for its limsup tending to zero."""
     table = cf_expand_until(alpha, N_max)
@@ -265,7 +263,7 @@ def check_type_growth(alpha: IrrationalSpec, N_max: int, t: float) -> BoundRepor
     return report
 
 
-def check_vdc_limits(s_max: int = 18) -> BoundReport:
+def check_vdc_limits(s_max: int) -> BoundReport:
     """Structure of the van der Corput products per octave [2^s, 2^(s+1)):
 
     (a) P at n1 = 2^(s+1)-2 equals 2^s / sin(pi/2^(s+1));
@@ -357,7 +355,7 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
 
 
 def check_kronecker_conjectures(alpha: IrrationalSpec,
-                                N_max: int = 500) -> BoundReport:
+                                N_max: int) -> BoundReport:
     """Evidence report: per-interval argmax positions of P_N over
     [q_l, q_{l+1}) and the running max of (1/q) P_{q-1}. Never fails."""
     table = cf_expand_until(alpha, N_max + 1)
@@ -432,7 +430,7 @@ def _vdc_product_trace(N: int) -> ProductTrace:
     return ProductTrace(logs, trace.error_bound(), N)
 
 
-def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
+def hlawka_sequence_report(kind: str, N_max: int, N_min: int,
                            alpha: IrrationalSpec | None = None) -> BoundReport:
     """Hlawka check over all prefixes of the van der Corput or Kronecker
     sequence. The van der Corput check holds no points: only the prefix
@@ -449,4 +447,4 @@ def hlawka_sequence_report(kind: str, N_max: int = 10 ** 4, N_min: int = 16,
         params = {"gen": "kronecker", "alpha": str(alpha), "N_max": N_max}
     else:
         raise ValueError(f"unknown generator {kind!r}")
-    return check_hlawka(trace, d_trace, N_min=N_min, parameters=params)
+    return check_hlawka(trace, d_trace, N_min, params)

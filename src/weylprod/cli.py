@@ -118,7 +118,7 @@ def _mc_options(mc: argparse.ArgumentParser) -> None:
                     default=10 ** 5)
     mc.add_argument("--terms", type=int, default=None,
                     help="selected terms for the subsequence model "
-                         "(default n-max // 2)")
+                         "(default max(n-max // 2, 200))")
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--out", default=None,
                     help="output prefix (default mc_<model>)")

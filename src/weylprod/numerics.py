@@ -114,9 +114,9 @@ class PrefixSum:
         self.fed, self.carry_hi, self.carry_lo, self.out_max = 0, 0, 0.0, 0.0
         self.work = Scratch(min(n, SUM_CHUNK)) if work is None else work
 
-    def feed(self, part: np.ndarray, out: np.ndarray | None = None):
+    def feed(self, part: np.ndarray, out: np.ndarray):
         """The prefix sums through each term of `part`, the next terms in
-        order, written to `out` (default: a new array) and returned."""
+        order, written to `out` and returned."""
         self.fed += len(part)
         if self.fed > self.n:
             raise ValueError("terms past the declared count")
@@ -132,13 +132,12 @@ class PrefixSum:
         np.copyto(ints, hi, casting="unsafe")
         np.cumsum(ints, out=ints)
         ints += self.carry_hi
-        res = np.empty(b) if out is None else out
-        res[:] = ints
-        np.ldexp(res, -k, out=res)
-        res += lo
+        out[:] = ints
+        np.ldexp(out, -k, out=out)
+        out += lo
         self.carry_hi, self.carry_lo = int(ints[-1]), float(lo[-1])
-        self.out_max = max(self.out_max, float(res.max()), -float(res.min()))
-        return res
+        self.out_max = max(self.out_max, float(out.max()), -float(out.min()))
+        return out
 
     def error_bound(self) -> float:
         """The bound on the error of every prefix sum of the n terms."""

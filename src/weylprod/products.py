@@ -126,9 +126,9 @@ class BlockTrace:
         self.sums = PrefixSum(n, amax, self.work)
         self.term_error = 0.0
 
-    def feed(self, x, out: np.ndarray | None = None):
+    def feed(self, x, out: np.ndarray):
         """The prefix log-products through each point of the block `x`,
-        written to `out` (default: a new array) and returned."""
+        written to `out` and returned."""
         b, work = len(x), self.work
         pt_err = 0.0
         if isinstance(x, FixedPointOrbit):
@@ -161,14 +161,14 @@ class BlockTrace:
         return self.term_error + self.sums.error_bound()
 
 
-def _float_terms(arr: np.ndarray, pt_err, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> tuple:
+def _float_terms(arr: np.ndarray, pt_err, out: np.ndarray,
+                 scratch: np.ndarray) -> tuple:
     """(terms log(2 sin pi x), their error bound) for float points `arr`
     inside (0, 1); `pt_err` bounds each point's error (scalar or array; an
     array is spent, scaled in place).
 
     The terms are written to `out` and the bounds built in place in
-    `scratch` (default: new arrays of N)."""
+    `scratch`."""
     terms = log_two_sin_pi_array(arr, out)
     scratch = np.abs(terms, out=scratch)
     scratch += 1.0
@@ -275,7 +275,7 @@ def _digit_scale(top: int):
     return fixprec, fixdps, 10 ** fixdps
 
 
-def row_text(row: tuple, scales: dict | None = None) -> str:
+def row_text(row: tuple, scales: dict) -> str:
     """`mpmath.libmp.to_str(from_man_exp(x, xe), ROW_DIGITS)` for a row
     pair (x, xe), byte for byte, from one multiply, one shift and one
     str() of x.
@@ -289,8 +289,6 @@ def row_text(row: tuple, scales: dict | None = None) -> str:
     x, xe = row
     bc = x.bit_length()
     top = xe + bc
-    if scales is None:
-        scales = {}
     if top not in scales:
         scales[top] = _digit_scale(top)
     scale = scales[top]
@@ -452,12 +450,11 @@ def _rotation_charges(alpha: IrrationalSpec, N: int, wp: int,
     return 0.5 * math.fsum(sums), exact
 
 
-def rotation_products(alpha: IrrationalSpec, N: int,
-                      normalizer: str = "none",
-                      precision_bits: int | None = None) -> RotationProducts:
+def rotation_products(alpha: IrrationalSpec, N: int, normalizer: str,
+                      precision_bits: int | None) -> RotationProducts:
     """P_n / n^k for n = 1..N (k = `normalizer`'s power) by the integer
-    rotation kernel, at `precision_bits` (default: the 2^24 budget's, or
-    N's above it), with its log error bound.
+    rotation kernel, at `precision_bits` (None: the 2^24 budget's, or N's
+    above it), with its log error bound.
 
     The bound on |log(row) - log(exact row)|, for every row, adds up
     - the rotation: (c, s) is w^n to within delta_n units of 2^-W. An

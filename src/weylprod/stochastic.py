@@ -185,6 +185,7 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
                          f"no N is left to take the ratio at")
     dist = kronecker_fixed_point(alpha, N_max).dist
     w = log_two_sin_pi_array(dist)
+    two_w = 2.0 * w
     B = np.cumsum(w * w)
     n = np.arange(1, N_max + 1, dtype=np.float64)
     # ||n alpha|| >= c0/n: empirical c0, and |w_n| <= c1 log n empirically
@@ -198,10 +199,9 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
             for g in log_grid if g <= N_max and B[g - 1] > math.e}
 
     def draw(rng):
-        z = rng.integers(0, 2, size=N_max).astype(np.float64)
-        z *= 2.0
-        z -= 1.0
-        z *= w
+        # a sign bit b gives b 2w - w: w or -w exactly
+        z = rng.integers(0, 2, size=N_max) * two_w
+        z -= w
         return z
 
     return _path_statistics(
@@ -245,6 +245,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     if N_terms < max(N_LO, 10):
         raise ValueError("N_terms too small")
     w = kronecker_log_weights(alpha, _coin_draws(N_terms))
+    neg_w = -w
     cum_w = np.cumsum(w)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
     details = {"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
@@ -258,7 +259,8 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
         # independent evaluation of the signed sum for the identity check
-        signed = float(np.sum(np.where(bits[:n_last], w[:n_last], -w[:n_last])))
+        signed = float(np.sum(np.where(bits[:n_last], w[:n_last],
+                                       neg_w[:n_last])))
         half = 0.5 * (float(cum_w[n_last - 1]) + signed)
         details["selection_counts"].append((n_last, int(N_terms)))
         return w[positions - 1]

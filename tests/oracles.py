@@ -89,8 +89,9 @@ def orbit_trace(orbits, N: int) -> ProductTrace:
     terms = np.empty(N, dtype=np.float64)
     err = 0.0
     for orbit in orbits:
-        t, e = _float_terms(orbit.dist, orbit.error())
-        terms[orbit.first - 1:orbit.first - 1 + len(t)] = t
+        s = orbit.first - 1
+        _, e = _float_terms(orbit.dist, orbit.error(),
+                            terms[s:s + len(orbit)], np.empty(len(orbit)))
         err += e
     cum, sum_err = compensated_cumsum(terms)
     return ProductTrace(cum, err + sum_err, N)

@@ -133,14 +133,14 @@ def test_grid_hlawka_streams_as_the_whole_array(N):
 
 
 def test_hlawka_vdc_prefixes():
-    rep = hlawka_sequence_report("vdc", 2000)
+    rep = hlawka_sequence_report("vdc", 2000, 16)
     assert rep.passed and not rep.violations
     # the bound itself stays within the N^(gamma log N) shape
     assert rep.empirical_constants["gamma_hat"] < 3.0
 
 
 def test_hlawka_kronecker_prefixes(sqrt2m1):
-    rep = hlawka_sequence_report("kronecker", 2000, alpha=sqrt2m1)
+    rep = hlawka_sequence_report("kronecker", 2000, 16, alpha=sqrt2m1)
     assert rep.passed and not rep.violations
 
 
@@ -163,7 +163,7 @@ def test_hlawka_matches_per_n_loop(seed):
     for d_trace, eps in ((Bracket(deltas, deltas, deltas), BRACKET_EPS),
                          (deltas, None)):
         for N_min in (1, 16):
-            rep = check_hlawka(tr, d_trace, N_min=N_min)
+            rep = check_hlawka(tr, d_trace, N_min, {})
             violations, inconclusive, gamma_hat = hlawka_oracle(
                 logs, deltas, err, N_min, eps)
             assert rep.violations == violations and violations
@@ -201,7 +201,7 @@ def test_hlawka_vdc_never_traces(monkeypatch):
 
     monkeypatch.setattr(discrepancy, "discrepancy_trace", no_trace)
     monkeypatch.setattr(bounds, "discrepancy_trace", no_trace, raising=False)
-    rep = hlawka_sequence_report("vdc", 6000)
+    rep = hlawka_sequence_report("vdc", 6000, 16)
     assert rep.passed and rep.n_range == (16, 6000)
 
 
@@ -223,7 +223,7 @@ def test_hlawka_bracket_matches_per_n_loop(seed):
     tr = ProductTrace(logs, 0.0, n)
     for N_min in (1, 16):
         rep = check_hlawka(tr, Bracket(deltas, lower, deltas + width[1]),
-                           N_min=N_min)
+                           N_min, {})
         violations, inconclusive, gamma_hat = hlawka_oracle(
             logs, deltas, 0.0, N_min, BRACKET_EPS)
         assert rep.violations == violations and violations
@@ -250,7 +250,7 @@ def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
     err = 1e-11 * seed
     tr = ProductTrace(logs, err, n)
     for N_min in (1, 16):
-        rep = check_hlawka(tr, kd, N_min=N_min)
+        rep = check_hlawka(tr, kd, N_min, {})
         violations, inconclusive, gamma_hat = hlawka_oracle(
             logs, deltas, err, N_min, kd.eps)
         assert rep.violations == violations and violations
@@ -258,7 +258,7 @@ def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
         assert rep.empirical_constants["gamma_hat"] == gamma_hat
         # the same report as from the exact trace
         rep_t = check_hlawka(tr, Bracket(deltas, deltas, deltas, kd.eps),
-                             N_min=N_min)
+                             N_min, {})
         assert rep.to_dict() == rep_t.to_dict()
 
 
@@ -276,7 +276,7 @@ def test_hlawka_tolerance_covers_the_float_delta_error(sqrt2m1):
     slope = 2.0 * (abs(math.log(n / delta)) + 1.0)
     logs = np.full(n, -1e3)
     logs[-1] = rhs + BASE_TOL + slope * (h + 4e-12) / 2.0
-    rep = check_hlawka(ProductTrace(logs, 0.0, n), kd, N_min=n)
+    rep = check_hlawka(ProductTrace(logs, 0.0, n), kd, n, {})
     assert rep.violations == []
     assert rep.inconclusive == [(n, float(logs[-1]), rhs)]
 
@@ -308,7 +308,7 @@ def test_delta_at_within_its_error(name):
 def test_hlawka_misaligned_traces():
     tr = ProductTrace(np.zeros(5), 0.0, 5)
     with pytest.raises(ValueError):
-        check_hlawka(tr, [])
+        check_hlawka(tr, [], 1, {})
 
 
 @pytest.mark.parametrize("N_min", [0, -5])
@@ -316,7 +316,7 @@ def test_hlawka_n_min_below_one(N_min):
     tr = ProductTrace(np.zeros(5), 0.0, 5)
     deltas = np.ones(5)
     with pytest.raises(ValueError, match="N_min"):
-        check_hlawka(tr, Bracket(deltas, deltas, deltas), N_min=N_min)
+        check_hlawka(tr, Bracket(deltas, deltas, deltas), N_min, {})
 
 
 @pytest.mark.parametrize("kind", ["vdc", "kronecker"])
@@ -360,7 +360,7 @@ def test_hlawka_streams_as_the_whole_array(kind, n):
     raised = ProductTrace(logs, tr.error_bound, n)
     for trace in (tr, raised):
         for N_min in (1, 16):
-            got = check_hlawka(trace, d, N_min=N_min).to_dict()
+            got = check_hlawka(trace, d, N_min, {}).to_dict()
             want = oracles.check_hlawka(trace, d, N_min=N_min).to_dict()
             assert got == want
             assert got["empirical_constants"]["gamma_hat"].hex() == \
@@ -378,7 +378,7 @@ def test_hlawka_gamma_top_rising_across_blocks():
     for m in (SUM_CHUNK - 3, SUM_CHUNK + 1, 2 * SUM_CHUNK, 3 * SUM_CHUNK):
         d[m - 1] = m / math.e
     for N_min in (1, 16):
-        got = check_hlawka(tr, d, N_min=N_min).to_dict()
+        got = check_hlawka(tr, d, N_min, {}).to_dict()
         want = oracles.check_hlawka(tr, d, N_min=N_min).to_dict()
         assert got == want
         gamma = got["empirical_constants"]["gamma_hat"]
@@ -392,7 +392,7 @@ def test_hlawka_screens_in_flat_memory():
     tr, d = _hlawka_traces("vdc", 2 ** 20)
     tracemalloc.start()
     try:
-        rep = check_hlawka(tr, d)
+        rep = check_hlawka(tr, d, 16, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -406,7 +406,7 @@ def test_vdc_hlawka_report_holds_no_points():
     # float64 copy), nor the trace's block arrays while Delta is built
     tracemalloc.start()
     try:
-        rep = hlawka_sequence_report("vdc", 2 ** 20)
+        rep = hlawka_sequence_report("vdc", 2 ** 20, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -571,6 +571,16 @@ def test_mc_subsequence_identity_flag(tmp_path, capsys, monkeypatch):
     assert summary["details"]["selection_identity_max_abs_diff"] < 1e-8
 
 
+def test_mc_subsequence_terms_default(tmp_path, capsys):
+    # without --terms the model takes max(n-max // 2, 200) terms, as the
+    # help says: 200, not 150, at --n-max 300
+    prefix = tmp_path / "sub"
+    code, _, _ = run(["mc", "subsequence", "--paths", "1", "--n-max", "300",
+                      "--out", str(prefix)], capsys)
+    assert code == 0
+    assert json.loads(Path(f"{prefix}.json").read_text())["N_max"] == 200
+
+
 def test_mc_subsequence_short_coin_exits_2(tmp_path, capsys, monkeypatch):
     # a coin one head short of the terms: an error, not a redraw
     class ShortCoin:
@@ -621,6 +631,14 @@ PIN_COMMANDS = {
     # 33024 rows: the CLI's sweep blocks of at most 2^12 rows end inside it
     "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
                      "0.1", "--format", "csv"],
+    # 2^18 - 1 points in four SUM_CHUNK blocks
+    "vdc-limits": ["verify", "vdc-limits", "--s-max", "17"],
+    # four blocks, the last one cut
+    "hlawka grid": ["verify", "hlawka", "--gen", "grid", "--N", "200001"],
+    # one compared row
+    "extremal single": ["verify", "extremal", "--N", "1024", "--d", "0.0625"],
+    # M = 307.2 is no integer, so nothing is compared
+    "extremal unchecked": ["verify", "extremal", "--N", "1024", "--d", "0.3"],
 }
 # sha256 of each verify report on stdout, and of each mc run's CSV and
 # JSON, by (alpha, command), recorded with the 4-limb fixed-point kernel
@@ -720,6 +738,18 @@ ALPHA_FREE_SHA256 = {
     "extremal csv": [
         "124c8d15783a2ecc14f91cad89867af3c76c8206cb8c4a1d70c9bf60bed4dae0",
         "e29ae5425a7ec2f01bb01b519aeddb047074a21fc99d9f92f377590561b4c726",
+    ],
+    "vdc-limits": [
+        "bb234505d44a33184affd14156f799446be5c5a710095c4baf087e7de9052064",
+    ],
+    "hlawka grid": [
+        "5c851aa6eaf208a3f9d6392cfea1e222e6f3fdaa4a64ff46d5c262579f1ce12e",
+    ],
+    "extremal single": [
+        "e689aeb40d4b492e810ef3dcba463a4cc45455e7e62210968001100ceb6c60c6",
+    ],
+    "extremal unchecked": [
+        "56922362198e727b9196119febaf41fc2ea3d5247efcfbfd686079fd611d5ff0",
     ],
 }
 

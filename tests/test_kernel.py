@@ -193,8 +193,8 @@ def test_prefix_sum_fed_in_blocks_is_compensated_cumsum(chunk, monkeypatch):
         a = np.log(2.0 * np.sin(np.pi * rng.random(n)))
         want, bound = compensated_cumsum(a)
         acc = numerics.PrefixSum(n, float(np.abs(a).max()))
-        got = np.concatenate([acc.feed(a[s:s + chunk])
-                              for s in range(0, n, chunk)])
+        got = np.concatenate([acc.feed(part, np.empty(len(part)))
+                              for part in np.split(a, range(chunk, n, chunk))])
         assert got.tobytes() == want.tobytes(), n
         assert acc.error_bound() == bound, n
         # and both are the chunk loop's, bit for bit
@@ -204,9 +204,9 @@ def test_prefix_sum_fed_in_blocks_is_compensated_cumsum(chunk, monkeypatch):
 
 def test_prefix_sum_refuses_terms_past_its_count():
     acc = numerics.PrefixSum(3, 1.0)
-    acc.feed(np.array([0.5, -1.0]))
+    acc.feed(np.array([0.5, -1.0]), np.empty(2))
     with pytest.raises(ValueError, match="declared count"):
-        acc.feed(np.array([0.25, 0.25]))
+        acc.feed(np.array([0.25, 0.25]), np.empty(2))
     with pytest.raises(ValueError, match="finite"):
         numerics.PrefixSum(3, math.inf)
 

@@ -124,12 +124,12 @@ def test_points_off_the_open_interval_are_refused(monkeypatch):
 def test_block_trace_refuses_a_block_off_the_open_interval(monkeypatch):
     # the streamed checkers feed blocks a whole-set `term_max` never saw
     trace = products.BlockTrace(4, 1.0)
-    trace.feed(np.array([0.25, 0.5]))
+    trace.feed(np.array([0.25, 0.5]), np.empty(2))
     refuse_logs(monkeypatch)
     for block in (np.array([0.5, 0.0]), np.array([1.0, 0.5]),
                   RationalArray([1, 3], 3), np.array([np.nan, 0.5])):
         with pytest.raises(ValueError, match=r"not inside \(0, 1\)"):
-            trace.feed(block)
+            trace.feed(block, np.empty(2))
 
 
 def test_product_trace_takes_rational_or_float64_arrays():
@@ -154,6 +154,12 @@ def test_mp_log_term_matches_float():
         assert a == pytest.approx(b, rel=1e-13)
 
 
+def float_terms(x, pt_err):
+    """`products._float_terms` into new arrays."""
+    return products._float_terms(x, pt_err, np.empty(len(x)),
+                                 np.empty(len(x)))
+
+
 def test_float_trace_charges_point_error(golden):
     # a point error e adds 1.6 e / min(x, 1 - x) per point to the terms'
     # rounding allowance: a scalar one in the term kernel, and each orbit
@@ -162,8 +168,8 @@ def test_float_trace_charges_point_error(golden):
     # exact floats, charged nothing
     x = np.array([0.125, 0.5, 0.75, 2.0 ** -20])
     m = np.minimum(x, np.subtract(1.0, x))
-    bare = products._float_terms(x, 0.0)[1]
-    assert products._float_terms(x, 1e-12)[1] - bare == pytest.approx(
+    bare = float_terms(x, 0.0)[1]
+    assert float_terms(x, 1e-12)[1] - bare == pytest.approx(
         float(np.sum(1.6e-12 / m)), rel=1e-12)
     dyadic = RationalArray([2 ** 17, 2 ** 19, 3 * 2 ** 18, 1], 2 ** 20)
     assert product_trace(dyadic).error_bound == \
@@ -200,8 +206,8 @@ def test_kronecker_point_set_takes_float_path(alpha):
     assert tr.log_values.tobytes() == \
         product_trace(rounded).log_values.tobytes()
     assert tr.N == N
-    charge = (products._float_terms(rounded, ev.error_bound + 2.0 ** -54)[1]
-              - products._float_terms(rounded, 0.0)[1])
+    charge = (float_terms(rounded, ev.error_bound + 2.0 ** -54)[1]
+              - float_terms(rounded, 0.0)[1])
     orbit = product_trace(kronecker_fixed_point(alpha, N))
     oracle = mpf_trace(ps, ORACLE_BITS, ev.error_bound)
     with mpmath.mp.workprec(ORACLE_BITS):
@@ -234,7 +240,7 @@ def test_block_trace_refuses_a_term_past_amax():
     # overflow it, so it is refused
     trace = products.BlockTrace(2, 0.5)
     with pytest.raises(ValueError, match="amax"):
-        trace.feed(np.array([0.25, 0.5]))  # log 2 > 0.5
+        trace.feed(np.array([0.25, 0.5]), np.empty(2))  # log 2 > 0.5
 
 
 def test_points_at_their_error_from_an_endpoint_are_rejected():
@@ -243,13 +249,13 @@ def test_points_at_their_error_from_an_endpoint_are_rejected():
     # (an orbit's first point has the error 2^-128 from its n = 1)
     near = np.array([0.5, 1.0 - 2.0 ** -50])
     with pytest.raises(ValueError, match="of 0 or 1"):
-        products._float_terms(near, 2.0 ** -51)
+        float_terms(near, 2.0 ** -51)
     with pytest.raises(ValueError, match="of 0 or 1"):
         product_trace(RationalArray([2 ** 54 - 3], 2 ** 54))
     with pytest.raises(ValueError, match="of 0 or 1"):
         product_trace(FixedPointOrbit(1, np.array([2.0 ** -127, 0.25]),
                                       np.zeros(2, dtype=bool)))
-    products._float_terms(near, 2.0 ** -52)
+    float_terms(near, 2.0 ** -52)
     product_trace(FixedPointOrbit(1, np.array([2.0 ** -126, 0.25]),
                                   np.zeros(2, dtype=bool)))
 
@@ -305,9 +311,9 @@ def float_terms_by_expressions(arr, pt_err):
 ], ids=["vdc", "grid", "near-ends"])
 def test_float_terms_bit_for_bit(points):
     # the terms and the bound equal the expressions' bits, with no point
-    # error, a scalar one and one per point, in new arrays and in given
-    # ones; where the expressions reject a point error, so does the in-place
-    # form (a per-point error array is spent, so each call gets a copy)
+    # error, a scalar one and one per point, in the given arrays; where the
+    # expressions reject a point error, so does the in-place form (a
+    # per-point error array is spent, so each call gets a copy)
     before = points.copy()
     per_point = np.linspace(1e-20, 1e-16, len(points))
     given = (np.empty(len(points)), np.empty(len(points)))
@@ -320,13 +326,11 @@ def test_float_terms_bit_for_bit(points):
             want_terms, want_err = float_terms_by_expressions(points, pt_err)
         except ValueError:
             with pytest.raises(ValueError):
-                products._float_terms(points, fresh(pt_err))
+                products._float_terms(points, fresh(pt_err), *given)
             continue
-        for arrays in ((), given):
-            terms, err = products._float_terms(points, fresh(pt_err),
-                                               *arrays)
-            assert terms.tobytes() == want_terms.tobytes()
-            assert err == want_err
+        terms, err = products._float_terms(points, fresh(pt_err), *given)
+        assert terms.tobytes() == want_terms.tobytes()
+        assert err == want_err
         assert terms is given[0]
     assert points.tobytes() == before.tobytes()
 
@@ -391,18 +395,18 @@ def test_rotation_products_bound_parts_at_68_bits(sqrt2m1):
 
 def test_rotation_products_rejects_bad_arguments(sqrt2m1):
     with pytest.raises(ValueError, match="normalizer"):
-        rotation_products(sqrt2m1, 3, "bogus")
+        rotation_products(sqrt2m1, 3, "bogus", None)
     with pytest.raises(ValueError, match="N must be >= 1"):
-        rotation_products(sqrt2m1, 0)
+        rotation_products(sqrt2m1, 0, "none", None)
     with pytest.raises(ValueError, match="precision_bits"):
-        rotation_products(sqrt2m1, 3, precision_bits=60)
+        rotation_products(sqrt2m1, 3, "none", 60)
     assert [normalizer_power(k) for k in
             ("none", "one_over_N", "one_over_N_squared")] == [0, 1, 2]
 
 
 def test_rotation_bound_stays_positive_past_double_range(sqrt2m1):
     # 2^-1100 is below the smallest double: the bound must not read 0
-    series = rotation_products(sqrt2m1, 3, precision_bits=1100)
+    series = rotation_products(sqrt2m1, 3, "none", 1100)
     assert series.log_error_bound > 0
     assert [libmp.from_man_exp(*row)[3] <= 1100 for row in series] == \
         [True] * 3
@@ -422,7 +426,7 @@ def test_rotation_rows_at_anchor_boundaries(golden, golden_oracle, N,
                                             normalizer):
     # anchors sit at n = 1 + m ANCHOR_STEPS: the last step before an anchor,
     # the anchor and the step after it, for N on either side
-    series = rotation_products(golden, N, normalizer)
+    series = rotation_products(golden, N, normalizer, None)
     assert len(list(series)) == N
     rows_within_bound(series, golden_oracle.log_values,
                       golden_oracle.error_bound)
@@ -454,7 +458,7 @@ def test_rotation_rows_across_2_16(sqrt2m1):
     logs = mpf_product_logs(sqrt2m1, max(Ns), ns)
     oracle = [logs.get(n) for n in range(1, max(Ns) + 1)]
     for N in Ns:
-        series = rotation_products(sqrt2m1, N, "one_over_N")
+        series = rotation_products(sqrt2m1, N, "one_over_N", None)
         assert series.exact_terms == []
         rows_within_bound(series, oracle, 1e-80, ns={n for n in ns if n <= N})
 
@@ -483,7 +487,7 @@ def rotation_cases(draw):
 @given(rotation_cases(), st.sampled_from(products.NORMALIZERS))
 def test_rotation_rows_property(case, normalizer):
     alpha, N, q = case
-    series = rotation_products(alpha, N, normalizer)
+    series = rotation_products(alpha, N, normalizer, None)
     if q is not None:
         # the rotation cannot resolve sin(pi q alpha) to 2^-wp: exact term
         assert q in series.exact_terms
@@ -514,7 +518,7 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
     want = mpmath.fdiv(exact, n ** k, prec=prec, rounding="n")
     assert mpf == want._mpf_
     assert libmp.to_str(mpf, 40) == mpmath.nstr(want, 40)
-    assert row_text(row) == mpmath.nstr(want, 40)
+    assert row_text(row, {}) == mpmath.nstr(want, 40)
 
 
 @settings(max_examples=400)
@@ -545,7 +549,7 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
 @example(2 ** 200 - 1, -200, 3, 1100)
 def test_row_text_is_to_str(man, exp, nk, prec):
     row = row_value(man, exp, nk, prec)
-    assert row_text(row) == libmp.to_str(libmp.from_man_exp(*row), 40)
+    assert row_text(row, {}) == libmp.to_str(libmp.from_man_exp(*row), 40)
 
 
 def sticky_quotient_mpf(man, exp, nk, prec):
@@ -605,7 +609,7 @@ def test_row_value_rounds_like_from_man_exp(case, t):
     assert 0 < x <= 1 << prec
     # trailing zero bits change no digit
     want = libmp.to_str(mpf, 40)
-    assert row_text((x << t, xe - t)) == want
+    assert row_text((x << t, xe - t), {}) == want
     assert list(products.row_texts([(x, xe), (x << t, xe - t)])) == \
         [want, want]
 
@@ -619,7 +623,7 @@ def test_rotation_bound_within_100x_of_observed():
         alpha = parse_alpha(spec)
         oracle = oracle_trace(alpha, N)
         for normalizer in products.NORMALIZERS:
-            series = rotation_products(alpha, N, normalizer)
+            series = rotation_products(alpha, N, normalizer, None)
             worst = rows_within_bound(series, oracle.log_values,
                                       oracle.error_bound)
             ratios.append(series.log_error_bound / float(worst))
@@ -631,7 +635,7 @@ def test_rotation_exact_term_below_working_precision():
     # widen its floor past the first 2 wp bits to resolve it
     alpha = surd_from_cf([1, 2, 2 ** 134 + 2 ** 133], [1, 2])
     N = 80
-    series = rotation_products(alpha, N, "none")
+    series = rotation_products(alpha, N, "none", None)
     assert 3 in series.exact_terms
     oracle = oracle_trace(alpha, N)
     rows_within_bound(series, oracle.log_values, oracle.error_bound)
@@ -650,7 +654,7 @@ def test_rotation_sine_evaluations_counted(monkeypatch):
         monkeypatch.setattr(libmp, name, counted)
     alpha = surd_from_cf([2, 3, 2 ** 70 + 3], [1, 4])
     N = 1000
-    series = rotation_products(alpha, N, "one_over_N")
+    series = rotation_products(alpha, N, "one_over_N", None)
     assert len(list(series)) == N
     assert series.exact_terms and series.exact_terms[0] == 7
     assert calls["mpf_cos_sin_pi"] == -(-N // ANCHOR_STEPS)

@@ -14,7 +14,7 @@ so the guard can miss dead code but does not flag live code.
 
 A second guard, below, holds the options (parameters with a default) to
 the same roots: each must be set by a call in `src/`, `bench/` or the
-acceptance suite, not only by the unit tests.
+acceptance suite, not only by the unit tests, and left unset by another.
 """
 
 import ast
@@ -232,13 +232,18 @@ def test_guard_sees_a_dead_constant(tmp_path, monkeypatch):
 # a plain default, a parameter of the generated `__init__` (a
 # `field(default_factory=...)` is state, not an option). Every option must
 # be set by some call outside the unit tests (in `src/`, `bench/` or the
-# acceptance suite): an option that only tests set selects a path that no
-# command runs. Calls are matched to definitions by name, so a call to any
-# `feed` sets the options of every `feed`, and a call of a class sets its
-# `__init__`'s.
+# acceptance suite), and left unset by another: an option that only tests
+# set selects a path that no command runs, and a default that every such
+# call overrides is one that no command relies on. Calls are matched to
+# definitions by name, so a call to any `feed` sets the options of every
+# `feed`, and a call of a class sets its `__init__`'s.
 
-# option -> why it stays although nothing outside the unit tests sets it
+# option -> why it stays although the calls outside the unit tests never
+# set it, or always do
 OPTION_ALLOWLIST = {
+    "irrational.FracPartEvaluator.__init__(n_max)":
+        "the tests' mpf oracle, whose size the tests choose; kept in src/ "
+        "while bench/tracing.py wraps frac_part",
     "irrational.FracPartEvaluator.__init__(precision_bits)":
         "the tests' mpf oracle, whose precision the tests choose",
     "sequences.kronecker(evaluator)":
@@ -330,27 +335,30 @@ def _calls(trees) -> dict:
     return calls
 
 
-def unset_options() -> list:
+def idle_options() -> list:
+    """The options that the calls in `src/`, `bench/` and the acceptance
+    suite never set (none of them, if there is no call) or always set."""
     sources = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py"))}
     others = sorted((ROOT / "bench").glob("*.py")) + [
         ROOT / "tests" / "test_acceptance.py"]
     calls = _calls([*sources.values(),
                     *(ast.parse(path.read_text()) for path in others)])
-    unset = []
+    idle = []
     for module, tree in sources.items():
         for qual, call, positional, options in _options(tree):
             for option in options:
                 index = positional.index(option) if option in positional \
                     else float("inf")
-                if not any(None in kw or option in kw or n_pos > index
-                           for n_pos, kw in calls.get(call, ())):
-                    unset.append(f"{module}.{qual}({option})")
-    return sorted(unset)
+                sets = [None in kw or option in kw or n_pos > index
+                        for n_pos, kw in calls.get(call, ())]
+                if all(sets) or not any(sets):
+                    idle.append(f"{module}.{qual}({option})")
+    return sorted(idle)
 
 
 def test_every_option_is_set_outside_the_tests():
-    assert unset_options() == sorted(OPTION_ALLOWLIST)
+    assert idle_options() == sorted(OPTION_ALLOWLIST)
 
 
 def test_guard_sees_a_test_only_option(tmp_path, monkeypatch):
@@ -363,12 +371,29 @@ def test_guard_sees_a_test_only_option(tmp_path, monkeypatch):
                  "    return x + knob + flag\n\n\n"
                  "PROBED = _probe(LOG2)\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert unset_options() == sorted([*OPTION_ALLOWLIST,
-                                      "numerics._probe(flag)",
-                                      "numerics._probe(knob)"])
+    assert idle_options() == sorted([*OPTION_ALLOWLIST,
+                                     "numerics._probe(flag)",
+                                     "numerics._probe(knob)"])
     with open(tmp_path / "numerics.py", "a") as fh:
         fh.write("PROBED = _probe(LOG2, 1) + _probe(LOG2, flag=True)\n")
-    assert unset_options() == sorted(OPTION_ALLOWLIST)
+    assert idle_options() == sorted(OPTION_ALLOWLIST)
+
+
+def test_guard_sees_an_unused_default(tmp_path, monkeypatch):
+    # the guard itself: a default that every call overrides is reported,
+    # whether the calls pass it by position or by keyword; a call that
+    # leaves it unset clears it
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("\n\ndef _probe(x, knob=0):\n    return x + knob\n\n\n"
+                 "PROBED = _probe(LOG2, 1) + _probe(LOG2, knob=2)\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert idle_options() == sorted([*OPTION_ALLOWLIST,
+                                     "numerics._probe(knob)"])
+    with open(tmp_path / "numerics.py", "a") as fh:
+        fh.write("PROBED = _probe(LOG2)\n")
+    assert idle_options() == sorted(OPTION_ALLOWLIST)
 
 
 def test_guard_sees_a_dataclass_option(tmp_path, monkeypatch):
@@ -383,8 +408,8 @@ def test_guard_sees_a_dataclass_option(tmp_path, monkeypatch):
                  "    rows: list = field(default_factory=list)\n\n\n"
                  "PROBED = _Probe(LOG2)\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert unset_options() == sorted([*OPTION_ALLOWLIST,
-                                      "numerics._Probe.__init__(knob)"])
+    assert idle_options() == sorted([*OPTION_ALLOWLIST,
+                                     "numerics._Probe.__init__(knob)"])
     with open(tmp_path / "numerics.py", "a") as fh:
         fh.write("PROBED = _Probe(LOG2, 1)\n")
-    assert unset_options() == sorted(OPTION_ALLOWLIST)
+    assert idle_options() == sorted(OPTION_ALLOWLIST)
