@@ -7,14 +7,15 @@ Every command is deterministic given its full flag set (seed and precision
 included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
 exact residues, multiplies them into an integer running product and
-streams the rows to its output, each rounded and printed to 40 digits in
-integers (`products.row_value`, `products.row_texts`, byte for byte what
-`mpmath.libmp.to_str(row, 40)` prints for the row as an mpf); the output
-names that path ("kernel": "fixed-point-rotation"), the precision and the
-derived bound on the log of every row. The global --precision-bits, given
-before the subcommand (`weylprod --precision-bits 160 figure ...`), or
-WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
-128-bit fixed-point kernel with float64 logs and a derived error bound.
+streams the rows to its output one anchor segment (64 rows) at a time, each
+rounded and printed to 40 digits in integers (`products.row_value`,
+`products.row_texts`, byte for byte what `mpmath.libmp.to_str(row, 40)`
+prints for the row as an mpf); the output names that path ("kernel":
+"fixed-point-rotation"), the precision and the derived bound on the log of
+every row. The global --precision-bits, given before the subcommand
+(`weylprod --precision-bits 160 figure ...`), or WEYL_PRECISION_BITS sets
+its working precision. `verify` and `mc` use the 128-bit fixed-point kernel
+with float64 logs and a derived error bound.
 A run builds only its own subcommand's parser and options (`_Command`),
 and `weylprod -h` builds none.
 """
@@ -22,8 +23,10 @@ and `weylprod -h` builds none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -125,8 +128,11 @@ def _mc_options(mc: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter's own width, looked up once, not by every add_argument
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     p = argparse.ArgumentParser(
-        prog="weylprod",
+        prog="weylprod", formatter_class=formatter,
         description="Sine-product workbench: figures, bound verification and "
                     "Monte Carlo experiments over [0,1] point sequences.")
     p.add_argument("--precision-bits", type=int, default=None,
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=_Command)
     sub.add_parser(
-        "figure", options=_figure_options,
+        "figure", options=_figure_options, formatter_class=formatter,
         help="emit the N,value product series",
         description="Emit prod_{n<=N} |2 sin(pi n alpha)| (optionally "
                     "normalized) as an N,value series. Note {n sqrt(2)} = "
@@ -147,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "global option and goes before 'figure': weylprod "
                     "--precision-bits 160 figure ...")
     sub.add_parser("verify", options=_verify_options,
-                   help="run a bound checker")
-    sub.add_parser("mc", options=_mc_options,
+                   formatter_class=formatter, help="run a bound checker")
+    sub.add_parser("mc", options=_mc_options, formatter_class=formatter,
                    help="run a Monte Carlo experiment")
     return p
 
@@ -177,18 +183,19 @@ def _emit(parts, out: str | None) -> None:
 _JSON_ROW = '\n    {{\n      "N": {},\n      "value": "{}"\n    }}'
 
 
-def _figure_parts(head: str, rows, line: str, sep: str, tail: str):
-    """head, then `line.format(n, text)` for the text of every row pair
-    with `sep` between rows, then tail: one string per row, which the
-    output's buffer gathers into its writes, so nothing of size N is held.
-    `row_texts` prints the 40 digits of
-    `mpmath.libmp.to_str(from_man_exp(x, xe), 40)` straight from each
-    row's integer mantissa x."""
+def _figure_parts(head: str, series, line: str, sep: str, tail: str):
+    """head, then `line.format(n, text)` for the text of every row with
+    `sep` between rows, then tail: one string per anchor segment of
+    `series.segments()`, its lines joined behind the separator that comes
+    before it, so nothing of size N is held. `row_texts` prints the 40
+    digits of `mpmath.libmp.to_str(from_man_exp(x, xe), 40)` straight from
+    each row's integer mantissa x."""
     yield head
-    lead = ""
-    for n, text in enumerate(row_texts(rows), 1):
-        yield lead + line.format(n, text)
-        lead = sep
+    lead, n = "", 1
+    for texts in row_texts(series.segments()):
+        yield lead + sep.join(map(line.format, range(n, n + len(texts)),
+                                  texts))
+        lead, n = sep, n + len(texts)
     yield tail
 
 
@@ -202,7 +209,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             "precision_bits": series.precision_bits,
             "log_error_bound": series.log_error_bound}
     if args.fmt == "json":
-        # json.dumps(meta + series, indent=2), written a row at a time
+        # json.dumps(meta + series, indent=2), written a segment at a time
         head, tail = json.dumps({**meta, "series": []}, indent=2).rsplit(
             "[]", 1)
         parts = _figure_parts(head + "[", series, _JSON_ROW, ",",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -244,7 +245,7 @@ def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
     if n <= 0:
         return q, exp
     x = q >> n
-    rest = q - (x << n)
+    rest = q & ((1 << n) - 1)
     half = 1 << (n - 1)
     if rest > half or rest == half and (r or x & 1):
         x += 1
@@ -297,20 +298,19 @@ def row_text(row: tuple, scales: dict) -> str:
         return mpmath.libmp.to_str(mpmath.libmp.from_man_exp(x, xe),
                                    ROW_DIGITS)
     fixprec, fixdps, ten = scale
-    sh = _DIGIT_BITS - bc
-    fixed = x << sh if sh >= 0 else x >> -sh
-    # fixed >= 2^(_DIGIT_BITS-1) and 10^fixdps >= 2^fixprec / 10^0.5 leave
-    # at least ROW_DIGITS + 5 digits
-    digits = str(fixed * ten >> fixprec)
+    # the fixed-point copy x 2^(_DIGIT_BITS-bc) >= 2^(_DIGIT_BITS-1) and
+    # 10^fixdps >= 2^fixprec / 10^0.5 leave ROW_DIGITS + 5 digits or more;
+    # an exact copy (bc <= _DIGIT_BITS) gives floor(x 10^fixdps 2^xe)
+    if bc <= _DIGIT_BITS:
+        digits = str(x * ten >> -xe if xe < 0 else x * ten << xe)
+    else:
+        digits = str((x >> bc - _DIGIT_BITS) * ten >> fixprec)
     exponent = len(digits) - fixdps - 1
     if digits[ROW_DIGITS] >= "5":
         # half up, carrying through nines; 10^ROW_DIGITS gains a digit
         digits = str(int(digits[:ROW_DIGITS]) + 1)
-        if len(digits) > ROW_DIGITS:
-            digits = digits[:ROW_DIGITS]
-            exponent += 1
-    else:
-        digits = digits[:ROW_DIGITS]
+        exponent += len(digits) > ROW_DIGITS
+    digits = digits[:ROW_DIGITS]
     if _MIN_FIXED < exponent < _MAX_FIXED:
         if exponent < 0:
             text = "0." + "0" * (-exponent - 1) + digits
@@ -326,12 +326,13 @@ def row_text(row: tuple, scales: dict) -> str:
     return text + suffix
 
 
-def row_texts(rows):
-    """`row_text` of each row pair in turn, with one table of digit scales
-    for the series: a series' rows share few distinct tops."""
+def row_texts(segments):
+    """The `row_text`s of each segment of row pairs in turn, as one list
+    per segment, with one table of digit scales for the series: a series'
+    rows share few distinct tops."""
     scales = {}
-    for row in rows:
-        yield row_text(row, scales)
+    for rows in segments:
+        yield [row_text(row, scales) for row in rows]
 
 
 def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
@@ -357,7 +358,9 @@ class RotationProducts:
 
     Iterating yields the rows in order as integer pairs (x, xe), x 2^xe
     rounded to `precision_bits` (`row_value`), computed afresh from
-    integers on every pass: nothing of size N is held. `exact_terms` lists
+    integers on every pass. `segments` yields the same rows one anchor
+    segment at a time, a list of at most ANCHOR_STEPS rows, so that only
+    one segment is held, never anything of size N. `exact_terms` lists
     the n whose sine was taken from an exact floor instead of the
     rotation.
     """
@@ -369,7 +372,8 @@ class RotationProducts:
     log_error_bound: float
     exact_terms: list
 
-    def __iter__(self):
+    def segments(self):
+        """The rows of each anchor segment in turn, one list per segment."""
         # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
         # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
         # fixed point and advances by one complex multiply, floored.
@@ -393,6 +397,7 @@ class RotationProducts:
         top = wp + 1
         for a in range(1, N + 1, ANCHOR_STEPS):
             c, s = (C, S) if a == 1 else anchor(a)
+            rows = []
             for n in range(a, min(a + ANCHOR_STEPS, N + 1)):
                 if n == nxt:
                     t, te = _exact_sin(self.alpha, n, wp)
@@ -404,8 +409,12 @@ class RotationProducts:
                 sh = m.bit_length() - top
                 m >>= sh
                 e += sh - W
-                yield row_value(m, e + n, n ** k, prec)
+                rows.append(row_value(m, e + n, n ** k, prec))
                 c, s = (c * C - s * S) >> W, (c * S + s * C) >> W
+            yield rows
+
+    def __iter__(self):
+        return chain.from_iterable(self.segments())
 
 
 def _working_bits(prec: int, N: int) -> tuple:

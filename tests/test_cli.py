@@ -231,8 +231,8 @@ def test_figure_output_pinned(capsys, monkeypatch, key):
 
 @pytest.mark.parametrize("n_max", [1, 2, 7])
 def test_figure_streamed_json_is_json_dumps(tmp_path, capsys, n_max):
-    # the rows are written one at a time; the file is still exactly
-    # json.dumps(payload, indent=2), and the CSV has one line per row
+    # the rows are written one anchor segment at a time; the file is still
+    # exactly json.dumps(payload, indent=2), and the CSV has one line per row
     texts = {}
     for fmt in ("csv", "json"):
         out = tmp_path / f"s.{fmt}"
@@ -250,6 +250,37 @@ def test_figure_streamed_json_is_json_dumps(tmp_path, capsys, n_max):
         [row["value"] for row in payload["series"]]
 
 
+@pytest.mark.parametrize("n_max", [63, 64, 65, 129])
+def test_figure_rows_across_segment_edges(tmp_path, capsys, n_max):
+    # each segment's rows are joined into one part behind the separator
+    # before it: at N on either side of a 64-row edge, every normalizer and
+    # both formats print each row once, in order, as to_str of the row pair
+    # the series iterates. The alpha's term at n = 7 is taken exact.
+    alpha = surd_from_cf([2, 3, 2 ** 70 + 3], [1, 4])
+    libmp = mpmath.libmp
+    for normalizer in NORMALIZERS:
+        series = rotation_products(alpha, n_max, normalizer, None)
+        assert series.exact_terms[0] == 7
+        want = [libmp.to_str(libmp.from_man_exp(*row), 40) for row in series]
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"edge.{fmt}"
+            code, _, _ = run(["figure", "--alpha", str(alpha), "--n-max",
+                              str(n_max), "--normalizer", normalizer,
+                              "--format", fmt, "--out", str(out)], capsys)
+            assert code == 0
+            text = out.read_text()
+            if fmt == "csv":
+                lines = text.split("\n")
+                assert len(lines) == n_max + 3 and lines[-1] == ""
+                rows = [line.split(",") for line in lines[2:-1]]
+            else:
+                rows = [(row["N"], row["value"])
+                        for row in json.loads(text)["series"]]
+            assert len(rows) == n_max
+            assert [int(n) for n, _ in rows] == list(range(1, n_max + 1))
+            assert [value for _, value in rows] == want
+
+
 def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
                                                     monkeypatch):
     # the series raises after five rows, with the header and rows already
@@ -263,10 +294,8 @@ def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
             precision_bits = series.precision_bits
             log_error_bound = series.log_error_bound
 
-            def __iter__(self):
-                rows = iter(series)
-                for _ in range(5):
-                    yield next(rows)
+            def segments(self):
+                yield next(series.segments())[:5]
                 raise OSError(28, "No space left on device")
         return Failing()
 

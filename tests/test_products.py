@@ -610,8 +610,9 @@ def test_row_value_rounds_like_from_man_exp(case, t):
     # trailing zero bits change no digit
     want = libmp.to_str(mpf, 40)
     assert row_text((x << t, xe - t), {}) == want
-    assert list(products.row_texts([(x, xe), (x << t, xe - t)])) == \
-        [want, want]
+    # two segments, one table of digit scales
+    assert list(products.row_texts([[(x, xe)], [(x << t, xe - t)]])) == \
+        [[want], [want]]
 
 
 def test_rotation_bound_within_100x_of_observed():
