@@ -15,19 +15,23 @@ def atomic_open(path):
     would create `path` (mode 0o666 less the umask). A symbolic link is
     followed, so its target is replaced and the link stays; an existing
     `path` that is not a regular file, such as /dev/null or a pipe, is
-    written in place and never replaced."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="ascii") as fh:
+    written in place and never replaced. A temporary file that cannot be
+    created raises the OSError for `path` itself, the same on every run."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(real, "w", encoding="ascii") as fh:
             yield fh
         return
-    head, tail = os.path.split(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="ascii")
+    try:
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         try:
             os.unlink(tmp)

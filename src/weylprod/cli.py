@@ -8,14 +8,14 @@ included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
 exact residues, multiplies them into an integer running product and
 streams the rows to its output one anchor segment (64 rows) at a time, each
-rounded and printed to 40 digits in integers (`products.row_value`,
-`products.row_texts`, byte for byte what `mpmath.libmp.to_str(row, 40)`
-prints for the row as an mpf); the output names that path ("kernel":
-"fixed-point-rotation"), the precision and the derived bound on the log of
-every row. The global --precision-bits, given before the subcommand
-(`weylprod --precision-bits 160 figure ...`), or WEYL_PRECISION_BITS sets
-its working precision. `verify` and `mc` use the 128-bit fixed-point kernel
-with float64 logs and a derived error bound.
+rounded and printed to 40 digits in integers in the loop that makes it
+(`products.RotationProducts.segments`, byte for byte what
+`mpmath.libmp.to_str(row, 40)` prints for the row as an mpf); the output
+names that path ("kernel": "fixed-point-rotation"), the precision and the
+derived bound on the log of every row. The global --precision-bits, given
+before the subcommand (`weylprod --precision-bits 160 figure ...`), or
+WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
+128-bit fixed-point kernel with float64 logs and a derived error bound.
 A run builds only its own subcommand's parser and options (`_Command`),
 and `weylprod -h` builds none.
 """
@@ -38,7 +38,7 @@ from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep)
 from .irrational import parse_alpha
-from .products import KERNEL, NORMALIZERS, rotation_products, row_texts
+from .products import KERNEL, NORMALIZERS, rotation_products
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
                 "cesaro", "type-growth", "vdc-limits", "conjectures")
@@ -187,12 +187,11 @@ def _figure_parts(head: str, series, line: str, sep: str, tail: str):
     """head, then `line.format(n, text)` for the text of every row with
     `sep` between rows, then tail: one string per anchor segment of
     `series.segments()`, its lines joined behind the separator that comes
-    before it, so nothing of size N is held. `row_texts` prints the 40
-    digits of `mpmath.libmp.to_str(from_man_exp(x, xe), 40)` straight from
-    each row's integer mantissa x."""
+    before it, so nothing of size N is held. The texts come ready from the
+    rotation loop, byte for byte `mpmath.libmp.to_str(row, 40)`."""
     yield head
     lead, n = "", 1
-    for texts in row_texts(series.segments()):
+    for _, texts in series.segments():
         yield lead + sep.join(map(line.format, range(n, n + len(texts)),
                                   texts))
         lead, n = sep, n + len(texts)

@@ -11,8 +11,9 @@ other rational its rounding to float64, an orbit point its kernel
 `error()`. The rational checkers stream their points through it in
 blocks. The printed 40-digit series (`rotation_products`) keeps
 the product itself, as an integer mantissa and exponent, and takes its
-sines from a fixed-point rotation w^n in integers; its rows are rounded
-(`row_value`) and printed (`row_texts`) in integers too.
+sines from a fixed-point rotation w^n in integers; each row is rounded and
+printed in integers too, in the iteration that makes it
+(`RotationProducts.segments`, `fixed_row_text`).
 """
 
 from __future__ import annotations
@@ -217,39 +218,11 @@ def normalizer_power(normalizer: str) -> int:
 # w^n is re-anchored from one exact mpf_cos_sin_pi every ANCHOR_STEPS
 # steps. The bound below grows by 3 units of 2^-W per step, and W carries
 # bitlen(ANCHOR_STEPS) bits for it, so the interval changes cost, not
-# the bound: an anchor (about 5 us) spread over 64 rotation steps (about
-# 0.35 us each) adds about 2% to a row, while each halving of the interval
-# would double that and save under one bit of W.
+# the bound: an anchor (10-16 us on a 2-core Xeon, no gmpy2) spread over
+# 64 rows (about 2 us each) is under a tenth of a row, while each halving
+# of the interval would double that and save under one bit of W.
 ANCHOR_STEPS = 64
 KERNEL = "fixed-point-rotation"
-
-
-def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
-    """man 2^exp / nk, for positive integers man and nk, rounded once to
-    nearest (ties to even) at `prec` bits, as an integer pair (x, xe) with
-    x 2^xe the rounded value; x < 2^prec, or x = 2^prec after a carry.
-    `mpmath.libmp.from_man_exp(x, xe)` is that value as a raw mpf, exactly.
-
-    The quotient q is taken with at least prec + 2 bits and the remainder r
-    kept as a sticky bit, so rounding q in integers is the correct
-    rounding of the exact quotient: the bits shifted out are compared with
-    the half, and a tie (the half exactly, r = 0) keeps x even. nk = 1
-    needs no division."""
-    if nk == 1:
-        q, r = man, 0
-    else:
-        sh = max(0, prec + 2 + nk.bit_length() - man.bit_length())
-        q, r = divmod(man << sh, nk)
-        exp -= sh
-    n = q.bit_length() - prec
-    if n <= 0:
-        return q, exp
-    x = q >> n
-    rest = q & ((1 << n) - 1)
-    half = 1 << (n - 1)
-    if rest > half or rest == half and (r or x & 1):
-        x += 1
-    return x, exp + n
 
 
 # `row_text` prints ROW_DIGITS digits the way libmp.to_str(row, ROW_DIGITS)
@@ -260,6 +233,7 @@ def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
 ROW_DIGITS = 40
 _LOG2_10 = math.log(10, 2)
 _DIGIT_BITS = int((ROW_DIGITS + 3) * _LOG2_10) + 10
+_TEN_ROW = 10 ** ROW_DIGITS
 _MIN_FIXED = min(-(ROW_DIGITS // 3), -5)
 _MAX_FIXED = ROW_DIGITS
 
@@ -276,6 +250,55 @@ def _digit_scale(top: int):
     return fixprec, fixdps, 10 ** fixdps
 
 
+def _text_scale(xe: int, prec: int) -> tuple:
+    """`fixed_row_text`'s table for x of `prec` bits at one xe: (cut, x_hi,
+    lo, hi), lo for x < x_hi, each (ten, bias, sh, digits before the point,
+    the point or "0.000...") with (x >> cut) ten 2^-sh = y 10^(39-exponent)
+    for y the row truncated as to_digits_exp does, or () for exponent
+    notation; () outside `_digit_scale`'s fixed-point branch."""
+    scale = _digit_scale(xe + prec)
+    if not scale:
+        return ()
+    fixdps, cut = scale[1], max(0, prec - _DIGIT_BITS)
+    unit = Fraction(2) ** (xe + cut)
+    # to_digits_exp's D digits at x = 2^(prec-1), D + 1 from x_hi up
+    D = len(str(math.floor((1 << (prec - 1) >> cut) * unit * 10 ** fixdps)))
+    x_hi = math.ceil(Fraction(10) ** (D - fixdps) / unit) << cut
+    ends = []
+    for exponent in (D - fixdps - 1, D - fixdps):
+        if not _MIN_FIXED < exponent < _MAX_FIXED:
+            ends.append(())
+            continue
+        ten, sh = 10 ** (ROW_DIGITS - 1 - exponent), -xe - cut
+        ten, sh = (ten, sh) if sh > 0 else (ten << -sh, 0)
+        split, point = ((exponent + 1, ".") if exponent >= 0
+                        else (0, "0." + "0" * (-exponent - 1)))
+        ends.append((ten, (1 << sh) >> 1, sh, split, point))
+    return (cut, x_hi, *ends)
+
+
+def fixed_row_text(x: int, xe: int, scales: dict, prec: int):
+    """`row_text((x, xe), ...)` for x of `prec` bits, or 2^prec after a
+    carry, by one compare, multiply, add, shift and str(); None where
+    `row_text` must print it: a carry to 10^ROW_DIGITS, exponent notation,
+    or outside to_digits_exp's fixed-point branch. `scales` maps xe to its
+    `_text_scale`. to_str rounds its D digits floor(y 10^fixdps) half up
+    at digit ROW_DIGITS + 1, which is floor(y 10^(39-exponent) + 1/2)."""
+    scale = scales.get(xe)
+    if scale is None:
+        scale = scales[xe] = _text_scale(xe, prec)
+    if scale:
+        cut, x_hi, lo, hi = scale
+        ends = hi if x >= x_hi else lo
+        if ends:
+            ten, bias, sh, split, point = ends
+            q = ((x >> cut) * ten + bias) >> sh
+            if q < _TEN_ROW:
+                d = str(q)
+                return d[:split] + point + (d[split:].rstrip("0") or "0")
+    return None
+
+
 def row_text(row: tuple, scales: dict) -> str:
     """`mpmath.libmp.to_str(from_man_exp(x, xe), ROW_DIGITS)` for a row
     pair (x, xe), byte for byte, from one multiply, one shift and one
@@ -284,9 +307,8 @@ def row_text(row: tuple, scales: dict) -> str:
     The digits are floor(row 10^fixdps) from fixprec = _DIGIT_BITS - top
     binary places, top = xe + bitlen(x); trailing zero bits of x change
     neither. `scales` maps top to its `_digit_scale` and is filled as rows
-    come; `row_texts` keeps one for a whole series. Rows that are not
-    positive, or that fall outside to_digits_exp's fixed-point branch, go
-    to to_str itself."""
+    come. Rows that are not positive, or that fall outside to_digits_exp's
+    fixed-point branch, go to to_str itself."""
     x, xe = row
     bc = x.bit_length()
     top = xe + bc
@@ -326,15 +348,6 @@ def row_text(row: tuple, scales: dict) -> str:
     return text + suffix
 
 
-def row_texts(segments):
-    """The `row_text`s of each segment of row pairs in turn, as one list
-    per segment, with one table of digit scales for the series: a series'
-    rows share few distinct tops."""
-    scales = {}
-    for rows in segments:
-        yield [row_text(row, scales) for row in rows]
-
-
 def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
     """(man, exp) with man 2^exp = sin(pi {n alpha}) within 2^-(wp+8)
     relative, from the exact floor of n alpha 2^b, b doubled until the
@@ -357,12 +370,12 @@ class RotationProducts:
     row)| that holds for every row. Built by `rotation_products`.
 
     Iterating yields the rows in order as integer pairs (x, xe), x 2^xe
-    rounded to `precision_bits` (`row_value`), computed afresh from
-    integers on every pass. `segments` yields the same rows one anchor
-    segment at a time, a list of at most ANCHOR_STEPS rows, so that only
-    one segment is held, never anything of size N. `exact_terms` lists
-    the n whose sine was taken from an exact floor instead of the
-    rotation.
+    rounded once to nearest, ties to even, at `precision_bits` (x < 2^prec,
+    or 2^prec after a carry), computed afresh from integers on every pass.
+    `segments` yields the same rows one anchor segment at a time, with
+    their texts, so that only one segment is held, never anything of size
+    N. `exact_terms` lists the n whose sine was taken from an exact floor
+    instead of the rotation.
     """
 
     alpha: IrrationalSpec
@@ -373,10 +386,13 @@ class RotationProducts:
     exact_terms: list
 
     def segments(self):
-        """The rows of each anchor segment in turn, one list per segment."""
+        """Each anchor segment in turn as a pair (rows, texts): its at most
+        ANCHOR_STEPS row pairs and their `row_text`s, each row rounded and
+        printed in the iteration that makes it."""
         # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
         # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
-        # fixed point and advances by one complex multiply, floored.
+        # fixed point and advances by one complex multiply, floored, in three
+        # integer ones: C (c + s) - s (C + S) and C (c + s) + c (S - C).
         prec, N, k = self.precision_bits, self.N, self.power
         wp, W, P = _working_bits(prec, N)
         from mpmath import libmp
@@ -390,14 +406,17 @@ class RotationProducts:
             return to_fixed(c, W), to_fixed(s, W)
 
         C, S = anchor(1)
+        CpS, SmC = C + S, S - C
         exact = iter(self.exact_terms + [N + 1])
         nxt = next(exact)
         # the running product is m 2^e with 2^wp <= m < 2^(wp+1)
         m, e = 1 << wp, -wp
         top = wp + 1
+        qsh = k * N.bit_length()  # n^k < 2^qsh: q keeps prec + 9 bits
+        text_scales, digit_scales = {}, {}
         for a in range(1, N + 1, ANCHOR_STEPS):
             c, s = (C, S) if a == 1 else anchor(a)
-            rows = []
+            rows, texts = [], []
             for n in range(a, min(a + ANCHOR_STEPS, N + 1)):
                 if n == nxt:
                     t, te = _exact_sin(self.alpha, n, wp)
@@ -409,12 +428,29 @@ class RotationProducts:
                 sh = m.bit_length() - top
                 m >>= sh
                 e += sh - W
-                rows.append(row_value(m, e + n, n ** k, prec))
-                c, s = (c * C - s * S) >> W, (c * S + s * C) >> W
-            yield rows
+                # m 2^(e+n) / n^k to prec bits, ties (r = 0) to even; m has
+                # wp + 1 = prec + 9 bits, so k = 0 drops b = 9 bits
+                if k:
+                    q, r = divmod(m << qsh, n ** k)
+                    b = q.bit_length() - prec
+                    x, rest, half = q >> b, q & ((1 << b) - 1), 1 << (b - 1)
+                    if rest > half or rest == half and (r or x & 1):
+                        x += 1
+                    xe = e + n + b - qsh
+                else:
+                    x, rest = m >> 9, m & 511
+                    if rest > 256 or rest == 256 and x & 1:
+                        x += 1
+                    xe = e + n + 9
+                rows.append((x, xe))
+                texts.append(fixed_row_text(x, xe, text_scales, prec)
+                             or row_text((x, xe), digit_scales))
+                k1 = C * (c + s)
+                c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
+            yield rows, texts
 
     def __iter__(self):
-        return chain.from_iterable(self.segments())
+        return chain.from_iterable(rows for rows, _ in self.segments())
 
 
 def _working_bits(prec: int, N: int) -> tuple:
@@ -481,7 +517,8 @@ def rotation_products(alpha: IrrationalSpec, N: int, normalizer: str,
       2^-(wp+7) each in log;
     - renormalisation: each product is floored back to wp + 1 bits, under
       2^-wp relative and 2^-wp (1 + 2^(1-wp)) in log, per term;
-    - the row's division by n^k and its rounding to prec bits (`row_value`):
+    - the row's division by n^k and its rounding to prec bits (the
+      sticky quotient in `RotationProducts.segments`):
       one correct rounding, 2^-prec relative, 2^-prec (1 + 2^(1-prec)) in
       log.
     Float roundings of the sums are covered by a factor 1 + 2^-40, and

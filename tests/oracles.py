@@ -6,8 +6,10 @@ Ostrowski digit sums by division (`ostrowski_digit_sums_by_division`), the
 van der Corput prefix discrepancy as a max-plus program over the binary
 digits of N + 1 (`vdc_deltas`), the whole-array forms of the streamed
 checkers (`check_hlawka`, `grid_hlawka_report`, `check_vdc_limits`), which
-hold every point, term, prefix sum and screen value, and the extremal sweep
-with its running sums kept as exact float partials (`sweep_by_partials`)."""
+hold every point, term, prefix sum and screen value, the extremal sweep
+with its running sums kept as exact float partials (`sweep_by_partials`),
+and one correct rounding of a quotient (`row_value`), which the `figure`
+rotation loop makes of each row in place."""
 
 import math
 from dataclasses import dataclass
@@ -27,6 +29,34 @@ from weylprod import numerics
 from weylprod.numerics import LOG2, compensated_cumsum
 from weylprod.products import ProductTrace, _float_terms, product_trace
 from weylprod.sequences import PointSet, uniform_grid, van_der_corput
+
+
+def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
+    """man 2^exp / nk, for positive integers man and nk, rounded once to
+    nearest (ties to even) at `prec` bits, as an integer pair (x, xe) with
+    x 2^xe the rounded value; x < 2^prec, or x = 2^prec after a carry.
+    `mpmath.libmp.from_man_exp(x, xe)` is that value as a raw mpf, exactly.
+
+    The quotient q is taken with at least prec + 2 bits and the remainder r
+    kept as a sticky bit, so rounding q in integers is the correct
+    rounding of the exact quotient: the bits shifted out are compared with
+    the half, and a tie (the half exactly, r = 0) keeps x even. nk = 1
+    needs no division."""
+    if nk == 1:
+        q, r = man, 0
+    else:
+        sh = max(0, prec + 2 + nk.bit_length() - man.bit_length())
+        q, r = divmod(man << sh, nk)
+        exp -= sh
+    n = q.bit_length() - prec
+    if n <= 0:
+        return q, exp
+    x = q >> n
+    rest = q & ((1 << n) - 1)
+    half = 1 << (n - 1)
+    if rest > half or rest == half and (r or x & 1):
+        x += 1
+    return x, exp + n
 
 
 def log_two_sin_pi_mp(x, prec: int):

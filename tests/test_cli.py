@@ -295,7 +295,8 @@ def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
             log_error_bound = series.log_error_bound
 
             def segments(self):
-                yield next(series.segments())[:5]
+                rows, texts = next(series.segments())
+                yield rows[:5], texts[:5]
                 raise OSError(28, "No space left on device")
         return Failing()
 
@@ -916,6 +917,25 @@ def test_unwritable_out_exit_3(tmp_path, capsys):
     code, _, _ = run(["mc", "iid", "--paths", "2", "--n-max", "1000",
                       "--out", str(tmp_path / "missing" / "mc")], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["figure", "--n-max", "2"], "x.csv"),
+    (["verify", "vdc-limits", "--s-max", "10"], "x.csv"),
+    (["mc", "iid", "--paths", "2", "--n-max", "1000"], "x.csv.csv")])
+def test_missing_out_directory_names_the_out_path(argv, name, tmp_path,
+                                                  capsys):
+    # exit 3 with the same one line on every run, naming the file asked
+    # for (mc's --out is a prefix), not a temporary file; nothing is left
+    out = tmp_path / "missing" / "x.csv"
+    errs = set()
+    for _ in range(2):
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        assert code == 3
+        errs.add(err)
+    assert errs == {"error: [Errno 2] No such file or directory: "
+                    f"'{out.parent / name}'\n"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_of_memory_exit_3(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from oracles import log_two_sin_pi_mp, mpf_trace
+from oracles import log_two_sin_pi_mp, mpf_trace, row_value
 from weylprod import products
 from weylprod.numerics import (SUM_CHUNK, TERM_EPS, log_two_sin_pi,
                                log_two_sin_pi_array)
@@ -18,9 +18,10 @@ from weylprod.irrational import (DEFAULT_N_MAX, FixedPointOrbit,
                                  FracPartEvaluator, default_precision_bits,
                                  kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
-from weylprod.products import (ANCHOR_STEPS, closed_form_shifted,
+from weylprod.products import (ANCHOR_STEPS, RotationProducts,
+                               closed_form_shifted, fixed_row_text,
                                normalizer_power, product_trace,
-                               rotation_products, row_text, row_value)
+                               rotation_products, row_text)
 from weylprod.sequences import (PointSet, RationalArray, kronecker,
                                 uniform_grid, uniform_grid_blocks,
                                 van_der_corput, van_der_corput_blocks)
@@ -521,35 +522,80 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
     assert row_text(row, {}) == mpmath.nstr(want, 40)
 
 
+row_cases = (mantissas,
+             st.one_of(st.integers(-250, 160), st.integers(-3700, 3700)),
+             st.one_of(st.just(1), st.integers(1, 2 ** 48)),
+             st.sampled_from([68, 112, 160, 1100]))
+
+
+def row_text_examples(test):
+    """`test` given (man, exp, nk, prec) at each edge of `row_text`."""
+    for case in [
+            # leading digit at 10^-13 (scientific) and 10^-12 (fixed)
+            (15, 0, 10 ** 14, 112), (15, 0, 10 ** 13, 112),
+            # leading digit at 10^39 (fixed) and 10^40 (scientific)
+            (10 ** 39, 0, 1, 160), (10 ** 40, 0, 1, 160),
+            # forty 9s carried up across each edge: 10^-12 (1 - 10^-45)
+            # prints as 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40
+            (10 ** 45 - 1, 0, 10 ** 57, 160), (10 ** 44 - 1, 0, 10 ** 4, 160),
+            # exp + bc = -3500 and -3501, 3500 and 3501 (past 3500,
+            # to_digits_exp first divides by a power of ten)
+            (1, -3501, 1, 112), (1, -3502, 1, 1100), (1, 3499, 1, 112),
+            (1, 3500, 1, 1100),
+            # fixprec = 0 (exp + bc = 152, handed to to_str) and 1
+            (1, 151, 1, 160), (1, 150, 1, 160),
+            # bc above the 152 fixed-point bits: a floor shift to the right
+            (2 ** 200 - 1, -200, 3, 1100)]:
+        test = example(*case)(test)
+    return test
+
+
 @settings(max_examples=400)
-@given(mantissas,
-       st.one_of(st.integers(-250, 160), st.integers(-3700, 3700)),
-       st.one_of(st.just(1), st.integers(1, 2 ** 48)),
-       st.sampled_from([68, 112, 160, 1100]))
-# leading digit at 10^-13 (scientific) and 10^-12 (fixed)
-@example(15, 0, 10 ** 14, 112)
-@example(15, 0, 10 ** 13, 112)
-# leading digit at 10^39 (fixed) and 10^40 (scientific)
-@example(10 ** 39, 0, 1, 160)
-@example(10 ** 40, 0, 1, 160)
-# forty 9s carried up across each edge: 10^-12 (1 - 10^-45) prints as
-# 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40
-@example(10 ** 45 - 1, 0, 10 ** 57, 160)
-@example(10 ** 44 - 1, 0, 10 ** 4, 160)
-# exp + bc = -3500 and -3501, 3500 and 3501 (past 3500, to_digits_exp
-# first divides by a power of ten)
-@example(1, -3501, 1, 112)
-@example(1, -3502, 1, 1100)
-@example(1, 3499, 1, 112)
-@example(1, 3500, 1, 1100)
-# fixprec = 0 (exp + bc = 152, handed to to_str) and 1
-@example(1, 151, 1, 160)
-@example(1, 150, 1, 160)
-# bc above the 152 fixed-point bits: a floor shift to the right
-@example(2 ** 200 - 1, -200, 3, 1100)
+@given(*row_cases)
+@row_text_examples
 def test_row_text_is_to_str(man, exp, nk, prec):
     row = row_value(man, exp, nk, prec)
     assert row_text(row, {}) == libmp.to_str(libmp.from_man_exp(*row), 40)
+
+
+@settings(max_examples=400)
+@given(*row_cases)
+@row_text_examples
+# a carry inside the fixed range (10 (1 - 10^-45) prints as 10.0),
+# trailing zeros (1.5, 10^20, 0.25) and x = 2^prec after a carry
+@example(10 ** 45 - 1, 0, 10 ** 44, 160)
+@example(3, -1, 1, 112)
+@example(10 ** 20, 0, 1, 112)
+@example(1, -2, 1, 112)
+@example((1 << 113) - 1, 0, 1, 112)
+def test_fixed_row_text_is_to_str(man, exp, nk, prec):
+    # the loop's text for a row whose x has prec bits (or is 2^prec): the
+    # fast text, declined only for exponent notation and for a carry up to
+    # a power of ten, which `row_text` prints
+    x, xe = row_value(man, exp, nk, prec)
+    pad = max(0, prec - x.bit_length())
+    x, xe = x << pad, xe - pad
+    want = libmp.to_str(libmp.from_man_exp(x, xe), 40)
+    carry = (want.strip("0.") == "1"
+             and Fraction(x) * Fraction(2) ** xe < Fraction(want))
+    got = fixed_row_text(x, xe, {}, prec)
+    assert (got is None) == ("e" in want or carry)
+    assert (got or row_text((x, xe), {})) == want
+
+
+@pytest.mark.parametrize("normalizer", products.NORMALIZERS)
+def test_figure_rows_take_the_fixed_text(normalizer, monkeypatch):
+    # every row of figure-series-sized runs prints without `row_text`, so
+    # that no edit sends the traffic down the general path unseen
+    calls = []
+    monkeypatch.setattr(products, "row_text",
+                        lambda row, scales: calls.append(row))
+    for alpha in (parse_alpha("sqrt2m1"),
+                  surd_from_cf([1, 2, 1, 3, 2], [2, 3]),
+                  surd_from_cf([3, 3, 1, 1, 2], [1, 2])):
+        series = rotation_products(alpha, 2000, normalizer, None)
+        assert sum(len(texts) for _, texts in series.segments()) == 2000
+    assert calls == []
 
 
 def sticky_quotient_mpf(man, exp, nk, prec):
@@ -610,9 +656,68 @@ def test_row_value_rounds_like_from_man_exp(case, t):
     # trailing zero bits change no digit
     want = libmp.to_str(mpf, 40)
     assert row_text((x << t, xe - t), {}) == want
-    # two segments, one table of digit scales
-    assert list(products.row_texts([[(x, xe)], [(x << t, xe - t)]])) == \
-        [[want], [want]]
+    # two rows, one table of digit scales
+    scales = {}
+    assert [row_text(row, scales) for row in [(x, xe), (x << t, xe - t)]] \
+        == [want, want]
+
+
+@st.composite
+def loop_terms(draw):
+    """(terms (t, te), k, prec): sines t 2^te that the loop takes as exact
+    terms, and the row's power of n. Either a few mantissas of any size,
+    or ones and then a t whose last row n is, after its division by n^k, a
+    tie x + 1/2 at prec bits, all ones below x (a carry up to 2^prec), or
+    at n = 1023 the half exactly in the bits below x with a remainder
+    left (rounded up)."""
+    prec = draw(st.sampled_from([68, 112, 160, 1100]))
+    k = draw(st.sampled_from([0, 1, 2]))
+    kind = draw(st.sampled_from(["any", "tie", "carry", "sticky"]))
+    if kind == "any":
+        terms = draw(st.lists(st.tuples(mantissas, st.integers(-250, 60)),
+                              min_size=1, max_size=4))
+        return terms, k, prec
+    x = draw(st.integers(3 << (prec - 2), (1 << prec) - 1))
+    te = draw(st.integers(-250, 60))
+    if kind == "sticky":
+        # m 2^10 = q 1023 + r: q = (2x + 1) 2^8 keeps 9 bits below x, r > 0
+        q = (2 * x + 1) << 8
+        t = (q * 1023 + (q & 1023)) >> 10
+        return [(1, 0)] * 1022 + [(t, te)], 1, prec
+    t = 3 ** k * (2 * x + 1 if kind == "tie" else (2 << prec) - 1)
+    return [(1, 0), (1, 0), (t << prec + 9 - t.bit_length(), te)], k, prec
+
+
+@settings(max_examples=200)
+@given(loop_terms())
+@example(([(1, 0)], 0, 112))
+@example(([((1 << 121) - 1, -120)], 0, 112))
+def test_rotation_loop_rounds_and_prints_each_row(case):
+    # every term taken as exact, from `_exact_sin` replaced by the drawn
+    # sines: each row is the running product, floored to wp + 1 bits per
+    # term, over n^k and rounded once (`row_value`), and each text is
+    # to_str of the row
+    terms, k, prec = case
+    N = len(terms)
+    wp = products._working_bits(prec, N)[0]
+    m, e, want = 1 << wp, -wp, []
+    for n, (t, te) in enumerate(terms, 1):
+        m *= t
+        sh = m.bit_length() - wp - 1
+        m >>= sh
+        e += te + sh
+        want.append(row_value(m, e + n, n ** k, prec))
+    series = RotationProducts(parse_alpha("sqrt2m1"), N, k, prec, 0.0,
+                              list(range(1, N + 1)))
+    real = products._exact_sin
+    products._exact_sin = lambda alpha, n, wp: terms[n - 1]
+    try:
+        segments = list(series.segments())
+    finally:
+        products._exact_sin = real
+    assert [row for rows, _ in segments for row in rows] == want
+    assert [text for _, texts in segments for text in texts] == \
+        [libmp.to_str(libmp.from_man_exp(*row), 40) for row in want]
 
 
 def test_rotation_bound_within_100x_of_observed():
