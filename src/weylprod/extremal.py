@@ -168,19 +168,168 @@ class Sweep:
             self.log_upper, self.holds_lower, self.holds_upper)))
 
     def csv_text(self) -> str:
-        """The rows as CSV lines under `CSV_HEADER`: the floats by their
-        `repr`, the flags as true or false."""
-        flags = (2 * self.holds_lower + self.holds_upper).tolist()
-        return "".join([
-            f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},{_FLAG_TEXT[f]}\n"
-            for N, M, d, lp, lo, hi, f in zip(
-                self.N.tolist(), self.M.tolist(), self.d.tolist(),
-                self.log_p.tolist(), self.log_lower.tolist(),
-                self.log_upper.tolist(), flags)])
+        """The rows as CSV lines under `CSV_HEADER`, CSV_CHUNK at a time:
+        the floats as `repr` prints them, the flags as true or false."""
+        cols = (self.N, self.M, self.d, self.log_p, self.log_lower,
+                self.log_upper, 2 * self.holds_lower + self.holds_upper)
+        return "".join([_csv_rows(*(col[i:i + CSV_CHUNK] for col in cols))
+                        for i in range(0, len(self), CSV_CHUNK)])
 
 
-# the CSV text of (holds_lower, holds_upper) at 2 holds_lower + holds_upper
+# rows `csv_text` prints at once: its uint64 temporaries, one word per
+# float, 4 per row, stay below glibc's 128 KB mmap threshold
+CSV_CHUNK = 1024
+# the CSV text of (holds_lower, holds_upper) at 2 holds_lower + holds_upper,
+# and as NUL-padded ASCII columns with the newline
 _FLAG_TEXT = ("false,false", "false,true", "true,false", "true,true")
+_FLAG_BYTES = np.array([list(f"{s}\n".encode().ljust(12, b"\0"))
+                        for s in _FLAG_TEXT], np.uint8).T
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_M32 = np.uint64(2 ** 32 - 1)
+_ROW = np.arange(18)[:, None]  # places in a column, against per-float values
+
+
+def _g(k: int) -> int:
+    """Schubfach's g for the decimal exponent k: floor(10^-k 2^(125 - b))
+    + 1 with b = floor(-k log2 10), so that 2^125 < g <= 2^126."""
+    b = -k * 913124641741 >> 38
+    num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+    return (num << max(125 - b, 0)) // (den << max(b - 125, 0)) + 1
+
+
+def _mulhi(a_hi, a_lo, b_hi, b_lo) -> np.ndarray:
+    """The high words of the 128-bit products a b of uint64 a = a_hi 2^32 +
+    a_lo < 2^63 and b = b_hi 2^32 + b_lo < 2^60: no partial sum wraps."""
+    mid = (a_lo * b_lo >> 32) + a_lo * b_hi + a_hi * b_lo
+    return a_hi * b_hi + (mid >> 32)
+
+
+def _shortest(bits: np.ndarray):
+    """(f, k) for the uint64 bit patterns of normal, finite float64 v:
+    f 10^k is the shortest decimal that reads back as v and, of those, the
+    closest to v, ties to even f; f may end in zeros. This is Schubfach
+    (R. Giulietti, "The Schubfach way to render doubles", 2020) as
+    OpenJDK's DoubleToDecimal runs it, with g(k) made per distinct k."""
+    t = bits & np.uint64(2 ** 52 - 1)
+    bq = (bits >> 52 & 0x7FF).astype(np.int64)
+    c = t | np.uint64(2 ** 52)
+    q = bq - 1075
+    irregular = (t == 0) & (bq > 1)  # the spacing below v is half
+    k = q * 661971961083 - irregular * 274743187321 >> 41
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # 2..5
+    lo = int(k.min())
+    g = np.zeros((2, int(k.max()) - lo + 1), np.uint64)
+    for i in np.flatnonzero(np.bincount(k - lo)).tolist():
+        g[:, i] = divmod(_g(lo + i), 2 ** 63)
+    g1, g0 = g[0][k - lo], g[1][k - lo]
+    halves = g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
+    # 4 10^-k times v and the ends of its interval: 4c - 2 (- 1 where
+    # irregular), 4c and 4c + 2 times 2^h g / 2^127, rounded to odd
+    cb = c << 2
+    ends = []
+    for cp in (cb - 2 + irregular, cb, cb + 2):
+        cp = cp << h
+        cp_halves = cp >> 32, cp & _M32
+        z = (g1 * cp >> 1) + _mulhi(*halves[2:], *cp_halves)
+        ends.append((_mulhi(*halves[:2], *cp_halves) + (z >> 63))
+                    | (z << 1 != 0))
+    vl, v, vr = ends
+    vl += c & 1  # the ends belong to the interval for even c only
+    vr -= c & 1
+    s = v >> 2
+    s10 = s // 10 * 10
+    # one of s10 and s10 + 10 in the interval is the shortest; else the
+    # closer of s and s + 1 that is in it
+    u10, w10 = vl <= s10 << 2, s10 + 10 << 2 <= vr
+    u, w = vl <= s << 2, s + 1 << 2 <= vr
+    mid = s << 2 | 2
+    pick_s = np.where(u != w, u, (v < mid) | (v == mid) & (s & 1 == 0))
+    return np.where(u10 != w10, np.where(u10, s10, s10 + 10),
+                    s + ~pick_s), k
+
+
+def _digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The (width, len(v)) ASCII digits of the uint64 v < 10^width, most
+    significant first, from uint32 limbs of nine digits."""
+    limbs = -(-width // 9)
+    part = np.empty((limbs, len(v)), np.uint32)
+    for i in range(limbs - 1, -1, -1):
+        q = v // 10 ** 9  # // by a constant is vectorized, % is not
+        part[i], v = v - q * 10 ** 9, q
+    D = np.empty((9, limbs, len(v)), np.uint8)
+    for j in range(8, -1, -1):
+        q = part // 10
+        D[j], part = part - q * 10, q
+    D += 48
+    return D.transpose(1, 0, 2).reshape(9 * limbs, -1)[-width:]
+
+
+def _float_columns(x: np.ndarray) -> np.ndarray:
+    """(29, len(x)) uint8: column i is `repr(x[i])` (`float_repr_style`
+    'short') in ASCII, NUL-padded at fixed places: sign, "0.000", 17 digits
+    with a point among them, "e+308". Zeros, subnormals, infinities and nan
+    are left to `repr`. With decpt the place of the point after the first
+    digit, fixed notation (0.000ddd, dd.ddd or ddd00.0) is for -4 < decpt
+    <= 16, else d.ddde-05 or de+16."""
+    normal = np.abs(x) >= np.finfo(np.float64).tiny  # the smallest normal
+    normal &= np.isfinite(x)
+    f, k = _shortest(np.where(normal, x, 1.0).view(np.uint64))
+    size = np.searchsorted(_POW10, f, side="right")
+    D = _digits(f * _POW10[17 - size], 17)  # f's digits, left-aligned
+    n_sig = ((D != 48) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(0)
+    decpt = k + size
+    fixed = (decpt > -4) & (decpt <= 16)
+    point = fixed & (decpt > 0)
+    small = fixed & ~point
+    S = np.zeros((29, len(x)), np.uint8)
+    S[0] = (x < 0) * 45
+    S[1:3] = small * np.array([[48], [46]], np.uint8)
+    S[3:6] = ((decpt <= -_ROW[1:4]) & small) * np.uint8(48)
+    # the digits, with zeros up to and after the point of dd00.0, and the
+    # point or NUL inserted before digit `at`
+    Y = np.zeros((19, len(x)), np.uint8)
+    Y[1:18] = D * (_ROW[:17] < np.where(point, np.maximum(n_sig, decpt + 1),
+                                         n_sig))
+    at = np.where(fixed, np.where(point, decpt, 17), 1)
+    dot = (point | ~fixed & (n_sig > 1)) * np.uint8(46)
+    Y0 = Y[:-1]
+    S[6:24] = Y0 + (_ROW < at) * (Y[1:] - Y0) + (_ROW == at) * (dot - Y0)
+    sci = ~fixed
+    e = np.abs(decpt - 1)
+    S[24] = sci * 101
+    S[25] = sci * np.where(decpt < 1, 45, 43)
+    S[26] = (sci & (e >= 100)) * (e // 100 + 48)
+    S[27] = sci * (e // 10 % 10 + 48)
+    S[28] = sci * (e % 10 + 48)
+    for i in np.flatnonzero(~normal).tolist():
+        S[:, i] = np.frombuffer(repr(x[i].item()).ljust(29, "\0").encode(),
+                                np.uint8)
+    return S
+
+
+def _csv_rows(N, M, d, log_p, log_lower, log_upper, flags) -> str:
+    """The CSV lines of rows with these columns, flags as 2 holds_lower +
+    holds_upper. The lines are laid out as the columns of one NUL-padded
+    uint8 array, which is transposed, stripped of its NULs and decoded."""
+    n = len(N)
+    S = _float_columns(np.concatenate((d, log_p, log_lower, log_upper)))
+    # N and M: sign, digits without leading zeros, comma
+    ints = np.concatenate((N, M))
+    mag = np.abs(ints).view(np.uint64)
+    w = len(str(int(mag.max())))
+    I = _digits(mag, w)
+    I *= np.maximum(mag, 1) >= _POW10[w - 1::-1, None]
+    B = np.zeros((2 * w + 136, n), np.uint8)
+    head = B[:2 * w + 4].reshape(2, w + 2, n)
+    head[:, 0] = (ints < 0).reshape(2, n) * 45
+    head[:, 1:-1] = I.reshape(w, 2, n).transpose(1, 0, 2)
+    head[:, -1] = 44
+    floats = B[2 * w + 4:-12].reshape(4, 30, n)
+    floats[:, :29] = S.reshape(29, 4, n).transpose(1, 0, 2)
+    floats[:, 29] = 44
+    B[-12:] = _FLAG_BYTES[:, flags]
+    return (np.ascontiguousarray(B[B.any(axis=1)].T).tobytes()
+            .translate(None, b"\0").decode("ascii"))
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:

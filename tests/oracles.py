@@ -8,6 +8,7 @@ digits of N + 1 (`vdc_deltas`), the whole-array forms of the streamed
 checkers (`check_hlawka`, `grid_hlawka_report`, `check_vdc_limits`), which
 hold every point, term, prefix sum and screen value, the extremal sweep
 with its running sums kept as exact float partials (`sweep_by_partials`),
+its CSV lines printed row by row with `repr` (`sweep_csv_by_repr`),
 and one correct rounding of a quotient (`row_value`), which the `figure`
 rotation loop makes of each row in place."""
 
@@ -458,3 +459,10 @@ def sweep_by_partials(N_values, M_limit, epsilon: float) -> list:
                   + 2.0 * N * d * math.log((_E_OVER_PI + epsilon) / d))
             rows.append((N, M, d, lp, lo, hi, lo <= lp + 1e-9, lp <= hi + 1e-9))
     return rows
+
+
+def sweep_csv_by_repr(rows) -> list:
+    """The lines of `Sweep.csv_text`, one f-string per row of Python
+    numbers, each float by `repr`."""
+    return [f"{N},{M},{d!r},{lp!r},{lo!r},{hi!r},{str(hl).lower()},"
+            f"{str(hu).lower()}" for N, M, d, lp, lo, hi, hl, hu in rows]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import sweep_by_partials
+from oracles import sweep_by_partials, sweep_csv_by_repr
 
 from weylprod import extremal
 from weylprod.discrepancy import star_discrepancy
@@ -291,6 +291,7 @@ def test_sweep_columns_equal_exact_partials(N_values, limit, epsilon):
     expected = sweep_by_partials(N_values, M_LIMITS[limit], epsilon)
     assert len(rows) == len(expected)
     assert list(rows) == expected
+    assert rows.csv_text().splitlines() == sweep_csv_by_repr(expected)
 
 
 def test_sweep_rejects_invalid_m():
