@@ -23,12 +23,13 @@ TERM_EPS = 3e-16
 BASE_TOL = 1e-9
 
 
-def log_two_sin_pi(x) -> float:
-    """log(2 sin(pi x)) in double precision for x in (0, 1).
+def two_sin_pi(x) -> float:
+    """2 sin(pi x) in double precision for x in (0, 1).
 
     Fraction and float inputs are reflected to (0, 1/2] before the sine is
     evaluated (exactly: 1 - x is computed without rounding), so the result
-    keeps full relative accuracy near both endpoints.
+    keeps full relative accuracy near both endpoints; the range is checked
+    after the reflection, so a Fraction that rounds to 1.0 is still inside.
     """
     if isinstance(x, Fraction):
         if 2 * x > 1:
@@ -40,7 +41,13 @@ def log_two_sin_pi(x) -> float:
             xf = 1.0 - xf  # exact for xf in [0.5, 1]
     if not 0.0 < xf <= 0.5:
         raise ValueError(f"point {x!r} outside (0, 1)")
-    return math.log(2.0 * math.sin(math.pi * xf))
+    return 2.0 * math.sin(math.pi * xf)
+
+
+def log_two_sin_pi(x) -> float:
+    """log(2 sin(pi x)) in double precision for x in (0, 1), from
+    `two_sin_pi`'s reflection."""
+    return math.log(two_sin_pi(x))
 
 
 def log_two_sin_pi_array(x: np.ndarray,

@@ -13,7 +13,9 @@ blocks. The printed 40-digit series (`rotation_products`) keeps
 the product itself, as an integer mantissa and exponent, and takes its
 sines from a fixed-point rotation w^n in integers; each row is rounded and
 printed in integers too, in the iteration that makes it
-(`RotationProducts.segments`, `fixed_row_text`).
+(`RotationProducts.segments`), by one table printer of mpmath's to_str
+format (`fixed_row_text`). Only a carry to 10^40, a row of 10^40 or more
+and a row outside to_digits_exp's fixed-point branch go to to_str.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .irrational import (DEFAULT_N_MAX, FixedPointOrbit, IrrationalSpec,
                          exact_residue, kronecker_fixed_point_blocks,
                          scaled_floor)
 from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch,
-                       log_two_sin_pi_array)
+                       log_two_sin_pi_array, two_sin_pi)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -192,18 +193,11 @@ def _float_terms(arr: np.ndarray, pt_err, out: np.ndarray,
 
 
 def closed_form_shifted(N: int, x) -> float:
-    """Reference value of prod_{k=0}^{N-1} 2 sin(pi (k+x)/N) = 2 sin(pi x)."""
+    """Reference value of prod_{k=0}^{N-1} 2 sin(pi (k+x)/N) = 2 sin(pi x)
+    for x in (0, 1) (`two_sin_pi`)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    xf = float(x)
-    if not 0.0 < xf < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    if isinstance(x, Fraction) and 2 * x > 1:
-        x = 1 - x
-        xf = float(x)
-    elif xf > 0.5:
-        xf = 1.0 - xf
-    return 2.0 * math.sin(math.pi * xf)
+    return two_sin_pi(x)
 
 
 def normalizer_power(normalizer: str) -> int:
@@ -225,63 +219,60 @@ ANCHOR_STEPS = 64
 KERNEL = "fixed-point-rotation"
 
 
-# `row_text` prints ROW_DIGITS digits the way libmp.to_str(row, ROW_DIGITS)
-# does: to_digits_exp takes ROW_DIGITS + 3 digits from a _DIGIT_BITS-bit
-# fixed-point copy of the row, rounded toward zero, and to_str rounds those
-# half up to ROW_DIGITS. The row is printed fixed-point when its leading
-# digit's exponent lies strictly between _MIN_FIXED and _MAX_FIXED.
+# `fixed_row_text` prints ROW_DIGITS digits the way
+# libmp.to_str(row, ROW_DIGITS) does: to_digits_exp takes ROW_DIGITS + 3
+# digits from a _DIGIT_BITS-bit fixed-point copy of the row, rounded toward
+# zero, and to_str rounds those half up to ROW_DIGITS. The row is printed
+# fixed-point when its leading digit's exponent lies strictly between
+# _MIN_FIXED and ROW_DIGITS, and in exponent notation below.
 ROW_DIGITS = 40
 _LOG2_10 = math.log(10, 2)
 _DIGIT_BITS = int((ROW_DIGITS + 3) * _LOG2_10) + 10
 _TEN_ROW = 10 ** ROW_DIGITS
 _MIN_FIXED = min(-(ROW_DIGITS // 3), -5)
-_MAX_FIXED = ROW_DIGITS
-
-
-def _digit_scale(top: int):
-    """(fixprec, fixdps, 10^fixdps) that to_digits_exp uses for a value in
-    [2^(top-1), 2^top), or None where it leaves its fixed-point branch
-    (fixprec <= 0, or |top| > 3500, where it first divides by a power of
-    ten)."""
-    fixprec = _DIGIT_BITS - top
-    if fixprec <= 0 or abs(top) > 3500:
-        return None
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    return fixprec, fixdps, 10 ** fixdps
 
 
 def _text_scale(xe: int, prec: int) -> tuple:
     """`fixed_row_text`'s table for x of `prec` bits at one xe: (cut, x_hi,
     lo, hi), lo for x < x_hi, each (ten, bias, sh, digits before the point,
-    the point or "0.000...") with (x >> cut) ten 2^-sh = y 10^(39-exponent)
-    for y the row truncated as to_digits_exp does, or () for exponent
-    notation; () outside `_digit_scale`'s fixed-point branch."""
-    scale = _digit_scale(xe + prec)
-    if not scale:
+    the point or "0.000...", the exponent suffix or "") with
+    (x >> cut) ten 2^-sh = y 10^(39-exponent) for y the row truncated as
+    to_digits_exp does, or () for a row >= 10^ROW_DIGITS, where ten would
+    be fractional. () outside to_digits_exp's fixed-point branch:
+    fixprec <= 0, or |top| > 3500, where it first divides by a power of
+    ten."""
+    top = xe + prec
+    fixprec = _DIGIT_BITS - top
+    if fixprec <= 0 or abs(top) > 3500:
         return ()
-    fixdps, cut = scale[1], max(0, prec - _DIGIT_BITS)
+    fixdps, cut = int(fixprec / _LOG2_10 + 0.5), max(0, prec - _DIGIT_BITS)
     unit = Fraction(2) ** (xe + cut)
     # to_digits_exp's D digits at x = 2^(prec-1), D + 1 from x_hi up
     D = len(str(math.floor((1 << (prec - 1) >> cut) * unit * 10 ** fixdps)))
     x_hi = math.ceil(Fraction(10) ** (D - fixdps) / unit) << cut
     ends = []
     for exponent in (D - fixdps - 1, D - fixdps):
-        if not _MIN_FIXED < exponent < _MAX_FIXED:
+        if exponent >= ROW_DIGITS:
             ends.append(())
             continue
         ten, sh = 10 ** (ROW_DIGITS - 1 - exponent), -xe - cut
         ten, sh = (ten, sh) if sh > 0 else (ten << -sh, 0)
-        split, point = ((exponent + 1, ".") if exponent >= 0
-                        else (0, "0." + "0" * (-exponent - 1)))
-        ends.append((ten, (1 << sh) >> 1, sh, split, point))
+        if exponent <= _MIN_FIXED:
+            layout = 1, ".", f"e{exponent}"
+        elif exponent >= 0:
+            layout = exponent + 1, ".", ""
+        else:
+            layout = 0, "0." + "0" * (-exponent - 1), ""
+        ends.append((ten, (1 << sh) >> 1, sh, *layout))
     return (cut, x_hi, *ends)
 
 
 def fixed_row_text(x: int, xe: int, scales: dict, prec: int):
-    """`row_text((x, xe), ...)` for x of `prec` bits, or 2^prec after a
-    carry, by one compare, multiply, add, shift and str(); None where
-    `row_text` must print it: a carry to 10^ROW_DIGITS, exponent notation,
-    or outside to_digits_exp's fixed-point branch. `scales` maps xe to its
+    """`mpmath.libmp.to_str(from_man_exp(x, xe), ROW_DIGITS)` for x of
+    `prec` bits, or 2^prec after a carry, byte for byte, by one compare,
+    multiply, add, shift and str(); None where to_str must print it: a
+    carry to 10^ROW_DIGITS, a row >= 10^ROW_DIGITS, or a row outside
+    to_digits_exp's fixed-point branch. `scales` maps xe to its
     `_text_scale`. to_str rounds its D digits floor(y 10^fixdps) half up
     at digit ROW_DIGITS + 1, which is floor(y 10^(39-exponent) + 1/2)."""
     scale = scales.get(xe)
@@ -291,61 +282,13 @@ def fixed_row_text(x: int, xe: int, scales: dict, prec: int):
         cut, x_hi, lo, hi = scale
         ends = hi if x >= x_hi else lo
         if ends:
-            ten, bias, sh, split, point = ends
+            ten, bias, sh, split, point, suffix = ends
             q = ((x >> cut) * ten + bias) >> sh
             if q < _TEN_ROW:
                 d = str(q)
-                return d[:split] + point + (d[split:].rstrip("0") or "0")
+                return (d[:split] + point + (d[split:].rstrip("0") or "0")
+                        + suffix)
     return None
-
-
-def row_text(row: tuple, scales: dict) -> str:
-    """`mpmath.libmp.to_str(from_man_exp(x, xe), ROW_DIGITS)` for a row
-    pair (x, xe), byte for byte, from one multiply, one shift and one
-    str() of x.
-
-    The digits are floor(row 10^fixdps) from fixprec = _DIGIT_BITS - top
-    binary places, top = xe + bitlen(x); trailing zero bits of x change
-    neither. `scales` maps top to its `_digit_scale` and is filled as rows
-    come. Rows that are not positive, or that fall outside to_digits_exp's
-    fixed-point branch, go to to_str itself."""
-    x, xe = row
-    bc = x.bit_length()
-    top = xe + bc
-    if top not in scales:
-        scales[top] = _digit_scale(top)
-    scale = scales[top]
-    if scale is None or x <= 0:
-        import mpmath
-        return mpmath.libmp.to_str(mpmath.libmp.from_man_exp(x, xe),
-                                   ROW_DIGITS)
-    fixprec, fixdps, ten = scale
-    # the fixed-point copy x 2^(_DIGIT_BITS-bc) >= 2^(_DIGIT_BITS-1) and
-    # 10^fixdps >= 2^fixprec / 10^0.5 leave ROW_DIGITS + 5 digits or more;
-    # an exact copy (bc <= _DIGIT_BITS) gives floor(x 10^fixdps 2^xe)
-    if bc <= _DIGIT_BITS:
-        digits = str(x * ten >> -xe if xe < 0 else x * ten << xe)
-    else:
-        digits = str((x >> bc - _DIGIT_BITS) * ten >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if digits[ROW_DIGITS] >= "5":
-        # half up, carrying through nines; 10^ROW_DIGITS gains a digit
-        digits = str(int(digits[:ROW_DIGITS]) + 1)
-        exponent += len(digits) > ROW_DIGITS
-    digits = digits[:ROW_DIGITS]
-    if _MIN_FIXED < exponent < _MAX_FIXED:
-        if exponent < 0:
-            text = "0." + "0" * (-exponent - 1) + digits
-        else:
-            text = digits[:exponent + 1] + "." + digits[exponent + 1:]
-        suffix = ""
-    else:
-        text = digits[0] + "." + digits[1:]
-        suffix = ("e+" if exponent >= 0 else "e") + str(exponent)
-    text = text.rstrip("0")
-    if text[-1] == ".":
-        text += "0"
-    return text + suffix
 
 
 def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
@@ -369,13 +312,12 @@ class RotationProducts:
     (k = the normalizer's power), with a bound on |log(row) - log(exact
     row)| that holds for every row. Built by `rotation_products`.
 
-    Iterating yields the rows in order as integer pairs (x, xe), x 2^xe
-    rounded once to nearest, ties to even, at `precision_bits` (x < 2^prec,
-    or 2^prec after a carry), computed afresh from integers on every pass.
-    `segments` yields the same rows one anchor segment at a time, with
-    their texts, so that only one segment is held, never anything of size
-    N. `exact_terms` lists the n whose sine was taken from an exact floor
-    instead of the rotation.
+    `segments` yields the rows in order, one anchor segment at a time, as
+    integer pairs (x, xe) with their texts, so that only one segment is
+    held, never anything of size N: x 2^xe rounded once to nearest, ties
+    to even, at `precision_bits` (x < 2^prec, or 2^prec after a carry),
+    computed afresh from integers on every pass. `exact_terms` lists the n
+    whose sine was taken from an exact floor instead of the rotation.
     """
 
     alpha: IrrationalSpec
@@ -387,8 +329,9 @@ class RotationProducts:
 
     def segments(self):
         """Each anchor segment in turn as a pair (rows, texts): its at most
-        ANCHOR_STEPS row pairs and their `row_text`s, each row rounded and
-        printed in the iteration that makes it."""
+        ANCHOR_STEPS row pairs and their texts, each row rounded and printed
+        in the iteration that makes it: `fixed_row_text`, or to_str itself
+        where that declines."""
         # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
         # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
         # fixed point and advances by one complex multiply, floored, in three
@@ -397,7 +340,7 @@ class RotationProducts:
         wp, W, P = _working_bits(prec, N)
         from mpmath import libmp
         cos_sin_pi, from_man_exp = libmp.mpf_cos_sin_pi, libmp.from_man_exp
-        to_fixed = libmp.to_fixed
+        to_fixed, to_str = libmp.to_fixed, libmp.to_str
         A = scaled_floor(self.alpha, P)
         turn = (1 << (P + 1)) - 1
 
@@ -413,7 +356,7 @@ class RotationProducts:
         m, e = 1 << wp, -wp
         top = wp + 1
         qsh = k * N.bit_length()  # n^k < 2^qsh: q keeps prec + 9 bits
-        text_scales, digit_scales = {}, {}
+        text_scales = {}
         for a in range(1, N + 1, ANCHOR_STEPS):
             c, s = (C, S) if a == 1 else anchor(a)
             rows, texts = [], []
@@ -444,13 +387,10 @@ class RotationProducts:
                     xe = e + n + 9
                 rows.append((x, xe))
                 texts.append(fixed_row_text(x, xe, text_scales, prec)
-                             or row_text((x, xe), digit_scales))
+                             or to_str(from_man_exp(x, xe), ROW_DIGITS))
                 k1 = C * (c + s)
                 c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
             yield rows, texts
-
-    def __iter__(self):
-        return chain.from_iterable(rows for rows, _ in self.segments())
 
 
 def _working_bits(prec: int, N: int) -> tuple:

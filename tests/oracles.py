@@ -10,7 +10,8 @@ hold every point, term, prefix sum and screen value, the extremal sweep
 with its running sums kept as exact float partials (`sweep_by_partials`),
 its CSV lines printed row by row with `repr` (`sweep_csv_by_repr`),
 and one correct rounding of a quotient (`row_value`), which the `figure`
-rotation loop makes of each row in place."""
+rotation loop makes of each row in place; `series_rows` reads that loop's
+row pairs from its segments."""
 
 import math
 from dataclasses import dataclass
@@ -58,6 +59,12 @@ def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
     if rest > half or rest == half and (r or x & 1):
         x += 1
     return x, exp + n
+
+
+def series_rows(series) -> list:
+    """Every row pair (x, xe) of a `products.RotationProducts`, in order,
+    from its segments."""
+    return [row for rows, _ in series.segments() for row in rows]
 
 
 def log_two_sin_pi_mp(x, prec: int):

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import mpf_trace
+from oracles import mpf_trace, series_rows
 from weylprod import cli, extremal
 from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
@@ -164,7 +164,7 @@ def test_figure_values_are_to_str_of_rows(tmp_path, capsys, monkeypatch,
                                normalizer, precision_bits)
     libmp = mpmath.libmp
     want = {n: libmp.to_str(libmp.from_man_exp(*row), 40)
-            for n, row in enumerate(series, 1)}
+            for n, row in enumerate(series_rows(series), 1)}
     flags = ([] if precision_bits is None
              else ["--precision-bits", str(precision_bits)])
     for fmt in ("csv", "json"):
@@ -229,6 +229,42 @@ def test_figure_output_pinned(capsys, monkeypatch, key):
     assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_SHA256[key]
 
 
+# sha256 of `figure --n-max 300` on stdout by (alpha, normalizer, format),
+# recorded while a second printer still served every row below 10^-12:
+# [0; 4000, 1, 1, ...] prints all but its first rows in exponent notation
+# (down to about 1e-233), and [0; 10^7, 1, 1, ...], with 148 exact terms,
+# falls below 2^-3500, where to_str prints each row itself
+FIGURE_EXPONENT_SHA256 = {
+    ("(7999-1*sqrt(5))/31991998", "none", "csv"):
+        "e69206c43d108c77dca883fdbea4aec3387177516e225d867e1bb90728daee50",
+    ("(7999-1*sqrt(5))/31991998", "none", "json"):
+        "3e2cbcc465c0f421ddd56bf591c4dd270df4bb44e79445bffe4698728b96b979",
+    ("(7999-1*sqrt(5))/31991998", "one_over_N_squared", "csv"):
+        "fc724ca06261dff75a1bc2c28e0775f9a4f48e25ef4b5b1308807becbee64459",
+    ("(7999-1*sqrt(5))/31991998", "one_over_N_squared", "json"):
+        "f83799405baa4e61a1520775222eb652c7bf51d4aef3ef3a303c55d029865c46",
+    ("(19999999-1*sqrt(5))/199999979999998", "none", "csv"):
+        "e9c5f51ddd795abc05a23a6a96be933caf22a4f7632e0ed3adf3ef40070b079a",
+    ("(19999999-1*sqrt(5))/199999979999998", "none", "json"):
+        "427dcb8e0fd042a5a85ce6ebbd0b46852e7d49229e0d4e09439e38067b9aa419",
+    ("(19999999-1*sqrt(5))/199999979999998", "one_over_N_squared", "csv"):
+        "23d4ee478b8e7b31bf1e383c797f6196051384181f99921f87b26b0bb9c84c14",
+    ("(19999999-1*sqrt(5))/199999979999998", "one_over_N_squared", "json"):
+        "df7937d0fd65df86e5a8ec124685e7f6f695a72d319b41813e3ab775dc6d5529",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FIGURE_EXPONENT_SHA256))
+def test_figure_exponent_rows_pinned(capsys, monkeypatch, key):
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    alpha, normalizer, fmt = key
+    code, out, _ = run(["figure", "--alpha", alpha, "--n-max", "300",
+                        "--normalizer", normalizer, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        FIGURE_EXPONENT_SHA256[key]
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 7])
 def test_figure_streamed_json_is_json_dumps(tmp_path, capsys, n_max):
     # the rows are written one anchor segment at a time; the file is still
@@ -261,7 +297,8 @@ def test_figure_rows_across_segment_edges(tmp_path, capsys, n_max):
     for normalizer in NORMALIZERS:
         series = rotation_products(alpha, n_max, normalizer, None)
         assert series.exact_terms[0] == 7
-        want = [libmp.to_str(libmp.from_man_exp(*row), 40) for row in series]
+        want = [libmp.to_str(libmp.from_man_exp(*row), 40)
+                for row in series_rows(series)]
         for fmt in ("csv", "json"):
             out = tmp_path / f"edge.{fmt}"
             code, _, _ = run(["figure", "--alpha", str(alpha), "--n-max",

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from oracles import log_two_sin_pi_mp, mpf_trace, row_value
+from oracles import (log_two_sin_pi_mp, mpf_trace, row_value,
+                     series_rows)
 from weylprod import products
 from weylprod.numerics import (SUM_CHUNK, TERM_EPS, log_two_sin_pi,
                                log_two_sin_pi_array)
@@ -21,7 +22,7 @@ from weylprod.irrational import (DEFAULT_N_MAX, FixedPointOrbit,
 from weylprod.products import (ANCHOR_STEPS, RotationProducts,
                                closed_form_shifted, fixed_row_text,
                                normalizer_power, product_trace,
-                               rotation_products, row_text)
+                               rotation_products)
 from weylprod.sequences import (PointSet, RationalArray, kronecker,
                                 uniform_grid, uniform_grid_blocks,
                                 van_der_corput, van_der_corput_blocks)
@@ -53,6 +54,14 @@ def test_shifted_identity_against_direct_product():
     assert closed_form_shifted(64, Fraction(1, 3)) == \
         pytest.approx(math.sqrt(3.0), rel=1e-12)
     assert closed_form_shifted(10, 0.5) == pytest.approx(2.0, rel=1e-12)
+    # 1 - 2^-60 rounds to 1.0 as a float; its exact reflection 2^-60 lies
+    # in (0, 1/2], as log_two_sin_pi takes it
+    x = Fraction(2 ** 60 - 1, 2 ** 60)
+    assert closed_form_shifted(8, x) == 2.0 * math.sin(math.pi * 2.0 ** -60)
+    assert math.log(closed_form_shifted(8, x)) == log_two_sin_pi(x)
+    for bad in (Fraction(0), Fraction(1), 0.0, 1.0, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            closed_form_shifted(8, bad)
 
 
 ORACLE_BITS = 320
@@ -353,7 +362,7 @@ def rows_within_bound(series, oracle_logs, oracle_err, ns=None):
     k, bound = series.power, series.log_error_bound
     worst = 0
     with mpmath.mp.workprec(ORACLE_BITS):
-        for n, row in enumerate(series, 1):
+        for n, row in enumerate(series_rows(series), 1):
             if ns is not None and n not in ns:
                 continue
             got = (mpmath.log(mpmath.mp.make_mpf(libmp.from_man_exp(*row)))
@@ -370,7 +379,7 @@ def test_rotation_products_against_evaluator_oracle(golden):
     N = 400
     oracle = oracle_trace(golden, N)
     series = rotation_products(golden, N, "one_over_N_squared", 96)
-    rows = list(series)
+    rows = series_rows(series)
     bound = series.log_error_bound
     assert len(rows) == N and 0 < bound < 1e-20
     assert all(libmp.from_man_exp(*row)[3] <= 96 for row in rows)
@@ -409,7 +418,8 @@ def test_rotation_bound_stays_positive_past_double_range(sqrt2m1):
     # 2^-1100 is below the smallest double: the bound must not read 0
     series = rotation_products(sqrt2m1, 3, "none", 1100)
     assert series.log_error_bound > 0
-    assert [libmp.from_man_exp(*row)[3] <= 1100 for row in series] == \
+    assert [libmp.from_man_exp(*row)[3] <= 1100
+            for row in series_rows(series)] == \
         [True] * 3
 
 
@@ -428,7 +438,7 @@ def test_rotation_rows_at_anchor_boundaries(golden, golden_oracle, N,
     # anchors sit at n = 1 + m ANCHOR_STEPS: the last step before an anchor,
     # the anchor and the step after it, for N on either side
     series = rotation_products(golden, N, normalizer, None)
-    assert len(list(series)) == N
+    assert len(series_rows(series)) == N
     rows_within_bound(series, golden_oracle.log_values,
                       golden_oracle.error_bound)
 
@@ -519,7 +529,6 @@ def test_row_value_formats_like_nstr(man, exp, n, k, prec):
     want = mpmath.fdiv(exact, n ** k, prec=prec, rounding="n")
     assert mpf == want._mpf_
     assert libmp.to_str(mpf, 40) == mpmath.nstr(want, 40)
-    assert row_text(row, {}) == mpmath.nstr(want, 40)
 
 
 row_cases = (mantissas,
@@ -528,71 +537,72 @@ row_cases = (mantissas,
              st.sampled_from([68, 112, 160, 1100]))
 
 
-def row_text_examples(test):
-    """`test` given (man, exp, nk, prec) at each edge of `row_text`."""
-    for case in [
-            # leading digit at 10^-13 (scientific) and 10^-12 (fixed)
-            (15, 0, 10 ** 14, 112), (15, 0, 10 ** 13, 112),
-            # leading digit at 10^39 (fixed) and 10^40 (scientific)
-            (10 ** 39, 0, 1, 160), (10 ** 40, 0, 1, 160),
-            # forty 9s carried up across each edge: 10^-12 (1 - 10^-45)
-            # prints as 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40
-            (10 ** 45 - 1, 0, 10 ** 57, 160), (10 ** 44 - 1, 0, 10 ** 4, 160),
-            # exp + bc = -3500 and -3501, 3500 and 3501 (past 3500,
-            # to_digits_exp first divides by a power of ten)
-            (1, -3501, 1, 112), (1, -3502, 1, 1100), (1, 3499, 1, 112),
-            (1, 3500, 1, 1100),
-            # fixprec = 0 (exp + bc = 152, handed to to_str) and 1
-            (1, 151, 1, 160), (1, 150, 1, 160),
-            # bc above the 152 fixed-point bits: a floor shift to the right
-            (2 ** 200 - 1, -200, 3, 1100)]:
-        test = example(*case)(test)
-    return test
-
-
 @settings(max_examples=400)
 @given(*row_cases)
-@row_text_examples
-def test_row_text_is_to_str(man, exp, nk, prec):
-    row = row_value(man, exp, nk, prec)
-    assert row_text(row, {}) == libmp.to_str(libmp.from_man_exp(*row), 40)
-
-
-@settings(max_examples=400)
-@given(*row_cases)
-@row_text_examples
-# a carry inside the fixed range (10 (1 - 10^-45) prints as 10.0),
-# trailing zeros (1.5, 10^20, 0.25) and x = 2^prec after a carry
+# leading digit at 10^-13 (exponent notation) and 10^-12 (fixed)
+@example(15, 0, 10 ** 14, 112)
+@example(15, 0, 10 ** 13, 112)
+# leading digit at 10^39 (fixed) and 10^40 (to_str)
+@example(10 ** 39, 0, 1, 160)
+@example(10 ** 40, 0, 1, 160)
+# forty 9s carried up across each edge: 10^-12 (1 - 10^-45) prints as
+# 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40; inside the fixed
+# range, 10 (1 - 10^-45) prints as 10.0, and inside exponent notation
+# 10^-13 (1 - 10^-45) as 1.0e-13
+@example(10 ** 45 - 1, 0, 10 ** 57, 160)
+@example(10 ** 44 - 1, 0, 10 ** 4, 160)
 @example(10 ** 45 - 1, 0, 10 ** 44, 160)
+@example(10 ** 45 - 1, 0, 10 ** 58, 160)
+# exp + bc = -3500 and -3501, 3500 and 3501 (past 3500, to_digits_exp
+# first divides by a power of ten)
+@example(1, -3501, 1, 112)
+@example(1, -3502, 1, 1100)
+@example(1, 3499, 1, 112)
+@example(1, 3500, 1, 1100)
+# fixprec = 0 (exp + bc = 152) and 1
+@example(1, 151, 1, 160)
+@example(1, 150, 1, 160)
+# bc above the 152 fixed-point bits: a floor shift to the right
+@example(2 ** 200 - 1, -200, 3, 1100)
+# trailing zeros (1.5, 10^20, 0.25, 1.0e-20) and x = 2^prec after a carry
 @example(3, -1, 1, 112)
 @example(10 ** 20, 0, 1, 112)
 @example(1, -2, 1, 112)
+@example(1, 0, 10 ** 20, 112)
 @example((1 << 113) - 1, 0, 1, 112)
 def test_fixed_row_text_is_to_str(man, exp, nk, prec):
-    # the loop's text for a row whose x has prec bits (or is 2^prec): the
-    # fast text, declined only for exponent notation and for a carry up to
-    # a power of ten, which `row_text` prints
+    # the loop's text for a row whose x has prec bits (or is 2^prec) is
+    # to_str's, declined only for a carry up to a power of ten, a row of
+    # 10^40 or more, and a row outside to_digits_exp's fixed-point branch,
+    # which to_str prints itself
     x, xe = row_value(man, exp, nk, prec)
     pad = max(0, prec - x.bit_length())
     x, xe = x << pad, xe - pad
     want = libmp.to_str(libmp.from_man_exp(x, xe), 40)
-    carry = (want.strip("0.") == "1"
-             and Fraction(x) * Fraction(2) ** xe < Fraction(want))
+    row = Fraction(x) * Fraction(2) ** xe
+    carry = (want.split("e")[0].strip("0.") == "1"
+             and row < Fraction(want))
+    # the table's top counts a carried 2^prec at prec bits
+    top = xe + prec
+    outside = top >= products._DIGIT_BITS or abs(top) > 3500
     got = fixed_row_text(x, xe, {}, prec)
-    assert (got is None) == ("e" in want or carry)
-    assert (got or row_text((x, xe), {})) == want
+    assert (got is None) == (carry or row >= 10 ** 40 or outside)
+    if got is not None:
+        assert got == want
 
 
 @pytest.mark.parametrize("normalizer", products.NORMALIZERS)
 def test_figure_rows_take_the_fixed_text(normalizer, monkeypatch):
-    # every row of figure-series-sized runs prints without `row_text`, so
-    # that no edit sends the traffic down the general path unseen
+    # every row of figure-series-sized runs prints without to_str, so that
+    # no edit sends the traffic down the general path unseen; [0; 4000,
+    # 1, 1, ...] prints its rows below 10^-12 in exponent notation
     calls = []
-    monkeypatch.setattr(products, "row_text",
-                        lambda row, scales: calls.append(row))
+    monkeypatch.setattr(libmp, "to_str",
+                        lambda value, digits: calls.append(value))
     for alpha in (parse_alpha("sqrt2m1"),
                   surd_from_cf([1, 2, 1, 3, 2], [2, 3]),
-                  surd_from_cf([3, 3, 1, 1, 2], [1, 2])):
+                  surd_from_cf([3, 3, 1, 1, 2], [1, 2]),
+                  parse_alpha("(7999-1*sqrt(5))/31991998")):
         series = rotation_products(alpha, 2000, normalizer, None)
         assert sum(len(texts) for _, texts in series.segments()) == 2000
     assert calls == []
@@ -631,35 +641,27 @@ def near_ties(draw):
                                      st.integers(1, 2 ** 24).map(
                                          lambda n: n * n)),
                            st.sampled_from([68, 112, 160, 1100])),
-                 near_ties()),
-       st.integers(0, 200))
+                 near_ties()))
 # exact ties at 68 bits, the kept bit even (down) and odd (up), with and
 # without a division
-@example(((1 << 68) + 1, 0, 1, 68), 0)
-@example(((1 << 68) + 3, 0, 1, 68), 0)
-@example((3 * ((1 << 68) + 1), -5, 3, 68), 7)
-@example((3 * ((1 << 68) + 3), -5, 3, 68), 7)
+@example(((1 << 68) + 1, 0, 1, 68))
+@example(((1 << 68) + 3, 0, 1, 68))
+@example((3 * ((1 << 68) + 1), -5, 3, 68))
+@example((3 * ((1 << 68) + 3), -5, 3, 68))
 # all ones carried up to 2^prec
-@example(((1 << 113) - 1, 0, 1, 112), 0)
-@example((9 * ((1 << 1110) - 1), -40, 9, 1100), 3)
+@example(((1 << 113) - 1, 0, 1, 112))
+@example((9 * ((1 << 1110) - 1), -40, 9, 1100))
 # bitlen <= prec: nothing to round
-@example((12345, 3, 1, 112), 5)
-@example(((1 << 160) - 1, -160, 1, 160), 0)
+@example((12345, 3, 1, 112))
+@example(((1 << 160) - 1, -160, 1, 160))
 # nk = 1 with a sticky tail
-@example(((1 << 200) + 1, -200, 1, 160), 1)
-def test_row_value_rounds_like_from_man_exp(case, t):
+@example(((1 << 200) + 1, -200, 1, 160))
+def test_row_value_rounds_like_from_man_exp(case):
     man, exp, nk, prec = case
     x, xe = row_value(man, exp, nk, prec)
     mpf = libmp.from_man_exp(x, xe)
     assert mpf == sticky_quotient_mpf(man, exp, nk, prec)
     assert 0 < x <= 1 << prec
-    # trailing zero bits change no digit
-    want = libmp.to_str(mpf, 40)
-    assert row_text((x << t, xe - t), {}) == want
-    # two rows, one table of digit scales
-    scales = {}
-    assert [row_text(row, scales) for row in [(x, xe), (x << t, xe - t)]] \
-        == [want, want]
 
 
 @st.composite
@@ -761,7 +763,7 @@ def test_rotation_sine_evaluations_counted(monkeypatch):
     alpha = surd_from_cf([2, 3, 2 ** 70 + 3], [1, 4])
     N = 1000
     series = rotation_products(alpha, N, "one_over_N", None)
-    assert len(list(series)) == N
+    assert len(series_rows(series)) == N
     assert series.exact_terms and series.exact_terms[0] == 7
     assert calls["mpf_cos_sin_pi"] == -(-N // ANCHOR_STEPS)
     assert calls["mpf_sin_pi"] == len(series.exact_terms)
