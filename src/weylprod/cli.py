@@ -6,11 +6,12 @@ that closes stdout early is not one) or running out of memory.
 Every command is deterministic given its full flag set (seed and precision
 included). `figure` takes its sines from w^n, w = e^(i pi A 2^-P) with
 A = floor(alpha 2^P), rotated in fixed-point integers and re-anchored from
-exact residues, multiplies them into an integer running product and
-streams the rows to its output one anchor segment (64 rows) at a time, each
-rounded and printed to 40 digits in integers in the loop that makes it
-(`products.RotationProducts.segments`, byte for byte what
-`mpmath.libmp.to_str(row, 40)` prints for the row as an mpf); the output
+exact residues, multiplies them into an integer running product, rounds
+each row to 40 digits in integers in the loop that makes it
+(`products.RotationProducts.segments`) and streams the rows to its output
+a block of up to `products.TEXT_BLOCK` rows at a time (`text_blocks`,
+byte for byte what `mpmath.libmp.to_str(row, 40)` prints for the row as
+an mpf); the output
 names that path ("kernel": "fixed-point-rotation"), the precision and the
 derived bound on the log of every row. The global --precision-bits, given
 before the subcommand (`weylprod --precision-bits 160 figure ...`), or
@@ -30,6 +31,7 @@ import shutil
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 
 from . import bounds as bnd
 from . import stochastic as st
@@ -38,7 +40,7 @@ from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep)
 from .irrational import parse_alpha
-from .products import KERNEL, NORMALIZERS, rotation_products
+from .products import KERNEL, NORMALIZERS, rotation_products, text_blocks
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
                 "cesaro", "type-growth", "vdc-limits", "conjectures")
@@ -180,24 +182,6 @@ def _emit(parts, out: str | None) -> None:
                 fh.write(part)
 
 
-_JSON_ROW = '\n    {{\n      "N": {},\n      "value": "{}"\n    }}'
-
-
-def _figure_parts(head: str, series, line: str, sep: str, tail: str):
-    """head, then `line.format(n, text)` for the text of every row with
-    `sep` between rows, then tail: one string per anchor segment of
-    `series.segments()`, its lines joined behind the separator that comes
-    before it, so nothing of size N is held. The texts come ready from the
-    rotation loop, byte for byte `mpmath.libmp.to_str(row, 40)`."""
-    yield head
-    lead, n = "", 1
-    for _, texts in series.segments():
-        yield lead + sep.join(map(line.format, range(n, n + len(texts)),
-                                  texts))
-        lead, n = sep, n + len(texts)
-    yield tail
-
-
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
@@ -207,18 +191,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
             "kernel": KERNEL,
             "precision_bits": series.precision_bits,
             "log_error_bound": series.log_error_bound}
+    # frame: the text before N, between N and the value, after the value,
+    # and between lines (`text_blocks`)
     if args.fmt == "json":
-        # json.dumps(meta + series, indent=2), written a segment at a time
+        # json.dumps(meta + series, indent=2), written a block at a time
         head, tail = json.dumps({**meta, "series": []}, indent=2).rsplit(
             "[]", 1)
-        parts = _figure_parts(head + "[", series, _JSON_ROW, ",",
-                              "\n  ]" + tail + "\n")
+        head, tail = head + "[", "\n  ]" + tail + "\n"
+        frame = '\n    {\n      "N": ', ',\n      "value": "', '"\n    }', ","
     else:
         head = " ".join(["#"] + [f"{key}={value}"
                                  for key, value in meta.items()])
-        parts = _figure_parts(head + "\nN,value\n", series, "{},{}",
-                              "\n", "\n")
-    _emit(parts, args.out)
+        head, tail = head + "\nN,value\n", "\n"
+        frame = "", ",", "", "\n"
+    _emit(chain([head], text_blocks(series.segments(), *frame), [tail]),
+          args.out)
     return 0
 
 

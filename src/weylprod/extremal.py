@@ -19,7 +19,8 @@ from operator import sub
 
 import numpy as np
 
-from .numerics import BASE_TOL, log_two_sin_pi_array
+from .numerics import (BASE_TOL, POW10, ascii_digits, ascii_int,
+                       log_two_sin_pi_array)
 from .sequences import PointSet, RationalArray
 
 _LOG_2PI2 = math.log(2.0 * math.pi ** 2)
@@ -184,7 +185,6 @@ CSV_CHUNK = 1024
 _FLAG_TEXT = ("false,false", "false,true", "true,false", "true,true")
 _FLAG_BYTES = np.array([list(f"{s}\n".encode().ljust(12, b"\0"))
                         for s in _FLAG_TEXT], np.uint8).T
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _M32 = np.uint64(2 ** 32 - 1)
 _ROW = np.arange(18)[:, None]  # places in a column, against per-float values
 
@@ -248,22 +248,6 @@ def _shortest(bits: np.ndarray):
                     s + ~pick_s), k
 
 
-def _digits(v: np.ndarray, width: int) -> np.ndarray:
-    """The (width, len(v)) ASCII digits of the uint64 v < 10^width, most
-    significant first, from uint32 limbs of nine digits."""
-    limbs = -(-width // 9)
-    part = np.empty((limbs, len(v)), np.uint32)
-    for i in range(limbs - 1, -1, -1):
-        q = v // 10 ** 9  # // by a constant is vectorized, % is not
-        part[i], v = v - q * 10 ** 9, q
-    D = np.empty((9, limbs, len(v)), np.uint8)
-    for j in range(8, -1, -1):
-        q = part // 10
-        D[j], part = part - q * 10, q
-    D += 48
-    return D.transpose(1, 0, 2).reshape(9 * limbs, -1)[-width:]
-
-
 def _float_columns(x: np.ndarray) -> np.ndarray:
     """(29, len(x)) uint8: column i is `repr(x[i])` (`float_repr_style`
     'short') in ASCII, NUL-padded at fixed places: sign, "0.000", 17 digits
@@ -274,8 +258,8 @@ def _float_columns(x: np.ndarray) -> np.ndarray:
     normal = np.abs(x) >= np.finfo(np.float64).tiny  # the smallest normal
     normal &= np.isfinite(x)
     f, k = _shortest(np.where(normal, x, 1.0).view(np.uint64))
-    size = np.searchsorted(_POW10, f, side="right")
-    D = _digits(f * _POW10[17 - size], 17)  # f's digits, left-aligned
+    size = np.searchsorted(POW10, f, side="right")
+    D = ascii_digits(f * POW10[17 - size], 17)  # f's digits, left-aligned
     n_sig = ((D != 48) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(0)
     decpt = k + size
     fixed = (decpt > -4) & (decpt <= 16)
@@ -315,10 +299,8 @@ def _csv_rows(N, M, d, log_p, log_lower, log_upper, flags) -> str:
     S = _float_columns(np.concatenate((d, log_p, log_lower, log_upper)))
     # N and M: sign, digits without leading zeros, comma
     ints = np.concatenate((N, M))
-    mag = np.abs(ints).view(np.uint64)
-    w = len(str(int(mag.max())))
-    I = _digits(mag, w)
-    I *= np.maximum(mag, 1) >= _POW10[w - 1::-1, None]
+    I = ascii_int(np.abs(ints).view(np.uint64))
+    w = len(I)
     B = np.zeros((2 * w + 136, n), np.uint8)
     head = B[:2 * w + 4].reshape(2, w + 2, n)
     head[:, 0] = (ints < 0).reshape(2, n) * 45

@@ -1,8 +1,9 @@
 """Low-level numeric helpers shared across the package.
 
-Everything here is about evaluating log(2 sin(pi x)) accurately for points
+Most of it is about evaluating log(2 sin(pi x)) accurately for points
 that may sit very close to 0 or 1, and about summing long series of such
-terms without throwing that accuracy away again.
+terms without throwing that accuracy away again. The rest prints integer
+columns as ASCII digits (`ascii_digits`), for the text printers.
 """
 
 from __future__ import annotations
@@ -199,3 +200,34 @@ def decimal_str(x, digits: int = 40) -> str:
         return repr(xf)
     with mpmath.mp.workprec(60):
         return mpmath.nstr(mpmath.mpf(xf), digits)
+
+
+# 10^0 .. 10^19: the powers of ten a uint64 holds
+POW10 = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The (width, len(v)) ASCII digits of the uint64 v < 10^width, most
+    significant first, from uint32 limbs of nine digits."""
+    limbs = -(-width // 9)
+    part = np.empty((limbs, len(v)), np.uint32)
+    for i in range(limbs - 1, 0, -1):
+        q = v // 10 ** 9  # // by a constant is vectorized, % is not
+        part[i], v = v - q * 10 ** 9, q
+    part[0] = v
+    # one limb needs only its last `width` digits
+    D = np.empty((9, limbs, len(v)), np.uint8)
+    for j in range(8, 8 - width if limbs == 1 else -1, -1):
+        q = part // 10
+        D[j], part = part - q * 10, q
+    D += 48
+    return D.transpose(1, 0, 2).reshape(9 * limbs, -1)[-width:]
+
+
+def ascii_int(v: np.ndarray) -> np.ndarray:
+    """`ascii_digits` of the non-empty uint64 v as wide as its largest
+    entry, with each entry's leading zeros NUL: 0 keeps one digit."""
+    w = len(str(int(v.max())))
+    D = ascii_digits(v, w)
+    D *= np.maximum(v, 1) >= POW10[w - 1::-1, None]
+    return D

@@ -11,18 +11,18 @@ other rational its rounding to float64, an orbit point its kernel
 `error()`. The rational checkers stream their points through it in
 blocks. The printed 40-digit series (`rotation_products`) keeps
 the product itself, as an integer mantissa and exponent, and takes its
-sines from a fixed-point rotation w^n in integers; each row is rounded and
-printed in integers too, in the iteration that makes it
-(`RotationProducts.segments`), by one table printer of mpmath's to_str
-format (`fixed_row_text`). Only a carry to 10^40, a row of 10^40 or more
-and a row outside to_digits_exp's fixed-point branch go to to_str.
+sines from a fixed-point rotation w^n in integers; each row is rounded in
+integers too, in the iteration that makes it (`RotationProducts.segments`),
+to its 40 digits as mpmath's to_str rounds them, from a table per binary
+exponent (`_text_scale`). `text_blocks` prints the rows a block at a time,
+from numpy byte columns. Only a carry to 10^40, a row of 10^40 or more and
+a row outside to_digits_exp's fixed-point branch go to to_str.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .irrational import (DEFAULT_N_MAX, FixedPointOrbit, IrrationalSpec,
                          check_precision_bits, default_precision_bits,
                          exact_residue, kronecker_fixed_point_blocks,
                          scaled_floor)
-from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch,
+from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch, ascii_int,
                        log_two_sin_pi_array, two_sin_pi)
 from .sequences import PointSet, RationalArray
 
@@ -219,76 +219,151 @@ ANCHOR_STEPS = 64
 KERNEL = "fixed-point-rotation"
 
 
-# `fixed_row_text` prints ROW_DIGITS digits the way
-# libmp.to_str(row, ROW_DIGITS) does: to_digits_exp takes ROW_DIGITS + 3
-# digits from a _DIGIT_BITS-bit fixed-point copy of the row, rounded toward
-# zero, and to_str rounds those half up to ROW_DIGITS. The row is printed
-# fixed-point when its leading digit's exponent lies strictly between
-# _MIN_FIXED and ROW_DIGITS, and in exponent notation below.
+# The rows are printed with ROW_DIGITS digits the way
+# libmp.to_str(row, ROW_DIGITS) prints them: to_digits_exp takes
+# ROW_DIGITS + 3 digits from a _DIGIT_BITS-bit fixed-point copy of the row,
+# rounded toward zero, and to_str rounds those half up to ROW_DIGITS. The
+# row is printed fixed-point when its leading digit's exponent lies
+# strictly between _MIN_FIXED and ROW_DIGITS, and in exponent notation
+# below. A row that `_text_scale` declines is printed by to_str itself and
+# kept as its text, with the exponent _TO_STR, which no other row has.
 ROW_DIGITS = 40
 _LOG2_10 = math.log(10, 2)
 _DIGIT_BITS = int((ROW_DIGITS + 3) * _LOG2_10) + 10
 _TEN_ROW = 10 ** ROW_DIGITS
 _MIN_FIXED = min(-(ROW_DIGITS // 3), -5)
+_TO_STR = ROW_DIGITS
 
 
 def _text_scale(xe: int, prec: int) -> tuple:
-    """`fixed_row_text`'s table for x of `prec` bits at one xe: (cut, x_hi,
-    lo, hi), lo for x < x_hi, each (ten, bias, sh, digits before the point,
-    the point or "0.000...", the exponent suffix or "") with
-    (x >> cut) ten 2^-sh = y 10^(39-exponent) for y the row truncated as
-    to_digits_exp does, or () for a row >= 10^ROW_DIGITS, where ten would
-    be fractional. () outside to_digits_exp's fixed-point branch:
-    fixprec <= 0, or |top| > 3500, where it first divides by a power of
-    ten."""
+    """The table the rows of x of `prec` bits at one xe are printed from:
+    (cut, x_hi, lo, hi), lo for x < x_hi, each (ten, bias, sh, exponent)
+    with (x >> cut) ten 2^-sh = y 10^(39-exponent) for y the row truncated
+    as to_digits_exp does and 10^exponent its leading digit, or () for a
+    row >= 10^ROW_DIGITS, where ten would be fractional. (0, 0, (), ())
+    outside to_digits_exp's fixed-point branch: fixprec <= 0, or
+    |top| > 3500, where it first divides by a power of ten. All in
+    integers: a unit of x >> cut is 2^u."""
     top = xe + prec
     fixprec = _DIGIT_BITS - top
     if fixprec <= 0 or abs(top) > 3500:
-        return ()
+        return 0, 0, (), ()
     fixdps, cut = int(fixprec / _LOG2_10 + 0.5), max(0, prec - _DIGIT_BITS)
-    unit = Fraction(2) ** (xe + cut)
-    # to_digits_exp's D digits at x = 2^(prec-1), D + 1 from x_hi up
-    D = len(str(math.floor((1 << (prec - 1) >> cut) * unit * 10 ** fixdps)))
-    x_hi = math.ceil(Fraction(10) ** (D - fixdps) / unit) << cut
+    u = xe + cut
+    # to_digits_exp's D digits at x = 2^(prec-1), D + 1 from x_hi up:
+    # x_hi 2^xe is 10^t rounded up to a unit, t = D - fixdps
+    low = 10 ** fixdps
+    D = len(str(low << top - 1 if top > 0 else low >> 1 - top))
+    t = D - fixdps
+    num, den = 10 ** max(t, 0) << max(-u, 0), 10 ** max(-t, 0) << max(u, 0)
     ends = []
-    for exponent in (D - fixdps - 1, D - fixdps):
+    for exponent in (t - 1, t):
         if exponent >= ROW_DIGITS:
             ends.append(())
             continue
-        ten, sh = 10 ** (ROW_DIGITS - 1 - exponent), -xe - cut
-        ten, sh = (ten, sh) if sh > 0 else (ten << -sh, 0)
-        if exponent <= _MIN_FIXED:
-            layout = 1, ".", f"e{exponent}"
-        elif exponent >= 0:
-            layout = exponent + 1, ".", ""
-        else:
-            layout = 0, "0." + "0" * (-exponent - 1), ""
-        ends.append((ten, (1 << sh) >> 1, sh, *layout))
-    return (cut, x_hi, *ends)
+        ten = 10 ** (ROW_DIGITS - 1 - exponent)
+        ten, sh = (ten, -u) if u < 0 else (ten << u, 0)
+        ends.append((ten, (1 << sh) >> 1, sh, exponent))
+    return (cut, -(-num // den) << cut, *ends)
 
 
-def fixed_row_text(x: int, xe: int, scales: dict, prec: int):
-    """`mpmath.libmp.to_str(from_man_exp(x, xe), ROW_DIGITS)` for x of
-    `prec` bits, or 2^prec after a carry, byte for byte, by one compare,
-    multiply, add, shift and str(); None where to_str must print it: a
-    carry to 10^ROW_DIGITS, a row >= 10^ROW_DIGITS, or a row outside
-    to_digits_exp's fixed-point branch. `scales` maps xe to its
-    `_text_scale`. to_str rounds its D digits floor(y 10^fixdps) half up
-    at digit ROW_DIGITS + 1, which is floor(y 10^(39-exponent) + 1/2)."""
-    scale = scales.get(xe)
-    if scale is None:
-        scale = scales[xe] = _text_scale(xe, prec)
-    if scale:
-        cut, x_hi, lo, hi = scale
-        ends = hi if x >= x_hi else lo
-        if ends:
-            ten, bias, sh, split, point, suffix = ends
-            q = ((x >> cut) * ten + bias) >> sh
-            if q < _TEN_ROW:
-                d = str(q)
-                return (d[:split] + point + (d[split:].rstrip("0") or "0")
-                        + suffix)
-    return None
+# rows `text_blocks` prints at once: a block's byte array, under 100 bytes
+# a row, and its copies as bytes and text stay below glibc's 128 KB mmap
+# threshold
+TEXT_BLOCK = 1024
+_COLS = np.arange(ROW_DIGITS + 1)
+# the "0.000" of a fixed row below 1, cut to 1 - exponent bytes
+_LEAD = np.frombuffer(b"0." + b"0" * -(_MIN_FIXED + 2), np.uint8)
+
+
+def text_blocks(segments, before: str, between: str, after: str, sep: str):
+    """The line before + N + between + text + after of every row of
+    `segments` (`RotationProducts.segments`), N = 1, 2, ..., with `sep`
+    before each line but the first, as one string per block of at most
+    TEXT_BLOCK rows: the text is `mpmath.libmp.to_str(row, ROW_DIGITS)`,
+    byte for byte."""
+    frame = [np.frombuffer(s.encode(), np.uint8)
+             for s in (sep + before, between, after)]
+    n, digits, exponents, cut = 1, [], [], len(sep)
+    for _, d, e in segments:
+        digits += d
+        exponents += e
+        while len(digits) >= TEXT_BLOCK:
+            yield _row_block(n, digits[:TEXT_BLOCK], exponents[:TEXT_BLOCK],
+                             frame)[cut:]
+            n, cut = n + TEXT_BLOCK, 0
+            del digits[:TEXT_BLOCK], exponents[:TEXT_BLOCK]
+    if digits:
+        yield _row_block(n, digits, exponents, frame)[cut:]
+
+
+def _row_block(n: int, digits: list, exponents: list, frame: list) -> str:
+    """The lines of rows n, n + 1, ... with these digits and exponents
+    (`RotationProducts.segments`), each framed by `frame`: the bytes before
+    N, between N and the text, and after the text. The lines are laid out
+    as the rows of one NUL-padded uint8 array B, which is stripped of its
+    NULs and decoded; to_str's texts are put in after that."""
+    rows = len(digits)
+    e = np.array(exponents, np.int64)
+    own = np.flatnonzero(e == _TO_STR).tolist()
+    texts = [digits[i] for i in own]
+    for i in own:  # laid out as 1.0, then overwritten
+        digits[i], e[i] = _TEN_ROW // 10, 0
+    D = np.frombuffer(b"%d" * rows % tuple(digits), np.uint8).reshape(
+        rows, ROW_DIGITS)
+    I = ascii_int(np.arange(n, n + rows, dtype=np.uint64))
+    fixed, sci = e >= 0, e <= _MIN_FIXED
+    lead = ~(fixed | sci)
+    # the digits before the point: none for a row below 1, which takes
+    # its point from "0.000"
+    split = np.where(fixed, e + 1, sci)
+    # B's places: the frame, N, the frame, then the text: "0.000" if a row
+    # needs it, the digits with the point, "e-NNN" if a row needs it, and
+    # the frame
+    widths = [len(frame[0]), len(I), len(frame[1]),
+              1 - int(e[lead].min(initial=1)),
+              ROW_DIGITS + 1 + (split == ROW_DIGITS).any(), 0, len(frame[2])]
+    if sci.any():
+        E = ascii_int(np.where(sci, -e, 0).astype(np.uint64))
+        widths[5] = 2 + len(E)
+    at = np.cumsum([0] + widths).tolist()
+    B = np.zeros((rows, at[-1]), np.uint8)
+    B[:, :at[1]] = frame[0]
+    B[:, at[1]:at[2]] = I.T
+    B[:, at[2]:at[3]] = frame[1]
+    B[:, at[6]:] = frame[2]
+    # the digits one place up, those before the point moved back
+    V = B[:, at[4]:at[5]]
+    V[:, 1:ROW_DIGITS + 1] = D
+    for i in range(int(split.max())):
+        np.copyto(V[:, i], D[:, i], where=split > i)
+    point = np.where(lead, at[3] + 1, at[4] + split)
+    B.reshape(-1)[np.arange(0, B.size, at[-1]) + point] = 46
+    if widths[4] > ROW_DIGITS + 1:
+        V[:, -1] = (split == ROW_DIGITS) * np.uint8(48)
+    # trailing zeros go, but the first digit after the point
+    zeros = np.flatnonzero(D[:, -1] == 48)
+    if len(zeros):
+        last = ROW_DIGITS - np.argmax(D[zeros, ::-1] != 48, axis=1)
+        keep = np.maximum(split[zeros] + ~lead[zeros], last)
+        V[zeros, :ROW_DIGITS + 1] *= _COLS <= keep[:, None]
+    if widths[3]:
+        w = widths[3]
+        np.multiply(_LEAD[:w], _COLS[:w] < np.where(lead, 1 - e, 0)[:, None],
+                    out=B[:, at[3]:at[4]])
+    if widths[5]:
+        B[:, at[5]] = sci * np.uint8(101)
+        B[:, at[5] + 1] = sci * np.uint8(45)
+        np.multiply(E.T, sci[:, None], out=B[:, at[5] + 2:at[6]])
+    if own:
+        # one byte that no line holds marks where each of their texts goes
+        B[own, at[3]:at[6]] = 0
+        B[own, at[3]] = 1
+    text = B.tobytes().replace(b"\0", b"").decode("ascii")
+    if own:
+        text = "".join(part + t for part, t in
+                       zip(text.split("\1"), texts + [""]))
+    return text
 
 
 def _exact_sin(alpha: IrrationalSpec, n: int, wp: int) -> tuple:
@@ -313,7 +388,7 @@ class RotationProducts:
     row)| that holds for every row. Built by `rotation_products`.
 
     `segments` yields the rows in order, one anchor segment at a time, as
-    integer pairs (x, xe) with their texts, so that only one segment is
+    integer pairs (x, xe) with their digits, so that only one segment is
     held, never anything of size N: x 2^xe rounded once to nearest, ties
     to even, at `precision_bits` (x < 2^prec, or 2^prec after a carry),
     computed afresh from integers on every pass. `exact_terms` lists the n
@@ -328,10 +403,12 @@ class RotationProducts:
     exact_terms: list
 
     def segments(self):
-        """Each anchor segment in turn as a pair (rows, texts): its at most
-        ANCHOR_STEPS row pairs and their texts, each row rounded and printed
-        in the iteration that makes it: `fixed_row_text`, or to_str itself
-        where that declines."""
+        """Each anchor segment in turn as (rows, digits, exponents): its at
+        most ANCHOR_STEPS row pairs, and for each row, in the iteration
+        that makes it, its ROW_DIGITS digits rounded as to_str rounds them,
+        as one int, and the exponent of its leading digit, from
+        `_text_scale`; or to_str's own text where that declines, with the
+        exponent _TO_STR. `text_blocks` prints them."""
         # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
         # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
         # fixed point and advances by one complex multiply, floored, in three
@@ -356,10 +433,10 @@ class RotationProducts:
         m, e = 1 << wp, -wp
         top = wp + 1
         qsh = k * N.bit_length()  # n^k < 2^qsh: q keeps prec + 9 bits
-        text_scales = {}
+        scales, last_xe = {}, None
         for a in range(1, N + 1, ANCHOR_STEPS):
             c, s = (C, S) if a == 1 else anchor(a)
-            rows, texts = [], []
+            rows, digits, exponents = [], [], []
             for n in range(a, min(a + ANCHOR_STEPS, N + 1)):
                 if n == nxt:
                     t, te = _exact_sin(self.alpha, n, wp)
@@ -386,11 +463,26 @@ class RotationProducts:
                         x += 1
                     xe = e + n + 9
                 rows.append((x, xe))
-                texts.append(fixed_row_text(x, xe, text_scales, prec)
-                             or to_str(from_man_exp(x, xe), ROW_DIGITS))
+                # to_str rounds its digits floor(y 10^fixdps) half up at
+                # digit ROW_DIGITS + 1: floor(y 10^(39-exponent) + 1/2)
+                if xe != last_xe:
+                    scale = scales.get(xe)
+                    if scale is None:
+                        scale = scales[xe] = _text_scale(xe, prec)
+                    cut, x_hi, lo, hi = scale
+                    last_xe = xe
+                ends = hi if x >= x_hi else lo
+                if ends:
+                    ten, bias, shift, exponent = ends
+                    d = ((x >> cut) * ten + bias) >> shift
+                if not ends or d >= _TEN_ROW:
+                    d = to_str(from_man_exp(x, xe), ROW_DIGITS)
+                    exponent = _TO_STR
+                digits.append(d)
+                exponents.append(exponent)
                 k1 = C * (c + s)
                 c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
-            yield rows, texts
+            yield rows, digits, exponents
 
 
 def _working_bits(prec: int, N: int) -> tuple:

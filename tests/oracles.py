@@ -9,12 +9,14 @@ checkers (`check_hlawka`, `grid_hlawka_report`, `check_vdc_limits`), which
 hold every point, term, prefix sum and screen value, the extremal sweep
 with its running sums kept as exact float partials (`sweep_by_partials`),
 its CSV lines printed row by row with `repr` (`sweep_csv_by_repr`),
-and one correct rounding of a quotient (`row_value`), which the `figure`
-rotation loop makes of each row in place; `series_rows` reads that loop's
-row pairs from its segments."""
+one correct rounding of a quotient (`row_value`), which the `figure`
+rotation loop makes of each row in place, and the table it prints the
+rows from, built in rationals (`text_scale_by_fractions`); `series_rows`
+reads that loop's row pairs from its segments."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -29,6 +31,7 @@ from weylprod.irrational import (_FALLBACK_SHIFT, FIXED_POINT_BITS,
                                  IrrationalSpec, _exact_distance)
 from weylprod import numerics
 from weylprod.numerics import LOG2, compensated_cumsum
+from weylprod import products
 from weylprod.products import ProductTrace, _float_terms, product_trace
 from weylprod.sequences import PointSet, uniform_grid, van_der_corput
 
@@ -64,7 +67,30 @@ def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
 def series_rows(series) -> list:
     """Every row pair (x, xe) of a `products.RotationProducts`, in order,
     from its segments."""
-    return [row for rows, _ in series.segments() for row in rows]
+    return [row for rows, *_ in series.segments() for row in rows]
+
+
+def text_scale_by_fractions(xe: int, prec: int) -> tuple:
+    """`products._text_scale` with its unit 2^(xe + cut) and the powers of
+    ten as Fractions, floored and ceiled by `math`."""
+    top = xe + prec
+    fixprec = products._DIGIT_BITS - top
+    if fixprec <= 0 or abs(top) > 3500:
+        return 0, 0, (), ()
+    fixdps = int(fixprec / products._LOG2_10 + 0.5)
+    cut = max(0, prec - products._DIGIT_BITS)
+    unit = Fraction(2) ** (xe + cut)
+    D = len(str(math.floor((1 << (prec - 1) >> cut) * unit * 10 ** fixdps)))
+    x_hi = math.ceil(Fraction(10) ** (D - fixdps) / unit) << cut
+    ends = []
+    for exponent in (D - fixdps - 1, D - fixdps):
+        if exponent >= products.ROW_DIGITS:
+            ends.append(())
+            continue
+        ten, sh = 10 ** (products.ROW_DIGITS - 1 - exponent), -xe - cut
+        ten, sh = (ten, sh) if sh > 0 else (ten << -sh, 0)
+        ends.append((ten, (1 << sh) >> 1, sh, exponent))
+    return (cut, x_hi, *ends)
 
 
 def log_two_sin_pi_mp(x, prec: int):

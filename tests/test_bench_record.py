@@ -1,10 +1,15 @@
 """Every `BENCH_*.json` at the root of the repository records the
 benchmark's end-to-end metrics for a change and its parent commit: exactly
 the workloads of `BENCHMARK.json`, every end-to-end metric of each with its
-unit, and positive medians on both sides. Only `BENCHMARK.json` and the
-records are read; the benchmark's code is not imported."""
+unit, and positive medians on both sides. A record that claims a gain
+(`"claim": {"metric", "workload"}`) must show it by the rule for a small
+sandbox: at least ten pairs, the change better in at least nine tenths of
+them (ties count for neither), and the medians further apart than the
+parent's own quartiles. Only `BENCHMARK.json` and the records are read;
+the benchmark's code is not imported."""
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -31,3 +36,29 @@ def test_record_matches_the_benchmark(path):
                 stats = got[side]
                 assert stats["median"] > 0, (name, metric["name"], side)
                 assert stats["q1"] <= stats["median"] <= stats["q3"]
+
+
+CLAIMS = [path for path in RECORDS
+          if "claim" in json.loads(path.read_text(encoding="utf-8"))]
+
+
+@pytest.mark.parametrize("path", CLAIMS, ids=lambda p: p.name)
+def test_claimed_gain_holds(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    claim = record["claim"]
+    entry = record["workloads"][claim["workload"]]
+    got = entry["metrics"][claim["metric"]]
+    better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    sign = 1 if better[claim["metric"]] == "higher" else -1
+    # runs i of both sides are pair i, one pair per seed
+    parent, change = got["parent"]["runs"], got["change"]["runs"]
+    pairs = entry["pairs"]
+    assert len(parent) == len(change) == len(entry["seeds"]) == pairs >= 10
+    for side, runs in (("parent", parent), ("change", change)):
+        q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        assert got[side] == {"median": median, "q1": q1, "q3": q3,
+                             "runs": runs}, side
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    assert 10 * wins >= 9 * pairs, (wins, pairs)
+    gap = sign * (got["change"]["median"] - got["parent"]["median"])
+    assert gap > got["parent"]["q3"] - got["parent"]["q1"]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import mpf_trace, series_rows
-from weylprod import cli, extremal
+from weylprod import cli, extremal, irrational, products
 from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
 from weylprod.cli import main
@@ -318,10 +319,69 @@ def test_figure_rows_across_segment_edges(tmp_path, capsys, n_max):
             assert [value for _, value in rows] == want
 
 
+@pytest.mark.parametrize("alpha", ["sqrt2m1",
+                                   "(19999999-1*sqrt(5))/199999979999998"])
+def test_figure_rows_in_small_blocks(tmp_path, capsys, monkeypatch, alpha):
+    # blocks of 7 rows: N = 9 -> 10 and 99 -> 100 fall inside a block, and
+    # so, for [0; 10^7, 1, 1, ...], does the first row that to_str prints
+    # (its rows fall below 2^-3500 from n = 248 or 249 on). Every line of
+    # both formats and every normalizer is the row's own line, printed
+    # row by row from to_str of the row pair
+    monkeypatch.setattr(products, "TEXT_BLOCK", 7)
+    libmp = mpmath.libmp
+    n_max = 260
+    for normalizer in NORMALIZERS:
+        series = rotation_products(parse_alpha(alpha), n_max, normalizer,
+                                   None)
+        texts = [libmp.to_str(libmp.from_man_exp(*row), 40)
+                 for row in series_rows(series)]
+        exponents = [e for _, _, part in series.segments() for e in part]
+        own = [n for n, e in enumerate(exponents, 1)
+               if e == products._TO_STR]
+        if alpha != "sqrt2m1":
+            assert own[0] in (248, 249) and own[0] % 7 != 1
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"blocks.{fmt}"
+            code, _, _ = run(["figure", "--alpha", alpha, "--n-max",
+                              str(n_max), "--normalizer", normalizer,
+                              "--format", fmt, "--out", str(out)], capsys)
+            assert code == 0
+            text = out.read_text()
+            if fmt == "csv":
+                assert text.split("\n")[2:] == \
+                    [f"{n},{t}" for n, t in enumerate(texts, 1)] + [""]
+            else:
+                payload = json.loads(text)
+                payload["series"] = [{"N": n, "value": t}
+                                     for n, t in enumerate(texts, 1)]
+                assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_figure_in_flat_memory(tmp_path, capsys, monkeypatch):
+    # figure holds one block of rows and its text at a time: 2^16 rows peak
+    # within one block's bytes of 2^14, where the lines of rows held whole
+    # would add about 100 bytes a row. The orbit pass behind the bound
+    # takes blocks of 2^12 points here, below a text block's arrays
+    monkeypatch.setattr(irrational, "SUM_CHUNK", 1 << 12)
+    out = str(tmp_path / "fig.csv")
+    assert main(["figure", "--n-max", "100", "--out", out]) == 0
+    peaks = []
+    for n_max in (1 << 14, 1 << 16):
+        tracemalloc.start()
+        try:
+            code = main(["figure", "--n-max", str(n_max), "--out", out])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    assert peaks[1] < peaks[0] + 64 * products.TEXT_BLOCK, peaks
+
+
 def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
                                                     monkeypatch):
-    # the series raises after five rows, with the header and rows already
-    # written: no partial file, no temporary file, and the I/O exit code
+    # the series raises after five rows, with the header already written:
+    # no partial file, no temporary file, and the I/O exit code
     real = cli.rotation_products
 
     def failing(*args):
@@ -332,8 +392,8 @@ def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
             log_error_bound = series.log_error_bound
 
             def segments(self):
-                rows, texts = next(series.segments())
-                yield rows[:5], texts[:5]
+                rows, digits, exponents = next(series.segments())
+                yield rows[:5], digits[:5], exponents[:5]
                 raise OSError(28, "No space left on device")
         return Failing()
 

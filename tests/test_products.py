@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from oracles import (log_two_sin_pi_mp, mpf_trace, row_value,
-                     series_rows)
+                     series_rows, text_scale_by_fractions)
 from weylprod import products
 from weylprod.numerics import (SUM_CHUNK, TERM_EPS, log_two_sin_pi,
                                log_two_sin_pi_array)
@@ -20,9 +20,8 @@ from weylprod.irrational import (DEFAULT_N_MAX, FixedPointOrbit,
                                  kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
 from weylprod.products import (ANCHOR_STEPS, RotationProducts,
-                               closed_form_shifted, fixed_row_text,
-                               normalizer_power, product_trace,
-                               rotation_products)
+                               closed_form_shifted, normalizer_power,
+                               product_trace, rotation_products, text_blocks)
 from weylprod.sequences import (PointSet, RationalArray, kronecker,
                                 uniform_grid, uniform_grid_blocks,
                                 van_der_corput, van_der_corput_blocks)
@@ -537,47 +536,115 @@ row_cases = (mantissas,
              st.sampled_from([68, 112, 160, 1100]))
 
 
-@settings(max_examples=400)
-@given(*row_cases)
-# leading digit at 10^-13 (exponent notation) and 10^-12 (fixed)
-@example(15, 0, 10 ** 14, 112)
-@example(15, 0, 10 ** 13, 112)
-# leading digit at 10^39 (fixed) and 10^40 (to_str)
-@example(10 ** 39, 0, 1, 160)
-@example(10 ** 40, 0, 1, 160)
-# forty 9s carried up across each edge: 10^-12 (1 - 10^-45) prints as
-# 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40; inside the fixed
-# range, 10 (1 - 10^-45) prints as 10.0, and inside exponent notation
-# 10^-13 (1 - 10^-45) as 1.0e-13
-@example(10 ** 45 - 1, 0, 10 ** 57, 160)
-@example(10 ** 44 - 1, 0, 10 ** 4, 160)
-@example(10 ** 45 - 1, 0, 10 ** 44, 160)
-@example(10 ** 45 - 1, 0, 10 ** 58, 160)
-# exp + bc = -3500 and -3501, 3500 and 3501 (past 3500, to_digits_exp
-# first divides by a power of ten)
-@example(1, -3501, 1, 112)
-@example(1, -3502, 1, 1100)
-@example(1, 3499, 1, 112)
-@example(1, 3500, 1, 1100)
-# fixprec = 0 (exp + bc = 152) and 1
-@example(1, 151, 1, 160)
-@example(1, 150, 1, 160)
-# bc above the 152 fixed-point bits: a floor shift to the right
-@example(2 ** 200 - 1, -200, 3, 1100)
-# trailing zeros (1.5, 10^20, 0.25, 1.0e-20) and x = 2^prec after a carry
-@example(3, -1, 1, 112)
-@example(10 ** 20, 0, 1, 112)
-@example(1, -2, 1, 112)
-@example(1, 0, 10 ** 20, 112)
-@example((1 << 113) - 1, 0, 1, 112)
-def test_fixed_row_text_is_to_str(man, exp, nk, prec):
-    # the loop's text for a row whose x has prec bits (or is 2^prec) is
-    # to_str's, declined only for a carry up to a power of ten, a row of
-    # 10^40 or more, and a row outside to_digits_exp's fixed-point branch,
-    # which to_str prints itself
+def padded_row(man, exp, nk, prec):
+    """The row pair (x, xe) of man 2^exp / nk at prec bits, x padded to
+    prec bits as the rotation loop's rows are."""
     x, xe = row_value(man, exp, nk, prec)
     pad = max(0, prec - x.bit_length())
-    x, xe = x << pad, xe - pad
+    return x << pad, xe - pad
+
+
+def table_row(x, xe, prec):
+    """What the rotation loop keeps of the row x 2^xe: its digits and the
+    exponent of its leading digit from `_text_scale`, or to_str's text and
+    the exponent `_TO_STR` where the table declines."""
+    cut, x_hi, lo, hi = products._text_scale(xe, prec)
+    ends = hi if x >= x_hi else lo
+    if ends:
+        ten, bias, sh, exponent = ends
+        d = ((x >> cut) * ten + bias) >> sh
+        if d < 10 ** 40:
+            return d, exponent
+    return libmp.to_str(libmp.from_man_exp(x, xe), 40), products._TO_STR
+
+
+def printed_values(kept):
+    """The texts `text_blocks` prints for rows kept as `table_row` keeps
+    them, in one segment, read back from a frame of marker characters."""
+    digits, exponents = map(list, zip(*kept))
+    text = "".join(text_blocks([([], digits, exponents)], "<", "|", ">",
+                               "\n"))
+    lines = text.split("\n")
+    assert [line[:line.index("|")] for line in lines] == \
+        [f"<{n}" for n in range(1, len(kept) + 1)]
+    assert all(line.endswith(">") for line in lines)
+    return [line[line.index("|") + 1:-1] for line in lines]
+
+
+# (man, exp, nk, prec) of rows of every kind the printer lays out
+ROW_TEXT_EXAMPLES = [
+    # leading digit at 10^-13 (exponent notation) and 10^-12 ("0.000")
+    (15, 0, 10 ** 14, 112), (15, 0, 10 ** 13, 112),
+    # leading digit at 10^39 (fixed) and 10^40 (to_str)
+    (10 ** 39, 0, 1, 160), (10 ** 40, 0, 1, 160),
+    # forty 9s carried up across each edge: 10^-12 (1 - 10^-45) prints as
+    # 10^-12, fixed, and 10^40 (1 - 10^-44) as 1.0e+40; inside the fixed
+    # range, 10 (1 - 10^-45) prints as 10.0, and inside exponent notation
+    # 10^-13 (1 - 10^-45) as 1.0e-13
+    (10 ** 45 - 1, 0, 10 ** 57, 160), (10 ** 44 - 1, 0, 10 ** 4, 160),
+    (10 ** 45 - 1, 0, 10 ** 44, 160), (10 ** 45 - 1, 0, 10 ** 58, 160),
+    # exp + bc = -3500 and -3501, 3500 and 3501 (past 3500, to_digits_exp
+    # first divides by a power of ten)
+    (1, -3501, 1, 112), (1, -3502, 1, 1100), (1, 3499, 1, 112),
+    (1, 3500, 1, 1100),
+    # fixprec = 0 (exp + bc = 152) and 1
+    (1, 151, 1, 160), (1, 150, 1, 160),
+    # bc above the 152 fixed-point bits: a floor shift to the right
+    (2 ** 200 - 1, -200, 3, 1100),
+    # trailing zeros (1.5, 10^20, 0.25, 1.0e-20), x = 2^prec after a carry,
+    # and an all-zero fraction (1.0; 10^39 above prints as 1000...0.0)
+    (3, -1, 1, 112), (10 ** 20, 0, 1, 112), (1, -2, 1, 112),
+    (1, 0, 10 ** 20, 112), ((1 << 113) - 1, 0, 1, 112), (1, 0, 1, 112),
+    # exponents of three and four digits (e-101, e-994)
+    (1, -333, 1, 160), (1, -3300, 1, 1100),
+]
+EXAMPLE_ROWS = [padded_row(*case) + (case[3],) for case in ROW_TEXT_EXAMPLES]
+
+
+def with_row_text_examples(test):
+    """`test` with every ROW_TEXT_EXAMPLES case as an explicit example, set
+    in front of the other example rows."""
+    for case in ROW_TEXT_EXAMPLES:
+        test = example(*case, 0)(test)
+    return test
+
+
+@settings(max_examples=400)
+@given(*row_cases)
+def test_text_scale_in_integers_is_the_rational_table(man, exp, nk, prec):
+    # the table built in integers is the one built in Fractions, entry for
+    # entry, at every row's xe
+    x, xe = padded_row(man, exp, nk, prec)
+    assert products._text_scale(xe, prec) == text_scale_by_fractions(xe,
+                                                                     prec)
+
+
+def test_text_scale_at_every_xe_is_the_rational_table():
+    # every xe from below -3500 to past the fixed-point branch, at each
+    # precision the figure tests print
+    for prec in (68, 112, 160, 1100):
+        for xe in range(-3503 - prec, products._DIGIT_BITS - prec + 3, 7):
+            assert products._text_scale(xe, prec) == \
+                text_scale_by_fractions(xe, prec), (xe, prec)
+
+
+def test_example_rows_print_in_one_block():
+    # every kind of row, side by side in one block, prints as to_str
+    kept = [table_row(x, xe, prec) for x, xe, prec in EXAMPLE_ROWS]
+    assert printed_values(kept) == \
+        [libmp.to_str(libmp.from_man_exp(x, xe), 40)
+         for x, xe, _ in EXAMPLE_ROWS]
+
+
+@with_row_text_examples
+@settings(max_examples=400)
+@given(*row_cases, st.integers(0, len(ROW_TEXT_EXAMPLES)))
+def test_block_text_is_to_str(man, exp, nk, prec, at):
+    # the printed text of a row whose x has prec bits (or is 2^prec), amid
+    # rows of every kind, is to_str's; the table declines only a carry up
+    # to a power of ten, a row of 10^40 or more, and a row outside
+    # to_digits_exp's fixed-point branch, which to_str prints itself
+    x, xe = padded_row(man, exp, nk, prec)
     want = libmp.to_str(libmp.from_man_exp(x, xe), 40)
     row = Fraction(x) * Fraction(2) ** xe
     carry = (want.split("e")[0].strip("0.") == "1"
@@ -585,10 +652,11 @@ def test_fixed_row_text_is_to_str(man, exp, nk, prec):
     # the table's top counts a carried 2^prec at prec bits
     top = xe + prec
     outside = top >= products._DIGIT_BITS or abs(top) > 3500
-    got = fixed_row_text(x, xe, {}, prec)
-    assert (got is None) == (carry or row >= 10 ** 40 or outside)
-    if got is not None:
-        assert got == want
+    kept = table_row(x, xe, prec)
+    assert (kept[1] == products._TO_STR) == \
+        (carry or row >= 10 ** 40 or outside)
+    rows = EXAMPLE_ROWS[:at] + [(x, xe, prec)] + EXAMPLE_ROWS[at:]
+    assert printed_values([table_row(*r) for r in rows])[at] == want
 
 
 @pytest.mark.parametrize("normalizer", products.NORMALIZERS)
@@ -604,7 +672,9 @@ def test_figure_rows_take_the_fixed_text(normalizer, monkeypatch):
                   surd_from_cf([3, 3, 1, 1, 2], [1, 2]),
                   parse_alpha("(7999-1*sqrt(5))/31991998")):
         series = rotation_products(alpha, 2000, normalizer, None)
-        assert sum(len(texts) for _, texts in series.segments()) == 2000
+        exponents = [e for _, _, part in series.segments() for e in part]
+        assert len(exponents) == 2000
+        assert products._TO_STR not in exponents
     assert calls == []
 
 
@@ -717,9 +787,11 @@ def test_rotation_loop_rounds_and_prints_each_row(case):
         segments = list(series.segments())
     finally:
         products._exact_sin = real
-    assert [row for rows, _ in segments for row in rows] == want
-    assert [text for _, texts in segments for text in texts] == \
-        [libmp.to_str(libmp.from_man_exp(*row), 40) for row in want]
+    assert [row for rows, _, _ in segments for row in rows] == want
+    text = "".join(text_blocks(iter(segments), "", ",", "", "\n"))
+    assert text.split("\n") == [
+        f"{n},{libmp.to_str(libmp.from_man_exp(*row), 40)}"
+        for n, row in enumerate(want, 1)]
 
 
 def test_rotation_bound_within_100x_of_observed():
