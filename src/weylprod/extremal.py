@@ -6,7 +6,9 @@ exactly M/N while maximizing the sine product among sets of discrepancy at
 most M/N. Its product has the closed form 2N / (prod_{k<M} sin(pi k/N))^2,
 which the sup-product bounds below sandwich. `sweep` evaluates the closed
 form and both bounds at every (N, M) of a list of N as the numpy columns of
-a `Sweep`, which the CLI computes and writes as CSV in blocks of whole N.
+a `Sweep`, which the CLI computes and writes as CSV in blocks of whole N:
+`Sweep.csv_text` builds each column's ASCII bytes, the floats' from
+Schubfach's shortest digits, and `numerics.byte_lines` makes them lines.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from operator import sub
 import numpy as np
 
 from .numerics import (BASE_TOL, POW10, ascii_digits, ascii_int,
-                       log_two_sin_pi_array)
+                       byte_lines, log_two_sin_pi_array)
 from .sequences import PointSet, RationalArray
 
 _LOG_2PI2 = math.log(2.0 * math.pi ** 2)
@@ -293,25 +295,17 @@ def _float_columns(x: np.ndarray) -> np.ndarray:
 
 def _csv_rows(N, M, d, log_p, log_lower, log_upper, flags) -> str:
     """The CSV lines of rows with these columns, flags as 2 holds_lower +
-    holds_upper. The lines are laid out as the columns of one NUL-padded
-    uint8 array, which is transposed, stripped of its NULs and decoded."""
+    holds_upper, from their ASCII columns (`byte_lines`)."""
     n = len(N)
-    S = _float_columns(np.concatenate((d, log_p, log_lower, log_upper)))
-    # N and M: sign, digits without leading zeros, comma
+    # N and M: sign, then digits without leading zeros
     ints = np.concatenate((N, M))
-    I = ascii_int(np.abs(ints).view(np.uint64))
-    w = len(I)
-    B = np.zeros((2 * w + 136, n), np.uint8)
-    head = B[:2 * w + 4].reshape(2, w + 2, n)
-    head[:, 0] = (ints < 0).reshape(2, n) * 45
-    head[:, 1:-1] = I.reshape(w, 2, n).transpose(1, 0, 2)
-    head[:, -1] = 44
-    floats = B[2 * w + 4:-12].reshape(4, 30, n)
-    floats[:, :29] = S.reshape(29, 4, n).transpose(1, 0, 2)
-    floats[:, 29] = 44
-    B[-12:] = _FLAG_BYTES[:, flags]
-    return (np.ascontiguousarray(B[B.any(axis=1)].T).tobytes()
-            .translate(None, b"\0").decode("ascii"))
+    heads = np.concatenate(((ints < 0)[None] * np.uint8(45),
+                            ascii_int(np.abs(ints).view(np.uint64))))
+    floats = _float_columns(np.concatenate((d, log_p, log_lower, log_upper)))
+    cols = [*heads.reshape(-1, 2, n).swapaxes(0, 1),
+            *floats.reshape(29, 4, n).swapaxes(0, 1)]
+    return byte_lines([p for col in cols for p in (col, b",")]
+                      + [_FLAG_BYTES[:, flags]], n)
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:

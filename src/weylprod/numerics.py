@@ -2,8 +2,10 @@
 
 Most of it is about evaluating log(2 sin(pi x)) accurately for points
 that may sit very close to 0 or 1, and about summing long series of such
-terms without throwing that accuracy away again. The rest prints integer
-columns as ASCII digits (`ascii_digits`), for the text printers.
+terms without throwing that accuracy away again. The rest serves the two
+text printers, `figure`'s rows and the extremal sweep's CSV: integer
+columns as ASCII digits (`ascii_digits`), and lines laid out from columns of
+bytes (`byte_lines`).
 """
 
 from __future__ import annotations
@@ -231,3 +233,17 @@ def ascii_int(v: np.ndarray) -> np.ndarray:
     D = ascii_digits(v, w)
     D *= np.maximum(v, 1) >= POW10[w - 1::-1, None]
     return D
+
+
+def byte_lines(parts, n: int) -> str:
+    """The n lines made of `parts` in order, as one string: a part is a
+    constant byte string, the same in every line, or a (width, n) uint8
+    block whose column i, NUL-padded, goes into line i. The lines are laid
+    out as the rows of one uint8 array, which is stripped of its NULs and
+    decoded once. Places that are NUL in every line are left for the strip:
+    dropping them first costs more than `translate` saves."""
+    at = np.cumsum([0] + [len(p) for p in parts]).tolist()
+    B = np.empty((n, at[-1]), np.uint8)
+    for p, i, j in zip(parts, at, at[1:]):
+        B[:, i:j] = np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p.T
+    return B.tobytes().translate(None, b"\0").decode("ascii")

@@ -14,9 +14,11 @@ the product itself, as an integer mantissa and exponent, and takes its
 sines from a fixed-point rotation w^n in integers; each row is rounded in
 integers too, in the iteration that makes it (`RotationProducts.segments`),
 to its 40 digits as mpmath's to_str rounds them, from a table per binary
-exponent (`_text_scale`). `text_blocks` prints the rows a block at a time,
-from numpy byte columns. Only a carry to 10^40, a row of 10^40 or more and
-a row outside to_digits_exp's fixed-point branch go to to_str.
+exponent (`_text_scale`), and only its digits and the exponent of its
+leading digit are kept. `text_blocks` prints the rows a block at a time,
+from numpy byte columns made into lines by `numerics.byte_lines`. Only a
+carry to 10^40, a row of 10^40 or more and a row outside to_digits_exp's
+fixed-point branch go to to_str.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .irrational import (DEFAULT_N_MAX, FixedPointOrbit, IrrationalSpec,
                          exact_residue, kronecker_fixed_point_blocks,
                          scaled_floor)
 from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch, ascii_int,
-                       log_two_sin_pi_array, two_sin_pi)
+                       byte_lines, log_two_sin_pi_array, two_sin_pi)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -282,10 +284,9 @@ def text_blocks(segments, before: str, between: str, after: str, sep: str):
     before each line but the first, as one string per block of at most
     TEXT_BLOCK rows: the text is `mpmath.libmp.to_str(row, ROW_DIGITS)`,
     byte for byte."""
-    frame = [np.frombuffer(s.encode(), np.uint8)
-             for s in (sep + before, between, after)]
+    frame = [s.encode() for s in (sep + before, between, after)]
     n, digits, exponents, cut = 1, [], [], len(sep)
-    for _, d, e in segments:
+    for d, e in segments:
         digits += d
         exponents += e
         while len(digits) >= TEXT_BLOCK:
@@ -300,9 +301,9 @@ def text_blocks(segments, before: str, between: str, after: str, sep: str):
 def _row_block(n: int, digits: list, exponents: list, frame: list) -> str:
     """The lines of rows n, n + 1, ... with these digits and exponents
     (`RotationProducts.segments`), each framed by `frame`: the bytes before
-    N, between N and the text, and after the text. The lines are laid out
-    as the rows of one NUL-padded uint8 array B, which is stripped of its
-    NULs and decoded; to_str's texts are put in after that."""
+    N, between N and the text, and after the text (`byte_lines`). The texts
+    are the rows of one NUL-padded uint8 array T; to_str's texts are put in
+    after the lines are made."""
     rows = len(digits)
     e = np.array(exponents, np.int64)
     own = np.flatnonzero(e == _TO_STR).tolist()
@@ -311,55 +312,41 @@ def _row_block(n: int, digits: list, exponents: list, frame: list) -> str:
         digits[i], e[i] = _TEN_ROW // 10, 0
     D = np.frombuffer(b"%d" * rows % tuple(digits), np.uint8).reshape(
         rows, ROW_DIGITS)
-    I = ascii_int(np.arange(n, n + rows, dtype=np.uint64))
     fixed, sci = e >= 0, e <= _MIN_FIXED
     lead = ~(fixed | sci)
     # the digits before the point: none for a row below 1, which takes
     # its point from "0.000"
     split = np.where(fixed, e + 1, sci)
-    # B's places: the frame, N, the frame, then the text: "0.000" if a row
-    # needs it, the digits with the point, "e-NNN" if a row needs it, and
-    # the frame
-    widths = [len(frame[0]), len(I), len(frame[1]),
-              1 - int(e[lead].min(initial=1)),
-              ROW_DIGITS + 1 + (split == ROW_DIGITS).any(), 0, len(frame[2])]
-    if sci.any():
-        E = ascii_int(np.where(sci, -e, 0).astype(np.uint64))
-        widths[5] = 2 + len(E)
-    at = np.cumsum([0] + widths).tolist()
-    B = np.zeros((rows, at[-1]), np.uint8)
-    B[:, :at[1]] = frame[0]
-    B[:, at[1]:at[2]] = I.T
-    B[:, at[2]:at[3]] = frame[1]
-    B[:, at[6]:] = frame[2]
-    # the digits one place up, those before the point moved back
-    V = B[:, at[4]:at[5]]
+    E = ascii_int(np.where(sci, -e, 0).astype(np.uint64))
+    # T's places: "0.000", the digits with the point, then "e-NNN"
+    w = len(_LEAD)
+    T = np.zeros((rows, w + ROW_DIGITS + 4 + len(E)), np.uint8)
+    np.multiply(_LEAD, _COLS[:w] < np.where(lead, 1 - e, 0)[:, None],
+                out=T[:, :w])
+    # the digits one place up, those before the point moved back, and the
+    # 0 after the point of a row that reaches 10^39
+    V = T[:, w:w + ROW_DIGITS + 2]
     V[:, 1:ROW_DIGITS + 1] = D
     for i in range(int(split.max())):
         np.copyto(V[:, i], D[:, i], where=split > i)
-    point = np.where(lead, at[3] + 1, at[4] + split)
-    B.reshape(-1)[np.arange(0, B.size, at[-1]) + point] = 46
-    if widths[4] > ROW_DIGITS + 1:
-        V[:, -1] = (split == ROW_DIGITS) * np.uint8(48)
+    V[np.arange(rows), split] = ~lead * np.uint8(46)
+    V[:, -1] = (split == ROW_DIGITS) * np.uint8(48)
     # trailing zeros go, but the first digit after the point
     zeros = np.flatnonzero(D[:, -1] == 48)
     if len(zeros):
         last = ROW_DIGITS - np.argmax(D[zeros, ::-1] != 48, axis=1)
         keep = np.maximum(split[zeros] + ~lead[zeros], last)
         V[zeros, :ROW_DIGITS + 1] *= _COLS <= keep[:, None]
-    if widths[3]:
-        w = widths[3]
-        np.multiply(_LEAD[:w], _COLS[:w] < np.where(lead, 1 - e, 0)[:, None],
-                    out=B[:, at[3]:at[4]])
-    if widths[5]:
-        B[:, at[5]] = sci * np.uint8(101)
-        B[:, at[5] + 1] = sci * np.uint8(45)
-        np.multiply(E.T, sci[:, None], out=B[:, at[5] + 2:at[6]])
+    T[:, -2 - len(E)] = sci * np.uint8(101)
+    T[:, -1 - len(E)] = sci * np.uint8(45)
+    np.multiply(E.T, sci[:, None], out=T[:, -len(E):])
     if own:
         # one byte that no line holds marks where each of their texts goes
-        B[own, at[3]:at[6]] = 0
-        B[own, at[3]] = 1
-    text = B.tobytes().replace(b"\0", b"").decode("ascii")
+        T[own] = 0
+        T[own, 0] = 1
+    text = byte_lines([frame[0], ascii_int(np.arange(n, n + rows,
+                                                     dtype=np.uint64)),
+                       frame[1], T.T, frame[2]], rows)
     if own:
         text = "".join(part + t for part, t in
                        zip(text.split("\1"), texts + [""]))
@@ -387,12 +374,13 @@ class RotationProducts:
     (k = the normalizer's power), with a bound on |log(row) - log(exact
     row)| that holds for every row. Built by `rotation_products`.
 
-    `segments` yields the rows in order, one anchor segment at a time, as
-    integer pairs (x, xe) with their digits, so that only one segment is
-    held, never anything of size N: x 2^xe rounded once to nearest, ties
-    to even, at `precision_bits` (x < 2^prec, or 2^prec after a carry),
-    computed afresh from integers on every pass. `exact_terms` lists the n
-    whose sine was taken from an exact floor instead of the rotation.
+    `segments` yields the rows' printed digits in order, one anchor
+    segment at a time, so that only one segment is held, never anything of
+    size N. Each row is x 2^xe, held as the integers x and xe only inside
+    the loop: rounded once to nearest, ties to even, at `precision_bits`
+    (x < 2^prec, or 2^prec after a carry), computed afresh from integers on
+    every pass. `exact_terms` lists the n whose sine was taken from an
+    exact floor instead of the rotation.
     """
 
     alpha: IrrationalSpec
@@ -403,12 +391,12 @@ class RotationProducts:
     exact_terms: list
 
     def segments(self):
-        """Each anchor segment in turn as (rows, digits, exponents): its at
-        most ANCHOR_STEPS row pairs, and for each row, in the iteration
-        that makes it, its ROW_DIGITS digits rounded as to_str rounds them,
-        as one int, and the exponent of its leading digit, from
-        `_text_scale`; or to_str's own text where that declines, with the
-        exponent _TO_STR. `text_blocks` prints them."""
+        """Each anchor segment in turn as (digits, exponents): for each of
+        its at most ANCHOR_STEPS rows, in the iteration that makes it, its
+        ROW_DIGITS digits rounded as to_str rounds them, as one int, and
+        the exponent of its leading digit, from `_text_scale`; or to_str's
+        own text where that declines, with the exponent _TO_STR.
+        `text_blocks` prints them."""
         # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
         # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
         # fixed point and advances by one complex multiply, floored, in three
@@ -436,7 +424,7 @@ class RotationProducts:
         scales, last_xe = {}, None
         for a in range(1, N + 1, ANCHOR_STEPS):
             c, s = (C, S) if a == 1 else anchor(a)
-            rows, digits, exponents = [], [], []
+            digits, exponents = [], []
             for n in range(a, min(a + ANCHOR_STEPS, N + 1)):
                 if n == nxt:
                     t, te = _exact_sin(self.alpha, n, wp)
@@ -462,7 +450,6 @@ class RotationProducts:
                     if rest > 256 or rest == 256 and x & 1:
                         x += 1
                     xe = e + n + 9
-                rows.append((x, xe))
                 # to_str rounds its digits floor(y 10^fixdps) half up at
                 # digit ROW_DIGITS + 1: floor(y 10^(39-exponent) + 1/2)
                 if xe != last_xe:
@@ -482,7 +469,7 @@ class RotationProducts:
                 exponents.append(exponent)
                 k1 = C * (c + s)
                 c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
-            yield rows, digits, exponents
+            yield digits, exponents
 
 
 def _working_bits(prec: int, N: int) -> tuple:

@@ -12,11 +12,12 @@ its CSV lines printed row by row with `repr` (`sweep_csv_by_repr`),
 one correct rounding of a quotient (`row_value`), which the `figure`
 rotation loop makes of each row in place, and the table it prints the
 rows from, built in rationals (`text_scale_by_fractions`); `series_rows`
-reads that loop's row pairs from its segments."""
+reads that loop's rows by sending every one down its to_str branch."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -65,9 +66,18 @@ def row_value(man: int, exp: int, nk: int, prec: int) -> tuple:
 
 
 def series_rows(series) -> list:
-    """Every row pair (x, xe) of a `products.RotationProducts`, in order,
-    from its segments."""
-    return [row for rows, *_ in series.segments() for row in rows]
+    """Every row of a `products.RotationProducts`, in order, as the pair
+    (man, exp) of the raw mpf `libmp.from_man_exp(x, xe)` of the loop's
+    row x 2^xe. The loop computes x and xe before it prints the row, so
+    forcing its to_str branch leaves them as they are: with `_text_scale`
+    declining every row and `to_str` handing back its mpf argument, each
+    row's digits are that mpf."""
+    with mock.patch.object(products, "_text_scale",
+                           lambda xe, prec: (0, 0, (), ())), \
+            mock.patch.object(mpmath.libmp, "to_str",
+                              lambda value, digits: value):
+        rows = [d for digits, _ in series.segments() for d in digits]
+    return [(man, exp) for _, man, exp, _ in rows]
 
 
 def text_scale_by_fractions(xe: int, prec: int) -> tuple:

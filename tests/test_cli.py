@@ -335,7 +335,7 @@ def test_figure_rows_in_small_blocks(tmp_path, capsys, monkeypatch, alpha):
                                    None)
         texts = [libmp.to_str(libmp.from_man_exp(*row), 40)
                  for row in series_rows(series)]
-        exponents = [e for _, _, part in series.segments() for e in part]
+        exponents = [e for _, part in series.segments() for e in part]
         own = [n for n, e in enumerate(exponents, 1)
                if e == products._TO_STR]
         if alpha != "sqrt2m1":
@@ -392,8 +392,8 @@ def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
             log_error_bound = series.log_error_bound
 
             def segments(self):
-                rows, digits, exponents = next(series.segments())
-                yield rows[:5], digits[:5], exponents[:5]
+                digits, exponents = next(series.segments())
+                yield digits[:5], exponents[:5]
                 raise OSError(28, "No space left on device")
         return Failing()
 

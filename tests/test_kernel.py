@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -302,3 +302,40 @@ def test_log_kernel_within_term_eps():
         err = abs(mpmath.mpf(float(got[i])) - exact) / (1 + abs(exact))
         worst = max(worst, float(err) / TERM_EPS)
     assert worst <= 1.0
+
+
+@st.composite
+def line_parts(draw):
+    """(parts, n) for `numerics.byte_lines`: constant ASCII byte strings
+    and (width, n) ASCII blocks, some NUL in every row, some laid out
+    row-major and passed transposed."""
+    n = draw(st.integers(1, 5))
+    ascii = st.integers(0, 127)
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["const", "block", "nul", "transposed"]))
+        if kind == "const":
+            parts.append(bytes(draw(st.lists(ascii, max_size=4))))
+            continue
+        width = draw(st.integers(0, 4))
+        block = (np.zeros((width, n), np.uint8) if kind == "nul" else
+                 draw(arrays(np.uint8, (width, n), elements=ascii)))
+        parts.append(np.ascontiguousarray(block.T).T
+                     if kind == "transposed" else block)
+    return parts, n
+
+
+@settings(max_examples=200)
+@given(line_parts())
+@example(([b"a", np.array([[66], [0]], np.uint8), b"\n"], 1))
+@example(([b"x", np.zeros((3, 2), np.uint8), b",\0y"], 2))
+@example(([b"const", b"", b"\n"], 3))
+def test_byte_lines_joins_each_rows_parts(case):
+    # line i is its parts joined, constant or column i of a block, with
+    # every NUL removed
+    parts, n = case
+    want = "".join(
+        b"".join(p if isinstance(p, bytes) else p[:, i].tobytes()
+                 for p in parts).replace(b"\0", b"").decode("ascii")
+        for i in range(n))
+    assert numerics.byte_lines(parts, n) == want

@@ -562,7 +562,7 @@ def printed_values(kept):
     """The texts `text_blocks` prints for rows kept as `table_row` keeps
     them, in one segment, read back from a frame of marker characters."""
     digits, exponents = map(list, zip(*kept))
-    text = "".join(text_blocks([([], digits, exponents)], "<", "|", ">",
+    text = "".join(text_blocks([(digits, exponents)], "<", "|", ">",
                                "\n"))
     lines = text.split("\n")
     assert [line[:line.index("|")] for line in lines] == \
@@ -672,7 +672,7 @@ def test_figure_rows_take_the_fixed_text(normalizer, monkeypatch):
                   surd_from_cf([3, 3, 1, 1, 2], [1, 2]),
                   parse_alpha("(7999-1*sqrt(5))/31991998")):
         series = rotation_products(alpha, 2000, normalizer, None)
-        exponents = [e for _, _, part in series.segments() for e in part]
+        exponents = [e for _, part in series.segments() for e in part]
         assert len(exponents) == 2000
         assert products._TO_STR not in exponents
     assert calls == []
@@ -784,10 +784,12 @@ def test_rotation_loop_rounds_and_prints_each_row(case):
     real = products._exact_sin
     products._exact_sin = lambda alpha, n, wp: terms[n - 1]
     try:
+        rows = series_rows(series)
         segments = list(series.segments())
     finally:
         products._exact_sin = real
-    assert [row for rows, _, _ in segments for row in rows] == want
+    assert [libmp.from_man_exp(*row) for row in rows] == \
+        [libmp.from_man_exp(*row) for row in want]
     text = "".join(text_blocks(iter(segments), "", ",", "", "\n"))
     assert text.split("\n") == [
         f"{n},{libmp.to_str(libmp.from_man_exp(*row), 40)}"
