@@ -739,6 +739,7 @@ def test_mc_csv_summary_round_trip(tmp_path, capsys, monkeypatch):
 PIN_N = "20000"
 PIN_ALPHAS = {
     "golden": "golden",
+    "sqrt2m1": "sqrt2m1",
     # one partial quotient of 1000
     "cf-1000": str(surd_from_cf([3, 1000, 7], [1, 2])),
     # ||3 alpha|| < 2^-64: the kernel's exact fallback
@@ -754,6 +755,16 @@ PIN_COMMANDS = {
     "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
     "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
+    # 140001 terms: several SUM_CHUNK-sized blocks, the last one ragged
+    "mc rademacher 140001": ["mc", "rademacher", "--paths", "2", "--n-max",
+                             "140001"],
+    # path 1 of seed 1 (sqrt2m1) peaks at N = 94334, past the first block
+    "mc rademacher 140001 seed 1": ["mc", "rademacher", "--paths", "2",
+                                    "--n-max", "140001", "--seed", "1"],
+    "mc iid 140001": ["mc", "iid", "--paths", "2", "--n-max", "140001"],
+    # 69256 coin flips a path
+    "mc subsequence 30000": ["mc", "subsequence", "--paths", "2", "--terms",
+                             "30000"],
     "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
     # 33024 rows: the CLI's sweep blocks of at most 2^12 rows end inside it
     "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
@@ -850,6 +861,26 @@ OUTPUT_SHA256 = {
         "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
         "287b15c7a451e1839aad62216c131b115748a87611165f4060253a2a4c092997",
     ],
+    ('cf-2^64', 'mc rademacher 140001'): [
+        "e3031984876b673eac45784676d37d348d4797f83ccc2d787e7b0bcc4de80e47",
+        "dc03ea779ebd5cccd78bbe2eb1f55b29e31360ccf34cf3804d91bed417086566",
+    ],
+    ('cf-2^64', 'mc subsequence 30000'): [
+        "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
+        "ec0a40c2fb8e92e5afe0d2b2b5733f99a10b67d3e49b2af6d2997f8b9c17d5b7",
+    ],
+    ('sqrt2m1', 'mc rademacher 140001'): [
+        "1103155a714a0b0020e1e7ea7836ee9eb58ec305bc0b69290330df5270db6e60",
+        "ea4ab9d02618149560555e448f2321e5bb8da48a32266e140e021aaaa54164f7",
+    ],
+    ('sqrt2m1', 'mc rademacher 140001 seed 1'): [
+        "f9b32a4aa5cb8726736455e9874b7d15dd44cb0df6382cbe5533fc5c91d8be6e",
+        "7b6e98e78a8055d0afef569711b42805a14118e11ba49b6043893548c8f626ef",
+    ],
+    ('sqrt2m1', 'mc subsequence 30000'): [
+        "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
+        "e4a118088aca4645fd1fe2892c1a8d33d0b054a86ee28609e0da4546af742914",
+    ],
 }
 
 
@@ -858,6 +889,10 @@ ALPHA_FREE_SHA256 = {
     "mc iid": [
         "9a45baf2218cef9a02c8be4f2180b8309c89fe6f4f352b12b77c6b0932aa4a20",
         "433c341345e6e0d13c77580270dcfd865141f5c45591a7af355393c2d5d9534d",
+    ],
+    "mc iid 140001": [
+        "b4b5005c375451be0db977c4de2b60f818943b5fca7dccaa171a9d9bac0c75b3",
+        "47f3d183764f1650785489118d871b734da18c74bcbabf3467196856ee83cc4e",
     ],
     "hlawka vdc": [
         "6f83802fd678b41a9c0e969bb275c34943de2ecbf2160f91b65d22c7c51002f5",
