@@ -6,14 +6,20 @@ the normalized sums, and the tests check those against wide pilot-derived
 sanity bands plus the exactly checkable structure (variance integral,
 selection identity, weight bounds).
 
-Each model computes its path-independent work once per run: the weights
-and B_N, and the normaliser grid (`_ratio_grid`) over the admissible N,
-a suffix of 1..N_max, and hands one path loop (`_path_statistics`) its
-draw of a path's summands. One path then costs its RNG draws, one pass
-of the log(2 sin pi x) kernel (iid; the Kronecker weights are shared),
-one cumsum and one slice-divide-argmax (`_path_row`). The tests keep
-each model's own per-path loop as an oracle, and the outputs equal
-theirs bit for bit.
+Every model runs one path loop (`_path_statistics`) over blocks outside
+and paths inside. The blocks are the leaves of numpy's pairwise-sum tree
+of at most SUM_CHUNK terms (`_pairwise_leaves`), so the pooled sums add
+the leaves' sums in numpy's order. A block's path-independent work is
+done once: the weights and B_N (Rademacher, from the kernel block by
+block), the normaliser over the admissible N, a suffix of 1..N_max, and
+the running c0, c1 and side-condition grid. Each path then draws its
+summands there from its own generator, folds its carried S_N into the
+first one, and keeps a running first argmax of the ratio; nothing of size
+N is held. Fair signs and coins are the top bits of the generator's raw
+32-bit half-words (`FairCoins`), applied to a weight by flipping its
+float64 sign bit. The subsequence model draws a path's coins at once, so
+its summands are one block. The tests keep each model's own per-path
+loop as an oracle, and the outputs equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomicio import atomic_open
-from .irrational import IrrationalSpec, kronecker_fixed_point
-from .numerics import log_two_sin_pi_array
+from .irrational import (IrrationalSpec, kronecker_fixed_point,
+                         kronecker_fixed_point_cut)
+from .numerics import SUM_CHUNK, log_two_sin_pi_array
 
 PI2_OVER_12 = math.pi ** 2 / 12.0
 IID_SIGMA_CONSTANT = math.pi / math.sqrt(6.0)
@@ -90,81 +97,180 @@ class PathStatistics:
         return [row[4] for row in self.rows]
 
 
-class _RatioGrid(NamedTuple):
-    """The path-independent part of one model's LIL ratio.
+def _pairwise_leaves(n: int, chunk: int) -> list:
+    """The nodes of numpy's pairwise-sum tree over n terms that hold at most
+    `chunk` terms and whose parent holds more, as (lo, hi) index ranges in
+    order. numpy splits a node of more than 128 terms after its first
+    n/2 terms, rounded down to a multiple of 8, and sums a node of at most
+    128 terms without splitting it; so `chunk` must be at least 128, and
+    np.sum over each leaf is its node's sum. Every leaf but the last holds
+    a multiple of 8 terms."""
+    leaves = []
 
-    B is nondecreasing, so the admissible N (N >= n_lo and B_N > e) form
-    a suffix of 1..N_max: `start` is its first 0-based index and `denom`
-    holds sqrt(factor B_N loglog B_N) from there on.
-    """
+    def split(lo, m):
+        if m <= chunk:
+            leaves.append((lo, lo + m))
+        else:
+            half = m // 2 - m // 2 % 8
+            split(lo, half)
+            split(lo + half, m - half)
 
-    start: int
-    denom: np.ndarray
-
-
-def _ratio_grid(B: np.ndarray, n_lo: int, factor: float = 2.0) -> _RatioGrid:
-    """The normaliser grid over N >= n_lo for a nondecreasing B."""
-    lo = max(n_lo, 1) - 1
-    start = lo + int(np.searchsorted(B[lo:], math.e, side="right"))
-    if start >= len(B):
-        raise ValueError(f"no N in [{lo + 1}, {len(B)}] has B_N > e: "
-                         f"the ratio grid is empty")
-    Bs = B[start:]
-    return _RatioGrid(start, np.sqrt(factor * Bs * np.log(np.log(Bs))))
-
-
-def _path_row(pid: int, S: np.ndarray, B: np.ndarray,
-              grid: _RatioGrid) -> tuple:
-    """Path pid's CSV row (path_id, N, S_N, B_N, ratio) at the argmax of
-    S_N / denom_N over the grid; the ratio is that max."""
-    vals = S[grid.start:] / grid.denom
-    k = int(np.argmax(vals))
-    pos = grid.start + k
-    return pid, pos + 1, float(S[pos]), float(B[pos]), float(vals[k])
+    split(0, n)
+    return leaves
 
 
-def _path_statistics(model: str, n_paths: int, seed: int, B: np.ndarray,
-                     grid: _RatioGrid, draw, settle,
-                     details: dict) -> PathStatistics:
-    """The one path loop of every model, over N = len(B) summands a path.
+def _pairwise_total(n: int, chunk: int, sums: list) -> float:
+    """np.sum of n terms from the sums of its `_pairwise_leaves(n, chunk)`,
+    added in the order of numpy's tree."""
+    leaf = iter(sums)
 
-    Path i takes the i-th generator spawned from SeedSequence(seed) and
-    draws its summands y with `draw(rng)`, a fresh array the loop may
-    overwrite; its row is read from S = cumsum(y) at the ratio argmax
-    (`_path_row`), and `settle`, unless None, is handed S_N. Sum y and sum
-    y^2 over all paths give the pooled mean and variance."""
+    def total(m):
+        if m <= chunk:
+            return next(leaf)
+        half = m // 2 - m // 2 % 8
+        return total(half) + total(m - half)
+
+    return total(n)
+
+
+class FairCoins:
+    """Fair coins from one generator's raw 64-bit words.
+
+    The two 32-bit halves of a word, low half first, are two coins, and a
+    coin shows heads when its half's top bit is set. That is exactly what
+    `Generator.integers(0, 2, n)` returns for int64 output: it draws one
+    half per coin by Lemire's method, which for a range of 2 rejects
+    nothing and keeps the top bit. Reading the words directly ties the mc
+    outputs to the bit generator's stream rather than to that algorithm.
+
+    `take(n)` hands out the next n coins. An odd take keeps the unused half
+    of its last word for the next, so takes of any lengths give the coins
+    of one take of their total length."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.bit_generator = rng.bit_generator
+        self.spare = None  # the unused high half of the last word drawn
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n coins as a bool array, True for heads."""
+        if n <= 0:
+            return np.zeros(0, dtype=bool)
+        spare, self.spare = self.spare, None
+        m = n if spare is None else n - 1
+        halves = self.bit_generator.random_raw((m + 1) // 2).view(np.int32)
+        if m % 2:
+            self.spare = halves[m]
+        # a half's top bit is its int32 sign
+        heads = halves[:m] < 0
+        return heads if spare is None else np.concatenate(([spare < 0],
+                                                           heads))
+
+
+def _signed(heads: np.ndarray, neg_w: np.ndarray) -> np.ndarray:
+    """w where the coin shows heads, -w where it shows tails, from -w by
+    flipping its float64 sign bit under each head.
+
+    A weight w = +0.0 gives -0.0 under a tail (b 2w - w gave +0.0), which
+    no output sees: a signed zero shows only in a sum whose terms are all
+    zeros, and every N the ratio is read at has B_N > e, so a nonzero
+    weight at or before it; squares lose the sign."""
+    z = np.left_shift(heads, 63, dtype=np.uint64)
+    z ^= neg_w.view(np.uint64)
+    return z.view(np.float64)
+
+
+class _Path:
+    """One path's generator and what it carries from block to block: S at
+    the block's start, its CSV row so far, and its leaves' sums of y and
+    y^2."""
+
+    def __init__(self, pid: int, rng: np.random.Generator):
+        self.pid, self.rng, self.coins = pid, rng, FairCoins(rng)
+        self.S, self.row, self.sums, self.squares = 0.0, None, [], []
+
+
+def _path_statistics(model: str, n_paths: int, seed: int, N: int,
+                     chunk: int, n_lo: int, factor: float, block, draw,
+                     settle, details: dict) -> PathStatistics:
+    """The one path loop of every model, over N summands a path.
+
+    The loop runs over the blocks of `_pairwise_leaves(N, chunk)` outside
+    and the paths inside, so nothing of size N is held. Path i takes the
+    i-th generator spawned from SeedSequence(seed). For each block
+    [lo, hi), `block(lo, hi)` does the path-independent work and returns
+    (B_N over the block, the block's sum of y^2 if every path shares it,
+    else None); `draw(path, lo, hi)` then returns each path's summands y
+    there, a fresh array the loop may overwrite.
+
+    B is nondecreasing, so the admissible N (N >= n_lo and B_N > e) form a
+    suffix of 1..N, which starts in some block. A path's row is read at
+    the first maximum over them of S_N / sqrt(factor B_N loglog B_N): the
+    block's S is its cumsum with the carried S folded into the first term,
+    which is the whole-array cumsum bit for bit. `settle`, unless None, is
+    handed each path's S_N. The pooled mean and variance take each path's
+    sum y and sum y^2 from its leaves' sums in numpy's order."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    N = len(B)
-    rows = []
+    paths = [_Path(pid, np.random.default_rng(child)) for pid, child
+             in enumerate(np.random.SeedSequence(seed).spawn(n_paths))]
+    first = max(n_lo, 1) - 1  # 0-based
+    start = None  # the first admissible index
+    for lo, hi in _pairwise_leaves(N, chunk):
+        B, shared_sq = block(lo, hi)
+        if start is None and first < hi:
+            a = max(first - lo, 0)
+            i = a + int(np.searchsorted(B[a:], math.e, side="right"))
+            if i < len(B):
+                start = lo + i
+        if start is not None:
+            i = max(start - lo, 0)
+            Bs = B[i:]
+            denom = np.sqrt(factor * Bs * np.log(np.log(Bs)))
+        for path in paths:
+            y = draw(path, lo, hi)
+            path.sums.append(float(y.sum()))
+            path.squares.append(float(np.square(y).sum())
+                                if shared_sq is None else shared_sq)
+            if lo:
+                y[0] += path.S
+            S = np.cumsum(y, out=y)
+            path.S = float(S[-1])
+            if start is not None:
+                vals = S[i:] / denom
+                k = int(np.argmax(vals))
+                if path.row is None or vals[k] > path.row[4]:
+                    path.row = (path.pid, lo + i + k + 1, float(S[i + k]),
+                                float(B[i + k]), float(vals[k]))
+            if settle is not None and hi == N:
+                settle(path.S)
+    if start is None:
+        raise ValueError(f"no N in [{first + 1}, {N}] has B_N > e: "
+                         f"the ratio grid is empty")
     tot = tot_sq = 0.0
-    for pid, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
-        y = draw(np.random.default_rng(child))
-        S = np.cumsum(y)
-        rows.append(_path_row(pid, S, B, grid))
-        if settle is not None:
-            settle(float(S[-1]))
-        tot += float(y.sum())
-        y *= y
-        tot_sq += float(y.sum())
+    for path in paths:
+        tot += _pairwise_total(N, chunk, path.sums)
+        tot_sq += _pairwise_total(N, chunk, path.squares)
     mean = tot / (n_paths * N)
     var = tot_sq / (n_paths * N) - mean * mean
-    return PathStatistics(model, n_paths, N, seed, mean, var, details, rows)
+    return PathStatistics(model, n_paths, N, seed, mean, var, details,
+                          [path.row for path in paths])
 
 
 def iid_lil_experiment(n_paths: int, N_max: int, seed: int) -> PathStatistics:
     """S_N = sum log(2 sin pi X_k) for i.i.d. uniform X, B_N = N pi^2/12."""
     if N_max < IID_MIN_N_MAX:
         raise ValueError(f"N_max must be >= {IID_MIN_N_MAX}")
-    B = np.arange(1, N_max + 1, dtype=np.float64) * PI2_OVER_12
 
-    def draw(rng):
-        u = rng.random(N_max)
+    def block(lo, hi):
+        return np.arange(lo + 1, hi + 1, dtype=np.float64) * PI2_OVER_12, None
+
+    def draw(path, lo, hi):
+        u = path.rng.random(hi - lo)
         u[u == 0.0] = 0.5  # measure-zero guard against log(0)
         return log_two_sin_pi_array(u)
 
     return _path_statistics(
-        "iid", n_paths, seed, B, _ratio_grid(B, N_LO), draw, None,
+        "iid", n_paths, seed, N_max, SUM_CHUNK, N_LO, 2.0, block, draw, None,
         {"n_lo": N_LO, "reference_constant": 1.0,
          "sigma_constant": IID_SIGMA_CONSTANT,
          "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max})
@@ -179,37 +285,59 @@ def kronecker_log_weights(alpha: IrrationalSpec, N: int) -> np.ndarray:
 def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
                               seed: int) -> PathStatistics:
     """S_N = sum R_n log(2 sin pi n alpha) with fair +-1 signs. B_N
-    accumulates the squared deterministic weights."""
+    accumulates the squared deterministic weights, which are every path's
+    squared summands too.
+
+    The weights come block by block from the kernel, which also carries
+    ||n alpha|| >= c0/n and |w_n| <= c1 log n as running extrema (empirical
+    c0 and c1), and B at the side condition's grid."""
     if N_max < N_LO:
         raise ValueError(f"N_max = {N_max} is below n_lo = {N_LO}: "
                          f"no N is left to take the ratio at")
-    dist = kronecker_fixed_point(alpha, N_max).dist
-    w = log_two_sin_pi_array(dist)
-    two_w = 2.0 * w
-    B = np.cumsum(w * w)
-    n = np.arange(1, N_max + 1, dtype=np.float64)
-    # ||n alpha|| >= c0/n: empirical c0, and |w_n| <= c1 log n empirically
-    c0_hat = float(np.min(n * dist))
-    with np.errstate(divide="ignore"):
-        c1_hat = float(np.max(np.abs(w[1:]) / np.log(n[1:])))
+    leaves = _pairwise_leaves(N_max, SUM_CHUNK)
+    orbit = kronecker_fixed_point_cut(alpha, [hi for _, hi in leaves])
     # the LIL side condition: M_N / sqrt(B_N / loglog B_N) at a log-spaced grid
-    log_grid = np.unique(np.geomspace(10, N_max, 40).astype(int))
-    cond = {int(g): float(c1_hat * math.log(g)
-                          / math.sqrt(B[g - 1] / math.log(math.log(B[g - 1]))))
-            for g in log_grid if g <= N_max and B[g - 1] > math.e}
+    log_grid = np.unique(np.geomspace(10, N_max, 40).astype(int)).tolist()
+    B_grid = {}
+    c0_hat, c1_hat, B_last = math.inf, -math.inf, 0.0
+    neg_w = None  # -w over the current block
 
-    def draw(rng):
-        # a sign bit b gives b 2w - w: w or -w exactly
-        z = rng.integers(0, 2, size=N_max) * two_w
-        z -= w
-        return z
+    def block(lo, hi):
+        nonlocal c0_hat, c1_hat, B_last, neg_w
+        dist = next(orbit).dist
+        w = log_two_sin_pi_array(dist)
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        c0_hat = min(c0_hat, float(np.min(n * dist)))
+        j = 1 if lo == 0 else 0  # log 1 = 0: the bound starts at n = 2
+        if j < len(w):
+            c1_hat = max(c1_hat, float(np.max(np.abs(w[j:]) / np.log(n[j:]))))
+        neg_w = -w
+        B = np.square(w, out=w)
+        shared_sq = float(B.sum())
+        if lo:
+            B[0] += B_last
+        np.cumsum(B, out=B)
+        B_last = float(B[-1])
+        for g in log_grid:
+            if lo < g <= hi:
+                B_grid[g] = float(B[g - 1 - lo])
+        return B, shared_sq
 
-    return _path_statistics(
-        "rademacher", n_paths, seed, B, _ratio_grid(B, N_LO), draw, None,
+    def draw(path, lo, hi):
+        return _signed(path.coins.take(hi - lo), neg_w)
+
+    stats = _path_statistics(
+        "rademacher", n_paths, seed, N_max, SUM_CHUNK, N_LO, 2.0, block,
+        draw, None,
         {"n_lo": N_LO, "reference_constant": 1.0,
-         "target_variance": PI2_OVER_12, "B_over_N": float(B[-1] / N_max),
-         "c0_hat": c0_hat, "c1_hat": c1_hat, "mn_condition_ratio": cond,
-         "alpha": str(alpha)})
+         "target_variance": PI2_OVER_12, "alpha": str(alpha)})
+    stats.details.update({
+        "B_over_N": B_last / N_max, "c0_hat": c0_hat, "c1_hat": c1_hat,
+        "mn_condition_ratio": {
+            g: float(c1_hat * math.log(g)
+                     / math.sqrt(B / math.log(math.log(B))))
+            for g, B in B_grid.items() if B > math.e}})
+    return stats
 
 
 def _coin_draws(N_terms: int) -> int:
@@ -219,11 +347,12 @@ def _coin_draws(N_terms: int) -> int:
 
 def coin_flips(rng: np.random.Generator, N_terms: int) -> np.ndarray:
     """`_coin_draws(N_terms)` fair coin flips from `rng` (True = heads),
-    drawn once; fewer than N_terms heads raise ValueError. Over n draws,
-    Hoeffding's inequality puts that below exp(-2 (n/2 - N_terms)^2 / n),
-    which is below e^-57 for every N_terms (least near N_terms = 650)."""
+    taken at once from `FairCoins`; fewer than N_terms heads raise
+    ValueError. Over n draws, Hoeffding's inequality puts that below
+    exp(-2 (n/2 - N_terms)^2 / n), which is below e^-57 for every N_terms
+    (least near N_terms = 650)."""
     draws = _coin_draws(N_terms)
-    bits = rng.integers(0, 2, size=draws).astype(bool)
+    bits = FairCoins(rng).take(draws)
     heads = int(np.count_nonzero(bits))
     if heads < N_terms:
         raise ValueError(f"the coin showed {heads} heads in {draws} draws, "
@@ -235,7 +364,8 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
                                    N_terms: int, seed: int) -> PathStatistics:
     """Random subsequence model: keep index n when the n-th fair coin shows
     heads, sum the first N_terms kept weights, normalize by
-    sqrt(K loglog K); the theorem's constant pi/sqrt(12) is recorded.
+    sqrt(K loglog K); the theorem's constant pi/sqrt(12) is recorded. A
+    path's coins are drawn at once, so its summands are one block.
 
     The selection identity
         sum_{n_k <= N} w_{n_k} = (full sum + Rademacher-signed sum) / 2
@@ -253,14 +383,13 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
                "selection_counts": [], "alpha": str(alpha)}
     half = 0.0  # the current path's (full sum + signed sum) / 2
 
-    def draw(rng):
+    def draw(path, lo, hi):
         nonlocal half
-        bits = coin_flips(rng, N_terms)
+        bits = coin_flips(path.rng, N_terms)
         positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
         # independent evaluation of the signed sum for the identity check
-        signed = float(np.sum(np.where(bits[:n_last], w[:n_last],
-                                       neg_w[:n_last])))
+        signed = float(np.sum(_signed(bits[:n_last], neg_w[:n_last])))
         half = 0.5 * (float(cum_w[n_last - 1]) + signed)
         details["selection_counts"].append((n_last, int(N_terms)))
         return w[positions - 1]
@@ -270,8 +399,8 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         details[key] = max(details[key], abs(S_last - half))
 
     return _path_statistics(
-        "subsequence", n_paths, seed, K,
-        _ratio_grid(K, max(N_LO, 3), factor=1.0), draw, settle, details)
+        "subsequence", n_paths, seed, N_terms, N_terms, max(N_LO, 3), 1.0,
+        lambda lo, hi: (K, None), draw, settle, details)
 
 
 def write_paths_csv(stats: PathStatistics, path) -> None:

@@ -711,8 +711,13 @@ def test_mc_subsequence_terms_default(tmp_path, capsys):
 def test_mc_subsequence_short_coin_exits_2(tmp_path, capsys, monkeypatch):
     # a coin one head short of the terms: an error, not a redraw
     class ShortCoin:
-        def integers(self, low, high, size):
-            return (np.arange(size) < 99).astype(np.int64)
+        # raw words whose 32-bit halves show 99 heads, then tails
+        def __init__(self):
+            self.bit_generator = self
+
+        def random_raw(self, size):
+            heads = (np.arange(2 * size) < 99).astype(np.uint32)
+            return (heads << np.uint32(31)).view(np.uint64)
 
     real = st.coin_flips
     monkeypatch.setattr(st, "coin_flips",

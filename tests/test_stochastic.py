@@ -1,13 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from weylprod import stochastic
 from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
-from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT, coin_flips,
+from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT, FairCoins,
+                                 coin_flips,
                                  iid_lil_experiment, kronecker_log_weights,
                                  log_integral, rademacher_lil_experiment,
                                  subsequence_product_experiment, summary_dict,
@@ -136,14 +140,22 @@ def subsequence_oracle(alpha, n_paths, N_terms, seed, k_lo=100, coin=None):
     return ratios, rows, *moments(tot, tot_sq, n_paths * N_terms), details
 
 
+def raw_words(coins):
+    """The raw 64-bit words whose 32-bit halves, low half first, show
+    `coins` (1 heads, 0 tails) in their top bits."""
+    return (np.asarray(coins, dtype=np.uint32) << np.uint32(31)).view(
+        np.uint64)
+
+
 class ConstantCoin:
     """A generator stub whose coins all show `face` (1 heads, 0 tails)."""
 
     def __init__(self, face):
         self.face = face
+        self.bit_generator = self
 
-    def integers(self, low, high, size):
-        return np.full(size, self.face)
+    def random_raw(self, size):
+        return raw_words(np.full(2 * size, self.face))
 
 
 def heads(rng, size):
@@ -256,6 +268,126 @@ def test_rademacher_below_condition_grid(N_max, monkeypatch):
     else:
         assert all(g <= N_max for g in stats.details["mn_condition_ratio"])
         assert all(2 <= row[1] <= N_max for row in stats.rows)
+
+
+# ------------------------------------------------------- streamed blocks
+# The models stream their summands in the leaves of numpy's pairwise-sum
+# tree of at most SUM_CHUNK terms; a small chunk puts many block edges
+# inside orbits the oracles still hold whole.
+
+@pytest.mark.parametrize("seed,N_max,n_lo", [
+    (3, 1000, 100),     # below one block
+    (4, 1025, 100),     # one past a block
+    (5, 4099, 1),       # not a multiple of 8
+    (6, 20001, 100),    # across many blocks
+    (7, 4099, 1500)])   # the ratio starts past the first block
+def test_iid_in_small_blocks_matches_oracle(seed, N_max, n_lo, monkeypatch):
+    monkeypatch.setattr(stochastic, "SUM_CHUNK", 1024)
+    monkeypatch.setattr(stochastic, "N_LO", n_lo)
+    stats = iid_lil_experiment(3, N_max, seed)
+    assert_matches(stats, iid_oracle(3, N_max, seed, n_lo))
+
+
+@pytest.mark.parametrize("k,seed,N_max,n_lo", [
+    (0, 3, 1000, 100), (1, 4, 1025, 100), (2, 5, 4099, 1),
+    (3, 6, 20001, 100), (0, 7, 4099, 1500), (1, 8, 300, 100)])
+@pytest.mark.parametrize("chunk", [128, 1024])
+def test_rademacher_in_small_blocks_matches_oracle(k, seed, N_max, n_lo,
+                                                   chunk, monkeypatch):
+    monkeypatch.setattr(stochastic, "SUM_CHUNK", chunk)
+    monkeypatch.setattr(stochastic, "N_LO", n_lo)
+    alpha = parse_alpha(ALPHAS[k])
+    stats = rademacher_lil_experiment(alpha, 3, N_max, seed)
+    assert_matches(stats, rademacher_oracle(alpha, 3, N_max, seed, n_lo))
+
+
+@settings(max_examples=40)
+@given(hst.integers(1, 1 << 17), hst.integers(128, 1 << 12))
+@example(1 << 16, 128)
+@example(140001, 1 << 16)
+def test_pairwise_leaves_give_numpy_sum(n, chunk):
+    leaves = stochastic._pairwise_leaves(n, chunk)
+    assert leaves[0][0] == 0 and leaves[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert all((hi - lo) % 8 == 0 for lo, hi in leaves[:-1])
+    a = np.random.default_rng(n).standard_normal(n)
+    sums = [float(a[lo:hi].sum()) for lo, hi in leaves]
+    assert stochastic._pairwise_total(n, chunk, sums) == float(a.sum())
+
+
+@pytest.mark.parametrize("model", ["iid", "rademacher"])
+def test_streamed_models_in_flat_memory(model, sqrt2m1, monkeypatch):
+    # numpy reports its buffers to tracemalloc: at blocks of 2^10 terms an
+    # orbit 8 times longer peaks within a few blocks' bytes, where one
+    # N-length array held whole would add 8 bytes a term. The first run
+    # pays the one-time allocations
+    monkeypatch.setattr(stochastic, "SUM_CHUNK", 1 << 10)
+
+    def run(N_max):
+        if model == "iid":
+            iid_lil_experiment(2, N_max, seed=1)
+        else:
+            rademacher_lil_experiment(sqrt2m1, 2, N_max, seed=1)
+
+    run(1 << 12)
+    peaks = []
+    for N_max in (1 << 14, 1 << 17):
+        tracemalloc.start()
+        try:
+            run(N_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 8 * (1 << 10) * 8, peaks
+
+
+# --------------------------------------------------------------- fair coins
+
+@settings(max_examples=60)
+@given(hst.integers(1, 1 << 15), hst.integers(0, 2 ** 32 - 1))
+@example(1, 0)
+@example(2, 0)
+@example(3, 1)
+@example(6006, 2)
+@example(15001, 3)
+def test_fair_coins_are_generator_integers(n, seed):
+    got = FairCoins(np.random.default_rng(seed)).take(n)
+    assert got.dtype == bool
+    want = np.random.default_rng(seed).integers(0, 2, n)
+    assert np.array_equal(got, want.astype(bool))
+
+
+@settings(max_examples=60)
+@given(hst.lists(hst.integers(0, 300), min_size=1, max_size=12),
+       hst.integers(0, 2 ** 32 - 1))
+@example([1, 1], 0)
+@example([3, 5, 1, 2], 1)
+@example([65536, 65536, 8929], 2)
+def test_fair_coins_in_chunks_are_one_take(chunks, seed):
+    # an odd take that is not the last keeps the unused half of its last
+    # word for the next take
+    coins = FairCoins(np.random.default_rng(seed))
+    parts = [coins.take(n) for n in chunks]
+    assert [len(p) for p in parts] == chunks
+    whole = FairCoins(np.random.default_rng(seed)).take(sum(chunks))
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_fair_coins_are_the_top_bits_of_raw_halves():
+    words = np.random.default_rng(9).bit_generator.random_raw(2)
+    halves = [int(words[0]) & 0xFFFFFFFF, int(words[0]) >> 32,
+              int(words[1]) & 0xFFFFFFFF]
+    coins = FairCoins(np.random.default_rng(9))
+    got = [bool(coins.take(1)[0]) for _ in halves]
+    assert got == [h >> 31 == 1 for h in halves]
+
+
+def test_signed_weights_flip_only_the_sign_bit():
+    w = np.array([0.5, -1.25, 3.0, -0.0, 1e-300, -7.5])
+    heads = np.array([True, False, True, True, False, False])
+    got = stochastic._signed(heads, -w)
+    assert np.array_equal(got, np.where(heads, w, -w))
+    assert np.array_equal(np.signbit(got), np.signbit(np.where(heads, w, -w)))
 
 
 # -------------------------------------------------------------- quadrature
@@ -390,10 +522,11 @@ class CountedCoin:
 
     def __init__(self, heads):
         self.heads, self.draws = heads, 0
+        self.bit_generator = self
 
-    def integers(self, low, high, size):
+    def random_raw(self, size):
         self.draws += 1
-        return (np.arange(size) < self.heads).astype(np.int64)
+        return raw_words(np.arange(2 * size) < self.heads)
 
 
 def test_short_coin_raises_after_one_draw():
