@@ -152,9 +152,7 @@ class FairCoins:
         self.spare = None  # the unused high half of the last word drawn
 
     def take(self, n: int) -> np.ndarray:
-        """The next n coins as a bool array, True for heads."""
-        if n <= 0:
-            return np.zeros(0, dtype=bool)
+        """The next n >= 1 coins as a bool array, True for heads."""
         spare, self.spare = self.spare, None
         m = n if spare is None else n - 1
         halves = self.bit_generator.random_raw((m + 1) // 2).view(np.int32)
@@ -309,8 +307,7 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         c0_hat = min(c0_hat, float(np.min(n * dist)))
         j = 1 if lo == 0 else 0  # log 1 = 0: the bound starts at n = 2
-        if j < len(w):
-            c1_hat = max(c1_hat, float(np.max(np.abs(w[j:]) / np.log(n[j:]))))
+        c1_hat = max(c1_hat, float(np.max(np.abs(w[j:]) / np.log(n[j:]))))
         neg_w = -w
         B = np.square(w, out=w)
         shared_sq = float(B.sum())

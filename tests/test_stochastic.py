@@ -301,6 +301,22 @@ def test_rademacher_in_small_blocks_matches_oracle(k, seed, N_max, n_lo,
     assert_matches(stats, rademacher_oracle(alpha, 3, N_max, seed, n_lo))
 
 
+def test_path_loop_keeps_the_first_of_tied_maxima():
+    # S_N = 1 and B_N = 100 at every N: the ratio ties at every N, across
+    # four blocks of 128 terms, and each row is read at the first
+    # admissible N
+    def draw(path, lo, hi):
+        y = np.zeros(hi - lo)
+        y[0] = 1.0 if lo == 0 else 0.0
+        return y
+
+    stats = stochastic._path_statistics(
+        "ties", 2, 0, 512, 128, 100, 2.0,
+        lambda lo, hi: (np.full(hi - lo, 100.0), None), draw, None, {})
+    assert [row[:4] for row in stats.rows] == [(0, 100, 1.0, 100.0),
+                                               (1, 100, 1.0, 100.0)]
+
+
 @settings(max_examples=40)
 @given(hst.integers(1, 1 << 17), hst.integers(128, 1 << 12))
 @example(1 << 16, 128)
@@ -358,7 +374,7 @@ def test_fair_coins_are_generator_integers(n, seed):
 
 
 @settings(max_examples=60)
-@given(hst.lists(hst.integers(0, 300), min_size=1, max_size=12),
+@given(hst.lists(hst.integers(1, 300), min_size=1, max_size=12),
        hst.integers(0, 2 ** 32 - 1))
 @example([1, 1], 0)
 @example([3, 5, 1, 2], 1)
