@@ -147,6 +147,8 @@ class FairCoins:
     of its last word for the next, so takes of any lengths give the coins
     of one take of their total length."""
 
+    __slots__ = ("bit_generator", "spare")
+
     def __init__(self, rng: np.random.Generator):
         self.bit_generator = rng.bit_generator
         self.spare = None  # the unused high half of the last word drawn
@@ -178,13 +180,15 @@ def _signed(heads: np.ndarray, neg_w: np.ndarray) -> np.ndarray:
 
 
 class _Path:
-    """One path's generator and what it carries from block to block: S at
-    the block's start, its CSV row so far, and its leaves' sums of y and
-    y^2."""
+    """One path's seed, its generator from its first block to its last
+    (`rng`, and `coins` drawn from it), and what it carries from block to
+    block: S at the block's start and its CSV row so far."""
 
-    def __init__(self, pid: int, rng: np.random.Generator):
-        self.pid, self.rng, self.coins = pid, rng, FairCoins(rng)
-        self.S, self.row, self.sums, self.squares = 0.0, None, [], []
+    __slots__ = ("pid", "seed", "rng", "coins", "S", "row")
+
+    def __init__(self, pid: int, seed: np.random.SeedSequence):
+        self.pid, self.seed, self.rng, self.coins = pid, seed, None, None
+        self.S, self.row = 0.0, None
 
 
 def _path_statistics(model: str, n_paths: int, seed: int, N: int,
@@ -209,11 +213,14 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
     sum y and sum y^2 from its leaves' sums in numpy's order."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    paths = [_Path(pid, np.random.default_rng(child)) for pid, child
+    paths = [_Path(pid, child) for pid, child
              in enumerate(np.random.SeedSequence(seed).spawn(n_paths))]
+    leaves = _pairwise_leaves(N, chunk)
+    # each path's leaves' sums of y and of y^2
+    sums = np.empty((2, n_paths, len(leaves)))
     first = max(n_lo, 1) - 1  # 0-based
     start = None  # the first admissible index
-    for lo, hi in _pairwise_leaves(N, chunk):
+    for b, (lo, hi) in enumerate(leaves):
         B, shared_sq = block(lo, hi)
         if start is None and first < hi:
             a = max(first - lo, 0)
@@ -225,10 +232,13 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
             Bs = B[i:]
             denom = np.sqrt(factor * Bs * np.log(np.log(Bs)))
         for path in paths:
+            if not lo:
+                path.rng = np.random.default_rng(path.seed)
+                path.coins = FairCoins(path.rng)
             y = draw(path, lo, hi)
-            path.sums.append(float(y.sum()))
-            path.squares.append(float(np.square(y).sum())
-                                if shared_sq is None else shared_sq)
+            sums[0, path.pid, b] = y.sum()
+            sums[1, path.pid, b] = (np.square(y).sum() if shared_sq is None
+                                    else shared_sq)
             if lo:
                 y[0] += path.S
             S = np.cumsum(y, out=y)
@@ -239,15 +249,17 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
                 if path.row is None or vals[k] > path.row[4]:
                     path.row = (path.pid, lo + i + k + 1, float(S[i + k]),
                                 float(B[i + k]), float(vals[k]))
-            if settle is not None and hi == N:
-                settle(path.S)
+            if hi == N:
+                path.rng = path.coins = None
+                if settle is not None:
+                    settle(path.S)
     if start is None:
         raise ValueError(f"no N in [{first + 1}, {N}] has B_N > e: "
                          f"the ratio grid is empty")
     tot = tot_sq = 0.0
-    for path in paths:
-        tot += _pairwise_total(N, chunk, path.sums)
-        tot_sq += _pairwise_total(N, chunk, path.squares)
+    for pid in range(n_paths):
+        tot += float(_pairwise_total(N, chunk, sums[0, pid]))
+        tot_sq += float(_pairwise_total(N, chunk, sums[1, pid]))
     mean = tot / (n_paths * N)
     var = tot_sq / (n_paths * N) - mean * mean
     return PathStatistics(model, n_paths, N, seed, mean, var, details,
