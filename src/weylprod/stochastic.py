@@ -119,7 +119,7 @@ def _pairwise_leaves(n: int, chunk: int) -> list:
     return leaves
 
 
-def _pairwise_total(n: int, chunk: int, sums: list) -> float:
+def _pairwise_total(n: int, chunk: int, sums) -> float:
     """np.sum of n terms from the sums of its `_pairwise_leaves(n, chunk)`,
     added in the order of numpy's tree."""
     leaf = iter(sums)
@@ -170,10 +170,11 @@ def _signed(heads: np.ndarray, neg_w: np.ndarray) -> np.ndarray:
     """w where the coin shows heads, -w where it shows tails, from -w by
     flipping its float64 sign bit under each head.
 
-    A weight w = +0.0 gives -0.0 under a tail (b 2w - w gave +0.0), which
-    no output sees: a signed zero shows only in a sum whose terms are all
-    zeros, and every N the ratio is read at has B_N > e, so a nonzero
-    weight at or before it; squares lose the sign."""
+    Under a tail a weight w = +0.0 gives -0.0, as -1.0 * w does and
+    b 2w - w with b = 0 does not. No output can see the sign of that zero:
+    it shows only in a sum whose terms are all zeros, every N the ratio is
+    read at has B_N > e and so a nonzero weight at or before it, and
+    squares drop the sign."""
     z = np.left_shift(heads, 63, dtype=np.uint64)
     z ^= neg_w.view(np.uint64)
     return z.view(np.float64)

@@ -760,7 +760,7 @@ PIN_COMMANDS = {
     "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
     "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
-    # 140001 terms: several SUM_CHUNK-sized blocks, the last one ragged
+    # 140001 terms: four stream blocks of 35000 terms, the last one 35001
     "mc rademacher 140001": ["mc", "rademacher", "--paths", "2", "--n-max",
                              "140001"],
     # path 1 of seed 1 (sqrt2m1) peaks at N = 94334, past the first block
