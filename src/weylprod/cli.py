@@ -350,6 +350,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
     model = args.model
     if args.paths < 1:
         raise UsageError("--paths must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     paths = args.paths

@@ -15,11 +15,15 @@ block), the normaliser over the admissible N, a suffix of 1..N_max, and
 the running c0, c1 and side-condition grid. Each path then draws its
 summands there from its own generator, folds its carried S_N into the
 first one, and keeps a running first argmax of the ratio; nothing of size
-N is held. Fair signs and coins are the top bits of the generator's raw
-32-bit half-words (`FairCoins`), applied to a weight by flipping its
-float64 sign bit. The subsequence model draws a path's coins at once, so
-its summands are one block. The tests keep each model's own per-path
-loop as an oracle, and the outputs equal theirs bit for bit.
+N is held. Path i's generator is the PCG64 of the i-th child of
+`SeedSequence(seed).spawn(n_paths)`, seeded with the same four uint64
+words: `_spawned_states` hashes every child's SeedSequence pool in one
+pass, since a child's spawn key is the one word that differs, so the
+streams are spawn's. Fair signs and coins are the top bits of the
+generator's raw 32-bit half-words (`FairCoins`), applied to a weight by
+flipping its float64 sign bit. The subsequence model draws a path's coins
+at once, so its summands are one block. The tests keep each model's own
+per-path loop as an oracle, and the outputs equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -180,6 +184,93 @@ def _signed(heads: np.ndarray, neg_w: np.ndarray) -> np.ndarray:
     return z.view(np.float64)
 
 
+# numpy's SeedSequence: its pool of 32-bit words and the constants it
+# hashes with (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's `hashmix`, with the multiplier it carries from call
+    to call. A value is a Python int or a uint32 array; the constants stay
+    Python ints, so the array arithmetic wraps without a warning."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _spawned_states(seed: int, n: int) -> np.ndarray:
+    """The (n, 4) uint64 array whose row i is
+    `SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)`, the words
+    that seed child i's PCG64, for a seed >= 0 and n <= 2^32.
+
+    Child i's entropy is the seed's 32-bit words, low first and padded with
+    zeros to the pool size, then its spawn key i. The key is the one word
+    that differs, and it comes last, after the words that fill the pool. So
+    the pool is hashed and mixed once for every child, in Python ints, and
+    only the key's own mixing and the state's hashing run on uint32 arrays
+    of all n keys."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if n > 1 << 32:
+        raise ValueError("a spawn key above 2^32 - 1 takes two words")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    words.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[k % _POOL_SIZE])
+                      for k in range(2 * _POOL_SIZE)], axis=1)
+    # two 32-bit words, low first, make each 64-bit word, as in numpy
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _spawned_seeds(seed: int, n: int) -> list:
+    """Seeds from which `np.random.default_rng` builds the generators of
+    `SeedSequence(seed).spawn(n)`, stream for stream. Each is a minimal
+    `ISeedSequence` that hands PCG64 its row of `_spawned_states`, and
+    numpy seeds PCG64 from it as from the child itself."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SpawnedState(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's 4 uint64 words are held")
+            return self.state
+
+    return [SpawnedState(row) for row in _spawned_states(seed, n)]
+
+
 class _Path:
     """One path's seed, its generator from its first block to its last
     (`rng`, and `coins` drawn from it), and what it carries from block to
@@ -187,7 +278,7 @@ class _Path:
 
     __slots__ = ("pid", "seed", "rng", "coins", "S", "row")
 
-    def __init__(self, pid: int, seed: np.random.SeedSequence):
+    def __init__(self, pid: int, seed):
         self.pid, self.seed, self.rng, self.coins = pid, seed, None, None
         self.S, self.row = 0.0, None
 
@@ -199,7 +290,9 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
 
     The loop runs over the blocks of `_pairwise_leaves(N, chunk)` outside
     and the paths inside, so nothing of size N is held. Path i takes the
-    i-th generator spawned from SeedSequence(seed). For each block
+    generator of the i-th child spawned from SeedSequence(seed), seeded
+    from `_spawned_seeds`, which makes all n_paths children's PCG64 states
+    in one pass: the same states, and so the same streams. For each block
     [lo, hi), `block(lo, hi)` does the path-independent work and returns
     (B_N over the block, the block's sum of y^2 if every path shares it,
     else None); `draw(path, lo, hi)` then returns each path's summands y
@@ -215,7 +308,7 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     paths = [_Path(pid, child) for pid, child
-             in enumerate(np.random.SeedSequence(seed).spawn(n_paths))]
+             in enumerate(_spawned_seeds(seed, n_paths))]
     leaves = _pairwise_leaves(N, chunk)
     # each path's leaves' sums of y and of y^2
     sums = np.empty((2, n_paths, len(leaves)))
@@ -415,10 +508,10 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
 
 def write_paths_csv(stats: PathStatistics, path) -> None:
     """One row per path at its ratio argmax: "path_id,N,S_N,B_N,ratio"."""
+    text = "".join([f"{pid},{n},{s!r},{b!r},{r!r}\n"
+                    for pid, n, s, b, r in stats.rows])
     with atomic_open(path) as fh:
-        fh.write("path_id,N,S_N,B_N,ratio\n")
-        for pid, n, s, b, r in stats.rows:
-            fh.write(f"{pid},{n},{s!r},{b!r},{r!r}\n")
+        fh.write("path_id,N,S_N,B_N,ratio\n" + text)
 
 
 def summary_dict(stats: PathStatistics) -> dict:
@@ -428,8 +521,9 @@ def summary_dict(stats: PathStatistics) -> dict:
     the CSV and recomputing reproduces this summary exactly.
     """
     ratios = np.array(stats.lil_ratios, dtype=np.float64)
-    qs = {f"q{int(q * 100):02d}": float(np.quantile(ratios, q))
-          for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
+    levels = (0.1, 0.25, 0.5, 0.75, 0.9)
+    qs = {f"q{int(q * 100):02d}": float(v)
+          for q, v in zip(levels, np.quantile(ratios, levels))}
     scalars = {k: v for k, v in stats.details.items()
                if isinstance(v, (int, float, str))}
     return {

@@ -602,6 +602,15 @@ def test_mc_paths_zero_usage_error(capsys):
     assert "paths" in err
 
 
+@pytest.mark.parametrize("model", ["iid", "rademacher", "subsequence"])
+def test_mc_negative_seed_names_flag(tmp_path, capsys, model):
+    code, _, err = run(["mc", model, "--paths", "2", "--seed", "-1",
+                        "--out", str(tmp_path / "m")], capsys)
+    assert code == 2
+    assert "--seed must be >= 0" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("n_max", ["1", "50", "99"])
 def test_mc_rademacher_n_max_below_ratio_range(tmp_path, capsys, n_max):
     code, _, err = run(["mc", "rademacher", "--paths", "2", "--n-max", n_max,
@@ -1188,3 +1197,13 @@ def test_runs_without_scipy(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "mc.csv").read_text().count("\n") == 3
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random is imported only when an mc model or a random search
+    # runs, so the import every command pays stays without it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, weylprod.cli; "
+         "sys.exit('numpy.random' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -357,6 +357,42 @@ def test_streamed_models_in_flat_memory(model, sqrt2m1, monkeypatch):
     assert peaks[1] < peaks[0] + 8 * (1 << 10) * 8, peaks
 
 
+# ----------------------------------------------------------------- seeding
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@settings(max_examples=15)
+@given(hst.integers(0, 1 << 300))
+@example(0)
+@example(2 ** 32 - 1)
+@example(2 ** 32)
+@example(2 ** 128)
+@example(2 ** 200 + 3)
+def test_spawned_states_are_spawns(n, seed):
+    # numpy's SeedSequence is the oracle: each row is a spawned child's
+    # PCG64 seed words, and the generator seeded from it draws the child's
+    # stream
+    children = np.random.SeedSequence(seed).spawn(n)
+    states = stochastic._spawned_states(seed, n)
+    assert states.shape == (n, 4) and states.dtype == np.uint64
+    want = np.array([c.generate_state(4, np.uint64) for c in children])
+    assert np.array_equal(states, want)
+    for child, spawned in zip(children, stochastic._spawned_seeds(seed, n)):
+        got = np.random.default_rng(spawned).bit_generator.random_raw(3)
+        want = np.random.default_rng(child).bit_generator.random_raw(3)
+        assert np.array_equal(got, want)
+
+
+def test_spawned_states_refuse_what_spawn_would_not_give():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        stochastic._spawned_states(-1, 1)
+    # keys from 2^32 on take two words; refused before anything is built
+    with pytest.raises(ValueError, match="two words"):
+        stochastic._spawned_states(0, (1 << 32) + 1)
+    (spawned,) = stochastic._spawned_seeds(0, 1)
+    with pytest.raises(ValueError, match="PCG64"):
+        spawned.generate_state(8, np.uint32)
+
+
 # --------------------------------------------------------------- fair coins
 
 @settings(max_examples=60)
