@@ -207,6 +207,7 @@ def _hasher(const: int, mult: int):
 
 
 def _mix(x, y):
+    """SeedSequence's `mix` of a pool word x with a hashed word y."""
     r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
     return r ^ r >> 16
 
