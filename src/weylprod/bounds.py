@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import (int_sorted_max, kronecker_discrepancy,
-                          vdc_discrepancy)
+from .discrepancy import kronecker_discrepancy, vdc_discrepancy
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, ostrowski_digit_sums,
                          ostrowski_levels)
@@ -249,8 +247,8 @@ def check_cesaro_log_bound(alpha: IrrationalSpec, N_max: int) -> BoundReport:
 def check_type_growth(alpha: IrrationalSpec, N_max: int, t: float) -> BoundReport:
     """Reports the empirical sup of log2 P_N / N^(1 - 1/t); never asserts a
     universal constant."""
-    if not t > 1.0:
-        raise ValueError("t must exceed 1")
+    if not 1.0 < t < math.inf:
+        raise ValueError("t must exceed 1 and be finite")
     logs, _ = kronecker_log_trace(alpha, N_max)
     n = np.arange(1, N_max + 1, dtype=np.float64)
     ratios = (logs / LOG2) / n ** (1.0 - 1.0 / t)
@@ -387,26 +385,23 @@ def check_kronecker_conjectures(alpha: IrrationalSpec,
 
 
 def grid_hlawka_report(N: int) -> BoundReport:
-    """Hlawka bound for the single grid k/(N+1): P_N is exactly N+1 and the
-    bound evaluates to (N+1)^(2N/(N+1)) <= (N+1)^2.
+    """Hlawka bound for the single grid k/(N+1): P_N is exactly N+1, and
+    D_N* is exactly 1/(N+1), attained at the first and the last point, so
+    Delta_N = N/(N+1) and the bound evaluates to
+    (N+1)^(2N/(N+1)) <= (N+1)^2.
 
-    The grid is sorted, so it streams in blocks (`uniform_grid_blocks`)
-    twice: through a `BlockTrace` for log P_N, and through
-    `int_sorted_max` for Delta_N."""
-    blocks = uniform_grid_blocks(N)
+    The grid is sorted, so it streams once, in blocks
+    (`uniform_grid_blocks`), through a `BlockTrace` for log P_N."""
     den = N + 1
     # the smallest distances to 0 or 1 are at 1 and N, the largest near
     # (N+1)/2, on either side
     ends = np.array([1, N, den // 2, den - den // 2]) / den
     trace = BlockTrace(N, term_max(ends))
     out = np.empty(min(N, SUM_CHUNK))
-    for block in blocks:
+    for block in uniform_grid_blocks(N):
         lhs = float(trace.feed(block, out=out[:len(block)])[-1])
-    err = trace.error_bound()
-    del trace, out  # the trace's block arrays go before the next pass's
-    m, _ = int_sorted_max((b.numerators for b in uniform_grid_blocks(N)),
-                          den, N)
-    rhs, tol = _hlawka_rhs(N, float(Fraction(m, den)), err, None)
+    # Delta_N = N D_N* = N/(N+1), correctly rounded
+    rhs, tol = _hlawka_rhs(N, N / den, trace.error_bound(), None)
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
     _report_rows(report, N, lhs, rhs, tol)
     report.empirical_constants["P_N"] = math.exp(lhs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import shutil
 import sys
@@ -393,8 +394,8 @@ def _validate(args: argparse.Namespace) -> None:
     if args.precision_bits is not None and args.precision_bits < 68:
         raise UsageError("--precision-bits must be >= 68")
     args.alpha = parse_alpha(args.alpha)
-    if args.command == "verify" and not args.epsilon > 0:
-        raise UsageError("--epsilon must be positive")
+    if args.command == "verify" and not 0 < args.epsilon < math.inf:
+        raise UsageError("--epsilon must be positive and finite")
 
 
 def main(argv=None) -> int:

@@ -53,45 +53,28 @@ def star_discrepancy(ps) -> DiscrepancyResult:
     return _float(np.sort(np.asarray(pts, dtype=np.float64)))
 
 
-def int_sorted_max(blocks, den: int, N: int) -> tuple:
-    """(m, k) for N sorted integer numerators over `den`, given in
-    consecutive blocks: m is the largest of up_i = N nums_i - i den and
+def int_sorted_max(nums, den: int) -> tuple:
+    """(m, k) for the N sorted integer numerators `nums` over `den`, an
+    array: m is the largest of up_i = N nums_i - i den and
     dn_i = (i+1) den - N nums_i = den - up_i, i = 0..N-1, that is
     N den D_N*, and k the first index attaining it (the up branch wins
-    ties). Each branch's largest value and first index are carried from
-    block to block; up is built in place in one array kept for all blocks
-    (min(N, SUM_CHUNK) entries), and dn's largest is den less up's least.
-    int64 blocks need den * N < 2^62; object arrays of Python ints have no
-    limit."""
-    best_up = best_dn = (None, 0)
-    start = 0
-    up = None
-    for nums in blocks:
-        b = len(nums)
-        if up is None or b > len(up):
-            size = max(b, min(N, SUM_CHUNK))
-            up = np.empty(size, dtype=nums.dtype)
-            steps = np.arange(size, dtype=nums.dtype) * den
-        u = np.multiply(nums, N, out=up[:b])
-        u -= start * den
-        u -= steps[:b]                   # (x_(i+1) - i/N) * den * N
-        ku = int(np.argmax(u))
-        kd = int(np.argmin(u))
-        vu, vd = int(u[ku]), den - int(u[kd])
-        if best_up[0] is None or vu > best_up[0]:
-            best_up = (vu, start + ku)
-        if best_dn[0] is None or vd > best_dn[0]:
-            best_dn = (vd, start + kd)
-        start += b
-    return best_up if best_up[0] >= best_dn[0] else best_dn
+    ties); dn's largest is den less up's least. int64 arrays need
+    den * N < 2^62; object arrays of Python ints have no limit."""
+    N = len(nums)
+    up = nums * N
+    up -= np.arange(N, dtype=nums.dtype) * den  # (x_(i+1) - i/N) * den * N
+    ku, kd = int(np.argmax(up)), int(np.argmin(up))
+    vu, vd = int(up[ku]), den - int(up[kd])
+    return (vu, ku) if vu >= vd else (vd, kd)
 
 
 def _exact(nums, den: int) -> DiscrepancyResult:
-    """D_N* of the points nums_i / den from their sorted numerators, in
-    int64 while den * N < 2^62 and in Python ints above, as one block."""
+    """D_N* of the points nums_i / den from their sorted numerators, by
+    `int_sorted_max`, in int64 while den * N < 2^62 and in Python ints
+    above."""
     N = len(nums)
     nums = np.asarray(nums, dtype=np.int64 if den * N < 1 << 62 else object)
-    m, k = int_sorted_max([nums], den, N)
+    m, k = int_sorted_max(nums, den)
     return DiscrepancyResult(Fraction(m, den * N), Fraction(m, den),
                              Fraction(int(nums[k]), den))
 

@@ -579,6 +579,11 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
      "--n-min must be in [1, --n-max = 10], got 16 (--n-min defaults to 16)"),
     (["hlawka", "--gen", "kronecker", "--n-max", "10"],
      "got 16 (--n-min defaults to 16)"),
+    # JSON has no Infinity: the reports would print it
+    (["type-growth", "--n-max", "10", "--t", "inf"], "t must exceed 1"),
+    (["extremal", "--N", "8", "--d", "0.125", "--epsilon", "inf"],
+     "--epsilon"),
+    (["extremal", "--epsilon", "inf"], "--epsilon"),
 ])
 def test_verify_size_below_one_names_flag(capsys, args, flag):
     # rejected as usage errors, not run at a default size or crashed
@@ -1141,6 +1146,7 @@ def test_console_script_entry_point():
 _WITHOUT_MPMATH = """
 import sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises
+sys.modules["numpy.ma"] = None  # and so does any import of numpy.ma
 import weylprod
 import weylprod.cli
 out = sys.argv[1]
@@ -1167,7 +1173,8 @@ for argv in (
 def test_verify_and_mc_run_without_mpmath(tmp_path):
     # mpmath is loaded only by figure, the quadratures and the mpf oracles:
     # the package, the CLI and every verify and mc command here run with it
-    # unimportable
+    # unimportable, and with numpy.ma unimportable, which numpy's quantile
+    # and unique would load
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_MPMATH, str(tmp_path)],
         capture_output=True, text=True)

@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +16,9 @@ from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
                                   kronecker_discrepancy, star_discrepancy,
                                   vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
-from weylprod.numerics import SUM_CHUNK, as_float_array
+from weylprod.numerics import as_float_array
 from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
-                                uniform_grid_blocks, van_der_corput)
+                                van_der_corput)
 
 EPS = Fraction(1, 1 << 40)
 
@@ -158,46 +157,17 @@ def test_rational_array_past_int64(den):
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=40),
-       st.lists(st.integers(1, 40), max_size=6), st.integers(12, 15))
-def test_sorted_max_carried_across_blocks(nums, cuts, den):
-    # the carried (max, first index) of each branch gives the largest
-    # value and its first index, the up branch winning ties (small
-    # numerators make ties common)
+       st.integers(12, 15))
+def test_sorted_max_first_index_up_wins_ties(nums, den):
+    # the largest value of either branch and its first index, the up
+    # branch winning ties (small numerators make ties common)
     nums = sorted(nums)
     N = len(nums)
     up = [x * N - i * den for i, x in enumerate(nums)]
     dn = [(i + 1) * den - x * N for i, x in enumerate(nums)]
     want = ((max(up), up.index(max(up))) if max(up) >= max(dn)
             else (max(dn), dn.index(max(dn))))
-    arr = np.array(nums, dtype=np.int64)
-    edges = [0] + sorted({c for c in cuts if c < N}) + [N]
-    blocks = [arr[a:b] for a, b in zip(edges, edges[1:])]
-    assert int_sorted_max(blocks, den, N) == want
-
-
-def test_sorted_max_allocates_no_block_per_block():
-    # after the first block, `up` is built in the kept array: over the next
-    # seven blocks the traced peak grows by less than an eighth of one
-    # block's 512 KB
-    N = 8 * SUM_CHUNK
-    nums = [b.numerators for b in uniform_grid_blocks(N)]
-    want = int_sorted_max([np.concatenate(nums)], N + 1, N)
-    base = []
-
-    def blocks():
-        yield nums[0]
-        tracemalloc.reset_peak()
-        base.append(tracemalloc.get_traced_memory()[0])
-        yield from nums[1:]
-
-    tracemalloc.start()
-    try:
-        got = int_sorted_max(blocks(), N + 1, N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak - base[0] < 64 * 1024
+    assert int_sorted_max(np.array(nums, dtype=np.int64), den) == want
 
 
 def test_trace_single_point_formula():

@@ -610,3 +610,38 @@ def test_csv_json_round_trip(tmp_path, sqrt2m1):
     med = float(np.quantile(np.array(ratios), 0.5))
     assert summary["ratio_quantiles"]["q50"] == med
     assert summary_dict(stats) == summary
+
+
+def _numpy_quantiles(ratios):
+    # the oracle; where b - a overflows, numpy warns and Python does not,
+    # and both give the same inf or NaN, which is mapped to a string here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _nan_free({f"q{int(q * 100):02d}": float(np.quantile(ratios, q))
+                          for q in (0.1, 0.25, 0.5, 0.75, 0.9)})
+
+
+def _nan_free(qs):
+    return {k: "nan" if math.isnan(v) else v for k, v in qs.items()}
+
+
+@settings(max_examples=300)
+@given(hst.lists(hst.floats(allow_nan=False, allow_infinity=False)
+                 | hst.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                 min_size=1, max_size=40))
+@example([-0.0])
+@example([-1e308, -1e308, 1e308])
+def test_ratio_quantiles_are_numpy_quantiles(ratios):
+    # floats that compare equal are the same bits but for the sign of a
+    # zero, which numpy's partition and np.sort may order apart; small
+    # pools make ties
+    ratios = np.array(ratios)
+    assert _nan_free(stochastic._ratio_quantiles(ratios)) == \
+        _numpy_quantiles(ratios)
+
+
+@pytest.mark.parametrize("n", [299, 300, 301, 1000])
+def test_ratio_quantiles_at_path_counts(n):
+    rng = np.random.default_rng(n)
+    for ratios in (rng.normal(size=n), np.round(rng.normal(size=n), 1)):
+        assert _nan_free(stochastic._ratio_quantiles(ratios)) == \
+            _numpy_quantiles(ratios)
