@@ -54,8 +54,8 @@ def star_discrepancy(ps) -> DiscrepancyResult:
 
 
 def int_sorted_max(nums, den: int) -> tuple:
-    """(m, k) for the N sorted integer numerators `nums` over `den`, an
-    array: m is the largest of up_i = N nums_i - i den and
+    """(m, k) for an array `nums` of N sorted integer numerators over
+    `den`: m is the largest of up_i = N nums_i - i den and
     dn_i = (i+1) den - N nums_i = den - up_i, i = 0..N-1, that is
     N den D_N*, and k the first index attaining it (the up branch wins
     ties); dn's largest is den less up's least. int64 arrays need
