@@ -24,12 +24,22 @@ generator's raw 32-bit half-words (`FairCoins`), applied to a weight by
 flipping its float64 sign bit. The subsequence model draws a path's coins
 at once, so its summands are one block. The tests keep each model's own
 per-path loop as an oracle, and the outputs equal theirs bit for bit.
+
+The iid model runs a block's paths on one thread per core (`_cores`), in
+contiguous groups that finish before the next block; its per-path step is
+a few long numpy calls that release the GIL. The other two models run on
+the calling thread alone. A path's step reads and writes only that path's
+state (its generator, carried S, row and entries of the leaves' sums), and
+the pooled totals are added in path order, so every output byte is the
+same for any number of threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -123,9 +133,10 @@ def _pairwise_leaves(n: int, chunk: int) -> list:
     return leaves
 
 
-def _pairwise_total(n: int, chunk: int, sums) -> float:
+def _pairwise_total(n: int, chunk: int, sums):
     """np.sum of n terms from the sums of its `_pairwise_leaves(n, chunk)`,
-    added in the order of numpy's tree."""
+    added in the order of numpy's tree. A leaf's sum may be an array of
+    many sums, one per series, each added as its own floats would be."""
     leaf = iter(sums)
 
     def total(m):
@@ -284,9 +295,47 @@ class _Path:
         self.S, self.row = 0.0, None
 
 
+def _cores() -> int:
+    """The CPUs this process may run on, and so the threads the iid model
+    runs its paths on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(groups: list, step) -> None:
+    """`step(path)` for every path of every group: group 0 on this thread,
+    each other group on a thread of its own, all finished on return. The
+    first group that raised has its exception raised again here, with its
+    own type."""
+    errors = [None] * len(groups)
+
+    def run(g):
+        try:
+            for path in groups[g]:
+                step(path)
+        except BaseException as exc:
+            errors[g] = exc
+
+    threads = []
+    try:
+        for g in range(1, len(groups)):
+            thread = threading.Thread(target=run, args=(g,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _path_statistics(model: str, n_paths: int, seed: int, N: int,
                      chunk: int, n_lo: int, factor: float, block, draw,
-                     settle, details: dict) -> PathStatistics:
+                     settle, details: dict, threads: int) -> PathStatistics:
     """The one path loop of every model, over N summands a path.
 
     The loop runs over the blocks of `_pairwise_leaves(N, chunk)` outside
@@ -304,15 +353,27 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
     the first maximum over them of S_N / sqrt(factor B_N loglog B_N): the
     block's S is its cumsum with the carried S folded into the first term,
     which is the whole-array cumsum bit for bit. `settle`, unless None, is
-    handed each path's S_N. The pooled mean and variance take each path's
-    sum y and sum y^2 from its leaves' sums in numpy's order."""
+    handed each path once its S_N is known. The pooled mean and variance
+    take each path's sum y and sum y^2 from its leaves' sums in numpy's
+    order, in one walk of the tree for all paths, and add the paths' totals
+    in path order.
+
+    Within a block the paths are split into `threads` groups (at most
+    n_paths), which run their per-path steps at once (`_in_threads`); the
+    groups finish before the next block starts. A path's step touches only
+    its own generator, its carried S and row, and its own entries of the
+    leaves' sums, and `draw` and `settle` must keep to that path's state
+    too. So no output depends on the number of threads."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     paths = [_Path(pid, child) for pid, child
              in enumerate(_spawned_seeds(seed, n_paths))]
+    threads = min(threads, n_paths)
+    groups = [paths[g * n_paths // threads:(g + 1) * n_paths // threads]
+              for g in range(threads)]
     leaves = _pairwise_leaves(N, chunk)
-    # each path's leaves' sums of y and of y^2
-    sums = np.empty((2, n_paths, len(leaves)))
+    # each leaf's sums of y and of y^2, for every path
+    sums = np.empty((len(leaves), n_paths, 2))
     first = max(n_lo, 1) - 1  # 0-based
     start = None  # the first admissible index
     for b, (lo, hi) in enumerate(leaves):
@@ -326,13 +387,14 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
             i = max(start - lo, 0)
             Bs = B[i:]
             denom = np.sqrt(factor * Bs * np.log(np.log(Bs)))
-        for path in paths:
+
+        def step(path):
             if not lo:
                 path.rng = np.random.default_rng(path.seed)
                 path.coins = FairCoins(path.rng)
             y = draw(path, lo, hi)
-            sums[0, path.pid, b] = y.sum()
-            sums[1, path.pid, b] = (np.square(y).sum() if shared_sq is None
+            sums[b, path.pid, 0] = y.sum()
+            sums[b, path.pid, 1] = (np.square(y).sum() if shared_sq is None
                                     else shared_sq)
             if lo:
                 y[0] += path.S
@@ -347,14 +409,16 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
             if hi == N:
                 path.rng = path.coins = None
                 if settle is not None:
-                    settle(path.S)
+                    settle(path)
+
+        _in_threads(groups, step)
     if start is None:
         raise ValueError(f"no N in [{first + 1}, {N}] has B_N > e: "
                          f"the ratio grid is empty")
     tot = tot_sq = 0.0
-    for pid in range(n_paths):
-        tot += float(_pairwise_total(N, chunk, sums[0, pid]))
-        tot_sq += float(_pairwise_total(N, chunk, sums[1, pid]))
+    for path_tot, path_tot_sq in _pairwise_total(N, chunk, sums).tolist():
+        tot += path_tot
+        tot_sq += path_tot_sq
     mean = tot / (n_paths * N)
     var = tot_sq / (n_paths * N) - mean * mean
     return PathStatistics(model, n_paths, N, seed, mean, var, details,
@@ -374,11 +438,14 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int) -> PathStatistics:
         u[u == 0.0] = 0.5  # measure-zero guard against log(0)
         return log_two_sin_pi_array(u)
 
+    # a path's step is a few long numpy calls (the fill, the kernel's sin,
+    # the cumsum) that run outside the GIL, so its paths run on every core
     return _path_statistics(
         "iid", n_paths, seed, N_max, SUM_CHUNK, N_LO, 2.0, block, draw, None,
         {"n_lo": N_LO, "reference_constant": 1.0,
          "sigma_constant": IID_SIGMA_CONSTANT,
-         "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max})
+         "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max},
+        _cores())
 
 
 def kronecker_log_weights(alpha: IrrationalSpec, N: int) -> np.ndarray:
@@ -430,11 +497,14 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     def draw(path, lo, hi):
         return _signed(path.coins.take(hi - lo), neg_w)
 
+    # one thread: a path's step is many short numpy calls, which hand the
+    # GIL back and forth between threads. On a 2-core host, 8 paths at
+    # 2^20 took 186 ms on two threads against 139 ms on one (best of 7)
     stats = _path_statistics(
         "rademacher", n_paths, seed, N_max, SUM_CHUNK, N_LO, 2.0, block,
         draw, None,
         {"n_lo": N_LO, "reference_constant": 1.0,
-         "target_variance": PI2_OVER_12, "alpha": str(alpha)})
+         "target_variance": PI2_OVER_12, "alpha": str(alpha)}, 1)
     stats.details.update({
         "B_over_N": B_last / N_max, "c0_hat": c0_hat, "c1_hat": c1_hat,
         "mn_condition_ratio": {
@@ -483,28 +553,35 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     cum_w = np.cumsum(w)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
     details = {"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
-               "selection_identity_max_abs_diff": 0.0,
-               "selection_counts": [], "alpha": str(alpha)}
-    half = 0.0  # the current path's (full sum + signed sum) / 2
+               "alpha": str(alpha)}
+    # by path: (full sum + signed sum) / 2, its distance from S at the
+    # path's end, and (n_last, N_terms)
+    halves = [0.0] * n_paths
+    misses = [0.0] * n_paths
+    counts = [None] * n_paths
 
     def draw(path, lo, hi):
-        nonlocal half
         bits = coin_flips(path.rng, N_terms)
         positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
         # independent evaluation of the signed sum for the identity check
         signed = float(np.sum(_signed(bits[:n_last], neg_w[:n_last])))
-        half = 0.5 * (float(cum_w[n_last - 1]) + signed)
-        details["selection_counts"].append((n_last, int(N_terms)))
+        halves[path.pid] = 0.5 * (float(cum_w[n_last - 1]) + signed)
+        counts[path.pid] = (n_last, int(N_terms))
         return w[positions - 1]
 
-    def settle(S_last):
-        key = "selection_identity_max_abs_diff"
-        details[key] = max(details[key], abs(S_last - half))
+    def settle(path):
+        misses[path.pid] = abs(path.S - halves[path.pid])
 
-    return _path_statistics(
+    # one thread, as for the Rademacher model: its steps are short numpy
+    # calls. On a 2-core host, 8 paths of 2^19 terms took 153 ms on two
+    # threads against 144 ms on one, and 300 paths of 2500 terms were level
+    stats = _path_statistics(
         "subsequence", n_paths, seed, N_terms, N_terms, max(N_LO, 3), 1.0,
-        lambda lo, hi: (K, None), draw, settle, details)
+        lambda lo, hi: (K, None), draw, settle, details, 1)
+    details["selection_identity_max_abs_diff"] = max([0.0] + misses)
+    details["selection_counts"] = counts
+    return stats
 
 
 def write_paths_csv(stats: PathStatistics, path) -> None:

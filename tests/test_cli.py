@@ -1208,9 +1208,12 @@ def test_runs_without_scipy(tmp_path):
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random is imported only when an mc model or a random search
-    # runs, so the import every command pays stays without it
+    # runs, so the import every command pays stays without it. The mc path
+    # threads take `threading`, which the import loads anyway, and not
+    # concurrent.futures, which would load logging too
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, weylprod.cli; "
-         "sys.exit('numpy.random' in sys.modules)"],
+         "sys.exit(' '.join(m for m in ('numpy.random', "
+         "'concurrent.futures', 'logging') if m in sys.modules) or None)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

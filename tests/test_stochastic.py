@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from weylprod import stochastic
+from weylprod.cli import main
 from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
 from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT, FairCoins,
@@ -312,9 +317,103 @@ def test_path_loop_keeps_the_first_of_tied_maxima():
 
     stats = stochastic._path_statistics(
         "ties", 2, 0, 512, 128, 100, 2.0,
-        lambda lo, hi: (np.full(hi - lo, 100.0), None), draw, None, {})
+        lambda lo, hi: (np.full(hi - lo, 100.0), None), draw, None, {}, 2)
     assert [row[:4] for row in stats.rows] == [(0, 100, 1.0, 100.0),
                                                (1, 100, 1.0, 100.0)]
+
+
+# ----------------------------------------------------------------- threads
+# The iid model splits each block's paths into `_cores()` groups and runs
+# every group but the first on a thread of its own; no output may depend on
+# how many there are.
+
+@pytest.mark.parametrize("seed,N_max,n_lo,chunk", [
+    (3, 5000, 100, None),    # below one block
+    (6, 20001, 100, 1024),   # across many blocks
+    (7, 4099, 1500, 1024)])  # the ratio starts past the first block
+def test_iid_equal_for_any_thread_count(seed, N_max, n_lo, chunk,
+                                        monkeypatch):
+    n_paths = 5
+    if chunk is not None:
+        monkeypatch.setattr(stochastic, "SUM_CHUNK", chunk)
+    monkeypatch.setattr(stochastic, "N_LO", n_lo)
+    kernel = stochastic.log_two_sin_pi_array
+    main_thread = threading.get_ident()
+    results = {}
+    # more threads than cores, switching as often as the interpreter can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3, n_paths + 4):
+            idents = set()
+
+            def traced(x, out=None):
+                idents.add(threading.get_ident())
+                return kernel(x, out)
+
+            monkeypatch.setattr(stochastic, "_cores", lambda: threads)
+            monkeypatch.setattr(stochastic, "log_two_sin_pi_array", traced)
+            results[threads] = iid_lil_experiment(n_paths, N_max, seed)
+            # one thread runs every path on this one; more run some elsewhere
+            assert (idents == {main_thread}) == (threads == 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(stats == results[1] for stats in results.values())
+    assert_matches(results[1], iid_oracle(n_paths, N_max, seed, n_lo))
+
+
+def test_out_of_memory_on_a_path_thread_exits_3(tmp_path, monkeypatch,
+                                                capsys):
+    # a MemoryError raised in a helper thread's draw reaches the CLI as a
+    # MemoryError (exit 3), after every helper has finished, and no output
+    # file is written
+    main_thread = threading.get_ident()
+    kernel = stochastic.log_two_sin_pi_array
+
+    def fails_off_main(x, out=None):
+        if threading.get_ident() != main_thread:
+            raise MemoryError()
+        return kernel(x, out)
+
+    monkeypatch.setattr(stochastic, "_cores", lambda: 3)
+    monkeypatch.setattr(stochastic, "log_two_sin_pi_array", fails_off_main)
+    running = threading.active_count()
+    code = main(["mc", "iid", "--paths", "6", "--n-max", "2000", "--out",
+                 str(tmp_path / "run")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == running
+
+
+_PINNED_MC = """
+import os, sys
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from weylprod import stochastic
+from weylprod.cli import main
+print(stochastic._cores())
+sys.exit(main(["mc", "iid", "--paths", "5", "--n-max", "140001",
+               "--seed", "3", "--out", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity call on this platform")
+def test_iid_bytes_equal_pinned_to_one_cpu(tmp_path):
+    # a fresh interpreter pinned to one CPU runs the paths on one thread,
+    # an unpinned one on every CPU it may use; both write the same bytes
+    files = {}
+    for how in ("pinned", "unpinned"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PINNED_MC, str(tmp_path / how), how],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        if how == "pinned":
+            assert proc.stdout.split()[0] == "1"
+        files[how] = [(tmp_path / f"{how}.{ext}").read_bytes()
+                      for ext in ("csv", "json")]
+    assert files["pinned"] == files["unpinned"]
 
 
 @settings(max_examples=40)
