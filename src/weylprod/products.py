@@ -211,12 +211,14 @@ def normalizer_power(normalizer: str) -> int:
                          f"expected one of {NORMALIZERS}") from None
 
 
-# w^n is re-anchored from one exact mpf_cos_sin_pi every ANCHOR_STEPS
-# steps. The bound below grows by 3 units of 2^-W per step, and W carries
-# bitlen(ANCHOR_STEPS) bits for it, so the interval changes cost, not
-# the bound: an anchor (10-16 us on a 2-core Xeon, no gmpy2) spread over
-# 64 rows (about 2 us each) is under a tenth of a row, while each halving
-# of the interval would double that and save under one bit of W.
+# w^n is re-anchored every ANCHOR_STEPS steps, from a checked chain of
+# w^ANCHOR_STEPS multiplies (`_anchors`). The bound below grows by 3 units
+# of 2^-W per step, and W carries bitlen(ANCHOR_STEPS) bits for it, so the
+# interval changes cost, not the bound: an anchor (1.5-2 us on a 2-core
+# Xeon, no gmpy2: one complex multiply at V bits and its floor check, and
+# for 1.6% of them an mpf_cos_sin_pi of 15-17 us) spread over 64 rows
+# (about 2 us each) is about a sixtieth of a row, while each halving of the
+# interval would double that and save under one bit of W.
 ANCHOR_STEPS = 64
 KERNEL = "fixed-point-rotation"
 
@@ -400,38 +402,45 @@ class RotationProducts:
         # The sines are Im w^n with w = e^(i pi A 2^-P), A = floor(alpha 2^P):
         # 2 sin(pi {n alpha}) = 2 |sin(pi n alpha)|. (c, s) holds w^n in W-bit
         # fixed point and advances by one complex multiply, floored, in three
-        # integer ones: C (c + s) - s (C + S) and C (c + s) + c (S - C).
+        # integer ones: C (c + s) - s (C + S) and C (c + s) + c (S - C). A
+        # segment starts from its anchor, and its last row takes no step.
         prec, N, k = self.precision_bits, self.N, self.power
         wp, W, P = _working_bits(prec, N)
         from mpmath import libmp
-        cos_sin_pi, from_man_exp = libmp.mpf_cos_sin_pi, libmp.from_man_exp
-        to_fixed, to_str = libmp.to_fixed, libmp.to_str
-        A = scaled_floor(self.alpha, P)
-        turn = (1 << (P + 1)) - 1
-
-        def anchor(n):
-            c, s = cos_sin_pi(from_man_exp((n * A) & turn, -P), W + 8, "n")
-            return to_fixed(c, W), to_fixed(s, W)
-
-        C, S = anchor(1)
+        from_man_exp, to_str = libmp.from_man_exp, libmp.to_str
+        anchors = _anchors(scaled_floor(self.alpha, P), N, W, P)
+        C, S = next(anchors)
         CpS, SmC = C + S, S - C
         exact = iter(self.exact_terms + [N + 1])
-        nxt = next(exact)
+        ex = next(exact)
         # the running product is m 2^e with 2^wp <= m < 2^(wp+1)
         m, e = 1 << wp, -wp
         top = wp + 1
         qsh = k * N.bit_length()  # n^k < 2^qsh: q keeps prec + 9 bits
+        square = k == 2
         scales, last_xe = {}, None
         for a in range(1, N + 1, ANCHOR_STEPS):
-            c, s = (C, S) if a == 1 else anchor(a)
+            c, s = (C, S) if a == 1 else next(anchors)
             digits, exponents = [], []
+            # nxt: the next row off the common path, a segment's first row
+            # (no step) or an exact term
+            nxt = a
             for n in range(a, min(a + ANCHOR_STEPS, N + 1)):
                 if n == nxt:
-                    t, te = _exact_sin(self.alpha, n, wp)
-                    m *= t
-                    e += te + W
-                    nxt = next(exact)
+                    if n != a:
+                        k1 = C * (c + s)
+                        c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
+                    if n == ex:
+                        t, te = _exact_sin(self.alpha, n, wp)
+                        m *= t
+                        e += te + W
+                        ex = next(exact)
+                    else:
+                        m *= s if s > 0 else -s
+                    nxt = ex
                 else:
+                    k1 = C * (c + s)
+                    c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
                     m *= s if s > 0 else -s
                 sh = m.bit_length() - top
                 m >>= sh
@@ -439,7 +448,7 @@ class RotationProducts:
                 # m 2^(e+n) / n^k to prec bits, ties (r = 0) to even; m has
                 # wp + 1 = prec + 9 bits, so k = 0 drops b = 9 bits
                 if k:
-                    q, r = divmod(m << qsh, n ** k)
+                    q, r = divmod(m << qsh, n * n if square else n)
                     b = q.bit_length() - prec
                     x, rest, half = q >> b, q & ((1 << b) - 1), 1 << (b - 1)
                     if rest > half or rest == half and (r or x & 1):
@@ -467,9 +476,61 @@ class RotationProducts:
                     exponent = _TO_STR
                 digits.append(d)
                 exponents.append(exponent)
-                k1 = C * (c + s)
-                c, s = (k1 - s * CpS) >> W, (k1 + c * SmC) >> W
             yield digits, exponents
+
+
+def _anchors(A: int, N: int, W: int, P: int):
+    """The anchors of `RotationProducts.segments`: for a = 1,
+    1 + ANCHOR_STEPS, ... up to N, the pair floor(w^a 2^W) of
+    w = e^(i pi A 2^-P), each the floor of the cos and sin that
+    mpf_cos_sin_pi gives at W + 8 bits for the angle (a A mod 2^(P+1)) 2^-P,
+    which are within one ulp, 2^-(W+8), of the exact ones.
+
+    Two mpf_cos_sin_pi calls at V + 8 bits, V = W + G, give w and
+    z = w^ANCHOR_STEPS floored to V-bit fixed point, each part within
+    1.004 units of 2^-V and so each pair within 1.42. The chain
+    y_0 = w, y_(j+1) = y_j z, each part floored, carries w^a for
+    a = 1 + j ANCHOR_STEPS: its error E_j grows as
+    |E_(j+1)| <= |E_j| |z| + 1.42 + 2^0.5, so |E_j| <= 3 j + 3 units, with
+    room for |z| <= 1 + 1.42 2^-V over the j < 2^(V-90) steps that any N
+    takes. Both parts of the anchor and the mpf values that W + 8 bits
+    give for them then lie within R = 3 j + 3 + 2^(G-8) units of y_j, and
+    where no multiple of 2^G lies in [y_j - R, y_j + R] the two floor
+    alike (`_settled_floor`): the chain's floor is the anchor, bit for bit.
+    Where one does, the anchor is the mpf value itself.
+
+    G = bitlen(N) + 8 keeps the chain's 3 j + 3 under 3 / 64 of the ulp's
+    2^(G-8) units, so about 4 R / 2^G, 1.6% of the anchors, take the
+    mpf path, the share that the one ulp sets."""
+    from mpmath import libmp
+    cos_sin_pi, from_man_exp = libmp.mpf_cos_sin_pi, libmp.from_man_exp
+    to_fixed = libmp.to_fixed
+    turn = (1 << (P + 1)) - 1
+
+    def exact(a, bits):
+        c, s = cos_sin_pi(from_man_exp((a * A) & turn, -P), bits + 8, "n")
+        return to_fixed(c, bits), to_fixed(s, bits)
+
+    G = N.bit_length() + 8
+    V, ulp = W + G, 1 << (G - 8)
+    c, s = exact(1, V)
+    for j, a in enumerate(range(1, N + 1, ANCHOR_STEPS)):
+        if j == 1:
+            zc, zs = exact(ANCHOR_STEPS, V)
+            zcps, zsmc = zc + zs, zs - zc
+        if j:
+            k1 = zc * (c + s)
+            c, s = (k1 - s * zcps) >> V, (k1 + c * zsmc) >> V
+        r = 3 * j + 3 + ulp
+        fc, fs = _settled_floor(c, r, G), _settled_floor(s, r, G)
+        yield (fc, fs) if fc is not None and fs is not None else exact(a, W)
+
+
+def _settled_floor(y: int, r: int, g: int):
+    """floor(t 2^-g), the same for every real t in [y - r, y + r], or None
+    where that interval holds a multiple of 2^g."""
+    f = (y - r) >> g
+    return f if f == (y + r) >> g else None
 
 
 def _working_bits(prec: int, N: int) -> tuple:
@@ -524,6 +585,10 @@ def rotation_products(alpha: IrrationalSpec, N: int, normalizer: str,
     - the rotation: (c, s) is w^n to within delta_n units of 2^-W. An
       anchor's cos and sin are within one ulp at W + 8 bits, then floored:
       under 1.43 units for the pair, and w's own error e_w is the same.
+      Most anchors come from a chain at V > W bits (`_anchors`), taken
+      only where its error bound plus that one ulp cannot reach a multiple
+      of 2^-W, so that it floors as the mpf value does: the same integers;
+      the others are the mpf value itself.
       Writing E_n for the error of w^n, a floored step gives
       |E_{n+1}| <= |E_n| (1 + |e_w| 2^-W) + |e_w| + 2^0.5, so m steps after
       an anchor |E| <= 1.5 + 3 m (m < ANCHOR_STEPS). A 2^-P is below alpha

@@ -266,6 +266,42 @@ def test_figure_exponent_rows_pinned(capsys, monkeypatch, key):
         FIGURE_EXPONENT_SHA256[key]
 
 
+# sha256 of `figure --n-max 20000` on stdout by (alpha, normalizer,
+# format), recorded while every anchor was its own mpf_cos_sin_pi: 313
+# anchors, where the pins above reach 5
+FIGURE_ANCHORS_N = 20000
+FIGURE_ANCHORS_SHA256 = {
+    ("sqrt2m1", "none", "csv"):
+        "49ee15634a5faac9eea20c73de78fe8e57aaa5cbc4c4f859af8851bdd5f49ee0",
+    ("sqrt2m1", "one_over_N", "csv"):
+        "f2cc45bc325ea8fadec35b652aaf410abf0b2c44b65da92c5abc62958814a8b7",
+    ("sqrt2m1", "one_over_N_squared", "csv"):
+        "f20276cecb400387d5b8c693a96195072271de7fa3713475396614abcc5c2397",
+    ("sqrt2m1", "one_over_N", "json"):
+        "1c6c86ed3e428394f8c7b7e15ee6fd9fdd3fa8c5a5f07dd8454f24dfb18803cb",
+    (FIGURE_ALPHA, "none", "csv"):
+        "a5a1b3a0547a069208ec48a3ad4308a3e6e7f4708bcfc307f8993015334536d9",
+    (FIGURE_ALPHA, "one_over_N", "csv"):
+        "5e278018de92617877b31caaf00db33a0195faaad822a377cc1cd62f78bb55df",
+    (FIGURE_ALPHA, "one_over_N_squared", "csv"):
+        "20633c7a7ce3320f302c86e47bf3515eb11dede46f4a78d54c4c19c2a6bc1144",
+    (FIGURE_ALPHA, "one_over_N", "json"):
+        "66361af7f3865adab3223e5b48c759abac466e37fa7483e9e34cc12a25f6a5c9",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FIGURE_ANCHORS_SHA256))
+def test_figure_many_anchors_pinned(capsys, monkeypatch, key):
+    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+    alpha, normalizer, fmt = key
+    code, out, _ = run(["figure", "--alpha", alpha, "--n-max",
+                        str(FIGURE_ANCHORS_N), "--normalizer", normalizer,
+                        "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        FIGURE_ANCHORS_SHA256[key]
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 7])
 def test_figure_streamed_json_is_json_dumps(tmp_path, capsys, n_max):
     # the rows are written one anchor segment at a time; the file is still

@@ -18,7 +18,7 @@ from weylprod.numerics import (SUM_CHUNK, TERM_EPS, log_two_sin_pi,
 from weylprod.irrational import (DEFAULT_N_MAX, FixedPointOrbit,
                                  FracPartEvaluator, default_precision_bits,
                                  kronecker_fixed_point, parse_alpha,
-                                 surd_from_cf)
+                                 scaled_floor, surd_from_cf)
 from weylprod.products import (ANCHOR_STEPS, RotationProducts,
                                closed_form_shifted, normalizer_power,
                                product_trace, rotation_products, text_blocks)
@@ -823,21 +823,109 @@ def test_rotation_exact_term_below_working_precision():
     rows_within_bound(series, oracle.log_values, oracle.error_bound)
 
 
-def test_rotation_sine_evaluations_counted(monkeypatch):
-    # one mpf_cos_sin_pi per anchor, w included, and one mpf_sin_pi per
-    # exact term: ceil(N / ANCHOR_STEPS) plus the fallbacks
-    calls = {"mpf_cos_sin_pi": 0, "mpf_sin_pi": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names) -> dict:
+    """{name: 0} for these `libmp` functions, each counted from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         real = getattr(libmp, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(libmp, name, counted)
-    alpha = surd_from_cf([2, 3, 2 ** 70 + 3], [1, 4])
+    return calls
+
+
+HUGE_QUOTIENT = surd_from_cf([2, 3, 2 ** 70 + 3], [1, 4])
+
+
+def test_rotation_sine_evaluations_counted(monkeypatch):
+    # one mpf_cos_sin_pi each for w and w^ANCHOR_STEPS, none for the 16
+    # anchors, which all come from the chain here, and one mpf_sin_pi per
+    # exact term
+    calls = count_calls(monkeypatch, "mpf_cos_sin_pi", "mpf_sin_pi")
     N = 1000
-    series = rotation_products(alpha, N, "one_over_N", None)
+    series = rotation_products(HUGE_QUOTIENT, N, "one_over_N", None)
     assert len(series_rows(series)) == N
     assert series.exact_terms and series.exact_terms[0] == 7
-    assert calls["mpf_cos_sin_pi"] == -(-N // ANCHOR_STEPS)
+    assert calls["mpf_cos_sin_pi"] == 2
     assert calls["mpf_sin_pi"] == len(series.exact_terms)
+
+
+ANCHOR_ALPHAS = {"sqrt2m1": parse_alpha("sqrt2m1"),
+                 "golden": parse_alpha("golden"),
+                 "[0; 1000, 1, 1, 1, ...]": surd_from_cf((1000, 1, 1), (1,)),
+                 "huge quotient": HUGE_QUOTIENT}
+# bitlen(N), and with it W and the chain's guard bits, changes across
+# these
+ANCHOR_NS = (64, 65, 2 ** 16 - 1, 2 ** 16 + 1, 2 ** 17 + 1)
+
+
+def anchor_args(alpha, N) -> tuple:
+    """`products._anchors`' (A, N, W, P) at the default precision."""
+    _, W, P = products._working_bits(default_precision_bits(DEFAULT_N_MAX),
+                                      N)
+    return scaled_floor(alpha, P), N, W, P
+
+
+@pytest.fixture(scope="module")
+def anchor_runs():
+    """{(alpha name, N): (anchors, mpf_cos_sin_pi calls)}."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, "mpf_cos_sin_pi")
+        for name, alpha in ANCHOR_ALPHAS.items():
+            for N in ANCHOR_NS:
+                calls["mpf_cos_sin_pi"] = 0
+                anchors = list(products._anchors(*anchor_args(alpha, N)))
+                runs[name, N] = anchors, calls["mpf_cos_sin_pi"]
+    return runs
+
+
+@pytest.mark.parametrize("N", ANCHOR_NS)
+@pytest.mark.parametrize("name", ANCHOR_ALPHAS)
+def test_anchors_are_the_mpf_floors(anchor_runs, name, N):
+    # every anchor, from the chain or not, is the floor at W bits of
+    # mpf_cos_sin_pi at W + 8 bits, as one call per anchor computes it
+    A, _, W, P = anchor_args(ANCHOR_ALPHAS[name], N)
+    want = []
+    for a in range(1, N + 1, ANCHOR_STEPS):
+        c, s = libmp.mpf_cos_sin_pi(
+            libmp.from_man_exp((a * A) & ((1 << P + 1) - 1), -P), W + 8, "n")
+        want.append((libmp.to_fixed(c, W), libmp.to_fixed(s, W)))
+    assert anchor_runs[name, N][0] == want
+
+
+def test_some_anchors_fall_back(anchor_runs):
+    # beyond w and w^ANCHOR_STEPS, a call is an anchor the chain could not
+    # settle; the cases above reach that path, and take it for at most 3%
+    # of their anchors
+    fallbacks = {key: calls - (2 if key[1] > ANCHOR_STEPS else 1)
+                 for key, (_, calls) in anchor_runs.items()}
+    assert min(fallbacks.values()) >= 0
+    assert sum(fallbacks.values()) > 0
+    anchors = sum(len(a) for a, _ in anchor_runs.values())
+    assert sum(fallbacks.values()) <= 0.03 * anchors
+
+
+@pytest.mark.parametrize("alpha", [parse_alpha("sqrt2m1"), HUGE_QUOTIENT],
+                         ids=["sqrt2m1", "huge quotient"])
+def test_rows_without_the_chain_are_unchanged(monkeypatch, alpha):
+    # with every chain floor refused, each anchor is an mpf call, and every
+    # row prints the same digits
+    N = ANCHOR_STEPS * ANCHOR_STEPS + 5
+    series = rotation_products(alpha, N, "one_over_N_squared", None)
+    rows = list(series.segments())
+    calls = count_calls(monkeypatch, "mpf_cos_sin_pi")
+    monkeypatch.setattr(products, "_settled_floor", lambda y, r, g: None)
+    assert list(series.segments()) == rows
+    assert calls["mpf_cos_sin_pi"] == 2 + -(-N // ANCHOR_STEPS)
+
+
+def test_chain_takes_few_mpf_calls(monkeypatch, sqrt2m1):
+    # a chain that is silently bypassed costs one call per anchor
+    N = 2 ** 17 + 1
+    series = rotation_products(sqrt2m1, N, "none", None)
+    calls = count_calls(monkeypatch, "mpf_cos_sin_pi")
+    assert sum(len(d) for d, _ in series.segments()) == N
+    assert 2 <= calls["mpf_cos_sin_pi"] <= 0.03 * -(-N // ANCHOR_STEPS)
