@@ -499,9 +499,10 @@ def _anchors(A: int, N: int, W: int, P: int):
     alike (`_settled_floor`): the chain's floor is the anchor, bit for bit.
     Where one does, the anchor is the mpf value itself.
 
-    G = bitlen(N) + 8 keeps the chain's 3 j + 3 under 3 / 64 of the ulp's
-    2^(G-8) units, so about 4 R / 2^G, 1.6% of the anchors, take the
-    mpf path, the share that the one ulp sets."""
+    G = bitlen(N) + 8 makes the ulp's 2^(G-8) units more than N, and
+    the chain's 3 j + 3 < 3 N / 64 + 3 stays well below that, so about
+    4 R / 2^G, 1.6% of the anchors, take the mpf path: the share that the
+    one ulp sets."""
     from mpmath import libmp
     cos_sin_pi, from_man_exp = libmp.mpf_cos_sin_pi, libmp.from_man_exp
     to_fixed = libmp.to_fixed
