@@ -373,6 +373,13 @@ def cmd_mc(args: argparse.Namespace) -> int:
         if terms < st.N_LO:
             raise UsageError(f"--terms must be >= {st.N_LO} for subsequence: "
                              f"the ratio is taken over K >= {st.N_LO}")
+        top = st.subsequence_max_terms()
+        if terms > top:
+            taken = "" if args.terms is not None else (
+                f" (without it, max(--n-max // 2, 200) = {terms})")
+            raise UsageError(f"--terms must be <= {top} for subsequence"
+                             f"{taken}: a path's coin draws must stay within "
+                             f"the fixed-point kernel's range")
         stats = st.subsequence_product_experiment(args.alpha, paths, terms,
                                                   args.seed)
     prefix = args.out or f"mc_{model}"

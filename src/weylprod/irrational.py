@@ -446,10 +446,11 @@ def _fixed_point_block(alpha: IrrationalSpec, A: int, lo: int,
     return FixedPointOrbit(lo, dist, upper)
 
 
-def kronecker_fixed_point_cut(alpha: IrrationalSpec, stops: list):
-    """The orbit n = 1..stops[-1] as an iterator over consecutive
-    `FixedPointOrbit` blocks, the i-th ending at n = stops[i] (increasing).
-    A point does not depend on the block it falls in. The arguments are
+def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
+    """The orbit n = 1..N as an iterator over consecutive `FixedPointOrbit`
+    blocks of SUM_CHUNK points (the last one shorter), so that temporaries
+    stay O(block) and each block is one chunk of the prefix sums
+    downstream. A point does not depend on the block it falls in. N is
     checked at the call, before any block is built.
 
     {n alpha} * 2^P = n*A mod 2^P (up to n) with P = 128 and
@@ -457,21 +458,12 @@ def kronecker_fixed_point_cut(alpha: IrrationalSpec, stops: list):
     in two uint64 words with an exact carry between them, and its
     distance to 0 mod 2^P converted to float64. N must stay below 2^31.
     """
-    N = stops[-1]
     if not 1 <= N <= KERNEL_MAX_N:
         raise ValueError(f"N = {N} outside the fixed-point kernel's range "
                          f"[1, {KERNEL_MAX_N}]")
     A = scaled_floor(alpha, FIXED_POINT_BITS)
-    return (_fixed_point_block(alpha, A, lo + 1, hi + 1)
-            for lo, hi in zip([0, *stops], stops))
-
-
-def kronecker_fixed_point_blocks(alpha: IrrationalSpec, N: int):
-    """`kronecker_fixed_point_cut` in blocks of SUM_CHUNK points, so that
-    temporaries stay O(block) and each block is one chunk of the prefix
-    sums downstream."""
-    return kronecker_fixed_point_cut(alpha,
-                                     [*range(SUM_CHUNK, N, SUM_CHUNK), N])
+    return (_fixed_point_block(alpha, A, lo + 1, min(lo + SUM_CHUNK, N) + 1)
+            for lo in range(0, N, SUM_CHUNK))
 
 
 def kronecker_fixed_point(alpha: IrrationalSpec, N: int) -> FixedPointOrbit:

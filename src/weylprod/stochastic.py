@@ -6,32 +6,21 @@ the normalized sums, and the tests check those against wide pilot-derived
 sanity bands plus the exactly checkable structure (variance integral,
 selection identity, weight bounds).
 
-Every model runs one path loop (`_path_statistics`) over blocks outside
-and paths inside. The blocks are the leaves of numpy's pairwise-sum tree
-of at most SUM_CHUNK terms (`_pairwise_leaves`), so the pooled sums add
-the leaves' sums in numpy's order. A block's path-independent work is
-done once: the weights and B_N (Rademacher, from the kernel block by
-block), the normaliser over the admissible N, a suffix of 1..N_max, and
-the running c0, c1 and side-condition grid. Each path then draws its
-summands there from its own generator, folds its carried S_N into the
-first one, and keeps a running first argmax of the ratio; nothing of size
-N is held. Path i's generator is the PCG64 of the i-th child of
-`SeedSequence(seed).spawn(n_paths)`, seeded with the same four uint64
-words: `_spawned_states` hashes every child's SeedSequence pool in one
-pass, since a child's spawn key is the one word that differs, so the
-streams are spawn's. Fair signs and coins are the top bits of the
-generator's raw 32-bit half-words (`FairCoins`), applied to a weight by
-flipping its float64 sign bit. The subsequence model draws a path's coins
-at once, so its summands are one block. The tests keep each model's own
-per-path loop as an oracle, and the outputs equal theirs bit for bit.
+Every model runs one path loop (`_path_statistics`) over blocks of
+SUM_CHUNK terms outside and paths inside, so nothing of size N is held. A
+block's path-independent work is done once: the weights and B_N
+(Rademacher, from the kernel's blocks), the normaliser, and the running
+c0, c1 and side-condition grid. Each path then draws its summands there
+from its own generator (`_spawned_states`, `FairCoins`) and carries its
+S_N, its sums of y and y^2, and its row. Those sums are the `np.sum` of
+each block, added block by block, and the paths' totals are added in path
+order. The subsequence model draws a path's coins at once, so its
+summands are one block. The tests keep each model's own per-path loop as
+an oracle, and the outputs equal theirs bit for bit.
 
-The iid model runs a block's paths on one thread per core (`_cores`), in
-contiguous groups that finish before the next block; its per-path step is
-a few long numpy calls that release the GIL. The other two models run on
-the calling thread alone. A path's step reads and writes only that path's
-state (its generator, carried S, row and entries of the leaves' sums), and
-the pooled totals are added in path order, so every output byte is the
-same for any number of threads.
+The iid model runs a block's paths on one thread per core (`_cores`); the
+other two run on the calling thread alone. A path's step touches only that
+path's state, so every output byte is the same for any number of threads.
 """
 
 from __future__ import annotations
@@ -46,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomicio import atomic_open
-from .irrational import (IrrationalSpec, kronecker_fixed_point,
-                         kronecker_fixed_point_cut)
+from .irrational import (KERNEL_MAX_N, IrrationalSpec, kronecker_fixed_point,
+                         kronecker_fixed_point_blocks)
 from .numerics import SUM_CHUNK, log_two_sin_pi_array
 
 PI2_OVER_12 = math.pi ** 2 / 12.0
@@ -91,10 +80,9 @@ class PathStatistics:
     """Per-path LIL ratios plus pooled sample moments for one experiment.
 
     `lil_ratios[i]`, read from `rows[i]`, is path i's max over N in
-    [N_LO, N_max] of
-    S_N / sqrt(2 B_N loglog B_N) (for the subsequence model the theorem's
-    normalizer sqrt(K loglog K) is used instead, with the reference
-    constant recorded in `details`).
+    [N_LO, N_max] of S_N / sqrt(2 B_N loglog B_N) (for the subsequence
+    model the theorem's normalizer sqrt(K loglog K) is used instead, with
+    the reference constant recorded in `details`).
     """
 
     model: str
@@ -109,43 +97,6 @@ class PathStatistics:
     @property
     def lil_ratios(self) -> list:
         return [row[4] for row in self.rows]
-
-
-def _pairwise_leaves(n: int, chunk: int) -> list:
-    """The nodes of numpy's pairwise-sum tree over n terms that hold at most
-    `chunk` terms and whose parent holds more, as (lo, hi) index ranges in
-    order. numpy splits a node of more than 128 terms after its first
-    n/2 terms, rounded down to a multiple of 8, and sums a node of at most
-    128 terms without splitting it; so `chunk` must be at least 128, and
-    np.sum over each leaf is its node's sum. Every leaf but the last holds
-    a multiple of 8 terms."""
-    leaves = []
-
-    def split(lo, m):
-        if m <= chunk:
-            leaves.append((lo, lo + m))
-        else:
-            half = m // 2 - m // 2 % 8
-            split(lo, half)
-            split(lo + half, m - half)
-
-    split(0, n)
-    return leaves
-
-
-def _pairwise_total(n: int, chunk: int, sums):
-    """np.sum of n terms from the sums of its `_pairwise_leaves(n, chunk)`,
-    added in the order of numpy's tree. A leaf's sum may be an array of
-    many sums, one per series, each added as its own floats would be."""
-    leaf = iter(sums)
-
-    def total(m):
-        if m <= chunk:
-            return next(leaf)
-        half = m // 2 - m // 2 % 8
-        return total(half) + total(m - half)
-
-    return total(n)
 
 
 class FairCoins:
@@ -286,13 +237,15 @@ def _spawned_seeds(seed: int, n: int) -> list:
 class _Path:
     """One path's seed, its generator from its first block to its last
     (`rng`, and `coins` drawn from it), and what it carries from block to
-    block: S at the block's start and its CSV row so far."""
+    block: S at the block's start, its sums of y and y^2 so far (`tot`,
+    `tot_sq`) and its CSV row so far."""
 
-    __slots__ = ("pid", "seed", "rng", "coins", "S", "row")
+    __slots__ = ("pid", "seed", "rng", "coins", "S", "tot", "tot_sq", "row")
 
     def __init__(self, pid: int, seed):
         self.pid, self.seed, self.rng, self.coins = pid, seed, None, None
-        self.S, self.row = 0.0, None
+        self.S = self.tot = self.tot_sq = 0.0
+        self.row = None
 
 
 def _cores() -> int:
@@ -338,32 +291,30 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
                      settle, details: dict, threads: int) -> PathStatistics:
     """The one path loop of every model, over N summands a path.
 
-    The loop runs over the blocks of `_pairwise_leaves(N, chunk)` outside
-    and the paths inside, so nothing of size N is held. Path i takes the
-    generator of the i-th child spawned from SeedSequence(seed), seeded
-    from `_spawned_seeds`, which makes all n_paths children's PCG64 states
-    in one pass: the same states, and so the same streams. For each block
-    [lo, hi), `block(lo, hi)` does the path-independent work and returns
-    (B_N over the block, the block's sum of y^2 if every path shares it,
-    else None); `draw(path, lo, hi)` then returns each path's summands y
-    there, a fresh array the loop may overwrite.
+    The loop runs over blocks of `chunk` terms (the last one shorter)
+    outside and the paths inside. Path i takes the generator of the i-th
+    child spawned from SeedSequence(seed) (`_spawned_seeds`). For each
+    block [lo, hi), `block(lo, hi)` does the path-independent work and
+    returns (B_N over the block, the block's sum of y^2 if every path
+    shares it, else None); `draw(path, lo, hi)` then returns each path's
+    summands y there, a fresh array the loop may overwrite.
 
     B is nondecreasing, so the admissible N (N >= n_lo and B_N > e) form a
     suffix of 1..N, which starts in some block. A path's row is read at
     the first maximum over them of S_N / sqrt(factor B_N loglog B_N): the
     block's S is its cumsum with the carried S folded into the first term,
     which is the whole-array cumsum bit for bit. `settle`, unless None, is
-    handed each path once its S_N is known. The pooled mean and variance
-    take each path's sum y and sum y^2 from its leaves' sums in numpy's
-    order, in one walk of the tree for all paths, and add the paths' totals
-    in path order.
+    handed each path once its S_N is known.
+
+    The pooled mean and variance follow one summation rule: a path's sums
+    of y and y^2 start from its first block's `np.sum` and add each later
+    block's `np.sum` in order, and the paths' totals are added in path
+    order. So one block gives `np.sum` of the whole path bit for bit.
 
     Within a block the paths are split into `threads` groups (at most
-    n_paths), which run their per-path steps at once (`_in_threads`); the
-    groups finish before the next block starts. A path's step touches only
-    its own generator, its carried S and row, and its own entries of the
-    leaves' sums, and `draw` and `settle` must keep to that path's state
-    too. So no output depends on the number of threads."""
+    n_paths), which run at once (`_in_threads`) and finish before the next
+    block. A path's step, `draw` and `settle` touch only that path's state,
+    so no output depends on the number of threads."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     paths = [_Path(pid, child) for pid, child
@@ -371,12 +322,10 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
     threads = min(threads, n_paths)
     groups = [paths[g * n_paths // threads:(g + 1) * n_paths // threads]
               for g in range(threads)]
-    leaves = _pairwise_leaves(N, chunk)
-    # each leaf's sums of y and of y^2, for every path
-    sums = np.empty((len(leaves), n_paths, 2))
     first = max(n_lo, 1) - 1  # 0-based
     start = None  # the first admissible index
-    for b, (lo, hi) in enumerate(leaves):
+    for lo in range(0, N, chunk):
+        hi = min(lo + chunk, N)
         B, shared_sq = block(lo, hi)
         if start is None and first < hi:
             a = max(first - lo, 0)
@@ -393,11 +342,14 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
                 path.rng = np.random.default_rng(path.seed)
                 path.coins = FairCoins(path.rng)
             y = draw(path, lo, hi)
-            sums[b, path.pid, 0] = y.sum()
-            sums[b, path.pid, 1] = (np.square(y).sum() if shared_sq is None
-                                    else shared_sq)
+            tot = float(y.sum())
+            tot_sq = (float(np.square(y).sum()) if shared_sq is None
+                      else shared_sq)
             if lo:
+                tot += path.tot
+                tot_sq += path.tot_sq
                 y[0] += path.S
+            path.tot, path.tot_sq = tot, tot_sq
             S = np.cumsum(y, out=y)
             path.S = float(S[-1])
             if start is not None:
@@ -416,9 +368,9 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
         raise ValueError(f"no N in [{first + 1}, {N}] has B_N > e: "
                          f"the ratio grid is empty")
     tot = tot_sq = 0.0
-    for path_tot, path_tot_sq in _pairwise_total(N, chunk, sums).tolist():
-        tot += path_tot
-        tot_sq += path_tot_sq
+    for path in paths:
+        tot += path.tot
+        tot_sq += path.tot_sq
     mean = tot / (n_paths * N)
     var = tot_sq / (n_paths * N) - mean * mean
     return PathStatistics(model, n_paths, N, seed, mean, var, details,
@@ -466,8 +418,7 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     if N_max < N_LO:
         raise ValueError(f"N_max = {N_max} is below n_lo = {N_LO}: "
                          f"no N is left to take the ratio at")
-    leaves = _pairwise_leaves(N_max, SUM_CHUNK)
-    orbit = kronecker_fixed_point_cut(alpha, [hi for _, hi in leaves])
+    orbit = kronecker_fixed_point_blocks(alpha, N_max)
     # the LIL side condition: M_N / sqrt(B_N / loglog B_N) at a log-spaced grid
     log_grid = sorted(set(np.geomspace(10, N_max, 40).astype(int).tolist()))
     B_grid = {}
@@ -517,6 +468,14 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
 def _coin_draws(N_terms: int) -> int:
     """The flips a subsequence path draws, and so the weights it reads."""
     return int(2.3 * N_terms) + 256
+
+
+def subsequence_max_terms() -> int:
+    """The largest N_terms whose `_coin_draws` the kernel covers."""
+    n = int((KERNEL_MAX_N - 256) / 2.3) + 2
+    while _coin_draws(n) > KERNEL_MAX_N:
+        n -= 1
+    return n
 
 
 def coin_flips(rng: np.random.Generator, N_terms: int) -> np.ndarray:

@@ -674,6 +674,34 @@ def test_mc_size_below_limit_names_flag(tmp_path, capsys, args, flag, limit):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("terms", ["933688432", "1000000000"])
+def test_mc_subsequence_terms_above_kernel_range(tmp_path, capsys, terms):
+    # 10^9 terms would draw 2300000256 coins a path, past the kernel's
+    # range: the error names --terms and the most it takes, not the draws
+    code, _, err = run(["mc", "subsequence", "--paths", "2", "--terms", terms,
+                        "--out", str(tmp_path / "m")], capsys)
+    assert code == 2
+    assert err == ("error: --terms must be <= 933688431 for subsequence: a "
+                   "path's coin draws must stay within the fixed-point "
+                   "kernel's range\n")
+    assert list(tmp_path.iterdir()) == []
+    top = st.subsequence_max_terms()
+    assert st._coin_draws(top) <= irrational.KERNEL_MAX_N
+    assert st._coin_draws(top + 1) > irrational.KERNEL_MAX_N
+
+
+def test_mc_subsequence_default_terms_above_kernel_range(tmp_path, capsys):
+    # without --terms, the terms --n-max implies are named in the error
+    code, _, err = run(["mc", "subsequence", "--paths", "2", "--n-max",
+                        "2000000000", "--out", str(tmp_path / "m")], capsys)
+    assert code == 2
+    assert err == ("error: --terms must be <= 933688431 for subsequence "
+                   "(without it, max(--n-max // 2, 200) = 1000000000): a "
+                   "path's coin draws must stay within the fixed-point "
+                   "kernel's range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
     # the CSV write raises after two rows: no partial file, no temporary
     # file, and the I/O exit code
@@ -810,7 +838,7 @@ PIN_COMMANDS = {
     "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
     "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
-    # 140001 terms: four stream blocks of 35000 terms, the last one 35001
+    # 140001 terms: three SUM_CHUNK blocks, the last one 8929 terms
     "mc rademacher 140001": ["mc", "rademacher", "--paths", "2", "--n-max",
                              "140001"],
     # path 1 of seed 1 (sqrt2m1) peaks at N = 94334, past the first block
@@ -918,7 +946,7 @@ OUTPUT_SHA256 = {
     ],
     ('cf-2^64', 'mc rademacher 140001'): [
         "e3031984876b673eac45784676d37d348d4797f83ccc2d787e7b0bcc4de80e47",
-        "dc03ea779ebd5cccd78bbe2eb1f55b29e31360ccf34cf3804d91bed417086566",
+        "0762ac1d0ef15374f41e14dd9d32b0cf22274ab8a17ebd8ee99d79bc7bc8bdf0",
     ],
     ('cf-2^64', 'mc subsequence 30000'): [
         "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
@@ -926,11 +954,11 @@ OUTPUT_SHA256 = {
     ],
     ('sqrt2m1', 'mc rademacher 140001'): [
         "1103155a714a0b0020e1e7ea7836ee9eb58ec305bc0b69290330df5270db6e60",
-        "ea4ab9d02618149560555e448f2321e5bb8da48a32266e140e021aaaa54164f7",
+        "d1ec8f49d7131799f5be3e6467c38a2a801492a99f051dce0a7ecf7659d2b9c6",
     ],
     ('sqrt2m1', 'mc rademacher 140001 seed 1'): [
         "f9b32a4aa5cb8726736455e9874b7d15dd44cb0df6382cbe5533fc5c91d8be6e",
-        "7b6e98e78a8055d0afef569711b42805a14118e11ba49b6043893548c8f626ef",
+        "c08d5e61b0c32f98932591665b1fbf259a23b282dd82d08ab0e6e32ff37fca09",
     ],
     ('sqrt2m1', 'mc subsequence 30000'): [
         "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
@@ -947,7 +975,7 @@ ALPHA_FREE_SHA256 = {
     ],
     "mc iid 140001": [
         "b4b5005c375451be0db977c4de2b60f818943b5fca7dccaa171a9d9bac0c75b3",
-        "47f3d183764f1650785489118d871b734da18c74bcbabf3467196856ee83cc4e",
+        "e33f77cec32f14223b668901263dbe3d0294f0a4b72999ed49e14b17ef349bcb",
     ],
     "hlawka vdc": [
         "6f83802fd678b41a9c0e969bb275c34943de2ecbf2160f91b65d22c7c51002f5",

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import weylprod
 from weylprod import stochastic
 from weylprod.cli import main
 from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
@@ -43,6 +46,16 @@ def ratio_path_oracle(S, B, n_lo):
     return float(vals[k]), int(idx[k])
 
 
+def block_total(y):
+    """A path's sum by the models' rule: the np.sum of each block of
+    SUM_CHUNK terms, added in order from the first block's own sum."""
+    chunk = stochastic.SUM_CHUNK
+    total = float(y[:chunk].sum())
+    for s in range(chunk, len(y), chunk):
+        total += float(y[s:s + chunk].sum())
+    return total
+
+
 def moments(tot, tot_sq, count):
     mean = tot / count
     return mean, tot_sq / count - mean * mean
@@ -61,8 +74,8 @@ def iid_oracle(n_paths, N_max, seed, n_lo=100):
         r, pos = ratio_path_oracle(S, B, n_lo)
         ratios.append(r)
         rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
-        tot += float(y.sum())
-        tot_sq += float((y * y).sum())
+        tot += block_total(y)
+        tot_sq += block_total(y * y)
     details = {"n_lo": n_lo, "reference_constant": 1.0,
                "sigma_constant": math.pi / math.sqrt(6.0),
                "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max}
@@ -92,8 +105,8 @@ def rademacher_oracle(alpha, n_paths, N_max, seed, n_lo=100):
         r, pos = ratio_path_oracle(S, B, n_lo)
         ratios.append(r)
         rows.append((pid, pos + 1, float(S[pos]), float(B[pos]), r))
-        tot += float(z.sum())
-        tot_sq += float((z * z).sum())
+        tot += block_total(z)
+        tot_sq += block_total(z * z)
     details = {"n_lo": n_lo, "reference_constant": 1.0,
                "target_variance": PI2_OVER_12,
                "B_over_N": float(B[-1] / N_max),
@@ -240,12 +253,10 @@ def test_subsequence_short_coin_raises_like_oracle(golden, monkeypatch):
 
 
 def test_rademacher_n_max_below_n_lo(sqrt2m1, monkeypatch):
-    import weylprod.stochastic as st
-
     def no_orbit(*args):
         raise AssertionError("orbit computed before the size check")
 
-    monkeypatch.setattr(st, "kronecker_fixed_point", no_orbit)
+    monkeypatch.setattr(stochastic, "kronecker_fixed_point_blocks", no_orbit)
     for N_max in (0, 1, 50, 99):
         with pytest.raises(ValueError, match="n_lo"):
             rademacher_lil_experiment(sqrt2m1, 2, N_max, seed=0)
@@ -276,9 +287,17 @@ def test_rademacher_below_condition_grid(N_max, monkeypatch):
 
 
 # ------------------------------------------------------- streamed blocks
-# The models stream their summands in the leaves of numpy's pairwise-sum
-# tree of at most SUM_CHUNK terms; a small chunk puts many block edges
-# inside orbits the oracles still hold whole.
+# The models stream their summands in blocks of SUM_CHUNK terms; a small
+# chunk puts many block edges inside orbits the oracles still hold whole.
+
+def small_blocks(monkeypatch, chunk):
+    """Cut every block at `chunk` terms: SUM_CHUNK patched in each weylprod
+    module that binds it, so the models' blocks and the kernel's agree."""
+    for info in pkgutil.iter_modules(weylprod.__path__):
+        module = importlib.import_module(f"weylprod.{info.name}")
+        if hasattr(module, "SUM_CHUNK"):
+            monkeypatch.setattr(module, "SUM_CHUNK", chunk)
+
 
 @pytest.mark.parametrize("seed,N_max,n_lo", [
     (3, 1000, 100),     # below one block
@@ -287,7 +306,7 @@ def test_rademacher_below_condition_grid(N_max, monkeypatch):
     (6, 20001, 100),    # across many blocks
     (7, 4099, 1500)])   # the ratio starts past the first block
 def test_iid_in_small_blocks_matches_oracle(seed, N_max, n_lo, monkeypatch):
-    monkeypatch.setattr(stochastic, "SUM_CHUNK", 1024)
+    small_blocks(monkeypatch, 1024)
     monkeypatch.setattr(stochastic, "N_LO", n_lo)
     stats = iid_lil_experiment(3, N_max, seed)
     assert_matches(stats, iid_oracle(3, N_max, seed, n_lo))
@@ -296,10 +315,10 @@ def test_iid_in_small_blocks_matches_oracle(seed, N_max, n_lo, monkeypatch):
 @pytest.mark.parametrize("k,seed,N_max,n_lo", [
     (0, 3, 1000, 100), (1, 4, 1025, 100), (2, 5, 4099, 1),
     (3, 6, 20001, 100), (0, 7, 4099, 1500), (1, 8, 300, 100)])
-@pytest.mark.parametrize("chunk", [128, 1024])
+@pytest.mark.parametrize("chunk", [77, 128, 1000, 1024])
 def test_rademacher_in_small_blocks_matches_oracle(k, seed, N_max, n_lo,
                                                    chunk, monkeypatch):
-    monkeypatch.setattr(stochastic, "SUM_CHUNK", chunk)
+    small_blocks(monkeypatch, chunk)
     monkeypatch.setattr(stochastic, "N_LO", n_lo)
     alpha = parse_alpha(ALPHAS[k])
     stats = rademacher_lil_experiment(alpha, 3, N_max, seed)
@@ -330,12 +349,14 @@ def test_path_loop_keeps_the_first_of_tied_maxima():
 @pytest.mark.parametrize("seed,N_max,n_lo,chunk", [
     (3, 5000, 100, None),    # below one block
     (6, 20001, 100, 1024),   # across many blocks
-    (7, 4099, 1500, 1024)])  # the ratio starts past the first block
+    (8, 20001, 100, 77),     # across many blocks of 77 terms
+    (7, 4099, 1500, 1024),   # the ratio starts past the first block
+    (9, 4099, 1500, 1000)])  # the same past blocks of 1000 terms
 def test_iid_equal_for_any_thread_count(seed, N_max, n_lo, chunk,
                                         monkeypatch):
     n_paths = 5
     if chunk is not None:
-        monkeypatch.setattr(stochastic, "SUM_CHUNK", chunk)
+        small_blocks(monkeypatch, chunk)
     monkeypatch.setattr(stochastic, "N_LO", n_lo)
     kernel = stochastic.log_two_sin_pi_array
     main_thread = threading.get_ident()
@@ -416,27 +437,13 @@ def test_iid_bytes_equal_pinned_to_one_cpu(tmp_path):
     assert files["pinned"] == files["unpinned"]
 
 
-@settings(max_examples=40)
-@given(hst.integers(1, 1 << 17), hst.integers(128, 1 << 12))
-@example(1 << 16, 128)
-@example(140001, 1 << 16)
-def test_pairwise_leaves_give_numpy_sum(n, chunk):
-    leaves = stochastic._pairwise_leaves(n, chunk)
-    assert leaves[0][0] == 0 and leaves[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
-    assert all((hi - lo) % 8 == 0 for lo, hi in leaves[:-1])
-    a = np.random.default_rng(n).standard_normal(n)
-    sums = [float(a[lo:hi].sum()) for lo, hi in leaves]
-    assert stochastic._pairwise_total(n, chunk, sums) == float(a.sum())
-
-
 @pytest.mark.parametrize("model", ["iid", "rademacher"])
 def test_streamed_models_in_flat_memory(model, sqrt2m1, monkeypatch):
     # numpy reports its buffers to tracemalloc: at blocks of 2^10 terms an
     # orbit 8 times longer peaks within a few blocks' bytes, where one
     # N-length array held whole would add 8 bytes a term. The first run
     # pays the one-time allocations
-    monkeypatch.setattr(stochastic, "SUM_CHUNK", 1 << 10)
+    small_blocks(monkeypatch, 1 << 10)
 
     def run(N_max):
         if model == "iid":
