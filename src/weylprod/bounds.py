@@ -24,7 +24,7 @@ from .discrepancy import kronecker_discrepancy, vdc_discrepancy
 from .irrational import (ConvergentTable, IrrationalSpec, cf_expand_until,
                          kronecker_fixed_point, ostrowski_digit_sums,
                          ostrowski_levels)
-from .numerics import BASE_TOL, LOG2, SUM_CHUNK
+from .numerics import BASE_TOL, LOG2, SUM_CHUNK, Scratch
 from .products import BlockTrace, ProductTrace, product_trace, term_max
 from .sequences import uniform_grid_blocks, van_der_corput_blocks
 
@@ -100,79 +100,115 @@ def _hlawka_rhs(N: int, delta: float, err: float, eps) -> tuple:
     return rhs, tol
 
 
-def _screen_rhs(delta, log_N):
-    """The Hlawka right-hand side 2 Delta (log N - log Delta) in numpy."""
-    return 2.0 * delta * (log_N - np.log(delta))
+def _screen_rhs(delta, log_N, out):
+    """The Hlawka right-hand side 2 Delta (log N - log Delta) in numpy,
+    written to `out` (doubling is exact, so doing it last moves no bit)."""
+    r = np.log(delta, out=out)
+    np.subtract(log_N, r, out=r)
+    r *= delta
+    r *= 2.0
+    return r
+
+
+class HlawkaScreen:
+    """Block consumer of the Hlawka check log P_N <= 2 Delta_N (log N -
+    log Delta_N), Delta_N = N D_N*, for N_min <= N <= N_max: blocks of
+    log P_N and of bounds lower <= Delta_N <= upper are fed in order of N
+    (`feed`), and `report` gives the verdict once all are fed.
+
+    `bracket` is None where both bounds are Delta_N itself, exact;
+    otherwise it gives `delta_at(N)`, Delta_N in float64, within
+    N (eps + 2^-53) of it (`PrefixDiscrepancy`). The right-hand side is
+    concave in Delta, so its minimum over [lower, upper] sits at an end;
+    each block is screened with that minimum and numpy's log, in five work
+    arrays kept from block to block (a `Scratch`). Every N that the screen
+    cannot clear is settled in its block: its lhs and Delta_N are kept,
+    and classified by the scalar formula at the end, against the trace's
+    final error bound. So is every N whose largest possible
+    gamma = rhs / log^2 N reaches the running top of the certain ones; the
+    top only rises, so the final top finds every final candidate among the
+    kept ones. The screen works element by element, so block edges move no
+    row and no candidate.
+    """
+
+    def __init__(self, N_min: int, N_max: int, bracket):
+        if not 1 <= N_min <= N_max:
+            raise ValueError(f"N_min must be in [1, {N_max}], got {N_min}")
+        self.n_range, self.bracket = (N_min, N_max), bracket
+        self.work = Scratch(min(N_max, SUM_CHUNK))
+        self.steps = np.arange(1.0, min(N_max, SUM_CHUNK) + 1.0)
+        self.rows = []  # (N, lhs, Delta_N) that the screen cannot clear
+        self.near = []  # (largest possible gamma, N, lower) of candidates
+        self.top = -math.inf
+
+    def feed(self, lhs, lower, upper, s: int) -> None:
+        """Screen N = s + 1 .. s + len(lhs) from N_min on; an exact Delta
+        skips the bracket's formulas, which would give the same bits."""
+        k = max(0, self.n_range[0] - 1 - s)
+        lhs, lo, hi, s = lhs[k:], lower[k:], upper[k:], s + k
+        exact, b, get = self.bracket is None, len(lhs), self.work.get
+        N = np.add(self.steps[:b], s, out=get(0, b))
+        log_N = np.log(N, out=get(1, b))
+        rhs_lo = _screen_rhs(lo, log_N, get(2, b))
+        if not exact:
+            np.minimum(rhs_lo, _screen_rhs(hi, log_N, get(3, b)), out=rhs_lo)
+        # cleared: lhs <= rhs_lo - SCREEN_REL (|rhs_lo| + 2 hi log N)
+        cleared = np.multiply(hi, log_N, out=get(3, b))
+        cleared *= 2.0
+        cleared += np.abs(rhs_lo, out=get(4, b))
+        cleared *= SCREEN_REL
+        i = np.flatnonzero(lhs > np.subtract(rhs_lo, cleared, out=cleared))
+        ns = (i + (s + 1)).tolist()
+        self.rows += zip(ns, lhs[i].tolist(), lo[i].tolist() if exact else
+                         [self.bracket.delta_at(n) for n in ns])
+        j = max(0, 1 - s)  # gamma needs log N > 0
+        if j < b:
+            sq = np.square(log_N[j:], out=get(3, b)[j:])
+            peak = np.divide(rhs_lo[j:], sq, out=get(4, b)[j:])
+            self.top = max(self.top, peak.max())
+            if not exact:  # the largest rhs is at Delta = N/e, clamped
+                N /= math.e
+                peak = _screen_rhs(np.clip(N, lo, hi, out=N), log_N,
+                                   get(2, b))[j:]
+                peak /= sq
+            cut = self.top - SCREEN_REL * abs(self.top)
+            i = np.flatnonzero(peak >= cut) + j
+            self.near = [c for c in self.near if c[0] >= cut] + list(zip(
+                peak[i - j].tolist(), (i + (s + 1)).tolist(), lo[i].tolist()))
+
+    def report(self, err: float, parameters: dict) -> BoundReport:
+        """The verdict over every N fed, each log P_N within `err`."""
+        eps = None if self.bracket is None else self.bracket.eps
+        report = BoundReport("hlawka", parameters, self.n_range)
+        for n, lhs, delta in self.rows:
+            _report_rows(report, n, lhs, *_hlawka_rhs(n, delta, err, eps))
+        cut = self.top - SCREEN_REL * abs(self.top)
+        gamma_hat = 0.0
+        for p, n, delta in self.near:
+            if p >= cut:
+                if self.bracket is not None:
+                    delta = self.bracket.delta_at(n)
+                r, _ = _hlawka_rhs(n, delta, err, eps)
+                gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
+        report.empirical_constants["gamma_hat"] = gamma_hat
+        return report
 
 
 def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int,
                  parameters: dict) -> BoundReport:
-    """log P_N <= 2 Delta_N (log N - log Delta_N) for N >= N_min,
-    Delta_N = N D_N*.
-
-    `d_trace` is either the exact Delta_N of every N, an array (of the
-    first N vdC points, `vdc_discrepancy(N)`), or a Kronecker
-    `PrefixDiscrepancy`, which gives bounds `lower` <= Delta_N <= `upper`
-    for every N and `delta_at(N)`, Delta_N in float64. The right-hand side
-    is concave in Delta, so its minimum over [lower, upper] sits at an end;
-    the range is screened with that minimum and numpy's log in blocks of
-    SUM_CHUNK N, in order, so the temporaries stay O(block). Every N that
-    the screen cannot clear is settled with Delta_N and the scalar
-    formula, block by block. So is every N whose largest possible gamma
-    reaches the largest certain one: each block keeps its candidates
-    against the running top, and the kept ones are filtered by the final
-    top, which only rises, so they hold every final candidate.
-    """
+    """The `HlawkaScreen` report of whole traces fed in SUM_CHUNK blocks;
+    `d_trace` is an array of exact Delta_N or a `PrefixDiscrepancy`."""
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
         raise ValueError("product and discrepancy traces are not aligned")
-    if not 1 <= N_min <= len(logs):
-        raise ValueError(f"N_min must be in [1, {len(logs)}], got {N_min}")
-    err = ps_trace.error_bound
-    report = BoundReport("hlawka", parameters, (N_min, len(logs)))
     exact = isinstance(d_trace, np.ndarray)
-    if exact:
-        lower = upper = d_trace
-        delta_at, eps = (lambda n: float(d_trace[n - 1])), None
-    else:
-        lower, upper = d_trace.lower, d_trace.upper
-        delta_at, eps = d_trace.delta_at, d_trace.eps
-    top = -math.inf
-    near = []  # (largest possible gamma, N) of the candidates so far
+    lower = d_trace if exact else d_trace.lower
+    upper = d_trace if exact else d_trace.upper
+    screen = HlawkaScreen(N_min, len(logs), None if exact else d_trace)
     for s in range(N_min - 1, len(logs), SUM_CHUNK):
-        e = min(s + SUM_CHUNK, len(logs))
-        N = np.arange(s + 1, e + 1, dtype=np.float64)
-        lo, hi, lhs = lower[s:e], upper[s:e], logs[s:e]
-        log_N = np.log(N)
-        rhs_lo = _screen_rhs(lo, log_N)
-        if not exact:
-            rhs_lo = np.minimum(rhs_lo, _screen_rhs(hi, log_N))
-        slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
-        unclear = np.flatnonzero(lhs > rhs_lo - slack)
-        ns = (unclear + (s + 1)).tolist()
-        rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, eps)
-                            for n in ns]).reshape(-1, 2)
-        _report_rows(report, ns, lhs[unclear], rhs_tol[:, 0], rhs_tol[:, 1])
-        i0 = max(0, 1 - s)  # gamma needs log N > 0
-        if i0 < len(N):
-            sq = log_N[i0:] ** 2
-            low = rhs_lo[i0:] / sq
-            top = max(top, low.max())
-            # the largest rhs over [lower, upper] is at Delta = N/e, clamped
-            peak = low if exact else _screen_rhs(
-                np.clip(N / math.e, lo, hi), log_N)[i0:] / sq
-            cut = top - SCREEN_REL * abs(top)
-            hit = np.flatnonzero(peak >= cut)
-            near = [c for c in near if c[0] >= cut] + list(zip(
-                peak[hit].tolist(), (hit + (s + 1 + i0)).tolist()))
-    cut = top - SCREEN_REL * abs(top)
-    gamma_hat = 0.0
-    for p, n in near:
-        if p >= cut:
-            r, _ = _hlawka_rhs(n, delta_at(n), err, eps)
-            gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
-    report.empirical_constants["gamma_hat"] = gamma_hat
-    return report
+        screen.feed(logs[s:s + SUM_CHUNK], lower[s:s + SUM_CHUNK],
+                    upper[s:s + SUM_CHUNK], s)
+    return screen.report(ps_trace.error_bound, parameters)
 
 
 def check_kronecker_sandwich(alpha: IrrationalSpec, q_max: int) -> BoundReport:
@@ -273,25 +309,21 @@ def check_vdc_limits(s_max: int) -> BoundReport:
     trace's error bound, which holds for every prefix, plus the float
     rounding of the closed form.
 
-    The points stream through a `BlockTrace` in blocks
-    (`van_der_corput_blocks`); each block is cut at the octave starts, and
-    what the checks read is carried: the log-product at n1 and at 2^s, each
-    octave's first argmin and the running first argmax at each octave's
-    end.
+    The points stream through `_vdc_trace` in blocks, each cut at the
+    octave starts, and what the checks read is carried: the log-product at
+    n1 and at 2^s, each octave's first argmin and the running first argmax
+    at each octave's end.
     """
     if not 1 <= s_max <= 24:
         raise ValueError("s_max must be in [1, 24]")
     n_top = 2 ** (s_max + 1) - 1
-    # the smallest distance to 0 or 1 is 2^-(s_max+1), the largest 1/2
-    trace = BlockTrace(n_top, term_max(np.array([0.5 ** (s_max + 1), 0.5])))
-    out = np.empty(min(n_top, SUM_CHUNK))
+    trace = _vdc_trace(n_top)
     at_n1, first, low = {}, {}, {}  # per octave: values, (value, index)
     peak = {}  # the running (max, first index) at each octave's end
     best = (-math.inf, 0)
-    start = 0
-    for block in van_der_corput_blocks(n_top):
-        # dyadics with at most 25 bits are exact in float64
-        cum = trace.feed(block, out=out[:len(block)])
+    # dyadics with at most 25 bits are exact in float64
+    for start, cum in zip(range(0, n_top, SUM_CHUNK),
+                          trace.prefix_blocks(van_der_corput_blocks(n_top))):
         i, end = start, start + len(cum)
         while i < end:
             s = (i + 1).bit_length() - 1  # the octave of n = i + 1
@@ -310,10 +342,8 @@ def check_vdc_limits(s_max: int) -> BoundReport:
             if j == 2 ** (s + 1) - 1:
                 peak[s] = best
             i = j
-        start = end
     report = BoundReport("vdc-limits", {"s_max": s_max}, (1, n_top))
-    peak_ratios = {}
-    min_ratios = {}
+    peak_ratios, min_ratios = {}, {}
     for s in range(1, s_max + 1):
         n1 = 2 ** (s + 1) - 2
         lhs = at_n1[s]
@@ -397,9 +427,8 @@ def grid_hlawka_report(N: int) -> BoundReport:
     # (N+1)/2, on either side
     ends = np.array([1, N, den // 2, den - den // 2]) / den
     trace = BlockTrace(N, term_max(ends))
-    out = np.empty(min(N, SUM_CHUNK))
-    for block in uniform_grid_blocks(N):
-        lhs = float(trace.feed(block, out=out[:len(block)])[-1])
+    for cum in trace.prefix_blocks(uniform_grid_blocks(N)):
+        lhs = float(cum[-1])
     # Delta_N = N D_N* = N/(N+1), correctly rounded
     rhs, tol = _hlawka_rhs(N, N / den, trace.error_bound(), None)
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
@@ -409,37 +438,31 @@ def grid_hlawka_report(N: int) -> BoundReport:
     return report
 
 
-def _vdc_product_trace(N: int) -> ProductTrace:
-    """`product_trace(van_der_corput(N))`, bit for bit, from the points'
-    blocks (`van_der_corput_blocks`) fed through a `BlockTrace`, whose
-    block arrays go when it returns. The points over 2^L, L = bitlen(N),
-    have their smallest distance to 0 or 1 at n = 2^(L-1), 2^-L, and
-    their largest at n = 1, 1/2, so `term_max` of those two ends is the
-    trace's amax, as it is of all the points."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    trace = BlockTrace(N, term_max(np.array([0.5 ** N.bit_length(), 0.5])))
-    logs = np.empty(N)
-    for s, block in zip(range(0, N, SUM_CHUNK), van_der_corput_blocks(N)):
-        trace.feed(block, out=logs[s:s + len(block)])
-    return ProductTrace(logs, trace.error_bound(), N)
+def _vdc_trace(N: int) -> BlockTrace:
+    """The `BlockTrace` of the first N van der Corput points, over 2^L,
+    L = bitlen(N): their distances to 0 or 1 run from 2^-L (n = 2^(L-1))
+    to 1/2 (n = 1), so `term_max` of those ends is that of all of them."""
+    return BlockTrace(N, term_max(np.array([0.5 ** N.bit_length(), 0.5])))
 
 
 def hlawka_sequence_report(kind: str, N_max: int, N_min: int,
                            alpha: IrrationalSpec | None = None) -> BoundReport:
     """Hlawka check over all prefixes of the van der Corput or Kronecker
-    sequence. The van der Corput check holds no points: only the prefix
-    log-products (`_vdc_product_trace`) and the Delta of every prefix."""
-    if kind == "vdc":
-        trace = _vdc_product_trace(N_max)
-        d_trace = vdc_discrepancy(N_max)
-        params = {"gen": "vdc", "N_max": N_max}
-    elif kind == "kronecker":
+    sequence. The van der Corput check streams: its `HlawkaScreen` reads
+    each block of log P_N beside the block of exact Delta_N."""
+    if kind == "kronecker":
         if alpha is None:
             raise ValueError("kronecker generator needs alpha")
         orbit = kronecker_fixed_point(alpha, N_max)
-        trace, d_trace = product_trace(orbit), kronecker_discrepancy(orbit)
-        params = {"gen": "kronecker", "alpha": str(alpha), "N_max": N_max}
-    else:
+        return check_hlawka(product_trace(orbit), kronecker_discrepancy(orbit),
+                            N_min, {"gen": "kronecker", "alpha": str(alpha),
+                                    "N_max": N_max})
+    if kind != "vdc":
         raise ValueError(f"unknown generator {kind!r}")
-    return check_hlawka(trace, d_trace, N_min, params)
+    deltas = vdc_discrepancy(N_max)  # refuses N_max < 1
+    screen = HlawkaScreen(N_min, N_max, None)
+    trace = _vdc_trace(N_max)
+    for s, logs, d in zip(range(0, N_max, SUM_CHUNK), trace.prefix_blocks(
+            van_der_corput_blocks(N_max)), deltas):
+        screen.feed(logs, d, d, s)
+    return screen.report(trace.error_bound(), {"gen": "vdc", "N_max": N_max})

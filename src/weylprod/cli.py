@@ -40,7 +40,7 @@ from .atomicio import atomic_open
 from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep)
-from .irrational import parse_alpha
+from .irrational import KERNEL_MAX_N, parse_alpha
 from .products import KERNEL, NORMALIZERS, rotation_products, text_blocks
 
 THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
@@ -183,9 +183,17 @@ def _emit(parts, out: str | None) -> None:
                 fh.write(part)
 
 
+def _orbit_n_max(args: argparse.Namespace, command: str) -> None:
+    if args.n_max > KERNEL_MAX_N:
+        raise UsageError(f"--n-max must be <= {KERNEL_MAX_N} for {command}: "
+                         f"the orbit must stay within the fixed-point "
+                         f"kernel's range")
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
+    _orbit_n_max(args, "figure")
     series = rotation_products(args.alpha, args.n_max, args.normalizer,
                                args.precision_bits)
     meta = {"alpha": str(args.alpha), "normalizer": args.normalizer,
@@ -316,6 +324,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
     elif args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
+    if tag in ("ostrowski", "cesaro", "type-growth", "conjectures"):
+        _orbit_n_max(args, tag)
+    elif tag == "hlawka" and args.gen == "kronecker":
+        _orbit_n_max(args, "hlawka --gen kronecker")
     out = args.out
     if tag == "hlawka":
         report = _verify_hlawka(args)
@@ -364,6 +376,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         if args.n_max < st.N_LO:
             raise UsageError(f"--n-max must be >= {st.N_LO} for rademacher: "
                              f"the ratio is taken over N >= {st.N_LO}")
+        _orbit_n_max(args, "rademacher")
         stats = st.rademacher_lil_experiment(args.alpha, paths, args.n_max,
                                              args.seed)
     else:

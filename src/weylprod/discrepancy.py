@@ -200,9 +200,10 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     return PrefixDiscrepancy(pts, lower, upper, eps)
 
 
-def vdc_discrepancy(N: int) -> np.ndarray:
+def vdc_discrepancy(N: int):
     """Delta_n = n D_n* of the van der Corput points phi(1..n), for every
-    prefix n = 1..N of `van_der_corput(N)`, exactly, at index n - 1:
+    prefix n = 1..N of `van_der_corput(N)`, exactly, in float64 blocks of
+    SUM_CHUNK n = 1, 2, ... in order (the last one shorter):
 
         Delta_n = 2^-v + sum_{k=1}^{n-1} (1 - 2 phi(k)),   v = v_2(n + 1).
 
@@ -227,23 +228,25 @@ def vdc_discrepancy(N: int) -> np.ndarray:
     before it, carried as a Python int. Each ||n / 2^j|| is at most 1/2,
     and those with j > L sum below 1, so den Delta_n and every partial sum
     lie below den (L/2 + 1) < 2^53: nothing overflows, and / den is exact
-    in float64.
+    in float64. N < 1 raises ValueError at the call, before any block.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     den = 1 << N.bit_length()
-    out = np.empty(N)
-    carry = 0  # the sum of the terms before the block
-    for s, block in zip(range(0, N, SUM_CHUNK), van_der_corput_blocks(N)):
-        terms = den - 2 * block.numerators       # den - 2 p_k, k > s
-        scaled = np.cumsum(terms)
-        scaled -= terms                          # sum_{s<k<n}, n > s
-        scaled += carry
-        carry += int(terms.sum())
-        m = np.arange(s + 2, s + 2 + len(terms), dtype=np.int64)  # n + 1
-        scaled += den // (m & -m)                # den >> v
-        np.divide(scaled, den, out=out[s:s + len(terms)])
-    return out
+
+    def blocks():
+        carry = 0  # the sum of the terms before the block
+        for s, block in zip(range(0, N, SUM_CHUNK), van_der_corput_blocks(N)):
+            terms = den - 2 * block.numerators       # den - 2 p_k, k > s
+            scaled = np.cumsum(terms)
+            scaled -= terms                          # sum_{s<k<n}, n > s
+            scaled += carry
+            carry += int(terms.sum())
+            m = np.arange(s + 2, s + 2 + len(terms), dtype=np.int64)  # n + 1
+            scaled += den // (m & -m)                # den >> v
+            yield scaled / den
+
+    return blocks()
 
 
 def discrepancy_trace(ps) -> DiscrepancyTrace:

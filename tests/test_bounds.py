@@ -24,8 +24,9 @@ from weylprod.irrational import (FracPartEvaluator, cf_expand,
                                  cf_expand_until, kronecker_fixed_point,
                                  ostrowski, parse_alpha, surd_from_cf)
 from weylprod.numerics import LOG2, SUM_CHUNK
-from weylprod.products import ProductTrace, product_trace
-from weylprod.sequences import PointSet, RationalArray, van_der_corput
+from weylprod.products import BlockTrace, ProductTrace, product_trace
+from weylprod.sequences import (PointSet, RationalArray, van_der_corput,
+                                van_der_corput_blocks)
 
 
 # Per-N reference loops: the checkers evaluate the same formulas on whole
@@ -328,11 +329,17 @@ def test_hlawka_n_min_above_n_max(kind, sqrt2m1):
     assert rep.n_range == (10, 10)
 
 
+def vdc_deltas(n):
+    """The exact Delta_N of the first n vdC points, as one array: the
+    blocks of `vdc_discrepancy`, concatenated."""
+    return np.concatenate(list(vdc_discrepancy(n)))
+
+
 def _hlawka_traces(kind, n):
     """(product trace, Delta trace) of the first n vdC or Kronecker points,
-    as `hlawka_sequence_report` builds them."""
+    the whole arrays of what `hlawka_sequence_report` streams."""
     if kind == "vdc":
-        return product_trace(van_der_corput(n)), vdc_discrepancy(n)
+        return product_trace(van_der_corput(n)), vdc_deltas(n)
     orbit = kronecker_fixed_point(parse_alpha("sqrt2m1"), n)
     return product_trace(orbit), kronecker_discrepancy(orbit)
 
@@ -368,13 +375,91 @@ def test_hlawka_streams_as_the_whole_array(kind, n):
     assert want["violations"] and want["inconclusive"]
 
 
+# N on both sides of the vdC stream's block edges
+VDC_EDGES = [1, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1, 2 * SUM_CHUNK + 3]
+
+
+@pytest.mark.parametrize("n", VDC_EDGES)
+def test_vdc_prefix_blocks_equal_the_whole_trace(n):
+    # the prefix blocks the vdC Hlawka check reads, concatenated, are the
+    # trace of the whole point array bit for bit, with the same bound; each
+    # block's array is overwritten by the next, so it is copied
+    trace = bounds._vdc_trace(n)
+    parts = [cum.copy() for cum in
+             trace.prefix_blocks(van_der_corput_blocks(n))]
+    want = product_trace(van_der_corput(n))
+    assert [len(p) for p in parts] == [min(SUM_CHUNK, n - s)
+                                       for s in range(0, n, SUM_CHUNK)]
+    assert np.concatenate(parts).tobytes() == want.log_values.tobytes()
+    assert trace.error_bound() == want.error_bound
+
+
+@pytest.mark.parametrize("n", VDC_EDGES)
+def test_vdc_hlawka_streams_as_the_array_form(n):
+    # the streamed vdC report is the array-form report over the whole
+    # trace and the whole Delta, to the byte, whichever block N_min is in
+    tr, d = _hlawka_traces("vdc", n)
+    params = {"gen": "vdc", "N_max": n}
+    for N_min in sorted({m for m in (1, 16, SUM_CHUNK, SUM_CHUNK + 1, n)
+                         if m <= n}):
+        got = json.dumps(hlawka_sequence_report("vdc", n, N_min).to_dict())
+        want = check_hlawka(tr, d, N_min, params).to_dict()
+        assert got == json.dumps(want)
+        assert want == oracles.check_hlawka(tr, d, N_min, params).to_dict()
+
+
+def test_vdc_hlawka_stream_classifies_rows_at_the_end(monkeypatch):
+    # log P_N raised, in the stream, to just below, inside and past the
+    # tolerance at N on both sides of the block edges: the rows settled
+    # block by block are classified against the final error bound, as the
+    # array form classifies them, violations and inconclusive rows alike
+    n = 2 * SUM_CHUNK + 5
+    tr, d = _hlawka_traces("vdc", n)
+    at = [16, 17, n] + [k * SUM_CHUNK + j for k in (1, 2) for j in (-1, 0, 1)]
+    bump = np.zeros(n)
+    for i, m in enumerate(at):
+        rhs, tol = bounds._hlawka_rhs(m, float(d[m - 1]), tr.error_bound,
+                                      None)
+        bump[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3] \
+            - tr.log_values[m - 1]
+    # and one N in the first block between the tolerance of the bound after
+    # that block and the final one: a violation against the first,
+    # inconclusive against the second
+    first = bounds._vdc_trace(n)
+    next(first.prefix_blocks(van_der_corput_blocks(n)))
+    early = first.error_bound()
+    m = SUM_CHUNK - 2
+    rhs, tol = bounds._hlawka_rhs(m, float(d[m - 1]), tr.error_bound, None)
+    lhs = rhs + tol - (tr.error_bound - early) / 2.0
+    bump[m - 1] = lhs - tr.log_values[m - 1]
+    assert rhs + early + BASE_TOL < tr.log_values[m - 1] + bump[m - 1] \
+        < rhs + tol
+    stream = BlockTrace.prefix_blocks
+
+    def raised(self, blocks):
+        for s, cum in zip(range(0, n, SUM_CHUNK), stream(self, blocks)):
+            yield cum + bump[s:s + len(cum)]
+
+    monkeypatch.setattr(BlockTrace, "prefix_blocks", raised)
+    raised_tr = ProductTrace(tr.log_values + bump, tr.error_bound, n)
+    for N_min in (1, 16, SUM_CHUNK + 1):
+        got = json.dumps(hlawka_sequence_report("vdc", n, N_min).to_dict())
+        want = check_hlawka(raised_tr, d, N_min,
+                            {"gen": "vdc", "N_max": n}).to_dict()
+        assert got == json.dumps(want)
+        assert want["violations"] and want["inconclusive"]
+        assert want["passed"] is False
+        if N_min <= m:
+            row = [m, float(raised_tr.log_values[m - 1]), rhs]
+            assert row in want["inconclusive"]
+
+
 def test_hlawka_gamma_top_rising_across_blocks():
     # Delta = N/e maximises the right-hand side; spikes there in every block,
     # each above the last, move the running top up block by block, so each
     # block's candidates must give way to the next block's
     n = 3 * SUM_CHUNK
     tr, d = _hlawka_traces("vdc", n)
-    d = d.copy()
     for m in (SUM_CHUNK - 3, SUM_CHUNK + 1, 2 * SUM_CHUNK, 3 * SUM_CHUNK):
         d[m - 1] = m / math.e
     for N_min in (1, 16):
@@ -401,17 +486,21 @@ def test_hlawka_screens_in_flat_memory():
 
 
 def test_vdc_hlawka_report_holds_no_points():
-    # at 2^20 the report holds its 8 MB trace and 8 MB of Delta, and a few
-    # SUM_CHUNK blocks besides: not the points (8 MB of int64 and their
-    # float64 copy), nor the trace's block arrays while Delta is built
-    tracemalloc.start()
-    try:
-        rep = hlawka_sequence_report("vdc", 2 ** 20, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed
-    assert peak < 22 * 2 ** 20, peak
+    # the report holds a few SUM_CHUNK blocks (512 KB each) of points,
+    # log-products, Delta and screen temporaries, whatever the size: 21 at
+    # 2^20 and 2^22 N alike, where whole arrays of the trace and Delta
+    # would take 16 MB and 64 MB
+    peaks = []
+    for n in (2 ** 20, 2 ** 22):
+        tracemalloc.start()
+        try:
+            rep = hlawka_sequence_report("vdc", n, 16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 20, peaks
+    assert max(peaks) < 24 * 2 ** 19, peaks
 
 
 def test_extremal_sweep_csv_in_flat_memory(tmp_path, capsys):
@@ -434,16 +523,20 @@ def test_extremal_sweep_csv_in_flat_memory(tmp_path, capsys):
 
 
 def test_vdc_discrepancy_in_flat_memory():
-    # numpy reports its buffers to tracemalloc: at 2^20 points the exact
-    # Delta holds a few SUM_CHUNK blocks above the 8 MB array it returns
-    tracemalloc.start()
-    try:
-        d = vdc_discrepancy(2 ** 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d.nbytes == 8 * 2 ** 20
-    assert peak < 12 * 2 ** 20, peak
+    # numpy reports its buffers to tracemalloc: read block by block, the
+    # exact Delta holds eight SUM_CHUNK blocks (512 KB each) at 2^20 and 2^22
+    # points alike, where the whole array would take 8 MB and 32 MB
+    peaks = []
+    for n in (2 ** 20, 2 ** 22):
+        tracemalloc.start()
+        try:
+            sizes = [len(d) for d in vdc_discrepancy(n)]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sizes == [SUM_CHUNK] * (n // SUM_CHUNK)
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 19, peaks
+    assert max(peaks) < 10 * 2 ** 19, peaks
 
 
 # ---------------------------------------------------------------- sandwich

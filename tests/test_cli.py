@@ -690,6 +690,43 @@ def test_mc_subsequence_terms_above_kernel_range(tmp_path, capsys, terms):
     assert st._coin_draws(top + 1) > irrational.KERNEL_MAX_N
 
 
+@pytest.mark.parametrize("args, command", [
+    (["verify", "ostrowski"], "ostrowski"),
+    (["verify", "cesaro"], "cesaro"),
+    (["verify", "type-growth"], "type-growth"),
+    (["verify", "conjectures"], "conjectures"),
+    (["verify", "hlawka", "--gen", "kronecker"], "hlawka --gen kronecker"),
+    (["mc", "rademacher", "--paths", "2"], "rademacher"),
+    (["figure"], "figure"),
+])
+@pytest.mark.parametrize("n_max", ["2147483648", "3000000000"])
+def test_orbit_n_max_above_kernel_range(tmp_path, capsys, args, command,
+                                        n_max):
+    # the error names --n-max and the kernel's largest N, before any orbit
+    # is built, where the kernel's own message named neither
+    code, stdout, err = run([*args, "--n-max", n_max,
+                             "--out", str(tmp_path / "m")], capsys)
+    assert code == 2
+    assert err == (f"error: --n-max must be <= 2147483647 for {command}: "
+                   "the orbit must stay within the fixed-point kernel's "
+                   "range\n")
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_orbit_n_max_at_kernel_range_is_taken(capsys, monkeypatch):
+    # the kernel's largest N itself is in range: the checker is called
+    # with it (a stub here, which builds no orbit)
+    seen = []
+
+    def stub(alpha, n_max):
+        seen.append(n_max)
+        return cli.bnd.BoundReport("ostrowski", {}, (1, n_max))
+
+    monkeypatch.setattr(cli.bnd, "check_ostrowski_bound", stub)
+    code, _, _ = run(["verify", "ostrowski", "--n-max", "2147483647"], capsys)
+    assert code == 0 and seen == [2147483647]
+
+
 def test_mc_subsequence_default_terms_above_kernel_range(tmp_path, capsys):
     # without --terms, the terms --n-max implies are named in the error
     code, _, err = run(["mc", "subsequence", "--paths", "2", "--n-max",

@@ -320,28 +320,34 @@ def test_kronecker_bounds_interface(sqrt2m1):
 
 # ------------------------------------------ van der Corput from its digits
 
+def vdc_deltas(N):
+    """The blocks of `vdc_discrepancy(N)`, concatenated."""
+    return np.concatenate(list(vdc_discrepancy(N)))
+
+
 def test_vdc_deltas_match_exact():
     # the prefix sum against the max-plus digit program at every
-    # N <= 2^20 + 1, one call each; both are exact in float64
+    # N <= 2^20 + 1, from one call; both are exact in float64
     top = 2 ** 20 + 1
-    got = vdc_discrepancy(top)
+    got = vdc_deltas(top)
     want = oracles.vdc_deltas(top) / float(1 << (top + 1).bit_length())
     assert np.array_equal(got, want)
     # against the sorted-order formula: every N <= 4096 from one call, and
     # N = 2^k - 1, 2^k, 2^k + 1 up to k = 20 each from its own call,
     # where the denominator 2^bitlen(N) steps
-    got = vdc_discrepancy(4096)
+    got = vdc_deltas(4096)
     for N in range(1, 4097):
         assert got[N - 1] == star_discrepancy(van_der_corput(N)).delta, N
     for k in range(1, 21):
         for N in (2 ** k - 1, 2 ** k, 2 ** k + 1):
             ps = van_der_corput(N)
             exact = star_discrepancy(ps).delta
-            assert vdc_discrepancy(N)[N - 1] == exact, N
+            assert vdc_deltas(N)[N - 1] == exact, N
 
 
 def test_vdc_discrepancy_refuses_empty_prefix():
-    # as van_der_corput(N) does, N < 1 raises
+    # as van_der_corput(N) does, N < 1 raises, at the call, before any
+    # block is asked for
     for N in (0, -1):
         with pytest.raises(ValueError, match="N must be >= 1"):
             vdc_discrepancy(N)
@@ -350,7 +356,7 @@ def test_vdc_discrepancy_refuses_empty_prefix():
 def test_vdc_bounds_bracket_trace():
     N = 3000
     ps = van_der_corput(N)
-    vd = vdc_discrepancy(N)
+    vd = vdc_deltas(N)
     exact = np.array([float(star_discrepancy(ps.points[:n]).delta)
                       for n in range(1, N + 1)])
     assert vd.dtype == np.float64
