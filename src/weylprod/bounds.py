@@ -10,7 +10,9 @@ error bound plus their rounding, and exact argmin and argmax positions),
 so a gap within its tolerance passes; the extremal sweep's report (`cli`)
 counts only failures at N >= 64, as its bounds are asymptotic; and the
 evidence reports (`type-growth`, `conjectures`) compare nothing and never
-fail.
+fail. The Hlawka rows come from one block consumer, `HlawkaScreen`, which
+the van der Corput stream feeds block by block and `check_hlawka` feeds
+with slices of whole traces.
 """
 
 from __future__ import annotations
@@ -166,7 +168,9 @@ class HlawkaScreen:
             sq = np.square(log_N[j:], out=get(3, b)[j:])
             peak = np.divide(rhs_lo[j:], sq, out=get(4, b)[j:])
             self.top = max(self.top, peak.max())
-            if not exact:  # the largest rhs is at Delta = N/e, clamped
+            if not exact:
+                # the largest rhs is at Delta = N/e, clamped; the screen
+                # is done with N and rhs_lo, so their arrays are reused
                 N /= math.e
                 peak = _screen_rhs(np.clip(N, lo, hi, out=N), log_N,
                                    get(2, b))[j:]
@@ -343,7 +347,8 @@ def check_vdc_limits(s_max: int) -> BoundReport:
                 peak[s] = best
             i = j
     report = BoundReport("vdc-limits", {"s_max": s_max}, (1, n_top))
-    peak_ratios, min_ratios = {}, {}
+    peak_ratios = {}
+    min_ratios = {}
     for s in range(1, s_max + 1):
         n1 = 2 ** (s + 1) - 2
         lhs = at_n1[s]

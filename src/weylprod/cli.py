@@ -184,6 +184,8 @@ def _emit(parts, out: str | None) -> None:
 
 
 def _orbit_n_max(args: argparse.Namespace, command: str) -> None:
+    """Refuse, by name, an --n-max that is the length of a Kronecker orbit
+    and lies past the fixed-point kernel's range."""
     if args.n_max > KERNEL_MAX_N:
         raise UsageError(f"--n-max must be <= {KERNEL_MAX_N} for {command}: "
                          f"the orbit must stay within the fixed-point "
