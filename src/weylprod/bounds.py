@@ -11,8 +11,8 @@ so a gap within its tolerance passes; the extremal sweep's report (`cli`)
 counts only failures at N >= 64, as its bounds are asymptotic; and the
 evidence reports (`type-growth`, `conjectures`) compare nothing and never
 fail. The Hlawka rows come from one block consumer, `HlawkaScreen`, which
-the van der Corput stream feeds block by block and `check_hlawka` feeds
-with slices of whole traces.
+both sequences' streams feed block by block (`hlawka_sequence_report`);
+`check_hlawka`'s slices of whole traces serve only the array form.
 """
 
 from __future__ import annotations
@@ -200,18 +200,18 @@ class HlawkaScreen:
 
 def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int,
                  parameters: dict) -> BoundReport:
-    """The `HlawkaScreen` report of whole traces fed in SUM_CHUNK blocks;
-    `d_trace` is an array of exact Delta_N or a `PrefixDiscrepancy`."""
+    """The `HlawkaScreen` report of a whole trace fed in SUM_CHUNK blocks,
+    beside slices of exact Delta_N (an array) or a bracket's `blocks()`."""
     logs = ps_trace.log_values
     if len(logs) != len(d_trace):
         raise ValueError("product and discrepancy traces are not aligned")
     exact = isinstance(d_trace, np.ndarray)
-    lower = d_trace if exact else d_trace.lower
-    upper = d_trace if exact else d_trace.upper
     screen = HlawkaScreen(N_min, len(logs), None if exact else d_trace)
-    for s in range(N_min - 1, len(logs), SUM_CHUNK):
-        screen.feed(logs[s:s + SUM_CHUNK], lower[s:s + SUM_CHUNK],
-                    upper[s:s + SUM_CHUNK], s)
+    starts = range(0, len(logs), SUM_CHUNK)
+    pairs = ((d_trace[s:s + SUM_CHUNK],) * 2 for s in starts) if exact \
+        else d_trace.blocks()
+    for s, (lower, upper) in zip(starts, pairs):
+        screen.feed(logs[s:s + SUM_CHUNK], lower, upper, s)
     return screen.report(ps_trace.error_bound, parameters)
 
 
@@ -453,21 +453,25 @@ def _vdc_trace(N: int) -> BlockTrace:
 def hlawka_sequence_report(kind: str, N_max: int, N_min: int,
                            alpha: IrrationalSpec | None = None) -> BoundReport:
     """Hlawka check over all prefixes of the van der Corput or Kronecker
-    sequence. The van der Corput check streams: its `HlawkaScreen` reads
-    each block of log P_N beside the block of exact Delta_N."""
+    sequence, in one block loop: its `HlawkaScreen` reads each block of
+    log P_N, from a `BlockTrace` of the points, beside the block of exact
+    Delta_N (van der Corput) or of `kronecker_discrepancy`'s bracket."""
     if kind == "kronecker":
         if alpha is None:
             raise ValueError("kronecker generator needs alpha")
         orbit = kronecker_fixed_point(alpha, N_max)
-        return check_hlawka(product_trace(orbit), kronecker_discrepancy(orbit),
-                            N_min, {"gen": "kronecker", "alpha": str(alpha),
-                                    "N_max": N_max})
-    if kind != "vdc":
+        trace = BlockTrace(N_max, term_max(orbit.dist))
+        bracket = kronecker_discrepancy(orbit)
+        points = (orbit[s:s + SUM_CHUNK] for s in range(0, N_max, SUM_CHUNK))
+        pairs, params = bracket.blocks(), {"gen": kind, "alpha": str(alpha)}
+    elif kind == "vdc":
+        pairs = ((d, d) for d in vdc_discrepancy(N_max))  # refuses N_max < 1
+        bracket, trace, params = None, _vdc_trace(N_max), {"gen": kind}
+        points = van_der_corput_blocks(N_max)
+    else:
         raise ValueError(f"unknown generator {kind!r}")
-    deltas = vdc_discrepancy(N_max)  # refuses N_max < 1
-    screen = HlawkaScreen(N_min, N_max, None)
-    trace = _vdc_trace(N_max)
-    for s, logs, d in zip(range(0, N_max, SUM_CHUNK), trace.prefix_blocks(
-            van_der_corput_blocks(N_max)), deltas):
-        screen.feed(logs, d, d, s)
-    return screen.report(trace.error_bound(), {"gen": "vdc", "N_max": N_max})
+    screen = HlawkaScreen(N_min, N_max, bracket)
+    for s, logs, (lower, upper) in zip(range(0, N_max, SUM_CHUNK),
+                                       trace.prefix_blocks(points), pairs):
+        screen.feed(logs, lower, upper, s)
+    return screen.report(trace.error_bound(), {**params, "N_max": N_max})

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import SUM_CHUNK, as_float_array, compensated_cumsum
+from .irrational import FixedPointOrbit
+from .numerics import SUM_CHUNK, PrefixSum, as_float_array
 from .sequences import PointSet, RationalArray, van_der_corput_blocks
 
 
@@ -117,46 +118,60 @@ class DiscrepancyTrace:
 
 @dataclass(frozen=True, eq=False)
 class PrefixDiscrepancy:
-    """Bounds `lower` <= Delta_n <= `upper` for every prefix n = 1..N of a
-    point sequence, where Delta_n = n D_n* is the value `discrepancy_trace`
-    gives for the sequence's float64 `points`, and `delta_at(n)`, that value
-    itself for one n. Each point is within `eps` - 2^-53 of the exact one,
-    so `delta_at(n)` is within n (eps + 2^-53) of the exact Delta_n
-    (`kronecker_discrepancy`).
+    """Bounds lower <= Delta_n <= upper for every prefix n = 1..N of a
+    Kronecker `orbit`, a block at a time (`blocks`), where Delta_n = n D_n*
+    is the value `discrepancy_trace` gives for the orbit's float64 points,
+    and `delta_at(n)`, that value itself for one n, within n (eps + 2^-53)
+    of the exact Delta_n; from T(0..N), its error bound `T_error` and
+    max|T| `T_max` (`kronecker_discrepancy`). The van der Corput prefixes
+    need no bracket: `vdc_discrepancy` gives their Delta_n exactly."""
 
-    Built in O(N) from a Kronecker orbit's structure by
-    `kronecker_discrepancy`; `delta_at(n)` sorts the prefix's n points, in
-    O(n log n). The van der Corput prefixes need no bracket:
-    `vdc_discrepancy` gives their Delta_n exactly.
-    """
-
-    points: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    orbit: FixedPointOrbit
+    T: np.ndarray
     eps: float
+    T_error: float
+    T_max: float
 
     def __len__(self):
-        return len(self.points)
+        return len(self.orbit)
 
     def delta_at(self, n: int) -> float:
-        """Delta_n by the sorted-order formula in float64 over the sorted
-        first n points, bit for bit the trace's value."""
-        if not 1 <= n <= len(self.points):
-            raise IndexError(f"prefix {n} outside [1, {len(self.points)}]")
-        return float(_float(np.sort(self.points[:n])).delta)
+        """Delta_n by the sorted-order formula in float64 over the first n
+        points, sorted in place, bit for bit the trace's value."""
+        if not 1 <= n <= len(self):
+            raise IndexError(f"prefix {n} outside [1, {len(self)}]")
+        xs = self.orbit[:n].points()
+        xs.sort()
+        return float(_float(xs).delta)
+
+    def blocks(self):
+        """(lower, upper) for n = 1..N in blocks of SUM_CHUNK n, from the
+        running max and min of T and their last argmax a and argmin b,
+        carried from block to block; no block edge moves a bit."""
+        T, N = self.T, len(self)
+        top, bottom, a_last, b_last = -math.inf, math.inf, 0, 0
+        for s in range(0, N, SUM_CHUNK):
+            e = min(s + SUM_CHUNK, N)
+            t, m = T[s:e], np.arange(s, e)  # T(m), m = n - 1
+            hi = np.maximum(np.maximum.accumulate(t), top)
+            lo = np.minimum(np.minimum.accumulate(t), bottom)
+            # a running extremum changes only where T attains it, so the
+            # last such index is the last argmax (argmin) on [0, m]
+            a = np.maximum.accumulate(np.where(t == hi, m, a_last))
+            b = np.maximum.accumulate(np.where(t == lo, m, b_last))
+            top, bottom, a_last, b_last = hi[-1], lo[-1], a[-1], b[-1]
+            base = 0.5 + np.abs(T[s + 1:e + 1])
+            margin = ((m + 1.0) * (4.0 * self.eps + 2.0 ** -52)
+                      + 3.0 * self.T_error + 2.0 ** -49 * (1.0 + self.T_max))
+            inner = np.maximum(T[a] - T[m - a], T[m - b] - T[b])
+            lower, upper = base + inner - margin, base + (hi - lo) + margin
+            del m, hi, lo, a, b, base, margin, inner  # only the bounds stay
+            yield lower, upper
 
 
-def _last_arg(T: np.ndarray, run: np.ndarray) -> np.ndarray:
-    """For every m, the last j <= m with T[j] == run[m], where `run` is the
-    running maximum (or minimum) of T: the running extremum only changes at
-    indices where T attains it, so that j is the last such index."""
-    hit = np.where(T == run, np.arange(len(T)), 0)
-    return np.maximum.accumulate(hit)
-
-
-def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
-    """Prefix-discrepancy bounds of the orbit x_k = {k alpha}, k = 1..N, from
-    a `FixedPointOrbit` (its float64 `points()` and per-point `error()`).
+def kronecker_discrepancy(orbit: FixedPointOrbit) -> PrefixDiscrepancy:
+    """The `PrefixDiscrepancy` of the orbit x_k = {k alpha}, k = 1..N, of a
+    `FixedPointOrbit` (its float64 `points()` and per-point `error()`).
 
     With T(m) = sum_{k<=m} (x_k - 1/2) and T(0) = 0, the orbit satisfies
         n D_n* = 1/2 + |T(n)| + max_{a+b=n-1} (T(a) - T(b)),
@@ -164,25 +179,17 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     {(i-j) alpha} - {i alpha} + {j alpha} = 1. The inner maximum is at least
     the value of the pair (a*, n-1-a*), a* the last argmax of T on [0, n-1],
     and of the pair (n-1-m*, m*), m* the last argmin; that gives `lower`.
-    It is at most max T - min T on [0, n-1]; that gives `upper`.
+    It is at most max T - min T on [0, n-1]; that gives `upper`. T is the
+    one array of length N made: the terms x_k - 1/2 are written to it block
+    by block and summed in place with `compensated_cumsum`'s amax and
+    chunks, and so its bits.
     """
-    pts = orbit.points()
-    N = len(pts)
-    T = np.zeros(N + 1)
-    T[1:], cum_err = compensated_cumsum(pts - 0.5)
-    run_max = np.maximum.accumulate(T)
-    run_min = np.minimum.accumulate(T)
-    m = np.arange(N)  # n - 1
-    a = _last_arg(T, run_max)[:-1]
-    b = _last_arg(T, run_min)[:-1]
-    inner = np.maximum(T[a] - T[m - a], T[m - b] - T[b])
-    base = 0.5 + np.abs(T[1:])
     # Margin, for the prefix n. Each float term x_k - 1/2 is within
     # eps = max error() + 2^-52 of {k alpha} - 1/2: error() bounds the
     # distance, points() adds at most 2^-53 above 1/2, the subtraction at
     # most 2^-55 below 1/4. So for m <= n, the computed T(m) is within
-    # n eps + cum_err of the exact T(m), and each bound, built from three
-    # values of T, within 3 (n eps + cum_err) of the exact expression.
+    # n eps + T_error of the exact T(m), and each bound, built from three
+    # values of T, within 3 (n eps + T_error) of the exact expression.
     # Each point of points() is within eps - 2^-53 of {k alpha}, which moves
     # n D_n* by at most n (eps - 2^-53); the sorted-order formula over
     # points() rounds each candidate value of d by at most 2^-53 (two
@@ -191,13 +198,17 @@ def kronecker_discrepancy(orbit) -> PrefixDiscrepancy:
     # Delta_n, and each bound takes that once more.
     # The bounds' own float operations (three, plus the widening) each
     # round by at most 2^-53 of a magnitude below 1 + 3 max|T|.
-    eps = float(orbit.error().max()) + 2.0 ** -52
-    n = m + 1.0
-    margin = (n * (4.0 * eps + 2.0 ** -52) + 3.0 * cum_err
-              + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
-    lower = base + inner - margin
-    upper = base + (run_max[:-1] - run_min[:-1]) + margin
-    return PrefixDiscrepancy(pts, lower, upper, eps)
+    N = len(orbit)
+    T, err = np.zeros(N + 1), 0.0
+    for s in range(0, N, SUM_CHUNK):
+        part = orbit[s:s + SUM_CHUNK]
+        np.subtract(part.points(), 0.5, out=T[s + 1:s + 1 + len(part)])
+        err = max(err, float(part.error().max()))
+    sums = PrefixSum(N, max(abs(float(T[1:].max())), abs(float(T[1:].min()))))
+    for s in range(1, N + 1, SUM_CHUNK):
+        sums.feed(T[s:s + SUM_CHUNK], T[s:s + SUM_CHUNK])
+    return PrefixDiscrepancy(orbit, T, err + 2.0 ** -52, sums.error_bound(),
+                             sums.out_max)
 
 
 def vdc_discrepancy(N: int):

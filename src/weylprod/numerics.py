@@ -126,7 +126,7 @@ class PrefixSum:
 
     def feed(self, part: np.ndarray, out: np.ndarray):
         """The prefix sums through each term of `part`, the next terms in
-        order, written to `out` and returned."""
+        order, written to `out` (which may be `part`) and returned."""
         self.fed += len(part)
         if self.fed > self.n:
             raise ValueError("terms past the declared count")

@@ -132,17 +132,16 @@ class FairCoins:
                                                            heads))
 
 
-def _signed(heads: np.ndarray, neg_w: np.ndarray) -> np.ndarray:
-    """w where the coin shows heads, -w where it shows tails, from -w by
-    flipping its float64 sign bit under each head.
-
-    Under a tail a weight w = +0.0 gives -0.0, as -1.0 * w does and
+def _signed(heads: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w where the coin shows heads, -w where it shows tails, from w by
+    flipping its float64 sign bit under each tail, which gives -w for every
+    w: under a tail a weight w = +0.0 gives -0.0, as -1.0 * w does and
     b 2w - w with b = 0 does not. No output can see the sign of that zero:
     it shows only in a sum whose terms are all zeros, every N the ratio is
     read at has B_N > e and so a nonzero weight at or before it, and
     squares drop the sign."""
-    z = np.left_shift(heads, 63, dtype=np.uint64)
-    z ^= neg_w.view(np.uint64)
+    z = np.left_shift(~heads, 63, dtype=np.uint64)
+    z ^= w.view(np.uint64)
     return z.view(np.float64)
 
 
@@ -423,18 +422,17 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     log_grid = sorted(set(np.geomspace(10, N_max, 40).astype(int).tolist()))
     B_grid = {}
     c0_hat, c1_hat, B_last = math.inf, -math.inf, 0.0
-    neg_w = None  # -w over the current block
+    w = None  # the weights of the current block
 
     def block(lo, hi):
-        nonlocal c0_hat, c1_hat, B_last, neg_w
+        nonlocal c0_hat, c1_hat, B_last, w
         dist = next(orbit).dist
         w = log_two_sin_pi_array(dist)
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         c0_hat = min(c0_hat, float(np.min(n * dist)))
         j = 1 if lo == 0 else 0  # log 1 = 0: the bound starts at n = 2
         c1_hat = max(c1_hat, float(np.max(np.abs(w[j:]) / np.log(n[j:]))))
-        neg_w = -w
-        B = np.square(w, out=w)
+        B = np.square(w)
         shared_sq = float(B.sum())
         if lo:
             B[0] += B_last
@@ -446,7 +444,7 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
         return B, shared_sq
 
     def draw(path, lo, hi):
-        return _signed(path.coins.take(hi - lo), neg_w)
+        return _signed(path.coins.take(hi - lo), w)
 
     # one thread: a path's step is many short numpy calls, which hand the
     # GIL back and forth between threads. On a 2-core host, 8 paths at
@@ -508,7 +506,6 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     if N_terms < max(N_LO, 10):
         raise ValueError("N_terms too small")
     w = kronecker_log_weights(alpha, _coin_draws(N_terms))
-    neg_w = -w
     cum_w = np.cumsum(w)
     K = np.arange(1, N_terms + 1, dtype=np.float64)
     details = {"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
@@ -524,7 +521,7 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
         positions = np.flatnonzero(bits)[:N_terms] + 1
         n_last = int(positions[-1])
         # independent evaluation of the signed sum for the identity check
-        signed = float(np.sum(_signed(bits[:n_last], neg_w[:n_last])))
+        signed = float(np.sum(_signed(bits[:n_last], w[:n_last])))
         halves[path.pid] = 0.5 * (float(cum_w[n_last - 1]) + signed)
         counts[path.pid] = (n_last, int(N_terms))
         return w[positions - 1]

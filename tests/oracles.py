@@ -6,7 +6,8 @@ Ostrowski digit sums by division (`ostrowski_digit_sums_by_division`), the
 van der Corput prefix discrepancy as a max-plus program over the binary
 digits of N + 1 (`vdc_deltas`), the whole-array forms of the streamed
 checkers (`check_hlawka`, `grid_hlawka_report`, `check_vdc_limits`), which
-hold every point, term, prefix sum and screen value, the extremal sweep
+hold every point, term, prefix sum and screen value, the Kronecker Delta
+bracket over whole arrays (`kronecker_bracket`), the extremal sweep
 with its running sums kept as exact float partials (`sweep_by_partials`),
 its CSV lines printed row by row with `repr` (`sweep_csv_by_repr`),
 one correct rounding of a quotient (`row_value`), which the `figure`
@@ -389,6 +390,45 @@ def check_vdc_limits(s_max: int = 18) -> BoundReport:
     return report
 
 
+def _last_arg(T: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """For every m, the last j <= m with T[j] == run[m], where `run` is the
+    running maximum (or minimum) of T: the running extremum only changes at
+    indices where T attains it, so that j is the last such index."""
+    hit = np.where(T == run, np.arange(len(T)), 0)
+    return np.maximum.accumulate(hit)
+
+
+def kronecker_bracket(orbit) -> tuple:
+    """(lower, upper, eps) of `discrepancy.kronecker_discrepancy` over
+    whole arrays: T, both running extrema, both last-argument arrays, the
+    margin and both bounds, each of length N."""
+    pts = orbit.points()
+    N = len(pts)
+    T = np.zeros(N + 1)
+    T[1:], cum_err = compensated_cumsum(pts - 0.5)
+    run_max = np.maximum.accumulate(T)
+    run_min = np.minimum.accumulate(T)
+    m = np.arange(N)  # n - 1
+    a = _last_arg(T, run_max)[:-1]
+    b = _last_arg(T, run_min)[:-1]
+    inner = np.maximum(T[a] - T[m - a], T[m - b] - T[b])
+    base = 0.5 + np.abs(T[1:])
+    eps = float(orbit.error().max()) + 2.0 ** -52
+    n = m + 1.0
+    margin = (n * (4.0 * eps + 2.0 ** -52) + 3.0 * cum_err
+              + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
+    lower = base + inner - margin
+    upper = base + (run_max[:-1] - run_min[:-1]) + margin
+    return lower, upper, eps
+
+
+def bracket_arrays(bracket) -> tuple:
+    """(lower, upper) of a bracket, its `blocks()` copied and joined."""
+    lower, upper = zip(*[(lo.copy(), hi.copy())
+                         for lo, hi in bracket.blocks()])
+    return np.concatenate(lower), np.concatenate(upper)
+
+
 def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
                  parameters: dict | None = None) -> BoundReport:
     """`bounds.check_hlawka` screening the whole range of N at once: six
@@ -411,8 +451,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
         lo = hi = d_trace[N_min - 1:]
         delta_at, eps = (lambda n: float(d_trace[n - 1])), None
     else:
-        lo = d_trace.lower[N_min - 1:]
-        hi = d_trace.upper[N_min - 1:]
+        lo, hi = (b[N_min - 1:] for b in bracket_arrays(d_trace))
         delta_at, eps = d_trace.delta_at, d_trace.eps
     lhs = logs[N_min - 1:]
     log_N = np.log(N)

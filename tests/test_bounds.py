@@ -106,7 +106,8 @@ BRACKET_EPS = 4e-12
 
 class Bracket:
     """Prefix-discrepancy bounds around known deltas, for check_hlawka, with
-    the `eps` of a `PrefixDiscrepancy`."""
+    the `eps` of a `PrefixDiscrepancy`; it hands over its bounds in
+    SUM_CHUNK blocks, as a `PrefixDiscrepancy` does."""
 
     def __init__(self, delta, lower, upper, eps=BRACKET_EPS):
         self.delta, self.lower, self.upper = delta, lower, upper
@@ -117,6 +118,10 @@ class Bracket:
 
     def delta_at(self, n):
         return float(self.delta[n - 1])
+
+    def blocks(self):
+        for s in range(0, len(self), SUM_CHUNK):
+            yield self.lower[s:s + SUM_CHUNK], self.upper[s:s + SUM_CHUNK]
 
 
 def test_hlawka_grid_example():
@@ -501,6 +506,111 @@ def test_vdc_hlawka_report_holds_no_points():
         assert rep.passed
     assert abs(peaks[1] - peaks[0]) <= 2 ** 20, peaks
     assert max(peaks) < 24 * 2 ** 19, peaks
+
+
+# alphas of the Kronecker stream's tests; [0; 3, 10^6, 1, 4, ...] puts its
+# points close to the ends of the interval from n = 3 on
+STREAM_ALPHAS = {"sqrt2m1": parse_alpha("sqrt2m1"),
+                 "golden": parse_alpha("golden"),
+                 "cf-10^6": surd_from_cf([3, 10 ** 6], [1, 4])}
+# N on both sides of the Kronecker bracket's block edges
+BRACKET_EDGES = [1, 2, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1,
+                 2 * SUM_CHUNK + 3]
+
+
+@pytest.mark.parametrize("n", BRACKET_EDGES)
+@pytest.mark.parametrize("name", sorted(STREAM_ALPHAS))
+def test_kronecker_bracket_blocks_equal_the_whole_arrays(name, n):
+    # the bracket's blocks, one per SUM_CHUNK N, joined are the bounds of
+    # the whole-array reference bit for bit, with its eps
+    orbit = kronecker_fixed_point(STREAM_ALPHAS[name], n)
+    kd = kronecker_discrepancy(orbit)
+    assert [len(lo) for lo, _ in kd.blocks()] == \
+        [min(SUM_CHUNK, n - s) for s in range(0, n, SUM_CHUNK)]
+    lower, upper = oracles.bracket_arrays(kd)
+    want_lower, want_upper, eps = oracles.kronecker_bracket(orbit)
+    assert lower.tobytes() == want_lower.tobytes()
+    assert upper.tobytes() == want_upper.tobytes()
+    assert kd.eps == eps
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_ALPHAS))
+def test_kronecker_hlawka_streams_as_the_array_form(name):
+    # the one block loop gives the array-form report over the whole trace
+    # and the bracket, to the byte, whichever block N_min is in. From
+    # N_min = SUM_CHUNK on, sqrt2m1 keeps 34930 gamma candidates, each
+    # settled by a sort of up to 2^17 points, in either form: minutes
+    alpha, n = STREAM_ALPHAS[name], 2 * SUM_CHUNK + 3
+    orbit = kronecker_fixed_point(alpha, n)
+    tr, kd = product_trace(orbit), kronecker_discrepancy(orbit)
+    params = {"gen": "kronecker", "alpha": str(alpha), "N_max": n}
+    n_mins = (1, 16) if name == "sqrt2m1" else (1, 16, SUM_CHUNK,
+                                                 SUM_CHUNK + 1)
+    for N_min in n_mins:
+        got = hlawka_sequence_report("kronecker", n, N_min, alpha).to_dict()
+        want = check_hlawka(tr, kd, N_min, params).to_dict()
+        assert json.dumps(got) == json.dumps(want)
+        assert want == oracles.check_hlawka(tr, kd, N_min, params).to_dict()
+
+
+def test_kronecker_hlawka_stream_flags_rows_through_the_bracket(monkeypatch):
+    # log P_N raised, in the stream, to just below, inside and past the
+    # tolerance at N on both sides of the block edges: each such N is
+    # settled by the bracket's delta_at, and the report is the array form's,
+    # with violations and inconclusive rows alike
+    alpha, n = STREAM_ALPHAS["golden"], 2 * SUM_CHUNK + 5
+    orbit = kronecker_fixed_point(alpha, n)
+    tr, kd = product_trace(orbit), kronecker_discrepancy(orbit)
+    at = [16, 17, n] + [k * SUM_CHUNK + j for k in (1, 2) for j in (-1, 0, 1)]
+    bump = np.zeros(n)
+    for i, m in enumerate(at):
+        rhs, tol = bounds._hlawka_rhs(m, kd.delta_at(m), tr.error_bound,
+                                      kd.eps)
+        bump[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3] \
+            - tr.log_values[m - 1]
+    stream = BlockTrace.prefix_blocks
+
+    def raised(self, blocks):
+        for s, cum in zip(range(0, n, SUM_CHUNK), stream(self, blocks)):
+            yield cum + bump[s:s + len(cum)]
+
+    settled = []
+    delta_at = discrepancy.PrefixDiscrepancy.delta_at
+
+    def counted(self, m):
+        settled.append(m)
+        return delta_at(self, m)
+
+    monkeypatch.setattr(BlockTrace, "prefix_blocks", raised)
+    monkeypatch.setattr(discrepancy.PrefixDiscrepancy, "delta_at", counted)
+    raised_tr = ProductTrace(tr.log_values + bump, tr.error_bound, n)
+    params = {"gen": "kronecker", "alpha": str(alpha), "N_max": n}
+    for N_min in (1, 16, SUM_CHUNK + 1):
+        settled.clear()
+        got = hlawka_sequence_report("kronecker", n, N_min, alpha).to_dict()
+        assert {m for m in at if m >= N_min} <= set(settled)
+        want = check_hlawka(raised_tr, kd, N_min, params).to_dict()
+        assert json.dumps(got) == json.dumps(want)
+        assert want == oracles.check_hlawka(raised_tr, kd, N_min,
+                                            params).to_dict()
+        assert want["violations"] and want["inconclusive"]
+        assert want["passed"] is False
+
+
+@pytest.mark.parametrize("n", [2 ** 20, 2 ** 21])
+def test_kronecker_hlawka_holds_only_the_orbit_and_T(n):
+    # of length N the check holds the orbit (9 bytes a point) and T (8);
+    # the rest is a few SUM_CHUNK blocks, 10-12 MB whatever N is. The
+    # whole-array check held 121 bytes a point
+    tracemalloc.start()
+    try:
+        rep = hlawka_sequence_report("kronecker", n, 16,
+                                     STREAM_ALPHAS["sqrt2m1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 32 * n, peak / n
 
 
 def test_extremal_sweep_csv_in_flat_memory(tmp_path, capsys):

@@ -872,6 +872,9 @@ PIN_COMMANDS = {
     "conjectures": ["verify", "conjectures", "--n-max", PIN_N],
     "kronecker-sandwich": ["verify", "kronecker-sandwich", "--q-max", PIN_N],
     "hlawka": ["verify", "hlawka", "--gen", "kronecker", "--n-max", PIN_N],
+    # three blocks of the Kronecker bracket, the last one 8929 N
+    "hlawka 140001": ["verify", "hlawka", "--gen", "kronecker", "--n-max",
+                      "140001"],
     "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
     "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
     "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
@@ -921,6 +924,9 @@ OUTPUT_SHA256 = {
     ('golden', 'hlawka'): [
         "25a6673c6d10eef0155a3c917592d2a8503b4b4b1a766f1dfb3040e5448f4967",
     ],
+    ('golden', 'hlawka 140001'): [
+        "ab06239461c81c883674558b8b6188cd8ceb71e4819c575fa817eee11ca0e7c7",
+    ],
     ('golden', 'mc rademacher'): [
         "5dde16037030f2a70d669605a0aabe2a02afef27b8afd2e29c2f455c3e6e7c3e",
         "ee11522c1287c90bbe5b6d94655e2127feb100f83ea88e4e11cb9ee139d5fad6",
@@ -946,6 +952,9 @@ OUTPUT_SHA256 = {
     ],
     ('cf-1000', 'hlawka'): [
         "768d084a77bb4a70fa320b7ffa56338b41f03e2a070f870105366e1c225a69d3",
+    ],
+    ('cf-1000', 'hlawka 140001'): [
+        "0fbf02203f0eb984a0d91b17b51ba1bd376d17ad774449aa38c6e16f0f89d412",
     ],
     ('cf-1000', 'mc rademacher'): [
         "767a5fcb1405b5b21af12127a4685c7af18991c6852ff7845d8a5948e6bdbec9",
@@ -973,6 +982,9 @@ OUTPUT_SHA256 = {
     ('cf-2^64', 'hlawka'): [
         "f8827baf4a33ed75ec6fffcb77605f28e40b6b1665ce8f1bab639536ac584312",
     ],
+    ('cf-2^64', 'hlawka 140001'): [
+        "17c39e9f90db88ecf04ef18675c92efd563100ba6e2561d8af5fb9232e2f0d80",
+    ],
     ('cf-2^64', 'mc rademacher'): [
         "1405fb25433520379fda8de4019af73ea0e885b0ddcd6bce9f8737a8ecb7869f",
         "c3e9cfaeb49b4147016a3c3967eb72e225be7577ff8cc68d95463768020ac01f",
@@ -988,6 +1000,9 @@ OUTPUT_SHA256 = {
     ('cf-2^64', 'mc subsequence 30000'): [
         "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
         "ec0a40c2fb8e92e5afe0d2b2b5733f99a10b67d3e49b2af6d2997f8b9c17d5b7",
+    ],
+    ('sqrt2m1', 'hlawka 140001'): [
+        "45ca8047c3fe833f27d25e79a2a5579345ff8ee90f24b4fe1dff64002ad5c81a",
     ],
     ('sqrt2m1', 'mc rademacher 140001'): [
         "1103155a714a0b0020e1e7ea7836ee9eb58ec305bc0b69290330df5270db6e60",

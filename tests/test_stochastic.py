@@ -541,9 +541,11 @@ def test_fair_coins_are_the_top_bits_of_raw_halves():
 
 
 def test_signed_weights_flip_only_the_sign_bit():
-    w = np.array([0.5, -1.25, 3.0, -0.0, 1e-300, -7.5])
-    heads = np.array([True, False, True, True, False, False])
-    got = stochastic._signed(heads, -w)
+    w = np.array([0.5, -1.25, 3.0, -0.0, 1e-300, -7.5, 0.0, -0.0, 5e-324,
+                  -5e-324])
+    heads = np.array([True, False, True, True, False, False, False, False,
+                      False, True])
+    got = stochastic._signed(heads, w)
     assert np.array_equal(got, np.where(heads, w, -w))
     assert np.array_equal(np.signbit(got), np.signbit(np.where(heads, w, -w)))
 
