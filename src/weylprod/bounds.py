@@ -208,8 +208,8 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int,
     exact = isinstance(d_trace, np.ndarray)
     screen = HlawkaScreen(N_min, len(logs), None if exact else d_trace)
     starts = range(0, len(logs), SUM_CHUNK)
-    pairs = ((d_trace[s:s + SUM_CHUNK],) * 2 for s in starts) if exact \
-        else d_trace.blocks()
+    pairs = (((d_trace[s:s + SUM_CHUNK],) * 2 for s in starts) if exact
+             else d_trace.blocks())
     for s, (lower, upper) in zip(starts, pairs):
         screen.feed(logs[s:s + SUM_CHUNK], lower, upper, s)
     return screen.report(ps_trace.error_bound, parameters)
