@@ -14,9 +14,8 @@ c0, c1 and side-condition grid. Each path then draws its summands there
 from its own generator (`_spawned_states`, `FairCoins`) and carries its
 S_N, its sums of y and y^2, and its row. Those sums are the `np.sum` of
 each block, added block by block, and the paths' totals are added in path
-order. The subsequence model draws a path's coins at once, so its
-summands are one block. The tests keep each model's own per-path loop as
-an oracle, and the outputs equal theirs bit for bit.
+order. The tests keep each model's own per-path loop as an oracle, and
+the outputs equal theirs bit for bit.
 
 The iid model runs a block's paths on one thread per core (`_cores`); the
 other two run on the calling thread alone. A path's step touches only that
@@ -286,11 +285,11 @@ def _in_threads(groups: list, step) -> None:
 
 
 def _path_statistics(model: str, n_paths: int, seed: int, N: int,
-                     chunk: int, n_lo: int, factor: float, block, draw,
-                     settle, details: dict, threads: int) -> PathStatistics:
+                     factor: float, block, draw, settle, details: dict,
+                     threads: int) -> PathStatistics:
     """The one path loop of every model, over N summands a path.
 
-    The loop runs over blocks of `chunk` terms (the last one shorter)
+    The loop runs over blocks of SUM_CHUNK terms (the last one shorter)
     outside and the paths inside. Path i takes the generator of the i-th
     child spawned from SeedSequence(seed) (`_spawned_seeds`). For each
     block [lo, hi), `block(lo, hi)` does the path-independent work and
@@ -298,7 +297,7 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
     shares it, else None); `draw(path, lo, hi)` then returns each path's
     summands y there, a fresh array the loop may overwrite.
 
-    B is nondecreasing, so the admissible N (N >= n_lo and B_N > e) form a
+    B is nondecreasing, so the admissible N (N >= N_LO and B_N > e) form a
     suffix of 1..N, which starts in some block. A path's row is read at
     the first maximum over them of S_N / sqrt(factor B_N loglog B_N): the
     block's S is its cumsum with the carried S folded into the first term,
@@ -321,10 +320,10 @@ def _path_statistics(model: str, n_paths: int, seed: int, N: int,
     threads = min(threads, n_paths)
     groups = [paths[g * n_paths // threads:(g + 1) * n_paths // threads]
               for g in range(threads)]
-    first = max(n_lo, 1) - 1  # 0-based
+    first = max(N_LO, 1) - 1  # 0-based
     start = None  # the first admissible index
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
+    for lo in range(0, N, SUM_CHUNK):
+        hi = min(lo + SUM_CHUNK, N)
         B, shared_sq = block(lo, hi)
         if start is None and first < hi:
             a = max(first - lo, 0)
@@ -392,7 +391,7 @@ def iid_lil_experiment(n_paths: int, N_max: int, seed: int) -> PathStatistics:
     # a path's step is a few long numpy calls (the fill, the kernel's sin,
     # the cumsum) that run outside the GIL, so its paths run on every core
     return _path_statistics(
-        "iid", n_paths, seed, N_max, SUM_CHUNK, N_LO, 2.0, block, draw, None,
+        "iid", n_paths, seed, N_max, 2.0, block, draw, None,
         {"n_lo": N_LO, "reference_constant": 1.0,
          "sigma_constant": IID_SIGMA_CONSTANT,
          "target_variance": PI2_OVER_12, "n_samples": n_paths * N_max},
@@ -450,8 +449,7 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
     # GIL back and forth between threads. On a 2-core host, 8 paths at
     # 2^20 took 186 ms on two threads against 139 ms on one (best of 7)
     stats = _path_statistics(
-        "rademacher", n_paths, seed, N_max, SUM_CHUNK, N_LO, 2.0, block,
-        draw, None,
+        "rademacher", n_paths, seed, N_max, 2.0, block, draw, None,
         {"n_lo": N_LO, "reference_constant": 1.0,
          "target_variance": PI2_OVER_12, "alpha": str(alpha)}, 1)
     stats.details.update({
@@ -464,7 +462,9 @@ def rademacher_lil_experiment(alpha: IrrationalSpec, n_paths: int, N_max: int,
 
 
 def _coin_draws(N_terms: int) -> int:
-    """The flips a subsequence path draws, and so the weights it reads."""
+    """The most coins n a subsequence path draws, and so the weights it
+    reads. Fewer than N_terms heads among them raise ValueError; by
+    Hoeffding that has a chance below exp(-2 (n/2 - N_terms)^2 / n) < e^-57."""
     return int(2.3 * N_terms) + 256
 
 
@@ -476,67 +476,66 @@ def subsequence_max_terms() -> int:
     return n
 
 
-def coin_flips(rng: np.random.Generator, N_terms: int) -> np.ndarray:
-    """`_coin_draws(N_terms)` fair coin flips from `rng` (True = heads),
-    taken at once from `FairCoins`; fewer than N_terms heads raise
-    ValueError. Over n draws, Hoeffding's inequality puts that below
-    exp(-2 (n/2 - N_terms)^2 / n), which is below e^-57 for every N_terms
-    (least near N_terms = 650)."""
-    draws = _coin_draws(N_terms)
-    bits = FairCoins(rng).take(draws)
-    heads = int(np.count_nonzero(bits))
-    if heads < N_terms:
-        raise ValueError(f"the coin showed {heads} heads in {draws} draws, "
-                         f"fewer than the {N_terms} terms requested")
-    return bits
-
-
 def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
                                    N_terms: int, seed: int) -> PathStatistics:
     """Random subsequence model: keep index n when the n-th fair coin shows
     heads, sum the first N_terms kept weights, normalize by
-    sqrt(K loglog K); the theorem's constant pi/sqrt(12) is recorded. A
-    path's coins are drawn at once, so its summands are one block.
+    sqrt(K loglog K); the theorem's constant pi/sqrt(12) is recorded. Each
+    block of K takes coins from the path's `FairCoins` until it holds its
+    heads, and keeps the coins after its last head for the next block. The
+    weights w and their prefix sums are held whole and shared, 16 bytes a
+    coin draw.
 
     The selection identity
         sum_{n_k <= N} w_{n_k} = (full sum + Rademacher-signed sum) / 2
     with R_n = 2 xi_n - 1 is re-evaluated per path through an independent
-    summation and its worst deviation reported.
+    summation, block by block, and its worst deviation reported.
     """
     if N_terms < max(N_LO, 10):
         raise ValueError("N_terms too small")
-    w = kronecker_log_weights(alpha, _coin_draws(N_terms))
+    draws = _coin_draws(N_terms)
+    w = kronecker_log_weights(alpha, draws)
     cum_w = np.cumsum(w)
-    K = np.arange(1, N_terms + 1, dtype=np.float64)
     details = {"k_lo": N_LO, "reference_constant": SUBSEQ_CONSTANT,
                "alpha": str(alpha)}
-    # by path: (full sum + signed sum) / 2, its distance from S at the
-    # path's end, and (n_last, N_terms)
-    halves = [0.0] * n_paths
+    # by path: coins past the last head, coins up to it, their signed sum
+    carry = [(np.zeros(0, dtype=bool), 0, 0.0)] * n_paths
     misses = [0.0] * n_paths
-    counts = [None] * n_paths
 
     def draw(path, lo, hi):
-        bits = coin_flips(path.rng, N_terms)
-        positions = np.flatnonzero(bits)[:N_terms] + 1
-        n_last = int(positions[-1])
+        bits, n, signed = carry[path.pid]
+        heads = int(np.count_nonzero(bits))
+        while heads < hi - lo:
+            left = draws - n - len(bits)
+            if not left:
+                raise ValueError(f"the coin showed {lo + heads} heads in "
+                                 f"{draws} draws, fewer than the {N_terms} "
+                                 f"terms requested")
+            more = path.coins.take(min(_coin_draws(hi - lo - heads), left))
+            heads += int(np.count_nonzero(more))
+            bits = np.concatenate((bits, more))
+        positions = np.flatnonzero(bits)[:hi - lo]
+        cut = int(positions[-1]) + 1
         # independent evaluation of the signed sum for the identity check
-        signed = float(np.sum(_signed(bits[:n_last], w[:n_last])))
-        halves[path.pid] = 0.5 * (float(cum_w[n_last - 1]) + signed)
-        counts[path.pid] = (n_last, int(N_terms))
-        return w[positions - 1]
+        signed += float(np.sum(_signed(bits[:cut], w[n:n + cut])))
+        spare = bits[cut:] if hi < N_terms else None
+        carry[path.pid] = (spare, n + cut, signed)
+        return w[n + positions]
 
     def settle(path):
-        misses[path.pid] = abs(path.S - halves[path.pid])
+        _, n_last, signed = carry[path.pid]
+        half = 0.5 * (float(cum_w[n_last - 1]) + signed)
+        misses[path.pid] = abs(path.S - half)
 
     # one thread, as for the Rademacher model: its steps are short numpy
-    # calls. On a 2-core host, 8 paths of 2^19 terms took 153 ms on two
-    # threads against 144 ms on one, and 300 paths of 2500 terms were level
+    # calls. On a 2-core host two threads were level with one (best of 7):
+    # 128 against 135 ms at 8 paths of 2^19 terms, 20 against 22 at 300 x 2500
     stats = _path_statistics(
-        "subsequence", n_paths, seed, N_terms, N_terms, max(N_LO, 3), 1.0,
-        lambda lo, hi: (K, None), draw, settle, details, 1)
+        "subsequence", n_paths, seed, N_terms, 1.0,
+        lambda lo, hi: (np.arange(lo + 1, hi + 1, dtype=np.float64), None),
+        draw, settle, details, 1)
     details["selection_identity_max_abs_diff"] = max([0.0] + misses)
-    details["selection_counts"] = counts
+    details["selection_counts"] = [(n, int(N_terms)) for _, n, _ in carry]
     return stats
 
 

@@ -834,9 +834,8 @@ def test_mc_subsequence_short_coin_exits_2(tmp_path, capsys, monkeypatch):
             heads = (np.arange(2 * size) < 99).astype(np.uint32)
             return (heads << np.uint32(31)).view(np.uint64)
 
-    real = st.coin_flips
-    monkeypatch.setattr(st, "coin_flips",
-                        lambda rng, N_terms: real(ShortCoin(), N_terms))
+    real = st.FairCoins
+    monkeypatch.setattr(st, "FairCoins", lambda rng: real(ShortCoin()))
     code, _, err = run(["mc", "subsequence", "--paths", "2", "--terms",
                         "100", "--out", str(tmp_path / "s")], capsys)
     assert code == 2
@@ -888,6 +887,10 @@ PIN_COMMANDS = {
     # 69256 coin flips a path
     "mc subsequence 30000": ["mc", "subsequence", "--paths", "2", "--terms",
                              "30000"],
+    # three SUM_CHUNK blocks of K, the last one 8929 terms; every path
+    # peaks before K = 30000, so each CSV is a shorter pin's too
+    "mc subsequence 140001": ["mc", "subsequence", "--paths", "2",
+                              "--terms", "140001"],
     "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
     # 33024 rows: the CLI's sweep blocks of at most 2^12 rows end inside it
     "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
@@ -1015,6 +1018,22 @@ OUTPUT_SHA256 = {
     ('sqrt2m1', 'mc subsequence 30000'): [
         "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
         "e4a118088aca4645fd1fe2892c1a8d33d0b054a86ee28609e0da4546af742914",
+    ],
+    ('cf-1000', 'mc subsequence 140001'): [
+        "935b7678f9851e44b7cf44d47f5f1cdb54643c07a5e064c73950382754d037f7",
+        "ed081995792868893eda698abcdd84adf17d1eb8d8db79eef815945fe54bc5d8",
+    ],
+    ('cf-2^64', 'mc subsequence 140001'): [
+        "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
+        "41e25b79c532c92a9c0f8aa22fdab900733e9b56d4b64b12831c0dd467bf7f2e",
+    ],
+    ('golden', 'mc subsequence 140001'): [
+        "5d67041ec350d8d2660d4ad56adbed7c3b30c76f7d741c7a38c0eeb61d3d305f",
+        "2448646465cd962b510d2064785af697d7daa43c19488f9fb54bbc7a62aa47da",
+    ],
+    ('sqrt2m1', 'mc subsequence 140001'): [
+        "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
+        "393d1e31e6abda376b858078616e31b3524cce4858c241f738d5a4edac2af059",
     ],
 }
 

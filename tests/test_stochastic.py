@@ -19,7 +19,6 @@ from weylprod.cli import main
 from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
 from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT, FairCoins,
-                                 coin_flips,
                                  iid_lil_experiment, kronecker_log_weights,
                                  log_integral, rademacher_lil_experiment,
                                  subsequence_product_experiment, summary_dict,
@@ -145,13 +144,21 @@ def subsequence_oracle(alpha, n_paths, N_terms, seed, k_lo=100, coin=None):
         ratios.append(r)
         rows.append((pid, pos_terms, float(S_sel[pos_terms - 1]),
                      float(pos_terms), r))
-        signed = float(np.sum(np.where(bits[:n_last], w[:n_last], -w[:n_last])))
+        # the signed sum of each block's coins, up to its last head, added
+        # block by block
+        z = np.where(bits[:n_last], w[:n_last], -w[:n_last])
+        chunk = stochastic.SUM_CHUNK
+        cuts = [0] + [int(positions[min(lo + chunk, N_terms) - 1])
+                      for lo in range(0, N_terms, chunk)]
+        signed = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            signed += float(z[a:b].sum())
         full = float(cum_w[n_last - 1])
         identity_worst = max(identity_worst,
                              abs(float(S_sel[-1]) - 0.5 * (full + signed)))
         counts.append((n_last, int(N_terms)))
-        tot += float(w_sel.sum())
-        tot_sq += float((w_sel * w_sel).sum())
+        tot += block_total(w_sel)
+        tot_sq += block_total(w_sel * w_sel)
     details = {"k_lo": k_lo, "reference_constant": SUBSEQ_CONSTANT,
                "selection_identity_max_abs_diff": identity_worst,
                "selection_counts": counts, "alpha": str(alpha)}
@@ -185,10 +192,9 @@ def tails(rng, size):
 
 
 def constant_coin(monkeypatch, face):
-    """Make the subsequence model's coin show `face` every time."""
-    monkeypatch.setattr(stochastic, "coin_flips",
-                        lambda rng, N_terms:
-                        coin_flips(ConstantCoin(face), N_terms))
+    """Make every path's coin show `face` every time."""
+    monkeypatch.setattr(stochastic, "FairCoins",
+                        lambda rng: FairCoins(ConstantCoin(face)))
 
 
 def assert_matches(stats, oracle):
@@ -244,7 +250,7 @@ def test_subsequence_all_heads_matches_oracle(golden, monkeypatch):
 
 def test_subsequence_short_coin_raises_like_oracle(golden, monkeypatch):
     # a coin short of N_terms heads ends the run in the model and in the
-    # oracle alike: both draw once and raise, neither draws again
+    # oracle alike: both raise once the path's coin budget is drawn
     constant_coin(monkeypatch, 0)
     with pytest.raises(ValueError, match="heads"):
         subsequence_product_experiment(golden, 2, 300, seed=1)
@@ -325,17 +331,37 @@ def test_rademacher_in_small_blocks_matches_oracle(k, seed, N_max, n_lo,
     assert_matches(stats, rademacher_oracle(alpha, 3, N_max, seed, n_lo))
 
 
-def test_path_loop_keeps_the_first_of_tied_maxima():
+@pytest.mark.parametrize("k,seed,N_terms,k_lo", [
+    (0, 3, 400, 100),     # below one block
+    (1, 4, 1025, 100),    # one past a block
+    (2, 5, 4099, 1),      # not a multiple of 8
+    (3, 6, 20001, 100),   # across many blocks
+    (0, 7, 4099, 1500)])  # the ratio starts past the first block
+@pytest.mark.parametrize("chunk", [77, 1024])
+def test_subsequence_in_small_blocks_matches_oracle(k, seed, N_terms, k_lo,
+                                                    chunk, monkeypatch):
+    # a block's coins run past its last head, and those are the next
+    # block's first coins
+    small_blocks(monkeypatch, chunk)
+    monkeypatch.setattr(stochastic, "N_LO", k_lo)
+    alpha = parse_alpha(ALPHAS[k])
+    stats = subsequence_product_experiment(alpha, 3, N_terms, seed)
+    assert_matches(stats, subsequence_oracle(alpha, 3, N_terms, seed, k_lo))
+
+
+def test_path_loop_keeps_the_first_of_tied_maxima(monkeypatch):
     # S_N = 1 and B_N = 100 at every N: the ratio ties at every N, across
     # four blocks of 128 terms, and each row is read at the first
     # admissible N
+    small_blocks(monkeypatch, 128)
+
     def draw(path, lo, hi):
         y = np.zeros(hi - lo)
         y[0] = 1.0 if lo == 0 else 0.0
         return y
 
     stats = stochastic._path_statistics(
-        "ties", 2, 0, 512, 128, 100, 2.0,
+        "ties", 2, 0, 512, 2.0,
         lambda lo, hi: (np.full(hi - lo, 100.0), None), draw, None, {}, 2)
     assert [row[:4] for row in stats.rows] == [(0, 100, 1.0, 100.0),
                                                (1, 100, 1.0, 100.0)]
@@ -461,6 +487,23 @@ def test_streamed_models_in_flat_memory(model, sqrt2m1, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + 8 * (1 << 10) * 8, peaks
+
+
+def test_subsequence_memory_per_term(sqrt2m1):
+    # the weights and their prefix sums are held whole, 16 bytes a coin
+    # draw and so 36.8 bytes a term, and the 8 paths draw their coins and
+    # summands block by block: 53.6 and 45.2 bytes a term measured at 2^18
+    # and 2^19 terms, where paths whose coins, positions and terms are held
+    # whole peak at 81. The first run pays the one-time allocations
+    subsequence_product_experiment(sqrt2m1, 8, 1 << 12, seed=1)
+    for N_terms in (1 << 18, 1 << 19):
+        tracemalloc.start()
+        try:
+            subsequence_product_experiment(sqrt2m1, 8, N_terms, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * N_terms, (N_terms, peak / N_terms)
 
 
 # ----------------------------------------------------------------- seeding
@@ -670,35 +713,43 @@ def test_subsequence_all_heads_coin(sqrt2m1, monkeypatch):
     assert stats.details["selection_identity_max_abs_diff"] < 1e-10
 
 
-def test_subsequence_tails_coin_stops():
-    # a coin that never shows heads raises after its one draw
-    with pytest.raises(ValueError, match="heads"):
-        coin_flips(ConstantCoin(0), 1000)
+def test_subsequence_tails_coin_stops(sqrt2m1, monkeypatch):
+    # a coin that never shows heads raises once its budget is drawn
+    constant_coin(monkeypatch, 0)
+    with pytest.raises(ValueError, match="0 heads in 2556 draws"):
+        subsequence_product_experiment(sqrt2m1, 2, 1000, seed=0)
 
 
 class CountedCoin:
-    """A generator stub whose draws show `heads` heads, then tails; it
-    counts its draws."""
+    """A generator stub whose coins show `heads` heads, then tails; it
+    counts the coins its raw words hold."""
 
     def __init__(self, heads):
-        self.heads, self.draws = heads, 0
+        self.heads, self.read = heads, 0
         self.bit_generator = self
 
     def random_raw(self, size):
-        self.draws += 1
-        return raw_words(np.arange(2 * size) < self.heads)
+        coins = np.arange(self.read, self.read + 2 * size) < self.heads
+        self.read += 2 * size
+        return raw_words(coins)
 
 
-def test_short_coin_raises_after_one_draw():
-    # 2556 = int(2.3 * 1000) + 256 flips, one head short of 1000 terms
-    rng = CountedCoin(999)
+@pytest.mark.parametrize("chunk", [None, 128])
+def test_short_coin_raises_within_the_budget(chunk, sqrt2m1, monkeypatch):
+    # 2556 = int(2.3 * 1000) + 256 coins, one head short of 1000 terms: the
+    # path reads those coins and no more, in one take or in blocks of 128
+    # terms, and raises; with one more head it keeps the first 1000 coins
+    if chunk is not None:
+        small_blocks(monkeypatch, chunk)
+    coin = CountedCoin(999)
+    monkeypatch.setattr(stochastic, "FairCoins", lambda rng: FairCoins(coin))
     with pytest.raises(ValueError, match="999 heads in 2556 draws"):
-        coin_flips(rng, 1000)
-    assert rng.draws == 1
-    rng = CountedCoin(1000)
-    bits = coin_flips(rng, 1000)
-    assert rng.draws == 1
-    assert len(bits) == 2556 and np.count_nonzero(bits) == 1000
+        subsequence_product_experiment(sqrt2m1, 1, 1000, seed=0)
+    assert coin.read == 2556
+    coin = CountedCoin(1000)
+    stats = subsequence_product_experiment(sqrt2m1, 1, 1000, seed=0)
+    assert coin.read <= 2556
+    assert stats.details["selection_counts"] == [(1000, 1000)]
 
 
 # ------------------------------------------------------------------ output
