@@ -11,14 +11,13 @@ each row to 40 digits in integers in the loop that makes it
 (`products.RotationProducts.segments`) and streams the rows to its output
 a block of up to `products.TEXT_BLOCK` rows at a time (`text_blocks`,
 byte for byte what `mpmath.libmp.to_str(row, 40)` prints for the row as
-an mpf); the output
-names that path ("kernel": "fixed-point-rotation"), the precision and the
-derived bound on the log of every row. The global --precision-bits, given
-before the subcommand (`weylprod --precision-bits 160 figure ...`), or
-WEYL_PRECISION_BITS sets its working precision. `verify` and `mc` use the
-128-bit fixed-point kernel with float64 logs and a derived error bound.
-A run builds only its own subcommand's parser and options (`_Command`),
-and `weylprod -h` builds none.
+an mpf); the output names that path ("kernel": "fixed-point-rotation"),
+the precision, which its --precision-bits sets, and the derived bound on
+the log of every row. `verify` and `mc` use the 128-bit fixed-point kernel
+with float64 logs and a derived error bound.
+`figure`, each `verify` theorem and each `mc` model takes exactly the
+options `COMMANDS` lists for it. A run builds only its own command's
+parser (`_Command`), and `weylprod -h` builds none.
 """
 
 from __future__ import annotations
@@ -43,11 +42,36 @@ from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
 from .irrational import KERNEL_MAX_N, parse_alpha
 from .products import KERNEL, NORMALIZERS, rotation_products, text_blocks
 
-THEOREM_TAGS = ("hlawka", "extremal", "kronecker-sandwich", "ostrowski",
-                "cesaro", "type-growth", "vdc-limits", "conjectures")
-MC_MODELS = ("iid", "rademacher", "subsequence")
-# the smallest N a prefix Hlawka check starts at unless --n-min is given
-HLAWKA_N_MIN = 16
+# Every command's options and their defaults, the one home of both:
+# `figure`, each `verify` theorem and each `mc` model take exactly these
+COMMANDS = {
+    "figure": {"--alpha": "sqrt2m1", "--n-max": 500, "--normalizer": "none",
+               "--precision-bits": None, "--out": "-", "--format": "csv"},
+    "verify": {
+        "hlawka": {"--alpha": "sqrt2m1", "--gen": "kronecker", "--N": None,
+                   "--n-max": 10 ** 4, "--n-min": 16, "--out": "-"},
+        "extremal": {"--N": None, "--n-max": 1024, "--d": None,
+                     "--epsilon": 0.1, "--out": "-", "--format": "json"},
+        "kronecker-sandwich": {"--alpha": "sqrt2m1", "--q-max": 10 ** 5,
+                               "--out": "-"},
+        "ostrowski": {"--alpha": "sqrt2m1", "--n-max": 10 ** 4, "--out": "-"},
+        "cesaro": {"--alpha": "sqrt2m1", "--n-max": 10 ** 4, "--out": "-"},
+        "type-growth": {"--alpha": "sqrt2m1", "--n-max": 10 ** 4, "--t": 1.5,
+                        "--out": "-"},
+        "vdc-limits": {"--s-max": 18, "--out": "-"},
+        "conjectures": {"--alpha": "sqrt2m1", "--n-max": 500, "--out": "-"},
+    },
+    "mc": {
+        "iid": {"--paths": 50, "--n-max": 10 ** 5, "--seed": 0,
+                "--out": "mc_iid"},
+        "rademacher": {"--alpha": "sqrt2m1", "--paths": 50,
+                       "--n-max": 10 ** 5, "--seed": 0,
+                       "--out": "mc_rademacher"},
+        "subsequence": {"--alpha": "sqrt2m1", "--paths": 50,
+                        "--terms": 50000, "--seed": 0,
+                        "--out": "mc_subsequence"},
+    },
+}
 
 
 class UsageError(Exception):
@@ -86,48 +110,47 @@ class _Command(argparse.ArgumentParser):
         return super().format_help()
 
 
-def _figure_options(fig: argparse.ArgumentParser) -> None:
-    fig.add_argument("--alpha", default="sqrt2m1")
-    fig.add_argument("--n-max", "--N-max", dest="n_max", type=int, default=500)
-    fig.add_argument("--normalizer", choices=NORMALIZERS, default="none")
-    fig.add_argument("--out", default="-")
-    fig.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                     default="csv")
+def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
+    """Add `options` (flag -> default, a `COMMANDS` entry) to a command's
+    parser. An option takes its default's type unless `specs` gives one,
+    and has the same choices and help under every command."""
+    specs = {
+        "--gen": {"choices": ("grid", "vdc", "kronecker")},
+        "--N": {"type": int, "help": "a single N (hlawka --gen grid, or "
+                                     "extremal with --d)"},
+        "--d": {"type": Fraction, "help": "the discrepancy of a single "
+                                          "check, read as an exact decimal"},
+        "--normalizer": {"choices": NORMALIZERS},
+        "--precision-bits": {
+            "type": int, "help": "bits the rows are rounded to (default: "
+                                 "the 2^24 budget's, or --n-max's above it)"},
+        "--out": {"help": "output file, or mc's file prefix (default "
+                          "%(default)s)"},
+        "--format": {"choices": ("csv", "json")},
+    }
+    for flag, default in options.items():
+        names = (flag, "--N-max") if flag == "--n-max" else (flag,)
+        parser.add_argument(*names, default=default,
+                            **{"type": type(default), **specs.get(flag, {})})
 
 
-def _verify_options(ver: argparse.ArgumentParser) -> None:
-    ver.add_argument("theorem", choices=THEOREM_TAGS)
-    ver.add_argument("--alpha", default="sqrt2m1")
-    ver.add_argument("--gen", choices=("grid", "vdc", "kronecker"),
-                     default="kronecker")
-    ver.add_argument("--N", type=int, default=None,
-                     help="single N (grid generator)")
-    ver.add_argument("--n-max", "--N-max", dest="n_max", type=int, default=None)
-    ver.add_argument("--n-min", type=int, default=HLAWKA_N_MIN)
-    ver.add_argument("--q-max", type=int, default=10 ** 5)
-    ver.add_argument("--s-max", type=int, default=18)
-    ver.add_argument("--t", type=float, default=1.5)
-    ver.add_argument("--d", type=Fraction, default=None,
-                     help="discrepancy of a single extremal check, read "
-                          "exactly from its decimal string")
-    ver.add_argument("--epsilon", type=float, default=0.1)
-    ver.add_argument("--out", default="-")
-    ver.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                     default="json")
+def _add_commands(parser: argparse.ArgumentParser, dest: str,
+                  commands: dict) -> None:
+    """A subcommand, built on first use, for each `commands` entry."""
+    sub = parser.add_subparsers(dest=dest, required=True, prog=parser.prog,
+                                parser_class=_Command)
+    for name, options in commands.items():
+        sub.add_parser(name, options=functools.partial(_add_options,
+                                                       options=options),
+                       formatter_class=parser.formatter_class,
+                       allow_abbrev=False)
 
 
-def _mc_options(mc: argparse.ArgumentParser) -> None:
-    mc.add_argument("model", choices=MC_MODELS)
-    mc.add_argument("--alpha", default="sqrt2m1")
-    mc.add_argument("--paths", type=int, default=50)
-    mc.add_argument("--n-max", "--N-max", dest="n_max", type=int,
-                    default=10 ** 5)
-    mc.add_argument("--terms", type=int, default=None,
-                    help="selected terms for the subsequence model "
-                         "(default max(n-max // 2, 200))")
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--out", default=None,
-                    help="output prefix (default mc_<model>)")
+_figure_options = functools.partial(_add_options, options=COMMANDS["figure"])
+_verify_options = functools.partial(_add_commands, dest="theorem",
+                                    commands=COMMANDS["verify"])
+_mc_options = functools.partial(_add_commands, dest="model",
+                                commands=COMMANDS["mc"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,27 +161,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weylprod", formatter_class=formatter,
         description="Sine-product workbench: figures, bound verification and "
                     "Monte Carlo experiments over [0,1] point sequences.")
-    p.add_argument("--precision-bits", type=int, default=None,
-                   help="bits figure's rows are rounded to; its running "
-                        "product carries 8 more (default from "
-                        "WEYL_PRECISION_BITS or the 2^24 budget; verify "
-                        "and mc use the fixed-point kernel)")
-
-    sub = p.add_subparsers(dest="command", required=True,
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
                            parser_class=_Command)
     sub.add_parser(
         "figure", options=_figure_options, formatter_class=formatter,
-        help="emit the N,value product series",
+        allow_abbrev=False, help="emit the N,value product series",
         description="Emit prod_{n<=N} |2 sin(pi n alpha)| (optionally "
                     "normalized) as an N,value series. Note {n sqrt(2)} = "
                     "{n (sqrt(2)-1)}, so --alpha sqrt2m1 reproduces series "
-                    "quoted for alpha = sqrt(2). --precision-bits is a "
-                    "global option and goes before 'figure': weylprod "
-                    "--precision-bits 160 figure ...")
+                    "quoted for alpha = sqrt(2).")
     sub.add_parser("verify", options=_verify_options,
-                   formatter_class=formatter, help="run a bound checker")
+                   formatter_class=formatter, help="run a bound checker",
+                   description="Run a bound checker: weylprod verify "
+                               "THEOREM -h lists the theorem's options.")
     sub.add_parser("mc", options=_mc_options, formatter_class=formatter,
-                   help="run a Monte Carlo experiment")
+                   help="run a Monte Carlo experiment",
+                   description="Run a Monte Carlo experiment: weylprod mc "
+                               "MODEL -h lists the model's options.")
     return p
 
 
@@ -193,6 +212,8 @@ def _orbit_n_max(args: argparse.Namespace, command: str) -> None:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    if args.precision_bits is not None and args.precision_bits < 68:
+        raise UsageError("--precision-bits must be >= 68")
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     _orbit_n_max(args, "figure")
@@ -204,7 +225,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             "log_error_bound": series.log_error_bound}
     # frame: the text before N, between N and the value, after the value,
     # and between lines (`text_blocks`)
-    if args.fmt == "json":
+    if args.format == "json":
         # json.dumps(meta + series, indent=2), written a block at a time
         head, tail = json.dumps({**meta, "series": []}, indent=2).rsplit(
             "[]", 1)
@@ -228,6 +249,8 @@ def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     "passed" stays None, and `cmd_verify` writes "n_checked": 0."""
     if args.N is None:
         raise UsageError("verify extremal --d needs --N")
+    if args.N < 1:
+        raise UsageError("--N must be >= 1")
     d = float(args.d)
     lo = sup_product_lower_bound(args.N, d)
     hi = sup_product_upper_bound(args.N, d, args.epsilon)
@@ -277,7 +300,7 @@ def _verify_extremal_sweep(args: argparse.Namespace) -> bnd.BoundReport:
         raise UsageError("--n-max must be >= 8")
     report = bnd.BoundReport(
         "extremal", {"N_max": n_max, "epsilon": args.epsilon}, (8, n_max))
-    csv = args.fmt == "csv"
+    csv = args.format == "csv"
     lower_fail_N = upper_fail_N = 0
     with atomic_open(args.out) if csv else nullcontext() as fh:
         if csv:
@@ -305,39 +328,39 @@ def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
     if args.gen == "grid":
         if args.N is None:
             raise UsageError("verify hlawka --gen grid needs --N")
+        if args.N < 1:
+            raise UsageError("--N must be >= 1")
         return bnd.grid_hlawka_report(args.N)
     if not 1 <= args.n_min <= args.n_max:
+        default = COMMANDS["verify"]["hlawka"]["--n-min"]
         raise UsageError(f"--n-min must be in [1, --n-max = {args.n_max}], "
-                         f"got {args.n_min} (--n-min defaults to "
-                         f"{HLAWKA_N_MIN})")
+                         f"got {args.n_min} (--n-min defaults to {default})")
     return bnd.hlawka_sequence_report(args.gen, args.n_max,
                                       N_min=args.n_min, alpha=args.alpha)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tag = args.theorem
-    if args.fmt == "csv" and not (tag == "extremal" and args.d is None
-                                  and args.out != "-"):
-        raise UsageError("--format csv is written only by the verify "
-                         "extremal sweep, to an --out file")
-    if args.N is not None and args.N < 1:
-        raise UsageError("--N must be >= 1")
-    if args.n_max is None:
-        args.n_max = {"extremal": 1024, "conjectures": 500}.get(tag, 10 ** 4)
-    elif args.n_max < 1:
+    if "n_max" in args and args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if tag in ("ostrowski", "cesaro", "type-growth", "conjectures"):
         _orbit_n_max(args, tag)
     elif tag == "hlawka" and args.gen == "kronecker":
         _orbit_n_max(args, "hlawka --gen kronecker")
     out = args.out
+    if tag == "extremal":
+        if not 0 < args.epsilon < math.inf:
+            raise UsageError("--epsilon must be positive and finite")
+        if args.format == "csv" and (args.d is not None or out == "-"):
+            raise UsageError("--format csv is written only by the verify "
+                             "extremal sweep, to an --out file")
     if tag == "hlawka":
         report = _verify_hlawka(args)
     elif tag == "extremal" and args.d is not None:
         report = _verify_extremal_single(args)
     elif tag == "extremal":
         report = _verify_extremal_sweep(args)
-        if args.fmt == "csv":
+        if args.format == "csv":
             out = None  # the rows went to the --out file, the report to stdout
     elif tag == "kronecker-sandwich":
         report = bnd.check_kronecker_sandwich(args.alpha, q_max=args.q_max)
@@ -362,62 +385,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    model = args.model
     if args.paths < 1:
         raise UsageError("--paths must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    if args.n_max < 1:
-        raise UsageError("--n-max must be >= 1")
-    paths = args.paths
-    if model == "iid":
+    if args.model == "iid":
         if args.n_max < st.IID_MIN_N_MAX:
             raise UsageError(f"--n-max must be >= {st.IID_MIN_N_MAX} for iid")
-        stats = st.iid_lil_experiment(paths, args.n_max, args.seed)
-    elif model == "rademacher":
+        stats = st.iid_lil_experiment(args.paths, args.n_max, args.seed)
+    elif args.model == "rademacher":
         if args.n_max < st.N_LO:
             raise UsageError(f"--n-max must be >= {st.N_LO} for rademacher: "
                              f"the ratio is taken over N >= {st.N_LO}")
         _orbit_n_max(args, "rademacher")
-        stats = st.rademacher_lil_experiment(args.alpha, paths, args.n_max,
-                                             args.seed)
+        stats = st.rademacher_lil_experiment(args.alpha, args.paths,
+                                             args.n_max, args.seed)
     else:
-        terms = args.terms
-        if terms is None:
-            terms = max(args.n_max // 2, 200)
-        if terms < st.N_LO:
+        if args.terms < st.N_LO:
             raise UsageError(f"--terms must be >= {st.N_LO} for subsequence: "
                              f"the ratio is taken over K >= {st.N_LO}")
         top = st.subsequence_max_terms()
-        if terms > top:
-            taken = "" if args.terms is not None else (
-                f" (without it, max(--n-max // 2, 200) = {terms})")
-            raise UsageError(f"--terms must be <= {top} for subsequence"
-                             f"{taken}: a path's coin draws must stay within "
-                             f"the fixed-point kernel's range")
-        stats = st.subsequence_product_experiment(args.alpha, paths, terms,
-                                                  args.seed)
-    prefix = args.out or f"mc_{model}"
-    st.write_paths_csv(stats, prefix + ".csv")
-    st.write_summary_json(stats, prefix + ".json")
-    _emit([f"wrote {prefix}.csv and {prefix}.json\n"], None)
+        if args.terms > top:
+            raise UsageError(f"--terms must be <= {top} for subsequence: a "
+                             f"path's coin draws must stay within the "
+                             f"fixed-point kernel's range")
+        stats = st.subsequence_product_experiment(args.alpha, args.paths,
+                                                  args.terms, args.seed)
+    st.write_paths_csv(stats, args.out + ".csv")
+    st.write_summary_json(stats, args.out + ".json")
+    _emit([f"wrote {args.out}.csv and {args.out}.json\n"], None)
     return 0
-
-
-def _validate(args: argparse.Namespace) -> None:
-    """The checks every command shares. Fills in --precision-bits from
-    WEYL_PRECISION_BITS when the flag is absent and parses --alpha."""
-    env = os.environ.get("WEYL_PRECISION_BITS")
-    if args.precision_bits is None and env is not None:
-        try:
-            args.precision_bits = int(env)
-        except ValueError:
-            raise UsageError(f"WEYL_PRECISION_BITS={env!r} is not an integer")
-    if args.precision_bits is not None and args.precision_bits < 68:
-        raise UsageError("--precision-bits must be >= 68")
-    args.alpha = parse_alpha(args.alpha)
-    if args.command == "verify" and not 0 < args.epsilon < math.inf:
-        raise UsageError("--epsilon must be positive and finite")
 
 
 def main(argv=None) -> int:
@@ -430,7 +427,8 @@ def main(argv=None) -> int:
         _emit([], None)
         raise
     try:
-        _validate(args)
+        if "alpha" in args:
+            args.alpha = parse_alpha(args.alpha)
         command = {"figure": cmd_figure, "verify": cmd_verify, "mc": cmd_mc}
         return command[args.command](args)
     except (UsageError, ValueError) as exc:

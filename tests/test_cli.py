@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -109,7 +110,7 @@ def read_figure(path, fmt):
 
 def run_figure(tmp_path, capsys, normalizer, fmt, *flags):
     out = tmp_path / f"fig_{normalizer}.{fmt}"
-    code, _, _ = run([*flags, "figure", "--alpha", FIGURE_ALPHA, "--n-max",
+    code, _, _ = run(["figure", *flags, "--alpha", FIGURE_ALPHA, "--n-max",
                       str(FIGURE_N), "--normalizer", normalizer, "--format",
                       fmt, "--out", str(out)], capsys)
     assert code == 0
@@ -133,9 +134,8 @@ def assert_rows_within_bound(meta, rows, oracle):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("normalizer", NORMALIZERS)
-def test_figure_rows_within_reported_bound(tmp_path, capsys, monkeypatch,
-                                           figure_oracle, normalizer, fmt):
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+def test_figure_rows_within_reported_bound(tmp_path, capsys, figure_oracle,
+                                           normalizer, fmt):
     meta, rows = run_figure(tmp_path, capsys, normalizer, fmt)
     assert meta["normalizer"] == normalizer
     assert int(meta["precision_bits"]) == 112
@@ -144,8 +144,7 @@ def test_figure_rows_within_reported_bound(tmp_path, capsys, monkeypatch,
 
 
 def test_figure_precision_bits_160_tightens_bound(tmp_path, capsys,
-                                                  monkeypatch, figure_oracle):
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+                                                  figure_oracle):
     meta112, _ = run_figure(tmp_path, capsys, "one_over_N", "csv")
     meta, rows = run_figure(tmp_path, capsys, "one_over_N", "json",
                             "--precision-bits", "160")
@@ -156,11 +155,10 @@ def test_figure_precision_bits_160_tightens_bound(tmp_path, capsys,
 
 @pytest.mark.parametrize("precision_bits", [None, 1100])
 @pytest.mark.parametrize("normalizer", NORMALIZERS)
-def test_figure_values_are_to_str_of_rows(tmp_path, capsys, monkeypatch,
-                                          normalizer, precision_bits):
+def test_figure_values_are_to_str_of_rows(tmp_path, capsys, normalizer,
+                                          precision_bits):
     # the printed values are mpmath's own 40 digits of every row, byte for
     # byte, at the default precision and at 1100 bits
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
     series = rotation_products(parse_alpha(FIGURE_ALPHA), FIGURE_N,
                                normalizer, precision_bits)
     libmp = mpmath.libmp
@@ -218,14 +216,13 @@ FIGURE_SHA256 = {
 
 
 @pytest.mark.parametrize("key", sorted(FIGURE_SHA256, key=str))
-def test_figure_output_pinned(capsys, monkeypatch, key):
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+def test_figure_output_pinned(capsys, key):
     precision_bits, normalizer, fmt = key
     flags = ([] if precision_bits is None
              else ["--precision-bits", str(precision_bits)])
-    code, out, _ = run(flags + ["figure", "--alpha", FIGURE_ALPHA,
-                                "--n-max", str(FIGURE_N), "--normalizer",
-                                normalizer, "--format", fmt], capsys)
+    code, out, _ = run(["figure", *flags, "--alpha", FIGURE_ALPHA,
+                        "--n-max", str(FIGURE_N), "--normalizer", normalizer,
+                        "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_SHA256[key]
 
@@ -256,8 +253,7 @@ FIGURE_EXPONENT_SHA256 = {
 
 
 @pytest.mark.parametrize("key", sorted(FIGURE_EXPONENT_SHA256))
-def test_figure_exponent_rows_pinned(capsys, monkeypatch, key):
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+def test_figure_exponent_rows_pinned(capsys, key):
     alpha, normalizer, fmt = key
     code, out, _ = run(["figure", "--alpha", alpha, "--n-max", "300",
                         "--normalizer", normalizer, "--format", fmt], capsys)
@@ -291,8 +287,7 @@ FIGURE_ANCHORS_SHA256 = {
 
 
 @pytest.mark.parametrize("key", sorted(FIGURE_ANCHORS_SHA256))
-def test_figure_many_anchors_pinned(capsys, monkeypatch, key):
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+def test_figure_many_anchors_pinned(capsys, key):
     alpha, normalizer, fmt = key
     code, out, _ = run(["figure", "--alpha", alpha, "--n-max",
                         str(FIGURE_ANCHORS_N), "--normalizer", normalizer,
@@ -525,11 +520,13 @@ def test_verify_extremal_sweep_blocks(tmp_path, capsys, monkeypatch, tol,
 def test_verify_format_csv_without_sweep_file_usage_error(tmp_path, capsys,
                                                           args):
     # only the extremal sweep writes CSV, and only to a file: elsewhere
-    # --format csv is refused, not answered with JSON
+    # --format csv is refused, not answered with JSON (ostrowski takes no
+    # --format at all)
     args = [a.format(tmp=tmp_path) for a in args]
-    code, stdout, err = run(["verify", *args, "--format", "csv"], capsys)
+    code = exit_code(["verify", *args, "--format", "csv"])
+    out = capsys.readouterr()
     assert code == 2
-    assert "--format" in err and stdout == ""
+    assert "--format" in out.err and out.out == ""
     assert not list(tmp_path.iterdir())
 
 
@@ -608,7 +605,8 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     (["extremal", "--N", "-4", "--d", "0.5"], "--N"),
     # NaN fails every comparison, so the guards are written to reject it
     (["type-growth", "--n-max", "50", "--t", "nan"], "t must exceed 1"),
-    (["hlawka", "--epsilon", "nan"], "--epsilon"),
+    (["extremal", "--N", "8", "--d", "0.125", "--epsilon", "nan"],
+     "--epsilon"),
     (["extremal", "--epsilon", "nan"], "--epsilon"),
     # --n-min is not given: the message names the default that trips
     (["hlawka", "--gen", "vdc", "--n-max", "10"],
@@ -727,18 +725,6 @@ def test_orbit_n_max_at_kernel_range_is_taken(capsys, monkeypatch):
     assert code == 0 and seen == [2147483647]
 
 
-def test_mc_subsequence_default_terms_above_kernel_range(tmp_path, capsys):
-    # without --terms, the terms --n-max implies are named in the error
-    code, _, err = run(["mc", "subsequence", "--paths", "2", "--n-max",
-                        "2000000000", "--out", str(tmp_path / "m")], capsys)
-    assert code == 2
-    assert err == ("error: --terms must be <= 933688431 for subsequence "
-                   "(without it, max(--n-max // 2, 200) = 1000000000): a "
-                   "path's coin draws must stay within the fixed-point "
-                   "kernel's range\n")
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_mc_write_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
     # the CSV write raises after two rows: no partial file, no temporary
     # file, and the I/O exit code
@@ -814,13 +800,13 @@ def test_mc_subsequence_identity_flag(tmp_path, capsys, monkeypatch):
 
 
 def test_mc_subsequence_terms_default(tmp_path, capsys):
-    # without --terms the model takes max(n-max // 2, 200) terms, as the
-    # help says: 200, not 150, at --n-max 300
+    # without --terms the model takes 50000 terms, what the default --n-max
+    # of 10^5 gave when the terms were max(--n-max // 2, 200)
     prefix = tmp_path / "sub"
-    code, _, _ = run(["mc", "subsequence", "--paths", "1", "--n-max", "300",
+    code, _, _ = run(["mc", "subsequence", "--paths", "1",
                       "--out", str(prefix)], capsys)
     assert code == 0
-    assert json.loads(Path(f"{prefix}.json").read_text())["N_max"] == 200
+    assert json.loads(Path(f"{prefix}.json").read_text())["N_max"] == 50000
 
 
 def test_mc_subsequence_short_coin_exits_2(tmp_path, capsys, monkeypatch):
@@ -891,6 +877,9 @@ PIN_COMMANDS = {
     # peaks before K = 30000, so each CSV is a shorter pin's too
     "mc subsequence 140001": ["mc", "subsequence", "--paths", "2",
                               "--terms", "140001"],
+    # path 0 of seed 5 (sqrt2m1) peaks at K = 139399, in the third block
+    "mc subsequence 140001 seed 5": ["mc", "subsequence", "--paths", "2",
+                                     "--terms", "140001", "--seed", "5"],
     "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
     # 33024 rows: the CLI's sweep blocks of at most 2^12 rows end inside it
     "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
@@ -1035,6 +1024,10 @@ OUTPUT_SHA256 = {
         "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
         "393d1e31e6abda376b858078616e31b3524cce4858c241f738d5a4edac2af059",
     ],
+    ('sqrt2m1', 'mc subsequence 140001 seed 5'): [
+        "a3bbb15cdbe54acbcc8fed2e06f90353906ab2d53def29fd7b4a3036319736f5",
+        "63a6ed5760c5fb2c384b9bc77a5e9567e17192703c218fb4f53b6c6ddf7f7180",
+    ],
 }
 
 
@@ -1114,38 +1107,47 @@ def test_bad_alpha_exit_2(capsys):
     assert code == 2 and "alpha" in err
 
 
-def test_precision_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("WEYL_PRECISION_BITS", "160")
-    out = tmp_path / "p.csv"
-    code, _, _ = run(["figure", "--n-max", "2", "--out", str(out)], capsys)
-    assert code == 0
-    monkeypatch.setenv("WEYL_PRECISION_BITS", "nope")
-    code, _, err = run(["figure", "--n-max", "2"], capsys)
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["figure", "--n-max", "2"],
+    ["verify", "vdc-limits", "--s-max", "6"],
+    ["mc", "iid", "--paths", "2", "--n-max", "1000", "--out", "{tmp}/mc"]])
+def test_precision_env_is_not_read(tmp_path, capsys, monkeypatch, argv):
+    # WEYL_PRECISION_BITS is no input: set to a number or to garbage, it
+    # neither changes nor stops any command
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    outputs = []
+    for value in (None, "160", "nope"):
+        if value is None:
+            monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
+        else:
+            monkeypatch.setenv("WEYL_PRECISION_BITS", value)
+        code, out, err = run(argv, capsys)
+        files = [p.read_bytes() for p in sorted(tmp_path.iterdir())]
+        outputs.append((code, out, err, files))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def test_precision_bits_zero_is_usage_error(capsys, monkeypatch):
+def test_precision_bits_zero_is_usage_error(capsys):
     # 0 is a value, not "unset": it must not fall through to the default
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
-    code, _, err = run(["--precision-bits", "0", "figure", "--n-max", "2"],
+    code, _, err = run(["figure", "--precision-bits", "0", "--n-max", "2"],
                        capsys)
     assert code == 2 and "must be >= 68" in err
 
 
-def test_precision_bits_goes_before_the_subcommand(capsys):
-    # a global option: after `figure` it is a usage error, and figure's
-    # help shows where it goes
-    with pytest.raises(SystemExit) as exc:
-        main(["figure", "--precision-bits", "160", "--n-max", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --precision-bits" in \
-        capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["figure", "-h"])
-    assert exc.value.code == 0
-    assert "weylprod --precision-bits 160 figure" in \
-        " ".join(capsys.readouterr().out.split())
-
+def test_precision_bits_goes_after_figure(capsys):
+    # an option of figure alone: it follows `figure`; before the subcommand,
+    # or given to verify or mc, it is a usage error
+    code, out, _ = run(["figure", "--precision-bits", "160", "--n-max", "2"],
+                       capsys)
+    assert code == 0 and "precision_bits=160 " in out
+    assert exit_code(["--precision-bits", "160", "figure", "--n-max", "2"]) \
+        == 2
+    capsys.readouterr()
+    for argv in (["verify", "vdc-limits"], ["mc", "iid"]):
+        assert exit_code([*argv, "--precision-bits", "160"]) == 2
+        assert "unrecognized arguments: --precision-bits 160" in \
+            capsys.readouterr().err
 
 
 def exit_code(argv):
@@ -1167,7 +1169,6 @@ def test_help_and_usage_text_pinned(case, monkeypatch, capsys):
     # every help, usage and usage-error byte, as captured before the
     # subcommand parsers were built on first use
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("WEYL_PRECISION_BITS", raising=False)
     code = exit_code(list(case["argv"]))
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (case["code"], case["stdout"],
@@ -1193,6 +1194,59 @@ def test_only_the_invoked_command_is_built(argv, built, tmp_path,
             monkeypatch.setattr(cli, name, refuse(name))
     assert exit_code([a.format(tmp=tmp_path) for a in argv]) == 0
     assert capsys.readouterr().out
+
+
+# figure, each verify theorem and each mc model
+COMMAND_NAMES = [["figure"]] + [[group, name] for group in ("verify", "mc")
+                                for name in cli.COMMANDS[group]]
+
+
+def command_options(names):
+    """The COMMANDS entry of the command `names`."""
+    options = cli.COMMANDS[names[0]]
+    return options[names[1]] if len(names) == 2 else options
+
+
+@pytest.mark.parametrize("names", COMMAND_NAMES[1:], ids=" ".join)
+def test_only_the_chosen_theorem_or_model_is_built(names, monkeypatch,
+                                                   capsys):
+    built = []
+    real = cli._add_options
+
+    def add_options(parser, options):
+        built.append(options)
+        real(parser, options)
+
+    monkeypatch.setattr(cli, "_add_options", add_options)
+    assert exit_code([*names, "-h"]) == 0
+    assert capsys.readouterr().out
+    assert len(built) == 1 and built[0] is command_options(names)
+
+
+@pytest.mark.parametrize("names", COMMAND_NAMES, ids=" ".join)
+def test_each_command_takes_exactly_its_options(names, capsys):
+    # the command's parser holds the options of its COMMANDS entry, with
+    # their defaults, and --N-max beside --n-max; every option of another
+    # command is refused by name, and not read as an abbreviation (--N of
+    # --N-max, --t of --terms)
+    options = command_options(names)
+    parser = cli.build_parser()
+    for name in names:
+        sub, = (a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+        parser.format_usage()  # builds it
+    actions = [a for a in parser._actions if a.dest != "help"]
+    assert {a.option_strings[0]: a.default for a in actions} == options
+    aliases = [s for a in actions for s in a.option_strings[1:]]
+    assert aliases == (["--N-max"] if "--n-max" in options else [])
+    every = {flag for group in ("verify", "mc")
+             for entry in cli.COMMANDS[group].values() for flag in entry}
+    every |= set(cli.COMMANDS["figure"]) | {"--N-max"}
+    for flag in sorted(every - set(options) - set(aliases)):
+        assert exit_code([*names, flag, "1"]) == 2, flag
+        assert f"unrecognized arguments: {flag} 1\n" in \
+            capsys.readouterr().err
 
 
 def test_unwritable_out_exit_3(tmp_path, capsys):
