@@ -22,7 +22,7 @@ from operator import sub
 import numpy as np
 
 from .numerics import (BASE_TOL, POW10, ascii_digits, ascii_int,
-                       byte_lines, log_two_sin_pi_array)
+                       byte_lines, log_two_sin_pi_array, number_text)
 from .sequences import PointSet, RationalArray
 
 _LOG_2PI2 = math.log(2.0 * math.pi ** 2)
@@ -188,7 +188,6 @@ _FLAG_TEXT = ("false,false", "false,true", "true,false", "true,true")
 _FLAG_BYTES = np.array([list(f"{s}\n".encode().ljust(12, b"\0"))
                         for s in _FLAG_TEXT], np.uint8).T
 _M32 = np.uint64(2 ** 32 - 1)
-_ROW = np.arange(18)[:, None]  # places in a column, against per-float values
 
 
 def _g(k: int) -> int:
@@ -251,45 +250,23 @@ def _shortest(bits: np.ndarray):
 
 
 def _float_columns(x: np.ndarray) -> np.ndarray:
-    """(29, len(x)) uint8: column i is `repr(x[i])` (`float_repr_style`
-    'short') in ASCII, NUL-padded at fixed places: sign, "0.000", 17 digits
-    with a point among them, "e+308". Zeros, subnormals, infinities and nan
-    are left to `repr`. With decpt the place of the point after the first
-    digit, fixed notation (0.000ddd, dd.ddd or ddd00.0) is for -4 < decpt
-    <= 16, else d.ddde-05 or de+16."""
+    """(width, len(x)) uint8: column i is `repr(x[i])` (`float_repr_style`
+    'short') in ASCII, NUL-padded: a sign, then Schubfach's digits laid out
+    by `number_text`, fixed for 1e-4 <= |x| < 1e16, else d.ddde-05 or
+    de+16. Zeros, subnormals, infinities and nan are left to `repr`."""
     normal = np.abs(x) >= np.finfo(np.float64).tiny  # the smallest normal
     normal &= np.isfinite(x)
     f, k = _shortest(np.where(normal, x, 1.0).view(np.uint64))
     size = np.searchsorted(POW10, f, side="right")
     D = ascii_digits(f * POW10[17 - size], 17)  # f's digits, left-aligned
-    n_sig = ((D != 48) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(0)
-    decpt = k + size
-    fixed = (decpt > -4) & (decpt <= 16)
-    point = fixed & (decpt > 0)
-    small = fixed & ~point
-    S = np.zeros((29, len(x)), np.uint8)
-    S[0] = (x < 0) * 45
-    S[1:3] = small * np.array([[48], [46]], np.uint8)
-    S[3:6] = ((decpt <= -_ROW[1:4]) & small) * np.uint8(48)
-    # the digits, with zeros up to and after the point of dd00.0, and the
-    # point or NUL inserted before digit `at`
-    Y = np.zeros((19, len(x)), np.uint8)
-    Y[1:18] = D * (_ROW[:17] < np.where(point, np.maximum(n_sig, decpt + 1),
-                                         n_sig))
-    at = np.where(fixed, np.where(point, decpt, 17), 1)
-    dot = (point | ~fixed & (n_sig > 1)) * np.uint8(46)
-    Y0 = Y[:-1]
-    S[6:24] = Y0 + (_ROW < at) * (Y[1:] - Y0) + (_ROW == at) * (dot - Y0)
-    sci = ~fixed
-    e = np.abs(decpt - 1)
-    S[24] = sci * 101
-    S[25] = sci * np.where(decpt < 1, 45, 43)
-    S[26] = (sci & (e >= 100)) * (e // 100 + 48)
-    S[27] = sci * (e // 10 % 10 + 48)
-    S[28] = sci * (e % 10 + 48)
-    for i in np.flatnonzero(~normal).tolist():
-        S[:, i] = np.frombuffer(repr(x[i].item()).ljust(29, "\0").encode(),
-                                np.uint8)
+    T = number_text(D, k + size - 1, (-5, 15), 2, False)
+    own = np.flatnonzero(~normal).tolist()
+    texts = [repr(v) for v in x[own].tolist()]
+    S = np.zeros((max([1 + len(T), *map(len, texts)]), len(x)), np.uint8)
+    S[0] = (x < 0) * np.uint8(45)
+    S[1:1 + len(T)] = T
+    for i, t in zip(own, texts):
+        S[:, i] = np.frombuffer(t.ljust(len(S), "\0").encode(), np.uint8)
     return S
 
 
@@ -300,10 +277,10 @@ def _csv_rows(N, M, d, log_p, log_lower, log_upper, flags) -> str:
     # N and M: sign, then digits without leading zeros
     ints = np.concatenate((N, M))
     heads = np.concatenate(((ints < 0)[None] * np.uint8(45),
-                            ascii_int(np.abs(ints).view(np.uint64))))
+                            ascii_int(np.abs(ints).view(np.uint64), 1)))
     floats = _float_columns(np.concatenate((d, log_p, log_lower, log_upper)))
     cols = [*heads.reshape(-1, 2, n).swapaxes(0, 1),
-            *floats.reshape(29, 4, n).swapaxes(0, 1)]
+            *floats.reshape(-1, 4, n).swapaxes(0, 1)]
     return byte_lines([p for col in cols for p in (col, b",")]
                       + [_FLAG_BYTES[:, flags]], n)
 

@@ -4,8 +4,9 @@ Most of it is about evaluating log(2 sin(pi x)) accurately for points
 that may sit very close to 0 or 1, and about summing long series of such
 terms without throwing that accuracy away again. The rest serves the two
 text printers, `figure`'s rows and the extremal sweep's CSV: integer
-columns as ASCII digits (`ascii_digits`), and lines laid out from columns of
-bytes (`byte_lines`).
+columns as ASCII digits (`ascii_digits`), digit columns laid out as
+numbers (`number_text`), and lines laid out from columns of bytes
+(`byte_lines`).
 """
 
 from __future__ import annotations
@@ -226,13 +227,59 @@ def ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
     return D.transpose(1, 0, 2).reshape(9 * limbs, -1)[-width:]
 
 
-def ascii_int(v: np.ndarray) -> np.ndarray:
-    """`ascii_digits` of the non-empty uint64 v as wide as its largest
-    entry, with each entry's leading zeros NUL: 0 keeps one digit."""
-    w = len(str(int(v.max())))
+def ascii_int(v: np.ndarray, least: int) -> np.ndarray:
+    """`ascii_digits` of the uint64 v as wide as its largest entry and at
+    least `least` wide, with each entry's leading zeros NUL but those among
+    its last `least` digits."""
+    w = max(least, len(str(int(v.max(initial=0)))))
     D = ascii_digits(v, w)
-    D *= np.maximum(v, 1) >= POW10[w - 1::-1, None]
+    D *= np.maximum(v, POW10[least - 1]) >= POW10[w - 1::-1, None]
     return D
+
+
+def number_text(D: np.ndarray, e: np.ndarray, fixed: tuple,
+                exp_digits: int, lone_point: bool) -> np.ndarray:
+    """The (width, n) NUL-padded ASCII texts of n numbers from their digits,
+    the columns of the (W, n) ASCII D, most significant first and nonzero,
+    and e, the exponent of each one's leading digit. A number with
+    lo < e <= hi, (lo, hi) = `fixed`, is fixed: 0.000ddd below 1, else
+    with the point after its first e + 1 digits. Any other is d.ddd, then
+    e, the exponent's sign and at least `exp_digits` of its digits. Trailing
+    zeros go, but one digit after a point, and a lone digit in exponent
+    notation keeps its point (1.0e-30) only with `lone_point`; a fixed
+    number of W digits before the point gets a 0 after it."""
+    W, n = D.shape
+    sci = (e <= fixed[0]) | (e > fixed[1])
+    # the fixed exponents and the place counts in int16, whose masks against
+    # the places cost a quarter of int64's
+    f = np.where(sci, 0, e).astype(np.int16)
+    sig = (W - np.argmax(D[::-1] != 48, axis=0)).astype(np.int16)
+    # the digits before the point: none below 1, which takes "0." first
+    split = np.where(sci, 1, np.maximum(f + 1, 0))
+    point = (split > 0) & (~sci | (sig > 1) | lone_point)
+    lead = np.where(f < 0, 1 - f, 0)  # the places of "0.000"
+    keep = np.maximum(sig, split + point)  # the last digit kept, 1 the first
+    at = np.flatnonzero(sci)
+    E = ascii_int(np.abs(e[at]).astype(np.uint64), exp_digits)
+    x = len(E) + 2
+    w = int(lead.max())
+    T = np.zeros((w + W + 2 + x, n), np.uint8)
+    np.multiply(np.arange(w, dtype=np.int16)[:, None] < lead, np.uint8(48),
+                out=T[:w])
+    T[1, lead > 0] = 46
+    # the digits one place up, cut after the last one kept, then those
+    # before the point moved back and the point put in
+    V = T[w:w + W + 2]
+    places = np.arange(W + 1, dtype=np.int16)[:, None]
+    np.multiply(D, places[1:] <= keep, out=V[1:W + 1])
+    s = int(split.max())
+    np.copyto(V[:s], D[:s], where=places[:s] < split)
+    V[split, np.arange(n)] = point * np.uint8(46)
+    V[-1] = (split == W) * np.uint8(48)
+    T[-x, at] = 101
+    T[1 - x, at] = np.where(e[at] < 0, 45, 43)
+    T[2 - x:, at] = E
+    return T
 
 
 def byte_lines(parts, n: int) -> str:

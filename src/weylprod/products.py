@@ -33,7 +33,8 @@ from .irrational import (DEFAULT_N_MAX, FixedPointOrbit, IrrationalSpec,
                          exact_residue, kronecker_fixed_point_blocks,
                          scaled_floor)
 from .numerics import (SUM_CHUNK, TERM_EPS, PrefixSum, Scratch, ascii_int,
-                       byte_lines, log_two_sin_pi_array, two_sin_pi)
+                       byte_lines, log_two_sin_pi_array, number_text,
+                       two_sin_pi)
 from .sequences import PointSet, RationalArray
 
 # normalizer -> k of the n^k that P_n is divided by
@@ -280,9 +281,6 @@ def _text_scale(xe: int, prec: int) -> tuple:
 # a row, and its copies as bytes and text stay below glibc's 128 KB mmap
 # threshold
 TEXT_BLOCK = 1024
-_COLS = np.arange(ROW_DIGITS + 1)
-# the "0.000" of a fixed row below 1, cut to 1 - exponent bytes
-_LEAD = np.frombuffer(b"0." + b"0" * -(_MIN_FIXED + 2), np.uint8)
 
 
 def text_blocks(segments, before: str, between: str, after: str, sep: str):
@@ -309,8 +307,9 @@ def _row_block(n: int, digits: list, exponents: list, frame: list) -> str:
     """The lines of rows n, n + 1, ... with these digits and exponents
     (`RotationProducts.segments`), each framed by `frame`: the bytes before
     N, between N and the text, and after the text (`byte_lines`). The texts
-    are the rows of one NUL-padded uint8 array T; to_str's texts are put in
-    after the lines are made."""
+    are the columns of one NUL-padded uint8 array T, laid out as to_str
+    lays them out (`number_text`); to_str's own texts are put in after the
+    lines are made."""
     rows = len(digits)
     e = np.array(exponents, np.int64)
     own = np.flatnonzero(e == _TO_STR).tolist()
@@ -319,41 +318,14 @@ def _row_block(n: int, digits: list, exponents: list, frame: list) -> str:
         digits[i], e[i] = _TEN_ROW // 10, 0
     D = np.frombuffer(b"%d" * rows % tuple(digits), np.uint8).reshape(
         rows, ROW_DIGITS)
-    fixed, sci = e >= 0, e <= _MIN_FIXED
-    lead = ~(fixed | sci)
-    # the digits before the point: none for a row below 1, which takes
-    # its point from "0.000"
-    split = np.where(fixed, e + 1, sci)
-    E = ascii_int(np.where(sci, -e, 0).astype(np.uint64))
-    # T's places: "0.000", the digits with the point, then "e-NNN"
-    w = len(_LEAD)
-    T = np.zeros((rows, w + ROW_DIGITS + 4 + len(E)), np.uint8)
-    np.multiply(_LEAD, _COLS[:w] < np.where(lead, 1 - e, 0)[:, None],
-                out=T[:, :w])
-    # the digits one place up, those before the point moved back, and the
-    # 0 after the point of a row that reaches 10^39
-    V = T[:, w:w + ROW_DIGITS + 2]
-    V[:, 1:ROW_DIGITS + 1] = D
-    for i in range(int(split.max())):
-        np.copyto(V[:, i], D[:, i], where=split > i)
-    V[np.arange(rows), split] = ~lead * np.uint8(46)
-    V[:, -1] = (split == ROW_DIGITS) * np.uint8(48)
-    # trailing zeros go, but the first digit after the point
-    zeros = np.flatnonzero(D[:, -1] == 48)
-    if len(zeros):
-        last = ROW_DIGITS - np.argmax(D[zeros, ::-1] != 48, axis=1)
-        keep = np.maximum(split[zeros] + ~lead[zeros], last)
-        V[zeros, :ROW_DIGITS + 1] *= _COLS <= keep[:, None]
-    T[:, -2 - len(E)] = sci * np.uint8(101)
-    T[:, -1 - len(E)] = sci * np.uint8(45)
-    np.multiply(E.T, sci[:, None], out=T[:, -len(E):])
+    T = number_text(D.T, e, (_MIN_FIXED, ROW_DIGITS - 1), 1, True)
     if own:
         # one byte that no line holds marks where each of their texts goes
-        T[own] = 0
-        T[own, 0] = 1
+        T[:, own] = 0
+        T[0, own] = 1
     text = byte_lines([frame[0], ascii_int(np.arange(n, n + rows,
-                                                     dtype=np.uint64)),
-                       frame[1], T.T, frame[2]], rows)
+                                                     dtype=np.uint64), 1),
+                       frame[1], T, frame[2]], rows)
     if own:
         text = "".join(part + t for part, t in
                        zip(text.split("\1"), texts + [""]))
