@@ -339,6 +339,32 @@ def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
                                       N_min=args.n_min, alpha=args.alpha)
 
 
+# the options that a mode of `verify hlawka` or `verify extremal` does not
+# read, by the name of the mode
+_UNREAD = {"hlawka --gen grid": ("--alpha", "--n-max", "--n-min"),
+           "hlawka --gen vdc": ("--alpha", "--N"),
+           "hlawka --gen kronecker": ("--N",),
+           "extremal without --d": ("--N",),
+           "extremal --d": ("--n-max",)}
+
+
+def _refuse_unread(args: argparse.Namespace) -> None:
+    """Refuse an option that the chosen mode of `verify hlawka` or
+    `verify extremal` does not read, set to other than its `COMMANDS`
+    default, before --alpha is parsed."""
+    tag = getattr(args, "theorem", None)
+    if tag == "hlawka":
+        mode = f"hlawka --gen {args.gen}"
+    elif tag == "extremal":
+        mode = "extremal --d" if args.d is not None else "extremal without --d"
+    else:
+        return
+    defaults = COMMANDS["verify"][tag]
+    for flag in _UNREAD[mode]:
+        if getattr(args, flag[2:].replace("-", "_")) != defaults[flag]:
+            raise UsageError(f"{flag} is not read by verify {mode}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     tag = args.theorem
     if "n_max" in args and args.n_max < 1:
@@ -427,6 +453,7 @@ def main(argv=None) -> int:
         _emit([], None)
         raise
     try:
+        _refuse_unread(args)
         if "alpha" in args:
             args.alpha = parse_alpha(args.alpha)
         command = {"figure": cmd_figure, "verify": cmd_verify, "mc": cmd_mc}

@@ -627,6 +627,48 @@ def test_verify_size_below_one_names_flag(capsys, args, flag):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("args, flag, mode", [
+    (["hlawka", "--gen", "vdc", "--alpha", "golden", "--n-max", "100"],
+     "--alpha", "hlawka --gen vdc"),
+    (["hlawka", "--gen", "grid", "--N", "10", "--n-min", "5000"], "--n-min",
+     "hlawka --gen grid"),
+    (["extremal", "--N", "5", "--n-max", "64"], "--N",
+     "extremal without --d"),
+    (["hlawka", "--gen", "vdc", "--N", "10", "--n-max", "100"], "--N",
+     "hlawka --gen vdc"),
+    (["hlawka", "--gen", "grid", "--N", "10", "--alpha", "golden"],
+     "--alpha", "hlawka --gen grid"),
+    (["hlawka", "--gen", "grid", "--N", "10", "--n-max", "100"], "--n-max",
+     "hlawka --gen grid"),
+    (["hlawka", "--N", "10", "--n-max", "100"], "--N",
+     "hlawka --gen kronecker"),
+    (["extremal", "--N", "8", "--d", "0.125", "--n-max", "64"], "--n-max",
+     "extremal --d"),
+])
+def test_verify_refuses_an_option_its_mode_does_not_read(capsys, args, flag,
+                                                         mode):
+    # the first three lines exited 0, the option ignored
+    code, stdout, err = run(["verify", *args], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {flag} is not read by verify {mode}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["hlawka", "--gen", "vdc", "--n-max", "100", "--n-min", "20"],
+    ["hlawka", "--gen", "grid", "--N", "10"],
+    ["hlawka", "--gen", "kronecker", "--alpha", "golden", "--n-max", "100",
+     "--n-min", "20"],
+    ["extremal", "--n-max", "64"],
+    ["extremal", "--N", "8", "--d", "0.125"],
+    # an option the mode does not read, set to its default, is taken
+    ["hlawka", "--gen", "grid", "--N", "10", "--alpha", "sqrt2m1",
+     "--n-max", "10000", "--n-min", "16"],
+])
+def test_verify_mode_takes_the_options_it_reads(capsys, args):
+    code, stdout, _ = run(["verify", *args], capsys)
+    assert code == 0 and json.loads(stdout)["passed"] is not False
+
+
 def test_verify_unknown_theorem_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "definitely-not-a-theorem"])
