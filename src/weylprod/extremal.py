@@ -8,7 +8,8 @@ which the sup-product bounds below sandwich. `sweep` evaluates the closed
 form and both bounds at every (N, M) of a list of N as the numpy columns of
 a `Sweep`, which the CLI computes and writes as CSV in blocks of whole N:
 `Sweep.csv_text` builds each column's ASCII bytes, the floats' from
-Schubfach's shortest digits, and `numerics.byte_lines` makes them lines.
+Schubfach's shortest digits laid out in repr's layout by
+`numerics.number_text`, and `numerics.byte_lines` makes them lines.
 """
 
 from __future__ import annotations

@@ -258,7 +258,7 @@ def number_text(D: np.ndarray, e: np.ndarray, fixed: tuple,
     split = np.where(sci, 1, np.maximum(f + 1, 0))
     point = (split > 0) & (~sci | (sig > 1) | lone_point)
     lead = np.where(f < 0, 1 - f, 0)  # the places of "0.000"
-    keep = np.maximum(sig, split + point)  # the last digit kept, 1 the first
+    keep = np.maximum(sig, split + point)  # the last place kept, past "0."
     at = np.flatnonzero(sci)
     E = ascii_int(np.abs(e[at]).astype(np.uint64), exp_digits)
     x = len(E) + 2

@@ -15,8 +15,9 @@ sines from a fixed-point rotation w^n in integers; each row is rounded in
 integers too, in the iteration that makes it (`RotationProducts.segments`),
 to its 40 digits as mpmath's to_str rounds them, from a table per binary
 exponent (`_text_scale`), and only its digits and the exponent of its
-leading digit are kept. `text_blocks` prints the rows a block at a time,
-from numpy byte columns made into lines by `numerics.byte_lines`. Only a
+leading digit are kept. `text_blocks` prints the rows a block at a time:
+`numerics.number_text` lays out their digits in to_str's layout as numpy
+byte columns, and `numerics.byte_lines` makes the lines. Only a
 carry to 10^40, a row of 10^40 or more and a row outside to_digits_exp's
 fixed-point branch go to to_str.
 """
