@@ -250,8 +250,8 @@ def number_text(D: np.ndarray, e: np.ndarray, fixed: tuple,
     number of W digits before the point gets a 0 after it."""
     W, n = D.shape
     sci = (e <= fixed[0]) | (e > fixed[1])
-    # the fixed exponents and the place counts in int16, whose masks against
-    # the places cost a quarter of int64's
+    # the fixed exponents and the place counts in int16: masks against the
+    # places cost several times less than in int64
     f = np.where(sci, 0, e).astype(np.int16)
     sig = (W - np.argmax(D[::-1] != 48, axis=0)).astype(np.int16)
     # the digits before the point: none below 1, which takes "0." first

@@ -73,7 +73,7 @@ REPR_VALUES = [
 def repr_digits(v: float) -> tuple:
     """(digits, e) of repr(|v|): its shortest digits and the exponent of
     the leading one."""
-    sign, digits, exp = Decimal(repr(abs(v))).as_tuple()
+    _, digits, exp = Decimal(repr(abs(v))).as_tuple()
     return "".join(map(str, digits)), len(digits) - 1 + exp
 
 
