@@ -373,6 +373,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _orbit_n_max(args, tag)
     elif tag == "hlawka" and args.gen == "kronecker":
         _orbit_n_max(args, "hlawka --gen kronecker")
+    elif tag == "kronecker-sandwich" and args.q_max > KERNEL_MAX_N + 1:
+        raise UsageError(f"--q-max must be <= {KERNEL_MAX_N + 1} for "
+                         f"kronecker-sandwich: the orbit, one short of the "
+                         f"largest denominator <= --q-max, must stay within "
+                         f"the fixed-point kernel's range")
     out = args.out
     if tag == "extremal":
         if not 0 < args.epsilon < math.inf:

@@ -80,12 +80,6 @@ class PointSet:
                 raise ValueError(f"{self.provenance} point outside "
                                  f"{'(0, 1)' if strict else '[0, 1]'}")
 
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
 
 def kronecker(alpha: IrrationalSpec, N: int,
               evaluator: FracPartEvaluator | None = None) -> PointSet:

@@ -17,7 +17,6 @@ from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              grid_hlawka_report, hlawka_sequence_report,
                              kronecker_log_trace)
 from weylprod import discrepancy
-from weylprod.cli import main
 from weylprod.discrepancy import (discrepancy_trace, kronecker_discrepancy,
                                   star_discrepancy, vdc_discrepancy)
 from weylprod.irrational import (FracPartEvaluator, cf_expand,
@@ -490,24 +489,6 @@ def test_hlawka_screens_in_flat_memory():
     assert peak < 8 * 2 ** 20, peak
 
 
-def test_vdc_hlawka_report_holds_no_points():
-    # the report holds a few SUM_CHUNK blocks (512 KB each) of points,
-    # log-products, Delta and screen temporaries, whatever the size: 21 at
-    # 2^20 and 2^22 N alike, where whole arrays of the trace and Delta
-    # would take 16 MB and 64 MB
-    peaks = []
-    for n in (2 ** 20, 2 ** 22):
-        tracemalloc.start()
-        try:
-            rep = hlawka_sequence_report("vdc", n, 16)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert rep.passed
-    assert abs(peaks[1] - peaks[0]) <= 2 ** 20, peaks
-    assert max(peaks) < 24 * 2 ** 19, peaks
-
-
 # alphas of the Kronecker stream's tests; [0; 3, 10^6, 1, 4, ...] puts its
 # points close to the ends of the interval from n = 3 on
 STREAM_ALPHAS = {"sqrt2m1": parse_alpha("sqrt2m1"),
@@ -595,41 +576,6 @@ def test_kronecker_hlawka_stream_flags_rows_through_the_bracket(monkeypatch):
                                             params).to_dict()
         assert want["violations"] and want["inconclusive"]
         assert want["passed"] is False
-
-
-@pytest.mark.parametrize("n", [2 ** 20, 2 ** 21])
-def test_kronecker_hlawka_holds_only_the_orbit_and_T(n):
-    # of length N the check holds the orbit (9 bytes a point) and T (8);
-    # the rest is a few SUM_CHUNK blocks, 10-12 MB whatever N is. The
-    # whole-array check held 121 bytes a point
-    tracemalloc.start()
-    try:
-        rep = hlawka_sequence_report("kronecker", n, 16,
-                                     STREAM_ALPHAS["sqrt2m1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed
-    assert peak < 32 * n, peak / n
-
-
-def test_extremal_sweep_csv_in_flat_memory(tmp_path, capsys):
-    # the CLI sweep holds one block of rows and its CSV text at a time: the
-    # 32k rows at n_max 1024 and the 131k at 2048 peak under one cap, where
-    # rows held whole grow with n_max^2 (6.9 MB at 1024)
-    peaks = []
-    for n_max in (1024, 2048):
-        tracemalloc.start()
-        try:
-            code = main(["verify", "extremal", "--n-max", str(n_max),
-                         "--format", "csv", "--out",
-                         str(tmp_path / "sweep.csv")])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    capsys.readouterr()
-    assert max(peaks) < 3 * 2 ** 20, peaks
 
 
 def test_vdc_discrepancy_in_flat_memory():
@@ -873,24 +819,6 @@ def test_vdc_limits_carried_rows_on_shuffled_points(monkeypatch):
     want = oracles.check_vdc_limits(s_max).to_dict()
     assert len(want["violations"]) > 2 * s_max
     assert check_vdc_limits(s_max).to_dict() == want
-
-
-def test_rational_checkers_run_in_flat_memory():
-    # numpy reports its buffers to tracemalloc: the streamed checkers hold
-    # a few blocks, whatever the size
-    def peak(check, arg):
-        tracemalloc.start()
-        try:
-            check(arg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    for check, small, large in ((grid_hlawka_report, 2 ** 18, 2 ** 21),
-                                (check_vdc_limits, 17, 20)):
-        a, b = peak(check, small), peak(check, large)
-        assert abs(b - a) <= 2 ** 20 and max(a, b) < 16 * 2 ** 20, \
-            (check.__name__, a, b)
 
 
 def test_vdc_limits_guard():

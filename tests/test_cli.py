@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -388,27 +387,6 @@ def test_figure_rows_in_small_blocks(tmp_path, capsys, monkeypatch, alpha):
                 assert text == json.dumps(payload, indent=2) + "\n"
 
 
-def test_figure_in_flat_memory(tmp_path, capsys, monkeypatch):
-    # figure holds one block of rows and its text at a time: 2^16 rows peak
-    # within one block's bytes of 2^14, where the lines of rows held whole
-    # would add about 100 bytes a row. The orbit pass behind the bound
-    # takes blocks of 2^12 points here, below a text block's arrays
-    monkeypatch.setattr(irrational, "SUM_CHUNK", 1 << 12)
-    out = str(tmp_path / "fig.csv")
-    assert main(["figure", "--n-max", "100", "--out", out]) == 0
-    peaks = []
-    for n_max in (1 << 14, 1 << 16):
-        tracemalloc.start()
-        try:
-            code = main(["figure", "--n-max", str(n_max), "--out", out])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    capsys.readouterr()
-    assert peaks[1] < peaks[0] + 64 * products.TEXT_BLOCK, peaks
-
-
 def test_figure_stream_write_failure_leaves_no_file(tmp_path, capsys,
                                                     monkeypatch):
     # the series raises after five rows, with the header already written:
@@ -751,6 +729,36 @@ def test_orbit_n_max_above_kernel_range(tmp_path, capsys, args, command,
                    "the orbit must stay within the fixed-point kernel's "
                    "range\n")
     assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q_max", ["2147483649", "10000000000"])
+def test_q_max_above_kernel_range(tmp_path, capsys, q_max):
+    # the error names --q-max and the largest q_max whose orbit the kernel
+    # takes, before any table or orbit is built, where the kernel's own
+    # message named N = 7645370044 for 10^10
+    code, stdout, err = run(["verify", "kronecker-sandwich", "--q-max",
+                             q_max, "--out", str(tmp_path / "m")], capsys)
+    assert code == 2
+    assert err == ("error: --q-max must be <= 2147483648 for "
+                   "kronecker-sandwich: the orbit, one short of the largest "
+                   "denominator <= --q-max, must stay within the fixed-point "
+                   "kernel's range\n")
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_q_max_at_kernel_range_is_taken(capsys, monkeypatch):
+    # 2^31, whose orbit is at most 2^31 - 1 points, is in range: the
+    # checker is called with it (a stub here, which builds no orbit)
+    seen = []
+
+    def stub(alpha, q_max):
+        seen.append(q_max)
+        return cli.bnd.BoundReport("kronecker-sandwich", {}, (2, q_max))
+
+    monkeypatch.setattr(cli.bnd, "check_kronecker_sandwich", stub)
+    code, _, _ = run(["verify", "kronecker-sandwich", "--q-max",
+                      "2147483648"], capsys)
+    assert code == 0 and seen == [2147483648]
 
 
 def test_orbit_n_max_at_kernel_range_is_taken(capsys, monkeypatch):

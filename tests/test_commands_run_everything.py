@@ -134,14 +134,12 @@ NOT_RUN = {
     "sequences.uniform_grid": _ACCEPTANCE,
     "sequences.PointSet.__post_init__":
         "checks the PointSet of uniform_grid and build_extremal",
-    "sequences.PointSet.__iter__":
-        "a method of PointSet, whose builders the acceptance suite imports",
-    "sequences.PointSet.__len__":
-        "a method of PointSet, whose builders the acceptance suite imports",
     "sequences.RationalArray.__getitem__":
         "a method of RationalArray, which the acceptance suite imports",
     "sequences.RationalArray.__iter__":
-        "a method of RationalArray, which the acceptance suite imports",
+        "bench/checks.py iterates one: brute_force_star_discrepancy of the "
+        "points of a van_der_corput prefix, on every rational-discrepancy "
+        "check",
     "sequences.RationalArray.to_float_array":
         "product_trace takes a RationalArray whole, as the acceptance suite "
         "passes it",

@@ -234,7 +234,7 @@ def test_trace_matches_oracle_kronecker(prefix, period, N):
 
 
 def test_trace_matches_oracle_at_benchmark_sizes(sqrt2m1):
-    assert_trace_equals_oracle(van_der_corput(6000))
+    assert_trace_equals_oracle(van_der_corput(6000).points)
     assert_trace_equals_oracle(kronecker_fixed_point(sqrt2m1, 2000).points())
 
 

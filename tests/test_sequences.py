@@ -167,8 +167,8 @@ def test_rational_array_sequence_protocol():
 def test_range_invariants(sqrt2m1):
     for ps in (kronecker(sqrt2m1, 100), van_der_corput(100),
                uniform_grid(100)):
-        assert len(ps) == 100
-        for x in ps:
+        assert len(ps.points) == 100
+        for x in ps.points:
             assert 0 <= x <= 1
 
 

@@ -489,23 +489,6 @@ def test_streamed_models_in_flat_memory(model, sqrt2m1, monkeypatch):
     assert peaks[1] < peaks[0] + 8 * (1 << 10) * 8, peaks
 
 
-def test_subsequence_memory_per_term(sqrt2m1):
-    # the weights and their prefix sums are held whole, 16 bytes a coin
-    # draw and so 36.8 bytes a term, and the 8 paths draw their coins and
-    # summands block by block: 53.6 and 45.2 bytes a term measured at 2^18
-    # and 2^19 terms, where paths whose coins, positions and terms are held
-    # whole peak at 81. The first run pays the one-time allocations
-    subsequence_product_experiment(sqrt2m1, 8, 1 << 12, seed=1)
-    for N_terms in (1 << 18, 1 << 19):
-        tracemalloc.start()
-        try:
-            subsequence_product_experiment(sqrt2m1, 8, N_terms, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 60 * N_terms, (N_terms, peak / N_terms)
-
-
 # ----------------------------------------------------------------- seeding
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
