@@ -8,8 +8,9 @@ must fit the row's class and cap.
   `SUM_CHUNK` block of float64 (512 KB): the command holds no N-length
   array.
 - c bytes a point: the peak grows by at most c bytes for each point added
-  from n1 to n2. The slope is read, not peak / n: the 4-13 MB of block
-  arrays that do not depend on N would hide a per-point cost.
+  from n1 to n2. The slope is read, not peak / n: the block arrays that
+  do not depend on N (about 11 MB in the Kronecker Hlawka check) would
+  hide a per-point cost.
 
 Both sizes are at least `SUM_CHUNK`, so that every block is full at both
 (`figure`'s row runs its orbit pass in blocks of 2^12 points). The cap
