@@ -36,6 +36,8 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SCREEN_REL = 1e-12
 # the Cesaro limsup proxy is the sup of the mean over N >= this
 CESARO_PROXY_START = 10 ** 3
+# check_vdc_limits checks the octaves s = 1..s_max, s_max at most this
+VDC_MAX_S = 24
 
 
 @dataclass
@@ -318,8 +320,8 @@ def check_vdc_limits(s_max: int) -> BoundReport:
     n1 and at 2^s, each octave's first argmin and the running first argmax
     at each octave's end.
     """
-    if not 1 <= s_max <= 24:
-        raise ValueError("s_max must be in [1, 24]")
+    if not 1 <= s_max <= VDC_MAX_S:
+        raise ValueError(f"s_max must be in [1, {VDC_MAX_S}]")
     n_top = 2 ** (s_max + 1) - 1
     trace = _vdc_trace(n_top)
     at_n1, first, low = {}, {}, {}  # per octave: values, (value, index)

@@ -16,30 +16,29 @@ the precision, which its --precision-bits sets, and the derived bound on
 the log of every row. `verify` and `mc` use the 128-bit fixed-point kernel
 with float64 logs and a derived error bound.
 `figure`, each `verify` theorem and each `mc` model takes exactly the
-options `COMMANDS` lists for it. A run builds only its own command's
-parser (`_Command`), and `weylprod -h` builds none.
+options `COMMANDS` lists for it. A plain command line is read from that
+table (`_read`); argparse reads -h, a usage error and every other form.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
-import shutil
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 
 from . import bounds as bnd
+from . import extremal
 from . import stochastic as st
 from .atomicio import atomic_open
 from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
-                       sweep)
-from .irrational import KERNEL_MAX_N, parse_alpha
+                       sweep, threshold_B)
+from .irrational import KERNEL_MAX_N, cf_expand_until, parse_alpha
 from .products import KERNEL, NORMALIZERS, rotation_products, text_blocks
 
 # Every command's options and their defaults, the one home of both:
@@ -78,106 +77,93 @@ class UsageError(Exception):
     pass
 
 
-class _Command(argparse.ArgumentParser):
-    """A subcommand's parser, built on first use: `add_parser`'s keyword
-    arguments and the command's option builder are kept, and
-    `ArgumentParser.__init__` and the builder run only when argparse first
-    calls one of the three public methods it calls on a subparser:
-    `parse_known_args` (the command was chosen), `format_usage` (a usage
-    error) or `format_help` (its -h). A run uses one command, and building
-    a subparser with its options costs more than parsing a command line."""
+# each option's type (else its default's), choices and help, for every command
+_SPECS = {
+    "--gen": {"choices": ("grid", "vdc", "kronecker")},
+    "--N": {"type": int, "help": "a single N (hlawka --gen grid, or "
+                                 "extremal with --d)"},
+    "--d": {"type": Fraction, "help": "the discrepancy of a single check, "
+                                      "read as an exact decimal"},
+    "--normalizer": {"choices": NORMALIZERS},
+    "--precision-bits": {
+        "type": int, "help": "bits the rows are rounded to (default: the "
+                             "2^24 budget's, or --n-max's above it)"},
+    "--out": {"help": "output file, or mc's file prefix (default "
+                      "%(default)s)"},
+    "--format": {"choices": ("csv", "json")},
+}
+# the namespace name of the theorem or model a command runs
+_CHOSEN = {"verify": "theorem", "mc": "model"}
 
-    def __init__(self, options, **kwargs):
-        self._pending = options, kwargs
 
-    def _build(self) -> None:
-        pending = vars(self).pop("_pending", None)
-        if pending is not None:
-            options, kwargs = pending
-            super().__init__(**kwargs)
-            options(self)
-
-    def parse_known_args(self, *args, **kwargs):
-        self._build()
-        return super().parse_known_args(*args, **kwargs)
-
-    def format_usage(self):
-        self._build()
-        return super().format_usage()
-
-    def format_help(self):
-        self._build()
-        return super().format_help()
+def _spec(flag: str, default) -> dict:
+    """`add_argument`'s keywords for the option `flag` with `default`."""
+    return {"default": default, "type": type(default), **_SPECS.get(flag, {})}
 
 
 def _add_options(parser: argparse.ArgumentParser, options: dict) -> None:
     """Add `options` (flag -> default, a `COMMANDS` entry) to a command's
-    parser. An option takes its default's type unless `specs` gives one,
-    and has the same choices and help under every command."""
-    specs = {
-        "--gen": {"choices": ("grid", "vdc", "kronecker")},
-        "--N": {"type": int, "help": "a single N (hlawka --gen grid, or "
-                                     "extremal with --d)"},
-        "--d": {"type": Fraction, "help": "the discrepancy of a single "
-                                          "check, read as an exact decimal"},
-        "--normalizer": {"choices": NORMALIZERS},
-        "--precision-bits": {
-            "type": int, "help": "bits the rows are rounded to (default: "
-                                 "the 2^24 budget's, or --n-max's above it)"},
-        "--out": {"help": "output file, or mc's file prefix (default "
-                          "%(default)s)"},
-        "--format": {"choices": ("csv", "json")},
-    }
+    parser, with --N-max beside --n-max."""
     for flag, default in options.items():
         names = (flag, "--N-max") if flag == "--n-max" else (flag,)
-        parser.add_argument(*names, default=default,
-                            **{"type": type(default), **specs.get(flag, {})})
+        parser.add_argument(*names, **_spec(flag, default))
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str,
-                  commands: dict) -> None:
-    """A subcommand, built on first use, for each `commands` entry."""
-    sub = parser.add_subparsers(dest=dest, required=True, prog=parser.prog,
-                                parser_class=_Command)
-    for name, options in commands.items():
-        sub.add_parser(name, options=functools.partial(_add_options,
-                                                       options=options),
-                       formatter_class=parser.formatter_class,
-                       allow_abbrev=False)
-
-
-_figure_options = functools.partial(_add_options, options=COMMANDS["figure"])
-_verify_options = functools.partial(_add_commands, dest="theorem",
-                                    commands=COMMANDS["verify"])
-_mc_options = functools.partial(_add_commands, dest="model",
-                                commands=COMMANDS["mc"])
+def _read(argv) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` of a plain command line, `figure`,
+    `verify THEOREM` or `mc MODEL` and then `--flag value` pairs of its
+    `COMMANDS` entry, read without a parser. None, for argparse, on -h, `--`,
+    `--flag=value`, a value that starts with `-` (but `-`), an unknown flag
+    or a value its type or choices refuse."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    chosen, options, rest = {"command": argv[0]}, COMMANDS[argv[0]], argv[1:]
+    if argv[0] in _CHOSEN:
+        if not rest or rest[0] not in options:
+            return None
+        chosen[_CHOSEN[argv[0]]] = rest[0]
+        options, rest = options[rest[0]], rest[1:]
+    values = dict(options)
+    for flag, text in zip(rest[::2], rest[1::2]):
+        flag = "--n-max" if flag == "--N-max" else flag
+        if flag not in options or text.startswith("-") and text != "-":
+            return None
+        spec = _spec(flag, options[flag])
+        try:
+            values[flag] = spec["type"](text)
+        except (ValueError, ArithmeticError):  # argparse reports or raises it
+            return None
+        if values[flag] not in spec.get("choices", (values[flag],)):
+            return None
+    # an odd count leaves a flag without its value, which zip drops
+    return None if len(rest) % 2 else argparse.Namespace(**chosen, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # HelpFormatter's own width, looked up once, not by every add_argument
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     p = argparse.ArgumentParser(
-        prog="weylprod", formatter_class=formatter,
+        prog="weylprod",
         description="Sine-product workbench: figures, bound verification and "
                     "Monte Carlo experiments over [0,1] point sequences.")
-    sub = p.add_subparsers(dest="command", required=True, prog=p.prog,
-                           parser_class=_Command)
-    sub.add_parser(
-        "figure", options=_figure_options, formatter_class=formatter,
-        allow_abbrev=False, help="emit the N,value product series",
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog)
+    _add_options(sub.add_parser(
+        "figure", allow_abbrev=False, help="emit the N,value product series",
         description="Emit prod_{n<=N} |2 sin(pi n alpha)| (optionally "
                     "normalized) as an N,value series. Note {n sqrt(2)} = "
                     "{n (sqrt(2)-1)}, so --alpha sqrt2m1 reproduces series "
-                    "quoted for alpha = sqrt(2).")
-    sub.add_parser("verify", options=_verify_options,
-                   formatter_class=formatter, help="run a bound checker",
-                   description="Run a bound checker: weylprod verify "
-                               "THEOREM -h lists the theorem's options.")
-    sub.add_parser("mc", options=_mc_options, formatter_class=formatter,
-                   help="run a Monte Carlo experiment",
-                   description="Run a Monte Carlo experiment: weylprod mc "
-                               "MODEL -h lists the model's options.")
+                    "quoted for alpha = sqrt(2)."), COMMANDS["figure"])
+    for command, name, about in (("verify", "THEOREM", "a bound checker"),
+                                 ("mc", "MODEL", "a Monte Carlo experiment")):
+        parser = sub.add_parser(
+            command, help=f"run {about}",
+            description=f"Run {about}: weylprod {command} {name} -h lists "
+                        f"the {name.lower()}'s options.")
+        choices = parser.add_subparsers(dest=_CHOSEN[command], required=True,
+                                        prog=parser.prog)
+        for choice, options in COMMANDS[command].items():
+            _add_options(choices.add_parser(choice, allow_abbrev=False),
+                         options)
     return p
 
 
@@ -378,10 +364,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
                          f"kronecker-sandwich: the orbit, one short of the "
                          f"largest denominator <= --q-max, must stay within "
                          f"the fixed-point kernel's range")
+    elif tag == "kronecker-sandwich" and args.q_max < (
+            q_min := cf_expand_until(args.alpha, 1).q[-1]):
+        raise UsageError(f"--q-max must be >= {q_min} for kronecker-sandwich:"
+                         f" the first denominator >= 2 of --alpha {args.alpha}")
+    if tag == "type-growth" and not 1 < args.t < math.inf:
+        raise UsageError("--t must exceed 1 and be finite")
+    if tag == "vdc-limits" and not 1 <= args.s_max <= bnd.VDC_MAX_S:
+        raise UsageError(f"--s-max must be in [1, {bnd.VDC_MAX_S}]")
     out = args.out
     if tag == "extremal":
         if not 0 < args.epsilon < math.inf:
             raise UsageError("--epsilon must be positive and finite")
+        try:
+            threshold_B(args.epsilon)
+        except ValueError:  # the threshold lies past THRESHOLD_CAP
+            raise UsageError(f"--epsilon = {args.epsilon} is too small: its "
+                             f"threshold B lies past {extremal.THRESHOLD_CAP}"
+                             ) from None
         if args.format == "csv" and (args.d is not None or out == "-"):
             raise UsageError("--format csv is written only by the verify "
                              "extremal sweep, to an --out file")
@@ -403,10 +403,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = bnd.check_type_growth(args.alpha, args.n_max, args.t)
     elif tag == "vdc-limits":
         report = bnd.check_vdc_limits(args.s_max)
-    elif tag == "conjectures":
+    else:  # conjectures
         report = bnd.check_kronecker_conjectures(args.alpha, args.n_max)
-    else:  # pragma: no cover - argparse already rejects unknown tags
-        raise UsageError(f"unknown theorem {tag!r}")
     payload = report.to_dict()
     if tag == "extremal" and args.d is not None:
         # a single check compares one row, or none ("passed": None)
@@ -449,9 +447,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read(argv) or build_parser().parse_args(argv)
     except SystemExit:
         # --help (or a usage error) printed before exiting: flush it as
         # `_emit` does, so that a closed stdout ends it quietly

@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from oracles import mpf_trace, series_rows
+from test_commands_run_everything import CODES, RUNS
 from weylprod import cli, extremal, irrational, products
 from weylprod import stochastic as st
 from weylprod.atomicio import atomic_open
@@ -214,14 +218,22 @@ FIGURE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(FIGURE_SHA256, key=str))
-def test_figure_output_pinned(capsys, key):
-    precision_bits, normalizer, fmt = key
+def figure_argv(alpha, n_max, normalizer, fmt, *flags):
+    """The command line of a pinned figure run."""
+    return ["figure", *flags, "--alpha", alpha, "--n-max", str(n_max),
+            "--normalizer", normalizer, "--format", fmt]
+
+
+def figure_pin_argv(precision_bits, normalizer, fmt):
+    """The command line that FIGURE_SHA256 pins for one key."""
     flags = ([] if precision_bits is None
              else ["--precision-bits", str(precision_bits)])
-    code, out, _ = run(["figure", *flags, "--alpha", FIGURE_ALPHA,
-                        "--n-max", str(FIGURE_N), "--normalizer", normalizer,
-                        "--format", fmt], capsys)
+    return figure_argv(FIGURE_ALPHA, FIGURE_N, normalizer, fmt, *flags)
+
+
+@pytest.mark.parametrize("key", sorted(FIGURE_SHA256, key=str))
+def test_figure_output_pinned(capsys, key):
+    code, out, _ = run(figure_pin_argv(*key), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_SHA256[key]
 
@@ -251,11 +263,14 @@ FIGURE_EXPONENT_SHA256 = {
 }
 
 
+FIGURE_EXPONENT_N = 300
+
+
 @pytest.mark.parametrize("key", sorted(FIGURE_EXPONENT_SHA256))
 def test_figure_exponent_rows_pinned(capsys, key):
     alpha, normalizer, fmt = key
-    code, out, _ = run(["figure", "--alpha", alpha, "--n-max", "300",
-                        "--normalizer", normalizer, "--format", fmt], capsys)
+    code, out, _ = run(figure_argv(alpha, FIGURE_EXPONENT_N, normalizer, fmt),
+                       capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         FIGURE_EXPONENT_SHA256[key]
@@ -288,9 +303,8 @@ FIGURE_ANCHORS_SHA256 = {
 @pytest.mark.parametrize("key", sorted(FIGURE_ANCHORS_SHA256))
 def test_figure_many_anchors_pinned(capsys, key):
     alpha, normalizer, fmt = key
-    code, out, _ = run(["figure", "--alpha", alpha, "--n-max",
-                        str(FIGURE_ANCHORS_N), "--normalizer", normalizer,
-                        "--format", fmt], capsys)
+    code, out, _ = run(figure_argv(alpha, FIGURE_ANCHORS_N, normalizer, fmt),
+                       capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         FIGURE_ANCHORS_SHA256[key]
@@ -582,7 +596,7 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     (["extremal", "--N", "0", "--d", "0.5"], "--N"),
     (["extremal", "--N", "-4", "--d", "0.5"], "--N"),
     # NaN fails every comparison, so the guards are written to reject it
-    (["type-growth", "--n-max", "50", "--t", "nan"], "t must exceed 1"),
+    (["type-growth", "--n-max", "50", "--t", "nan"], "--t"),
     (["extremal", "--N", "8", "--d", "0.125", "--epsilon", "nan"],
      "--epsilon"),
     (["extremal", "--epsilon", "nan"], "--epsilon"),
@@ -592,10 +606,23 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     (["hlawka", "--gen", "kronecker", "--n-max", "10"],
      "got 16 (--n-min defaults to 16)"),
     # JSON has no Infinity: the reports would print it
-    (["type-growth", "--n-max", "10", "--t", "inf"], "t must exceed 1"),
+    (["type-growth", "--n-max", "10", "--t", "inf"], "--t"),
     (["extremal", "--N", "8", "--d", "0.125", "--epsilon", "inf"],
      "--epsilon"),
     (["extremal", "--epsilon", "inf"], "--epsilon"),
+    # the limits the library sets, checked before any table or orbit
+    (["type-growth", "--n-max", "10", "--t", "0.5"], "--t"),
+    (["type-growth", "--n-max", "10", "--t", "1"], "--t"),
+    (["vdc-limits", "--s-max", "30"], "--s-max must be in [1, 24]"),
+    (["vdc-limits", "--s-max", "0"], "--s-max must be in [1, 24]"),
+    (["kronecker-sandwich", "--q-max", "1"], "--q-max must be >= 2"),
+    (["kronecker-sandwich", "--q-max", "-7"], "--q-max must be >= 2"),
+    # [0; 3, 3, ...]: its first denominator >= 2 is 3
+    (["kronecker-sandwich", "--alpha", "(-3+1*sqrt(13))/2", "--q-max", "2"],
+     "--q-max must be >= 3"),
+    (["extremal", "--epsilon", "1e-12"], "--epsilon"),
+    (["extremal", "--N", "8", "--d", "0.125", "--epsilon", "1e-12"],
+     "--epsilon"),
 ])
 def test_verify_size_below_one_names_flag(capsys, args, flag):
     # rejected as usage errors, not run at a default size or crashed
@@ -1113,26 +1140,32 @@ ALPHA_FREE_SHA256 = {
 }
 
 
-def pinned_outputs(tmp_path, capsys, alpha, command):
-    """The bytes that OUTPUT_SHA256 pins for one (alpha, command), and
-    ALPHA_FREE_SHA256 for one command when alpha is None: an mc run's CSV
-    and JSON, the sweep's CSV file and its report on stdout, or a verify
-    report on stdout."""
+def pin_argv(alpha, command, tmp_path):
+    """The command line that OUTPUT_SHA256 pins for one (alpha, command),
+    and ALPHA_FREE_SHA256 for one command when alpha is None, with an mc
+    run's file prefix or the sweep's CSV file in `tmp_path`."""
     argv = PIN_COMMANDS[command]
     if alpha is not None:
         argv = argv + ["--alpha", PIN_ALPHAS[alpha]]
     if argv[0] == "mc":
-        prefix = tmp_path / "pin"
-        code, _, _ = run(argv + ["--out", str(prefix)], capsys)
-        assert code == 0
-        return [Path(f"{prefix}.{ext}").read_bytes() for ext in ("csv", "json")]
-    if "csv" in argv:
-        path = tmp_path / "pin.csv"
-        code, out, _ = run(argv + ["--out", str(path)], capsys)
-        assert code in (0, 1)
-        return [path.read_bytes(), out.encode()]
+        return argv + ["--out", str(tmp_path / "pin")]
+    return argv + ["--out", str(tmp_path / "pin.csv")] if "csv" in argv \
+        else argv
+
+
+def pinned_outputs(tmp_path, capsys, alpha, command):
+    """The bytes that `pin_argv`'s command line writes: an mc run's CSV and
+    JSON, the sweep's CSV file and its report on stdout, or a verify report
+    on stdout."""
+    argv = pin_argv(alpha, command, tmp_path)
     code, out, _ = run(argv, capsys)
+    if argv[0] == "mc":
+        assert code == 0
+        return [(tmp_path / f"pin.{ext}").read_bytes()
+                for ext in ("csv", "json")]
     assert code in (0, 1)
+    if "csv" in argv:
+        return [(tmp_path / "pin.csv").read_bytes(), out.encode()]
     return [out.encode()]
 
 
@@ -1225,27 +1258,6 @@ def test_help_and_usage_text_pinned(case, monkeypatch, capsys):
                                         case["stderr"])
 
 
-def refuse(name):
-    def build(parser):
-        raise AssertionError(f"{name} ran")
-    return build
-
-
-@pytest.mark.parametrize("argv, built", [
-    (["verify", "ostrowski", "--n-max", "100"], "_verify_options"),
-    (["figure", "--n-max", "2"], "_figure_options"),
-    (["mc", "iid", "--paths", "2", "--n-max", "1000", "--out", "{tmp}/mc"],
-     "_mc_options"),
-    (["-h"], None)])
-def test_only_the_invoked_command_is_built(argv, built, tmp_path,
-                                           monkeypatch, capsys):
-    for name in ("_figure_options", "_verify_options", "_mc_options"):
-        if name != built:
-            monkeypatch.setattr(cli, name, refuse(name))
-    assert exit_code([a.format(tmp=tmp_path) for a in argv]) == 0
-    assert capsys.readouterr().out
-
-
 # figure, each verify theorem and each mc model
 COMMAND_NAMES = [["figure"]] + [[group, name] for group in ("verify", "mc")
                                 for name in cli.COMMANDS[group]]
@@ -1255,22 +1267,6 @@ def command_options(names):
     """The COMMANDS entry of the command `names`."""
     options = cli.COMMANDS[names[0]]
     return options[names[1]] if len(names) == 2 else options
-
-
-@pytest.mark.parametrize("names", COMMAND_NAMES[1:], ids=" ".join)
-def test_only_the_chosen_theorem_or_model_is_built(names, monkeypatch,
-                                                   capsys):
-    built = []
-    real = cli._add_options
-
-    def add_options(parser, options):
-        built.append(options)
-        real(parser, options)
-
-    monkeypatch.setattr(cli, "_add_options", add_options)
-    assert exit_code([*names, "-h"]) == 0
-    assert capsys.readouterr().out
-    assert len(built) == 1 and built[0] is command_options(names)
 
 
 @pytest.mark.parametrize("names", COMMAND_NAMES, ids=" ".join)
@@ -1285,7 +1281,6 @@ def test_each_command_takes_exactly_its_options(names, capsys):
         sub, = (a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
         parser = sub.choices[name]
-        parser.format_usage()  # builds it
     actions = [a for a in parser._actions if a.dest != "help"]
     assert {a.option_strings[0]: a.default for a in actions} == options
     aliases = [s for a in actions for s in a.option_strings[1:]]
@@ -1297,6 +1292,158 @@ def test_each_command_takes_exactly_its_options(names, capsys):
         assert exit_code([*names, flag, "1"]) == 2, flag
         assert f"unrecognized arguments: {flag} 1\n" in \
             capsys.readouterr().err
+
+
+# ------------------------------------------------------------- the reader
+
+def parsed(argv):
+    """What argparse reads from `argv` as text that compares its values by
+    type and reads a NaN as equal to itself; None where argparse exits."""
+    try:
+        return repr(sorted(vars(cli.build_parser().parse_args(argv)).items()))
+    except SystemExit:
+        return None
+
+
+def read(argv):
+    """`cli._read(argv)` as the same text, or None."""
+    args = cli._read(argv)
+    return None if args is None else repr(sorted(vars(args).items()))
+
+
+ENTRIES = [cli.COMMANDS["figure"], *cli.COMMANDS["verify"].values(),
+           *cli.COMMANDS["mc"].values()]
+FLAGS = sorted({flag for entry in ENTRIES for flag in entry}
+               | {"--N-max", "-h", "--"})
+VALUES = ["5", "-5", "-", "", "1_000", " 7", "1/0", "nan", "x", "--n-max=3",
+          "2", "0.125", "sqrt2m1",
+          *sorted({choice for spec in cli._SPECS.values()
+                   for choice in spec.get("choices", ())})]
+NAMES = ["figure", "verify", "mc", *cli.COMMANDS["verify"],
+         *cli.COMMANDS["mc"]]
+TOKEN = hs.sampled_from(NAMES + FLAGS + VALUES)
+
+
+def pairs_of(names):
+    """The command `names`, then pairs of one of its flags and a value."""
+    own = hs.sampled_from([*command_options(names), "--N-max"])
+    pairs = hs.lists(hs.tuples(own, hs.sampled_from(VALUES)), max_size=3)
+    return pairs.map(lambda pairs: [*names, *chain(*pairs)])
+
+
+# any tokens, or a command's names and flag-value pairs, so that many
+# lines are plain
+LINES = hs.one_of(hs.lists(TOKEN, max_size=8),
+                  hs.sampled_from(COMMAND_NAMES).flatmap(pairs_of))
+
+
+@settings(max_examples=500)
+@given(LINES)
+@example(["verify", "type-growth", "--t", "nan", "--N-max", " 7"])
+@example(["figure", "--n-max", "1_000", "--out", "-", "--format", "json"])
+@example(["verify", "extremal", "--N", "8", "--d", "1/0"])
+def test_reader_agrees_with_argparse(argv):
+    # the table reads a line as argparse does, or leaves it to argparse
+    got = read(argv)
+    assert got is None or got == parsed(argv)
+
+
+def test_plain_lines_are_read_from_the_table(tmp_path):
+    # every line the unused-code guard and the pinned-output tests run, but
+    # -h and argparse's usage errors, is read without argparse, as argparse
+    # reads it
+    guard = [[a.replace("{tmp}", str(tmp_path)) for a in argv]
+             for argv, code in zip(RUNS, CODES)
+             if code == 0 and "-h" not in argv]
+    assert len(guard) == len(RUNS) - 3
+    lines = [*guard, *(figure_pin_argv(*key) for key in FIGURE_SHA256),
+             *(figure_argv(alpha, FIGURE_EXPONENT_N, normalizer, fmt)
+               for alpha, normalizer, fmt in FIGURE_EXPONENT_SHA256),
+             *(figure_argv(alpha, FIGURE_ANCHORS_N, normalizer, fmt)
+               for alpha, normalizer, fmt in FIGURE_ANCHORS_SHA256),
+             *(pin_argv(*key, tmp_path) for key in OUTPUT_SHA256),
+             *(pin_argv(None, command, tmp_path)
+               for command in ALPHA_FREE_SHA256)]
+    for argv in lines:
+        assert read(argv) is not None and read(argv) == parsed(argv), argv
+    for case in CLI_TEXT["cases"]:
+        argparse_text = "-h" in case["argv"] or \
+            case["stderr"].startswith("usage:")
+        assert (read(case["argv"]) is None) == argparse_text, case["argv"]
+
+
+# one plain line of figure, of each verify theorem and of each mc model, at
+# a small size, by the command's last name
+SMALL = {"figure": ["--n-max", "2"],
+         "hlawka": ["--n-max", "100"],
+         "extremal": ["--n-max", "16"],
+         "kronecker-sandwich": ["--q-max", "100"],
+         "ostrowski": ["--n-max", "100"],
+         "cesaro": ["--n-max", "100"],
+         "type-growth": ["--n-max", "100", "--t", "2"],
+         "vdc-limits": ["--s-max", "4"],
+         "conjectures": ["--n-max", "100"],
+         "iid": ["--paths", "2", "--n-max", "1000"],
+         "rademacher": ["--paths", "2", "--n-max", "200"],
+         "subsequence": ["--paths", "2", "--terms", "200"]}
+
+
+@pytest.mark.parametrize("names", COMMAND_NAMES, ids=" ".join)
+def test_a_plain_line_builds_no_parser(names, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = [*names, *SMALL[names[-1]], "--out", str(tmp_path / "out")]
+    assert exit_code(argv) == 0
+    assert built == []
+    # the count sees the parsers that -h builds
+    assert exit_code([*names, "-h"]) == 0 and built
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a checker ran")
+
+
+@pytest.mark.parametrize("args", [
+    ["type-growth", "--t", "0.5"],
+    ["vdc-limits", "--s-max", "30"],
+    ["kronecker-sandwich", "--q-max", "1"],
+    ["extremal", "--epsilon", "1e-12"],
+    ["extremal", "--N", "8", "--d", "0.125", "--epsilon", "1e-12"]])
+def test_range_errors_come_before_the_checker(args, monkeypatch, capsys):
+    for name in ("check_type_growth", "check_vdc_limits",
+                 "check_kronecker_sandwich", "kronecker_log_trace"):
+        monkeypatch.setattr(cli.bnd, name, refuse)
+    for name in ("sweep", "sup_product_lower_bound"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, stdout, err = run(["verify", *args], capsys)
+    assert code == 2 and stdout == "" and err.startswith("error: --")
+
+
+@pytest.mark.parametrize("args", [
+    ["kronecker-sandwich", "--alpha", "(-3+1*sqrt(13))/2", "--q-max", "3"],
+    ["kronecker-sandwich", "--q-max", "2"],
+    ["vdc-limits", "--s-max", "1"],
+    ["type-growth", "--n-max", "10", "--t", "1.000001"],
+    ["extremal", "--n-max", "16", "--epsilon", "0.01"]])
+def test_range_edges_are_taken(args, capsys):
+    code, stdout, _ = run(["verify", *args], capsys)
+    assert code == 0 and json.loads(stdout)["passed"] is not False
+
+
+def test_epsilon_error_names_the_threshold_cap(monkeypatch, capsys):
+    # B(0.01) lies past 1000: the message gives the cap the library reads
+    monkeypatch.setattr(extremal, "THRESHOLD_CAP", 1000)
+    code, _, err = run(["verify", "extremal", "--n-max", "16", "--epsilon",
+                        "0.01"], capsys)
+    assert code == 2
+    assert err == ("error: --epsilon = 0.01 is too small: its threshold B "
+                   "lies past 1000\n")
 
 
 def test_unwritable_out_exit_3(tmp_path, capsys):
