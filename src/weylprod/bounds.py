@@ -329,7 +329,7 @@ def check_vdc_limits(s_max: int) -> BoundReport:
     best = (-math.inf, 0)
     # dyadics with at most 25 bits are exact in float64
     for start, cum in zip(range(0, n_top, SUM_CHUNK),
-                          trace.prefix_blocks(van_der_corput_blocks(n_top))):
+                          map(trace.prefix, van_der_corput_blocks(n_top))):
         i, end = start, start + len(cum)
         while i < end:
             s = (i + 1).bit_length() - 1  # the octave of n = i + 1
@@ -434,7 +434,7 @@ def grid_hlawka_report(N: int) -> BoundReport:
     # (N+1)/2, on either side
     ends = np.array([1, N, den // 2, den - den // 2]) / den
     trace = BlockTrace(N, term_max(ends))
-    for cum in trace.prefix_blocks(uniform_grid_blocks(N)):
+    for cum in map(trace.prefix, uniform_grid_blocks(N)):
         lhs = float(cum[-1])
     # Delta_N = N D_N* = N/(N+1), correctly rounded
     rhs, tol = _hlawka_rhs(N, N / den, trace.error_bound(), None)
@@ -455,25 +455,26 @@ def _vdc_trace(N: int) -> BlockTrace:
 def hlawka_sequence_report(kind: str, N_max: int, N_min: int,
                            alpha: IrrationalSpec | None = None) -> BoundReport:
     """Hlawka check over all prefixes of the van der Corput or Kronecker
-    sequence, in one block loop: its `HlawkaScreen` reads each block of
-    log P_N, from a `BlockTrace` of the points, beside the block of exact
-    Delta_N (van der Corput) or of `kronecker_discrepancy`'s bracket."""
+    sequence, in one loop over blocks (points, lower, upper): its
+    `HlawkaScreen` reads log P_N, from a `BlockTrace` of the points, beside
+    the exact Delta_N of `vdc_discrepancy` or `kronecker_discrepancy`'s
+    bracket."""
+    starts = range(0, N_max, SUM_CHUNK)
     if kind == "kronecker":
         if alpha is None:
             raise ValueError("kronecker generator needs alpha")
         orbit = kronecker_fixed_point(alpha, N_max)
         trace = BlockTrace(N_max, term_max(orbit.dist))
         bracket = kronecker_discrepancy(orbit)
-        points = (orbit[s:s + SUM_CHUNK] for s in range(0, N_max, SUM_CHUNK))
-        pairs, params = bracket.blocks(), {"gen": kind, "alpha": str(alpha)}
-    elif kind == "vdc":
-        pairs = ((d, d) for d in vdc_discrepancy(N_max))  # refuses N_max < 1
+        blocks = ((orbit[s:s + SUM_CHUNK], lower, upper)
+                  for s, (lower, upper) in zip(starts, bracket.blocks()))
+        params = {"gen": kind, "alpha": str(alpha)}
+    elif kind == "vdc":  # vdc_discrepancy refuses N_max < 1
+        blocks = ((x, d, d) for x, d in vdc_discrepancy(N_max))
         bracket, trace, params = None, _vdc_trace(N_max), {"gen": kind}
-        points = van_der_corput_blocks(N_max)
     else:
         raise ValueError(f"unknown generator {kind!r}")
     screen = HlawkaScreen(N_min, N_max, bracket)
-    for s, logs, (lower, upper) in zip(range(0, N_max, SUM_CHUNK),
-                                       trace.prefix_blocks(points), pairs):
-        screen.feed(logs, lower, upper, s)
+    for s, (points, lower, upper) in zip(starts, blocks):
+        screen.feed(trace.prefix(points), lower, upper, s)
     return screen.report(trace.error_bound(), {**params, "N_max": N_max})

@@ -18,27 +18,30 @@ with float64 logs and a derived error bound.
 `figure`, each `verify` theorem and each `mc` model takes exactly the
 options `COMMANDS` lists for it. A plain command line is read from that
 table (`_read`); argparse reads -h, a usage error and every other form.
+Every output file is written here, by `_emit`, whole or not at all; the
+library modules return text and write no file.
 """
 
 from __future__ import annotations
 
 import argparse
+import fractions
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext
-from fractions import Fraction
+from collections import deque
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 from . import bounds as bnd
 from . import extremal
 from . import stochastic as st
-from .atomicio import atomic_open
 from .extremal import (ExtremalConfig, Sweep, extremal_product_closed_form,
                        sup_product_lower_bound, sup_product_upper_bound,
                        sweep, threshold_B)
-from .irrational import KERNEL_MAX_N, cf_expand_until, parse_alpha
+from .irrational import (KERNEL_MAX_N, MIN_PRECISION_BITS, cf_expand_until,
+                         parse_alpha)
 from .products import KERNEL, NORMALIZERS, rotation_products, text_blocks
 
 # Every command's options and their defaults, the one home of both:
@@ -75,6 +78,20 @@ COMMANDS = {
 
 class UsageError(Exception):
     pass
+
+
+def Fraction(text: str) -> fractions.Fraction:
+    """--d's type, `fractions.Fraction(text)`, with a ValueError for a zero
+    denominator and, before 10^exponent is built, for an exponent past
+    +-10^4: no such d lies in [1/(2 --N), 1], as `int` reads at most 4300
+    digits (Python's default), for --N and for the decimal's digits."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > 10 ** 4:
+        raise ValueError(text)
+    try:
+        return fractions.Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
 
 
 # each option's type (else its default's), choices and help, for every command
@@ -132,7 +149,7 @@ def _read(argv) -> argparse.Namespace | None:
         spec = _spec(flag, options[flag])
         try:
             values[flag] = spec["type"](text)
-        except (ValueError, ArithmeticError):  # argparse reports or raises it
+        except ValueError:  # argparse reports it
             return None
         if values[flag] not in spec.get("choices", (values[flag],)):
             return None
@@ -167,12 +184,41 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextmanager
+def _atomic_open(path):
+    """`_emit`'s ASCII file handle for `path`: a temporary file beside it,
+    made as `open` makes `path` (0o666 less the umask), renamed over it
+    (`os.replace`) once the block finishes and removed if it raises. A
+    link's target is replaced and the link stays; a `path` that is not a
+    regular file (/dev/null, a pipe) is written in place. A temporary file
+    that cannot be made raises the OSError for `path` itself."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(real, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(real)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(parts, out: str | None) -> None:
     """Write the strings of the iterable `parts` in order to stdout, or
-    atomically to the file `out`: if producing a part raises, no file is
-    left behind. A reader that closes stdout early ends the output quietly:
-    stdout then points at the null device, so that the interpreter's flush
-    at exit does not fail again."""
+    atomically to the file `out` (`_atomic_open`): if producing a part
+    raises, no file is left behind. A reader that closes stdout early ends
+    the output quietly: stdout then points at the null device, so that the
+    interpreter's flush at exit does not fail again."""
     if out in (None, "-"):
         try:
             for part in parts:
@@ -183,7 +229,7 @@ def _emit(parts, out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
     else:
-        with atomic_open(out) as fh:
+        with _atomic_open(out) as fh:
             for part in parts:
                 fh.write(part)
 
@@ -198,8 +244,9 @@ def _orbit_n_max(args: argparse.Namespace, command: str) -> None:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.precision_bits is not None and args.precision_bits < 68:
-        raise UsageError("--precision-bits must be >= 68")
+    if args.precision_bits is not None and \
+            args.precision_bits < MIN_PRECISION_BITS:
+        raise UsageError(f"--precision-bits must be >= {MIN_PRECISION_BITS}")
     if args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     _orbit_n_max(args, "figure")
@@ -237,6 +284,8 @@ def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
         raise UsageError("verify extremal --d needs --N")
     if args.N < 1:
         raise UsageError("--N must be >= 1")
+    if not (low := fractions.Fraction(1, 2 * args.N)) <= args.d <= 1:
+        raise UsageError(f"--d must be in [1/(2 --N), 1] = [{low}, 1]")
     d = float(args.d)
     lo = sup_product_lower_bound(args.N, d)
     hi = sup_product_upper_bound(args.N, d, args.epsilon)
@@ -286,11 +335,10 @@ def _verify_extremal_sweep(args: argparse.Namespace) -> bnd.BoundReport:
         raise UsageError("--n-max must be >= 8")
     report = bnd.BoundReport(
         "extremal", {"N_max": n_max, "epsilon": args.epsilon}, (8, n_max))
-    csv = args.format == "csv"
     lower_fail_N = upper_fail_N = 0
-    with atomic_open(args.out) if csv else nullcontext() as fh:
-        if csv:
-            fh.write(Sweep.CSV_HEADER)
+
+    def blocks():
+        nonlocal lower_fail_N, upper_fail_N
         for rows in _sweep_blocks(n_max, args.epsilon):
             N, lower_fail = rows.N, ~rows.holds_lower
             lower_fail_N = max(lower_fail_N,
@@ -300,8 +348,13 @@ def _verify_extremal_sweep(args: argparse.Namespace) -> bnd.BoundReport:
             v = lower_fail & (N >= 64)
             report.violations += zip(N[v].tolist(), rows.log_lower[v].tolist(),
                                      rows.log_p[v].tolist())
-            if csv:
-                fh.write(rows.csv_text())
+            yield rows
+
+    if args.format == "csv":
+        _emit(chain([Sweep.CSV_HEADER], map(Sweep.csv_text, blocks())),
+              args.out)
+    else:
+        deque(blocks(), 0)  # the report alone
     report.passed = not report.violations
     report.empirical_constants = {
         "lower_holds_from_N": lower_fail_N + 2,
@@ -440,8 +493,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
                              f"fixed-point kernel's range")
         stats = st.subsequence_product_experiment(args.alpha, args.paths,
                                                   args.terms, args.seed)
-    st.write_paths_csv(stats, args.out + ".csv")
-    st.write_summary_json(stats, args.out + ".json")
+    _emit([st.paths_csv(stats)], args.out + ".csv")
+    _emit([json.dumps(st.summary_dict(stats), indent=2, sort_keys=True)
+           + "\n"], args.out + ".json")
     _emit([f"wrote {args.out}.csv and {args.out}.json\n"], None)
     return 0
 

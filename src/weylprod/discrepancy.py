@@ -3,7 +3,9 @@
 D_N* = sup_a |A_N(a)/N - a| with A_N(a) counting points in [0, a). For a
 sorted multiset the supremum is max_i max(x_(i) - (i-1)/N, i/N - x_(i)),
 which handles repeated points correctly under the half-open counting
-convention.
+convention. The prefix forms: `discrepancy_trace`, the O(N^2) float64
+reference, as three arrays; the van der Corput points' exact Delta_n
+beside their blocks (`vdc_discrepancy`); a Kronecker orbit's bracket.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .irrational import FixedPointOrbit
-from .numerics import SUM_CHUNK, PrefixSum, as_float_array
+from .numerics import SUM_CHUNK, PrefixSum
 from .sequences import PointSet, RationalArray, van_der_corput_blocks
 
 
@@ -97,8 +99,7 @@ def _float(xs: np.ndarray) -> DiscrepancyResult:
 @dataclass(frozen=True, eq=False)
 class DiscrepancyTrace:
     """D_N* of every prefix N = 1..len of a point sequence, as float64
-    arrays `d_star`, `delta` = N d_star and `anchor`; indexing and iteration
-    give one DiscrepancyResult per prefix."""
+    arrays `d_star`, `delta` = N d_star and `anchor`."""
 
     d_star: np.ndarray
     delta: np.ndarray
@@ -106,14 +107,6 @@ class DiscrepancyTrace:
 
     def __len__(self):
         return len(self.d_star)
-
-    def __getitem__(self, i):
-        return DiscrepancyResult(float(self.d_star[i]), float(self.delta[i]),
-                                 float(self.anchor[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +207,8 @@ def kronecker_discrepancy(orbit: FixedPointOrbit) -> PrefixDiscrepancy:
 def vdc_discrepancy(N: int):
     """Delta_n = n D_n* of the van der Corput points phi(1..n), for every
     prefix n = 1..N of `van_der_corput(N)`, exactly, in float64 blocks of
-    SUM_CHUNK n = 1, 2, ... in order (the last one shorter):
+    SUM_CHUNK n = 1, 2, ... in order (the last one shorter), each as a
+    pair (points phi(n), Delta_n) with a block of `van_der_corput_blocks`:
 
         Delta_n = 2^-v + sum_{k=1}^{n-1} (1 - 2 phi(k)),   v = v_2(n + 1).
 
@@ -255,7 +249,7 @@ def vdc_discrepancy(N: int):
             carry += int(terms.sum())
             m = np.arange(s + 2, s + 2 + len(terms), dtype=np.int64)  # n + 1
             scaled += den // (m & -m)                # den >> v
-            yield scaled / den
+            yield block, scaled / den
 
     return blocks()
 
@@ -267,7 +261,7 @@ def discrepancy_trace(ps) -> DiscrepancyTrace:
     per-prefix sorted-order formula max_i max(x_(i) - (i-1)/N, i/N - x_(i))
     evaluated in float64: one sorted insertion per prefix, O(N^2) in all.
     """
-    pts = as_float_array(_points_of(ps))
+    pts = np.array([float(x) for x in _points_of(ps)], dtype=np.float64)
     if len(pts) < 1:
         raise ValueError("need at least one point")
     d_star = np.empty(len(pts), dtype=np.float64)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,10 +92,14 @@ def scaled_floor(alpha: IrrationalSpec, bits: int, n: int = 1) -> int:
                       alpha.c, alpha.d)
 
 
+# the fewest bits of a precision budget, `figure --precision-bits` too
+MIN_PRECISION_BITS = 68
+
+
 def check_precision_bits(precision_bits: int) -> None:
-    if precision_bits < 68:
-        raise ValueError("precision_bits must be >= 68 to keep the "
-                         "error bound below 2^-64")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS} "
+                         f"to keep the error bound below 2^-64")
 
 
 @dataclass(frozen=True)
@@ -170,19 +175,6 @@ class ConvergentTable:
     p: tuple
     q: tuple
 
-    def level_of(self, n: int) -> int:
-        """Largest l with q_l <= n; requires the table to reach past n."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        if self.q[-1] <= n:
-            raise ValueError(
-                f"convergent table too shallow: q_K = {self.q[-1]} <= {n}"
-            )
-        l = len(self.q) - 1
-        while self.q[l] > n:
-            l -= 1
-        return l
-
 
 def cf_expand(alpha: IrrationalSpec, K: int) -> ConvergentTable:
     """Continued fraction expansion of alpha to K partial quotients."""
@@ -246,19 +238,20 @@ class OstrowskiDigits:
     value: int
     level: int
 
-    def reconstruct(self, table: ConvergentTable) -> int:
-        return sum(b * q for b, q in zip(self.digits, table.q))
-
 
 def ostrowski(N: int, table: ConvergentTable) -> OstrowskiDigits:
-    """Greedy digit expansion N = sum b_i q_i with q_l <= N < q_{l+1}.
+    """Greedy digit expansion N = sum b_i q_i with q_l <= N < q_{l+1}, the
+    level l found by bisection of `table.q`, which must pass N.
 
     The greedy choice from the top yields the canonical form: b_i <= a_{i+1},
     b_0 < a_1, and b_i = a_{i+1} forces b_{i-1} = 0.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    l = table.level_of(N)
+    if table.q[-1] <= N:
+        raise ValueError(
+            f"convergent table too shallow: q_K = {table.q[-1]} <= {N}")
+    l = bisect_right(table.q, N) - 1
     rem = N
     digits = [0] * (l + 1)
     for i in range(l, -1, -1):

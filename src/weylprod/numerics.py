@@ -172,16 +172,6 @@ def compensated_cumsum(a: np.ndarray) -> tuple:
     return out, acc.error_bound()
 
 
-def as_float_array(points) -> np.ndarray:
-    """Convert a sequence of Fraction/mpf/float points to a float64 array."""
-    if isinstance(points, np.ndarray):
-        return points.astype(np.float64, copy=False)
-    conv = getattr(points, "to_float_array", None)
-    if conv is not None:
-        return conv()
-    return np.array([float(x) for x in points], dtype=np.float64)
-
-
 def decimal_str(x, digits: int = 40) -> str:
     """Render a value with `digits` significant decimal digits.
 

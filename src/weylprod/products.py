@@ -117,7 +117,7 @@ class BlockTrace:
     held, in four work arrays of min(n, SUM_CHUNK) points kept from block
     to block (a `Scratch`): the terms in slot 3, and in slots 0-2, which
     the sums take next, a block's float points, their rounding charges and
-    the terms' bounds; `prefix_blocks` writes each block's sums to slot 4.
+    the terms' bounds; `prefix` writes a block's sums to slot 4.
 
     Each point is charged its error. Float64 values are taken as exact.
     A `RationalArray` block over `den` is converted to float64 and charged
@@ -162,10 +162,10 @@ class BlockTrace:
         self.term_error += err
         return self.sums.feed(terms, out)
 
-    def prefix_blocks(self, blocks):
-        """`feed` of each block of `blocks`, in order, written to slot 4 of
-        the work arrays: the next block overwrites the products."""
-        return (self.feed(x, self.work.get(4, len(x))) for x in blocks)
+    def prefix(self, x):
+        """`feed` of the next block `x`, written to slot 4 of the work
+        arrays: the next block overwrites the products."""
+        return self.feed(x, self.work.get(4, len(x)))
 
     def error_bound(self) -> float:
         """The bound on the error of every prefix log-product so far; for

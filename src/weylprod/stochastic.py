@@ -20,11 +20,11 @@ the outputs equal theirs bit for bit.
 The iid model runs a block's paths on one thread per core (`_cores`); the
 other two run on the calling thread alone. A path's step touches only that
 path's state, so every output byte is the same for any number of threads.
+`cli` writes the CSV text of `paths_csv` and the JSON of `summary_dict`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -33,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomicio import atomic_open
 from .irrational import (KERNEL_MAX_N, IrrationalSpec, kronecker_fixed_point,
                          kronecker_fixed_point_blocks)
 from .numerics import SUM_CHUNK, log_two_sin_pi_array
@@ -539,12 +538,10 @@ def subsequence_product_experiment(alpha: IrrationalSpec, n_paths: int,
     return stats
 
 
-def write_paths_csv(stats: PathStatistics, path) -> None:
+def paths_csv(stats: PathStatistics) -> str:
     """One row per path at its ratio argmax: "path_id,N,S_N,B_N,ratio"."""
-    text = "".join([f"{pid},{n},{s!r},{b!r},{r!r}\n"
-                    for pid, n, s, b, r in stats.rows])
-    with atomic_open(path) as fh:
-        fh.write("path_id,N,S_N,B_N,ratio\n" + text)
+    return "path_id,N,S_N,B_N,ratio\n" + "".join(
+        [f"{pid},{n},{s!r},{b!r},{r!r}\n" for pid, n, s, b, r in stats.rows])
 
 
 def _ratio_quantiles(ratios: np.ndarray) -> dict:
@@ -588,9 +585,3 @@ def summary_dict(stats: PathStatistics) -> dict:
         "ratio_quantiles": _ratio_quantiles(ratios),
         "details": scalars,
     }
-
-
-def write_summary_json(stats: PathStatistics, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(summary_dict(stats), fh, indent=2, sort_keys=True)
-        fh.write("\n")

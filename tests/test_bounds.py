@@ -70,7 +70,7 @@ def ostrowski_rhs_oracle(alpha, N_max):
 
 def cesaro_rhs_oracle(alpha, N_max):
     table = cf_expand_until(alpha, N_max)
-    return [cesaro_bound_value(table, table.level_of(N))
+    return [cesaro_bound_value(table, ostrowski(N, table).level)
             for N in range(1, N_max + 1)]
 
 
@@ -336,7 +336,7 @@ def test_hlawka_n_min_above_n_max(kind, sqrt2m1):
 def vdc_deltas(n):
     """The exact Delta_N of the first n vdC points, as one array: the
     blocks of `vdc_discrepancy`, concatenated."""
-    return np.concatenate(list(vdc_discrepancy(n)))
+    return np.concatenate([d for _, d in vdc_discrepancy(n)])
 
 
 def _hlawka_traces(kind, n):
@@ -390,7 +390,7 @@ def test_vdc_prefix_blocks_equal_the_whole_trace(n):
     # block's array is overwritten by the next, so it is copied
     trace = bounds._vdc_trace(n)
     parts = [cum.copy() for cum in
-             trace.prefix_blocks(van_der_corput_blocks(n))]
+             map(trace.prefix, van_der_corput_blocks(n))]
     want = product_trace(van_der_corput(n))
     assert [len(p) for p in parts] == [min(SUM_CHUNK, n - s)
                                        for s in range(0, n, SUM_CHUNK)]
@@ -430,7 +430,7 @@ def test_vdc_hlawka_stream_classifies_rows_at_the_end(monkeypatch):
     # that block and the final one: a violation against the first,
     # inconclusive against the second
     first = bounds._vdc_trace(n)
-    next(first.prefix_blocks(van_der_corput_blocks(n)))
+    first.prefix(next(van_der_corput_blocks(n)))
     early = first.error_bound()
     m = SUM_CHUNK - 2
     rhs, tol = bounds._hlawka_rhs(m, float(d[m - 1]), tr.error_bound, None)
@@ -438,13 +438,14 @@ def test_vdc_hlawka_stream_classifies_rows_at_the_end(monkeypatch):
     bump[m - 1] = lhs - tr.log_values[m - 1]
     assert rhs + early + BASE_TOL < tr.log_values[m - 1] + bump[m - 1] \
         < rhs + tol
-    stream = BlockTrace.prefix_blocks
+    feed = BlockTrace.feed
 
-    def raised(self, blocks):
-        for s, cum in zip(range(0, n, SUM_CHUNK), stream(self, blocks)):
-            yield cum + bump[s:s + len(cum)]
+    def raised(self, x, out):
+        s = self.sums.fed  # the points fed before the block x
+        cum = feed(self, x, out)
+        return cum + bump[s:s + len(cum)]
 
-    monkeypatch.setattr(BlockTrace, "prefix_blocks", raised)
+    monkeypatch.setattr(BlockTrace, "feed", raised)
     raised_tr = ProductTrace(tr.log_values + bump, tr.error_bound, n)
     for N_min in (1, 16, SUM_CHUNK + 1):
         got = json.dumps(hlawka_sequence_report("vdc", n, N_min).to_dict())
@@ -549,11 +550,12 @@ def test_kronecker_hlawka_stream_flags_rows_through_the_bracket(monkeypatch):
                                       kd.eps)
         bump[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3] \
             - tr.log_values[m - 1]
-    stream = BlockTrace.prefix_blocks
+    feed = BlockTrace.feed
 
-    def raised(self, blocks):
-        for s, cum in zip(range(0, n, SUM_CHUNK), stream(self, blocks)):
-            yield cum + bump[s:s + len(cum)]
+    def raised(self, x, out):
+        s = self.sums.fed  # the points fed before the block x
+        cum = feed(self, x, out)
+        return cum + bump[s:s + len(cum)]
 
     settled = []
     delta_at = discrepancy.PrefixDiscrepancy.delta_at
@@ -562,7 +564,7 @@ def test_kronecker_hlawka_stream_flags_rows_through_the_bracket(monkeypatch):
         settled.append(m)
         return delta_at(self, m)
 
-    monkeypatch.setattr(BlockTrace, "prefix_blocks", raised)
+    monkeypatch.setattr(BlockTrace, "feed", raised)
     monkeypatch.setattr(discrepancy.PrefixDiscrepancy, "delta_at", counted)
     raised_tr = ProductTrace(tr.log_values + bump, tr.error_bound, n)
     params = {"gen": "kronecker", "alpha": str(alpha), "N_max": n}
@@ -586,7 +588,7 @@ def test_vdc_discrepancy_in_flat_memory():
     for n in (2 ** 20, 2 ** 22):
         tracemalloc.start()
         try:
-            sizes = [len(d) for d in vdc_discrepancy(n)]
+            sizes = [len(d) for _, d in vdc_discrepancy(n)]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

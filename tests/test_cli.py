@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -19,7 +20,6 @@ from oracles import mpf_trace, series_rows
 from test_commands_run_everything import CODES, RUNS
 from weylprod import cli, extremal, irrational, products
 from weylprod import stochastic as st
-from weylprod.atomicio import atomic_open
 from weylprod.cli import main
 from weylprod.extremal import (ExtremalConfig, extremal_product_closed_form,
                                sweep)
@@ -505,6 +505,28 @@ def test_verify_extremal_sweep_blocks(tmp_path, capsys, monkeypatch, tol,
         assert bool(upper_fail) is (tol < -19000)
 
 
+def test_verify_extremal_sweep_write_failure_leaves_no_file(tmp_path, capsys,
+                                                           monkeypatch):
+    # the sweep raises after the header and one block are written: no
+    # partial file, no temporary file, and the I/O exit code
+    real = cli._sweep_blocks
+    written = []
+
+    def failing(*args):
+        blocks = real(*args)
+        yield next(blocks)
+        written.extend(tmp_path.iterdir())
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "_sweep_blocks", failing)
+    code, _, err = run(["verify", "extremal", "--n-max", "64", "--format",
+                        "csv", "--out", str(tmp_path / "sweep.csv")], capsys)
+    assert code == 3 and "No space left" in err
+    assert [p.suffix for p in written] == [".tmp"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [
     ["ostrowski", "--n-max", "100"],
     ["extremal", "--n-max", "64"],
@@ -573,9 +595,32 @@ def test_verify_extremal_single_d_above_half_not_evaluated(capsys, d):
 
 
 def test_verify_extremal_single_bad_d_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "extremal", "--N", "10", "--d", "0.3x"])
-    assert exc.value.code == 2
+    # what --d's type cannot read exits 2 with argparse's line: a zero
+    # denominator, and an exponent past 10^4, refused before 10^exponent
+    # is built (no such d lies in [1/(2 --N), 1])
+    for d in ("0.3x", "1/0", "0/0", "1e10001", "0e-10001", "1e" + "9" * 5000):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "extremal", "--N", "10", "--d", d])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --d: invalid Fraction value: '{d}'" in err
+    # at the limit, the exponent is read, and the range check refuses it
+    code, _, err = run(["verify", "extremal", "--N", "10", "--d", "1e10000"],
+                       capsys)
+    assert code == 2 and "--d must be in [1/(2 --N), 1]" in err
+
+
+def test_verify_extremal_huge_d_exponent_refused_at_once():
+    # fractions.Fraction("1e30000000") alone takes about a minute, to build
+    # 10^30000000; --d refuses it first. Run in a child with a timeout, so
+    # that a regression fails instead of hanging
+    for d in ("1e30000000", "0e-30000000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylprod.cli", "verify", "extremal",
+             "--N", "8", "--d", d], capture_output=True, text=True,
+            timeout=30)
+        assert proc.returncode == 2
+        assert f"argument --d: invalid Fraction value: '{d}'" in proc.stderr
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -623,6 +668,11 @@ def test_verify_extremal_single_bad_d_usage_error(capsys):
     (["extremal", "--epsilon", "1e-12"], "--epsilon"),
     (["extremal", "--N", "8", "--d", "0.125", "--epsilon", "1e-12"],
      "--epsilon"),
+    # --d outside [1/(2 --N), 1], compared as a Fraction before any float:
+    # 1e400 would overflow a float, 1e-400 round to 0
+    *((["extremal", "--N", "8", "--d", d],
+       "--d must be in [1/(2 --N), 1] = [1/16, 1]")
+      for d in ("1e400", "1e-400", "0.0624", "0", "-0.5", "1.0001")),
 ])
 def test_verify_size_below_one_names_flag(capsys, args, flag):
     # rejected as usage errors, not run at a default size or crashed
@@ -828,12 +878,12 @@ def test_atomic_open_keeps_old_file(tmp_path):
     out = tmp_path / "rep.json"
     out.write_text("old\n")
     with pytest.raises(OSError):
-        with atomic_open(out) as fh:
+        with cli._atomic_open(out) as fh:
             fh.write("partial")
             raise OSError("write failed")
     assert out.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
-    with atomic_open(out) as fh:
+    with cli._atomic_open(out) as fh:
         fh.write("new\n")
     assert out.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
@@ -846,14 +896,47 @@ def test_atomic_open_link_and_device(tmp_path):
     target.write_text("old\n")
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    with atomic_open(link) as fh:
+    with cli._atomic_open(link) as fh:
         fh.write("new\n")
     assert link.is_symlink() and target.read_text() == "new\n"
     assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["rep.json"]
     # a device is written in place, not replaced by a regular file
-    with atomic_open(os.devnull) as fh:
+    with cli._atomic_open(os.devnull) as fh:
         fh.write("discarded\n")
     assert not os.path.isfile(os.devnull)
+
+
+# calls that open, write, replace or remove a file: these, `os`'s file
+# functions, and the file methods of paths, handles and arrays
+FILE_CALLS = {"open", "io.open", "json.dump", "np.save", "np.savetxt",
+              "shutil.copy", "shutil.move", "shutil.rmtree"}
+OS_FILE_CALLS = {"open", "fdopen", "replace", "rename", "unlink", "remove",
+                 "mkdir", "makedirs"}
+FILE_METHODS = {"open", "write_text", "write_bytes", "unlink", "touch",
+                "tofile"}
+
+
+def file_calls(path: Path) -> set:
+    """The file calls in the module at `path`, as written."""
+    calls = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            text = ast.unparse(node.func)
+            owner, _, name = text.rpartition(".")
+            if (text in FILE_CALLS or owner == "os" and name in OS_FILE_CALLS
+                    or owner and name in FILE_METHODS):
+                calls.add(text)
+    return calls
+
+
+def test_only_cli_writes_files():
+    # every output file goes through cli._emit: no other module opens,
+    # replaces or removes a file
+    found = {path.name: file_calls(path)
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+    assert found.pop("cli.py") == {"open", "os.open", "os.replace",
+                                   "os.unlink"}
+    assert found == {name: set() for name in found}
 
 
 def test_mc_iid_deterministic(tmp_path, capsys, monkeypatch):
@@ -1316,7 +1399,7 @@ ENTRIES = [cli.COMMANDS["figure"], *cli.COMMANDS["verify"].values(),
 FLAGS = sorted({flag for entry in ENTRIES for flag in entry}
                | {"--N-max", "-h", "--"})
 VALUES = ["5", "-5", "-", "", "1_000", " 7", "1/0", "nan", "x", "--n-max=3",
-          "2", "0.125", "sqrt2m1",
+          "2", "0.125", "sqrt2m1", "1e400", "1e-400", "1e10001",
           *sorted({choice for spec in cli._SPECS.values()
                    for choice in spec.get("choices", ())})]
 NAMES = ["figure", "verify", "mc", *cli.COMMANDS["verify"],
@@ -1342,6 +1425,9 @@ LINES = hs.one_of(hs.lists(TOKEN, max_size=8),
 @example(["verify", "type-growth", "--t", "nan", "--N-max", " 7"])
 @example(["figure", "--n-max", "1_000", "--out", "-", "--format", "json"])
 @example(["verify", "extremal", "--N", "8", "--d", "1/0"])
+@example(["verify", "extremal", "--N", "8", "--d", "1e400"])
+@example(["verify", "extremal", "--N", "8", "--d", "1e-400"])
+@example(["verify", "extremal", "--N", "8", "--d", "1e10001"])
 def test_reader_agrees_with_argparse(argv):
     # the table reads a line as argparse does, or leaves it to argparse
     got = read(argv)

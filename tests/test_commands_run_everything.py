@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import test_reachability as reachability
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "weylprod"
 
@@ -84,96 +86,136 @@ threading.setprofile(None)
 print(json.dumps([codes, sorted(seen)]))
 """
 
-_TRACED = ("bench/tracing.py wraps it by name; ROADMAP item 1 retargets "
-           "the tracer, and item 7 then moves it to tests/oracles.py")
-_ACCEPTANCE = "tests/test_acceptance.py imports it"
-
-# def -> why no command runs it
+# def -> (kind, subject): why no command runs it. The kinds, and what the
+# subject must be (`bad_reasons` checks it):
+#   traced      a name in `TARGETS` in bench/tracing.py: ROADMAP item 1
+#               retargets the tracer, and item 7 then moves the def to
+#               tests/oracles.py;
+#   bench       a name (module.name) that a bench/*.py file uses;
+#   acceptance  a name (module.name) that tests/test_acceptance.py imports;
+#   branch      a tests/<file>.py::<test> that forces the rare branch;
+#   caller      another NOT_RUN def that calls it, where no command does.
 NOT_RUN = {
-    "bounds.check_hlawka": _TRACED,
-    "numerics.compensated_cumsum": _TRACED,
-    "numerics.decimal_str": _TRACED,
-    "discrepancy.discrepancy_trace": _TRACED,
-    "irrational.FracPartEvaluator.frac_part": _TRACED,
-    "irrational.ostrowski": _TRACED,
-    "sequences.kronecker": _TRACED,
-    "irrational.FracPartEvaluator.__init__":
-        "builds the evaluator whose frac_part bench/tracing.py wraps",
-    "irrational.ConvergentTable.level_of":
-        "only ostrowski calls it, which bench/tracing.py wraps",
-    "irrational.OstrowskiDigits.reconstruct":
-        "a method of ostrowski's result, for the tests",
-    "discrepancy.DiscrepancyTrace.__getitem__":
-        "a method of discrepancy_trace's result, for the tests",
-    "discrepancy.DiscrepancyTrace.__iter__":
-        "a method of discrepancy_trace's result, for the tests",
-    "discrepancy.DiscrepancyTrace.__len__":
-        "a method of discrepancy_trace's result, for the tests",
-    "discrepancy.star_discrepancy":
-        "bench/worker.py calls it, and " + _ACCEPTANCE,
-    "discrepancy._exact": "only star_discrepancy calls it",
-    "discrepancy.int_sorted_max": "only star_discrepancy's _exact calls it",
-    "discrepancy._points_of":
-        "only star_discrepancy and discrepancy_trace call it",
-    "numerics.as_float_array":
-        "only discrepancy_trace calls it, which bench/tracing.py wraps",
-    "sequences.van_der_corput": "bench/worker.py calls it",
-    "discrepancy.brute_force_star_discrepancy":
-        "bench/checks.py calls it, and " + _ACCEPTANCE,
-    "extremal.direct_log_product": "bench/checks.py calls it",
-    "irrational.surd_from_cf": "bench/workloads.py calls it",
-    "extremal.build_extremal": _ACCEPTANCE,
-    "extremal.sup_search": _ACCEPTANCE,
-    "extremal.ExtremalConfig.d": "the acceptance suite reads it (cfg.d)",
-    "extremal.Sweep.__iter__": "the acceptance suite iterates a sweep",
-    "irrational.cf_expand": _ACCEPTANCE,
-    "numerics.log_two_sin_pi": _ACCEPTANCE,
-    "products.closed_form_shifted": _ACCEPTANCE,
-    "numerics.two_sin_pi":
-        "only log_two_sin_pi and closed_form_shifted call it",
-    "sequences.uniform_grid": _ACCEPTANCE,
-    "sequences.PointSet.__post_init__":
-        "checks the PointSet of uniform_grid and build_extremal",
-    "sequences.RationalArray.__getitem__":
-        "a method of RationalArray, which the acceptance suite imports",
-    "sequences.RationalArray.__iter__":
-        "bench/checks.py iterates one: brute_force_star_discrepancy of the "
-        "points of a van_der_corput prefix, on every rational-discrepancy "
-        "check",
-    "sequences.RationalArray.to_float_array":
-        "product_trace takes a RationalArray whole, as the acceptance suite "
-        "passes it",
-    "stochastic.log_integral": _ACCEPTANCE,
-    "stochastic.variance_integral": _ACCEPTANCE,
-    "stochastic._log_sine_moment":
-        "only log_integral and variance_integral call it",
-    "products._exact_sin":
-        "a rare branch, a sine too close to 0 for the rotation: "
-        "test_products.py::test_rotation_exact_term_below_working_precision "
-        "forces it",
-    "irrational._exact_distance":
-        "a rare branch, a point too close to 0 or 1 for the fixed-point "
-        "words: test_kernel.py::test_huge_quotient_takes_exact_branch "
-        "forces it",
-    "irrational.exact_residue":
-        "a rare branch, under _exact_sin and _exact_distance",
+    "bounds.check_hlawka": ("traced", "bounds.check_hlawka"),
+    "numerics.compensated_cumsum": ("traced", "numerics.compensated_cumsum"),
+    "numerics.decimal_str": ("traced", "numerics.decimal_str"),
+    "discrepancy.discrepancy_trace": ("traced",
+                                      "discrepancy.discrepancy_trace"),
+    # the tracer's `prefixes` hook takes len of the trace
+    "discrepancy.DiscrepancyTrace.__len__": ("traced",
+                                             "discrepancy.discrepancy_trace"),
+    "irrational.FracPartEvaluator.frac_part": (
+        "traced", "irrational.FracPartEvaluator.frac_part"),
+    "irrational.FracPartEvaluator.__init__": ("caller", "sequences.kronecker"),
+    "irrational.ostrowski": ("traced", "irrational.ostrowski"),
+    "sequences.kronecker": ("traced", "sequences.kronecker"),
+    "discrepancy.star_discrepancy": ("bench", "discrepancy.star_discrepancy"),
+    "discrepancy._exact": ("caller", "discrepancy.star_discrepancy"),
+    "discrepancy.int_sorted_max": ("caller", "discrepancy._exact"),
+    "discrepancy._points_of": ("caller", "discrepancy.star_discrepancy"),
+    "sequences.van_der_corput": ("bench", "sequences.van_der_corput"),
+    "discrepancy.brute_force_star_discrepancy": (
+        "bench", "discrepancy.brute_force_star_discrepancy"),
+    # bench/checks.py passes it the points of a van_der_corput prefix
+    "sequences.RationalArray.__iter__": (
+        "bench", "discrepancy.brute_force_star_discrepancy"),
+    "extremal.direct_log_product": ("bench", "extremal.direct_log_product"),
+    "irrational.surd_from_cf": ("bench", "irrational.surd_from_cf"),
+    "extremal.build_extremal": ("acceptance", "extremal.build_extremal"),
+    "extremal.sup_search": ("acceptance", "extremal.sup_search"),
+    "extremal.ExtremalConfig.d": ("acceptance", "extremal.ExtremalConfig"),
+    "extremal.Sweep.__iter__": ("acceptance", "extremal.sweep"),
+    "irrational.cf_expand": ("acceptance", "irrational.cf_expand"),
+    "numerics.log_two_sin_pi": ("acceptance", "numerics.log_two_sin_pi"),
+    "numerics.two_sin_pi": ("caller", "numerics.log_two_sin_pi"),
+    "products.closed_form_shifted": ("acceptance",
+                                     "products.closed_form_shifted"),
+    "sequences.uniform_grid": ("acceptance", "sequences.uniform_grid"),
+    "sequences.PointSet.__post_init__": ("caller", "sequences.uniform_grid"),
+    "sequences.RationalArray.__getitem__": ("acceptance",
+                                            "sequences.RationalArray"),
+    # product_trace takes a RationalArray whole, as the acceptance suite
+    # passes it
+    "sequences.RationalArray.to_float_array": ("acceptance",
+                                               "sequences.RationalArray"),
+    "stochastic.log_integral": ("acceptance", "stochastic.log_integral"),
+    "stochastic.variance_integral": ("acceptance",
+                                     "stochastic.variance_integral"),
+    "stochastic._log_sine_moment": ("caller", "stochastic.log_integral"),
+    "products._exact_sin": (
+        "branch", "tests/test_products.py::"
+                  "test_rotation_exact_term_below_working_precision"),
+    "irrational._exact_distance": (
+        "branch",
+        "tests/test_kernel.py::test_huge_quotient_takes_exact_branch"),
+    "irrational.exact_residue": ("caller", "products._exact_sin"),
 }
 
 
-def top_level_defs(src: Path) -> set:
+def top_level_defs(src: Path) -> dict:
     """module.name of every top-level function under `src`, and
-    module.Class.name of every method of a top-level class."""
-    defs = set()
+    module.Class.name of every method of a top-level class, each with its
+    node."""
+    defs = {}
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.add(f"{path.stem}.{node.name}")
+                defs[f"{path.stem}.{node.name}"] = node
             elif isinstance(node, ast.ClassDef):
-                defs.update(f"{path.stem}.{node.name}.{m.name}"
+                defs.update((f"{path.stem}.{node.name}.{m.name}", m)
                             for m in node.body
                             if isinstance(m, (ast.FunctionDef,
                                               ast.AsyncFunctionDef)))
     return defs
+
+
+def _is_test(subject: str) -> bool:
+    """Whether `subject`, tests/<file>.py::<test>, names a test function."""
+    path, _, test = subject.partition("::")
+    file = ROOT / path
+    return (path.startswith("tests/") and file.is_file()
+            and any(isinstance(node, ast.FunctionDef) and node.name == test
+                    for node in ast.parse(file.read_text()).body))
+
+
+def _mentions(node, name: str) -> bool:
+    """Whether the code of `node` names the def `name`: its function or
+    method name, or its class for a dunder method."""
+    parts = name.split(".")
+    word = parts[-2] if parts[-1].startswith("__") else parts[-1]
+    return any(getattr(n, "id", getattr(n, "attr", None)) == word
+               for n in ast.walk(node))
+
+
+def bad_reasons(not_run: dict) -> list:
+    """The defs of `not_run` whose kind is none of NOT_RUN's five, or whose
+    subject is not what the kind asks for."""
+    index = reachability._Index()
+    bench = {f"{module}.{name}"
+             for path in sorted((ROOT / "bench").glob("*.py"))
+             for module, name in reachability._external_roots(index, path)}
+    acceptance = {f"{module}.{name}" for module, name in
+                  reachability._external_roots(
+                      index, ROOT / "tests" / "test_acceptance.py")}
+    traced = {f"{module}.{attr}"
+              for module, attr, _, _ in reachability.traced_targets()}
+    defs = top_level_defs(SRC)
+    checks = {
+        "traced": traced.__contains__,
+        "bench": bench.__contains__,
+        "acceptance": acceptance.__contains__,
+        "branch": _is_test,
+    }
+    bad = []
+    for name, (kind, subject) in sorted(not_run.items()):
+        if kind == "caller":
+            ok = (subject != name and subject in not_run
+                  and _mentions(defs[subject], name))
+        else:
+            ok = kind in checks and checks[kind](subject)
+        if not ok:
+            bad.append(name)
+    return bad
 
 
 def ran(src: Path, tmp: Path) -> set:
@@ -190,11 +232,12 @@ def ran(src: Path, tmp: Path) -> set:
 
 
 def test_every_def_runs_or_is_named(tmp_path):
-    defs = top_level_defs(SRC)
+    defs = set(top_level_defs(SRC))
     done = ran(SRC, tmp_path)
     assert sorted(set(NOT_RUN) - defs) == [], "NOT_RUN names no such def"
     assert sorted(set(NOT_RUN) & done) == [], "these now run: drop them"
     assert sorted(defs - done - set(NOT_RUN)) == []
+    assert bad_reasons(NOT_RUN) == [], "no such subject for the kind"
 
 
 def test_guard_sees_a_def_no_command_runs(tmp_path):
@@ -204,5 +247,22 @@ def test_guard_sees_a_def_no_command_runs(tmp_path):
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
     with open(src / "numerics.py", "a") as fh:
         fh.write("\n\ndef _never_called():\n    return LOG2\n")
-    assert top_level_defs(src) - ran(src, tmp_path) - set(NOT_RUN) == {
-        "numerics._never_called"}
+    assert set(top_level_defs(src)) - ran(src, tmp_path) - set(NOT_RUN) \
+        == {"numerics._never_called"}
+
+
+def test_guard_refuses_a_made_up_reason():
+    # the guard itself: an entry whose subject its kind does not find, or
+    # whose kind is not one of the five, is refused
+    made_up = {
+        "numerics.decimal_str": ("traced", "numerics.no_such_target"),
+        "sequences.van_der_corput": ("bench", "sequences.uniform_grid"),
+        "extremal.sup_search": ("acceptance", "extremal.direct_log_product"),
+        "products._exact_sin": ("branch",
+                                "tests/test_products.py::test_no_such_test"),
+        # star_discrepancy does not call exact_residue, and cli.main runs
+        "irrational.exact_residue": ("caller", "discrepancy.star_discrepancy"),
+        "numerics.two_sin_pi": ("caller", "cli.main"),
+        "stochastic.log_integral": ("for the tests", "the tests use it"),
+    }
+    assert bad_reasons({**NOT_RUN, **made_up}) == sorted(made_up)

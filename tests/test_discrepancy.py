@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from weylprod import irrational
-from weylprod.discrepancy import (DiscrepancyResult, DiscrepancyTrace,
-                                  PrefixDiscrepancy,
+from weylprod.discrepancy import (DiscrepancyResult, PrefixDiscrepancy,
                                   brute_force_star_discrepancy,
                                   discrepancy_trace, int_sorted_max,
                                   kronecker_discrepancy, star_discrepancy,
                                   vdc_discrepancy)
 from weylprod.irrational import kronecker_fixed_point, surd_from_cf
-from weylprod.numerics import as_float_array
 from weylprod.sequences import (RationalArray, kronecker, uniform_grid,
                                 van_der_corput)
 
@@ -27,7 +25,7 @@ def trace_oracle(points) -> tuple:
     """(d_star, delta, anchor) of every prefix by the per-prefix loop: a
     sorted buffer with one insertion per prefix, and the sorted-order
     formula evaluated over the whole buffer in float64."""
-    pts = as_float_array(points)
+    pts = np.array([float(x) for x in points])
     n_max = len(pts)
     buf = np.empty(n_max, dtype=np.float64)
     idx = np.arange(1, n_max + 1, dtype=np.float64)
@@ -173,7 +171,7 @@ def test_sorted_max_first_index_up_wins_ties(nums, den):
 def test_trace_single_point_formula():
     for x in (0.2, 0.5, 0.9):
         tr = discrepancy_trace([x])
-        assert tr[0].d_star == pytest.approx(max(x, 1 - x), abs=1e-15)
+        assert tr.d_star[0] == pytest.approx(max(x, 1 - x), abs=1e-15)
 
 
 def test_trace_matches_per_prefix_exact(sqrt2m1):
@@ -182,7 +180,7 @@ def test_trace_matches_per_prefix_exact(sqrt2m1):
     tr = discrepancy_trace(pts)
     for n in (1, 2, 3, 7, 50, 113, 200):
         exact = star_discrepancy(pts[:n])
-        assert abs(tr[n - 1].d_star - exact.d_star) < 1e-12
+        assert abs(tr.d_star[n - 1] - exact.d_star) < 1e-12
 
 
 def test_vdc_trace_log_bound():
@@ -191,14 +189,14 @@ def test_vdc_trace_log_bound():
     tr = discrepancy_trace([float(x) for x in ps.points])
     for s in range(2, 11):
         n = 2 ** s - 1
-        assert tr[n - 1].d_star <= math.log2(n + 1) / n + 1e-12
+        assert tr.d_star[n - 1] <= math.log2(n + 1) / n + 1e-12
 
 
 def test_kronecker_delta_log_growth(sqrt2m1):
     # N D_N* = O(log N) empirically; the fitted constant stays small
     ps = kronecker(sqrt2m1, 2000)
     tr = discrepancy_trace([float(x) for x in ps.points])
-    worst = max(tr[n - 1].delta / math.log(n) for n in range(2, 2001))
+    worst = max(tr.delta[n - 1] / math.log(n) for n in range(2, 2001))
     assert worst < 3.0
 
 
@@ -236,17 +234,6 @@ def test_trace_matches_oracle_kronecker(prefix, period, N):
 def test_trace_matches_oracle_at_benchmark_sizes(sqrt2m1):
     assert_trace_equals_oracle(van_der_corput(6000).points)
     assert_trace_equals_oracle(kronecker_fixed_point(sqrt2m1, 2000).points())
-
-
-def test_trace_sequence_protocol():
-    tr = discrepancy_trace([0.5, 0.25, 0.75])
-    assert isinstance(tr, DiscrepancyTrace)
-    assert len(tr) == 3
-    assert tr[-1] == DiscrepancyResult(tr[2].d_star, tr[2].delta,
-                                       tr[2].argmax_anchor)
-    assert list(tr) == [tr[0], tr[1], tr[2]]
-    assert tr[0] == DiscrepancyResult(0.5, 0.5, 0.5)
-    assert tr.d_star[1] == 0.5 and tr.anchor[1] == 0.5
 
 
 @settings(max_examples=40)
@@ -323,7 +310,7 @@ def test_kronecker_bounds_interface(sqrt2m1):
 
 def vdc_deltas(N):
     """The blocks of `vdc_discrepancy(N)`, concatenated."""
-    return np.concatenate(list(vdc_discrepancy(N)))
+    return np.concatenate([d for _, d in vdc_discrepancy(N)])
 
 
 def test_vdc_deltas_match_exact():

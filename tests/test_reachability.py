@@ -155,19 +155,23 @@ def _external_roots(index: _Index, path: Path) -> set:
     return {r for r in roots if r[1] in index.defs.get(r[0], ())}
 
 
-def _traced_roots() -> set:
-    """The functions `bench/tracing.py` wraps by name; a method roots its
-    class."""
+def traced_targets() -> tuple:
+    """`TARGETS` of `bench/tracing.py`, read from its source: (module,
+    function or Class.method, per-point, hook) of every wrapped name."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "TARGETS"
                         for t in node.targets)):
-            targets = ast.literal_eval(node.value)
-            break
-    else:
-        raise AssertionError("bench/tracing.py defines no TARGETS")
-    return {(module, attr.split(".")[0]) for module, attr, _, _ in targets}
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def _traced_roots() -> set:
+    """The functions `bench/tracing.py` wraps by name; a method roots its
+    class."""
+    return {(module, attr.split(".")[0])
+            for module, attr, _, _ in traced_targets()}
 
 
 def unreachable() -> list:

@@ -20,10 +20,10 @@ from weylprod.irrational import (kronecker_fixed_point, parse_alpha,
                                  surd_from_cf)
 from weylprod.stochastic import (PI2_OVER_12, SUBSEQ_CONSTANT, FairCoins,
                                  iid_lil_experiment, kronecker_log_weights,
-                                 log_integral, rademacher_lil_experiment,
+                                 log_integral, paths_csv,
+                                 rademacher_lil_experiment,
                                  subsequence_product_experiment, summary_dict,
-                                 variance_integral, write_paths_csv,
-                                 write_summary_json)
+                                 variance_integral)
 
 
 # ----------------------------------------------------------------- oracles
@@ -737,12 +737,14 @@ def test_short_coin_raises_within_the_budget(chunk, sqrt2m1, monkeypatch):
 
 # ------------------------------------------------------------------ output
 
-def test_csv_json_round_trip(tmp_path, sqrt2m1):
+def test_csv_json_round_trip(tmp_path, capsys):
+    # the files `mc` writes, from paths_csv and summary_dict
     stats = iid_lil_experiment(8, 2000, seed=11)
-    csv_path = tmp_path / "paths.csv"
-    json_path = tmp_path / "summary.json"
-    write_paths_csv(stats, csv_path)
-    write_summary_json(stats, json_path)
+    assert main(["mc", "iid", "--paths", "8", "--n-max", "2000", "--seed",
+                 "11", "--out", str(tmp_path / "mc")]) == 0
+    capsys.readouterr()
+    csv_path, json_path = tmp_path / "mc.csv", tmp_path / "mc.json"
+    assert csv_path.read_text() == paths_csv(stats)
     # recompute the summary statistics from the CSV alone
     lines = csv_path.read_text().strip().splitlines()[1:]
     ratios = [float(line.split(",")[4]) for line in lines]
