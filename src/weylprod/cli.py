@@ -274,6 +274,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+# the largest --N of the single `verify extremal` check: its closed form sums
+# M = N d <= N/2 log-sines one at a time, 2.0 s at this N and d = 1/2 as a
+# whole process on a 2-core host
+EXTREMAL_MAX_N = 1 << 24
+
+
 def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     """Bounds at one (N, d) pair; the extremal product is evaluated, and
     compared with the lower bound, only when N is even and M = N*d an
@@ -282,8 +288,9 @@ def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     "passed" stays None, and `cmd_verify` writes "n_checked": 0."""
     if args.N is None:
         raise UsageError("verify extremal --d needs --N")
-    if args.N < 1:
-        raise UsageError("--N must be >= 1")
+    if not 1 <= args.N <= EXTREMAL_MAX_N:
+        raise UsageError(f"--N must be in [1, {EXTREMAL_MAX_N}] for verify "
+                         f"extremal --d")
     if not (low := fractions.Fraction(1, 2 * args.N)) <= args.d <= 1:
         raise UsageError(f"--d must be in [1/(2 --N), 1] = [{low}, 1]")
     d = float(args.d)
@@ -367,8 +374,9 @@ def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
     if args.gen == "grid":
         if args.N is None:
             raise UsageError("verify hlawka --gen grid needs --N")
-        if args.N < 1:
-            raise UsageError("--N must be >= 1")
+        if not 1 <= args.N <= KERNEL_MAX_N:
+            raise UsageError(f"--N must be in [1, {KERNEL_MAX_N}] for verify "
+                             f"hlawka --gen grid")
         return bnd.grid_hlawka_report(args.N)
     if not 1 <= args.n_min <= args.n_max:
         default = COMMANDS["verify"]["hlawka"]["--n-min"]

@@ -623,6 +623,22 @@ def test_verify_extremal_huge_d_exponent_refused_at_once():
         assert f"argument --d: invalid Fraction value: '{d}'" in proc.stderr
 
 
+@pytest.mark.parametrize("mode", ["extremal --d 0.5", "hlawka --gen grid"])
+@pytest.mark.parametrize("N", ["3" + "0" * 21, "1" + "0" * 400],
+                         ids=["3e21", "1e400"])
+def test_verify_huge_N_refused_at_once(mode, N):
+    # the single extremal check summed N d log-sines one at a time, so 3e21
+    # did not end, and 10^400 ended in an OverflowError traceback with exit
+    # 1; the grid's message did not name --N. Run in a child with a timeout,
+    # so that a regression fails instead of hanging
+    name, flag, value = mode.split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylprod.cli", "verify", name, flag, value,
+         "--N", N], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --N must be in [1, ")
+
+
 @pytest.mark.parametrize("args, flag", [
     (["hlawka", "--gen", "vdc", "--n-max", "100", "--n-min", "0"], "--n-min"),
     (["hlawka", "--gen", "vdc", "--n-max", "100", "--n-min", "-5"], "--n-min"),
@@ -673,6 +689,11 @@ def test_verify_extremal_huge_d_exponent_refused_at_once():
     *((["extremal", "--N", "8", "--d", d],
        "--d must be in [1/(2 --N), 1] = [1/16, 1]")
       for d in ("1e400", "1e-400", "0.0624", "0", "-0.5", "1.0001")),
+    # one past each mode's cap on --N
+    (["extremal", "--N", "16777217", "--d", "0.5"],
+     "--N must be in [1, 16777216] for verify extremal --d"),
+    (["hlawka", "--gen", "grid", "--N", "2147483648"],
+     "--N must be in [1, 2147483647] for verify hlawka --gen grid"),
 ])
 def test_verify_size_below_one_names_flag(capsys, args, flag):
     # rejected as usage errors, not run at a default size or crashed
