@@ -274,12 +274,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-# the largest --N of the single `verify extremal` check: its closed form sums
-# M = N d <= N/2 log-sines one at a time, 2.0 s at this N and d = 1/2 as a
-# whole process on a 2-core host
-EXTREMAL_MAX_N = 1 << 24
-
-
 def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     """Bounds at one (N, d) pair; the extremal product is evaluated, and
     compared with the lower bound, only when N is even and M = N*d an
@@ -288,9 +282,6 @@ def _verify_extremal_single(args: argparse.Namespace) -> bnd.BoundReport:
     "passed" stays None, and `cmd_verify` writes "n_checked": 0."""
     if args.N is None:
         raise UsageError("verify extremal --d needs --N")
-    if not 1 <= args.N <= EXTREMAL_MAX_N:
-        raise UsageError(f"--N must be in [1, {EXTREMAL_MAX_N}] for verify "
-                         f"extremal --d")
     if not (low := fractions.Fraction(1, 2 * args.N)) <= args.d <= 1:
         raise UsageError(f"--d must be in [1/(2 --N), 1] = [{low}, 1]")
     d = float(args.d)
@@ -374,9 +365,6 @@ def _verify_hlawka(args: argparse.Namespace) -> bnd.BoundReport:
     if args.gen == "grid":
         if args.N is None:
             raise UsageError("verify hlawka --gen grid needs --N")
-        if not 1 <= args.N <= KERNEL_MAX_N:
-            raise UsageError(f"--N must be in [1, {KERNEL_MAX_N}] for verify "
-                             f"hlawka --gen grid")
         return bnd.grid_hlawka_report(args.N)
     if not 1 <= args.n_min <= args.n_max:
         default = COMMANDS["verify"]["hlawka"]["--n-min"]
@@ -395,18 +383,31 @@ _UNREAD = {"hlawka --gen grid": ("--alpha", "--n-max", "--n-min"),
            "extremal --d": ("--n-max",)}
 
 
+# the largest --N of the single `verify extremal` check: its closed form sums
+# M = N d <= N/2 log-sines one at a time, about 2 s at this N and d = 1/2
+EXTREMAL_MAX_N = 1 << 24
+# the largest --N of each mode that reads it, refused by name past it
+_N_CAP = {"hlawka --gen grid": KERNEL_MAX_N, "extremal --d": EXTREMAL_MAX_N}
+
+
+def _mode(args: argparse.Namespace) -> str | None:
+    """The `_UNREAD` name of the mode of `verify hlawka` or
+    `verify extremal` that `args` chose; None for any other command."""
+    tag = getattr(args, "theorem", None)
+    if tag == "hlawka":
+        return f"hlawka --gen {args.gen}"
+    if tag == "extremal":
+        return "extremal --d" if args.d is not None else "extremal without --d"
+    return None
+
+
 def _refuse_unread(args: argparse.Namespace) -> None:
     """Refuse an option that the chosen mode of `verify hlawka` or
     `verify extremal` does not read, set to other than its `COMMANDS`
     default, before --alpha is parsed."""
-    tag = getattr(args, "theorem", None)
-    if tag == "hlawka":
-        mode = f"hlawka --gen {args.gen}"
-    elif tag == "extremal":
-        mode = "extremal --d" if args.d is not None else "extremal without --d"
-    else:
+    if (mode := _mode(args)) is None:
         return
-    defaults = COMMANDS["verify"][tag]
+    defaults = COMMANDS["verify"][args.theorem]
     for flag in _UNREAD[mode]:
         if getattr(args, flag[2:].replace("-", "_")) != defaults[flag]:
             raise UsageError(f"{flag} is not read by verify {mode}")
@@ -446,6 +447,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "csv" and (args.d is not None or out == "-"):
             raise UsageError("--format csv is written only by the verify "
                              "extremal sweep, to an --out file")
+    mode = _mode(args)
+    cap = _N_CAP.get(mode)
+    if cap and args.N is not None and not 1 <= args.N <= cap:
+        raise UsageError(f"--N must be in [1, {cap}] for verify {mode}")
     if tag == "hlawka":
         report = _verify_hlawka(args)
     elif tag == "extremal" and args.d is not None:
