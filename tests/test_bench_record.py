@@ -1,7 +1,9 @@
 """Every `BENCH_*.json` at the root of the repository records the
 benchmark's end-to-end metrics for a change and its parent commit: exactly
 the workloads of `BENCHMARK.json`, every end-to-end metric of each with its
-unit, and positive medians on both sides. A record that claims a gain
+unit, and positive medians on both sides, the change's median no worse
+than the parent's by more than the metric's `bound`. A record that claims
+a gain
 (`"claim": {"metric", "workload"}`) must show it by the rule for a small
 sandbox: at least ten pairs, the change better in at least nine tenths of
 them (ties count for neither), and the medians further apart than the
@@ -36,6 +38,20 @@ def test_record_matches_the_benchmark(path):
                 stats = got[side]
                 assert stats["median"] > 0, (name, metric["name"], side)
                 assert stats["q1"] <= stats["median"] <= stats["q3"]
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_shows_no_regression(path):
+    # a record of a change that made an end-to-end metric worse than its
+    # bound allows, in the direction the metric is better, fails here
+    workloads = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+    for metric in SPEC["end_to_end"]:
+        sign = 1 if metric["better"] == "higher" else -1
+        for name, entry in workloads.items():
+            got = entry["metrics"][metric["name"]]
+            parent = got["parent"]["median"]
+            worse = -sign * (got["change"]["median"] - parent) / parent
+            assert worse <= metric["bound"], (name, metric["name"], worse)
 
 
 CLAIMS = [path for path in RECORDS

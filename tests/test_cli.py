@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from commands import ALPHAS, FIGURE, ROWS
 from oracles import mpf_trace, series_rows
-from test_commands_run_everything import CODES, RUNS
 from weylprod import cli, extremal, irrational, products
 from weylprod import stochastic as st
 from weylprod.cli import main
@@ -81,7 +81,7 @@ def test_figure_json(capsys):
     assert len(payload["series"]) == 3
 
 
-FIGURE_ALPHA = "(1+1*sqrt(7))/5"
+FIGURE_ALPHA = ALPHAS["sqrt7"]
 FIGURE_N = 300
 ORACLE_BITS = 320
 
@@ -173,141 +173,6 @@ def test_figure_values_are_to_str_of_rows(tmp_path, capsys, normalizer,
         meta, rows = run_figure(tmp_path, capsys, normalizer, fmt, *flags)
         assert int(meta["precision_bits"]) == series.precision_bits
         assert rows == want
-
-
-# sha256 of `figure --alpha (1+1*sqrt(7))/5 --n-max 300` on stdout, by
-# (--precision-bits, normalizer, format), recorded before rows were rounded
-# in integers: a change to any printed byte must be deliberate
-FIGURE_SHA256 = {
-    (None, "none", "csv"):
-        "47dbad6de6ed607fbb1bad7a422a9d40526f58c387fd351b816ef858a5106771",
-    (None, "none", "json"):
-        "827a3cf8669fbbdd670557f6aba28bf6b08d387aabd8f1016633577b230e5e1c",
-    (None, "one_over_N", "csv"):
-        "561d7cff0bbddfb433be12c70c3201647424b89b55e0f79458b20e69e40f2970",
-    (None, "one_over_N", "json"):
-        "46807ba5b60dbfc05c36b24f544eda327f0cbf22e62aaa4b3bbdc188f4d5005f",
-    (None, "one_over_N_squared", "csv"):
-        "9dda33611954cc612812ba96e16d6a6ba76bc152b8b33313c42295d36f63320c",
-    (None, "one_over_N_squared", "json"):
-        "2a952bd6e1488c8029dde4dcaa3ef3a130817893c68d6637a7c1bc8a2b13a518",
-    (68, "none", "csv"):
-        "cbb89400f2242917679943e27a63a69cacd130e951fb783b24a75177cd0e1a94",
-    (68, "none", "json"):
-        "617d8de9bffaba9505fe8090102b5051674d714df7b6dea691a7f3a4ec8254f4",
-    (68, "one_over_N", "csv"):
-        "4573ad35671b05917234248b3d1c3312f1e696254db12ba834342076c72b1842",
-    (68, "one_over_N", "json"):
-        "40e28b0c3773079a41dc80edcc76a2826d0691f021bc79e32ab16bc579ab869a",
-    (68, "one_over_N_squared", "csv"):
-        "d9461f17298b1cdb67894317aae62d72dc29c7474ea7794d83889a66491df723",
-    (68, "one_over_N_squared", "json"):
-        "dc9a852f07763a84aa83335dad8ef095e9c7a35cd952958262f779095008b5d5",
-    (1100, "none", "csv"):
-        "7525427c6e7bf5f826123e75d4b69594e2e7a3aac8ef01d1b2110d263102670b",
-    (1100, "none", "json"):
-        "2c9bb204df4ee665666ae5219e2186d466839cd60687b98ba54e1d9b903ebb35",
-    (1100, "one_over_N", "csv"):
-        "6f7f001b37af244445a6d2593c4e82f4e472c30bc6b58fbadcb5ca6ebc2f8de2",
-    (1100, "one_over_N", "json"):
-        "c5a766f8f7b8f9275e636fa02920fd38461582e275cda827bbd12f43fca2a1af",
-    (1100, "one_over_N_squared", "csv"):
-        "14a46a80480e125d064f88aa8c35256f24b798f3bcbdbd8226d57f161523ca47",
-    (1100, "one_over_N_squared", "json"):
-        "ffb3bb60a050b62bcc32013efe71203088ccaeffa44feb20a3b7193456bbc8e4",
-}
-
-
-def figure_argv(alpha, n_max, normalizer, fmt, *flags):
-    """The command line of a pinned figure run."""
-    return ["figure", *flags, "--alpha", alpha, "--n-max", str(n_max),
-            "--normalizer", normalizer, "--format", fmt]
-
-
-def figure_pin_argv(precision_bits, normalizer, fmt):
-    """The command line that FIGURE_SHA256 pins for one key."""
-    flags = ([] if precision_bits is None
-             else ["--precision-bits", str(precision_bits)])
-    return figure_argv(FIGURE_ALPHA, FIGURE_N, normalizer, fmt, *flags)
-
-
-@pytest.mark.parametrize("key", sorted(FIGURE_SHA256, key=str))
-def test_figure_output_pinned(capsys, key):
-    code, out, _ = run(figure_pin_argv(*key), capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_SHA256[key]
-
-
-# sha256 of `figure --n-max 300` on stdout by (alpha, normalizer, format),
-# recorded while a second printer still served every row below 10^-12:
-# [0; 4000, 1, 1, ...] prints all but its first rows in exponent notation
-# (down to about 1e-233), and [0; 10^7, 1, 1, ...], with 148 exact terms,
-# falls below 2^-3500, where to_str prints each row itself
-FIGURE_EXPONENT_SHA256 = {
-    ("(7999-1*sqrt(5))/31991998", "none", "csv"):
-        "e69206c43d108c77dca883fdbea4aec3387177516e225d867e1bb90728daee50",
-    ("(7999-1*sqrt(5))/31991998", "none", "json"):
-        "3e2cbcc465c0f421ddd56bf591c4dd270df4bb44e79445bffe4698728b96b979",
-    ("(7999-1*sqrt(5))/31991998", "one_over_N_squared", "csv"):
-        "fc724ca06261dff75a1bc2c28e0775f9a4f48e25ef4b5b1308807becbee64459",
-    ("(7999-1*sqrt(5))/31991998", "one_over_N_squared", "json"):
-        "f83799405baa4e61a1520775222eb652c7bf51d4aef3ef3a303c55d029865c46",
-    ("(19999999-1*sqrt(5))/199999979999998", "none", "csv"):
-        "e9c5f51ddd795abc05a23a6a96be933caf22a4f7632e0ed3adf3ef40070b079a",
-    ("(19999999-1*sqrt(5))/199999979999998", "none", "json"):
-        "427dcb8e0fd042a5a85ce6ebbd0b46852e7d49229e0d4e09439e38067b9aa419",
-    ("(19999999-1*sqrt(5))/199999979999998", "one_over_N_squared", "csv"):
-        "23d4ee478b8e7b31bf1e383c797f6196051384181f99921f87b26b0bb9c84c14",
-    ("(19999999-1*sqrt(5))/199999979999998", "one_over_N_squared", "json"):
-        "df7937d0fd65df86e5a8ec124685e7f6f695a72d319b41813e3ab775dc6d5529",
-}
-
-
-FIGURE_EXPONENT_N = 300
-
-
-@pytest.mark.parametrize("key", sorted(FIGURE_EXPONENT_SHA256))
-def test_figure_exponent_rows_pinned(capsys, key):
-    alpha, normalizer, fmt = key
-    code, out, _ = run(figure_argv(alpha, FIGURE_EXPONENT_N, normalizer, fmt),
-                       capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        FIGURE_EXPONENT_SHA256[key]
-
-
-# sha256 of `figure --n-max 20000` on stdout by (alpha, normalizer,
-# format), recorded while every anchor was its own mpf_cos_sin_pi: 313
-# anchors, where the pins above reach 5
-FIGURE_ANCHORS_N = 20000
-FIGURE_ANCHORS_SHA256 = {
-    ("sqrt2m1", "none", "csv"):
-        "49ee15634a5faac9eea20c73de78fe8e57aaa5cbc4c4f859af8851bdd5f49ee0",
-    ("sqrt2m1", "one_over_N", "csv"):
-        "f2cc45bc325ea8fadec35b652aaf410abf0b2c44b65da92c5abc62958814a8b7",
-    ("sqrt2m1", "one_over_N_squared", "csv"):
-        "f20276cecb400387d5b8c693a96195072271de7fa3713475396614abcc5c2397",
-    ("sqrt2m1", "one_over_N", "json"):
-        "1c6c86ed3e428394f8c7b7e15ee6fd9fdd3fa8c5a5f07dd8454f24dfb18803cb",
-    (FIGURE_ALPHA, "none", "csv"):
-        "a5a1b3a0547a069208ec48a3ad4308a3e6e7f4708bcfc307f8993015334536d9",
-    (FIGURE_ALPHA, "one_over_N", "csv"):
-        "5e278018de92617877b31caaf00db33a0195faaad822a377cc1cd62f78bb55df",
-    (FIGURE_ALPHA, "one_over_N_squared", "csv"):
-        "20633c7a7ce3320f302c86e47bf3515eb11dede46f4a78d54c4c19c2a6bc1144",
-    (FIGURE_ALPHA, "one_over_N", "json"):
-        "66361af7f3865adab3223e5b48c759abac466e37fa7483e9e34cc12a25f6a5c9",
-}
-
-
-@pytest.mark.parametrize("key", sorted(FIGURE_ANCHORS_SHA256))
-def test_figure_many_anchors_pinned(capsys, key):
-    alpha, normalizer, fmt = key
-    code, out, _ = run(figure_argv(alpha, FIGURE_ANCHORS_N, normalizer, fmt),
-                       capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        FIGURE_ANCHORS_SHA256[key]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 7])
@@ -623,20 +488,25 @@ def test_verify_extremal_huge_d_exponent_refused_at_once():
         assert f"argument --d: invalid Fraction value: '{d}'" in proc.stderr
 
 
-@pytest.mark.parametrize("mode", ["extremal --d 0.5", "hlawka --gen grid"])
-@pytest.mark.parametrize("N", ["3" + "0" * 21, "1" + "0" * 400],
-                         ids=["3e21", "1e400"])
-def test_verify_huge_N_refused_at_once(mode, N):
-    # the single extremal check summed N d log-sines one at a time, so 3e21
-    # did not end, and 10^400 ended in an OverflowError traceback with exit
-    # 1; the grid's message did not name --N. Run in a child with a timeout,
-    # so that a regression fails instead of hanging
-    name, flag, value = mode.split()
+def test_verify_huge_N_refused_at_once():
+    # without its cap, the single extremal check would sum 1.5e21 log-sines
+    # one at a time, and 10^400 overflows a float; the grid's cap is the
+    # kernel's range. Run in one child with a timeout, so that a regression
+    # fails instead of hanging
+    lines = [["verify", *mode.split(), "--N", N]
+             for mode in ("extremal --d 0.5", "hlawka --gen grid")
+             for N in ("3" + "0" * 21, "1" + "0" * 400)]
     proc = subprocess.run(
-        [sys.executable, "-m", "weylprod.cli", "verify", name, flag, value,
-         "--N", N], capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: --N must be in [1, ")
+        [sys.executable, "-c", "import json, sys\n"
+         "from weylprod.cli import main\n"
+         "for argv in json.load(sys.stdin): print(main(argv))"],
+        input=json.dumps(lines), capture_output=True, text=True, timeout=30)
+    assert proc.stdout.split() == ["2"] * 4
+    assert proc.stderr.splitlines() == [
+        f"error: --N must be in [1, {cap}] for verify {mode}"
+        for cap, mode in ((cli.EXTREMAL_MAX_N, "extremal --d"),
+                          (irrational.KERNEL_MAX_N, "hlawka --gen grid"))
+        for _ in range(2)]
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -1022,269 +892,73 @@ def test_mc_csv_summary_round_trip(tmp_path, capsys, monkeypatch):
 
 # --------------------------------------------------------- pinned outputs
 
-PIN_N = "20000"
-PIN_ALPHAS = {
-    "golden": "golden",
-    "sqrt2m1": "sqrt2m1",
-    # one partial quotient of 1000
-    "cf-1000": str(surd_from_cf([3, 1000, 7], [1, 2])),
-    # ||3 alpha|| < 2^-64: the kernel's exact fallback
-    "cf-2^64": str(surd_from_cf([1, 2, 2 ** 64 + 5], [1, 2])),
-}
-PIN_COMMANDS = {
-    "ostrowski": ["verify", "ostrowski", "--n-max", PIN_N],
-    "cesaro": ["verify", "cesaro", "--n-max", PIN_N],
-    "type-growth": ["verify", "type-growth", "--n-max", PIN_N],
-    "conjectures": ["verify", "conjectures", "--n-max", PIN_N],
-    "kronecker-sandwich": ["verify", "kronecker-sandwich", "--q-max", PIN_N],
-    "hlawka": ["verify", "hlawka", "--gen", "kronecker", "--n-max", PIN_N],
-    # three blocks of the Kronecker bracket, the last one 8929 N
-    "hlawka 140001": ["verify", "hlawka", "--gen", "kronecker", "--n-max",
-                      "140001"],
-    "mc rademacher": ["mc", "rademacher", "--paths", "2", "--n-max", PIN_N],
-    "mc subsequence": ["mc", "subsequence", "--paths", "2", "--terms", PIN_N],
-    "mc iid": ["mc", "iid", "--paths", "2", "--n-max", PIN_N],
-    # 140001 terms: three SUM_CHUNK blocks, the last one 8929 terms
-    "mc rademacher 140001": ["mc", "rademacher", "--paths", "2", "--n-max",
-                             "140001"],
-    # path 1 of seed 1 (sqrt2m1) peaks at N = 94334, past the first block
-    "mc rademacher 140001 seed 1": ["mc", "rademacher", "--paths", "2",
-                                    "--n-max", "140001", "--seed", "1"],
-    "mc iid 140001": ["mc", "iid", "--paths", "2", "--n-max", "140001"],
-    # 69256 coin flips a path
-    "mc subsequence 30000": ["mc", "subsequence", "--paths", "2", "--terms",
-                             "30000"],
-    # three SUM_CHUNK blocks of K, the last one 8929 terms; every path
-    # peaks before K = 30000, so each CSV is a shorter pin's too
-    "mc subsequence 140001": ["mc", "subsequence", "--paths", "2",
-                              "--terms", "140001"],
-    # path 0 of seed 5 (sqrt2m1) peaks at K = 139399, in the third block
-    "mc subsequence 140001 seed 5": ["mc", "subsequence", "--paths", "2",
-                                     "--terms", "140001", "--seed", "5"],
-    "hlawka vdc": ["verify", "hlawka", "--gen", "vdc", "--n-max", PIN_N],
-    # 33024 rows: the CLI's sweep blocks of at most 2^12 rows end inside it
-    "extremal csv": ["verify", "extremal", "--n-max", "1030", "--epsilon",
-                     "0.1", "--format", "csv"],
-    # 2^18 - 1 points in four SUM_CHUNK blocks
-    "vdc-limits": ["verify", "vdc-limits", "--s-max", "17"],
-    # four blocks, the last one cut
-    "hlawka grid": ["verify", "hlawka", "--gen", "grid", "--N", "200001"],
-    # one compared row
-    "extremal single": ["verify", "extremal", "--N", "1024", "--d", "0.0625"],
-    # M = 307.2 is no integer, so nothing is compared
-    "extremal unchecked": ["verify", "extremal", "--N", "1024", "--d", "0.3"],
-}
-# sha256 of each verify report on stdout, and of each mc run's CSV and
-# JSON, by (alpha, command), recorded with the 4-limb fixed-point kernel
-# and the division form of the Ostrowski digit sums: a change to any byte
-# must be deliberate
-OUTPUT_SHA256 = {
-    ('golden', 'ostrowski'): [
-        "9c3a4735371ca48a08fde8fd81ed50d2463935aa9ba257defe504507d3f2ebff",
-    ],
-    ('golden', 'cesaro'): [
-        "a17d870735e2c848bd37685cb511defb12b7510327433c642c35228cc93f8417",
-    ],
-    ('golden', 'type-growth'): [
-        "cc4b7da9bd075be873992d247fb947557c88bc7f020e394a5b226f21c66a937b",
-    ],
-    ('golden', 'conjectures'): [
-        "f256d103ebbf9c9331d8fef4a1931981adda752734538eaea6d8cc95cdf63377",
-    ],
-    ('golden', 'kronecker-sandwich'): [
-        "00dc86ccaddb1a691535461d9fa0a2e74499c57946825f9937505b70d287c10e",
-    ],
-    ('golden', 'hlawka'): [
-        "25a6673c6d10eef0155a3c917592d2a8503b4b4b1a766f1dfb3040e5448f4967",
-    ],
-    ('golden', 'hlawka 140001'): [
-        "ab06239461c81c883674558b8b6188cd8ceb71e4819c575fa817eee11ca0e7c7",
-    ],
-    ('golden', 'mc rademacher'): [
-        "5dde16037030f2a70d669605a0aabe2a02afef27b8afd2e29c2f455c3e6e7c3e",
-        "ee11522c1287c90bbe5b6d94655e2127feb100f83ea88e4e11cb9ee139d5fad6",
-    ],
-    ('golden', 'mc subsequence'): [
-        "5d67041ec350d8d2660d4ad56adbed7c3b30c76f7d741c7a38c0eeb61d3d305f",
-        "00b3657473e8c719c38d3b4ee5d8ac0f7ada286daea134a3ae351ca0b7da41a4",
-    ],
-    ('cf-1000', 'ostrowski'): [
-        "739ef7e20154ae60908363369cb8c9cc13cc9182b85293b2f5da2cfa000f6460",
-    ],
-    ('cf-1000', 'cesaro'): [
-        "33abdd5077153c114906ce9df8c8a81b8e3ad51f5a25a28b668bb4993c099a12",
-    ],
-    ('cf-1000', 'type-growth'): [
-        "dee141c25ff378c51f220a4622b4d0b95045ef8d7d71d15fb0d953ae77d9e2e6",
-    ],
-    ('cf-1000', 'conjectures'): [
-        "6aa027fa31f4d15f3fdeedf1dc050b836a0071ca92cd582a627fe31bc61eb84d",
-    ],
-    ('cf-1000', 'kronecker-sandwich'): [
-        "c41be218c7fbb87d43b6bbc5636ab49370ca96a27a4bb406434ed0402e5ae5d4",
-    ],
-    ('cf-1000', 'hlawka'): [
-        "768d084a77bb4a70fa320b7ffa56338b41f03e2a070f870105366e1c225a69d3",
-    ],
-    ('cf-1000', 'hlawka 140001'): [
-        "0fbf02203f0eb984a0d91b17b51ba1bd376d17ad774449aa38c6e16f0f89d412",
-    ],
-    ('cf-1000', 'mc rademacher'): [
-        "767a5fcb1405b5b21af12127a4685c7af18991c6852ff7845d8a5948e6bdbec9",
-        "4f852af07a73c030a5780cf7c30f799de808065016962e8419f56e92e1c35a98",
-    ],
-    ('cf-1000', 'mc subsequence'): [
-        "935b7678f9851e44b7cf44d47f5f1cdb54643c07a5e064c73950382754d037f7",
-        "5e83fcb0bbe1e9969748eb0b542c6d09fddbbebdc6819b1ff056e56c18453c08",
-    ],
-    ('cf-2^64', 'ostrowski'): [
-        "cb3bb3b852d720eba868ad0d1945d4344aba007de9174d6d13735412b9bc6d40",
-    ],
-    ('cf-2^64', 'cesaro'): [
-        "dad27abd6535ebd7ccf88580679555c41093da100583e9848b676c980524ebd1",
-    ],
-    ('cf-2^64', 'type-growth'): [
-        "dbb1d21d3a45463de66312e8a6b7eaca1519d93f6c5de8bc83c8c33bcc2c09f1",
-    ],
-    ('cf-2^64', 'conjectures'): [
-        "1f19220e519a57c3f8b92e5564976868754dbd6c624fcc1eea16fa3e6f1a2c05",
-    ],
-    ('cf-2^64', 'kronecker-sandwich'): [
-        "9bfb342dc97c5156d2addce50b0c8d4aefb43e42b34788816a226233a06ac295",
-    ],
-    ('cf-2^64', 'hlawka'): [
-        "f8827baf4a33ed75ec6fffcb77605f28e40b6b1665ce8f1bab639536ac584312",
-    ],
-    ('cf-2^64', 'hlawka 140001'): [
-        "17c39e9f90db88ecf04ef18675c92efd563100ba6e2561d8af5fb9232e2f0d80",
-    ],
-    ('cf-2^64', 'mc rademacher'): [
-        "1405fb25433520379fda8de4019af73ea0e885b0ddcd6bce9f8737a8ecb7869f",
-        "c3e9cfaeb49b4147016a3c3967eb72e225be7577ff8cc68d95463768020ac01f",
-    ],
-    ('cf-2^64', 'mc subsequence'): [
-        "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
-        "287b15c7a451e1839aad62216c131b115748a87611165f4060253a2a4c092997",
-    ],
-    ('cf-2^64', 'mc rademacher 140001'): [
-        "e3031984876b673eac45784676d37d348d4797f83ccc2d787e7b0bcc4de80e47",
-        "0762ac1d0ef15374f41e14dd9d32b0cf22274ab8a17ebd8ee99d79bc7bc8bdf0",
-    ],
-    ('cf-2^64', 'mc subsequence 30000'): [
-        "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
-        "ec0a40c2fb8e92e5afe0d2b2b5733f99a10b67d3e49b2af6d2997f8b9c17d5b7",
-    ],
-    ('sqrt2m1', 'hlawka 140001'): [
-        "45ca8047c3fe833f27d25e79a2a5579345ff8ee90f24b4fe1dff64002ad5c81a",
-    ],
-    ('sqrt2m1', 'mc rademacher 140001'): [
-        "1103155a714a0b0020e1e7ea7836ee9eb58ec305bc0b69290330df5270db6e60",
-        "d1ec8f49d7131799f5be3e6467c38a2a801492a99f051dce0a7ecf7659d2b9c6",
-    ],
-    ('sqrt2m1', 'mc rademacher 140001 seed 1'): [
-        "f9b32a4aa5cb8726736455e9874b7d15dd44cb0df6382cbe5533fc5c91d8be6e",
-        "c08d5e61b0c32f98932591665b1fbf259a23b282dd82d08ab0e6e32ff37fca09",
-    ],
-    ('sqrt2m1', 'mc subsequence 30000'): [
-        "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
-        "e4a118088aca4645fd1fe2892c1a8d33d0b054a86ee28609e0da4546af742914",
-    ],
-    ('cf-1000', 'mc subsequence 140001'): [
-        "935b7678f9851e44b7cf44d47f5f1cdb54643c07a5e064c73950382754d037f7",
-        "ed081995792868893eda698abcdd84adf17d1eb8d8db79eef815945fe54bc5d8",
-    ],
-    ('cf-2^64', 'mc subsequence 140001'): [
-        "dc0542447fca2196dafbb042eb6be7b3bad858a2640d9d596b79cd45ba9dd0ad",
-        "41e25b79c532c92a9c0f8aa22fdab900733e9b56d4b64b12831c0dd467bf7f2e",
-    ],
-    ('golden', 'mc subsequence 140001'): [
-        "5d67041ec350d8d2660d4ad56adbed7c3b30c76f7d741c7a38c0eeb61d3d305f",
-        "2448646465cd962b510d2064785af697d7daa43c19488f9fb54bbc7a62aa47da",
-    ],
-    ('sqrt2m1', 'mc subsequence 140001'): [
-        "bed39573caf77ad52796a11c2f8aecb1689c8fa2b2533fde7e76716a3eaf3eed",
-        "393d1e31e6abda376b858078616e31b3524cce4858c241f738d5a4edac2af059",
-    ],
-    ('sqrt2m1', 'mc subsequence 140001 seed 5'): [
-        "a3bbb15cdbe54acbcc8fed2e06f90353906ab2d53def29fd7b4a3036319736f5",
-        "63a6ed5760c5fb2c384b9bc77a5e9567e17192703c218fb4f53b6c6ddf7f7180",
-    ],
-}
-
-
-# the same for the commands that read no alpha, by command
-ALPHA_FREE_SHA256 = {
-    "mc iid": [
-        "9a45baf2218cef9a02c8be4f2180b8309c89fe6f4f352b12b77c6b0932aa4a20",
-        "433c341345e6e0d13c77580270dcfd865141f5c45591a7af355393c2d5d9534d",
-    ],
-    "mc iid 140001": [
-        "b4b5005c375451be0db977c4de2b60f818943b5fca7dccaa171a9d9bac0c75b3",
-        "e33f77cec32f14223b668901263dbe3d0294f0a4b72999ed49e14b17ef349bcb",
-    ],
-    "hlawka vdc": [
-        "6f83802fd678b41a9c0e969bb275c34943de2ecbf2160f91b65d22c7c51002f5",
-    ],
-    "extremal csv": [
-        "124c8d15783a2ecc14f91cad89867af3c76c8206cb8c4a1d70c9bf60bed4dae0",
-        "e29ae5425a7ec2f01bb01b519aeddb047074a21fc99d9f92f377590561b4c726",
-    ],
-    "vdc-limits": [
-        "bb234505d44a33184affd14156f799446be5c5a710095c4baf087e7de9052064",
-    ],
-    "hlawka grid": [
-        "5c851aa6eaf208a3f9d6392cfea1e222e6f3fdaa4a64ff46d5c262579f1ce12e",
-    ],
-    "extremal single": [
-        "e689aeb40d4b492e810ef3dcba463a4cc45455e7e62210968001100ceb6c60c6",
-    ],
-    "extremal unchecked": [
-        "56922362198e727b9196119febaf41fc2ea3d5247efcfbfd686079fd611d5ff0",
-    ],
-}
-
-
-def pin_argv(alpha, command, tmp_path):
-    """The command line that OUTPUT_SHA256 pins for one (alpha, command),
-    and ALPHA_FREE_SHA256 for one command when alpha is None, with an mc
-    run's file prefix or the sweep's CSV file in `tmp_path`."""
-    argv = PIN_COMMANDS[command]
-    if alpha is not None:
-        argv = argv + ["--alpha", PIN_ALPHAS[alpha]]
+def pin_argv(row, pin, tmp_path):
+    """The command line of a pin of `row`, with an mc run's file prefix or
+    the sweep's CSV file in `tmp_path`."""
+    argv = row.pin_line(pin)
     if argv[0] == "mc":
         return argv + ["--out", str(tmp_path / "pin")]
-    return argv + ["--out", str(tmp_path / "pin.csv")] if "csv" in argv \
-        else argv
+    if argv[0] == "verify" and "csv" in argv:
+        return argv + ["--out", str(tmp_path / "pin.csv")]
+    return argv
 
 
-def pinned_outputs(tmp_path, capsys, alpha, command):
-    """The bytes that `pin_argv`'s command line writes: an mc run's CSV and
-    JSON, the sweep's CSV file and its report on stdout, or a verify report
-    on stdout."""
-    argv = pin_argv(alpha, command, tmp_path)
+def check_pin(row, pin, tmp_path, capsys):
+    """The bytes that the pinned line writes hash to the pin's sha256: an
+    mc run's CSV and JSON, the sweep's CSV file and its report on stdout,
+    or figure's rows or a verify report on stdout."""
+    argv = pin_argv(row, pin, tmp_path)
     code, out, _ = run(argv, capsys)
+    assert code in ((0, 1) if argv[0] == "verify" else (0,))
     if argv[0] == "mc":
-        assert code == 0
-        return [(tmp_path / f"pin.{ext}").read_bytes()
-                for ext in ("csv", "json")]
-    assert code in (0, 1)
-    if "csv" in argv:
-        return [(tmp_path / "pin.csv").read_bytes(), out.encode()]
-    return [out.encode()]
+        outputs = [(tmp_path / f"pin.{ext}").read_bytes()
+                   for ext in ("csv", "json")]
+    elif "--out" in argv:
+        outputs = [(tmp_path / "pin.csv").read_bytes(), out.encode()]
+    else:
+        outputs = [out.encode()]
+    assert [hashlib.sha256(b).hexdigest() for b in outputs] == \
+        list(pin.sha256)
 
 
-@pytest.mark.parametrize("key", sorted(OUTPUT_SHA256), ids="/".join)
-def test_verify_and_mc_outputs_pinned(tmp_path, capsys, key):
-    got = [hashlib.sha256(b).hexdigest()
-           for b in pinned_outputs(tmp_path, capsys, *key)]
-    assert got == OUTPUT_SHA256[key]
+# Every pin of the table, run by five tests through one check, so that each
+# pin keeps its test id: figure's three sets, and the verify and mc lines
+# with and without --alpha.
+def figure_pins(name):
+    return [pin for pin in FIGURE.pins if pin.name == name]
 
 
-@pytest.mark.parametrize("command", sorted(ALPHA_FREE_SHA256))
-def test_alpha_free_outputs_pinned(tmp_path, capsys, command):
-    got = [hashlib.sha256(b).hexdigest()
-           for b in pinned_outputs(tmp_path, capsys, None, command)]
-    assert got == ALPHA_FREE_SHA256[command]
+PINS = [(row, pin) for row in ROWS if row is not FIGURE for pin in row.pins]
+ALPHA_PINS = [(row, pin) for row, pin in PINS if pin.alpha]
+ALPHA_FREE_PINS = [(row, pin) for row, pin in PINS if pin.alpha is None]
+
+
+@pytest.mark.parametrize("key", figure_pins("figure"))
+def test_figure_output_pinned(tmp_path, capsys, key):
+    check_pin(FIGURE, key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", figure_pins("figure exponent"))
+def test_figure_exponent_rows_pinned(tmp_path, capsys, key):
+    check_pin(FIGURE, key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", figure_pins("figure anchors"))
+def test_figure_many_anchors_pinned(tmp_path, capsys, key):
+    check_pin(FIGURE, key, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row, pin", ALPHA_PINS,
+                         ids=[f"{pin.alpha}/{pin.name}"
+                              for _, pin in ALPHA_PINS])
+def test_verify_and_mc_outputs_pinned(tmp_path, capsys, row, pin):
+    check_pin(row, pin, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row, pin", ALPHA_FREE_PINS,
+                         ids=[pin.name for _, pin in ALPHA_FREE_PINS])
+def test_alpha_free_outputs_pinned(tmp_path, capsys, row, pin):
+    check_pin(row, pin, tmp_path, capsys)
 
 
 # ------------------------------------------------------------------- flags
@@ -1363,8 +1037,25 @@ def test_help_and_usage_text_pinned(case, monkeypatch, capsys):
 
 
 # figure, each verify theorem and each mc model
-COMMAND_NAMES = [["figure"]] + [[group, name] for group in ("verify", "mc")
-                                for name in cli.COMMANDS[group]]
+COMMAND_NAMES = list(map(list, dict.fromkeys(tuple(row.names)
+                                             for row in ROWS)))
+
+
+def row_mode(row):
+    """The command, or the mode of `cli._UNREAD`, that `row` runs."""
+    mode = cli._mode(cli._read(row.line(row.small, row.runs[0])))
+    return " ".join(row.names) if mode is None else f"verify {mode}"
+
+
+def test_every_command_and_mode_has_a_row():
+    # a command of cli.COMMANDS, or a mode of a verify theorem, that the
+    # table lacks fails here
+    modal = {mode.split()[0] for mode in cli._UNREAD}
+    want = ["figure", *(f"mc {model}" for model in cli.COMMANDS["mc"]),
+            *(f"verify {tag}" for tag in cli.COMMANDS["verify"]
+              if tag not in modal),
+            *(f"verify {mode}" for mode in cli._UNREAD)]
+    assert sorted(map(row_mode, ROWS)) == sorted(want)
 
 
 def command_options(names):
@@ -1459,18 +1150,10 @@ def test_plain_lines_are_read_from_the_table(tmp_path):
     # every line the unused-code guard and the pinned-output tests run, but
     # -h and argparse's usage errors, is read without argparse, as argparse
     # reads it
-    guard = [[a.replace("{tmp}", str(tmp_path)) for a in argv]
-             for argv, code in zip(RUNS, CODES)
-             if code == 0 and "-h" not in argv]
-    assert len(guard) == len(RUNS) - 3
-    lines = [*guard, *(figure_pin_argv(*key) for key in FIGURE_SHA256),
-             *(figure_argv(alpha, FIGURE_EXPONENT_N, normalizer, fmt)
-               for alpha, normalizer, fmt in FIGURE_EXPONENT_SHA256),
-             *(figure_argv(alpha, FIGURE_ANCHORS_N, normalizer, fmt)
-               for alpha, normalizer, fmt in FIGURE_ANCHORS_SHA256),
-             *(pin_argv(*key, tmp_path) for key in OUTPUT_SHA256),
-             *(pin_argv(None, command, tmp_path)
-               for command in ALPHA_FREE_SHA256)]
+    lines = [*([*row.line(row.small, flags), "--out", str(tmp_path / "out")]
+               for row in ROWS for flags in row.runs),
+             *(pin_argv(row, pin, tmp_path) for row in ROWS
+               for pin in row.pins)]
     for argv in lines:
         assert read(argv) is not None and read(argv) == parsed(argv), argv
     for case in CLI_TEXT["cases"]:
@@ -1479,24 +1162,9 @@ def test_plain_lines_are_read_from_the_table(tmp_path):
         assert (read(case["argv"]) is None) == argparse_text, case["argv"]
 
 
-# one plain line of figure, of each verify theorem and of each mc model, at
-# a small size, by the command's last name
-SMALL = {"figure": ["--n-max", "2"],
-         "hlawka": ["--n-max", "100"],
-         "extremal": ["--n-max", "16"],
-         "kronecker-sandwich": ["--q-max", "100"],
-         "ostrowski": ["--n-max", "100"],
-         "cesaro": ["--n-max", "100"],
-         "type-growth": ["--n-max", "100", "--t", "2"],
-         "vdc-limits": ["--s-max", "4"],
-         "conjectures": ["--n-max", "100"],
-         "iid": ["--paths", "2", "--n-max", "1000"],
-         "rademacher": ["--paths", "2", "--n-max", "200"],
-         "subsequence": ["--paths", "2", "--terms", "200"]}
-
-
-@pytest.mark.parametrize("names", COMMAND_NAMES, ids=" ".join)
-def test_a_plain_line_builds_no_parser(names, tmp_path, monkeypatch, capsys):
+# each row's line at its small size
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_a_plain_line_builds_no_parser(row, tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1505,11 +1173,12 @@ def test_a_plain_line_builds_no_parser(names, tmp_path, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    argv = [*names, *SMALL[names[-1]], "--out", str(tmp_path / "out")]
+    argv = [*row.line(row.small, row.runs[0]),
+            "--out", str(tmp_path / "out")]
     assert exit_code(argv) == 0
     assert built == []
     # the count sees the parsers that -h builds
-    assert exit_code([*names, "-h"]) == 0 and built
+    assert exit_code([*row.names, "-h"]) == 0 and built
 
 
 def refuse(*args, **kwargs):

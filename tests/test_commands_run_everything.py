@@ -18,39 +18,16 @@ import sys
 from pathlib import Path
 
 import test_reachability as reachability
+from commands import ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "weylprod"
 
-# each command once at a small size, "{tmp}" the run's directory
-RUNS = [
-    *(["figure", "--n-max", "100", "--normalizer", normalizer, "--format",
-       fmt, "--out", "{tmp}/figure"]
-      for normalizer in ("none", "one_over_N", "one_over_N_squared")
-      for fmt in ("csv", "json")),
-    ["verify", "hlawka", "--gen", "kronecker", "--n-max", "200",
-     "--out", "{tmp}/v"],
-    ["verify", "hlawka", "--gen", "vdc", "--n-max", "200", "--out", "{tmp}/v"],
-    ["verify", "hlawka", "--gen", "grid", "--N", "200", "--out", "{tmp}/v"],
-    ["verify", "extremal", "--n-max", "64", "--out", "{tmp}/v"],
-    ["verify", "extremal", "--n-max", "64", "--format", "csv",
-     "--out", "{tmp}/sweep.csv"],
-    ["verify", "extremal", "--N", "16", "--d", "0.125", "--out", "{tmp}/v"],
-    ["verify", "kronecker-sandwich", "--q-max", "200", "--out", "{tmp}/v"],
-    ["verify", "ostrowski", "--n-max", "200", "--out", "{tmp}/v"],
-    ["verify", "cesaro", "--n-max", "200", "--out", "{tmp}/v"],
-    ["verify", "type-growth", "--n-max", "200", "--out", "{tmp}/v"],
-    ["verify", "vdc-limits", "--s-max", "8", "--out", "{tmp}/v"],
-    ["verify", "conjectures", "--n-max", "200", "--out", "{tmp}/v"],
-    ["mc", "iid", "--paths", "2", "--n-max", "1000", "--out", "{tmp}/mc"],
-    ["mc", "rademacher", "--paths", "2", "--n-max", "200", "--out",
-     "{tmp}/mc"],
-    ["mc", "subsequence", "--paths", "2", "--terms", "200", "--out",
-     "{tmp}/mc"],
-    ["-h"],
-    ["verify", "hlawka", "-h"],
-    ["figure", "--normalizer", "x"],
-]
+# each row of the command table once for each of its runs, at its small
+# size, then three lines that argparse reads; "{tmp}" the run's directory
+RUNS = [*([*row.line(row.small, flags), "--out", "{tmp}/out"]
+          for row in ROWS for flags in row.runs),
+        ["-h"], ["verify", "hlawka", "-h"], ["figure", "--normalizer", "x"]]
 CODES = [0] * (len(RUNS) - 1) + [2]
 
 # reads the directory that holds the package and the runs as JSON from
