@@ -89,18 +89,15 @@ def kronecker_log_trace(alpha: IrrationalSpec, N: int):
     return tr.log_values, tr.error_bound
 
 
-def _hlawka_rhs(N: int, delta: float, err: float, eps) -> tuple:
+def _hlawka_rhs(N: int, delta: float, err: float, h: float) -> tuple:
     """(rhs, tol) of the Hlawka check at one N, in scalar arithmetic, for
-    an exact Delta (`eps` None) or a Kronecker `delta_at(N)`, which is
-    within h = N (eps + 2^-53) of Delta_N (`PrefixDiscrepancy`)."""
+    a Delta within h of Delta_N: 0 for an exact one, and a Kronecker
+    `delta_at(N)`'s `margin(N)` (`PrefixDiscrepancy`)."""
     rhs = 2.0 * delta * (math.log(N) - math.log(delta))
-    tol = err + BASE_TOL
-    if eps is not None:
-        # rhs' = 2 (log(N / Delta) - 1) and rhs'' = -2 / Delta, Delta >= 1/2
-        # > h: moving Delta by h moves rhs by at most this charge
-        h = N * (eps + 2.0 ** -53)
-        tol += (2.0 * (abs(math.log(N / delta)) + 1.0) * h
-                + h * h / (delta - h))
+    # rhs' = 2 (log(N / Delta) - 1) and rhs'' = -2 / Delta, Delta >= 1/2
+    # > h: moving Delta by h moves rhs by at most this charge, 0 at h = 0
+    tol = err + BASE_TOL + (2.0 * (abs(math.log(N / delta)) + 1.0) * h
+                            + h * h / (delta - h))
     return rhs, tol
 
 
@@ -122,17 +119,17 @@ class HlawkaScreen:
 
     `bracket` is None where both bounds are Delta_N itself, exact;
     otherwise it gives `delta_at(N)`, Delta_N in float64, within
-    N (eps + 2^-53) of it (`PrefixDiscrepancy`). The right-hand side is
+    `margin(N)` of it (`PrefixDiscrepancy`). The right-hand side is
     concave in Delta, so its minimum over [lower, upper] sits at an end;
     each block is screened with that minimum and numpy's log, in five work
     arrays kept from block to block (a `Scratch`). Every N that the screen
-    cannot clear is settled in its block: its lhs and Delta_N are kept,
-    and classified by the scalar formula at the end, against the trace's
-    final error bound. So is every N whose largest possible
-    gamma = rhs / log^2 N reaches the running top of the certain ones; the
-    top only rises, so the final top finds every final candidate among the
-    kept ones. The screen works element by element, so block edges move no
-    row and no candidate.
+    cannot clear is kept from its block with its lhs and lower bound, and
+    classified at the end by the scalar formula at Delta_N (`_rhs`),
+    against the trace's final error bound. So is every N whose largest
+    possible gamma = rhs / log^2 N reaches the running top of the certain
+    ones; the top only rises, so the final top finds every final candidate
+    among the kept ones. The screen works element by element, so block
+    edges move no row and no candidate.
     """
 
     def __init__(self, N_min: int, N_max: int, bracket):
@@ -141,7 +138,7 @@ class HlawkaScreen:
         self.n_range, self.bracket = (N_min, N_max), bracket
         self.work = Scratch(min(N_max, SUM_CHUNK))
         self.steps = np.arange(1.0, min(N_max, SUM_CHUNK) + 1.0)
-        self.rows = []  # (N, lhs, Delta_N) that the screen cannot clear
+        self.rows = []  # (N, lhs, lower) that the screen cannot clear
         self.near = []  # (largest possible gamma, N, lower) of candidates
         self.top = -math.inf
 
@@ -162,9 +159,8 @@ class HlawkaScreen:
         cleared += np.abs(rhs_lo, out=get(4, b))
         cleared *= SCREEN_REL
         i = np.flatnonzero(lhs > np.subtract(rhs_lo, cleared, out=cleared))
-        ns = (i + (s + 1)).tolist()
-        self.rows += zip(ns, lhs[i].tolist(), lo[i].tolist() if exact else
-                         [self.bracket.delta_at(n) for n in ns])
+        self.rows += zip((i + (s + 1)).tolist(), lhs[i].tolist(),
+                         lo[i].tolist())
         j = max(0, 1 - s)  # gamma needs log N > 0
         if j < b:
             sq = np.square(log_N[j:], out=get(3, b)[j:])
@@ -184,20 +180,25 @@ class HlawkaScreen:
 
     def report(self, err: float, parameters: dict) -> BoundReport:
         """The verdict over every N fed, each log P_N within `err`."""
-        eps = None if self.bracket is None else self.bracket.eps
         report = BoundReport("hlawka", parameters, self.n_range)
-        for n, lhs, delta in self.rows:
-            _report_rows(report, n, lhs, *_hlawka_rhs(n, delta, err, eps))
+        for n, lhs, lower in self.rows:
+            _report_rows(report, n, lhs, *self._rhs(n, lower, err))
         cut = self.top - SCREEN_REL * abs(self.top)
         gamma_hat = 0.0
-        for p, n, delta in self.near:
+        for p, n, lower in self.near:
             if p >= cut:
-                if self.bracket is not None:
-                    delta = self.bracket.delta_at(n)
-                r, _ = _hlawka_rhs(n, delta, err, eps)
+                r, _ = self._rhs(n, lower, err)
                 gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
         report.empirical_constants["gamma_hat"] = gamma_hat
         return report
+
+    def _rhs(self, n: int, lower: float, err: float) -> tuple:
+        """`_hlawka_rhs` at N of Delta_N: `lower` where it is exact, else
+        the bracket's `delta_at(N)`, charged its `margin(N)`."""
+        if self.bracket is None:
+            return _hlawka_rhs(n, lower, err, 0.0)
+        return _hlawka_rhs(n, self.bracket.delta_at(n), err,
+                           self.bracket.margin(n))
 
 
 def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int,
@@ -437,7 +438,7 @@ def grid_hlawka_report(N: int) -> BoundReport:
     for cum in map(trace.prefix, uniform_grid_blocks(N)):
         lhs = float(cum[-1])
     # Delta_N = N D_N* = N/(N+1), correctly rounded
-    rhs, tol = _hlawka_rhs(N, N / den, trace.error_bound(), None)
+    rhs, tol = _hlawka_rhs(N, N / den, trace.error_bound(), 0.0)
     report = BoundReport("hlawka", {"gen": "grid", "N": N}, (N, N))
     _report_rows(report, N, lhs, rhs, tol)
     report.empirical_constants["P_N"] = math.exp(lhs)

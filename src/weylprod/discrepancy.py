@@ -5,7 +5,9 @@ sorted multiset the supremum is max_i max(x_(i) - (i-1)/N, i/N - x_(i)),
 which handles repeated points correctly under the half-open counting
 convention. The prefix forms: `discrepancy_trace`, the O(N^2) float64
 reference, as three arrays; the van der Corput points' exact Delta_n
-beside their blocks (`vdc_discrepancy`); a Kronecker orbit's bracket.
+beside their blocks (`vdc_discrepancy`); a Kronecker orbit's bracket and
+its Delta_n for one n, both from the orbit's prefix sums with no sort
+(`kronecker_discrepancy`).
 """
 
 from __future__ import annotations
@@ -111,31 +113,37 @@ class DiscrepancyTrace:
 
 @dataclass(frozen=True, eq=False)
 class PrefixDiscrepancy:
-    """Bounds lower <= Delta_n <= upper for every prefix n = 1..N of a
-    Kronecker `orbit`, a block at a time (`blocks`), where Delta_n = n D_n*
-    is the value `discrepancy_trace` gives for the orbit's float64 points,
-    and `delta_at(n)`, that value itself for one n, within n (eps + 2^-53)
-    of the exact Delta_n; from T(0..N), its error bound `T_error` and
-    max|T| `T_max` (`kronecker_discrepancy`). The van der Corput prefixes
-    need no bracket: `vdc_discrepancy` gives their Delta_n exactly."""
+    """Delta_n = n D_n* for every prefix n = 1..N of a Kronecker orbit, from
+    T(0..N), its error bound `T_error`, max|T| `T_max` and the terms' error
+    `eps` (`kronecker_discrepancy`): bounds lower <= Delta_n <= upper a
+    block at a time (`blocks`), and `delta_at(n)`, the identity's value
+    itself for one n, each within `margin(n)` of the exact Delta_n. The van
+    der Corput prefixes need no bracket: `vdc_discrepancy` gives their
+    Delta_n exactly."""
 
-    orbit: FixedPointOrbit
     T: np.ndarray
     eps: float
     T_error: float
     T_max: float
 
     def __len__(self):
-        return len(self.orbit)
+        return len(self.T) - 1
+
+    def margin(self, n):
+        """The charge of Delta_n, for an int or an array n, derived in
+        `kronecker_discrepancy`."""
+        return 3.0 * (n * self.eps + self.T_error) + 2.0 ** -49 * (
+            1.0 + self.T_max)
 
     def delta_at(self, n: int) -> float:
-        """Delta_n by the sorted-order formula in float64 over the first n
-        points, sorted in place, bit for bit the trace's value."""
+        """Delta_n by the identity over every pair a + b = n - 1, from T in
+        O(n): between the two bounds before their margin, as its inner
+        maximum takes the lower bound's subtractions among its own and
+        max T - min T rounds to no less than any of them."""
         if not 1 <= n <= len(self):
             raise IndexError(f"prefix {n} outside [1, {len(self)}]")
-        xs = self.orbit[:n].points()
-        xs.sort()
-        return float(_float(xs).delta)
+        T = self.T
+        return float(0.5 + abs(T[n]) + (T[:n] - T[n - 1::-1]).max())
 
     def blocks(self):
         """(lower, upper) for n = 1..N in blocks of SUM_CHUNK n, from the
@@ -154,8 +162,7 @@ class PrefixDiscrepancy:
             b = np.maximum.accumulate(np.where(t == lo, m, b_last))
             top, bottom, a_last, b_last = hi[-1], lo[-1], a[-1], b[-1]
             base = 0.5 + np.abs(T[s + 1:e + 1])
-            margin = ((m + 1.0) * (4.0 * self.eps + 2.0 ** -52)
-                      + 3.0 * self.T_error + 2.0 ** -49 * (1.0 + self.T_max))
+            margin = self.margin(m + 1.0)
             inner = np.maximum(T[a] - T[m - a], T[m - b] - T[b])
             lower, upper = base + inner - margin, base + (hi - lo) + margin
             del m, hi, lo, a, b, base, margin, inner  # only the bounds stay
@@ -172,25 +179,23 @@ def kronecker_discrepancy(orbit: FixedPointOrbit) -> PrefixDiscrepancy:
     {(i-j) alpha} - {i alpha} + {j alpha} = 1. The inner maximum is at least
     the value of the pair (a*, n-1-a*), a* the last argmax of T on [0, n-1],
     and of the pair (n-1-m*, m*), m* the last argmin; that gives `lower`.
-    It is at most max T - min T on [0, n-1]; that gives `upper`. T is the
-    one array of length N made: the terms x_k - 1/2 are written to it block
-    by block and summed in place with `compensated_cumsum`'s amax and
-    chunks, and so its bits.
+    It is at most max T - min T on [0, n-1]; that gives `upper`. Over
+    every pair it gives `delta_at`. T is the one array of length N made:
+    the terms x_k - 1/2 are written to it block by block and summed in
+    place with `compensated_cumsum`'s amax and chunks, and so its bits.
     """
     # Margin, for the prefix n. Each float term x_k - 1/2 is within
     # eps = max error() + 2^-52 of {k alpha} - 1/2: error() bounds the
     # distance, points() adds at most 2^-53 above 1/2, the subtraction at
     # most 2^-55 below 1/4. So for m <= n, the computed T(m) is within
-    # n eps + T_error of the exact T(m), and each bound, built from three
-    # values of T, within 3 (n eps + T_error) of the exact expression.
-    # Each point of points() is within eps - 2^-53 of {k alpha}, which moves
-    # n D_n* by at most n (eps - 2^-53); the sorted-order formula over
-    # points() rounds each candidate value of d by at most 2^-53 (two
-    # roundings of magnitude <= 1), 2^-53 n in Delta_n, and d n by at most
-    # 2^-53 n more. So `delta_at(n)` is within n (eps + 2^-53) of the exact
-    # Delta_n, and each bound takes that once more.
-    # The bounds' own float operations (three, plus the widening) each
-    # round by at most 2^-53 of a magnitude below 1 + 3 max|T|.
+    # n eps + T_error of the exact T(m), and each of the bounds and
+    # `delta_at`, built from three values of T for each pair (a maximum
+    # over pairs moves by no more than its largest move), within
+    # 3 (n eps + T_error) of the exact expression. Their own float
+    # operations (three, plus a bound's widening) each round by at most
+    # 2^-53 of a magnitude below 1 + 3 max|T|: 12 2^-53 (1 + max|T|) in
+    # all, and the 2^-49 (1 + max|T|) charged leaves room for the margin's
+    # own rounding.
     N = len(orbit)
     T, err = np.zeros(N + 1), 0.0
     for s in range(0, N, SUM_CHUNK):
@@ -200,7 +205,7 @@ def kronecker_discrepancy(orbit: FixedPointOrbit) -> PrefixDiscrepancy:
     sums = PrefixSum(N, max(abs(float(T[1:].max())), abs(float(T[1:].min()))))
     for s in range(1, N + 1, SUM_CHUNK):
         sums.feed(T[s:s + SUM_CHUNK], T[s:s + SUM_CHUNK])
-    return PrefixDiscrepancy(orbit, T, err + 2.0 ** -52, sums.error_bound(),
+    return PrefixDiscrepancy(T, err + 2.0 ** -52, sums.error_bound(),
                              sums.out_max)
 
 

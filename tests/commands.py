@@ -183,17 +183,21 @@ HLAWKA = Row(
     # the orbit (9 bytes a point) and T (8); a cap of 32 bytes a point at
     # 2^20, and 20 bytes a point above it
     memory=[Memory(1 << 20, 1 << 21, cap=52 * MB, c=20)],
+    # golden's two pins and those of cf-1000 and sqrt2m1 at 140001 were
+    # re-captured when `delta_at` took Delta_N from T by the prefix-sum
+    # identity: gamma_hat moved in its last digits, to within the charge of
+    # the 200-bit sorted-order value at its N
     pins=pins("hlawka", 20000, THREE, [""], [
-        "25a6673c6d10eef0155a3c917592d2a8503b4b4b1a766f1dfb3040e5448f4967",
+        "f1868b6e943d2fabcc9014c523987d10e3c3ede87864aee807c8da360a658fc3",
         "768d084a77bb4a70fa320b7ffa56338b41f03e2a070f870105366e1c225a69d3",
         "f8827baf4a33ed75ec6fffcb77605f28e40b6b1665ce8f1bab639536ac584312",
     ])
     # three blocks of the Kronecker bracket, the last one 8929 N
     + pins("hlawka 140001", 140001, THREE + " sqrt2m1", [""], [
-        "ab06239461c81c883674558b8b6188cd8ceb71e4819c575fa817eee11ca0e7c7",
-        "0fbf02203f0eb984a0d91b17b51ba1bd376d17ad774449aa38c6e16f0f89d412",
+        "75954af5a4931f91680dc40c1b5af1b989ee994e188b4d7c88577f8b88a8ebe3",
+        "21f21d63dda4b56b4a73383d2819c601a2f76349c705bfa3b7a553f10abcaf99",
         "17c39e9f90db88ecf04ef18675c92efd563100ba6e2561d8af5fb9232e2f0d80",
-        "45ca8047c3fe833f27d25e79a2a5579345ff8ee90f24b4fe1dff64002ad5c81a",
+        "f0021e6bb89184e66107fed7281d78bbae6137ee69e67957cbd7782df27407d5",
     ]))
 
 HLAWKA_VDC = Row(

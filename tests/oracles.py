@@ -399,9 +399,11 @@ def _last_arg(T: np.ndarray, run: np.ndarray) -> np.ndarray:
 
 
 def kronecker_bracket(orbit) -> tuple:
-    """(lower, upper, eps) of `discrepancy.kronecker_discrepancy` over
-    whole arrays: T, both running extrema, both last-argument arrays, the
-    margin and both bounds, each of length N."""
+    """(lower, upper, margin) of `discrepancy.kronecker_discrepancy` over
+    whole arrays, the bounds before their margin: T, both running extrema,
+    both last-argument arrays, the margin and both bounds, each of
+    length N. The bracket's own bounds are lower - margin and
+    upper + margin."""
     pts = orbit.points()
     N = len(pts)
     T = np.zeros(N + 1)
@@ -414,12 +416,9 @@ def kronecker_bracket(orbit) -> tuple:
     inner = np.maximum(T[a] - T[m - a], T[m - b] - T[b])
     base = 0.5 + np.abs(T[1:])
     eps = float(orbit.error().max()) + 2.0 ** -52
-    n = m + 1.0
-    margin = (n * (4.0 * eps + 2.0 ** -52) + 3.0 * cum_err
+    margin = (3.0 * ((m + 1.0) * eps + cum_err)
               + 2.0 ** -49 * (1.0 + float(np.abs(T).max())))
-    lower = base + inner - margin
-    upper = base + (run_max[:-1] - run_min[:-1]) + margin
-    return lower, upper, eps
+    return base + inner, base + (run_max[:-1] - run_min[:-1]), margin
 
 
 def bracket_arrays(bracket) -> tuple:
@@ -449,10 +448,10 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     exact = isinstance(d_trace, np.ndarray)
     if exact:
         lo = hi = d_trace[N_min - 1:]
-        delta_at, eps = (lambda n: float(d_trace[n - 1])), None
+        delta_at, margin = (lambda n: float(d_trace[n - 1])), (lambda n: 0.0)
     else:
         lo, hi = (b[N_min - 1:] for b in bracket_arrays(d_trace))
-        delta_at, eps = d_trace.delta_at, d_trace.eps
+        delta_at, margin = d_trace.delta_at, d_trace.margin
     lhs = logs[N_min - 1:]
     log_N = np.log(N)
 
@@ -462,7 +461,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
     rhs_lo = rhs(lo) if exact else np.minimum(rhs(lo), rhs(hi))
     slack = SCREEN_REL * (np.abs(rhs_lo) + 2.0 * hi * log_N)
     unclear = np.flatnonzero(lhs > rhs_lo - slack)
-    rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, eps)
+    rhs_tol = np.array([_hlawka_rhs(n, delta_at(n), err, margin(n))
                         for n in N[unclear].tolist()]).reshape(-1, 2)
     _report_rows(report, N[unclear], lhs[unclear], rhs_tol[:, 0],
                  rhs_tol[:, 1])
@@ -477,7 +476,7 @@ def check_hlawka(ps_trace: ProductTrace, d_trace, N_min: int = 16,
         near = np.flatnonzero(peak >= top - SCREEN_REL * abs(top)) + i0
         for i in near.tolist():
             n = int(N[i])
-            r, _ = _hlawka_rhs(n, delta_at(n), err, eps)
+            r, _ = _hlawka_rhs(n, delta_at(n), err, margin(n))
             gamma_hat = max(gamma_hat, r / math.log(n) ** 2)
     report.empirical_constants["gamma_hat"] = gamma_hat
     return report

@@ -7,8 +7,10 @@ a gain
 (`"claim": {"metric", "workload"}`) must show it by the rule for a small
 sandbox: at least ten pairs, the change better in at least nine tenths of
 them (ties count for neither), and the medians further apart than the
-parent's own quartiles. Only `BENCHMARK.json` and the records are read;
-the benchmark's code is not imported."""
+parent's own quartiles. Where a record's `outputs` lists fresh-process
+runs of a command on both sides with the sha256 of its stdout, and the two
+sides' hashes differ, its `notes` name that command. Only `BENCHMARK.json`
+and the records are read; the benchmark's code is not imported."""
 
 import json
 import statistics
@@ -78,3 +80,53 @@ def test_claimed_gain_holds(path):
     assert 10 * wins >= 9 * pairs, (wins, pairs)
     gap = sign * (got["change"]["median"] - got["parent"]["median"])
     assert gap > got["parent"]["q3"] - got["parent"]["q1"]
+
+
+def moved_outputs(record: dict) -> list:
+    """The commands of `record`'s `outputs` whose stdout hashes differ
+    between the sides, where an entry is shaped as {description: {command:
+    {"parent": [run, ...], "change": [run, ...]}}} and its runs carry
+    `stdout_sha256` (None where a run printed nothing)."""
+    moved = []
+    for group in record.get("outputs", {}).values():
+        for command, entry in (group.items() if isinstance(group, dict)
+                               else ()):
+            sides = [entry.get(side) if isinstance(entry, dict) else None
+                     for side in ("parent", "change")]
+            if not all(isinstance(runs, list) and runs and all(
+                    isinstance(run, dict) for run in runs) for runs in sides):
+                continue
+            if not any("stdout_sha256" in run for runs in sides
+                       for run in runs):
+                continue
+            parent, change = ({run.get("stdout_sha256") for run in runs}
+                              for runs in sides)
+            if parent != change:
+                moved.append(command)
+    return moved
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_moved_outputs_are_named_in_the_notes(path):
+    record = json.loads(path.read_text(encoding="utf-8"))
+    notes = record.get("notes", "")
+    notes = " ".join(notes) if isinstance(notes, list) else notes
+    assert [c for c in moved_outputs(record) if c not in notes] == []
+
+
+def test_moved_outputs_reads_the_runs_of_both_sides():
+    def runs(*hashes):
+        return [{"exit": 0, "stdout_sha256": h} for h in hashes]
+
+    record = {"outputs": {
+        "fresh-process runs": {
+            "same": {"parent": runs("a", "a"), "change": runs("a")},
+            "moved": {"parent": runs("a"), "change": runs("b", "b")},
+            "one run moved": {"parent": runs("a", "a"),
+                              "change": runs("a", "b")},
+            "killed": {"parent": [{"exit": None}], "change": runs(None)},
+        },
+        "a prose entry": "every pin passes",
+        "other shapes": {"seconds": {"parent": [1.0], "change": [2.0]}},
+    }}
+    assert moved_outputs(record) == ["moved", "one run moved"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from commands import ALPHAS
 from weylprod import bounds
 from weylprod.bounds import (BASE_TOL, BoundReport, cesaro_bound_value,
                              check_cesaro_log_bound, check_hlawka,
@@ -31,20 +32,23 @@ from weylprod.sequences import (PointSet, RationalArray, van_der_corput,
 # Per-N reference loops: the checkers evaluate the same formulas on whole
 # arrays and must give the same reports.
 
-def hlawka_oracle(logs, deltas, err, N_min, eps):
+def charge(N, delta, h):
+    """What moving Delta by h can do to the right-hand side at N."""
+    return 2.0 * (abs(math.log(N / delta)) + 1.0) * h + h * h / (delta - h)
+
+
+def hlawka_oracle(logs, deltas, err, N_min, margin):
     """The Hlawka rows and gamma_hat at the given Delta_N. An inexact Delta
-    (`eps` not None) is within h = N (eps + 2^-53) of Delta_N, and the
-    tolerance takes what moving Delta by h can do to the right-hand side."""
+    (`margin` not None) is within h = margin(N) of Delta_N, and the
+    tolerance takes its `charge`."""
     violations, inconclusive, gamma_hat = [], [], 0.0
     for N in range(N_min, len(logs) + 1):
         delta = float(deltas[N - 1])
         lhs = float(logs[N - 1])
         rhs = 2.0 * delta * (math.log(N) - math.log(delta))
         tol = err + BASE_TOL
-        if eps is not None:
-            h = N * (eps + 2.0 ** -53)
-            slope = 2.0 * (abs(math.log(N / delta)) + 1.0)
-            tol += slope * h + h * h / (delta - h)
+        if margin is not None:
+            tol += charge(N, delta, margin(N))
         if N > 1:
             gamma_hat = max(gamma_hat, rhs / math.log(N) ** 2)
         if lhs > rhs + tol:
@@ -52,6 +56,27 @@ def hlawka_oracle(logs, deltas, err, N_min, eps):
         elif lhs > rhs:
             inconclusive.append((N, lhs, rhs))
     return violations, inconclusive, gamma_hat
+
+
+def assert_within_charge(rep, want, deltas, margin, N_min):
+    """`rep` has the verdict of the per-N loop's `want` and its violation
+    and inconclusive N and lhs, and each rhs and gamma_hat within the
+    charge of margin(N) at the reference `deltas`."""
+    violations, inconclusive, gamma_hat = want
+    assert rep.passed is not bool(violations)
+
+    def charge_at(n):
+        return charge(n, float(deltas[n - 1]), margin(n))
+
+    for got, rows in ((rep.violations, violations),
+                      (rep.inconclusive, inconclusive)):
+        assert [row[:2] for row in got] == [row[:2] for row in rows]
+        for (n, _, r), (_, _, w) in zip(got, rows):
+            assert abs(r - w) <= charge_at(n), n
+    # the two gamma_hat may come from different N, each within its charge
+    slack = max(charge_at(n) / math.log(n) ** 2
+                for n in range(max(N_min, 2), len(deltas) + 1))
+    assert abs(rep.empirical_constants["gamma_hat"] - gamma_hat) <= slack
 
 
 def ostrowski_rhs_oracle(alpha, N_max):
@@ -98,19 +123,20 @@ def near_rhs(rhs, tol, seed):
 
 # ------------------------------------------------------------------ hlawka
 
-# a Bracket's eps: its deltas are taken to be off by at least 4e-12, which
-# charges the tolerance at least 8e-12
-BRACKET_EPS = 4e-12
+def bracket_margin(N):
+    """A Bracket's margin: its deltas are taken to be off by more than
+    4e-12, which charges the tolerance more than 8e-12."""
+    return N * (4e-12 + 2.0 ** -53)
 
 
 class Bracket:
     """Prefix-discrepancy bounds around known deltas, for check_hlawka, with
-    the `eps` of a `PrefixDiscrepancy`; it hands over its bounds in
+    the `margin` of a `PrefixDiscrepancy`; it hands over its bounds in
     SUM_CHUNK blocks, as a `PrefixDiscrepancy` does."""
 
-    def __init__(self, delta, lower, upper, eps=BRACKET_EPS):
+    def __init__(self, delta, lower, upper, margin=bracket_margin):
         self.delta, self.lower, self.upper = delta, lower, upper
-        self.eps = eps
+        self.margin = margin
 
     def __len__(self):
         return len(self.delta)
@@ -165,12 +191,12 @@ def test_hlawka_matches_per_n_loop(seed):
                              err + BASE_TOL + 4e-12], size=n,
                             p=[0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
     tr = ProductTrace(logs, err, n)
-    for d_trace, eps in ((Bracket(deltas, deltas, deltas), BRACKET_EPS),
-                         (deltas, None)):
+    for d_trace, margin in ((Bracket(deltas, deltas, deltas),
+                             bracket_margin), (deltas, None)):
         for N_min in (1, 16):
             rep = check_hlawka(tr, d_trace, N_min, {})
             violations, inconclusive, gamma_hat = hlawka_oracle(
-                logs, deltas, err, N_min, eps)
+                logs, deltas, err, N_min, margin)
             assert rep.violations == violations and violations
             assert rep.inconclusive == inconclusive and inconclusive
             assert rep.empirical_constants["gamma_hat"] == gamma_hat
@@ -178,24 +204,26 @@ def test_hlawka_matches_per_n_loop(seed):
 
 
 def test_hlawka_prefixes_match_per_n_loop(sqrt2m1):
-    # the vdC deltas are exact; the Kronecker ones are the float64 trace's,
-    # which `delta_at` reproduces bit for bit
-    orbit = kronecker_fixed_point(sqrt2m1, 1500)
+    # the vdC deltas are exact, and give the per-N loop's report; the
+    # Kronecker report, on `delta_at`, is the loop's at the float64 trace's
+    # deltas within the charge of the bracket's margin
     vdc = van_der_corput(1500)
+    tr = product_trace(vdc)
     vdc_deltas = [float(star_discrepancy(vdc.points[:n]).delta)
                   for n in range(1, 1501)]
-    for kind, tr, deltas, n_mins, eps in (
-            ("vdc", product_trace(vdc), vdc_deltas, (1, 16), None),
-            ("kronecker", product_trace(orbit),
-             discrepancy_trace(orbit.points()).delta, (16,),
-             kronecker_discrepancy(orbit).eps)):
-        for N_min in n_mins:
-            rep = hlawka_sequence_report(kind, 1500, N_min=N_min,
-                                         alpha=sqrt2m1)
-            want = hlawka_oracle(tr.log_values, deltas, tr.error_bound,
-                                 N_min, eps)
-            assert (rep.violations, rep.inconclusive,
-                    rep.empirical_constants["gamma_hat"]) == want
+    for N_min in (1, 16):
+        rep = hlawka_sequence_report("vdc", 1500, N_min=N_min)
+        want = hlawka_oracle(tr.log_values, vdc_deltas, tr.error_bound,
+                             N_min, None)
+        assert (rep.violations, rep.inconclusive,
+                rep.empirical_constants["gamma_hat"]) == want
+    orbit = kronecker_fixed_point(sqrt2m1, 1500)
+    tr, kd = product_trace(orbit), kronecker_discrepancy(orbit)
+    deltas = discrepancy_trace(orbit.points()).delta
+    rep = hlawka_sequence_report("kronecker", 1500, N_min=16, alpha=sqrt2m1)
+    want = hlawka_oracle(tr.log_values, deltas, tr.error_bound, 16,
+                         kd.margin)
+    assert_within_charge(rep, want, deltas, kd.margin, 16)
 
 
 def test_hlawka_vdc_never_traces(monkeypatch):
@@ -230,7 +258,7 @@ def test_hlawka_bracket_matches_per_n_loop(seed):
         rep = check_hlawka(tr, Bracket(deltas, lower, deltas + width[1]),
                            N_min, {})
         violations, inconclusive, gamma_hat = hlawka_oracle(
-            logs, deltas, 0.0, N_min, BRACKET_EPS)
+            logs, deltas, 0.0, N_min, bracket_margin)
         assert rep.violations == violations and violations
         assert rep.inconclusive == inconclusive and inconclusive
         assert rep.empirical_constants["gamma_hat"] == gamma_hat
@@ -238,9 +266,12 @@ def test_hlawka_bracket_matches_per_n_loop(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
-    # logs around the right-hand side of the orbit's own Delta: just below
-    # it, inside the tolerance (inconclusive), just outside (violations),
-    # and far off; the screen on the bounds must settle exactly these
+    # logs around the right-hand side of the float64 trace's Delta: just
+    # below it and just inside the tolerance (inconclusive), each by twice
+    # the charge c of the margin, further inside, just outside
+    # (violations), and far off; the screen on the bounds must settle
+    # exactly these, within the charge, and give the report of `delta_at`
+    # at every N
     alpha = (surd_from_cf([], [2]), surd_from_cf([], [1]),
              surd_from_cf([3, 2 ** 66], [1, 7, 2]))[seed]
     n = 3000
@@ -248,33 +279,52 @@ def test_hlawka_kronecker_bounds_match_per_n_loop(seed):
     kd = kronecker_discrepancy(orbit)
     deltas = discrepancy_trace(orbit.points()).delta
     rng = np.random.default_rng(seed)
-    rhs = np.array([2.0 * d * (math.log(N) - math.log(d))
-                    for N, d in enumerate(deltas.tolist(), 1)])
-    logs = rhs + rng.choice([-1.0, -1e-13, 2e-12, 1e-10, 1.5e-9, 1.0],
-                            size=n, p=[0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
+    rhs, c = np.array([(2.0 * d * (math.log(N) - math.log(d)),
+                        charge(N, d, kd.margin(N)))
+                       for N, d in enumerate(deltas.tolist(), 1)]).T
+    assert c.max() < 2e-10
+    k = rng.choice(6, size=n, p=[0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
+    logs = rhs + np.choose(k, [-1.0, -2.0 * c, 2.0 * c, 5e-10, 1.5e-9, 1.0])
     err = 1e-11 * seed
     tr = ProductTrace(logs, err, n)
+    at = np.array([kd.delta_at(N) for N in range(1, n + 1)])
     for N_min in (1, 16):
         rep = check_hlawka(tr, kd, N_min, {})
-        violations, inconclusive, gamma_hat = hlawka_oracle(
-            logs, deltas, err, N_min, kd.eps)
-        assert rep.violations == violations and violations
-        assert rep.inconclusive == inconclusive and inconclusive
-        assert rep.empirical_constants["gamma_hat"] == gamma_hat
-        # the same report as from the exact trace
-        rep_t = check_hlawka(tr, Bracket(deltas, deltas, deltas, kd.eps),
-                             N_min, {})
+        want = hlawka_oracle(logs, deltas, err, N_min, kd.margin)
+        assert want[0] and want[1]
+        assert_within_charge(rep, want, deltas, kd.margin, N_min)
+        rep_t = check_hlawka(tr, Bracket(at, at, at, kd.margin), N_min, {})
         assert rep.to_dict() == rep_t.to_dict()
+
+
+def test_late_n_min_settles_candidates_without_sorting(sqrt2m1,
+                                                      monkeypatch):
+    # from N_min = 65536 the screen keeps 3600 gamma candidates up to
+    # N = 70000; each is settled from T, and no prefix is sorted
+    def no_sort(xs):
+        raise AssertionError("a prefix was sorted")
+
+    settled = []
+    delta_at = discrepancy.PrefixDiscrepancy.delta_at
+
+    def counted(self, n):
+        settled.append(n)
+        return delta_at(self, n)
+
+    monkeypatch.setattr(discrepancy, "_float", no_sort)
+    monkeypatch.setattr(discrepancy.PrefixDiscrepancy, "delta_at", counted)
+    rep = hlawka_sequence_report("kronecker", 70000, 65536, sqrt2m1)
+    assert rep.passed and rep.n_range == (65536, 70000)
+    assert 1 <= len(settled) <= 3600
 
 
 def test_hlawka_tolerance_covers_the_float_delta_error(sqrt2m1):
     # at the default N_max of 10^4, `delta_at` may be off by
-    # h = n (eps + 2^-53), which is above 4e-12: a lhs that a charge for a
+    # h = margin(n), which is above 4e-12: a lhs that a charge for a
     # 4e-12 move of Delta leaves outside the tolerance is inconclusive
     n = 10 ** 4
-    orbit = kronecker_fixed_point(sqrt2m1, n)
-    kd = kronecker_discrepancy(orbit)
-    h = n * (float(orbit.error().max()) + 2.0 ** -52 + 2.0 ** -53)
+    kd = kronecker_discrepancy(kronecker_fixed_point(sqrt2m1, n))
+    h = kd.margin(n)
     assert h > 4e-12
     delta = kd.delta_at(n)
     rhs = 2.0 * delta * (math.log(n) - math.log(delta))
@@ -286,13 +336,13 @@ def test_hlawka_tolerance_covers_the_float_delta_error(sqrt2m1):
     assert rep.inconclusive == [(n, float(logs[-1]), rhs)]
 
 
-@pytest.mark.parametrize("name", ["sqrt2m1", "golden"])
+@pytest.mark.parametrize("name", ["sqrt2m1", "golden", "cf-1000"])
 def test_delta_at_within_its_error(name):
-    # |delta_at(n) - Delta_n| <= n (eps + 2^-53), against the sorted-order
+    # |delta_at(n) - Delta_n| <= margin(n), against the sorted-order
     # Delta_n of 200-bit points, each within 2^-198, held as X = x 2^200
     # floored in integers
     N = 2 * 10 ** 4
-    alpha = parse_alpha(name)
+    alpha = parse_alpha(ALPHAS[name])
     kd = kronecker_discrepancy(kronecker_fixed_point(alpha, N))
     ev = FracPartEvaluator(alpha, n_max=N, precision_bits=200)
     one = 1 << 200
@@ -307,7 +357,7 @@ def test_delta_at_within_its_error(name):
                      for i, x in enumerate(xs))
         gap = abs(Fraction(kd.delta_at(n)) - Fraction(scaled, one))
         # the integers move each point by under 2^-197, Delta_n by n times
-        assert gap <= n * (kd.eps + 2.0 ** -53) + n * 2.0 ** -196, n
+        assert gap <= kd.margin(n) + n * 2.0 ** -196, n
 
 
 def test_hlawka_misaligned_traces():
@@ -363,10 +413,10 @@ def test_hlawka_streams_as_the_whole_array(kind, n):
     logs = tr.log_values.copy()
     for i, m in enumerate(at):
         if kind == "vdc":
-            delta, eps = float(d[m - 1]), None
+            delta, h = float(d[m - 1]), 0.0
         else:
-            delta, eps = d.delta_at(m), d.eps
-        rhs, tol = bounds._hlawka_rhs(m, delta, tr.error_bound, eps)
+            delta, h = d.delta_at(m), d.margin(m)
+        rhs, tol = bounds._hlawka_rhs(m, delta, tr.error_bound, h)
         logs[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3]
     raised = ProductTrace(logs, tr.error_bound, n)
     for trace in (tr, raised):
@@ -423,7 +473,7 @@ def test_vdc_hlawka_stream_classifies_rows_at_the_end(monkeypatch):
     bump = np.zeros(n)
     for i, m in enumerate(at):
         rhs, tol = bounds._hlawka_rhs(m, float(d[m - 1]), tr.error_bound,
-                                      None)
+                                      0.0)
         bump[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3] \
             - tr.log_values[m - 1]
     # and one N in the first block between the tolerance of the bound after
@@ -433,7 +483,7 @@ def test_vdc_hlawka_stream_classifies_rows_at_the_end(monkeypatch):
     first.prefix(next(van_der_corput_blocks(n)))
     early = first.error_bound()
     m = SUM_CHUNK - 2
-    rhs, tol = bounds._hlawka_rhs(m, float(d[m - 1]), tr.error_bound, None)
+    rhs, tol = bounds._hlawka_rhs(m, float(d[m - 1]), tr.error_bound, 0.0)
     lhs = rhs + tol - (tr.error_bound - early) / 2.0
     bump[m - 1] = lhs - tr.log_values[m - 1]
     assert rhs + early + BASE_TOL < tr.log_values[m - 1] + bump[m - 1] \
@@ -504,16 +554,16 @@ BRACKET_EDGES = [1, 2, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1,
 @pytest.mark.parametrize("name", sorted(STREAM_ALPHAS))
 def test_kronecker_bracket_blocks_equal_the_whole_arrays(name, n):
     # the bracket's blocks, one per SUM_CHUNK N, joined are the bounds of
-    # the whole-array reference bit for bit, with its eps
+    # the whole-array reference bit for bit, with its margin
     orbit = kronecker_fixed_point(STREAM_ALPHAS[name], n)
     kd = kronecker_discrepancy(orbit)
     assert [len(lo) for lo, _ in kd.blocks()] == \
         [min(SUM_CHUNK, n - s) for s in range(0, n, SUM_CHUNK)]
     lower, upper = oracles.bracket_arrays(kd)
-    want_lower, want_upper, eps = oracles.kronecker_bracket(orbit)
-    assert lower.tobytes() == want_lower.tobytes()
-    assert upper.tobytes() == want_upper.tobytes()
-    assert kd.eps == eps
+    inner_lower, inner_upper, margin = oracles.kronecker_bracket(orbit)
+    assert lower.tobytes() == (inner_lower - margin).tobytes()
+    assert upper.tobytes() == (inner_upper + margin).tobytes()
+    assert kd.margin(np.arange(1.0, n + 1)).tobytes() == margin.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_ALPHAS))
@@ -521,7 +571,7 @@ def test_kronecker_hlawka_streams_as_the_array_form(name):
     # the one block loop gives the array-form report over the whole trace
     # and the bracket, to the byte, whichever block N_min is in. From
     # N_min = SUM_CHUNK on, sqrt2m1 keeps 34930 gamma candidates, each
-    # settled by a sort of up to 2^17 points, in either form: minutes
+    # settled in O(N) by `delta_at`, in either form: seconds
     alpha, n = STREAM_ALPHAS[name], 2 * SUM_CHUNK + 3
     orbit = kronecker_fixed_point(alpha, n)
     tr, kd = product_trace(orbit), kronecker_discrepancy(orbit)
@@ -547,7 +597,7 @@ def test_kronecker_hlawka_stream_flags_rows_through_the_bracket(monkeypatch):
     bump = np.zeros(n)
     for i, m in enumerate(at):
         rhs, tol = bounds._hlawka_rhs(m, kd.delta_at(m), tr.error_bound,
-                                      kd.eps)
+                                      kd.margin(m))
         bump[m - 1] = rhs + (-1e-13, 0.5 * tol, 2.0 * tol)[i % 3] \
             - tr.log_values[m - 1]
     feed = BlockTrace.feed

@@ -88,6 +88,7 @@ NOT_RUN = {
     "sequences.kronecker": ("traced", "sequences.kronecker"),
     "discrepancy.star_discrepancy": ("bench", "discrepancy.star_discrepancy"),
     "discrepancy._exact": ("caller", "discrepancy.star_discrepancy"),
+    "discrepancy._float": ("caller", "discrepancy.star_discrepancy"),
     "discrepancy.int_sorted_max": ("caller", "discrepancy._exact"),
     "discrepancy._points_of": ("caller", "discrepancy.star_discrepancy"),
     "sequences.van_der_corput": ("bench", "sequences.van_der_corput"),

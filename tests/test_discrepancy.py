@@ -287,8 +287,22 @@ def test_kronecker_bounds_bracket_trace(drawn):
     assert np.all(lower <= delta) and np.all(delta <= upper)
     # the lower bound never falls below 1/2 by more than its margin
     assert np.all(lower > 0.49)
-    for n in range(1, N + 1):
-        assert kd.delta_at(n) == delta[n - 1], n
+    # delta_at lies between the bounds before their margin, and within
+    # the margin of the float64 trace
+    at = np.array([kd.delta_at(n) for n in range(1, N + 1)])
+    inner_lower, inner_upper, margin = oracles.kronecker_bracket(orbit)
+    assert np.all(inner_lower <= at) and np.all(at <= inner_upper)
+    assert np.all(np.abs(at - delta) <= margin)
+
+
+def test_delta_at_between_the_bounds_before_their_margin(sqrt2m1):
+    # at every n of a 2^17 orbit, past the bracket's first two blocks
+    N = 1 << 17
+    orbit = kronecker_fixed_point(sqrt2m1, N)
+    kd = kronecker_discrepancy(orbit)
+    inner_lower, inner_upper, _ = oracles.kronecker_bracket(orbit)
+    at = np.array([kd.delta_at(n) for n in range(1, N + 1)])
+    assert np.all(inner_lower <= at) and np.all(at <= inner_upper)
 
 
 def test_kronecker_bounds_interface(sqrt2m1):
@@ -296,7 +310,7 @@ def test_kronecker_bounds_interface(sqrt2m1):
     kd = kronecker_discrepancy(orbit)
     tr = discrepancy_trace(orbit.points())
     assert isinstance(kd, PrefixDiscrepancy)
-    assert tr.delta[49] == kd.delta_at(50)
+    assert abs(tr.delta[49] - kd.delta_at(50)) <= kd.margin(50)
     with pytest.raises(IndexError):
         kd.delta_at(0)
     with pytest.raises(IndexError):
