@@ -296,7 +296,7 @@ def test_kronecker_bounds_bracket_trace(drawn):
 
 
 def test_delta_at_between_the_bounds_before_their_margin(sqrt2m1):
-    # at every n of a 2^17 orbit, past the bracket's first two blocks
+    # at every n of a 2^17 orbit, across both of the bracket's blocks
     N = 1 << 17
     orbit = kronecker_fixed_point(sqrt2m1, N)
     kd = kronecker_discrepancy(orbit)
